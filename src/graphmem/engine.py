@@ -3,8 +3,9 @@
 The engine owns the current snapshot and is the only thing that mutates it.
 Boundary checks fire solely on sparse events: a session change, an
 interaction pause longer than the configured gap, buffer overflow after an
-append, or an explicit request.  Reads (``query``) run against the immutable
-snapshot and can be shared freely across threads.
+append, or an explicit request.  What a fired check cuts is the segmenter's
+decision; the default consults the discriminator once.  Reads (``query``)
+run against the immutable snapshot and can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .retrieval import Query, RankedCandidate, retrieve
 
 logger = logging.getLogger(__name__)
 
-VerdictTransform = Callable[[BoundaryVerdict, int], BoundaryVerdict]
+Segmenter = Callable[[MemorySnapshot, BoundaryTrigger], BoundaryVerdict]
 
 
 def _parse_timestamp(value: str | None) -> datetime | None:
@@ -42,13 +43,13 @@ class MemoryEngine:
         providers: ProviderBundle,
         config: EngineConfig | None = None,
         snapshot: MemorySnapshot | None = None,
-        verdict_transform: VerdictTransform | None = None,
+        segmenter: Segmenter | None = None,
     ):
         if snapshot is not None and config is not None and snapshot.config != config:
             raise ValueError("snapshot carries a different config")
         self.providers = providers
         self._snapshot = snapshot if snapshot is not None else new_snapshot(config)
-        self.verdict_transform = verdict_transform
+        self.segmenter = segmenter if segmenter is not None else self.detect_boundary
         self.trigger_counts: dict[TriggerKind, int] = {k: 0 for k in TriggerKind}
         buffer = self._snapshot.buffer
         self._last_session = buffer[-1].session_id if buffer else None
@@ -61,17 +62,6 @@ class MemoryEngine:
     @property
     def config(self) -> EngineConfig:
         return self._snapshot.config
-
-    def replace_snapshot(self, snapshot: MemorySnapshot) -> None:
-        """Adopt a snapshot mutated outside the trigger loop.
-
-        Writer-path only; session and pause tracking resync from the new
-        buffer tail.
-        """
-        self._snapshot = snapshot
-        buffer = snapshot.buffer
-        self._last_session = buffer[-1].session_id if buffer else None
-        self._last_timestamp = buffer[-1].timestamp if buffer else None
 
     def observe(
         self,
@@ -112,6 +102,18 @@ class MemoryEngine:
         """Explicitly requested boundary check."""
         return self._fire(TriggerKind.MANUAL)
 
+    def detect_boundary(
+        self, snapshot: MemorySnapshot, trigger: BoundaryTrigger
+    ) -> BoundaryVerdict:
+        """The default segmenter: one consultation of the bundle's
+        discriminator, falling back to the embedding heuristic."""
+        return check_boundary(
+            snapshot,
+            trigger,
+            self.providers.discriminator,
+            fallback_embedder=self.providers.embedder,
+        )
+
     def query(
         self, query: Query | str, k: int | None = None, include_live: bool = True
     ) -> list[RankedCandidate]:
@@ -132,14 +134,7 @@ class MemoryEngine:
             return []
         self.trigger_counts[kind] += 1
         trigger = BoundaryTrigger(kind, self._snapshot.logical_clock)
-        verdict = check_boundary(
-            self._snapshot,
-            trigger,
-            self.providers.discriminator,
-            fallback_embedder=self.providers.embedder,
-        )
-        if self.verdict_transform is not None and not verdict.forced:
-            verdict = self.verdict_transform(verdict, len(self._snapshot.buffer))
+        verdict = self.segmenter(self._snapshot, trigger)
         reports, self._snapshot = apply_verdict(
             self._snapshot, verdict, self.providers
         )

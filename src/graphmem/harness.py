@@ -2,9 +2,10 @@
 
 Feeds dialogue corpora through the engine under interchangeable partitioning
 strategies, evaluates QA retrieval with token-overlap metrics, injects
-segmentation noise, and emits scaling telemetry.  Strategies only move the
-consolidation cut points; ingestion, consolidation internals and the
-retrieval path are identical across all of them.
+segmentation noise, and emits scaling telemetry.  A strategy is a segmenter
+on the engine: it only decides where a fired boundary check cuts the buffer.
+Ingestion (``observe``, trigger counting, the overflow rule), consolidation
+internals and the retrieval path are identical across all of them.
 
 Corpus wire format: JSON-lines, one turn per line with fields
 ``session_id``, ``turn_index``, ``speaker``, ``text`` and optional
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .boundary import BoundaryVerdict, TriggerKind
-from .consolidation import ConsolidationError, ConsolidationReport, consolidate_segment
-from .core import MemorySnapshot, Utterance, append_event
-from .engine import MemoryEngine
+from .boundary import BoundaryTrigger, BoundaryVerdict, TriggerKind
+from .consolidation import ConsolidationReport
+from .core import MemorySnapshot
+from .engine import MemoryEngine, Segmenter
 from .errors import GraphMemError
 from .metrics import bleu1, recall_at_k, token_f1
-from .providers import ProviderBundle
+from .providers import ProviderBundle, record_usage
 from .retrieval import Query, event_lookup, retrieve
 
 logger = logging.getLogger(__name__)
@@ -231,9 +232,13 @@ def inject_noise(
     return perturb_boundaries(boundaries, n_positions, spec.eta, spec.seed)
 
 
-def _noise_transform(spec: NoiseSpec):
-    def transform(verdict: BoundaryVerdict, buffer_len: int) -> BoundaryVerdict:
-        if buffer_len < 2:
+def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
+    """Perturb every unforced verdict of ``segmenter`` with ``spec``."""
+
+    def segment(snapshot: MemorySnapshot, trigger: BoundaryTrigger) -> BoundaryVerdict:
+        verdict = segmenter(snapshot, trigger)
+        buffer_len = len(snapshot.buffer)
+        if verdict.forced or buffer_len < 2:
             return verdict
         perturbed = inject_noise(verdict.split_indices, spec, buffer_len - 1)
         return BoundaryVerdict(
@@ -242,7 +247,26 @@ def _noise_transform(spec: NoiseSpec):
             degraded=verdict.degraded,
         )
 
-    return transform
+    return segment
+
+
+def _whole_buffer_segmenter(cut_at_session_end: bool) -> Segmenter:
+    """Heuristic strategies never consult the discriminator: a fired check
+    consumes the whole buffer on overflow (forced), on an explicit request,
+    and at a session end if the strategy cuts there; otherwise it keeps it."""
+
+    def segment(snapshot: MemorySnapshot, trigger: BoundaryTrigger) -> BoundaryVerdict:
+        kind = trigger.kind
+        whole = (len(snapshot.buffer) - 1,)
+        if kind is TriggerKind.BUFFER_OVERFLOW:
+            return BoundaryVerdict(True, whole, forced=True)
+        if kind is TriggerKind.MANUAL or (
+            cut_at_session_end and kind is TriggerKind.SESSION_END
+        ):
+            return BoundaryVerdict(True, whole)
+        return BoundaryVerdict(False)
+
+    return segment
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +283,6 @@ class ReplayTelemetry:
     overflow_triggers: int = 0
     manual_triggers: int = 0
     discriminator_calls: int = 0
-    aborted_consolidations: int = 0
 
     @property
     def consolidations(self) -> int:
@@ -288,61 +311,42 @@ def replay(
 ) -> tuple[MemorySnapshot, ReplayTelemetry]:
     """Feed the corpus through the engine under one partitioning strategy.
 
-    The semantic strategy is the engine's own trigger loop (and the only one
-    that consults the discriminator); the heuristic strategies consolidate
-    whole buffers at their fixed cut points.
+    Every strategy runs the same loop: ``observe`` per turn, then
+    ``end_session``.  The strategy is installed as the engine's segmenter.
+    Semantic consults the discriminator at each fired trigger, its verdicts
+    perturbed when ``noise`` is given.  The heuristic strategies cut whole
+    buffers: ``session`` at session ends, ``fixed_turns``/``fixed_window``
+    through an explicit check (counted as ``manual``) once the buffer holds
+    the configured number of turns or tokens; all of them still obey the
+    engine's overflow rule.
     """
     kind, param = parse_strategy(strategy)
+    if kind == "semantic":
+        engine.segmenter = engine.detect_boundary
+        if noise is not None:
+            engine.segmenter = _noisy_segmenter(engine.segmenter, noise)
+    else:
+        engine.segmenter = _whole_buffer_segmenter(kind == "session")
     telemetry = ReplayTelemetry()
     discriminator_before = engine.providers.call_log.count("discriminator")
 
-    if kind == "semantic":
-        if noise is not None:
-            engine.verdict_transform = _noise_transform(noise)
-        for turn in corpus.turns:
-            telemetry.reports.extend(
-                engine.observe(
-                    turn.session_id,
-                    turn.speaker,
-                    turn.text,
-                    turn.timestamp,
-                    turn.turn_index,
-                )
+    for turn in corpus.turns:
+        telemetry.reports.extend(
+            engine.observe(
+                turn.session_id,
+                turn.speaker,
+                turn.text,
+                turn.timestamp,
+                turn.turn_index,
             )
-            telemetry.turns += 1
-        telemetry.reports.extend(engine.end_session())
-    else:
-        snapshot = engine.snapshot
-        last_session: str | None = None
-        for turn in corpus.turns:
-            if (
-                kind == "session"
-                and last_session is not None
-                and turn.session_id != last_session
-            ):
-                snapshot = _consolidate_all(snapshot, engine, telemetry)
-            snapshot = append_event(
-                snapshot,
-                Utterance(
-                    turn.session_id,
-                    turn.speaker,
-                    turn.text,
-                    turn.timestamp,
-                    turn.turn_index,
-                ),
-            )
-            telemetry.turns += 1
-            last_session = turn.session_id
-            buffered = snapshot.active_event_graph
-            if kind == "fixed_turns" and len(buffered) >= param:
-                snapshot = _consolidate_all(snapshot, engine, telemetry)
-            elif kind == "fixed_window" and buffered.token_total >= param:
-                snapshot = _consolidate_all(snapshot, engine, telemetry)
-            elif buffered.token_total > snapshot.config.buffer_token_limit:
-                snapshot = _consolidate_all(snapshot, engine, telemetry, forced=True)
-        if kind == "session":
-            snapshot = _consolidate_all(snapshot, engine, telemetry)
-        engine.replace_snapshot(snapshot)
+        )
+        telemetry.turns += 1
+        buffered = engine.snapshot.active_event_graph
+        if (kind == "fixed_turns" and len(buffered) >= param) or (
+            kind == "fixed_window" and buffered.token_total >= param
+        ):
+            telemetry.reports.extend(engine.check_now())
+    telemetry.reports.extend(engine.end_session())
 
     telemetry.sessions = len(corpus.sessions)
     telemetry.session_end_triggers = engine.trigger_counts[TriggerKind.SESSION_END]
@@ -353,26 +357,6 @@ def replay(
         engine.providers.call_log.count("discriminator") - discriminator_before
     )
     return engine.snapshot, telemetry
-
-
-def _consolidate_all(
-    snapshot: MemorySnapshot,
-    engine: MemoryEngine,
-    telemetry: ReplayTelemetry,
-    forced: bool = False,
-) -> MemorySnapshot:
-    if not snapshot.buffer:
-        return snapshot
-    try:
-        report, snapshot = consolidate_segment(
-            snapshot, snapshot.buffer, engine.providers, forced=forced
-        )
-    except ConsolidationError as exc:
-        logger.warning("consolidation aborted during replay: %s", exc)
-        telemetry.aborted_consolidations += 1
-        return snapshot
-    telemetry.reports.append(report)
-    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ def evaluate(
             f1s[item.category].append(token_f1(answer, item.gold_answer))
             bleus[item.category].append(bleu1(answer, item.gold_answer))
 
-    usage = record_usage_window(providers, log_start, evaluated)
+    usage = record_usage(providers.call_log, evaluated, log_start)
     per_category = {}
     for category in CATEGORIES:
         per_category[category] = {
@@ -464,20 +448,9 @@ def evaluate(
         f1=_mean([v for vs in f1s.values() for v in vs]),
         bleu1=_mean([v for vs in bleus.values() for v in vs]),
         per_category=per_category,
-        tokens_per_query=usage[0],
-        mean_latency=usage[1],
+        tokens_per_query=usage.tokens_per_query,
+        mean_latency=usage.mean_latency,
     )
-
-
-def record_usage_window(
-    providers: ProviderBundle, log_start: int, queries: int
-) -> tuple[float, float]:
-    entries = providers.call_log.entries()[log_start:]
-    if queries <= 0 or not entries:
-        return 0.0, 0.0
-    tokens = sum(e.input_tokens + e.output_tokens for e in entries)
-    elapsed = sum(e.elapsed for e in entries)
-    return tokens / queries, elapsed / queries
 
 
 def _mean(values: list[float]) -> float | None:
@@ -497,30 +470,27 @@ def scaling_report(
 ) -> list[dict]:
     """Replay incrementally and snapshot growth plus query cost per checkpoint.
 
-    The engine must start empty; it consumes sessions in order (a checkpoint
-    flushes the pending session end first) and each row reports archived
-    event nodes, theme count, total edge count, and per-query token cost
-    over the corpus QA set.
+    The engine must start empty and consumes the corpus turn by turn.  A
+    session counts as done when the next turn belongs to another session or
+    the corpus ends; a checkpoint flushes the pending session end first, and
+    each row reports archived event nodes, theme count, total edge count,
+    and per-query token cost over the corpus QA set.
     """
     if engine.snapshot.logical_clock != 0:
         raise ValueError("scaling_report needs a fresh engine")
-    checkpoints = sorted(set(checkpoints))
+    checkpoints = set(checkpoints)
     rows = []
     sessions_done = 0
-    session_ids = list(corpus.sessions)
-    turn_iter = iter(corpus.turns)
-    pending = next(turn_iter, None)
-
-    for session_id in session_ids:
-        while pending is not None and pending.session_id == session_id:
-            engine.observe(
-                pending.session_id,
-                pending.speaker,
-                pending.text,
-                pending.timestamp,
-                pending.turn_index,
-            )
-            pending = next(turn_iter, None)
+    for turn, following in zip(corpus.turns, corpus.turns[1:] + (None,)):
+        engine.observe(
+            turn.session_id,
+            turn.speaker,
+            turn.text,
+            turn.timestamp,
+            turn.turn_index,
+        )
+        if following is not None and following.session_id == turn.session_id:
+            continue
         sessions_done += 1
         if sessions_done in checkpoints:
             engine.end_session()
@@ -544,17 +514,15 @@ def _checkpoint_row(
     for item in corpus.qa:
         retrieve(snapshot, Query(item.question), engine.providers)
         queries += 1
-    tokens_per_query, latency = record_usage_window(
-        engine.providers, log_start, queries
-    )
+    usage = record_usage(engine.providers.call_log, queries, log_start)
     return {
         "sessions": sessions_done,
         "event_nodes": archived_events,
         "buffered": len(snapshot.buffer),
         "topic_nodes": len(snapshot.topic_graph.nodes),
         "edges": edges,
-        "tokens_per_query": tokens_per_query,
-        "latency": latency,
+        "tokens_per_query": usage.tokens_per_query,
+        "latency": usage.mean_latency,
     }
 
 

@@ -245,14 +245,7 @@ class HttpClient:
             vector = np.asarray(body["data"][0]["embedding"], dtype=float)
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderParseError("malformed embeddings envelope") from exc
-        if self.call_log is not None:
-            usage = body.get("usage") or {}
-            self.call_log.record(
-                "embedder",
-                int(usage.get("prompt_tokens", estimate_tokens(text))),
-                0,
-                time.perf_counter() - started,
-            )
+        self._record("embedder", body, text, "", time.perf_counter() - started)
         norm = float(np.linalg.norm(vector))
         if norm < 1e-12:
             raise ProviderParseError("zero-norm embedding")
@@ -402,9 +395,3 @@ def http_bundle(
         call_log=log,
     )
 
-
-def http_chat(
-    client: HttpClient, prompt: str, schema: dict[str, type | tuple[type, ...]]
-) -> dict:
-    """Convenience wrapper kept for callers that hold a bare client."""
-    return client.chat(prompt, schema)

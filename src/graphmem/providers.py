@@ -134,9 +134,10 @@ class UsageSummary:
     mean_latency: float
 
 
-def record_usage(call_log: CallLog, queries: int) -> UsageSummary:
-    """Fold the call log into per-query token and latency figures."""
-    entries = call_log.entries()
+def record_usage(call_log: CallLog, queries: int, start: int = 0) -> UsageSummary:
+    """Fold the call log from entry ``start`` on into per-query token and
+    latency figures."""
+    entries = call_log.entries()[start:]
     if queries <= 0 or not entries:
         return UsageSummary(0.0, 0.0)
     total_tokens = sum(e.input_tokens + e.output_tokens for e in entries)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -268,17 +268,7 @@ def rerank(
         key=lambda c: (-c.score, -int(c.event_node_id[1:]), c.event_node_id)
     )
     return [
-        RankedCandidate(
-            event_node_id=c.event_node_id,
-            source_archive_id=c.source_archive_id,
-            anchor_topic_id=c.anchor_topic_id,
-            p_sem=c.p_sem,
-            indicators=c.indicators,
-            score=c.score,
-            rank=position + 1,
-            degraded=c.degraded,
-        )
-        for position, c in enumerate(scored[:k])
+        replace(c, rank=position + 1) for position, c in enumerate(scored[:k])
     ]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from graphmem.boundary import TriggerKind
+from graphmem.boundary import BoundaryVerdict, TriggerKind
 from graphmem.config import EngineConfig
 from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
@@ -88,6 +88,32 @@ class TestTriggers:
         manual += 1
         expected = sessions + 0 + manual  # session ends + overflows + manual
         assert log.count("discriminator") == expected
+
+
+class TestSegmenter:
+    def test_default_segmenter_consults_the_discriminator(self):
+        engine = fresh_engine()
+        assert engine.segmenter == engine.detect_boundary
+        engine.observe("s1", "ana", "puppy leash collar")
+        engine.check_now()
+        assert engine.providers.call_log.count("discriminator") == 1
+
+    def test_custom_segmenter_decides_the_cut(self):
+        seen = []
+
+        def keep_everything(snapshot, trigger):
+            seen.append((trigger.kind, len(snapshot.buffer)))
+            return BoundaryVerdict(False)
+
+        config = EngineConfig()
+        engine = MemoryEngine(mock_bundle(config), config, segmenter=keep_everything)
+        engine.observe("s1", "ana", "puppy leash collar")
+        engine.observe("s1", "riley", "interview offer panel")
+        assert engine.check_now() == []
+        assert engine.observe("s2", "ana", "garden compost beds") == []
+        assert seen == [(TriggerKind.MANUAL, 2), (TriggerKind.SESSION_END, 2)]
+        assert len(engine.snapshot.buffer) == 3
+        assert engine.providers.call_log.count("discriminator") == 0
 
 
 class TestDeterminism:

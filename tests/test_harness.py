@@ -2,11 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphmem.boundary import TriggerKind
 from graphmem.config import EngineConfig
 from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.harness import (
+    STRATEGY_NAMES,
     DialogueCorpus,
     NoiseSpec,
     QAItem,
@@ -157,6 +161,90 @@ class TestReplay:
 
         assert run() == run()
 
+    @pytest.mark.parametrize(
+        "strategy,consolidations,digest",
+        [
+            ("semantic", 5, "7c69ac89acf52e5048ad39713b36665c52b1a367c856dd4c4b9a1f811f68e6e0"),
+            ("session", 3, "70a200ad08b994ac3b18c6fed3d232f4fcb8032488ab8812e63c4c23ce249d1f"),
+            ("fixed_window:256", 1, "56d50982f70382172afda4b77adb5c7ef0f0191877b8fa2d42f3fbf039b9f9c1"),
+            ("fixed_window:512", 0, "9f1aa6f0c07e2f7a8ca2f09651e573a7fd9207daca7fa961c977e755b79ac6be"),
+            ("fixed_turns:3", 16, "6bb75c5ae058245992cebc73beb98e5c9e3cac3111564ea18e9b174c0c244c81"),
+            ("fixed_turns:5", 9, "cc64189e816081801f615f1062dcddbc4c64f8286ac244655efa2f0f03f44ad6"),
+        ],
+    )
+    def test_golden_strategy_snapshots_are_pinned(
+        self, golden_corpus, strategy, consolidations, digest
+    ):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, telemetry = replay(golden_corpus, engine, strategy)
+        assert telemetry.consolidations == consolidations
+        assert snapshot_hash(snapshot) == digest
+
+    def test_fixed_cuts_count_as_manual_triggers(self):
+        corpus = mini_corpus(4, sessions=2)
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        _, telemetry = replay(corpus, engine, "fixed_turns:3")
+        assert telemetry.manual_triggers == telemetry.consolidations == 2
+        # session ends fire but never cut a fixed-size strategy's buffer
+        assert telemetry.session_end_triggers == 2
+        assert len(engine.snapshot.buffer) == 2
+
+    def test_heuristic_strategies_obey_the_overflow_rule(self):
+        config = EngineConfig(buffer_token_limit=10)
+        corpus = mini_corpus(6, text="four word lines here")
+        engine = MemoryEngine(mock_bundle(config), config)
+        snapshot, telemetry = replay(corpus, engine, "session")
+        # 6 tokens per line: every second append breaches the 10-token budget
+        assert telemetry.overflow_triggers == 3
+        assert [r.forced for r in telemetry.reports] == [True, True, True]
+        assert snapshot.buffer == ()
+        assert telemetry.discriminator_calls == 0
+
+
+@st.composite
+def interleaved_corpora(draw):
+    """Small corpora whose sessions may interleave and pause."""
+    vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer", "the")
+    counters: dict[str, int] = {}
+    minute = 0
+    turns = []
+    for row in range(draw(st.integers(1, 24))):
+        session = draw(st.sampled_from(("s1", "s2", "s3")))
+        index = counters.get(session, 0)
+        counters[session] = index + 1
+        minute += draw(st.integers(0, 45))
+        words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
+        turns.append(
+            Turn(
+                session,
+                index,
+                ("ana", "riley")[row % 2],
+                " ".join(words),
+                f"2026-01-05T{9 + minute // 60:02d}:{minute % 60:02d}:00",
+            )
+        )
+    return DialogueCorpus(tuple(turns))
+
+
+class TestReplayProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
+    def test_every_turn_stored_exactly_once_under_every_strategy(self, corpus, limit):
+        config = EngineConfig(buffer_token_limit=limit)
+        expected = sorted((t.session_id, t.turn_index) for t in corpus.turns)
+        for strategy in STRATEGY_NAMES:
+            engine = MemoryEngine(mock_bundle(config), config)
+            snapshot, telemetry = replay(corpus, engine, strategy)
+            stored = [
+                (n.session_id, n.turn_index)
+                for graph in snapshot.archive.values()
+                for n in graph.nodes
+            ] + [(n.session_id, n.turn_index) for n in snapshot.buffer]
+            assert sorted(stored) == expected, strategy
+            assert telemetry.turns == len(corpus.turns)
+            if strategy != "semantic":
+                assert telemetry.discriminator_calls == 0, strategy
+
 
 class TestNoise:
     def test_eta_zero_is_identity(self):
@@ -303,6 +391,21 @@ class TestScalingReport:
             )
             assert row["event_nodes"] == turns_consumed - row["buffered"]
             assert row["event_nodes"] > 0
+
+    def test_interleaved_sessions_lose_no_turns(self):
+        corpus = DialogueCorpus(
+            (
+                Turn("s1", 0, "ana", "garden compost beds"),
+                Turn("s2", 0, "riley", "an interview offer"),
+                Turn("s1", 1, "ana", "garden mulch herbs"),
+            )
+        )
+        config = EngineConfig()
+        engine = MemoryEngine(mock_bundle(config), config)
+        rows = scaling_report(corpus, engine, [3])
+        assert [r["sessions"] for r in rows] == [3]
+        assert rows[0]["event_nodes"] + rows[0]["buffered"] == 3
+        assert engine.trigger_counts[TriggerKind.SESSION_END] == 3
 
 
 class TestReports:

@@ -151,6 +151,20 @@ class TestEmbeddings:
         assert np.allclose(vec, [0.6, 0.8])
         assert transport.requests[0][0] == "http://model.test/v1/embeddings"
 
+    def test_usage_recorded_with_no_output_tokens(self):
+        log = CallLog()
+        bodies = [
+            {"data": [{"embedding": [1.0, 0.0]}], "usage": {}},
+            {"data": [{"embedding": [1.0, 0.0]}], "usage": {"prompt_tokens": 9}},
+        ]
+        http, _, _ = client([(200, body) for body in bodies], call_log=log)
+        http.embed("three word text")
+        http.embed("hello")
+        assert [(e.provider, e.input_tokens, e.output_tokens) for e in log.entries()] == [
+            ("embedder", 3, 0),
+            ("embedder", 9, 0),
+        ]
+
     def test_dimension_checked_by_adapter(self):
         body = {"data": [{"embedding": [1.0, 0.0, 0.0]}], "usage": {}}
         http, _, _ = client([(200, body)])

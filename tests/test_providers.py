@@ -182,6 +182,15 @@ class TestRecordUsage:
         log.record("x", 200, 25)
         assert record_usage(log, 2).tokens_per_query == 187.5
 
+    def test_start_index_skips_earlier_entries(self):
+        log = CallLog()
+        log.record("x", 100, 50, elapsed=4.0)
+        log.record("x", 200, 25, elapsed=1.0)
+        summary = record_usage(log, 5, start=1)
+        assert summary.tokens_per_query == 45.0
+        assert summary.mean_latency == 0.2
+        assert record_usage(log, 5, start=2) == record_usage(CallLog(), 5)
+
     def test_matches_fold_oracle_on_replay_log(self, golden_snapshot):
         _, _, providers = golden_snapshot
         entries = providers.call_log.entries()

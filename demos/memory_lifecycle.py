@@ -10,7 +10,7 @@ Run with: python demos/memory_lifecycle.py
 """
 
 from graphmem import EngineConfig, MemoryEngine, load, mock_bundle, save, snapshot_hash
-from graphmem.core import stable_layer_hash
+from graphmem.core import stable_layer_hash, topic_raw
 
 config = EngineConfig()
 engine = MemoryEngine(mock_bundle(config), config)
@@ -51,7 +51,7 @@ print("still buffered:", [n.text for n in snapshot.buffer][:2], "...")
 topic = next(iter(snapshot.topic_graph.nodes.values()))
 print("summary:", topic.summary)
 print("keywords:", topic.keywords)
-print("raw holds the full episode:", topic.raw.count("\n"), "lines")
+print("raw holds the full episode:", topic_raw(snapshot, topic.id).count("\n"), "lines")
 
 # Snapshots serialize canonically: equal state means equal bytes, and the
 # file round-trips to the same hash.

@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import EngineConfig
+from .core import memory_stats
 from .engine import MemoryEngine
 from .errors import GraphMemError
 from .harness import (
@@ -331,22 +332,14 @@ def cmd_inspect(args) -> int:
         return 0
     sessions = {n.session_id for g in snapshot.archive.values() for n in g.nodes}
     sessions |= {n.session_id for n in snapshot.buffer}
-    archived_events = sum(len(g) for g in snapshot.archive.values())
-    sequential = sum(len(g.edges) for g in snapshot.archive.values())
+    row = {
+        "sessions": len(sessions),
+        **memory_stats(snapshot),
+        "logical_clock": snapshot.logical_clock,
+    }
     print(
         format_table(
-            [
-                {
-                    "sessions": len(sessions),
-                    "event_nodes": archived_events,
-                    "buffered": len(snapshot.buffer),
-                    "topic_nodes": len(snapshot.topic_graph.nodes),
-                    "edges": len(snapshot.topic_graph.edges)
-                    + len(snapshot.cross_index)
-                    + sequential,
-                    "logical_clock": snapshot.logical_clock,
-                }
-            ],
+            [row],
             ["sessions", "event_nodes", "buffered", "topic_nodes", "edges", "logical_clock"],
         )
     )

@@ -183,7 +183,6 @@ def consolidate_segment(
         id=new_id,
         summary=summary_result.summary,
         keywords=summary_result.keywords,
-        raw=raw_text(segment_nodes),
         embedding=tuple(float(x) for x in embedding),
         created_at=working.logical_clock,
         source_archive_id=archive_id,

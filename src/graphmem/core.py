@@ -1,15 +1,19 @@
 """Two-layer graph memory state and the structural mutations over it.
 
-A snapshot combines four parts: the topic graph of consolidated themes, the
-active event buffer holding the live episode, frozen archives of past
-episodes, and a cross-layer index tying each theme to the archive it was
-built from.  Every mutation is functional: operations return a new snapshot
-and never modify their input, which is what makes transactional
-consolidation and concurrent reads cheap to reason about.
+A snapshot combines three parts: the topic graph of consolidated themes,
+the active event buffer holding the live episode, and frozen archives of
+past episodes.  Each fact is held once: an event graph's sequential edges
+follow from its node order and its id from its archive key (``"live"`` for
+the buffer); the cross-layer index and a theme's verbatim text follow from
+the theme's ``source_archive_id``.  The saved document still writes these
+copies out, and the loader checks them.  Every mutation is functional:
+operations return a new snapshot and never modify their input, which is
+what makes transactional consolidation and concurrent reads cheap to reason
+about.
 
 Identifiers are engine-generated, zero-padded and monotonic ("e000007",
 "t000002", "a000003") so that lexicographic order equals creation order and
-replays are byte-stable.
+replays are byte-stable; a counter past 999999 is refused.
 """
 
 from __future__ import annotations
@@ -77,11 +81,9 @@ class Utterance:
 
 @dataclass(frozen=True)
 class EventGraph:
-    """Append-only utterance graph; sequential edges form a single path."""
+    """Append-only utterance graph; sequential edges join consecutive nodes."""
 
-    graph_id: str
     nodes: tuple[EventNode, ...] = ()
-    edges: tuple[tuple[str, str, str], ...] = ()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -90,22 +92,27 @@ class EventGraph:
     def token_total(self) -> int:
         return sum(n.token_count for n in self.nodes)
 
-    def to_dict(self) -> dict:
+    @property
+    def edges(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple((a.id, b.id, SEQUENTIAL) for a, b in zip(self.nodes, self.nodes[1:]))
+
+    def to_dict(self, graph_id: str) -> dict:
+        nodes = self.nodes
         return {
-            "graph_id": self.graph_id,
-            "nodes": [_event_node_dict(n) for n in self.nodes],
-            "edges": [list(e) for e in self.edges],
+            "graph_id": graph_id,
+            "nodes": [_event_node_dict(n) for n in nodes],
+            "edges": [[a.id, b.id, SEQUENTIAL] for a, b in zip(nodes, nodes[1:])],
         }
 
 
 @dataclass(frozen=True)
 class TopicNode:
-    """Consolidated theme holding both an abstract summary and verbatim text."""
+    """Consolidated theme: an abstract summary plus a link to its episode,
+    whose verbatim text is :func:`topic_raw`."""
 
     id: str
     summary: str
     keywords: tuple[str, ...]
-    raw: str
     embedding: tuple[float, ...]
     created_at: int
     source_archive_id: str
@@ -147,17 +154,25 @@ class MemorySnapshot:
 
     config: EngineConfig
     topic_graph: TopicGraph = field(default_factory=TopicGraph)
-    active_event_graph: EventGraph = field(
-        default_factory=lambda: EventGraph(LIVE_BUFFER_ID)
-    )
+    active_event_graph: EventGraph = field(default_factory=EventGraph)
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
-    cross_index: Mapping[str, str] = field(default_factory=dict)
     state: EngineState = EngineState.EPISODIC_BUFFERING
     logical_clock: int = 0
 
     @property
     def buffer(self) -> tuple[EventNode, ...]:
         return self.active_event_graph.nodes
+
+    @property
+    def cross_index(self) -> dict[str, str]:
+        """Theme id -> id of the archive it was consolidated from."""
+        return {t.id: t.source_archive_id for t in self.topic_graph.nodes.values()}
+
+
+def topic_raw(snapshot: MemorySnapshot, topic_id: str) -> str:
+    """Verbatim text of the episode a theme was built from."""
+    node = snapshot.topic_graph.nodes[topic_id]
+    return raw_text(snapshot.archive[node.source_archive_id].nodes)
 
 
 def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
@@ -173,6 +188,8 @@ def _numeric_suffix(identifier: str) -> int:
 
 
 def _format_id(prefix: str, counter: int) -> str:
+    if counter >= 10**_ID_WIDTH:
+        raise StateError(f"{prefix} id counter exhausted at {_ID_WIDTH} digits")
     return f"{prefix}{counter:0{_ID_WIDTH}d}"
 
 
@@ -208,8 +225,8 @@ def next_archive_id(snapshot: MemorySnapshot) -> str:
 def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapshot:
     """Append one utterance to the live buffer.
 
-    The topic layer, archives and cross index are shared with the input
-    snapshot unchanged; only the buffer and the logical clock move.
+    The topic layer and archives are shared with the input snapshot
+    unchanged; only the buffer and the logical clock move.
     """
     if snapshot.state is not EngineState.EPISODIC_BUFFERING:
         raise StateError("append_event during consolidation transaction")
@@ -231,14 +248,9 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
         timestamp=utterance.timestamp,
         token_count=estimate_tokens(utterance.text),
     )
-    buffer = snapshot.active_event_graph
-    edges = buffer.edges
-    if buffer.nodes:
-        edges = edges + ((buffer.nodes[-1].id, node.id, SEQUENTIAL),)
-    new_buffer = EventGraph(buffer.graph_id, buffer.nodes + (node,), edges)
     return replace(
         snapshot,
-        active_event_graph=new_buffer,
+        active_event_graph=EventGraph(snapshot.buffer + (node,)),
         logical_clock=snapshot.logical_clock + 1,
     )
 
@@ -262,7 +274,7 @@ def archive_segment(
     """Freeze the first ``length`` buffered nodes into a new archive entry.
 
     Only the consolidation transaction may call this; the buffer keeps its
-    suffix and the frozen graph takes the fresh archive id as its graph id.
+    suffix and the frozen graph is stored under a fresh archive id.
     ``confidence_flags`` are the per-node self-consistency results stamped at
     freeze time.
     """
@@ -283,24 +295,11 @@ def archive_segment(
             replace(n, confidence_flag=bool(flag))
             for n, flag in zip(frozen_nodes, confidence_flags)
         )
-    frozen_ids = {n.id for n in frozen_nodes}
-    frozen = EventGraph(
-        archive_id,
-        frozen_nodes,
-        tuple(e for e in buffer.edges if e[0] in frozen_ids and e[1] in frozen_ids),
-    )
-    rest_nodes = buffer.nodes[length:]
-    rest_ids = {n.id for n in rest_nodes}
-    rest = EventGraph(
-        buffer.graph_id,
-        rest_nodes,
-        tuple(e for e in buffer.edges if e[0] in rest_ids and e[1] in rest_ids),
-    )
     new_archive = dict(snapshot.archive)
-    new_archive[archive_id] = frozen
+    new_archive[archive_id] = EventGraph(frozen_nodes)
     return archive_id, replace(
         snapshot,
-        active_event_graph=rest,
+        active_event_graph=EventGraph(buffer.nodes[length:]),
         archive=new_archive,
         logical_clock=snapshot.logical_clock + 1,
     )
@@ -316,7 +315,7 @@ def insert_topic_node(
     node: TopicNode,
     edges: Sequence[TopicEdge],
 ) -> MemorySnapshot:
-    """Atomically add a theme plus its admitted edges and cross link.
+    """Atomically add a theme plus its admitted edges.
 
     Rejects, before any mutation: duplicate node ids, edges not touching the
     new node, dangling endpoints, weights at or below the admission
@@ -347,12 +346,9 @@ def insert_topic_node(
             new_edges[key] = edge
     new_nodes = dict(graph.nodes)
     new_nodes[node.id] = node
-    new_cross = dict(snapshot.cross_index)
-    new_cross[node.id] = node.source_archive_id
     return replace(
         snapshot,
         topic_graph=TopicGraph(new_nodes, new_edges),
-        cross_index=new_cross,
         logical_clock=snapshot.logical_clock + 1,
     )
 
@@ -368,6 +364,23 @@ def neighbors(topic_graph: TopicGraph, node_id: str) -> set[str]:
         elif b == node_id:
             found.add(a)
     return found
+
+
+def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
+    """Size counts shared by telemetry rows and ``inspect``.
+
+    ``edges`` counts every link in the two-layer graph: topic edges, one
+    cross link per theme and the sequential edges inside each archive.
+    """
+    archives = snapshot.archive.values()
+    return {
+        "event_nodes": sum(len(g) for g in archives),
+        "buffered": len(snapshot.buffer),
+        "topic_nodes": len(snapshot.topic_graph.nodes),
+        "edges": len(snapshot.topic_graph.edges)
+        + len(snapshot.topic_graph.nodes)
+        + sum(len(g.edges) for g in archives),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +400,12 @@ def _event_node_dict(node: EventNode) -> dict:
     }
 
 
-def _topic_node_dict(node: TopicNode) -> dict:
+def _topic_node_dict(node: TopicNode, raw: str) -> dict:
     return {
         "id": node.id,
         "summary": node.summary,
         "keywords": list(node.keywords),
-        "raw": node.raw,
+        "raw": raw,
         "embedding": [float(x) for x in node.embedding],
         "created_at": node.created_at,
         "source_archive_id": node.source_archive_id,
@@ -413,17 +426,19 @@ def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
     """Plain-type document with the canonical top-level keys.
 
     The transient state flag is not part of the document: a snapshot at rest
-    is always buffering.
+    is always buffering.  Graph ids, event edges, ``cross_index`` and each
+    theme's ``raw`` are written out from the derived values.
     """
     graph = snapshot.topic_graph
     return {
         "topic_nodes": [
-            _topic_node_dict(graph.nodes[k]) for k in sorted(graph.nodes)
+            _topic_node_dict(graph.nodes[k], topic_raw(snapshot, k))
+            for k in sorted(graph.nodes)
         ],
         "topic_edges": [_topic_edge_dict(e) for e in graph.edge_list()],
-        "archives": {k: v.to_dict() for k, v in snapshot.archive.items()},
-        "cross_index": dict(snapshot.cross_index),
-        "active_buffer": snapshot.active_event_graph.to_dict(),
+        "archives": {k: v.to_dict(k) for k, v in snapshot.archive.items()},
+        "cross_index": snapshot.cross_index,
+        "active_buffer": snapshot.active_event_graph.to_dict(LIVE_BUFFER_ID),
         "config": snapshot.config.to_dict(),
         "logical_clock": snapshot.logical_clock,
     }

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 from .boundary import BoundaryTrigger, BoundaryVerdict, TriggerKind
 from .consolidation import ConsolidationReport
-from .core import MemorySnapshot
+from .core import MemorySnapshot, memory_stats
 from .engine import MemoryEngine, Segmenter
 from .errors import GraphMemError
 from .metrics import bleu1, recall_at_k, token_f1
@@ -233,14 +233,19 @@ def inject_noise(
 
 
 def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
-    """Perturb every unforced verdict of ``segmenter`` with ``spec``."""
+    """Perturb every unforced verdict of ``segmenter`` with ``spec``.
+
+    Each check draws its own stream, seeded from ``spec.seed`` and the
+    trigger's logical time, so runs are reproducible and checks independent.
+    """
 
     def segment(snapshot: MemorySnapshot, trigger: BoundaryTrigger) -> BoundaryVerdict:
         verdict = segmenter(snapshot, trigger)
         buffer_len = len(snapshot.buffer)
         if verdict.forced or buffer_len < 2:
             return verdict
-        perturbed = inject_noise(verdict.split_indices, spec, buffer_len - 1)
+        check_spec = replace(spec, seed=spec.seed * 2**32 + trigger.observed_at)
+        perturbed = inject_noise(verdict.split_indices, check_spec, buffer_len - 1)
         return BoundaryVerdict(
             boundary_detected=bool(perturbed),
             split_indices=tuple(perturbed),
@@ -502,13 +507,6 @@ def _checkpoint_row(
     engine: MemoryEngine, corpus: DialogueCorpus, sessions_done: int
 ) -> dict:
     snapshot = engine.snapshot
-    archived_events = sum(len(g) for g in snapshot.archive.values())
-    sequential_edges = sum(len(g.edges) for g in snapshot.archive.values())
-    edges = (
-        len(snapshot.topic_graph.edges)
-        + len(snapshot.cross_index)
-        + sequential_edges
-    )
     log_start = len(engine.providers.call_log)
     queries = 0
     for item in corpus.qa:
@@ -517,10 +515,7 @@ def _checkpoint_row(
     usage = record_usage(engine.providers.call_log, queries, log_start)
     return {
         "sessions": sessions_done,
-        "event_nodes": archived_events,
-        "buffered": len(snapshot.buffer),
-        "topic_nodes": len(snapshot.topic_graph.nodes),
-        "edges": edges,
+        **memory_stats(snapshot),
         "tokens_per_query": usage.tokens_per_query,
         "latency": usage.mean_latency,
     }

@@ -155,9 +155,7 @@ def drill_down(
     for anchor_id in sorted(anchor_ids):
         if anchor_id not in snapshot.topic_graph.nodes:
             raise ValueError(f"unknown anchor {anchor_id}")
-        archive_id = snapshot.cross_index.get(anchor_id)
-        if archive_id is None:
-            raise CorruptionError("cross-index-covers-topics", anchor_id)
+        archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
         graph = snapshot.archive.get(archive_id)
         if graph is None:
             raise CorruptionError("cross-index-target-exists", archive_id)

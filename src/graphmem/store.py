@@ -3,6 +3,9 @@
 Files are single JSON documents: the canonical snapshot body plus a
 ``format_version`` and a ``content_hash`` header over the body, so equal
 snapshots produce byte-equal files and any corruption is named on load.
+The document spells out four derived copies (graph ids, event edges,
+``cross_index`` and each theme's ``raw``); the loader rebuilds the snapshot
+without them and rejects a file whose copies differ from the derived values.
 The vector index is a plain exhaustive cosine scan; at the intended scale
 (hundreds of themes) the scan is both the implementation and the oracle.
 """
@@ -14,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -26,18 +30,18 @@ from .core import (
     LIVE_BUFFER_ID,
     MemorySnapshot,
     Relation,
-    SEQUENTIAL,
     TopicEdge,
     TopicGraph,
     TopicNode,
     canonical_json,
     edge_key,
-    raw_text,
     snapshot_to_dict,
+    topic_raw,
 )
 from .errors import CorruptionError
 
 FORMAT_VERSION = "1.0"
+_ID_FORMAT = {prefix: re.compile(prefix + "[0-9]{6}") for prefix in "eta"}
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +168,12 @@ def _reconstruct(document: dict) -> MemorySnapshot:
 
     config = EngineConfig.from_dict(body["config"])
     topic_nodes = {}
+    raws = {}
     for entry in body["topic_nodes"]:
         node = TopicNode(
             id=entry["id"],
             summary=entry["summary"],
             keywords=tuple(entry["keywords"]),
-            raw=entry["raw"],
             embedding=tuple(float(x) for x in entry["embedding"]),
             created_at=int(entry["created_at"]),
             source_archive_id=entry["source_archive_id"],
@@ -177,6 +181,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         if node.id in topic_nodes:
             raise CorruptionError("topic-id-unique", node.id)
         topic_nodes[node.id] = node
+        raws[node.id] = entry["raw"]
 
     edges = {}
     for entry in body["topic_edges"]:
@@ -193,10 +198,10 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         edges[key] = edge
 
     archives = {
-        archive_id: _rebuild_graph(graph_dict)
+        archive_id: _rebuild_graph(graph_dict, archive_id, "archive-graph-id")
         for archive_id, graph_dict in body["archives"].items()
     }
-    buffer = _rebuild_graph(body["active_buffer"])
+    buffer = _rebuild_graph(body["active_buffer"], LIVE_BUFFER_ID, "buffer-graph-id")
     clock = body["logical_clock"]
     if not isinstance(clock, int) or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
@@ -206,14 +211,22 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         topic_graph=TopicGraph(topic_nodes, edges),
         active_event_graph=buffer,
         archive=archives,
-        cross_index=dict(body["cross_index"]),
         logical_clock=clock,
     )
     validate_snapshot(snapshot)
+    if body["cross_index"] != snapshot.cross_index:
+        raise CorruptionError("cross-index-matches-source")
+    for topic_id, raw in raws.items():
+        if raw != topic_raw(snapshot, topic_id):
+            raise CorruptionError("raw-matches-archive", topic_id)
     return snapshot
 
 
-def _rebuild_graph(graph_dict: dict) -> EventGraph:
+def _rebuild_graph(graph_dict: dict, graph_id: str, id_check: str) -> EventGraph:
+    """Event graph from its document; the stored id and edges must equal
+    the ones the engine derives and writes."""
+    if graph_dict["graph_id"] != graph_id:
+        raise CorruptionError(id_check, graph_id)
     nodes = tuple(
         EventNode(
             id=entry["id"],
@@ -227,19 +240,19 @@ def _rebuild_graph(graph_dict: dict) -> EventGraph:
         )
         for entry in graph_dict["nodes"]
     )
-    edges = tuple((e[0], e[1], e[2]) for e in graph_dict["edges"])
-    return EventGraph(graph_dict["graph_id"], nodes, edges)
+    graph = EventGraph(nodes)
+    if graph_dict["edges"] != [list(e) for e in graph.edges]:
+        raise CorruptionError("sequential-path", graph_id)
+    return graph
 
 
 def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails."""
     config = snapshot.config
     seen_events: set[str] = set()
-    for graph_name, graph in [("active_buffer", snapshot.active_event_graph)] + [
-        (f"archive {k}", v) for k, v in snapshot.archive.items()
-    ]:
-        node_ids = [n.id for n in graph.nodes]
+    for graph in [snapshot.active_event_graph, *snapshot.archive.values()]:
         for node in graph.nodes:
+            _check_id_format("e", node.id)
             if node.id in seen_events:
                 raise CorruptionError("event-id-unique", node.id)
             seen_events.add(node.id)
@@ -247,40 +260,22 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
                 raise CorruptionError("turn-index-non-negative", node.id)
             if node.token_count != estimate_tokens(node.text):
                 raise CorruptionError("token-count-matches-estimator", node.id)
-        contained = set(node_ids)
-        sequential = [e for e in graph.edges if e[2] == SEQUENTIAL]
-        if len(sequential) != len(graph.edges):
-            raise CorruptionError("event-edge-kind", graph_name)
-        for src, dst, _ in graph.edges:
-            if src not in contained or dst not in contained:
-                raise CorruptionError("event-edge-endpoints", graph_name)
-        expected = {
-            (node_ids[i], node_ids[i + 1], SEQUENTIAL)
-            for i in range(len(node_ids) - 1)
-        }
-        if set(graph.edges) != expected:
-            raise CorruptionError("sequential-path", graph_name)
 
     for archive_id, graph in snapshot.archive.items():
+        _check_id_format("a", archive_id)
         if not graph.nodes:
             raise CorruptionError("archive-non-empty", archive_id)
-        if graph.graph_id != archive_id:
-            raise CorruptionError("archive-graph-id", archive_id)
-    if snapshot.active_event_graph.graph_id != LIVE_BUFFER_ID:
-        raise CorruptionError("buffer-graph-id")
 
     graph = snapshot.topic_graph
     for node in graph.nodes.values():
+        _check_id_format("t", node.id)
         if len(node.embedding) != config.embedding_dim:
             raise CorruptionError("embedding-dim", node.id)
         norm = math.sqrt(sum(x * x for x in node.embedding))
         if abs(norm - 1.0) > 1e-6:
             raise CorruptionError("embedding-unit-norm", node.id)
-        source = snapshot.archive.get(node.source_archive_id)
-        if source is None:
+        if node.source_archive_id not in snapshot.archive:
             raise CorruptionError("source-archive-exists", node.id)
-        if node.raw != raw_text(source.nodes):
-            raise CorruptionError("raw-matches-archive", node.id)
     for key, edge in graph.edges.items():
         if key != edge_key(edge.from_id, edge.to_id):
             raise CorruptionError("edge-key-canonical", str(key))
@@ -289,13 +284,12 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
         if not edge.weight > config.tau:
             raise CorruptionError("edge-weight-above-tau", str(key))
 
-    if set(snapshot.cross_index) != set(graph.nodes):
-        raise CorruptionError("cross-index-covers-topics")
-    targets = list(snapshot.cross_index.values())
-    if len(targets) != len(set(targets)):
+    sources = [node.source_archive_id for node in graph.nodes.values()]
+    if len(sources) != len(set(sources)):
         raise CorruptionError("cross-index-injective")
-    for topic_id, archive_id in snapshot.cross_index.items():
-        if archive_id not in snapshot.archive:
-            raise CorruptionError("cross-index-target-exists", archive_id)
-        if graph.nodes[topic_id].source_archive_id != archive_id:
-            raise CorruptionError("cross-index-matches-source", topic_id)
+
+
+def _check_id_format(prefix: str, identifier: str) -> None:
+    # Id allocation parses the digits back; anything else would fail later.
+    if not _ID_FORMAT[prefix].fullmatch(identifier):
+        raise CorruptionError("id-format", identifier)

@@ -2,24 +2,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.core import (
     EventGraph,
     EventNode,
-    LIVE_BUFFER_ID,
     MemorySnapshot,
     Relation,
-    SEQUENTIAL,
     TopicEdge,
     TopicGraph,
     TopicNode,
     edge_key,
-    raw_text,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.fixtures import make_golden_corpus, make_scaling_corpus, make_smoke_corpus
-from graphmem.harness import replay
+from graphmem.harness import DialogueCorpus, Turn, replay
 from graphmem.providers import mock_bundle
 from graphmem.store import validate_snapshot
 
@@ -84,7 +82,6 @@ def random_snapshot(
     config = config or EngineConfig()
     archives = {}
     topic_nodes = {}
-    cross = {}
     event_counter = 0
     for i in range(1, n_topics + 1):
         archive_id = f"a{i:06d}"
@@ -104,21 +101,16 @@ def random_snapshot(
                     confidence_flag=rng.random() < 0.8,
                 )
             )
-        edges = tuple(
-            (nodes[j].id, nodes[j + 1].id, SEQUENTIAL) for j in range(len(nodes) - 1)
-        )
-        archives[archive_id] = EventGraph(archive_id, tuple(nodes), edges)
+        archives[archive_id] = EventGraph(tuple(nodes))
         topic_id = f"t{i:06d}"
         topic_nodes[topic_id] = TopicNode(
             id=topic_id,
             summary=f"subject {i} summary",
             keywords=(f"subject{i}",),
-            raw=raw_text(nodes),
             embedding=unit_vector(rng, config.embedding_dim),
             created_at=i,
             source_archive_id=archive_id,
         )
-        cross[topic_id] = archive_id
 
     edges = {}
     ids = sorted(topic_nodes)
@@ -138,10 +130,33 @@ def random_snapshot(
     snapshot = MemorySnapshot(
         config=config,
         topic_graph=TopicGraph(topic_nodes, edges),
-        active_event_graph=EventGraph(LIVE_BUFFER_ID),
         archive=archives,
-        cross_index=cross,
         logical_clock=3 * n_topics,
     )
     validate_snapshot(snapshot)
     return snapshot
+
+
+@st.composite
+def interleaved_corpora(draw):
+    """Small corpora whose sessions may interleave and pause."""
+    vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer", "the")
+    counters: dict[str, int] = {}
+    minute = 0
+    turns = []
+    for row in range(draw(st.integers(1, 24))):
+        session = draw(st.sampled_from(("s1", "s2", "s3")))
+        index = counters.get(session, 0)
+        counters[session] = index + 1
+        minute += draw(st.integers(0, 45))
+        words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
+        turns.append(
+            Turn(
+                session,
+                index,
+                ("ana", "riley")[row % 2],
+                " ".join(words),
+                f"2026-01-05T{9 + minute // 60:02d}:{minute % 60:02d}:00",
+            )
+        )
+    return DialogueCorpus(tuple(turns))

@@ -63,9 +63,8 @@ def with_extra_archive(snapshot, n_events=2):
         )
         for i in range(n_events)
     )
-    edges = tuple((nodes[i].id, nodes[i + 1].id, SEQUENTIAL) for i in range(n_events - 1))
     archives = dict(snapshot.archive)
-    archives[archive_id] = EventGraph(archive_id, nodes, edges)
+    archives[archive_id] = EventGraph(nodes)
     return archive_id, replace(snapshot, archive=archives)
 
 
@@ -75,7 +74,6 @@ def fresh_topic(snapshot, archive_id, node_id="t000099", rng=None):
         id=node_id,
         summary="a fresh theme",
         keywords=("fresh",),
-        raw=raw_text(snapshot.archive[archive_id].nodes),
         embedding=unit_vector(rng, snapshot.config.embedding_dim),
         created_at=snapshot.logical_clock + 1,
         source_archive_id=archive_id,
@@ -98,6 +96,16 @@ class TestAppendEvent:
             (ids[0], ids[1], SEQUENTIAL),
             (ids[1], ids[2], SEQUENTIAL),
         ]
+
+    def test_event_id_overflow_is_refused(self):
+        # A seventh digit would break "lexicographic order = creation order".
+        snap = append_event(new_snapshot(), utt("the last id there is"))
+        last = replace(snap.buffer[0], id="e999999")
+        snap = replace(snap, active_event_graph=EventGraph((last,)))
+        before = snapshot_hash(snap)
+        with pytest.raises(StateError):
+            append_event(snap, utt("one turn too many"))
+        assert snapshot_hash(snap) == before
 
     def test_fifty_appends_leave_topic_layer_untouched(self, golden_snapshot):
         snap, _, _ = golden_snapshot
@@ -178,7 +186,10 @@ class TestArchive:
         archive_id, snap = archive_buffer(self._buffered(4))
         assert len(snap.archive[archive_id]) == 4
         assert snap.buffer == ()
-        assert snap.archive[archive_id].graph_id == archive_id
+        ids = [n.id for n in snap.archive[archive_id].nodes]
+        assert list(snap.archive[archive_id].edges) == [
+            (ids[i], ids[i + 1], SEQUENTIAL) for i in range(3)
+        ]
 
     def test_successive_archives_get_distinct_ids(self):
         first_id, snap = archive_buffer(self._buffered(2))
@@ -193,7 +204,7 @@ class TestArchive:
         archive_id, snap = archive_buffer(self._buffered(2))
         frozen = snap.archive[archive_id]
         with pytest.raises(AttributeError):
-            frozen.graph_id = "other"
+            frozen.nodes = ()
         with pytest.raises(AttributeError):
             frozen.nodes[0].text = "rewritten"
 

@@ -28,6 +28,8 @@ from graphmem.harness import (
 )
 from graphmem.providers import mock_bundle
 
+from conftest import interleaved_corpora
+
 
 def mini_corpus(n_turns=4, sessions=1, text="the same garden topic"):
     turns = []
@@ -201,31 +203,6 @@ class TestReplay:
         assert telemetry.discriminator_calls == 0
 
 
-@st.composite
-def interleaved_corpora(draw):
-    """Small corpora whose sessions may interleave and pause."""
-    vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer", "the")
-    counters: dict[str, int] = {}
-    minute = 0
-    turns = []
-    for row in range(draw(st.integers(1, 24))):
-        session = draw(st.sampled_from(("s1", "s2", "s3")))
-        index = counters.get(session, 0)
-        counters[session] = index + 1
-        minute += draw(st.integers(0, 45))
-        words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
-        turns.append(
-            Turn(
-                session,
-                index,
-                ("ana", "riley")[row % 2],
-                " ".join(words),
-                f"2026-01-05T{9 + minute // 60:02d}:{minute % 60:02d}:00",
-            )
-        )
-    return DialogueCorpus(tuple(turns))
-
-
 class TestReplayProperties:
     @settings(max_examples=30, deadline=None)
     @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
@@ -291,6 +268,22 @@ class TestNoise:
         )
         assert telemetry.turns == len(golden_corpus.turns)
         assert len(snapshot.topic_graph.nodes) == len(snapshot.archive)
+
+    def _semantic_hash(self, corpus, noise):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(corpus, engine, "semantic", noise=noise)
+        return snapshot_hash(snapshot)
+
+    def test_each_check_draws_its_own_noise(self, scaling_corpus):
+        # Reseeding every check with the spec seed replays one draw (0.844
+        # for seed 0) at every check, which never perturbs at eta 0.1.
+        noiseless = self._semantic_hash(scaling_corpus, None)
+        assert self._semantic_hash(scaling_corpus, NoiseSpec(0.1, 0)) != noiseless
+
+    def test_noisy_replay_is_reproducible(self, golden_corpus):
+        spec = NoiseSpec(0.3, 4)
+        first = self._semantic_hash(golden_corpus, spec)
+        assert self._semantic_hash(golden_corpus, spec) == first
 
 
 def _oracle_perturb(boundaries, n_positions, eta, seed, delete_probability=0.5):

@@ -197,7 +197,10 @@ class TestDrillDown:
 
     def test_dangling_cross_link_is_corruption(self):
         snap = random_snapshot(random.Random(11), 2)
-        broken = replace(snap, cross_index={"t000001": "a000001"})
+        topic = snap.topic_graph.nodes["t000002"]
+        nodes = dict(snap.topic_graph.nodes)
+        nodes["t000002"] = replace(topic, source_archive_id="a999999")
+        broken = replace(snap, topic_graph=replace(snap.topic_graph, nodes=nodes))
         with pytest.raises(CorruptionError):
             drill_down(broken, ["t000002"])
 

@@ -1,12 +1,26 @@
+import hashlib
 import json
+import os
 import random
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphmem.core import snapshot_hash
+from graphmem.config import EngineConfig
+from graphmem.core import (
+    Utterance,
+    append_event,
+    canonical_json,
+    snapshot_bytes,
+    snapshot_hash,
+)
+from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError, GraphMemError
+from graphmem.providers import mock_bundle
 from graphmem.store import (
     FORMAT_VERSION,
     VectorIndex,
@@ -16,12 +30,42 @@ from graphmem.store import (
     vector_topk,
 )
 
-from conftest import random_snapshot, unit_vector
+from conftest import interleaved_corpora, random_snapshot, unit_vector
+
+BODY_KEYS = (
+    "topic_nodes",
+    "topic_edges",
+    "archives",
+    "cross_index",
+    "active_buffer",
+    "config",
+    "logical_clock",
+)
 
 
 @pytest.fixture
 def snapshot():
     return random_snapshot(random.Random(21), 12, edge_probability=0.05)
+
+
+@pytest.fixture
+def buffered_snapshot(snapshot):
+    for text in ("one more buffered line", "and a second buffered line"):
+        snapshot = append_event(snapshot, Utterance("s99", "ana", text))
+    return snapshot
+
+
+def rewrite(document, path):
+    """Write ``document`` with a content hash matching its body, so the load
+    reaches the structural checks behind the hash."""
+    body = {k: document[k] for k in BODY_KEYS}
+    document["content_hash"] = hashlib.sha256(canonical_json(body)).hexdigest()
+    path.write_text(json.dumps(document))
+
+
+def saved_document(snapshot, path):
+    save(snapshot, path)
+    return json.loads(path.read_text())
 
 
 class TestSaveLoad:
@@ -72,23 +116,7 @@ class TestValidation:
         return json.loads(path.read_text()), path
 
     def _rewrite(self, document, path):
-        # keep the recorded hash consistent so the named check is reached
-        import hashlib
-
-        from graphmem.core import canonical_json
-
-        body_keys = (
-            "topic_nodes",
-            "topic_edges",
-            "archives",
-            "cross_index",
-            "active_buffer",
-            "config",
-            "logical_clock",
-        )
-        body = {k: document[k] for k in body_keys}
-        document["content_hash"] = hashlib.sha256(canonical_json(body)).hexdigest()
-        path.write_text(json.dumps(document))
+        rewrite(document, path)
 
     def test_cross_index_pointing_at_missing_archive(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
@@ -155,6 +183,124 @@ class TestValidation:
     def test_validate_passes_on_generated_snapshots(self):
         for seed in range(5):
             validate_snapshot(random_snapshot(random.Random(seed), 8))
+
+
+def _first_archive(document):
+    return document["archives"][sorted(document["archives"])[0]]
+
+
+def _tamper_event_edge(document):
+    edge = _first_archive(document)["edges"][0]
+    edge[0], edge[1] = edge[1], edge[0]
+
+
+def _tamper_archive_graph_id(document):
+    first, second = sorted(document["archives"])[:2]
+    document["archives"][first]["graph_id"] = second
+
+
+def _tamper_buffer_graph_id(document):
+    document["active_buffer"]["graph_id"] = "buffer"
+
+
+def _tamper_cross_index(document):
+    index = document["cross_index"]
+    index["t000001"], index["t000002"] = index["t000002"], index["t000001"]
+
+
+def _tamper_raw(document):
+    document["topic_nodes"][0]["raw"] += "\nana: an utterance never stored"
+
+
+class TestRepeatedFacts:
+    """The document repeats four derived facts; each copy is checked."""
+
+    @pytest.mark.parametrize(
+        "tamper, invariant",
+        [
+            (_tamper_event_edge, "sequential-path"),
+            (_tamper_archive_graph_id, "archive-graph-id"),
+            (_tamper_buffer_graph_id, "buffer-graph-id"),
+            (_tamper_cross_index, "cross-index-matches-source"),
+            (_tamper_raw, "raw-matches-archive"),
+        ],
+    )
+    def test_tampered_copy_is_named(self, buffered_snapshot, tmp_path, tamper, invariant):
+        path = tmp_path / "memory.json"
+        document = saved_document(buffered_snapshot, path)
+        tamper(document)
+        rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == invariant
+
+
+def _malformed_event_id(document):
+    # The buffer's last node becomes "ezz", its edge renamed to match.
+    buffer = document["active_buffer"]
+    buffer["nodes"][-1]["id"] = "ezz"
+    buffer["edges"][-1][1] = "ezz"
+
+
+def _malformed_topic_id(document):
+    topic = next(
+        t
+        for t in document["topic_nodes"]
+        if not any(t["id"] in (e["from_id"], e["to_id"]) for e in document["topic_edges"])
+    )
+    document["cross_index"]["t12"] = document["cross_index"].pop(topic["id"])
+    topic["id"] = "t12"
+
+
+def _malformed_archive_id(document):
+    document["archives"]["a1"] = document["archives"].pop("a000001")
+    document["archives"]["a1"]["graph_id"] = "a1"
+    document["cross_index"]["t000001"] = "a1"
+    document["topic_nodes"][0]["source_archive_id"] = "a1"
+
+
+class TestIdFormat:
+    @pytest.mark.parametrize(
+        "malform", [_malformed_event_id, _malformed_topic_id, _malformed_archive_id]
+    )
+    def test_malformed_id_rejected(self, buffered_snapshot, tmp_path, malform):
+        path = tmp_path / "memory.json"
+        document = saved_document(buffered_snapshot, path)
+        malform(document)
+        rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "id-format"
+
+
+class TestEngineSnapshotProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
+    def test_every_snapshot_validates_round_trips_and_keeps_ingesting(
+        self, corpus, limit
+    ):
+        # The engine restarts from the reloaded copy after every turn, so the
+        # final state also proves that loaded snapshots ingest like live ones.
+        config = EngineConfig(buffer_token_limit=limit)
+        bundle = mock_bundle(config)
+        continuous = MemoryEngine(mock_bundle(config), config)
+        engine = MemoryEngine(bundle, config)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "memory.json")
+            for turn in corpus.turns:
+                args = (turn.session_id, turn.speaker, turn.text, turn.timestamp)
+                continuous.observe(*args, turn.turn_index)
+                engine.observe(*args, turn.turn_index)
+                snapshot = engine.snapshot
+                validate_snapshot(snapshot)
+                save(snapshot, path)
+                loaded = load(path)
+                assert snapshot_bytes(loaded) == snapshot_bytes(snapshot)
+                engine = MemoryEngine(bundle, snapshot=loaded)
+        continuous.end_session()
+        engine.end_session()
+        validate_snapshot(engine.snapshot)
+        assert snapshot_bytes(engine.snapshot) == snapshot_bytes(continuous.snapshot)
 
 
 class TestMutationFuzz:

@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import ConsolidationError, ProviderError, ProviderParseError, StateError
 from .providers import ProviderBundle, RelationScorer
-from .store import VectorIndex, vector_topk
+from .store import topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +68,7 @@ def select_candidates(
     norm = float(np.linalg.norm(vector))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"summary embedding must be unit-normalized, norm={norm}")
-    index = VectorIndex.from_topic_graph(topic_graph, vector.shape[0])
-    return vector_topk(index, vector, k_cand)
+    return vector_topk(topic_index(topic_graph, vector.shape[0]), vector, k_cand)
 
 
 def score_relation(

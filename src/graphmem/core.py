@@ -13,19 +13,27 @@ about.
 
 Identifiers are engine-generated, zero-padded and monotonic ("e000007",
 "t000002", "a000003") so that lexicographic order equals creation order and
-replays are byte-stable; a counter past 999999 is refused.
+replays are byte-stable; a counter past 999999 is refused.  Because event ids
+rise through the archives in id order and then the buffer (the loader checks
+this), the next event id follows from the newest node alone, and the next
+topic or archive id from the highest key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .config import EngineConfig, estimate_tokens
 from .errors import StateError
+
+if TYPE_CHECKING:
+    from .store import VectorIndex
 
 _ID_WIDTH = 6
 LIVE_BUFFER_ID = "live"
@@ -129,13 +137,32 @@ class TopicEdge:
 
 @dataclass(frozen=True)
 class TopicGraph:
-    """Theme graph; at most one edge per unordered node pair."""
+    """Theme graph; at most one edge per unordered node pair.
+
+    Two derived values are built at most once per graph and are never saved
+    or compared: :attr:`adjacency`, and ``vector_index``, the exact-scan
+    index over the node embeddings that ``store.topic_index`` builds on
+    first use and :func:`insert_topic_node` carries to the next graph with
+    one more row.
+    """
 
     nodes: Mapping[str, TopicNode] = field(default_factory=dict)
     edges: Mapping[tuple[str, str], TopicEdge] = field(default_factory=dict)
+    vector_index: VectorIndex | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def edge_list(self) -> list[TopicEdge]:
         return [self.edges[k] for k in sorted(self.edges)]
+
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Node id -> ids sharing an edge with it, ignoring direction."""
+        found: dict[str, set[str]] = defaultdict(set)
+        for a, b in self.edges:
+            found[a].add(b)
+            found[b].add(a)
+        return {node_id: frozenset(ids) for node_id, ids in found.items()}
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -183,39 +210,29 @@ def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
 # id allocation
 
 
-def _numeric_suffix(identifier: str) -> int:
-    return int(identifier[1:])
-
-
-def _format_id(prefix: str, counter: int) -> str:
+def _id_after(prefix: str, newest: str | None) -> str:
+    """The id following ``newest`` (the first id when there is none)."""
+    counter = 1 if newest is None else int(newest[1:]) + 1
     if counter >= 10**_ID_WIDTH:
         raise StateError(f"{prefix} id counter exhausted at {_ID_WIDTH} digits")
     return f"{prefix}{counter:0{_ID_WIDTH}d}"
 
 
-def _all_event_ids(snapshot: MemorySnapshot) -> Iterable[str]:
-    for node in snapshot.active_event_graph.nodes:
-        yield node.id
-    for graph in snapshot.archive.values():
-        for node in graph.nodes:
-            yield node.id
-
-
 def next_event_id(snapshot: MemorySnapshot) -> str:
-    highest = max((_numeric_suffix(i) for i in _all_event_ids(snapshot)), default=0)
-    return _format_id("e", highest + 1)
+    # The newest event ends the buffer or, with the buffer empty, the newest
+    # archive; archives are never empty.
+    newest = snapshot.buffer or (
+        snapshot.archive[max(snapshot.archive)].nodes if snapshot.archive else ()
+    )
+    return _id_after("e", newest[-1].id if newest else None)
 
 
 def next_topic_id(snapshot: MemorySnapshot) -> str:
-    highest = max(
-        (_numeric_suffix(i) for i in snapshot.topic_graph.nodes), default=0
-    )
-    return _format_id("t", highest + 1)
+    return _id_after("t", max(snapshot.topic_graph.nodes, default=None))
 
 
 def next_archive_id(snapshot: MemorySnapshot) -> str:
-    highest = max((_numeric_suffix(i) for i in snapshot.archive), default=0)
-    return _format_id("a", highest + 1)
+    return _id_after("a", max(snapshot.archive, default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +363,23 @@ def insert_topic_node(
             new_edges[key] = edge
     new_nodes = dict(graph.nodes)
     new_nodes[node.id] = node
+    new_graph = TopicGraph(new_nodes, new_edges)
+    if graph.vector_index is not None:
+        # Derived value: the parent's index stays as it is.
+        index = graph.vector_index.with_row(node.id, node.embedding)
+        object.__setattr__(new_graph, "vector_index", index)
     return replace(
         snapshot,
-        topic_graph=TopicGraph(new_nodes, new_edges),
+        topic_graph=new_graph,
         logical_clock=snapshot.logical_clock + 1,
     )
 
 
-def neighbors(topic_graph: TopicGraph, node_id: str) -> set[str]:
+def neighbors(topic_graph: TopicGraph, node_id: str) -> frozenset[str]:
     """All nodes sharing an edge with ``node_id``, ignoring direction."""
     if node_id not in topic_graph.nodes:
         raise ValueError(f"unknown topic node {node_id}")
-    found = set()
-    for a, b in topic_graph.edges:
-        if a == node_id:
-            found.add(b)
-        elif b == node_id:
-            found.add(a)
-    return found
+    return topic_graph.adjacency.get(node_id, frozenset())
 
 
 def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
@@ -444,7 +460,7 @@ def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
     }
 
 
-def canonical_json(document: dict) -> bytes:
+def canonical_json(document: object) -> bytes:
     """Key-sorted, separator-fixed encoding: equal documents, equal bytes."""
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
 

@@ -191,6 +191,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 0.4:
             raise ValueError("eta must lie in [0, 0.4]")
+        if self.seed < 0:
+            # random.Random seeds with abs(seed): -1 would replay seed 1.
+            raise ValueError("noise seed must be >= 0")
 
 
 def perturb_boundaries(

@@ -23,7 +23,7 @@ from .config import EngineConfig
 from .core import EventNode, MemorySnapshot, TopicGraph, neighbors
 from .errors import CorruptionError, ProviderError
 from .providers import ProviderBundle
-from .store import VectorIndex, vector_topk
+from .store import topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +132,7 @@ def anchor(topic_graph: TopicGraph, query_embedding: np.ndarray, k: int) -> Anch
     if k < 1:
         raise ValueError("k must be >= 1")
     vector = np.asarray(query_embedding, dtype=float)
-    index = VectorIndex.from_topic_graph(topic_graph, vector.shape[0])
-    seeds = vector_topk(index, vector, k)
+    seeds = vector_topk(topic_index(topic_graph, vector.shape[0]), vector, k)
     seed_ids = {s for s, _ in seeds}
     expanded: set[str] = set()
     for seed_id in seed_ids:

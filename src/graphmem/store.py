@@ -8,6 +8,8 @@ The document spells out four derived copies (graph ids, event edges,
 without them and rejects a file whose copies differ from the derived values.
 The vector index is a plain exhaustive cosine scan; at the intended scale
 (hundreds of themes) the scan is both the implementation and the oracle.
+Each topic graph holds one index, built on first use by :func:`topic_index`
+and extended by one row, into a new index, when a theme is inserted.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,16 +51,22 @@ _ID_FORMAT = {prefix: re.compile(prefix + "[0-9]{6}") for prefix in "eta"}
 # exact vector search
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorIndex:
-    """Exhaustive cosine index over unit vectors, ties broken by smaller id."""
+    """Exhaustive cosine index over unit vectors, ties broken by smaller id.
 
-    ids: list[str]
+    Immutable, so every snapshot sharing a topic graph can share its index.
+    """
+
+    ids: tuple[str, ...]
     matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
 
     @classmethod
     def empty(cls, dim: int) -> "VectorIndex":
-        return cls([], np.zeros((0, dim)))
+        return cls((), np.zeros((0, dim)))
 
     @classmethod
     def from_topic_graph(cls, graph: TopicGraph, dim: int) -> "VectorIndex":
@@ -65,16 +74,26 @@ class VectorIndex:
         if not ids:
             return cls.empty(dim)
         matrix = np.array([graph.nodes[i].embedding for i in ids], dtype=float)
-        return cls(ids, matrix)
+        return cls(tuple(ids), matrix)
 
-    def add(self, node_id: str, vector: np.ndarray) -> None:
-        """Incremental maintenance path; must stay equal to a full rebuild."""
+    def with_row(self, node_id: str, vector: Sequence[float]) -> "VectorIndex":
+        """A new index with one more row; must stay equal to a full rebuild."""
         position = bisect.bisect_left(self.ids, node_id)
-        self.ids.insert(position, node_id)
-        self.matrix = np.insert(self.matrix, position, np.asarray(vector, float), axis=0)
+        ids = self.ids[:position] + (node_id,) + self.ids[position:]
+        row = np.asarray(vector, dtype=float)
+        return VectorIndex(ids, np.insert(self.matrix, position, row, axis=0))
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def topic_index(graph: TopicGraph, dim: int) -> VectorIndex:
+    """The graph's one vector index, built on first use."""
+    if graph.vector_index is None:
+        # A derived value, so setting it on the frozen graph changes nothing
+        # the graph compares or saves.
+        object.__setattr__(graph, "vector_index", VectorIndex.from_topic_graph(graph, dim))
+    return graph.vector_index
 
 
 def vector_topk(
@@ -104,11 +123,13 @@ def vector_topk(
 
 def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """Write the canonical document atomically (temp file + rename)."""
-    body = snapshot_to_dict(snapshot)
-    document = dict(body)
-    document["format_version"] = FORMAT_VERSION
-    document["content_hash"] = hashlib.sha256(canonical_json(body)).hexdigest()
-    payload = canonical_json(document)
+    # Each top-level value is encoded once and shared by the hash and the
+    # file; joined in key order, the members equal ``canonical_json``.
+    members = {k: canonical_json(v) for k, v in snapshot_to_dict(snapshot).items()}
+    content_hash = hashlib.sha256(_join_members(members)).hexdigest()
+    members["format_version"] = canonical_json(FORMAT_VERSION)
+    members["content_hash"] = canonical_json(content_hash)
+    payload = _join_members(members)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -119,6 +140,13 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+
+
+def _join_members(members: dict[str, bytes]) -> bytes:
+    """Canonical object encoding from already encoded member values."""
+    return b"{%s}" % b",".join(
+        canonical_json(key) + b":" + members[key] for key in sorted(members)
+    )
 
 
 def load(path: str | os.PathLike) -> MemorySnapshot:
@@ -249,22 +277,25 @@ def _rebuild_graph(graph_dict: dict, graph_id: str, id_check: str) -> EventGraph
 def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails."""
     config = snapshot.config
-    seen_events: set[str] = set()
-    for graph in [snapshot.active_event_graph, *snapshot.archive.values()]:
-        for node in graph.nodes:
-            _check_id_format("e", node.id)
-            if node.id in seen_events:
-                raise CorruptionError("event-id-unique", node.id)
-            seen_events.add(node.id)
-            if node.turn_index < 0:
-                raise CorruptionError("turn-index-non-negative", node.id)
-            if node.token_count != estimate_tokens(node.text):
-                raise CorruptionError("token-count-matches-estimator", node.id)
-
     for archive_id, graph in snapshot.archive.items():
         _check_id_format("a", archive_id)
         if not graph.nodes:
             raise CorruptionError("archive-non-empty", archive_id)
+
+    # Event ids rise through the archives in id order and then the buffer,
+    # which makes them unique and lets allocation read only the newest one.
+    previous = ""
+    archives = [snapshot.archive[k] for k in sorted(snapshot.archive)]
+    for graph in [*archives, snapshot.active_event_graph]:
+        for node in graph.nodes:
+            _check_id_format("e", node.id)
+            if node.id <= previous:
+                raise CorruptionError("event-id-order", node.id)
+            previous = node.id
+            if node.turn_index < 0:
+                raise CorruptionError("turn-index-non-negative", node.id)
+            if node.token_count != estimate_tokens(node.text):
+                raise CorruptionError("token-count-matches-estimator", node.id)
 
     graph = snapshot.topic_graph
     for node in graph.nodes.values():

@@ -276,6 +276,27 @@ class TestEval:
         report = json.loads(smoke_paths["report"].read_text())
         assert report["noise"] == {"eta": 0.4, "seed": 5}
 
+    def test_negative_noise_seed_exits_two(self, smoke_paths, capsys):
+        code, _, err = run_cli(
+            [
+                "eval",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--strategy",
+                "semantic",
+                "--noise",
+                "0.2",
+                "--seed",
+                "-1",
+                "--report",
+                smoke_paths["report"],
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "noise seed" in err
+        assert not smoke_paths["report"].exists()
+
     def test_criteria_violation_exits_one(self, smoke_paths, tmp_path, capsys):
         criteria = tmp_path / "criteria.json"
         criteria.write_text(

@@ -261,6 +261,13 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(-0.1, 1)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) replays random.Random(1); a negative seed would
+        # silently alias its absolute value.
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.2, -1)
+        assert NoiseSpec(0.2, 0).seed == 0
+
     def test_noisy_semantic_replay_completes(self, golden_corpus):
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, telemetry = replay(

@@ -11,21 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
+from graphmem.consolidation import select_candidates
 from graphmem.core import (
     Utterance,
     append_event,
     canonical_json,
+    neighbors,
+    next_archive_id,
+    next_event_id,
+    next_topic_id,
     snapshot_bytes,
     snapshot_hash,
+    snapshot_to_dict,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError, GraphMemError
+from graphmem.harness import replay
 from graphmem.providers import mock_bundle
+from graphmem.retrieval import Query, anchor, retrieve
 from graphmem.store import (
     FORMAT_VERSION,
     VectorIndex,
     load,
     save,
+    topic_index,
     validate_snapshot,
     vector_topk,
 )
@@ -88,6 +97,20 @@ class TestSaveLoad:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load(tmp_path / "never-written.json")
+
+    @pytest.mark.parametrize("corpus", ["golden", "scaling"])
+    def test_saved_bytes_are_the_canonical_document(self, corpus, tmp_path, request):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, "semantic")
+        body = snapshot_to_dict(snapshot)
+        document = {
+            **body,
+            "format_version": FORMAT_VERSION,
+            "content_hash": hashlib.sha256(canonical_json(body)).hexdigest(),
+        }
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        assert path.read_bytes() == canonical_json(document)
 
     def test_scaling_snapshot_round_trips_under_a_second(self, tmp_path):
         from graphmem.config import EngineConfig
@@ -259,6 +282,34 @@ def _malformed_archive_id(document):
     document["topic_nodes"][0]["source_archive_id"] = "a1"
 
 
+def _buffer_below_archives(document):
+    # The single buffered node takes an id below every archived one.
+    document["active_buffer"]["nodes"][0]["id"] = "e000000"
+
+
+def _archives_swapped(document):
+    # The first two archives trade episodes, edges included.
+    first, second = (document["archives"][k] for k in sorted(document["archives"])[:2])
+    for key in ("nodes", "edges"):
+        first[key], second[key] = second[key], first[key]
+
+
+class TestEventIdOrder:
+    """Allocation reads only the newest event, so the loader insists that
+    ids rise through the archives in id order and then the buffer."""
+
+    @pytest.mark.parametrize("tamper", [_buffer_below_archives, _archives_swapped])
+    def test_out_of_order_ids_rejected(self, snapshot, tmp_path, tamper):
+        snapshot = append_event(snapshot, Utterance("s99", "ana", "one buffered line"))
+        path = tmp_path / "memory.json"
+        document = saved_document(snapshot, path)
+        tamper(document)
+        rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "event-id-order"
+
+
 class TestIdFormat:
     @pytest.mark.parametrize(
         "malform", [_malformed_event_id, _malformed_topic_id, _malformed_archive_id]
@@ -325,11 +376,13 @@ class TestMutationFuzz:
 
 class TestVectorIndex:
     def test_topk_ties_by_id(self):
-        index = VectorIndex.empty(4)
         shared = np.array([1.0, 0.0, 0.0, 0.0])
-        index.add("t000002", shared)
-        index.add("t000001", shared)
-        index.add("t000003", np.array([0.0, 1.0, 0.0, 0.0]))
+        index = (
+            VectorIndex.empty(4)
+            .with_row("t000002", shared)
+            .with_row("t000001", shared)
+            .with_row("t000003", np.array([0.0, 1.0, 0.0, 0.0]))
+        )
         result = vector_topk(index, shared, 3)
         assert [i for i, _ in result] == ["t000001", "t000002", "t000003"]
         assert result[0][1] == pytest.approx(1.0)
@@ -350,7 +403,9 @@ class TestVectorIndex:
         order = list(graph.nodes)
         rng.shuffle(order)
         for tid in order:
-            incremental.add(tid, np.asarray(graph.nodes[tid].embedding))
+            extended = incremental.with_row(tid, graph.nodes[tid].embedding)
+            assert len(incremental) == len(extended) - 1
+            incremental = extended
         assert incremental.ids == rebuilt.ids
         assert np.array_equal(incremental.matrix, rebuilt.matrix)
         query = np.asarray(unit_vector(rng, 64))
@@ -373,7 +428,73 @@ class TestVectorIndex:
             )
             report, snap = consolidate_segment(snap, snap.buffer, bundle)
             node = snap.topic_graph.nodes[report.new_topic_id]
-            incremental.add(node.id, np.asarray(node.embedding))
+            incremental = incremental.with_row(node.id, node.embedding)
             rebuilt = VectorIndex.from_topic_graph(snap.topic_graph, config.embedding_dim)
             assert incremental.ids == rebuilt.ids
             assert np.allclose(incremental.matrix, rebuilt.matrix)
+
+
+def _scan_next_id(prefix, ids):
+    """Reference allocator: one past the largest number among all ids."""
+    return f"{prefix}{max((int(i[1:]) for i in ids), default=0) + 1:06d}"
+
+
+def _engine(limit):
+    config = EngineConfig(buffer_token_limit=limit)
+    return MemoryEngine(mock_bundle(config), config)
+
+
+def _observe(engine, turn):
+    engine.observe(turn.session_id, turn.speaker, turn.text, turn.timestamp, turn.turn_index)
+
+
+class TestDerivedValueProperties:
+    """Id allocation, the carried vector index and the adjacency map read
+    only derived state; each must equal the full scan it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
+    def test_each_turn_matches_a_full_scan(self, corpus, limit):
+        engine = _engine(limit)
+        dim = engine.config.embedding_dim
+        query = engine.providers.embedder.embed("garden puppy offer")
+        for turn in corpus.turns:
+            _observe(engine, turn)
+            snapshot = engine.snapshot
+            graphs = (snapshot.active_event_graph, *snapshot.archive.values())
+            events = [n.id for g in graphs for n in g.nodes]
+            assert next_event_id(snapshot) == _scan_next_id("e", events)
+            assert next_topic_id(snapshot) == _scan_next_id("t", snapshot.topic_graph.nodes)
+            assert next_archive_id(snapshot) == _scan_next_id("a", snapshot.archive)
+
+            graph = snapshot.topic_graph
+            carried = topic_index(graph, dim)
+            rebuilt = VectorIndex.from_topic_graph(graph, dim)
+            assert carried.ids == rebuilt.ids
+            assert carried.matrix.tobytes() == rebuilt.matrix.tobytes()
+            k = max(len(graph.nodes), 1)
+            expected = vector_topk(rebuilt, query, k)
+            assert select_candidates(graph, query, k) == expected
+            assert anchor(graph, query, k).seeds == tuple(expected)
+
+            for node_id in graph.nodes:
+                scanned = {b if a == node_id else a for a, b in graph.edges if node_id in (a, b)}
+                assert neighbors(graph, node_id) == scanned
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24)))
+    def test_consolidation_leaves_the_parent_index_alone(self, corpus, limit):
+        engine = _engine(limit)
+        query = Query("what about the garden and the puppy")
+        for turn in corpus.turns:
+            before = engine.snapshot
+            ranking = retrieve(before, query, engine.providers)
+            index = before.topic_graph.vector_index
+            matrix = index.matrix.tobytes()
+            _observe(engine, turn)
+            # Querying the new snapshot uses the index carried from ``before``.
+            engine.query(query)
+            assert before.topic_graph.vector_index is index
+            assert index.matrix.tobytes() == matrix
+            assert len(index) == len(before.topic_graph.nodes)
+            assert retrieve(before, query, engine.providers) == ranking

@@ -9,6 +9,9 @@ consolidate the finished topic, then persist and reload the snapshot.
 Run with: python demos/memory_lifecycle.py
 """
 
+import os
+import tempfile
+
 from graphmem import EngineConfig, MemoryEngine, load, mock_bundle, save, snapshot_hash
 from graphmem.core import stable_layer_hash, topic_raw
 
@@ -55,8 +58,10 @@ print("raw holds the full episode:", topic_raw(snapshot, topic.id).count("\n"), 
 
 # Snapshots serialize canonically: equal state means equal bytes, and the
 # file round-trips to the same hash.
-save(snapshot, "/tmp/lifecycle.snapshot.json")
-reloaded = load("/tmp/lifecycle.snapshot.json")
+with tempfile.TemporaryDirectory() as workdir:
+    path = os.path.join(workdir, "lifecycle.snapshot.json")
+    save(snapshot, path)
+    reloaded = load(path)
 print("round-trip hash preserved:",
       snapshot_hash(reloaded) == snapshot_hash(snapshot))
 

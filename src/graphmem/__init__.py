@@ -33,7 +33,6 @@ from .core import (
     TopicNode,
     Utterance,
     append_event,
-    archive_buffer,
     insert_topic_node,
     neighbors,
     new_snapshot,
@@ -107,7 +106,6 @@ __all__ = [
     "anchor",
     "append_event",
     "apply_verdict",
-    "archive_buffer",
     "check_boundary",
     "consolidate_segment",
     "drill_down",

@@ -34,6 +34,14 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type in (int, "int")
+            if isinstance(value, bool) or not isinstance(
+                value, int if integral else (int, float)
+            ):
+                expected = "an integer" if integral else "a number"
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         if self.buffer_token_limit < 1:
             raise ValueError("buffer_token_limit must be >= 1")
         if self.k_cand < 1:

@@ -11,7 +11,6 @@ relation score only drops that one candidate.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,7 +51,6 @@ class ConsolidationReport:
     scored_relations: tuple[tuple[str, str, float], ...]
     accepted_edges: int
     forced: bool
-    elapsed: float
     provider_tokens: dict
     skipped_candidates: tuple[str, ...] = ()
     entailment_defaults: int = 0
@@ -121,7 +119,6 @@ def consolidate_segment(
         raise ValueError("segment must be a prefix of the active buffer")
 
     config = snapshot.config
-    started = time.perf_counter()
     log_start = len(providers.call_log)
     working = replace(snapshot, state=EngineState.SEMANTIC_CONSOLIDATION)
     segment_nodes = buffer[: len(segment)]
@@ -197,7 +194,6 @@ def consolidate_segment(
         scored_relations=tuple(scored),
         accepted_edges=len(edges),
         forced=forced,
-        elapsed=time.perf_counter() - started,
         provider_tokens={"input": tokens_in, "output": tokens_out},
         skipped_candidates=tuple(skipped),
         entailment_defaults=entailment_defaults,

@@ -286,7 +286,7 @@ def _derive_turn_index(snapshot: MemorySnapshot, session_id: str) -> int:
 def archive_segment(
     snapshot: MemorySnapshot,
     length: int,
-    confidence_flags: Sequence[bool] | None = None,
+    confidence_flags: Sequence[bool],
 ) -> tuple[str, MemorySnapshot]:
     """Freeze the first ``length`` buffered nodes into a new archive entry.
 
@@ -302,16 +302,14 @@ def archive_segment(
         raise StateError("archive of an empty buffer")
     if not 1 <= length <= len(buffer.nodes):
         raise ValueError(f"segment length {length} out of range")
-    if confidence_flags is not None and len(confidence_flags) != length:
+    if len(confidence_flags) != length:
         raise ValueError("confidence_flags length mismatch")
 
     archive_id = next_archive_id(snapshot)
-    frozen_nodes = buffer.nodes[:length]
-    if confidence_flags is not None:
-        frozen_nodes = tuple(
-            replace(n, confidence_flag=bool(flag))
-            for n, flag in zip(frozen_nodes, confidence_flags)
-        )
+    frozen_nodes = tuple(
+        replace(n, confidence_flag=bool(flag))
+        for n, flag in zip(buffer.nodes[:length], confidence_flags)
+    )
     new_archive = dict(snapshot.archive)
     new_archive[archive_id] = EventGraph(frozen_nodes)
     return archive_id, replace(
@@ -320,11 +318,6 @@ def archive_segment(
         archive=new_archive,
         logical_clock=snapshot.logical_clock + 1,
     )
-
-
-def archive_buffer(snapshot: MemorySnapshot) -> tuple[str, MemorySnapshot]:
-    """Freeze the whole buffer and reset it to empty."""
-    return archive_segment(snapshot, len(snapshot.active_event_graph.nodes))
 
 
 def insert_topic_node(

@@ -43,13 +43,12 @@ class MemoryEngine:
         providers: ProviderBundle,
         config: EngineConfig | None = None,
         snapshot: MemorySnapshot | None = None,
-        segmenter: Segmenter | None = None,
     ):
         if snapshot is not None and config is not None and snapshot.config != config:
             raise ValueError("snapshot carries a different config")
         self.providers = providers
         self._snapshot = snapshot if snapshot is not None else new_snapshot(config)
-        self.segmenter = segmenter if segmenter is not None else self.detect_boundary
+        self.segmenter: Segmenter = self.detect_boundary
         self.trigger_counts: dict[TriggerKind, int] = {k: 0 for k in TriggerKind}
         buffer = self._snapshot.buffer
         self._last_session = buffer[-1].session_id if buffer else None
@@ -114,12 +113,10 @@ class MemoryEngine:
             fallback_embedder=self.providers.embedder,
         )
 
-    def query(
-        self, query: Query | str, k: int | None = None, include_live: bool = True
-    ) -> list[RankedCandidate]:
+    def query(self, query: Query | str, k: int | None = None) -> list[RankedCandidate]:
         if isinstance(query, str):
             query = Query(text=query)
-        return retrieve(self._snapshot, query, self.providers, k, include_live)
+        return retrieve(self._snapshot, query, self.providers, k)
 
     def _pause_exceeded(self, incoming: str | None) -> bool:
         previous = _parse_timestamp(self._last_timestamp)

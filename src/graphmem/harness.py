@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -91,11 +91,8 @@ class DialogueCorpus:
 
     @property
     def sessions(self) -> tuple[str, ...]:
-        ordered: list[str] = []
-        for turn in self.turns:
-            if not ordered or ordered[-1] != turn.session_id:
-                ordered.append(turn.session_id)
-        return tuple(dict.fromkeys(ordered))
+        """Distinct session ids in order of first appearance."""
+        return tuple(dict.fromkeys(t.session_id for t in self.turns))
 
 
 def load_corpus(turns_path: str | Path, qa_path: str | Path | None = None) -> DialogueCorpus:
@@ -196,28 +193,23 @@ class NoiseSpec:
             raise ValueError("noise seed must be >= 0")
 
 
-def perturb_boundaries(
-    boundaries: Sequence[int],
-    n_positions: int,
-    eta: float,
-    seed: int,
-    delete_probability: float = 0.5,
+def inject_noise(
+    boundaries: Sequence[int], spec: NoiseSpec, n_positions: int
 ) -> list[int]:
     """Simulate miss / shift / extra segmentation failures.
 
-    Each boundary is perturbed with probability ``eta``: a fair coin picks
-    deletion or a uniform shift from {-2, -1, +1, +2} clamped into range.
-    Afterwards ``round(eta * len(boundaries))`` extra uniform cut points are
-    inserted.  Only ``Random.random()`` draws are used, in a fixed order, so
-    the stream is reproducible and easy to mirror in an oracle.
+    Each boundary is perturbed with probability ``spec.eta``: a fair coin
+    picks deletion or a uniform shift from {-2, -1, +1, +2} clamped into
+    range.  Afterwards ``round(eta * len(boundaries))`` extra uniform cut
+    points are inserted.  Only ``Random.random()`` draws are used, in a fixed
+    order, so the stream is reproducible and easy to mirror in an oracle.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    rng = random.Random(seed)
+    eta = spec.eta
+    rng = random.Random(spec.seed)
     kept: list[int] = []
     for boundary in sorted(boundaries):
         if rng.random() < eta:
-            if rng.random() < delete_probability:
+            if rng.random() < 0.5:
                 continue
             shift = (-2, -1, 1, 2)[int(rng.random() * 4)]
             kept.append(min(max(boundary + shift, 0), n_positions - 1))
@@ -227,12 +219,6 @@ def perturb_boundaries(
     for _ in range(extras):
         kept.append(int(rng.random() * n_positions))
     return sorted(set(kept))
-
-
-def inject_noise(
-    boundaries: Sequence[int], spec: NoiseSpec, n_positions: int
-) -> list[int]:
-    return perturb_boundaries(boundaries, n_positions, spec.eta, spec.seed)
 
 
 def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
@@ -380,19 +366,9 @@ class EvalResult:
     bleu1: float | None
     per_category: dict
     tokens_per_query: float
-    mean_latency: float
 
     def to_dict(self) -> dict:
-        return {
-            "items": self.items,
-            "failed_items": self.failed_items,
-            "recall_at_k": self.recall_at_k,
-            "f1": self.f1,
-            "bleu1": self.bleu1,
-            "per_category": self.per_category,
-            "tokens_per_query": self.tokens_per_query,
-            "mean_latency": self.mean_latency,
-        }
+        return asdict(self)
 
 
 def evaluate(
@@ -440,7 +416,6 @@ def evaluate(
             f1s[item.category].append(token_f1(answer, item.gold_answer))
             bleus[item.category].append(bleu1(answer, item.gold_answer))
 
-    usage = record_usage(providers.call_log, evaluated, log_start)
     per_category = {}
     for category in CATEGORIES:
         per_category[category] = {
@@ -456,8 +431,7 @@ def evaluate(
         f1=_mean([v for vs in f1s.values() for v in vs]),
         bleu1=_mean([v for vs in bleus.values() for v in vs]),
         per_category=per_category,
-        tokens_per_query=usage.tokens_per_query,
-        mean_latency=usage.mean_latency,
+        tokens_per_query=record_usage(providers.call_log, evaluated, log_start),
     )
 
 
@@ -511,16 +485,14 @@ def _checkpoint_row(
 ) -> dict:
     snapshot = engine.snapshot
     log_start = len(engine.providers.call_log)
-    queries = 0
     for item in corpus.qa:
         retrieve(snapshot, Query(item.question), engine.providers)
-        queries += 1
-    usage = record_usage(engine.providers.call_log, queries, log_start)
     return {
         "sessions": sessions_done,
         **memory_stats(snapshot),
-        "tokens_per_query": usage.tokens_per_query,
-        "latency": usage.mean_latency,
+        "tokens_per_query": record_usage(
+            engine.providers.call_log, len(corpus.qa), log_start
+        ),
     }
 
 
@@ -558,14 +530,29 @@ _OPS = {
 }
 
 
-def check_criteria(report: dict, criteria: Sequence[dict]) -> list[str]:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_criteria(report: dict, criteria: list[dict]) -> list[str]:
     """Evaluate threshold rules of the form {metric, op, value} against a
-    report; ``metric`` is a dotted path into the report document."""
+    report; ``metric`` is a dotted path into the report document.
+
+    A malformed rule, or a rule naming a report value that is neither a
+    number nor null, raises ``ValueError``; a missing or null value and a
+    failed comparison are violations.
+    """
+    if not isinstance(criteria, list):
+        raise ValueError("criteria must be a list of rules")
     violations = []
-    for rule in criteria:
-        path, op, target = rule["metric"], rule["op"], rule["value"]
-        if op not in _OPS:
-            raise ValueError(f"unknown op {op!r}")
+    for row, rule in enumerate(criteria):
+        if not isinstance(rule, dict) or not isinstance(rule.get("metric"), str):
+            raise ValueError(f"criteria rule {row}: expected an object with a metric")
+        path, op, target = rule["metric"], rule.get("op"), rule.get("value")
+        if not isinstance(op, str) or op not in _OPS:
+            raise ValueError(f"criteria rule {row}: unknown op {op!r}")
+        if not _is_number(target):
+            raise ValueError(f"criteria rule {row}: value must be a number")
         value = report
         try:
             for part in path.split("."):
@@ -573,6 +560,8 @@ def check_criteria(report: dict, criteria: Sequence[dict]) -> list[str]:
         except (KeyError, TypeError):
             violations.append(f"{path}: missing from report")
             continue
+        if value is not None and not _is_number(value):
+            raise ValueError(f"criteria rule {row}: {path} is not a number")
         if value is None or not _OPS[op](value, target):
             violations.append(f"{path}: {value} not {op} {target}")
     return violations

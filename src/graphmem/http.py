@@ -189,7 +189,7 @@ class HttpClient:
                 self.sleep(self.config.backoff * 2**attempt)
         raise ProviderTransportError(f"gave up after {self.config.max_attempts} attempts: {last}")
 
-    def _record(self, provider: str, body: dict, prompt: str, output: str, elapsed: float):
+    def _record(self, provider: str, body: dict, prompt: str, output: str):
         if self.call_log is None:
             return
         usage = body.get("usage") or {}
@@ -197,7 +197,6 @@ class HttpClient:
             provider,
             int(usage.get("prompt_tokens", estimate_tokens(prompt))),
             int(usage.get("completion_tokens", estimate_tokens(output))),
-            elapsed,
         )
 
     def chat(
@@ -215,7 +214,6 @@ class HttpClient:
         attempt_prompt = prompt
         last_error: ProviderParseError | None = None
         for _ in range(2):
-            started = time.perf_counter()
             body = self._post(
                 "/chat/completions",
                 {
@@ -227,7 +225,7 @@ class HttpClient:
                 content = body["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError) as exc:
                 raise ProviderTransportError("malformed completion envelope") from exc
-            self._record(provider, body, attempt_prompt, content, time.perf_counter() - started)
+            self._record(provider, body, attempt_prompt, content)
             try:
                 return validate_schema(extract_json_object(content), schema)
             except ProviderParseError as exc:
@@ -236,7 +234,6 @@ class HttpClient:
         raise last_error  # type: ignore[misc]
 
     def embed(self, text: str) -> np.ndarray:
-        started = time.perf_counter()
         body = self._post(
             "/embeddings",
             {"model": self.config.embed_model or self.config.model, "input": text},
@@ -245,7 +242,7 @@ class HttpClient:
             vector = np.asarray(body["data"][0]["embedding"], dtype=float)
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderParseError("malformed embeddings envelope") from exc
-        self._record("embedder", body, text, "", time.perf_counter() - started)
+        self._record("embedder", body, text, "")
         norm = float(np.linalg.norm(vector))
         if norm < 1e-12:
             raise ProviderParseError("zero-norm embedding")
@@ -342,11 +339,10 @@ Return JSON strictly in the format: {{"entailed": true_or_false}}"""
 
 
 class HttpRelevanceScorer:
-    """Pairwise scorer; raw model scores are squashed into (0, 1)."""
+    """Pairwise scorer; raw model scores pass through the logistic into (0, 1)."""
 
-    def __init__(self, client: HttpClient, squash: bool = True):
+    def __init__(self, client: HttpClient):
         self.client = client
-        self.squash = squash
 
     def score(self, query: str, text: str) -> float:
         payload = self.client.chat(
@@ -354,12 +350,7 @@ class HttpRelevanceScorer:
             {"score": (int, float)},
             provider="relevance_scorer",
         )
-        raw = float(payload["score"])
-        if self.squash:
-            return logistic(raw)
-        if not 0.0 <= raw <= 1.0:
-            raise ProviderParseError(f"score {raw} outside [0, 1]")
-        return raw
+        return logistic(float(payload["score"]))
 
 
 class HttpEntailmentChecker:

@@ -91,7 +91,6 @@ class CallRecord:
     provider: str
     input_tokens: int
     output_tokens: int
-    elapsed: float
 
 
 class CallLog:
@@ -101,13 +100,9 @@ class CallLog:
         self._entries: list[CallRecord] = []
         self._lock = threading.Lock()
 
-    def record(
-        self, provider: str, input_tokens: int, output_tokens: int, elapsed: float = 0.0
-    ) -> None:
+    def record(self, provider: str, input_tokens: int, output_tokens: int) -> None:
         with self._lock:
-            self._entries.append(
-                CallRecord(provider, input_tokens, output_tokens, elapsed)
-            )
+            self._entries.append(CallRecord(provider, input_tokens, output_tokens))
 
     def entries(self) -> tuple[CallRecord, ...]:
         with self._lock:
@@ -128,21 +123,11 @@ class CallLog:
         )
 
 
-@dataclass(frozen=True)
-class UsageSummary:
-    tokens_per_query: float
-    mean_latency: float
-
-
-def record_usage(call_log: CallLog, queries: int, start: int = 0) -> UsageSummary:
-    """Fold the call log from entry ``start`` on into per-query token and
-    latency figures."""
-    entries = call_log.entries()[start:]
-    if queries <= 0 or not entries:
-        return UsageSummary(0.0, 0.0)
-    total_tokens = sum(e.input_tokens + e.output_tokens for e in entries)
-    total_elapsed = sum(e.elapsed for e in entries)
-    return UsageSummary(total_tokens / queries, total_elapsed / queries)
+def record_usage(call_log: CallLog, queries: int, start: int = 0) -> float:
+    """Tokens per query over the call log from entry ``start`` on."""
+    if queries <= 0:
+        return 0.0
+    return sum(call_log.token_totals(start)) / queries
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +307,7 @@ class MockEntailmentChecker:
 class ProviderBundle:
     """The model-facing surface of the engine plus its shared call log.
 
-    ``time_classifier`` and ``answer_synthesizer`` are optional hooks; when
-    absent the retrieval path falls back to its regex rule and the evaluation
+    ``answer_synthesizer`` is an optional hook; when absent the evaluation
     harness skips answer-overlap metrics.
     """
 
@@ -334,7 +318,6 @@ class ProviderBundle:
     relevance_scorer: RelevanceScorer
     entailment: EntailmentChecker
     call_log: CallLog = field(default_factory=CallLog)
-    time_classifier: Callable[[str], bool] | None = None
     answer_synthesizer: Callable[[str, Sequence[str]], str] | None = None
 
 

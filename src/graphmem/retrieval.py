@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,28 +46,12 @@ TEMPORAL_RE = re.compile(
 @dataclass(frozen=True)
 class Query:
     text: str
-    asked_at: str | None = None
     target_speakers: frozenset[str] | None = None
     time_sensitive: bool | None = None
 
     def __post_init__(self) -> None:
         if not self.text.strip():
             raise ValueError("query text must be non-empty")
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Query":
-        """Wire form: {text, asked_at?, target_speakers?, time_sensitive?}."""
-        known = {"text", "asked_at", "target_speakers", "time_sensitive"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown query keys: {sorted(unknown)}")
-        speakers = payload.get("target_speakers")
-        return cls(
-            text=payload["text"],
-            asked_at=payload.get("asked_at"),
-            target_speakers=frozenset(speakers) if speakers is not None else None,
-            time_sensitive=payload.get("time_sensitive"),
-        )
 
 
 @dataclass(frozen=True)
@@ -80,9 +64,6 @@ class AnchorSet:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.seeds) + self.expansions
-
-    def __len__(self) -> int:
-        return len(self.seeds) + len(self.expansions)
 
 
 @dataclass(frozen=True)
@@ -98,9 +79,6 @@ class IndicatorFlags:
     conf: int
     role: int
 
-    def to_dict(self) -> dict:
-        return {"time": self.time, "conf": self.conf, "role": self.role}
-
 
 @dataclass(frozen=True)
 class RankedCandidate:
@@ -112,19 +90,6 @@ class RankedCandidate:
     score: float
     rank: int
     degraded: bool = False
-
-    def to_dict(self) -> dict:
-        """Every score component, exposed for auditability."""
-        return {
-            "event_node_id": self.event_node_id,
-            "source_archive_id": self.source_archive_id,
-            "anchor_topic_id": self.anchor_topic_id,
-            "p_sem": self.p_sem,
-            "indicators": self.indicators.to_dict(),
-            "score": self.score,
-            "rank": self.rank,
-            "degraded": self.degraded,
-        }
 
 
 def anchor(topic_graph: TopicGraph, query_embedding: np.ndarray, k: int) -> AnchorSet:
@@ -165,22 +130,14 @@ def drill_down(
     return candidates
 
 
-def is_time_sensitive(
-    query: Query, classifier: Callable[[str], bool] | None = None
-) -> bool:
+def is_time_sensitive(query: Query) -> bool:
     if query.time_sensitive is not None:
         return query.time_sensitive
-    if classifier is not None:
-        return bool(classifier(query.text))
     return bool(TEMPORAL_RE.search(query.text))
 
 
-def time_indicator(
-    query: Query,
-    candidate: EventNode,
-    classifier: Callable[[str], bool] | None = None,
-) -> int:
-    if not is_time_sensitive(query, classifier):
+def time_indicator(query: Query, candidate: EventNode) -> int:
+    if not is_time_sensitive(query):
         return 0
     if TEMPORAL_RE.search(candidate.text) or candidate.timestamp:
         return 1
@@ -239,7 +196,7 @@ def rerank(
             degraded = True
         p_sem = min(max(p_sem, 0.0), 1.0)
         flags = IndicatorFlags(
-            time=time_indicator(query, candidate.node, providers.time_classifier),
+            time=time_indicator(query, candidate.node),
             conf=conf_indicator(candidate.node),
             role=role_indicator(query, candidate.node),
         )
@@ -274,20 +231,19 @@ def retrieve(
     query: Query,
     providers: ProviderBundle,
     k: int | None = None,
-    include_live: bool = True,
 ) -> list[RankedCandidate]:
-    """Full three-stage pipeline over one immutable snapshot."""
+    """Full three-stage pipeline over one immutable snapshot; the live
+    buffer is always a candidate source."""
     config = snapshot.config
     if k is None:
         k = config.retrieval_k
     query_vector = providers.embedder.embed(query.text)
     anchors = anchor(snapshot.topic_graph, query_vector, k)
     candidates = drill_down(snapshot, anchors)
-    if include_live:
-        candidates.extend(
-            CandidateEvent(node, LIVE_PROVENANCE, LIVE_PROVENANCE)
-            for node in snapshot.buffer
-        )
+    candidates.extend(
+        CandidateEvent(node, LIVE_PROVENANCE, LIVE_PROVENANCE)
+        for node in snapshot.buffer
+    )
     if not candidates:
         return []
     return rerank(query, candidates, providers, config, k)

@@ -137,6 +137,25 @@ class TestIngest:
         assert snapshot.config.retrieval_k == 3
         assert snapshot.config.tau == 0.4
 
+    def test_config_value_of_wrong_type_exits_two(self, smoke_paths, tmp_path, capsys):
+        config_file = tmp_path / "engine.conf"
+        config_file.write_text("k_cand = 2.5\n")
+        code, _, err = run_cli(
+            [
+                "ingest",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--snapshot-out",
+                smoke_paths["snapshot"],
+                "--config",
+                config_file,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "k_cand must be an integer" in err
+        assert not smoke_paths["snapshot"].exists()
+
     def test_unknown_strategy_exits_two(self, smoke_paths, capsys):
         code, _, err = run_cli(
             [
@@ -355,6 +374,35 @@ class TestEval:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            [{"metric": "strategies", "op": ">=", "value": 1}],
+            [{"metric": "k", "value": 1}],
+            {"metric": "k"},
+        ],
+        ids=["non-numeric-report-value", "missing-op", "bare-object"],
+    )
+    def test_malformed_criteria_exit_two(self, smoke_paths, tmp_path, capsys, rules):
+        criteria = tmp_path / "criteria.json"
+        criteria.write_text(json.dumps(rules))
+        code, _, err = run_cli(
+            [
+                "eval",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--strategy",
+                "semantic",
+                "--report",
+                smoke_paths["report"],
+                "--criteria",
+                criteria,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: criteria")
 
 
 class TestInspect:

@@ -25,11 +25,25 @@ def test_defaults_pin_the_operating_point():
         ("beta_time", 0.9),
         ("beta_role", 0.0),
         ("embedding_dim", 0),
+        # wrong types: each would load and break a later slice, range or seed
+        ("k_cand", 2.5),
+        ("retrieval_k", 2.5),
+        ("buffer_token_limit", "2048"),
+        ("seed", "x"),
+        ("seed", True),
+        ("pause_gap_minutes", 30.0),
+        ("tau", "0.5"),
+        ("beta_time", None),
+        ("heuristic_cutoff", False),
     ],
 )
 def test_invalid_values_rejected(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         EngineConfig(**{field: value})
+
+
+def test_int_accepted_for_float_fields():
+    assert EngineConfig(beta_time=2).beta_time == 2
 
 
 def test_boost_outside_validated_range_warns():

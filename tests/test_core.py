@@ -17,7 +17,6 @@ from graphmem.core import (
     TopicNode,
     Utterance,
     append_event,
-    archive_buffer,
     archive_segment,
     insert_topic_node,
     neighbors,
@@ -42,6 +41,12 @@ def in_consolidation(snapshot):
 
 def buffering(snapshot):
     return replace(snapshot, state=EngineState.EPISODIC_BUFFERING)
+
+
+def archive_all(snapshot):
+    """Freeze the whole buffer, every node trusted."""
+    length = len(snapshot.buffer)
+    return archive_segment(snapshot, length, [True] * length)
 
 
 def with_extra_archive(snapshot, n_events=2):
@@ -183,7 +188,7 @@ class TestArchive:
         return in_consolidation(snap)
 
     def test_whole_buffer_archived_and_reset(self):
-        archive_id, snap = archive_buffer(self._buffered(4))
+        archive_id, snap = archive_all(self._buffered(4))
         assert len(snap.archive[archive_id]) == 4
         assert snap.buffer == ()
         ids = [n.id for n in snap.archive[archive_id].nodes]
@@ -192,16 +197,16 @@ class TestArchive:
         ]
 
     def test_successive_archives_get_distinct_ids(self):
-        first_id, snap = archive_buffer(self._buffered(2))
+        first_id, snap = archive_all(self._buffered(2))
         snap = append_event(buffering(snap), utt("again one more"))
-        second_id, snap = archive_buffer(in_consolidation(snap))
+        second_id, snap = archive_all(in_consolidation(snap))
         assert first_id != second_id
         assert set(snap.archive) == {first_id, second_id}
         assert len(snap.archive[first_id]) == 2
         assert len(snap.archive[second_id]) == 1
 
     def test_archived_graph_is_immutable(self):
-        archive_id, snap = archive_buffer(self._buffered(2))
+        archive_id, snap = archive_all(self._buffered(2))
         frozen = snap.archive[archive_id]
         with pytest.raises(AttributeError):
             frozen.nodes = ()
@@ -210,16 +215,16 @@ class TestArchive:
 
     def test_empty_buffer_archive_is_a_state_bug(self):
         with pytest.raises(StateError):
-            archive_buffer(in_consolidation(new_snapshot()))
+            archive_all(in_consolidation(new_snapshot()))
 
     def test_archive_outside_transaction_rejected(self):
         snap = append_event(new_snapshot(), utt("hello world"))
         with pytest.raises(StateError):
-            archive_buffer(snap)
+            archive_all(snap)
 
     def test_prefix_archive_keeps_suffix_path(self):
         snap = self._buffered(5)
-        archive_id, snap = archive_segment(snap, 3)
+        archive_id, snap = archive_segment(snap, 3, [True] * 3)
         assert len(snap.archive[archive_id]) == 3
         assert len(snap.buffer) == 2
         ids = [n.id for n in snap.buffer]

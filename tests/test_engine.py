@@ -106,7 +106,8 @@ class TestSegmenter:
             return BoundaryVerdict(False)
 
         config = EngineConfig()
-        engine = MemoryEngine(mock_bundle(config), config, segmenter=keep_everything)
+        engine = MemoryEngine(mock_bundle(config), config)
+        engine.segmenter = keep_everything
         engine.observe("s1", "ana", "puppy leash collar")
         engine.observe("s1", "riley", "interview offer panel")
         assert engine.check_now() == []

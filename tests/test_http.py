@@ -239,8 +239,3 @@ class TestProviderAdapters:
     def test_relevance_squashes_raw_scores(self):
         http, _, _ = client([(200, chat_body('{"score": 2.0}'))])
         assert HttpRelevanceScorer(http).score("q", "t") == pytest.approx(logistic(2.0))
-
-    def test_relevance_unsquashed_requires_unit_range(self):
-        http, _, _ = client([(200, chat_body('{"score": 2.0}'))])
-        with pytest.raises(ProviderParseError):
-            HttpRelevanceScorer(http, squash=False).score("q", "t")

@@ -203,6 +203,15 @@ class TestValidation:
         with pytest.raises(CorruptionError, match="unit-norm"):
             load(path)
 
+    def test_config_the_engine_cannot_use_rejected(self, snapshot, tmp_path):
+        # A fractional retrieval_k would load and then fail every query.
+        document, path = self._document(snapshot, tmp_path)
+        document["config"]["retrieval_k"] = 2.5
+        self._rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "document-schema"
+
     def test_validate_passes_on_generated_snapshots(self):
         for seed in range(5):
             validate_snapshot(random_snapshot(random.Random(seed), 8))

@@ -23,7 +23,6 @@ from .consolidation import (
     select_candidates,
 )
 from .core import (
-    EngineState,
     EventGraph,
     EventNode,
     MemorySnapshot,
@@ -81,7 +80,6 @@ __all__ = [
     "CorruptionError",
     "DialogueCorpus",
     "EngineConfig",
-    "EngineState",
     "EventGraph",
     "EventNode",
     "GraphMemError",

@@ -40,13 +40,13 @@ class BoundaryVerdict:
     """Outcome of one discriminator consultation.
 
     ``split_indices`` are strictly increasing positions ``i`` meaning the
-    topic changes between utterance ``i`` and ``i + 1``.  A forced verdict
-    carries the single index ``len(buffer) - 1``, which consumes the whole
-    buffer.  ``degraded`` marks verdicts produced by the heuristic fallback
-    after the primary discriminator returned garbage.
+    topic changes between utterance ``i`` and ``i + 1``; a boundary is
+    detected exactly when there is one.  A forced verdict carries the single
+    index ``len(buffer) - 1``, which consumes the whole buffer.  ``degraded``
+    marks verdicts produced by the heuristic fallback after the primary
+    discriminator returned garbage.
     """
 
-    boundary_detected: bool
     split_indices: tuple[int, ...] = ()
     forced: bool = False
     degraded: bool = False
@@ -56,6 +56,10 @@ class BoundaryVerdict:
             raise ValueError("split_indices must be strictly increasing")
         if self.split_indices and self.split_indices[0] < 0:
             raise ValueError("split_indices must be non-negative")
+
+    @property
+    def boundary_detected(self) -> bool:
+        return bool(self.split_indices)
 
 
 def check_boundary(
@@ -94,12 +98,9 @@ def check_boundary(
         degraded = True
 
     valid = tuple(sorted({i for i in indices if 0 <= i < len(buffer) - 1}))
-    detected = bool(valid)
-    if trigger.kind is TriggerKind.BUFFER_OVERFLOW and not detected:
-        return BoundaryVerdict(
-            True, (len(buffer) - 1,), forced=True, degraded=degraded
-        )
-    return BoundaryVerdict(detected, valid, degraded=degraded)
+    if trigger.kind is TriggerKind.BUFFER_OVERFLOW and not valid:
+        return BoundaryVerdict((len(buffer) - 1,), forced=True, degraded=degraded)
+    return BoundaryVerdict(valid, degraded=degraded)
 
 
 def heuristic_discriminator(
@@ -116,19 +117,19 @@ def heuristic_discriminator(
     if not buffer:
         raise StateError("boundary check on an empty buffer")
     if len(buffer) < 2:
-        return BoundaryVerdict(False)
+        return BoundaryVerdict()
 
     vectors = np.stack([embedder.embed(n.text) for n in buffer])
     half = len(buffer) // 2
     similarity = _mean_cosine(vectors[:half], vectors[half:])
     if similarity >= cutoff:
-        return BoundaryVerdict(False)
+        return BoundaryVerdict()
     cuts = [
         _mean_cosine(vectors[: i + 1], vectors[i + 1 :])
         for i in range(len(buffer) - 1)
     ]
     split = int(np.argmin(cuts))
-    return BoundaryVerdict(True, (split,))
+    return BoundaryVerdict((split,))
 
 
 def _mean_cosine(first: np.ndarray, second: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .harness import (
     load_corpus,
     parse_strategy,
     replay,
+    validate_criteria,
 )
 from .http import HttpConfig, http_bundle
 from .providers import mock_bundle
@@ -245,6 +246,10 @@ def cmd_eval(args) -> int:
     qa_path = _qa_sibling(args.corpus, args.qa)
     corpus = load_corpus(args.corpus, qa_path)
     noise = NoiseSpec(args.noise, config.seed) if args.noise is not None else None
+    rules = None
+    if args.criteria is not None:
+        # Read before any replay, so a bad file fails fast and writes nothing.
+        rules = validate_criteria(json.loads(args.criteria.read_text(encoding="utf-8")))
 
     report: dict = {
         "corpus": str(args.corpus),
@@ -295,8 +300,7 @@ def cmd_eval(args) -> int:
     )
     print(f"report written to {args.report}")
 
-    if args.criteria is not None:
-        rules = json.loads(args.criteria.read_text(encoding="utf-8"))
+    if rules is not None:
         violations = check_criteria(report, rules)
         for violation in violations:
             print(f"criteria violation: {violation}", file=sys.stderr)

@@ -11,18 +11,17 @@ relation score only drops that one candidate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .boundary import BoundaryVerdict
 from .core import (
-    DIRECTED_RELATIONS,
-    EngineState,
     EventNode,
     MemorySnapshot,
     Relation,
+    RELATION_LABELS,
     TopicEdge,
     TopicGraph,
     TopicNode,
@@ -32,13 +31,11 @@ from .core import (
     next_topic_id,
     raw_text,
 )
-from .errors import ConsolidationError, ProviderError, ProviderParseError, StateError
+from .errors import ConsolidationError, ProviderError, ProviderParseError
 from .providers import ProviderBundle, RelationScorer
 from .store import topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
-
-_RELATION_LABELS = {r.value for r in Relation} | {UNRELATED}
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def score_relation(
     except ProviderParseError as exc:
         logger.warning("relation scorer output unusable (%s); treating as unrelated", exc)
         return UNRELATED, 0.0
-    if label not in _RELATION_LABELS or not 0.0 <= float(weight) <= 1.0:
+    if label not in RELATION_LABELS or not 0.0 <= float(weight) <= 1.0:
         logger.warning("relation scorer returned invalid (%r, %r)", label, weight)
         return UNRELATED, 0.0
     return label, float(weight)
@@ -108,8 +105,6 @@ def consolidate_segment(
     :class:`ConsolidationError` on abort, leaving the input snapshot the
     caller holds fully intact.
     """
-    if snapshot.state is not EngineState.EPISODIC_BUFFERING:
-        raise StateError("consolidation re-entered")
     buffer = snapshot.buffer
     if not segment:
         raise ValueError("segment must be non-empty")
@@ -120,7 +115,6 @@ def consolidate_segment(
 
     config = snapshot.config
     log_start = len(providers.call_log)
-    working = replace(snapshot, state=EngineState.SEMANTIC_CONSOLIDATION)
     segment_nodes = buffer[: len(segment)]
     content = raw_text(segment_nodes)
 
@@ -146,12 +140,12 @@ def consolidate_segment(
             flags.append(True)
             entailment_defaults += 1
 
-    new_id = next_topic_id(working)
-    candidates = select_candidates(working.topic_graph, embedding, config.k_cand)
+    new_id = next_topic_id(snapshot)
+    candidates = select_candidates(snapshot.topic_graph, embedding, config.k_cand)
     scored: list[tuple[str, str, float]] = []
     skipped: list[str] = []
     for topic_id, _similarity in candidates:
-        other = working.topic_graph.nodes[topic_id]
+        other = snapshot.topic_graph.nodes[topic_id]
         try:
             label, weight = score_relation(
                 summary_result.summary, other.summary, providers.relation_scorer
@@ -164,27 +158,22 @@ def consolidate_segment(
 
     edges = [
         TopicEdge(
-            from_id=new_id,
-            to_id=topic_id,
-            relation=Relation(label),
-            weight=weight,
-            directed=Relation(label) in DIRECTED_RELATIONS,
+            from_id=new_id, to_id=topic_id, relation=Relation(label), weight=weight
         )
         for topic_id, label, weight in scored
         if label != UNRELATED and weight > config.tau
     ]
 
-    archive_id, working = archive_segment(working, len(segment_nodes), flags)
+    archive_id, archived = archive_segment(snapshot, len(segment_nodes), flags)
     node = TopicNode(
         id=new_id,
         summary=summary_result.summary,
         keywords=summary_result.keywords,
         embedding=tuple(float(x) for x in embedding),
-        created_at=working.logical_clock,
+        created_at=archived.logical_clock,
         source_archive_id=archive_id,
     )
-    working = insert_topic_node(working, node, edges)
-    committed = replace(working, state=EngineState.EPISODIC_BUFFERING)
+    committed = insert_topic_node(archived, node, edges)
 
     tokens_in, tokens_out = providers.call_log.token_totals(log_start)
     report = ConsolidationReport(
@@ -212,8 +201,6 @@ def apply_verdict(
     the whole buffer.  If a segment aborts, earlier committed segments stay
     committed and the remaining buffer is retained untouched.
     """
-    if not verdict.boundary_detected:
-        return [], snapshot
     reports = []
     consumed = -1
     for split in verdict.split_indices:

@@ -5,11 +5,11 @@ the active event buffer holding the live episode, and frozen archives of
 past episodes.  Each fact is held once: an event graph's sequential edges
 follow from its node order and its id from its archive key (``"live"`` for
 the buffer); the cross-layer index and a theme's verbatim text follow from
-the theme's ``source_archive_id``.  The saved document still writes these
-copies out, and the loader checks them.  Every mutation is functional:
-operations return a new snapshot and never modify their input, which is
-what makes transactional consolidation and concurrent reads cheap to reason
-about.
+the theme's ``source_archive_id``; an edge's direction follows from its
+relation.  The saved document still writes these copies out, and the loader
+checks them.  Every mutation is functional: operations return a new snapshot
+and never modify their input, so an append never sees a consolidation that
+is building its result, and concurrent reads need no locking.
 
 Identifiers are engine-generated, zero-padded and monotonic ("e000007",
 "t000002", "a000003") so that lexicographic order equals creation order and
@@ -40,11 +40,6 @@ LIVE_BUFFER_ID = "live"
 SEQUENTIAL = "sequential"
 
 
-class EngineState(Enum):
-    EPISODIC_BUFFERING = "episodic_buffering"
-    SEMANTIC_CONSOLIDATION = "semantic_consolidation"
-
-
 class Relation(str, Enum):
     """Storable edge labels; ``unrelated`` pairs never become edges."""
 
@@ -57,6 +52,9 @@ class Relation(str, Enum):
 
 #: Scorer vocabulary includes this label, but it is never stored as an edge.
 UNRELATED = "unrelated"
+
+#: Every label a relation scorer may return.
+RELATION_LABELS = frozenset({r.value for r in Relation} | {UNRELATED})
 
 #: Labels whose edges keep their orientation (new node -> candidate).
 DIRECTED_RELATIONS = frozenset({Relation.SUPPORT, Relation.CONTRADICT, Relation.CAUSAL})
@@ -132,7 +130,10 @@ class TopicEdge:
     to_id: str
     relation: Relation
     weight: float
-    directed: bool
+
+    @property
+    def directed(self) -> bool:
+        return self.relation in DIRECTED_RELATIONS
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,6 @@ class MemorySnapshot:
     topic_graph: TopicGraph = field(default_factory=TopicGraph)
     active_event_graph: EventGraph = field(default_factory=EventGraph)
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
-    state: EngineState = EngineState.EPISODIC_BUFFERING
     logical_clock: int = 0
 
     @property
@@ -245,8 +245,6 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     The topic layer and archives are shared with the input snapshot
     unchanged; only the buffer and the logical clock move.
     """
-    if snapshot.state is not EngineState.EPISODIC_BUFFERING:
-        raise StateError("append_event during consolidation transaction")
     if not utterance.text.strip():
         raise ValueError("utterance text must be non-empty")
 
@@ -290,13 +288,10 @@ def archive_segment(
 ) -> tuple[str, MemorySnapshot]:
     """Freeze the first ``length`` buffered nodes into a new archive entry.
 
-    Only the consolidation transaction may call this; the buffer keeps its
-    suffix and the frozen graph is stored under a fresh archive id.
-    ``confidence_flags`` are the per-node self-consistency results stamped at
-    freeze time.
+    The buffer keeps its suffix and the frozen graph is stored under a fresh
+    archive id.  ``confidence_flags`` are the per-node self-consistency
+    results stamped at freeze time.
     """
-    if snapshot.state is not EngineState.SEMANTIC_CONSOLIDATION:
-        raise StateError("archive outside a consolidation transaction")
     buffer = snapshot.active_event_graph
     if not buffer.nodes:
         raise StateError("archive of an empty buffer")
@@ -434,9 +429,8 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
 def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
     """Plain-type document with the canonical top-level keys.
 
-    The transient state flag is not part of the document: a snapshot at rest
-    is always buffering.  Graph ids, event edges, ``cross_index`` and each
-    theme's ``raw`` are written out from the derived values.
+    Graph ids, event edges, ``cross_index``, each theme's ``raw`` and each
+    edge's ``directed`` are written out from the derived values.
     """
     graph = snapshot.topic_graph
     return {

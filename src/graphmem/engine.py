@@ -50,9 +50,6 @@ class MemoryEngine:
         self._snapshot = snapshot if snapshot is not None else new_snapshot(config)
         self.segmenter: Segmenter = self.detect_boundary
         self.trigger_counts: dict[TriggerKind, int] = {k: 0 for k in TriggerKind}
-        buffer = self._snapshot.buffer
-        self._last_session = buffer[-1].session_id if buffer else None
-        self._last_timestamp = buffer[-1].timestamp if buffer else None
 
     @property
     def snapshot(self) -> MemorySnapshot:
@@ -73,22 +70,23 @@ class MemoryEngine:
         """Ingest one utterance, firing any trigger it implies first.
 
         A session change checks the old buffer before the new session's turn
-        lands; a pause does the same within a session.  Overflow is checked
-        after the append so the budget breach itself is what forces the
-        consolidation.
+        lands; a pause does the same within a session.  Both compare against
+        the newest buffered turn: consolidation only ever takes a prefix, so
+        while anything is buffered that is the previous turn.  Overflow is
+        checked after the append so the budget breach itself is what forces
+        the consolidation.
         """
         reports: list[ConsolidationReport] = []
         if self._snapshot.buffer:
-            if self._last_session is not None and session_id != self._last_session:
+            last = self._snapshot.buffer[-1]
+            if session_id != last.session_id:
                 reports.extend(self._fire(TriggerKind.SESSION_END))
-            elif self._pause_exceeded(timestamp):
+            elif self._pause_exceeded(last.timestamp, timestamp):
                 reports.extend(self._fire(TriggerKind.INTERACTION_PAUSE))
         self._snapshot = append_event(
             self._snapshot,
             Utterance(session_id, speaker, text, timestamp, turn_index),
         )
-        self._last_session = session_id
-        self._last_timestamp = timestamp
         if self._snapshot.active_event_graph.token_total > self.config.buffer_token_limit:
             reports.extend(self._fire(TriggerKind.BUFFER_OVERFLOW))
         return reports
@@ -118,8 +116,8 @@ class MemoryEngine:
             query = Query(text=query)
         return retrieve(self._snapshot, query, self.providers, k)
 
-    def _pause_exceeded(self, incoming: str | None) -> bool:
-        previous = _parse_timestamp(self._last_timestamp)
+    def _pause_exceeded(self, last: str | None, incoming: str | None) -> bool:
+        previous = _parse_timestamp(last)
         current = _parse_timestamp(incoming)
         if previous is None or current is None:
             return False

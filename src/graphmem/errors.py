@@ -6,10 +6,10 @@ class GraphMemError(Exception):
 
 
 class StateError(GraphMemError):
-    """An operation was invoked in the wrong lifecycle state.
+    """An operation does not fit the memory it was applied to.
 
-    Raised for re-entrant appends during a consolidation transaction and for
-    state-machine misuse such as archiving an empty buffer.
+    Raised for archiving or boundary-checking an empty buffer, an overflow
+    trigger without an overflowing buffer, and an exhausted id counter.
     """
 
 

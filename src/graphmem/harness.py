@@ -235,11 +235,7 @@ def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
             return verdict
         check_spec = replace(spec, seed=spec.seed * 2**32 + trigger.observed_at)
         perturbed = inject_noise(verdict.split_indices, check_spec, buffer_len - 1)
-        return BoundaryVerdict(
-            boundary_detected=bool(perturbed),
-            split_indices=tuple(perturbed),
-            degraded=verdict.degraded,
-        )
+        return BoundaryVerdict(tuple(perturbed), degraded=verdict.degraded)
 
     return segment
 
@@ -253,12 +249,12 @@ def _whole_buffer_segmenter(cut_at_session_end: bool) -> Segmenter:
         kind = trigger.kind
         whole = (len(snapshot.buffer) - 1,)
         if kind is TriggerKind.BUFFER_OVERFLOW:
-            return BoundaryVerdict(True, whole, forced=True)
+            return BoundaryVerdict(whole, forced=True)
         if kind is TriggerKind.MANUAL or (
             cut_at_session_end and kind is TriggerKind.SESSION_END
         ):
-            return BoundaryVerdict(True, whole)
-        return BoundaryVerdict(False)
+            return BoundaryVerdict(whole)
+        return BoundaryVerdict()
 
     return segment
 
@@ -534,25 +530,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def validate_criteria(criteria: object) -> list[dict]:
+    """``criteria`` itself if it is a list of well-formed {metric, op, value}
+    rules; raises ``ValueError`` naming the first malformed rule otherwise."""
+    if not isinstance(criteria, list):
+        raise ValueError("criteria must be a list of rules")
+    for row, rule in enumerate(criteria):
+        if not isinstance(rule, dict) or not isinstance(rule.get("metric"), str):
+            raise ValueError(f"criteria rule {row}: expected an object with a metric")
+        op = rule.get("op")
+        if not isinstance(op, str) or op not in _OPS:
+            raise ValueError(f"criteria rule {row}: unknown op {op!r}")
+        if not _is_number(rule.get("value")):
+            raise ValueError(f"criteria rule {row}: value must be a number")
+    return criteria
+
+
 def check_criteria(report: dict, criteria: list[dict]) -> list[str]:
     """Evaluate threshold rules of the form {metric, op, value} against a
     report; ``metric`` is a dotted path into the report document.
 
-    A malformed rule, or a rule naming a report value that is neither a
-    number nor null, raises ``ValueError``; a missing or null value and a
-    failed comparison are violations.
+    Malformed rules (see :func:`validate_criteria`), or a rule naming a
+    report value that is neither a number nor null, raise ``ValueError``; a
+    missing or null value and a failed comparison are violations.
     """
-    if not isinstance(criteria, list):
-        raise ValueError("criteria must be a list of rules")
     violations = []
-    for row, rule in enumerate(criteria):
-        if not isinstance(rule, dict) or not isinstance(rule.get("metric"), str):
-            raise ValueError(f"criteria rule {row}: expected an object with a metric")
-        path, op, target = rule["metric"], rule.get("op"), rule.get("value")
-        if not isinstance(op, str) or op not in _OPS:
-            raise ValueError(f"criteria rule {row}: unknown op {op!r}")
-        if not _is_number(target):
-            raise ValueError(f"criteria rule {row}: value must be a number")
+    for row, rule in enumerate(validate_criteria(criteria)):
+        path, op, target = rule["metric"], rule["op"], rule["value"]
         value = report
         try:
             for part in path.split("."):

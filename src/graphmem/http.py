@@ -23,7 +23,7 @@ import numpy as np
 import requests
 
 from .config import estimate_tokens
-from .core import EventNode, UNRELATED, Relation
+from .core import EventNode, RELATION_LABELS
 from .errors import ProviderParseError, ProviderTransportError
 from .providers import CallLog, SummaryResult
 
@@ -79,46 +79,31 @@ _REPAIR_SUFFIX = (
 
 
 def extract_json_object(text: str) -> dict:
-    """Pull the first balanced-brace JSON object out of possibly prosy text."""
+    """Decode the JSON object that starts at the first brace of possibly
+    prosy text; whatever follows the object is ignored."""
     start = text.find("{")
     if start < 0:
         raise ProviderParseError("no JSON object in response")
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    parsed = json.loads(text[start : i + 1])
-                except json.JSONDecodeError as exc:
-                    raise ProviderParseError(f"unparseable JSON object: {exc}") from exc
-                if not isinstance(parsed, dict):
-                    raise ProviderParseError("top-level JSON value is not an object")
-                return parsed
-    raise ProviderParseError("unbalanced braces in response")
+    try:
+        return json.JSONDecoder().raw_decode(text, start)[0]
+    except json.JSONDecodeError as exc:
+        raise ProviderParseError(f"unparseable JSON object: {exc}") from exc
 
 
 def validate_schema(payload: dict, schema: dict[str, type | tuple[type, ...]]) -> dict:
-    """Check required keys and their types; raise on any mismatch."""
+    """Check required keys and their types; raise on any mismatch.
+
+    A JSON boolean decodes to a Python ``int`` subclass; it satisfies only a
+    key whose schema names ``bool``.
+    """
     for key, expected in schema.items():
         if key not in payload:
             raise ProviderParseError(f"missing key {key!r}")
-        if not isinstance(payload[key], expected):
+        value = payload[key]
+        types = expected if isinstance(expected, tuple) else (expected,)
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
             raise ProviderParseError(f"key {key!r} has wrong type")
     return payload
 
@@ -254,7 +239,9 @@ def linearize_buffer(utterances: Sequence[EventNode]) -> str:
 
 
 def logistic(x: float) -> float:
-    return 1.0 / (1.0 + float(np.exp(-x)))
+    # Far below zero, exp overflows to inf and the result is exactly 0.0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + float(np.exp(-x)))
 
 
 class HttpEmbedder:
@@ -282,7 +269,7 @@ class HttpBoundaryDiscriminator:
             provider="discriminator",
         )
         indices = payload["boundaries"]
-        if not all(isinstance(i, int) for i in indices):
+        if not all(type(i) is int for i in indices):
             raise ProviderParseError("boundaries must be integers")
         return list(indices)
 
@@ -303,8 +290,6 @@ class HttpSummarizer:
 
 
 class HttpRelationScorer:
-    _LABELS = {r.value for r in Relation} | {UNRELATED}
-
     def __init__(self, client: HttpClient):
         self.client = client
 
@@ -315,7 +300,7 @@ class HttpRelationScorer:
             provider="relation_scorer",
         )
         relation = payload["relation"]
-        if relation not in self._LABELS:
+        if relation not in RELATION_LABELS:
             raise ProviderParseError(f"unknown relation label {relation!r}")
         confidence = float(payload["confidence"])
         if not 0.0 <= confidence <= 1.0:

@@ -20,14 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .core import EventNode, MemorySnapshot, TopicGraph, neighbors
+from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
 from .errors import CorruptionError, ProviderError
 from .providers import ProviderBundle
 from .store import topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
 
-LIVE_PROVENANCE = "live"
+LIVE_PROVENANCE = LIVE_BUFFER_ID
 
 # Documented stand-in inventory for temporal expressions: month and weekday
 # names, a few relative markers (including interrogative "when"), 4-digit
@@ -46,7 +46,6 @@ TEMPORAL_RE = re.compile(
 @dataclass(frozen=True)
 class Query:
     text: str
-    target_speakers: frozenset[str] | None = None
     time_sensitive: bool | None = None
 
     def __post_init__(self) -> None:
@@ -105,18 +104,15 @@ def anchor(topic_graph: TopicGraph, query_embedding: np.ndarray, k: int) -> Anch
     return AnchorSet(tuple(seeds), tuple(sorted(expanded - seed_ids)))
 
 
-def drill_down(
-    snapshot: MemorySnapshot, anchors: AnchorSet | Sequence[str]
-) -> list[CandidateEvent]:
+def drill_down(snapshot: MemorySnapshot, anchors: AnchorSet) -> list[CandidateEvent]:
     """Collect the archived utterances behind every anchor, deduplicated.
 
     Anchors are visited in ascending id order, so on any overlap a candidate
     keeps the smallest anchor id as its provenance.
     """
-    anchor_ids = anchors.ids if isinstance(anchors, AnchorSet) else tuple(anchors)
     candidates: list[CandidateEvent] = []
     seen: set[str] = set()
-    for anchor_id in sorted(anchor_ids):
+    for anchor_id in sorted(anchors.ids):
         if anchor_id not in snapshot.topic_graph.nodes:
             raise ValueError(f"unknown anchor {anchor_id}")
         archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
@@ -146,13 +142,7 @@ def time_indicator(query: Query, candidate: EventNode) -> int:
 
 def role_indicator(query: Query, candidate: EventNode) -> int:
     speaker = candidate.speaker.lower()
-    if speaker and speaker in query.text.lower():
-        return 1
-    if query.target_speakers and speaker in {
-        s.lower() for s in query.target_speakers
-    }:
-        return 1
-    return 0
+    return int(bool(speaker) and speaker in query.text.lower())
 
 
 def conf_indicator(candidate: EventNode) -> int:

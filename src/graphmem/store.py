@@ -3,9 +3,10 @@
 Files are single JSON documents: the canonical snapshot body plus a
 ``format_version`` and a ``content_hash`` header over the body, so equal
 snapshots produce byte-equal files and any corruption is named on load.
-The document spells out four derived copies (graph ids, event edges,
-``cross_index`` and each theme's ``raw``); the loader rebuilds the snapshot
-without them and rejects a file whose copies differ from the derived values.
+The document spells out five derived copies (graph ids, event edges,
+``cross_index``, each theme's ``raw`` and each edge's ``directed``); the
+loader rebuilds the snapshot without them and rejects a file whose copies
+differ from the derived values.
 The vector index is a plain exhaustive cosine scan; at the intended scale
 (hundreds of themes) the scan is both the implementation and the oracle.
 Each topic graph holds one index, built on first use by :func:`topic_index`
@@ -218,11 +219,12 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             to_id=entry["to_id"],
             relation=Relation(entry["relation"]),
             weight=float(entry["weight"]),
-            directed=bool(entry["directed"]),
         )
         key = edge_key(edge.from_id, edge.to_id)
         if key in edges:
             raise CorruptionError("edge-pair-unique", str(key))
+        if entry["directed"] is not edge.directed:
+            raise CorruptionError("edge-directed-matches-relation", str(key))
         edges[key] = edge
 
     archives = {

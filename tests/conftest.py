@@ -124,8 +124,6 @@ def random_snapshot(
                     to_id=second,
                     relation=relation,
                     weight=config.tau + (1 - config.tau) * (0.05 + 0.95 * rng.random()),
-                    directed=relation
-                    in (Relation.SUPPORT, Relation.CONTRADICT, Relation.CAUSAL),
                 )
     snapshot = MemorySnapshot(
         config=config,

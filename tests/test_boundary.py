@@ -37,11 +37,15 @@ class StubDiscriminator:
 class TestVerdict:
     def test_indices_must_be_strictly_increasing(self):
         with pytest.raises(ValueError):
-            BoundaryVerdict(True, (3, 3))
+            BoundaryVerdict((3, 3))
         with pytest.raises(ValueError):
-            BoundaryVerdict(True, (4, 2))
+            BoundaryVerdict((4, 2))
         with pytest.raises(ValueError):
-            BoundaryVerdict(True, (-1,))
+            BoundaryVerdict((-1,))
+
+    def test_detected_exactly_when_a_split_is_given(self):
+        assert not BoundaryVerdict().boundary_detected
+        assert BoundaryVerdict((1,)).boundary_detected
 
     def test_trigger_kinds_are_a_closed_enum(self):
         assert {k.value for k in TriggerKind} == {

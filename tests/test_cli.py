@@ -404,6 +404,36 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: criteria")
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "[{", json.dumps([{"metric": "k", "value": 1}])],
+        ids=["missing-file", "invalid-json", "missing-op"],
+    )
+    def test_bad_criteria_file_fails_before_any_replay(
+        self, smoke_paths, tmp_path, capsys, content
+    ):
+        criteria = tmp_path / "criteria.json"
+        if content is not None:
+            criteria.write_text(content)
+        code, out, err = run_cli(
+            [
+                "eval",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--strategy",
+                "semantic",
+                "--report",
+                smoke_paths["report"],
+                "--criteria",
+                criteria,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert not smoke_paths["report"].exists()
+
 
 class TestInspect:
     def test_stats(self, golden_snapshot_file, capsys):

@@ -15,7 +15,6 @@ from graphmem.consolidation import (
     select_candidates,
 )
 from graphmem.core import (
-    EngineState,
     Utterance,
     append_event,
     new_snapshot,
@@ -25,7 +24,6 @@ from graphmem.errors import (
     ConsolidationError,
     ProviderError,
     ProviderParseError,
-    StateError,
 )
 from graphmem.providers import MockRelationScorer, ProviderBundle, mock_bundle
 
@@ -109,7 +107,6 @@ class TestConsolidateSegment:
         assert report.candidate_pool == ()
         assert report.accepted_edges == 0
         assert snap.buffer == ()
-        assert snap.state is EngineState.EPISODIC_BUFFERING
 
     def test_weights_filtered_by_tau(self):
         config = EngineConfig()
@@ -183,12 +180,6 @@ class TestConsolidateSegment:
             consolidate_segment(snap, snap.buffer[1:], bundle)
         with pytest.raises(ValueError, match="non-empty"):
             consolidate_segment(snap, (), bundle)
-
-    def test_re_entrancy_rejected(self, bundle):
-        snap = buffered(["one thing here"])
-        snap = replace(snap, state=EngineState.SEMANTIC_CONSOLIDATION)
-        with pytest.raises(StateError):
-            consolidate_segment(snap, snap.buffer, bundle)
 
     def test_summarizer_failure_aborts_with_snapshot_intact(self, bundle):
         snap = buffered(["the garden compost", "garden watering cans"])
@@ -407,7 +398,7 @@ class TestInvariantPreservation:
 class TestApplyVerdict:
     def test_no_boundary_is_a_no_op(self, bundle):
         snap = buffered(["one thing", "same one thing"])
-        reports, after = apply_verdict(snap, BoundaryVerdict(False), bundle)
+        reports, after = apply_verdict(snap, BoundaryVerdict(), bundle)
         assert reports == []
         assert after is snap
 
@@ -421,7 +412,7 @@ class TestApplyVerdict:
             "garden watering herbs",
         ]
         snap = buffered(texts)
-        verdict = BoundaryVerdict(True, (1, 3))
+        verdict = BoundaryVerdict((1, 3))
         reports, after = apply_verdict(snap, verdict, bundle)
         assert len(reports) == 2
         first = after.archive[reports[0].archive_id]
@@ -432,7 +423,7 @@ class TestApplyVerdict:
 
     def test_forced_verdict_consumes_everything(self, bundle):
         snap = buffered(["a b c", "a d e", "a f g"])
-        verdict = BoundaryVerdict(True, (2,), forced=True)
+        verdict = BoundaryVerdict((2,), forced=True)
         reports, after = apply_verdict(snap, verdict, bundle)
         assert len(reports) == 1
         assert reports[0].forced
@@ -454,7 +445,7 @@ class TestApplyVerdict:
                 return self.inner.summarize(content)
 
         bundle = clone_bundle_with(bundle, summarizer=FailSecond(bundle.summarizer))
-        reports, after = apply_verdict(snap, BoundaryVerdict(True, (0, 1)), bundle)
+        reports, after = apply_verdict(snap, BoundaryVerdict((0, 1)), bundle)
         assert len(reports) == 1
         assert [n.text for n in after.buffer] == texts[1:]
         assert len(after.topic_graph.nodes) == 1

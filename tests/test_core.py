@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphmem.config import estimate_tokens
 from graphmem.core import (
-    EngineState,
     EventGraph,
     EventNode,
     Relation,
@@ -24,6 +23,7 @@ from graphmem.core import (
     raw_text,
     snapshot_bytes,
     snapshot_hash,
+    snapshot_to_dict,
     stable_layer_hash,
 )
 from graphmem.errors import StateError
@@ -33,14 +33,6 @@ from conftest import random_snapshot, unit_vector
 
 def utt(text, session="s1", speaker="ana", ts=None):
     return Utterance(session, speaker, text, ts)
-
-
-def in_consolidation(snapshot):
-    return replace(snapshot, state=EngineState.SEMANTIC_CONSOLIDATION)
-
-
-def buffering(snapshot):
-    return replace(snapshot, state=EngineState.EPISODIC_BUFFERING)
 
 
 def archive_all(snapshot):
@@ -126,11 +118,6 @@ class TestAppendEvent:
         with pytest.raises(ValueError):
             append_event(new_snapshot(), utt("   "))
 
-    def test_rejects_append_during_consolidation(self):
-        snap = in_consolidation(append_event(new_snapshot(), utt("first")))
-        with pytest.raises(StateError):
-            append_event(snap, utt("second"))
-
     def test_token_count_uses_estimator(self):
         snap = append_event(new_snapshot(), utt("alpha  beta gamma"))
         assert snap.buffer[0].token_count == estimate_tokens("alpha  beta gamma") == 3
@@ -185,7 +172,7 @@ class TestArchive:
         snap = new_snapshot()
         for i in range(n):
             snap = append_event(snap, utt(f"utterance number {i}"))
-        return in_consolidation(snap)
+        return snap
 
     def test_whole_buffer_archived_and_reset(self):
         archive_id, snap = archive_all(self._buffered(4))
@@ -198,8 +185,8 @@ class TestArchive:
 
     def test_successive_archives_get_distinct_ids(self):
         first_id, snap = archive_all(self._buffered(2))
-        snap = append_event(buffering(snap), utt("again one more"))
-        second_id, snap = archive_all(in_consolidation(snap))
+        snap = append_event(snap, utt("again one more"))
+        second_id, snap = archive_all(snap)
         assert first_id != second_id
         assert set(snap.archive) == {first_id, second_id}
         assert len(snap.archive[first_id]) == 2
@@ -215,12 +202,7 @@ class TestArchive:
 
     def test_empty_buffer_archive_is_a_state_bug(self):
         with pytest.raises(StateError):
-            archive_all(in_consolidation(new_snapshot()))
-
-    def test_archive_outside_transaction_rejected(self):
-        snap = append_event(new_snapshot(), utt("hello world"))
-        with pytest.raises(StateError):
-            archive_all(snap)
+            archive_all(new_snapshot())
 
     def test_prefix_archive_keeps_suffix_path(self):
         snap = self._buffered(5)
@@ -254,8 +236,8 @@ class TestInsertTopicNode:
         archive_id, snap = with_extra_archive(base)
         node = fresh_topic(snap, archive_id)
         edges = [
-            TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.9, True),
-            TopicEdge(node.id, "t000002", Relation.SEMANTIC, 0.8, False),
+            TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.9),
+            TopicEdge(node.id, "t000002", Relation.SEMANTIC, 0.8),
         ]
         snap = insert_topic_node(snap, node, edges)
         stored = {(e.to_id, e.weight) for e in snap.topic_graph.edges.values()}
@@ -269,8 +251,8 @@ class TestInsertTopicNode:
         admitted = [w for w in (0.9, 0.4) if w > snap.config.tau]
         assert admitted == [0.9]  # oracle: only weights above tau survive
         edges = [
-            TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.9, True),
-            TopicEdge(node.id, "t000002", Relation.SEMANTIC, 0.4, False),
+            TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.9),
+            TopicEdge(node.id, "t000002", Relation.SEMANTIC, 0.4),
         ]
         with pytest.raises(ValueError, match="tau"):
             insert_topic_node(snap, node, edges)
@@ -287,7 +269,7 @@ class TestInsertTopicNode:
         base = random_snapshot(random.Random(8), 2, edge_probability=0.0)
         archive_id, snap = with_extra_archive(base)
         node = fresh_topic(snap, archive_id)
-        edge = TopicEdge(node.id, "t999999", Relation.SEMANTIC, 0.9, False)
+        edge = TopicEdge(node.id, "t999999", Relation.SEMANTIC, 0.9)
         with pytest.raises(ValueError, match="dangling"):
             insert_topic_node(snap, node, [edge])
 
@@ -295,7 +277,7 @@ class TestInsertTopicNode:
         base = random_snapshot(random.Random(9), 2, edge_probability=0.0)
         archive_id, snap = with_extra_archive(base)
         node = fresh_topic(snap, archive_id)
-        edge = TopicEdge("t000001", "t000002", Relation.SEMANTIC, 0.9, False)
+        edge = TopicEdge("t000001", "t000002", Relation.SEMANTIC, 0.9)
         with pytest.raises(ValueError, match="touch"):
             insert_topic_node(snap, node, [edge])
 
@@ -310,8 +292,8 @@ class TestInsertTopicNode:
         base = random_snapshot(random.Random(11), 1, edge_probability=0.0)
         archive_id, snap = with_extra_archive(base)
         node = fresh_topic(snap, archive_id)
-        lower = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.7, True)
-        higher = TopicEdge("t000001", node.id, Relation.SEMANTIC, 0.9, False)
+        lower = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.7)
+        higher = TopicEdge("t000001", node.id, Relation.SEMANTIC, 0.9)
         snap_a = insert_topic_node(snap, node, [lower, higher])
         snap_b = insert_topic_node(snap, node, [higher, lower])
         for result in (snap_a, snap_b):
@@ -324,8 +306,8 @@ class TestInsertTopicNode:
         base = random_snapshot(random.Random(12), 1, edge_probability=0.0)
         archive_id, snap = with_extra_archive(base)
         node = fresh_topic(snap, archive_id)
-        first = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.8, True)
-        second = TopicEdge(node.id, "t000001", Relation.SEMANTIC, 0.8, False)
+        first = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.8)
+        second = TopicEdge(node.id, "t000001", Relation.SEMANTIC, 0.8)
         result = insert_topic_node(snap, node, [first, second])
         assert list(result.topic_graph.edges.values())[0].relation is Relation.SUPPORT
 
@@ -339,7 +321,7 @@ class TestNeighbors:
         snap = random_snapshot(random.Random(1), 6, edge_probability=0.0)
         edges = {
             ("t000001", f"t{s:06d}"): TopicEdge(
-                "t000001", f"t{s:06d}", Relation.SEMANTIC, 0.9, False
+                "t000001", f"t{s:06d}", Relation.SEMANTIC, 0.9
             )
             for s in range(2, 7)
         }
@@ -382,8 +364,17 @@ class TestSerialization:
         assert snapshot_bytes(a) != snapshot_bytes(b)
 
     def test_state_flag_not_serialized(self):
+        # The document holds memory contents only, no lifecycle flag.
         snap = append_event(new_snapshot(), utt("hello world"))
-        assert snapshot_bytes(snap) == snapshot_bytes(in_consolidation(snap))
+        assert set(snapshot_to_dict(snap)) == {
+            "topic_nodes",
+            "topic_edges",
+            "archives",
+            "cross_index",
+            "active_buffer",
+            "config",
+            "logical_clock",
+        }
 
     def test_raw_text_rendering(self):
         nodes = [

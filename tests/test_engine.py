@@ -103,7 +103,7 @@ class TestSegmenter:
 
         def keep_everything(snapshot, trigger):
             seen.append((trigger.kind, len(snapshot.buffer)))
-            return BoundaryVerdict(False)
+            return BoundaryVerdict()
 
         config = EngineConfig()
         engine = MemoryEngine(mock_bundle(config), config)

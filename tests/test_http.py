@@ -1,5 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmem.core import EventNode
 from graphmem.errors import ProviderParseError, ProviderTransportError
@@ -56,6 +61,18 @@ def client(responses, **overrides):
     return http, transport, sleeps
 
 
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestJsonExtraction:
     def test_plain_object(self):
         assert extract_json_object('{"boundaries": [2, 6]}') == {"boundaries": [2, 6]}
@@ -81,6 +98,22 @@ class TestJsonExtraction:
             validate_schema({"a": 1}, {"b": int})
         with pytest.raises(ProviderParseError, match="wrong type"):
             validate_schema({"a": "x"}, {"a": int})
+
+    def test_boolean_satisfies_only_a_bool_key(self):
+        # json decodes true to True, which is also an int.
+        for number_type in (int, float, (int, float)):
+            with pytest.raises(ProviderParseError, match="wrong type"):
+                validate_schema({"a": True}, {"a": number_type})
+        assert validate_schema({"a": False}, {"a": bool}) == {"a": False}
+        assert validate_schema({"a": 2}, {"a": (int, float)}) == {"a": 2}
+
+    @given(
+        prose=st.text(alphabet=st.characters(blacklist_characters="{}")),
+        obj=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+        suffix=st.text(),
+    )
+    def test_object_after_prose_decodes_whatever_follows(self, prose, obj, suffix):
+        assert extract_json_object(prose + json.dumps(obj) + suffix) == obj
 
 
 class TestChat:
@@ -206,6 +239,13 @@ class TestProviderAdapters:
                 [EventNode("e1", "s1", 0, "ana", "line", None, 1)]
             )
 
+    def test_discriminator_rejects_boolean_indices(self):
+        http, _, _ = client([(200, chat_body('{"boundaries": [true, 2]}'))])
+        with pytest.raises(ProviderParseError, match="integers"):
+            HttpBoundaryDiscriminator(http).detect(
+                [EventNode("e1", "s1", 0, "ana", "line", None, 1)]
+            )
+
     def test_summarizer_payload(self):
         http, _, _ = client(
             [(200, chat_body('{"keywords": ["a", "b"], "summary": "about a and b"}'))]
@@ -239,3 +279,19 @@ class TestProviderAdapters:
     def test_relevance_squashes_raw_scores(self):
         http, _, _ = client([(200, chat_body('{"score": 2.0}'))])
         assert HttpRelevanceScorer(http).score("q", "t") == pytest.approx(logistic(2.0))
+
+    def test_boolean_score_and_confidence_rejected(self):
+        # Each reply is wrong twice: once as sent, once after the repair.
+        http, _, _ = client([(200, chat_body('{"score": true}'))] * 2)
+        with pytest.raises(ProviderParseError, match="wrong type"):
+            HttpRelevanceScorer(http).score("q", "t")
+        reply = chat_body('{"relation": "support", "confidence": true}')
+        http, _, _ = client([(200, reply)] * 2)
+        with pytest.raises(ProviderParseError, match="wrong type"):
+            HttpRelationScorer(http).score("one", "two")
+
+    def test_logistic_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic(-1000.0) == 0.0
+            assert logistic(1000.0) == 1.0

@@ -19,6 +19,7 @@ from graphmem.core import (
 from graphmem.errors import CorruptionError, ProviderError
 from graphmem.providers import mock_bundle
 from graphmem.retrieval import (
+    AnchorSet,
     CandidateEvent,
     Query,
     anchor,
@@ -88,10 +89,10 @@ class TestAnchor:
         graph = snap.topic_graph
         edges = {
             ("t000001", "t000002"): TopicEdge(
-                "t000001", "t000002", Relation.SEMANTIC, 0.9, False
+                "t000001", "t000002", Relation.SEMANTIC, 0.9
             ),
             ("t000002", "t000003"): TopicEdge(
-                "t000002", "t000003", Relation.SEMANTIC, 0.9, False
+                "t000002", "t000003", Relation.SEMANTIC, 0.9
             ),
         }
         graph = TopicGraph(graph.nodes, edges)
@@ -136,7 +137,7 @@ class TestAnchor:
 class TestDrillDown:
     def test_single_anchor_pulls_its_whole_archive(self):
         snap = random_snapshot(random.Random(5), 4, events_per_archive=4)
-        result = drill_down(snap, ["t000002"])
+        result = drill_down(snap, AnchorSet((), ("t000002",)))
         assert len(result) == 4
         assert {c.source_archive_id for c in result} == {"a000002"}
         assert {c.anchor_topic_id for c in result} == {"t000002"}
@@ -144,7 +145,7 @@ class TestDrillDown:
     def test_disjoint_archives_union(self):
         snap = random_snapshot(random.Random(6), 4, events_per_archive=3)
         big = dict(snap.archive)
-        result = drill_down(snap, ["t000001", "t000003"])
+        result = drill_down(snap, AnchorSet((), ("t000001", "t000003")))
         assert len(result) == 6
         assert {c.node.id for c in result} == {
             n.id for a in ("a000001", "a000003") for n in big[a].nodes
@@ -152,7 +153,7 @@ class TestDrillDown:
 
     def test_duplicate_anchors_do_not_duplicate_candidates(self):
         snap = random_snapshot(random.Random(7), 3, events_per_archive=3)
-        result = drill_down(snap, ["t000002", "t000002", "t000001"])
+        result = drill_down(snap, AnchorSet((), ("t000002", "t000002", "t000001")))
         ids = [c.node.id for c in result]
         assert len(ids) == len(set(ids)) == 6
 
@@ -160,7 +161,7 @@ class TestDrillDown:
         rng = random.Random(8)
         snap = random_snapshot(rng, 60, events_per_archive=3)
         chosen = [f"t{i:06d}" for i in rng.sample(range(1, 61), 20)]
-        result = drill_down(snap, chosen)
+        result = drill_down(snap, AnchorSet((), tuple(chosen)))
         expected = set()
         for tid in chosen:
             expected |= {n.id for n in snap.archive[snap.cross_index[tid]].nodes}
@@ -168,7 +169,7 @@ class TestDrillDown:
 
     def test_provenance_is_smallest_anchor_id(self):
         snap = random_snapshot(random.Random(9), 3)
-        result = drill_down(snap, ["t000003", "t000001"])
+        result = drill_down(snap, AnchorSet((), ("t000003", "t000001")))
         for candidate in result:
             archive = snap.cross_index[candidate.anchor_topic_id]
             assert candidate.source_archive_id == archive
@@ -176,7 +177,7 @@ class TestDrillDown:
     def test_unknown_anchor_rejected(self):
         snap = random_snapshot(random.Random(10), 2)
         with pytest.raises(ValueError):
-            drill_down(snap, ["t999999"])
+            drill_down(snap, AnchorSet((), ("t999999",)))
 
     def test_dangling_cross_link_is_corruption(self):
         snap = random_snapshot(random.Random(11), 2)
@@ -185,7 +186,7 @@ class TestDrillDown:
         nodes["t000002"] = replace(topic, source_archive_id="a999999")
         broken = replace(snap, topic_graph=replace(snap.topic_graph, nodes=nodes))
         with pytest.raises(CorruptionError):
-            drill_down(broken, ["t000002"])
+            drill_down(broken, AnchorSet((), ("t000002",)))
 
 
 class TestIndicators:
@@ -224,11 +225,6 @@ class TestIndicators:
         candidate = EventNode("e1", "s1", 0, "Bob", "i like soup", None, 3)
         assert role_indicator(Query("what did Bob say"), candidate) == 1
         assert role_indicator(Query("what was said"), candidate) == 0
-
-    def test_role_target_speakers_override(self):
-        candidate = EventNode("e1", "s1", 0, "bob", "i like soup", None, 3)
-        query = Query("what was said", target_speakers=frozenset({"BOB"}))
-        assert role_indicator(query, candidate) == 1
 
     def test_role_matches_containment_oracle_on_multiparty_fixture(self):
         speakers = ["ana", "riley", "jordan", "sam"]

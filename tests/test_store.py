@@ -244,8 +244,13 @@ def _tamper_raw(document):
     document["topic_nodes"][0]["raw"] += "\nana: an utterance never stored"
 
 
+def _tamper_directed(document):
+    edge = document["topic_edges"][0]
+    edge["directed"] = not edge["directed"]
+
+
 class TestRepeatedFacts:
-    """The document repeats four derived facts; each copy is checked."""
+    """The document repeats five derived facts; each copy is checked."""
 
     @pytest.mark.parametrize(
         "tamper, invariant",
@@ -255,6 +260,7 @@ class TestRepeatedFacts:
             (_tamper_buffer_graph_id, "buffer-graph-id"),
             (_tamper_cross_index, "cross-index-matches-source"),
             (_tamper_raw, "raw-matches-archive"),
+            (_tamper_directed, "edge-directed-matches-relation"),
         ],
     )
     def test_tampered_copy_is_named(self, buffered_snapshot, tmp_path, tamper, invariant):

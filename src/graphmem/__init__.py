@@ -8,7 +8,6 @@ interfaces.
 """
 
 from .boundary import (
-    BoundaryTrigger,
     BoundaryVerdict,
     TriggerKind,
     check_boundary,
@@ -72,7 +71,6 @@ from .store import load, save, vector_topk
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryTrigger",
     "BoundaryVerdict",
     "CallLog",
     "ConsolidationError",

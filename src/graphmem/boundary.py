@@ -30,26 +30,17 @@ class TriggerKind(Enum):
 
 
 @dataclass(frozen=True)
-class BoundaryTrigger:
-    kind: TriggerKind
-    observed_at: int
-
-
-@dataclass(frozen=True)
 class BoundaryVerdict:
     """Outcome of one discriminator consultation.
 
     ``split_indices`` are strictly increasing positions ``i`` meaning the
-    topic changes between utterance ``i`` and ``i + 1``; a boundary is
-    detected exactly when there is one.  A forced verdict carries the single
-    index ``len(buffer) - 1``, which consumes the whole buffer.  ``degraded``
-    marks verdicts produced by the heuristic fallback after the primary
-    discriminator returned garbage.
+    topic changes between utterance ``i`` and ``i + 1``.  A forced verdict
+    carries the single index ``len(buffer) - 1``, which consumes the whole
+    buffer.
     """
 
     split_indices: tuple[int, ...] = ()
     forced: bool = False
-    degraded: bool = False
 
     def __post_init__(self) -> None:
         if list(self.split_indices) != sorted(set(self.split_indices)):
@@ -57,79 +48,67 @@ class BoundaryVerdict:
         if self.split_indices and self.split_indices[0] < 0:
             raise ValueError("split_indices must be non-negative")
 
-    @property
-    def boundary_detected(self) -> bool:
-        return bool(self.split_indices)
-
 
 def check_boundary(
     snapshot: MemorySnapshot,
-    trigger: BoundaryTrigger,
+    trigger: TriggerKind,
     discriminator: BoundaryDiscriminator,
-    fallback_embedder: Embedder | None = None,
+    embedder: Embedder,
 ) -> BoundaryVerdict:
     """Consult the discriminator once and normalise the outcome.
 
     Transport failures propagate (they are retriable by the caller); a parse
-    failure that survived the provider's own repair pass degrades to the
-    embedding heuristic when a fallback embedder is available.  Never
+    failure that survived the provider's own repair pass falls back to the
+    embedding heuristic over ``embedder``, with a logged warning.  Never
     mutates the snapshot.
     """
     buffer = snapshot.buffer
     if not buffer:
         raise StateError("boundary check on an empty buffer")
     if (
-        trigger.kind is TriggerKind.BUFFER_OVERFLOW
+        trigger is TriggerKind.BUFFER_OVERFLOW
         and snapshot.active_event_graph.token_total <= snapshot.config.buffer_token_limit
     ):
         raise StateError("overflow trigger without an overflowing buffer")
 
-    degraded = False
     try:
         indices = discriminator.detect(buffer)
     except ProviderParseError as exc:
-        if fallback_embedder is None:
-            raise
         logger.warning("discriminator output unusable (%s); using heuristic", exc)
-        verdict = heuristic_discriminator(
-            buffer, fallback_embedder, snapshot.config.heuristic_cutoff
+        indices = heuristic_discriminator(
+            buffer, embedder, snapshot.config.heuristic_cutoff
         )
-        indices = list(verdict.split_indices)
-        degraded = True
 
     valid = tuple(sorted({i for i in indices if 0 <= i < len(buffer) - 1}))
-    if trigger.kind is TriggerKind.BUFFER_OVERFLOW and not valid:
-        return BoundaryVerdict((len(buffer) - 1,), forced=True, degraded=degraded)
-    return BoundaryVerdict(valid, degraded=degraded)
+    if trigger is TriggerKind.BUFFER_OVERFLOW and not valid:
+        return BoundaryVerdict((len(buffer) - 1,), forced=True)
+    return BoundaryVerdict(valid)
 
 
 def heuristic_discriminator(
     buffer: Sequence[EventNode],
     embedder: Embedder,
-    cutoff: float = 0.35,
-) -> BoundaryVerdict:
-    """Offline stand-in for the model discriminator.
+    cutoff: float,
+) -> list[int]:
+    """Offline stand-in for the model discriminator, answering as ``detect``.
 
     Declares a shift when the mean embeddings of the buffer's two halves
     diverge (cosine below ``cutoff``); the reported split sits at the
     prefix/suffix cut with the lowest cosine.
     """
-    if not buffer:
-        raise StateError("boundary check on an empty buffer")
     if len(buffer) < 2:
-        return BoundaryVerdict()
+        return []
 
     vectors = np.stack([embedder.embed(n.text) for n in buffer])
     half = len(buffer) // 2
     similarity = _mean_cosine(vectors[:half], vectors[half:])
     if similarity >= cutoff:
-        return BoundaryVerdict()
+        return []
     cuts = [
         _mean_cosine(vectors[: i + 1], vectors[i + 1 :])
         for i in range(len(buffer) - 1)
     ]
-    split = int(np.argmin(cuts))
-    return BoundaryVerdict((split,))
+    return [int(np.argmin(cuts))]
 
 
 def _mean_cosine(first: np.ndarray, second: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import EngineConfig
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--topic", default=None, help="topic node id")
     group.add_argument("--archive", default=None, help="archive id")
     group.add_argument("--stats", action="store_true", help="aggregate counts")
-    common(inspect)
     return parser
 
 
@@ -267,7 +266,7 @@ def cmd_eval(args) -> int:
             "consolidations": telemetry.consolidations,
             "topic_nodes": len(snapshot.topic_graph.nodes),
             "discriminator_calls": telemetry.discriminator_calls,
-            "metrics": metrics.to_dict(),
+            "metrics": asdict(metrics),
         }
         rows.append(
             {

@@ -8,6 +8,7 @@ there is untested.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -42,6 +43,8 @@ class EngineConfig:
             ):
                 expected = "an integer" if integral else "a number"
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.buffer_token_limit < 1:
             raise ValueError("buffer_token_limit must be >= 1")
         if self.k_cand < 1:

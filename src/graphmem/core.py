@@ -448,8 +448,11 @@ def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
 
 
 def canonical_json(document: object) -> bytes:
-    """Key-sorted, separator-fixed encoding: equal documents, equal bytes."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Key-sorted, separator-fixed encoding: equal documents, equal bytes.
+    ``NaN`` and infinities raise ``ValueError``: they are not JSON."""
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def snapshot_bytes(snapshot: MemorySnapshot) -> bytes:

@@ -14,7 +14,7 @@ import logging
 from datetime import datetime
 from typing import Callable
 
-from .boundary import BoundaryTrigger, BoundaryVerdict, TriggerKind, check_boundary
+from .boundary import BoundaryVerdict, TriggerKind, check_boundary
 from .config import EngineConfig
 from .consolidation import ConsolidationReport, apply_verdict
 from .core import MemorySnapshot, Utterance, append_event, new_snapshot
@@ -23,7 +23,7 @@ from .retrieval import Query, RankedCandidate, retrieve
 
 logger = logging.getLogger(__name__)
 
-Segmenter = Callable[[MemorySnapshot, BoundaryTrigger], BoundaryVerdict]
+Segmenter = Callable[[MemorySnapshot, TriggerKind], BoundaryVerdict]
 
 
 def _parse_timestamp(value: str | None) -> datetime | None:
@@ -100,7 +100,7 @@ class MemoryEngine:
         return self._fire(TriggerKind.MANUAL)
 
     def detect_boundary(
-        self, snapshot: MemorySnapshot, trigger: BoundaryTrigger
+        self, snapshot: MemorySnapshot, trigger: TriggerKind
     ) -> BoundaryVerdict:
         """The default segmenter: one consultation of the bundle's
         discriminator, falling back to the embedding heuristic."""
@@ -108,7 +108,7 @@ class MemoryEngine:
             snapshot,
             trigger,
             self.providers.discriminator,
-            fallback_embedder=self.providers.embedder,
+            self.providers.embedder,
         )
 
     def query(self, query: Query | str, k: int | None = None) -> list[RankedCandidate]:
@@ -128,8 +128,7 @@ class MemoryEngine:
         if not self._snapshot.buffer:
             return []
         self.trigger_counts[kind] += 1
-        trigger = BoundaryTrigger(kind, self._snapshot.logical_clock)
-        verdict = self.segmenter(self._snapshot, trigger)
+        verdict = self.segmenter(self._snapshot, kind)
         reports, self._snapshot = apply_verdict(
             self._snapshot, verdict, self.providers
         )

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .boundary import BoundaryTrigger, BoundaryVerdict, TriggerKind
+from .boundary import BoundaryVerdict, TriggerKind
 from .consolidation import ConsolidationReport
 from .core import MemorySnapshot, memory_stats
 from .engine import MemoryEngine, Segmenter
@@ -35,15 +35,6 @@ from .retrieval import Query, event_lookup, retrieve
 logger = logging.getLogger(__name__)
 
 CATEGORIES = ("single_hop", "multi_hop", "temporal", "open_domain")
-
-STRATEGY_NAMES = (
-    "semantic",
-    "session",
-    "fixed_window:256",
-    "fixed_window:512",
-    "fixed_turns:3",
-    "fixed_turns:5",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +216,17 @@ def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
     """Perturb every unforced verdict of ``segmenter`` with ``spec``.
 
     Each check draws its own stream, seeded from ``spec.seed`` and the
-    trigger's logical time, so runs are reproducible and checks independent.
+    snapshot's logical clock, so runs are reproducible and checks independent.
     """
 
-    def segment(snapshot: MemorySnapshot, trigger: BoundaryTrigger) -> BoundaryVerdict:
+    def segment(snapshot: MemorySnapshot, trigger: TriggerKind) -> BoundaryVerdict:
         verdict = segmenter(snapshot, trigger)
         buffer_len = len(snapshot.buffer)
         if verdict.forced or buffer_len < 2:
             return verdict
-        check_spec = replace(spec, seed=spec.seed * 2**32 + trigger.observed_at)
+        check_spec = replace(spec, seed=spec.seed * 2**32 + snapshot.logical_clock)
         perturbed = inject_noise(verdict.split_indices, check_spec, buffer_len - 1)
-        return BoundaryVerdict(tuple(perturbed), degraded=verdict.degraded)
+        return BoundaryVerdict(tuple(perturbed))
 
     return segment
 
@@ -245,13 +236,12 @@ def _whole_buffer_segmenter(cut_at_session_end: bool) -> Segmenter:
     consumes the whole buffer on overflow (forced), on an explicit request,
     and at a session end if the strategy cuts there; otherwise it keeps it."""
 
-    def segment(snapshot: MemorySnapshot, trigger: BoundaryTrigger) -> BoundaryVerdict:
-        kind = trigger.kind
+    def segment(snapshot: MemorySnapshot, trigger: TriggerKind) -> BoundaryVerdict:
         whole = (len(snapshot.buffer) - 1,)
-        if kind is TriggerKind.BUFFER_OVERFLOW:
+        if trigger is TriggerKind.BUFFER_OVERFLOW:
             return BoundaryVerdict(whole, forced=True)
-        if kind is TriggerKind.MANUAL or (
-            cut_at_session_end and kind is TriggerKind.SESSION_END
+        if trigger is TriggerKind.MANUAL or (
+            cut_at_session_end and trigger is TriggerKind.SESSION_END
         ):
             return BoundaryVerdict(whole)
         return BoundaryVerdict()
@@ -318,6 +308,7 @@ def replay(
     else:
         engine.segmenter = _whole_buffer_segmenter(kind == "session")
     telemetry = ReplayTelemetry()
+    triggers_before = dict(engine.trigger_counts)
     discriminator_before = engine.providers.call_log.count("discriminator")
 
     for turn in corpus.turns:
@@ -338,11 +329,12 @@ def replay(
             telemetry.reports.extend(engine.check_now())
     telemetry.reports.extend(engine.end_session())
 
+    fired = {k: n - triggers_before[k] for k, n in engine.trigger_counts.items()}
     telemetry.sessions = len(corpus.sessions)
-    telemetry.session_end_triggers = engine.trigger_counts[TriggerKind.SESSION_END]
-    telemetry.pause_triggers = engine.trigger_counts[TriggerKind.INTERACTION_PAUSE]
-    telemetry.overflow_triggers = engine.trigger_counts[TriggerKind.BUFFER_OVERFLOW]
-    telemetry.manual_triggers = engine.trigger_counts[TriggerKind.MANUAL]
+    telemetry.session_end_triggers = fired[TriggerKind.SESSION_END]
+    telemetry.pause_triggers = fired[TriggerKind.INTERACTION_PAUSE]
+    telemetry.overflow_triggers = fired[TriggerKind.BUFFER_OVERFLOW]
+    telemetry.manual_triggers = fired[TriggerKind.MANUAL]
     telemetry.discriminator_calls = (
         engine.providers.call_log.count("discriminator") - discriminator_before
     )
@@ -363,15 +355,11 @@ class EvalResult:
     per_category: dict
     tokens_per_query: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(
     corpus: DialogueCorpus,
     snapshot: MemorySnapshot,
     providers: ProviderBundle,
-    k: int | None = None,
 ) -> EvalResult:
     """Run every QA item through retrieval and aggregate the metrics.
 
@@ -380,8 +368,6 @@ def evaluate(
     Per-item failures are logged, counted and excluded.  The snapshot is
     never mutated.
     """
-    if k is None:
-        k = snapshot.config.retrieval_k
     lookup = event_lookup(snapshot)
     log_start = len(providers.call_log)
     recalls: dict[str, list[float]] = {c: [] for c in CATEGORIES}
@@ -392,7 +378,7 @@ def evaluate(
 
     for item in corpus.qa:
         try:
-            ranked = retrieve(snapshot, Query(item.question), providers, k)
+            ranked = retrieve(snapshot, Query(item.question), providers)
         except GraphMemError as exc:
             logger.warning("QA item failed, excluded: %s", exc)
             failed += 1
@@ -448,48 +434,32 @@ def scaling_report(
 ) -> list[dict]:
     """Replay incrementally and snapshot growth plus query cost per checkpoint.
 
-    The engine must start empty and consumes the corpus turn by turn.  A
-    session counts as done when the next turn belongs to another session or
-    the corpus ends; a checkpoint flushes the pending session end first, and
-    each row reports archived event nodes, theme count, total edge count,
-    and per-query token cost over the corpus QA set.
+    The engine must start empty.  A session counts as done when the next
+    turn belongs to another session or the corpus ends.  At each checkpoint
+    the turns since the previous one are replayed semantically (which
+    flushes the pending session end) and the QA set is evaluated; each row
+    reports archived event nodes, theme count, total edge count, and
+    per-query token cost.  Turns after the last checkpoint reached are not
+    ingested, since no row reports them.
     """
     if engine.snapshot.logical_clock != 0:
         raise ValueError("scaling_report needs a fresh engine")
     checkpoints = set(checkpoints)
+    turns = corpus.turns
     rows = []
-    sessions_done = 0
-    for turn, following in zip(corpus.turns, corpus.turns[1:] + (None,)):
-        engine.observe(
-            turn.session_id,
-            turn.speaker,
-            turn.text,
-            turn.timestamp,
-            turn.turn_index,
-        )
-        if following is not None and following.session_id == turn.session_id:
+    sessions_done = replayed = 0
+    for end in range(1, len(turns) + 1):
+        if end < len(turns) and turns[end].session_id == turns[end - 1].session_id:
             continue
         sessions_done += 1
         if sessions_done in checkpoints:
-            engine.end_session()
-            rows.append(_checkpoint_row(engine, corpus, sessions_done))
+            snapshot, _ = replay(DialogueCorpus(turns[replayed:end]), engine)
+            replayed = end
+            tokens = evaluate(corpus, snapshot, engine.providers).tokens_per_query
+            rows.append(
+                {"sessions": sessions_done, **memory_stats(snapshot), "tokens_per_query": tokens}
+            )
     return rows
-
-
-def _checkpoint_row(
-    engine: MemoryEngine, corpus: DialogueCorpus, sessions_done: int
-) -> dict:
-    snapshot = engine.snapshot
-    log_start = len(engine.providers.call_log)
-    for item in corpus.qa:
-        retrieve(snapshot, Query(item.question), engine.providers)
-    return {
-        "sessions": sessions_done,
-        **memory_stats(snapshot),
-        "tokens_per_query": record_usage(
-            engine.providers.call_log, len(corpus.qa), log_start
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,19 @@ _REPAIR_SUFFIX = (
 )
 
 
+def _reject_constant(name: str) -> float:
+    raise ProviderParseError(f"non-finite number {name}")
+
+
 def extract_json_object(text: str) -> dict:
     """Decode the JSON object that starts at the first brace of possibly
-    prosy text; whatever follows the object is ignored."""
+    prosy text; whatever follows the object is ignored.  ``NaN`` and
+    ``Infinity`` are refused: no score, confidence or index may be one."""
     start = text.find("{")
     if start < 0:
         raise ProviderParseError("no JSON object in response")
     try:
-        return json.JSONDecoder().raw_decode(text, start)[0]
+        return json.JSONDecoder(parse_constant=_reject_constant).raw_decode(text, start)[0]
     except json.JSONDecodeError as exc:
         raise ProviderParseError(f"unparseable JSON object: {exc}") from exc
 
@@ -228,6 +233,8 @@ class HttpClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderParseError("malformed embeddings envelope") from exc
         self._record("embedder", body, text, "")
+        if not np.isfinite(vector).all():
+            raise ProviderParseError("non-finite embedding")
         norm = float(np.linalg.norm(vector))
         if norm < 1e-12:
             raise ProviderParseError("zero-norm embedding")
@@ -284,6 +291,8 @@ class HttpSummarizer:
             {"keywords": list, "summary": str},
             provider="summarizer",
         )
+        if not payload["summary"].strip():
+            raise ProviderParseError("blank summary")
         return SummaryResult(
             tuple(str(k) for k in payload["keywords"]), payload["summary"]
         )

@@ -176,14 +176,11 @@ class MockEmbedder:
 
 class MockBoundaryDiscriminator:
     """Keyword-divergence rule: a boundary sits between adjacent utterances
-    whose content-word sets overlap at or below ``divergence_threshold``."""
+    whose content-word sets do not overlap."""
 
     name = "discriminator"
 
-    def __init__(
-        self, divergence_threshold: float = 0.0, call_log: CallLog | None = None
-    ):
-        self.divergence_threshold = divergence_threshold
+    def __init__(self, call_log: CallLog | None = None):
         self.call_log = call_log
 
     def detect(self, utterances: Sequence[EventNode]) -> list[int]:
@@ -193,7 +190,7 @@ class MockBoundaryDiscriminator:
                 content_words(utterances[i].text),
                 content_words(utterances[i + 1].text),
             )
-            if overlap <= self.divergence_threshold:
+            if overlap <= 0.0:
                 boundaries.append(i)
         if self.call_log is not None:
             input_tokens = sum(n.token_count for n in utterances)

@@ -23,6 +23,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -83,9 +84,6 @@ class VectorIndex:
         ids = self.ids[:position] + (node_id,) + self.ids[position:]
         row = np.asarray(vector, dtype=float)
         return VectorIndex(ids, np.insert(self.matrix, position, row, axis=0))
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def topic_index(graph: TopicGraph, dim: int) -> VectorIndex:
@@ -196,15 +194,22 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
+    graphs = [*body["archives"].values(), body["active_buffer"]]
+    _check_types([entry for graph in graphs for entry in graph["nodes"]], _EVENT_TYPES)
+    _check_types(body["topic_nodes"], _TOPIC_TYPES)
+    _check_types(body["topic_edges"], _EDGE_TYPES)
     topic_nodes = {}
     raws = {}
     for entry in body["topic_nodes"]:
+        for name, item_type in (("keywords", str), ("embedding", float)):
+            if not set(map(type, entry[name])) <= {item_type}:
+                raise CorruptionError("field-type", f"{entry['id']} {name}")
         node = TopicNode(
             id=entry["id"],
             summary=entry["summary"],
             keywords=tuple(entry["keywords"]),
-            embedding=tuple(float(x) for x in entry["embedding"]),
-            created_at=int(entry["created_at"]),
+            embedding=tuple(entry["embedding"]),
+            created_at=entry["created_at"],
             source_archive_id=entry["source_archive_id"],
         )
         if node.id in topic_nodes:
@@ -218,7 +223,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             from_id=entry["from_id"],
             to_id=entry["to_id"],
             relation=Relation(entry["relation"]),
-            weight=float(entry["weight"]),
+            weight=entry["weight"],
         )
         key = edge_key(edge.from_id, edge.to_id)
         if key in edges:
@@ -233,7 +238,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     }
     buffer = _rebuild_graph(body["active_buffer"], LIVE_BUFFER_ID, "buffer-graph-id")
     clock = body["logical_clock"]
-    if not isinstance(clock, int) or clock < 0:
+    if type(clock) is not int or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
 
     snapshot = MemorySnapshot(
@@ -257,23 +262,54 @@ def _rebuild_graph(graph_dict: dict, graph_id: str, id_check: str) -> EventGraph
     the ones the engine derives and writes."""
     if graph_dict["graph_id"] != graph_id:
         raise CorruptionError(id_check, graph_id)
-    nodes = tuple(
-        EventNode(
-            id=entry["id"],
-            session_id=entry["session_id"],
-            turn_index=int(entry["turn_index"]),
-            speaker=entry["speaker"],
-            text=entry["text"],
-            timestamp=entry["timestamp"],
-            token_count=int(entry["token_count"]),
-            confidence_flag=bool(entry["confidence_flag"]),
-        )
-        for entry in graph_dict["nodes"]
-    )
-    graph = EventGraph(nodes)
+    # The caller has checked the field types; a field EventNode lacks is a
+    # TypeError.
+    graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))
     if graph_dict["edges"] != [list(e) for e in graph.edges]:
         raise CorruptionError("sequential-path", graph_id)
     return graph
+
+
+#: The exact JSON types each stored field may have.  Nothing is coerced and
+#: a bool is not an int, so a file loads only with values the engine could
+#: have written; any other value would fail later, in a query or an append.
+_EVENT_TYPES = {
+    "id": (str,),
+    "session_id": (str,),
+    "turn_index": (int,),
+    "speaker": (str,),
+    "text": (str,),
+    "timestamp": (str, type(None)),
+    "token_count": (int,),
+    "confidence_flag": (bool,),
+}
+_TOPIC_TYPES = {
+    "id": (str,),
+    "summary": (str,),
+    "keywords": (list,),
+    "embedding": (list,),
+    "created_at": (int,),
+    "source_archive_id": (str,),
+    "raw": (str,),
+}
+_EDGE_TYPES = {
+    "from_id": (str,),
+    "to_id": (str,),
+    "relation": (str,),
+    "weight": (float,),
+    "directed": (bool,),
+}
+
+
+def _check_types(entries: list[dict], types: dict[str, tuple[type, ...]]) -> None:
+    """Raise ``field-type`` naming a field and an entry whose value there
+    has a type other than ``types`` allows."""
+    for name, allowed in types.items():
+        # One pass per field in C; only a failure looks for its entry.
+        if not set(map(type, map(itemgetter(name), entries))) <= set(allowed):
+            entry = next(e for e in entries if type(e[name]) not in allowed)
+            where = entry.get("id") or f"{entry.get('from_id')}-{entry.get('to_id')}"
+            raise CorruptionError("field-type", f"{where} {name}")
 
 
 def validate_snapshot(snapshot: MemorySnapshot) -> None:
@@ -305,7 +341,7 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
         if len(node.embedding) != config.embedding_dim:
             raise CorruptionError("embedding-dim", node.id)
         norm = math.sqrt(sum(x * x for x in node.embedding))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # written so that NaN fails
             raise CorruptionError("embedding-unit-norm", node.id)
         if node.source_archive_id not in snapshot.archive:
             raise CorruptionError("source-archive-exists", node.id)

@@ -1,13 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
 from graphmem.boundary import (
-    BoundaryTrigger,
     BoundaryVerdict,
     TriggerKind,
     check_boundary,
     heuristic_discriminator,
 )
+from graphmem.config import EngineConfig
 from graphmem.core import Utterance, append_event, new_snapshot, snapshot_hash
 from graphmem.errors import ProviderParseError, ProviderTransportError, StateError
 from graphmem.providers import MockBoundaryDiscriminator, MockEmbedder, content_words, jaccard
@@ -20,8 +22,13 @@ def buffered(texts, session="s1", config=None):
     return snap
 
 
-def trigger(kind=TriggerKind.SESSION_END):
-    return BoundaryTrigger(kind, 0)
+def check(snap, discriminator=None, trigger=TriggerKind.SESSION_END):
+    return check_boundary(
+        snap, trigger, discriminator or MockBoundaryDiscriminator(), MockEmbedder(64)
+    )
+
+
+CUTOFF = EngineConfig().heuristic_cutoff
 
 
 class StubDiscriminator:
@@ -43,10 +50,6 @@ class TestVerdict:
         with pytest.raises(ValueError):
             BoundaryVerdict((-1,))
 
-    def test_detected_exactly_when_a_split_is_given(self):
-        assert not BoundaryVerdict().boundary_detected
-        assert BoundaryVerdict((1,)).boundary_detected
-
     def test_trigger_kinds_are_a_closed_enum(self):
         assert {k.value for k in TriggerKind} == {
             "session_end",
@@ -59,8 +62,7 @@ class TestVerdict:
 class TestCheckBoundary:
     def test_single_utterance_no_shift(self):
         snap = buffered(["just one line of talk"])
-        verdict = check_boundary(snap, trigger(), MockBoundaryDiscriminator())
-        assert not verdict.boundary_detected
+        verdict = check(snap)
         assert verdict.split_indices == ()
         assert not verdict.forced
 
@@ -79,94 +81,75 @@ class TestCheckBoundary:
             if jaccard(content_words(texts[i]), content_words(texts[i + 1])) == 0.0
         ]
         assert expected == [1]
-        verdict = check_boundary(snap, trigger(), MockBoundaryDiscriminator())
-        assert verdict.boundary_detected
+        verdict = check(snap)
         assert list(verdict.split_indices) == expected
 
     def test_overflow_with_no_shift_forces_whole_buffer(self):
         filler = "garden " * 41  # 41 tokens per line
         snap = buffered([filler.strip()] * 50)  # 2050 estimated tokens
         assert snap.active_event_graph.token_total > 2048
-        verdict = check_boundary(
-            snap, trigger(TriggerKind.BUFFER_OVERFLOW), MockBoundaryDiscriminator()
-        )
-        assert verdict.boundary_detected
+        verdict = check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
         assert verdict.forced
         assert verdict.split_indices == (len(snap.buffer) - 1,)
 
     def test_overflow_with_real_shift_is_not_forced(self):
-        from graphmem.config import EngineConfig
-
         snap = buffered(
             ["the puppy leash", "an interview offer"],
             config=EngineConfig(buffer_token_limit=5),
         )
         assert snap.active_event_graph.token_total > 5
-        verdict = check_boundary(
-            snap, trigger(TriggerKind.BUFFER_OVERFLOW), MockBoundaryDiscriminator()
-        )
-        assert verdict.boundary_detected
+        verdict = check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
         assert not verdict.forced
         assert verdict.split_indices == (0,)
 
     def test_overflow_trigger_requires_an_overflowing_buffer(self):
         snap = buffered(["a few short words"])
         with pytest.raises(StateError, match="overflow"):
-            check_boundary(
-                snap, trigger(TriggerKind.BUFFER_OVERFLOW), MockBoundaryDiscriminator()
-            )
+            check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
 
     def test_never_mutates_the_snapshot(self):
         snap = buffered(["puppy leash", "interview offer"])
         before = snapshot_hash(snap)
-        check_boundary(snap, trigger(), MockBoundaryDiscriminator())
+        check(snap)
         assert snapshot_hash(snap) == before
 
     def test_out_of_range_indices_filtered(self):
         snap = buffered(["a b", "c d", "e f"])
-        verdict = check_boundary(snap, trigger(), StubDiscriminator([-3, 0, 2, 9]))
+        verdict = check(snap, StubDiscriminator([-3, 0, 2, 9]))
         assert verdict.split_indices == (0,)
 
     def test_empty_buffer_is_a_state_bug(self):
         with pytest.raises(StateError):
-            check_boundary(new_snapshot(), trigger(), MockBoundaryDiscriminator())
+            check(new_snapshot())
 
-    def test_parse_failure_falls_back_to_heuristic_and_flags_degraded(self):
+    def test_parse_failure_falls_back_to_heuristic_and_warns(self, caplog):
         snap = buffered(["the puppy leash collar", "an interview offer panel"])
         broken = StubDiscriminator(ProviderParseError("still malformed"))
-        verdict = check_boundary(
-            snap, trigger(), broken, fallback_embedder=MockEmbedder(64)
-        )
-        assert verdict.degraded
-        assert verdict.boundary_detected  # disjoint halves diverge under the mock embedder
-
-    def test_parse_failure_without_fallback_propagates(self):
-        snap = buffered(["a b", "c d"])
-        with pytest.raises(ProviderParseError):
-            check_boundary(snap, trigger(), StubDiscriminator(ProviderParseError("x")))
+        with caplog.at_level(logging.WARNING, logger="graphmem.boundary"):
+            verdict = check(snap, broken)
+        # disjoint halves diverge under the mock embedder
+        expected = heuristic_discriminator(snap.buffer, MockEmbedder(64), CUTOFF)
+        assert expected == [0]
+        assert verdict.split_indices == tuple(expected)
+        assert "still malformed" in caplog.text
+        assert "using heuristic" in caplog.text
 
     def test_transport_failure_is_retriable_by_the_caller(self):
         snap = buffered(["a b", "c d"])
         with pytest.raises(ProviderTransportError):
-            check_boundary(
-                snap,
-                trigger(),
-                StubDiscriminator(ProviderTransportError("net down")),
-                fallback_embedder=MockEmbedder(64),
-            )
+            check(snap, StubDiscriminator(ProviderTransportError("net down")))
 
     def test_verdict_deterministic_for_identical_buffers(self):
         texts = ["puppy leash collar", "puppy grooming treats", "interview offer salary"]
-        a = check_boundary(buffered(texts), trigger(), MockBoundaryDiscriminator())
-        b = check_boundary(buffered(texts), trigger(), MockBoundaryDiscriminator())
+        a = check(buffered(texts))
+        b = check(buffered(texts))
         assert a == b
 
 
 class TestHeuristicDiscriminator:
     def test_identical_sentences_never_split(self):
         nodes = buffered(["the same sentence again"] * 6).buffer
-        verdict = heuristic_discriminator(nodes, MockEmbedder(64))
-        assert not verdict.boundary_detected
+        assert heuristic_discriminator(nodes, MockEmbedder(64), CUTOFF) == []
 
     def test_lexically_disjoint_halves_split(self):
         texts = [
@@ -177,13 +160,12 @@ class TestHeuristicDiscriminator:
             "interview recruiter panel hiring",
             "interview onboarding references negotiation",
         ]
-        verdict = heuristic_discriminator(buffered(texts).buffer, MockEmbedder(64))
-        assert verdict.boundary_detected
-        assert verdict.split_indices == (2,)
+        splits = heuristic_discriminator(buffered(texts).buffer, MockEmbedder(64), CUTOFF)
+        assert splits == [2]
 
     def test_single_node_buffer_cannot_split(self):
         nodes = buffered(["only one line"]).buffer
-        assert not heuristic_discriminator(nodes, MockEmbedder(64)).boundary_detected
+        assert heuristic_discriminator(nodes, MockEmbedder(64), CUTOFF) == []
 
     def test_flip_happens_exactly_at_the_cutoff(self):
         texts = [
@@ -203,5 +185,5 @@ class TestHeuristicDiscriminator:
         )
         below = heuristic_discriminator(nodes, embedder, cutoff=similarity - 1e-9)
         at_or_above = heuristic_discriminator(nodes, embedder, cutoff=similarity + 1e-9)
-        assert not below.boundary_detected
-        assert at_or_above.boundary_detected
+        assert below == []
+        assert at_or_above != []

@@ -459,6 +459,15 @@ class TestInspect:
         assert code == 0
         assert "s1:0" in out
 
+    @pytest.mark.parametrize(
+        "option", [["--provider", "mock"], ["--seed", "3"], ["--config", "x.cfg"]]
+    )
+    def test_provider_options_are_not_accepted(self, option):
+        # inspect reads only the snapshot file, so it takes no provider setup.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["inspect", "--snapshot", "s.json", *option])
+        assert exit_info.value.code == 2
+
     def test_unknown_topic_exits_two(self, golden_snapshot_file, capsys):
         code, _, err = run_cli(
             ["inspect", "--snapshot", golden_snapshot_file, "--topic", "t999999"],

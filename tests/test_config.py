@@ -42,6 +42,21 @@ def test_invalid_values_rejected(field, value):
         EngineConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("beta_time", float("nan")),
+        ("beta_conf", float("inf")),
+        ("heuristic_cutoff", float("inf")),
+        ("heuristic_cutoff", float("-inf")),
+        ("heuristic_cutoff", float("nan")),
+    ],
+)
+def test_non_finite_values_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        EngineConfig(**{field: value})
+
+
 def test_int_accepted_for_float_fields():
     assert EngineConfig(beta_time=2).beta_time == 2
 

@@ -102,7 +102,7 @@ class TestSegmenter:
         seen = []
 
         def keep_everything(snapshot, trigger):
-            seen.append((trigger.kind, len(snapshot.buffer)))
+            seen.append((trigger, len(snapshot.buffer)))
             return BoundaryVerdict()
 
         config = EngineConfig()

@@ -10,7 +10,6 @@ from graphmem.config import EngineConfig
 from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.harness import (
-    STRATEGY_NAMES,
     DialogueCorpus,
     NoiseSpec,
     QAItem,
@@ -28,6 +27,15 @@ from graphmem.harness import (
 from graphmem.providers import mock_bundle
 
 from conftest import interleaved_corpora
+
+STRATEGY_NAMES = (
+    "semantic",
+    "session",
+    "fixed_window:256",
+    "fixed_window:512",
+    "fixed_turns:3",
+    "fixed_turns:5",
+)
 
 
 def mini_corpus(n_turns=4, sessions=1, text="the same garden topic"):
@@ -114,6 +122,21 @@ class TestReplay:
         assert telemetry.consolidations == 1
         assert len(snapshot.archive) == 1
         assert snapshot.buffer == ()
+
+    def test_second_replay_reports_only_its_own_triggers(self):
+        corpus = mini_corpus(2, sessions=3)
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        _, first = replay(corpus, engine, "session")
+        _, second = replay(corpus, engine, "session")
+        assert first.session_end_triggers == second.session_end_triggers == 3
+        for field, kind in (
+            ("session_end_triggers", TriggerKind.SESSION_END),
+            ("pause_triggers", TriggerKind.INTERACTION_PAUSE),
+            ("overflow_triggers", TriggerKind.BUFFER_OVERFLOW),
+            ("manual_triggers", TriggerKind.MANUAL),
+        ):
+            total = getattr(first, field) + getattr(second, field)
+            assert total == engine.trigger_counts[kind], field
 
     def test_fixed_turns_cuts_every_three(self):
         corpus = mini_corpus(10)

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphmem.config import EngineConfig
 from graphmem.core import EventNode
+from graphmem.engine import MemoryEngine
 from graphmem.errors import ProviderParseError, ProviderTransportError
+from graphmem.harness import DialogueCorpus, Turn, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
+    SUMMARY_PROMPT,
     HttpBoundaryDiscriminator,
     HttpClient,
     HttpConfig,
@@ -18,6 +22,7 @@ from graphmem.http import (
     HttpRelevanceScorer,
     HttpSummarizer,
     extract_json_object,
+    http_bundle,
     linearize_buffer,
     logistic,
     validate_schema,
@@ -65,7 +70,7 @@ JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
-    | st.floats(allow_nan=False)
+    | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(), inner, max_size=3),
@@ -92,6 +97,11 @@ class TestJsonExtraction:
     def test_unbalanced_raises(self):
         with pytest.raises(ProviderParseError):
             extract_json_object('{"open": [1, 2')
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected(self, constant):
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            extract_json_object(f'{{"score": {constant}}}')
 
     def test_schema_validation(self):
         with pytest.raises(ProviderParseError, match="missing"):
@@ -205,6 +215,12 @@ class TestEmbeddings:
         with pytest.raises(ProviderParseError, match="dim"):
             embedder.embed("hello")
 
+    @pytest.mark.parametrize("vector", [[float("nan"), 1.0], [float("inf"), 0.0]])
+    def test_non_finite_vector_rejected(self, vector):
+        http, _, _ = client([(200, {"data": [{"embedding": vector}], "usage": {}})])
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            http.embed("hello")
+
     def test_zero_vector_rejected(self):
         body = {"data": [{"embedding": [0.0, 0.0]}], "usage": {}}
         http, _, _ = client([(200, body)])
@@ -254,6 +270,19 @@ class TestProviderAdapters:
         assert result.keywords == ("a", "b")
         assert result.summary == "about a and b"
 
+    @pytest.mark.parametrize("summary", ["", "   "])
+    def test_summarizer_rejects_blank_summary(self, summary):
+        reply = json.dumps({"keywords": ["a"], "summary": summary})
+        http, _, _ = client([(200, chat_body(reply))])
+        with pytest.raises(ProviderParseError, match="blank"):
+            HttpSummarizer(http).summarize("content")
+
+    def test_relevance_rejects_nan_score(self):
+        # Once as sent, once after the repair.
+        http, _, _ = client([(200, chat_body('{"score": NaN}'))] * 2)
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            HttpRelevanceScorer(http).score("q", "t")
+
     def test_relation_label_validated(self):
         http, _, _ = client(
             [
@@ -295,3 +324,32 @@ class TestProviderAdapters:
             warnings.simplefilter("error")
             assert logistic(-1000.0) == 0.0
             assert logistic(1000.0) == 1.0
+
+
+def blank_summary_transport(url, payload, headers, timeout):
+    """A model that embeds every text alike and summarizes to nothing."""
+    if url.endswith("/embeddings"):
+        return 200, {"data": [{"embedding": [1.0] + [0.0] * 63}], "usage": {}}
+    prompt = payload["messages"][0]["content"]
+    assert prompt.startswith(SUMMARY_PROMPT[:40])
+    return 200, chat_body('{"keywords": ["garden"], "summary": ""}')
+
+
+class TestBundle:
+    def test_blank_summary_aborts_consolidation_and_keeps_the_buffer(self):
+        config = EngineConfig()
+        bundle = http_bundle(
+            HttpConfig(base_url="http://model.test/v1", model="chat-model"),
+            config.embedding_dim,
+            transport=blank_summary_transport,
+        )
+        corpus = DialogueCorpus(
+            (
+                Turn("s1", 0, "ana", "garden compost beds"),
+                Turn("s2", 0, "riley", "garden mulch herbs"),
+            )
+        )
+        snapshot, telemetry = replay(corpus, MemoryEngine(bundle, config), "session")
+        assert telemetry.consolidations == 0
+        assert not snapshot.topic_graph.nodes
+        assert [n.text for n in snapshot.buffer] == [t.text for t in corpus.turns]

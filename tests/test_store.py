@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from graphmem.config import EngineConfig
 from graphmem.consolidation import select_candidates
 from graphmem.core import (
+    TopicGraph,
     Utterance,
     append_event,
     canonical_json,
@@ -212,6 +214,21 @@ class TestValidation:
             load(path)
         assert err.value.invariant == "document-schema"
 
+    def test_unknown_event_field_rejected(self, snapshot, tmp_path):
+        document, path = self._document(snapshot, tmp_path)
+        _first_archive(document)["nodes"][0]["mood"] = "cheerful"
+        self._rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "document-schema"
+
+    def test_boolean_logical_clock_rejected(self, snapshot, tmp_path):
+        document, path = self._document(snapshot, tmp_path)
+        document["logical_clock"] = True
+        self._rewrite(document, path)
+        with pytest.raises(CorruptionError, match="logical-clock"):
+            load(path)
+
     def test_validate_passes_on_generated_snapshots(self):
         for seed in range(5):
             validate_snapshot(random_snapshot(random.Random(seed), 8))
@@ -307,6 +324,75 @@ def _archives_swapped(document):
     first, second = (document["archives"][k] for k in sorted(document["archives"])[:2])
     for key in ("nodes", "edges"):
         first[key], second[key] = second[key], first[key]
+
+
+def _buffered_node(document):
+    return document["active_buffer"]["nodes"][0]
+
+
+def _archived_node(document):
+    return _first_archive(document)["nodes"][0]
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (lambda d: _buffered_node(d).update(speaker=None), "speaker"),
+        (lambda d: _buffered_node(d).update(speaker=7), "speaker"),
+        (lambda d: _buffered_node(d).update(timestamp=5), "timestamp"),
+        (lambda d: _archived_node(d).update(turn_index="3"), "turn_index"),
+        (lambda d: _archived_node(d).update(turn_index=True), "turn_index"),
+        (lambda d: _archived_node(d).update(token_count=6.0), "token_count"),
+        (lambda d: _archived_node(d).update(confidence_flag="false"), "confidence_flag"),
+        (lambda d: _archived_node(d).update(confidence_flag=1), "confidence_flag"),
+        (lambda d: _archived_node(d).update(session_id=1), "session_id"),
+        (lambda d: d["topic_nodes"][0].update(created_at="3"), "created_at"),
+        (lambda d: d["topic_nodes"][0].update(created_at=False), "created_at"),
+        (lambda d: d["topic_nodes"][0].update(summary=None), "summary"),
+        (lambda d: d["topic_nodes"][0].update(keywords=[1]), "keywords"),
+        (lambda d: d["topic_nodes"][0].update(keywords="word"), "keywords"),
+        (lambda d: d["topic_nodes"][0]["embedding"].__setitem__(0, "0.5"), "embedding"),
+        (lambda d: d["topic_nodes"][0].update(source_archive_id=1), "source_archive_id"),
+        (lambda d: d["topic_edges"][0].update(weight=True), "weight"),
+        (lambda d: d["topic_edges"][0].update(weight="0.9"), "weight"),
+    ],
+)
+def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, tamper, field):
+    path = tmp_path / "memory.json"
+    document = saved_document(buffered_snapshot, path)
+    tamper(document)
+    rewrite(document, path)
+    with pytest.raises(CorruptionError) as err:
+        load(path)
+    assert err.value.invariant == "field-type"
+    assert field in str(err.value)
+
+
+class TestNonFinite:
+    def test_nan_embedding_fails_unit_norm(self, snapshot):
+        first = min(snapshot.topic_graph.nodes)
+        nodes = dict(snapshot.topic_graph.nodes)
+        embedding = (float("nan"),) + nodes[first].embedding[1:]
+        nodes[first] = dataclasses.replace(nodes[first], embedding=embedding)
+        graph = TopicGraph(nodes, snapshot.topic_graph.edges)
+        with pytest.raises(CorruptionError, match="embedding-unit-norm"):
+            validate_snapshot(dataclasses.replace(snapshot, topic_graph=graph))
+
+    def test_canonical_encoding_refuses_nan(self):
+        with pytest.raises(ValueError):
+            canonical_json({"weight": float("nan")})
+
+    def test_file_with_a_bare_nan_is_rejected(self, snapshot, tmp_path):
+        path = tmp_path / "memory.json"
+        document = saved_document(snapshot, path)
+        document["topic_nodes"][0]["embedding"][0] = float("nan")
+        body = {k: document[k] for k in BODY_KEYS}
+        encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        document["content_hash"] = hashlib.sha256(encoded.encode()).hexdigest()
+        path.write_text(json.dumps(document))
+        assert "NaN" in path.read_text()
+        with pytest.raises(CorruptionError):
+            load(path)
 
 
 class TestEventIdOrder:
@@ -419,7 +505,7 @@ class TestVectorIndex:
         rng.shuffle(order)
         for tid in order:
             extended = incremental.with_row(tid, graph.nodes[tid].embedding)
-            assert len(incremental) == len(extended) - 1
+            assert len(incremental.ids) == len(extended.ids) - 1
             incremental = extended
         assert incremental.ids == rebuilt.ids
         assert np.array_equal(incremental.matrix, rebuilt.matrix)
@@ -511,5 +597,5 @@ class TestDerivedValueProperties:
             engine.query(query)
             assert before.topic_graph.vector_index is index
             assert index.matrix.tobytes() == matrix
-            assert len(index) == len(before.topic_graph.nodes)
+            assert len(index.ids) == len(before.topic_graph.nodes)
             assert retrieve(before, query, engine.providers) == ranking

@@ -274,8 +274,6 @@ def cmd_eval(args) -> int:
                 "consolidations": telemetry.consolidations,
                 "topic_nodes": len(snapshot.topic_graph.nodes),
                 "recall_at_k": metrics.recall_at_k,
-                "f1": metrics.f1,
-                "bleu1": metrics.bleu1,
                 "tokens_per_query": metrics.tokens_per_query,
             }
         )
@@ -287,8 +285,6 @@ def cmd_eval(args) -> int:
                 "consolidations",
                 "topic_nodes",
                 "recall_at_k",
-                "f1",
-                "bleu1",
                 "tokens_per_query",
             ],
         )

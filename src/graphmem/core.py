@@ -74,15 +74,54 @@ class EventNode:
     confidence_flag: bool = True
 
 
+#: The exact JSON types each event-node field may have, checked by the loader
+#: and by :class:`Utterance`.  Nothing is coerced and a bool is not an int,
+#: so only values the engine can save, load and query get in.
+EVENT_FIELD_TYPES = {
+    "id": (str,),
+    "session_id": (str,),
+    "turn_index": (int,),
+    "speaker": (str,),
+    "text": (str,),
+    "timestamp": (str, type(None)),
+    "token_count": (int,),
+    "confidence_flag": (bool,),
+}
+
+
 @dataclass(frozen=True)
 class Utterance:
-    """Raw input to :func:`append_event` before an id is assigned."""
+    """Raw input to :func:`append_event` before an id is assigned.
+
+    A field of the wrong type, a negative ``turn_index`` or blank text is a
+    ``ValueError`` here, so a bad turn fails before it can fire a trigger.
+    """
 
     session_id: str
     speaker: str
     text: str
     timestamp: str | None = None
     turn_index: int | None = None
+
+    def __post_init__(self) -> None:
+        # One expression rather than a loop: this runs on every observe.
+        types = EVENT_FIELD_TYPES
+        if (
+            type(self.session_id) not in types["session_id"]
+            or type(self.speaker) not in types["speaker"]
+            or type(self.text) not in types["text"]
+            or type(self.timestamp) not in types["timestamp"]
+        ):
+            fields = ("session_id", "speaker", "text", "timestamp")
+            bad = next(n for n in fields if type(getattr(self, n)) not in types[n])
+            raise ValueError(f"utterance {bad} has the wrong type")
+        if self.turn_index is not None:
+            if type(self.turn_index) not in types["turn_index"]:
+                raise ValueError("utterance turn_index has the wrong type")
+            if self.turn_index < 0:
+                raise ValueError("turn_index must be non-negative")
+        if not self.text.strip():
+            raise ValueError("utterance text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -245,14 +284,9 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     The topic layer and archives are shared with the input snapshot
     unchanged; only the buffer and the logical clock move.
     """
-    if not utterance.text.strip():
-        raise ValueError("utterance text must be non-empty")
-
     turn_index = utterance.turn_index
     if turn_index is None:
         turn_index = _derive_turn_index(snapshot, utterance.session_id)
-    elif turn_index < 0:
-        raise ValueError("turn_index must be non-negative")
 
     node = EventNode(
         id=next_event_id(snapshot),

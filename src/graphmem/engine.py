@@ -74,8 +74,10 @@ class MemoryEngine:
         the newest buffered turn: consolidation only ever takes a prefix, so
         while anything is buffered that is the previous turn.  Overflow is
         checked after the append so the budget breach itself is what forces
-        the consolidation.
+        the consolidation.  A turn that :class:`Utterance` rejects raises
+        ``ValueError`` before any trigger fires, so the snapshot is unchanged.
         """
+        utterance = Utterance(session_id, speaker, text, timestamp, turn_index)
         reports: list[ConsolidationReport] = []
         if self._snapshot.buffer:
             last = self._snapshot.buffer[-1]
@@ -83,10 +85,7 @@ class MemoryEngine:
                 reports.extend(self._fire(TriggerKind.SESSION_END))
             elif self._pause_exceeded(last.timestamp, timestamp):
                 reports.extend(self._fire(TriggerKind.INTERACTION_PAUSE))
-        self._snapshot = append_event(
-            self._snapshot,
-            Utterance(session_id, speaker, text, timestamp, turn_index),
-        )
+        self._snapshot = append_event(self._snapshot, utterance)
         if self._snapshot.active_event_graph.token_total > self.config.buffer_token_limit:
             reports.extend(self._fire(TriggerKind.BUFFER_OVERFLOW))
         return reports
@@ -117,9 +116,13 @@ class MemoryEngine:
         return retrieve(self._snapshot, query, self.providers, k)
 
     def _pause_exceeded(self, last: str | None, incoming: str | None) -> bool:
+        """A gap needs two comparable times: a missing or unparseable
+        timestamp, or a UTC offset on only one side, never fires a pause."""
         previous = _parse_timestamp(last)
         current = _parse_timestamp(incoming)
         if previous is None or current is None:
+            return False
+        if (previous.tzinfo is None) != (current.tzinfo is None):
             return False
         gap = (current - previous).total_seconds() / 60.0
         return gap > self.config.pause_gap_minutes

@@ -1,11 +1,12 @@
 """Replay, evaluation and protocol-reproduction harness.
 
 Feeds dialogue corpora through the engine under interchangeable partitioning
-strategies, evaluates QA retrieval with token-overlap metrics, injects
-segmentation noise, and emits scaling telemetry.  A strategy is a segmenter
-on the engine: it only decides where a fired boundary check cuts the buffer.
-Ingestion (``observe``, trigger counting, the overflow rule), consolidation
-internals and the retrieval path are identical across all of them.
+strategies, evaluates QA retrieval by evidence recall and tokens per query,
+injects segmentation noise, and emits scaling telemetry.  A strategy is a
+segmenter on the engine: it only decides where a fired boundary check cuts
+the buffer.  Ingestion (``observe``, trigger counting, the overflow rule),
+consolidation internals and the retrieval path are identical across all of
+them.
 
 Corpus wire format: JSON-lines, one turn per line with fields
 ``session_id``, ``turn_index``, ``speaker``, ``text`` and optional
@@ -28,7 +29,7 @@ from .consolidation import ConsolidationReport
 from .core import MemorySnapshot, memory_stats
 from .engine import MemoryEngine, Segmenter
 from .errors import GraphMemError
-from .metrics import bleu1, recall_at_k, token_f1
+from .metrics import recall_at_k
 from .providers import ProviderBundle, record_usage
 from .retrieval import Query, event_lookup, retrieve
 
@@ -350,8 +351,6 @@ class EvalResult:
     items: int
     failed_items: int
     recall_at_k: float | None
-    f1: float | None
-    bleu1: float | None
     per_category: dict
     tokens_per_query: float
 
@@ -363,16 +362,13 @@ def evaluate(
 ) -> EvalResult:
     """Run every QA item through retrieval and aggregate the metrics.
 
-    Evidence recall@k is always computed when evidence ids exist; answer F1
-    and BLEU-1 additionally require an answer synthesizer on the bundle.
-    Per-item failures are logged, counted and excluded.  The snapshot is
-    never mutated.
+    Evidence recall@k is averaged over the items that name evidence turns,
+    overall and per category.  Per-item failures are logged, counted and
+    excluded.  The snapshot is never mutated.
     """
     lookup = event_lookup(snapshot)
     log_start = len(providers.call_log)
     recalls: dict[str, list[float]] = {c: [] for c in CATEGORIES}
-    f1s: dict[str, list[float]] = {c: [] for c in CATEGORIES}
-    bleus: dict[str, list[float]] = {c: [] for c in CATEGORIES}
     failed = 0
     evaluated = 0
 
@@ -392,26 +388,15 @@ def evaluate(
             recalls[item.category].append(
                 recall_at_k(retrieved_turns, item.evidence_turn_ids)
             )
-        if providers.answer_synthesizer is not None:
-            contexts = [lookup[c.event_node_id].text for c in ranked]
-            answer = providers.answer_synthesizer(item.question, contexts)
-            f1s[item.category].append(token_f1(answer, item.gold_answer))
-            bleus[item.category].append(bleu1(answer, item.gold_answer))
 
-    per_category = {}
-    for category in CATEGORIES:
-        per_category[category] = {
-            "count": len(recalls[category]) or len(f1s[category]),
-            "recall_at_k": _mean(recalls[category]),
-            "f1": _mean(f1s[category]),
-            "bleu1": _mean(bleus[category]),
-        }
+    per_category = {
+        c: {"count": len(recalls[c]), "recall_at_k": _mean(recalls[c])}
+        for c in CATEGORIES
+    }
     return EvalResult(
         items=evaluated,
         failed_items=failed,
         recall_at_k=_mean([v for vs in recalls.values() for v in vs]),
-        f1=_mean([v for vs in f1s.values() for v in vs]),
-        bleu1=_mean([v for vs in bleus.values() for v in vs]),
         per_category=per_category,
         tokens_per_query=record_usage(providers.call_log, evaluated, log_start),
     )

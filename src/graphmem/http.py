@@ -180,14 +180,21 @@ class HttpClient:
         raise ProviderTransportError(f"gave up after {self.config.max_attempts} attempts: {last}")
 
     def _record(self, provider: str, body: dict, prompt: str, output: str):
+        """Log the reply's token usage; a count the reply omits is estimated
+        from the text, and a ``usage`` that is not an object or a count that
+        is not a non-negative JSON integer is a parse error."""
         if self.call_log is None:
             return
-        usage = body.get("usage") or {}
-        self.call_log.record(
-            provider,
-            int(usage.get("prompt_tokens", estimate_tokens(prompt))),
-            int(usage.get("completion_tokens", estimate_tokens(output))),
-        )
+        usage = body.get("usage", {})
+        if type(usage) is not dict:
+            raise ProviderParseError("usage is not an object")
+        counts = []
+        for key, text in (("prompt_tokens", prompt), ("completion_tokens", output)):
+            count = usage.get(key, estimate_tokens(text))
+            if type(count) is not int or count < 0:
+                raise ProviderParseError(f"usage {key} is not a non-negative integer")
+            counts.append(count)
+        self.call_log.record(provider, *counts)
 
     def chat(
         self,

@@ -1,50 +1,9 @@
-"""Token-overlap answer metrics and evidence recall.
-
-Tokenization is deliberately plain: lowercase whitespace tokens with
-punctuation trimmed from the edges, no article removal.  BLEU-1 is clipped
-unigram precision with the standard brevity penalty.
-"""
+"""Evidence recall: the share of a QA item's evidence turns that retrieval
+returned."""
 
 from __future__ import annotations
 
-import math
-import string
-from collections import Counter
 from typing import Collection, Iterable
-
-_STRIP = string.punctuation
-
-
-def answer_tokens(text: str) -> list[str]:
-    return [t for t in (w.strip(_STRIP).lower() for w in text.split()) if t]
-
-
-def token_f1(prediction: str, gold: str) -> float:
-    pred = answer_tokens(prediction)
-    ref = answer_tokens(gold)
-    if not pred or not ref:
-        return 1.0 if pred == ref else 0.0
-    common = Counter(pred) & Counter(ref)
-    overlap = sum(common.values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(pred)
-    recall = overlap / len(ref)
-    return 2 * precision * recall / (precision + recall)
-
-
-def bleu1(prediction: str, gold: str) -> float:
-    pred = answer_tokens(prediction)
-    ref = answer_tokens(gold)
-    if not pred:
-        return 1.0 if not ref else 0.0
-    common = Counter(pred) & Counter(ref)
-    precision = sum(common.values()) / len(pred)
-    if len(pred) >= len(ref):
-        brevity = 1.0
-    else:
-        brevity = math.exp(1.0 - len(ref) / len(pred))
-    return brevity * precision
 
 
 def recall_at_k(retrieved_ids: Iterable[str], evidence_ids: Collection[str]) -> float:

@@ -12,7 +12,7 @@ import hashlib
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -302,11 +302,7 @@ class MockEntailmentChecker:
 
 @dataclass
 class ProviderBundle:
-    """The model-facing surface of the engine plus its shared call log.
-
-    ``answer_synthesizer`` is an optional hook; when absent the evaluation
-    harness skips answer-overlap metrics.
-    """
+    """The model-facing surface of the engine plus its shared call log."""
 
     embedder: Embedder
     discriminator: BoundaryDiscriminator
@@ -315,7 +311,6 @@ class ProviderBundle:
     relevance_scorer: RelevanceScorer
     entailment: EntailmentChecker
     call_log: CallLog = field(default_factory=CallLog)
-    answer_synthesizer: Callable[[str, Sequence[str]], str] | None = None
 
 
 def mock_bundle(config: EngineConfig | None = None) -> ProviderBundle:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import EngineConfig, estimate_tokens
 from .core import (
+    EVENT_FIELD_TYPES,
     EventGraph,
     EventNode,
     LIVE_BUFFER_ID,
@@ -195,7 +196,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
 
     config = EngineConfig.from_dict(body["config"])
     graphs = [*body["archives"].values(), body["active_buffer"]]
-    _check_types([entry for graph in graphs for entry in graph["nodes"]], _EVENT_TYPES)
+    _check_types([entry for graph in graphs for entry in graph["nodes"]], EVENT_FIELD_TYPES)
     _check_types(body["topic_nodes"], _TOPIC_TYPES)
     _check_types(body["topic_edges"], _EDGE_TYPES)
     topic_nodes = {}
@@ -270,19 +271,10 @@ def _rebuild_graph(graph_dict: dict, graph_id: str, id_check: str) -> EventGraph
     return graph
 
 
-#: The exact JSON types each stored field may have.  Nothing is coerced and
-#: a bool is not an int, so a file loads only with values the engine could
-#: have written; any other value would fail later, in a query or an append.
-_EVENT_TYPES = {
-    "id": (str,),
-    "session_id": (str,),
-    "turn_index": (int,),
-    "speaker": (str,),
-    "text": (str,),
-    "timestamp": (str, type(None)),
-    "token_count": (int,),
-    "confidence_flag": (bool,),
-}
+#: The exact JSON types each stored theme and edge field may have (event
+#: nodes: :data:`EVENT_FIELD_TYPES`).  Nothing is coerced and a bool is not
+#: an int, so a file loads only with values the engine could have written;
+#: any other value would fail later, in a query or an append.
 _TOPIC_TYPES = {
     "id": (str,),
     "summary": (str,),
@@ -338,6 +330,9 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     graph = snapshot.topic_graph
     for node in graph.nodes.values():
         _check_id_format("t", node.id)
+        if not node.summary.strip():
+            # Relation scoring refuses a blank summary in the next consolidation.
+            raise CorruptionError("summary-non-empty", node.id)
         if len(node.embedding) != config.embedding_dim:
             raise CorruptionError("embedding-dim", node.id)
         norm = math.sqrt(sum(x * x for x in node.embedding))

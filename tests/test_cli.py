@@ -274,6 +274,46 @@ class TestEval:
         report = json.loads(smoke_paths["report"].read_text())
         assert report["strategies"]["semantic"]["metrics"]["items"] == 10
 
+    def test_report_holds_only_measured_metrics(self, smoke_paths, capsys):
+        code, out, _ = run_cli(
+            [
+                "eval",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--strategy",
+                "semantic,session",
+                "--report",
+                smoke_paths["report"],
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[0].split() == [
+            "strategy",
+            "consolidations",
+            "topic_nodes",
+            "recall_at_k",
+            "tokens_per_query",
+        ]
+        report = json.loads(smoke_paths["report"].read_text())
+        for entry in report["strategies"].values():
+            metrics = entry["metrics"]
+            assert set(metrics) == {
+                "items",
+                "failed_items",
+                "recall_at_k",
+                "per_category",
+                "tokens_per_query",
+            }
+            assert set(metrics["per_category"]) == {
+                "single_hop",
+                "multi_hop",
+                "temporal",
+                "open_domain",
+            }
+            for category in metrics["per_category"].values():
+                assert set(category) == {"count", "recall_at_k"}
+
     def test_noise_spec_echoed_in_report(self, smoke_paths, capsys):
         code, _, _ = run_cli(
             [

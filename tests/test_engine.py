@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmem.boundary import BoundaryVerdict, TriggerKind
 from graphmem.config import EngineConfig
 from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.providers import mock_bundle
+from graphmem.store import load, save
 
 
 def fresh_engine(config=None):
@@ -50,6 +56,14 @@ class TestTriggers:
         engine.observe("s1", "ana", "puppy leash")
         engine.observe("s1", "riley", "interview offer", timestamp="2026-01-05T12:00:00")
         assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == 0
+
+    def test_offset_on_one_side_only_never_fires_pause(self):
+        engine = fresh_engine()
+        engine.observe("s1", "ana", "puppy leash", timestamp="2026-01-05T09:00:00Z")
+        engine.observe("s1", "riley", "interview offer", timestamp="2026-01-05T12:00:00")
+        engine.observe("s1", "ana", "garden beds", timestamp="2026-01-05T15:00:00+01:00")
+        assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == 0
+        assert len(engine.snapshot.buffer) == 3
 
     def test_overflow_fires_after_the_breaching_append(self):
         config = EngineConfig(buffer_token_limit=10)
@@ -158,3 +172,87 @@ class TestQueryPath:
         for i in range(5):
             engine.observe("s1", "ana", f"garden words {i} garden")
         assert len(engine.query("garden", k=2)) == 2
+
+
+class TestRejectedTurns:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"speaker": None},
+            {"speaker": 7},
+            {"session_id": None},
+            {"text": b"garden compost beds"},
+            {"text": "   "},
+            {"timestamp": 5},
+            {"timestamp": True},
+            {"turn_index": True},
+            {"turn_index": 2.0},
+            {"turn_index": "3"},
+            {"turn_index": -1},
+        ],
+    )
+    def test_raises_before_any_trigger_and_leaves_the_snapshot(self, bad):
+        engine = fresh_engine()
+        engine.observe("s1", "ana", "the puppy and the leash")
+        engine.observe("s1", "riley", "an interview offer panel")
+        before = engine.snapshot
+        counts = dict(engine.trigger_counts)
+        turn = {"session_id": "s2", "speaker": "ana", "text": "garden compost beds"}
+        with pytest.raises(ValueError):
+            engine.observe(**{**turn, **bad})
+        assert engine.snapshot is before
+        assert engine.trigger_counts == counts
+
+
+TIMESTAMPS = st.sampled_from(
+    [
+        None,
+        "2026-01-05T09:00:00",
+        "2026-01-05T10:00:00",
+        "2026-01-05T09:00:00Z",
+        "2026-01-05T11:00:00+02:00",
+        "not a time",
+        "",
+    ]
+)
+VALID_TURNS = st.fixed_dictionaries(
+    {
+        "session_id": st.sampled_from(["s1", "s2", ""]),
+        "speaker": st.one_of(st.sampled_from(["ana", "Riley"]), st.text(max_size=5)),
+        "text": st.one_of(
+            st.sampled_from(["garden compost beds", "puppy leash collar"]),
+            st.text(max_size=30),
+        ),
+        "timestamp": TIMESTAMPS,
+        "turn_index": st.one_of(st.none(), st.integers(-2, 5)),
+    }
+)
+#: At most one field of a turn replaced by a value of another type.
+ODD_FIELD = st.dictionaries(
+    st.sampled_from(["session_id", "speaker", "text", "timestamp", "turn_index"]),
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 3)),
+    max_size=1,
+)
+TURNS = st.lists(
+    st.builds(lambda turn, odd: {**turn, **odd}, VALID_TURNS, ODD_FIELD), max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(turns=TURNS, question=st.text(max_size=20).filter(str.strip))
+def test_every_accepted_turn_saves_loads_and_answers(turns, question):
+    """Whatever ``observe`` accepts, the engine can write, read back and
+    query; whatever it refuses is a ``ValueError``."""
+    engine = fresh_engine(EngineConfig(buffer_token_limit=12))
+    for turn in turns:
+        try:
+            engine.observe(**turn)
+        except ValueError:
+            continue
+    engine.end_session()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "memory.json"
+        save(engine.snapshot, path)
+        reloaded = load(path)
+    assert snapshot_hash(reloaded) == snapshot_hash(engine.snapshot)
+    MemoryEngine(engine.providers, snapshot=reloaded).query(question)

@@ -333,24 +333,12 @@ class TestEvaluate:
         assert result.items == len(golden_corpus.qa)
         assert result.failed_items == 0
         assert result.recall_at_k == 1.0
-        assert result.f1 is None  # no synthesizer configured
         assert set(result.per_category) == {
             "single_hop",
             "multi_hop",
             "temporal",
             "open_domain",
         }
-
-    def test_answer_metrics_with_synthesizer(self, golden_corpus):
-        config = EngineConfig()
-        bundle = mock_bundle(config)
-        engine = MemoryEngine(bundle, config)
-        snapshot, _ = replay(golden_corpus, engine, "semantic")
-        gold = {item.question: item.gold_answer for item in golden_corpus.qa}
-        bundle.answer_synthesizer = lambda question, contexts: gold[question]
-        result = evaluate(golden_corpus, snapshot, bundle)
-        assert result.f1 == 1.0
-        assert result.bleu1 == 1.0
 
     def test_eval_window_uses_only_read_path_providers(self, golden_snapshot, golden_corpus):
         snapshot, _, providers = golden_snapshot

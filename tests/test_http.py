@@ -186,6 +186,50 @@ class TestChat:
         assert transport.requests[0][2]["Authorization"] == "Bearer secret-token"
 
 
+BAD_USAGE = [
+    {"prompt_tokens": None},
+    {"prompt_tokens": 1e400},
+    {"prompt_tokens": "x"},
+    {"prompt_tokens": -5},
+    {"prompt_tokens": True},
+    {"prompt_tokens": 2.7},
+    {"completion_tokens": 2.0},
+    ["prompt_tokens", 3],
+    "prompt_tokens",
+    None,
+]
+
+
+class TestUsage:
+    """A reply's token usage is logged only as non-negative JSON integers;
+    anything else is a parse error, never a crash or a silent record."""
+
+    @pytest.mark.parametrize("usage", BAD_USAGE)
+    def test_bad_chat_usage_is_a_parse_error(self, usage):
+        log = CallLog()
+        body = {"choices": [{"message": {"content": '{"ok": true}'}}], "usage": usage}
+        http, _, _ = client([(200, body)], call_log=log)
+        with pytest.raises(ProviderParseError, match="usage"):
+            http.chat("prompt", {"ok": bool})
+        assert len(log) == 0
+
+    @pytest.mark.parametrize("usage", BAD_USAGE)
+    def test_bad_embedding_usage_is_a_parse_error(self, usage):
+        log = CallLog()
+        body = {"data": [{"embedding": [1.0, 0.0]}], "usage": usage}
+        http, _, _ = client([(200, body)], call_log=log)
+        with pytest.raises(ProviderParseError, match="usage"):
+            http.embed("hello")
+        assert len(log) == 0
+
+    def test_missing_usage_falls_back_to_the_estimate(self):
+        log = CallLog()
+        body = {"choices": [{"message": {"content": '{"ok": true}'}}]}
+        http, _, _ = client([(200, body)], call_log=log)
+        http.chat("two words", {"ok": bool})
+        assert [(e.input_tokens, e.output_tokens) for e in log.entries()] == [(2, 2)]
+
+
 class TestEmbeddings:
     def test_vector_normalized(self):
         body = {"data": [{"embedding": [3.0, 4.0]}], "usage": {"prompt_tokens": 2}}

@@ -368,6 +368,20 @@ def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, tamper
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize("summary", ["", "   "])
+def test_blank_theme_summary_is_rejected(golden_snapshot, tmp_path, summary):
+    # Loaded, such a theme would make the next consolidation's relation
+    # scoring raise ValueError.
+    path = tmp_path / "memory.json"
+    document = saved_document(golden_snapshot[0], path)
+    document["topic_nodes"][0]["summary"] = summary
+    rewrite(document, path)
+    with pytest.raises(CorruptionError) as err:
+        load(path)
+    assert err.value.invariant == "summary-non-empty"
+    assert document["topic_nodes"][0]["id"] in str(err.value)
+
+
 class TestNonFinite:
     def test_nan_embedding_fails_unit_norm(self, snapshot):
         first = min(snapshot.topic_graph.nodes)

@@ -57,10 +57,11 @@ def check_boundary(
 ) -> BoundaryVerdict:
     """Consult the discriminator once and normalise the outcome.
 
-    Transport failures propagate (they are retriable by the caller); a parse
-    failure that survived the provider's own repair pass falls back to the
-    embedding heuristic over ``embedder``, with a logged warning.  Never
-    mutates the snapshot.
+    Transport failures propagate (they are retriable by the caller).  A
+    parse failure that survived the provider's own repair pass, or a reply
+    holding anything but exact integers, falls back to the embedding
+    heuristic over ``embedder``, with a logged warning.  Never mutates the
+    snapshot.
     """
     buffer = snapshot.buffer
     if not buffer:
@@ -73,6 +74,8 @@ def check_boundary(
 
     try:
         indices = discriminator.detect(buffer)
+        if not all(type(i) is int for i in indices):
+            raise ProviderParseError("boundaries must be integers")
     except ProviderParseError as exc:
         logger.warning("discriminator output unusable (%s); using heuristic", exc)
         indices = heuristic_discriminator(

@@ -198,6 +198,12 @@ def cmd_ingest(args) -> int:
 def cmd_query(args) -> int:
     if not args.text.strip():
         raise ValueError("--text must be non-empty")
+    engine_keys = sorted(set(_load_kv_config(args.config)) - set(_HTTP_KEYS))
+    if engine_keys:
+        raise ValueError(
+            f"query reads only {', '.join(_HTTP_KEYS)} from --config; the engine "
+            f"config comes from the snapshot (use --k for the result count): {engine_keys}"
+        )
     snapshot = load(args.snapshot)
     config = snapshot.config if args.seed is None else replace(snapshot.config, seed=args.seed)
     providers = _bundle(args, config)

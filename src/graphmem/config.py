@@ -8,7 +8,7 @@ there is untested.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -43,8 +43,12 @@ class EngineConfig:
             ):
                 expected = "an integer" if integral else "a number"
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if not integral:
+                # In a float's range (NaN is not), and stored as a float so
+                # that equal configs save alike: 2 and 2.0 both as 2.0.
+                if not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
         if self.buffer_token_limit < 1:
             raise ValueError("buffer_token_limit must be >= 1")
         if self.k_cand < 1:

@@ -4,13 +4,15 @@ One consolidation summarizes a buffer prefix, embeds the summary, scores it
 against a small vector-retrieved candidate pool (never the whole graph),
 admits edges above the confidence threshold, archives the prefix, and wires
 the cross-layer link.  The entire transition is all-or-nothing: a failed
-summary or embedding leaves the caller's snapshot untouched, while a failed
+summary or embedding (a blank summary, or an embedding with no finite
+positive norm) leaves the caller's snapshot untouched, while a failed
 relation score only drops that one candidate.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,11 +122,14 @@ def consolidate_segment(
 
     try:
         summary_result = providers.summarizer.summarize(content)
+        if not summary_result.summary.strip():
+            raise ConsolidationError("aborted: blank summary")
         embedding = np.asarray(providers.embedder.embed(summary_result.summary), float)
     except ProviderError as exc:
         raise ConsolidationError(f"aborted: {exc}") from exc
     norm = float(np.linalg.norm(embedding))
-    if norm < 1e-12:
+    # Negated so that a NaN norm aborts too; an infinite one normalizes to NaN.
+    if not 1e-12 <= norm < math.inf:
         raise ConsolidationError("aborted: degenerate summary embedding")
     embedding = embedding / norm
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .boundary import BoundaryVerdict, TriggerKind
 from .consolidation import ConsolidationReport
-from .core import MemorySnapshot, memory_stats
+from .core import MemorySnapshot, Utterance, memory_stats
 from .engine import MemoryEngine, Segmenter
 from .errors import GraphMemError
 from .metrics import recall_at_k
@@ -88,53 +88,56 @@ class DialogueCorpus:
 
 
 def load_corpus(turns_path: str | Path, qa_path: str | Path | None = None) -> DialogueCorpus:
-    """Read the JSONL pair, rejecting malformed rows with their row number."""
-    turns = []
-    for row, payload in enumerate(_read_jsonl(turns_path)):
-        try:
-            turns.append(
-                Turn(
-                    session_id=str(payload["session_id"]),
-                    turn_index=int(payload["turn_index"]),
-                    speaker=str(payload["speaker"]),
-                    text=str(payload["text"]),
-                    timestamp=payload.get("timestamp"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{turns_path} row {row}: {exc!r}") from exc
-    qa = []
-    if qa_path is not None:
-        for row, payload in enumerate(_read_jsonl(qa_path)):
-            try:
-                qa.append(
-                    QAItem(
-                        question=str(payload["question"]),
-                        gold_answer=str(payload["gold_answer"]),
-                        category=str(payload["category"]),
-                        evidence_turn_ids=frozenset(
-                            payload.get("evidence_turn_ids", [])
-                        ),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{qa_path} row {row}: {exc!r}") from exc
+    """Read the JSONL pair, rejecting malformed rows with their row number.
+
+    Nothing is coerced: a turn row must hold what ``observe`` accepts as
+    given, ``turn_index`` included, and a QA row strings and a list of
+    string turn ids.
+    """
+    turns = _read_jsonl(turns_path, _turn)
+    qa = _read_jsonl(qa_path, _qa_item) if qa_path is not None else []
     return DialogueCorpus(tuple(turns), tuple(qa))
 
 
-def _read_jsonl(path: str | Path):
+def _turn(payload: dict) -> Turn:
+    turn = Turn(
+        payload["session_id"],
+        payload["turn_index"],
+        payload["speaker"],
+        payload["text"],
+        payload.get("timestamp"),
+    )
+    # The Utterance that observe builds from the same values judges them.
+    Utterance(turn.session_id, turn.speaker, turn.text, turn.timestamp, turn.turn_index)
+    if turn.turn_index is None:
+        raise ValueError("turn_index is required")
+    return turn
+
+
+def _qa_item(payload: dict) -> QAItem:
+    fields = [payload["question"], payload["gold_answer"], payload["category"]]
+    evidence = payload.get("evidence_turn_ids", [])
+    if type(evidence) is not list or any(type(v) is not str for v in fields + evidence):
+        raise ValueError("QA fields must be strings, evidence_turn_ids a list of them")
+    return QAItem(*fields, frozenset(evidence))
+
+
+def _read_jsonl(path: str | Path, parse) -> list:
+    """``parse`` applied to the object on each non-blank line; an error names
+    the file and the 0-based line number."""
+    items = []
     with open(path, encoding="utf-8") as handle:
         for row, line in enumerate(handle):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} row {row}: invalid JSON ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise ValueError(f"{path} row {row}: expected an object")
-            yield payload
+                if not isinstance(payload, dict):
+                    raise ValueError("expected an object")
+                items.append(parse(payload))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path} row {row}: {exc!r}") from exc
+    return items
 
 
 def write_corpus(

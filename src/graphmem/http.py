@@ -23,7 +23,7 @@ import numpy as np
 import requests
 
 from .config import estimate_tokens
-from .core import EventNode, RELATION_LABELS
+from .core import EventNode
 from .errors import ProviderParseError, ProviderTransportError
 from .providers import CallLog, SummaryResult
 
@@ -272,56 +272,47 @@ class HttpEmbedder:
         return vector
 
 
-class HttpBoundaryDiscriminator:
+class _ChatAdapter:
+    """A provider answered by chat completions through one shared client.
+
+    Adapters only parse: whether a reply is usable is decided by the engine
+    step that uses it, alike for every provider.
+    """
+
     def __init__(self, client: HttpClient):
         self.client = client
 
+
+class HttpBoundaryDiscriminator(_ChatAdapter):
     def detect(self, utterances: Sequence[EventNode]) -> list[int]:
         payload = self.client.chat(
             BOUNDARY_PROMPT.format(dialogue_text=linearize_buffer(utterances)),
             {"boundaries": list},
             provider="discriminator",
         )
-        indices = payload["boundaries"]
-        if not all(type(i) is int for i in indices):
-            raise ProviderParseError("boundaries must be integers")
-        return list(indices)
+        return list(payload["boundaries"])
 
 
-class HttpSummarizer:
-    def __init__(self, client: HttpClient):
-        self.client = client
-
+class HttpSummarizer(_ChatAdapter):
     def summarize(self, content: str) -> SummaryResult:
         payload = self.client.chat(
             SUMMARY_PROMPT.format(content=content),
             {"keywords": list, "summary": str},
             provider="summarizer",
         )
-        if not payload["summary"].strip():
-            raise ProviderParseError("blank summary")
         return SummaryResult(
             tuple(str(k) for k in payload["keywords"]), payload["summary"]
         )
 
 
-class HttpRelationScorer:
-    def __init__(self, client: HttpClient):
-        self.client = client
-
+class HttpRelationScorer(_ChatAdapter):
     def score(self, first: str, second: str) -> tuple[str, float]:
         payload = self.client.chat(
             RELATION_PROMPT.format(memory_1_content=first, memory_2_content=second),
             {"relation": str, "confidence": (int, float)},
             provider="relation_scorer",
         )
-        relation = payload["relation"]
-        if relation not in RELATION_LABELS:
-            raise ProviderParseError(f"unknown relation label {relation!r}")
-        confidence = float(payload["confidence"])
-        if not 0.0 <= confidence <= 1.0:
-            raise ProviderParseError(f"confidence {confidence} outside [0, 1]")
-        return relation, confidence
+        return payload["relation"], float(payload["confidence"])
 
 
 RELEVANCE_PROMPT = """Rate how relevant the following memory is to the query.
@@ -339,11 +330,8 @@ Statement: {text}
 Return JSON strictly in the format: {{"entailed": true_or_false}}"""
 
 
-class HttpRelevanceScorer:
-    """Pairwise scorer; raw model scores pass through the logistic into (0, 1)."""
-
-    def __init__(self, client: HttpClient):
-        self.client = client
+class HttpRelevanceScorer(_ChatAdapter):
+    """Pairwise scorer; raw model scores pass through the logistic into [0, 1]."""
 
     def score(self, query: str, text: str) -> float:
         payload = self.client.chat(
@@ -354,10 +342,7 @@ class HttpRelevanceScorer:
         return logistic(float(payload["score"]))
 
 
-class HttpEntailmentChecker:
-    def __init__(self, client: HttpClient):
-        self.client = client
-
+class HttpEntailmentChecker(_ChatAdapter):
     def entails(self, summary: str, text: str) -> bool:
         payload = self.client.chat(
             ENTAILMENT_PROMPT.format(summary=summary, text=text),

@@ -134,7 +134,21 @@ def record_usage(call_log: CallLog, queries: int, start: int = 0) -> float:
 # mock providers
 
 
-class MockEmbedder:
+class _MockProvider:
+    """Shared recording for the mocks: each call is logged under ``name``
+    when a call log is set."""
+
+    name = ""
+
+    def __init__(self, call_log: CallLog | None = None):
+        self.call_log = call_log
+
+    def _record(self, input_tokens: int, output_tokens: int) -> None:
+        if self.call_log is not None:
+            self.call_log.record(self.name, input_tokens, output_tokens)
+
+
+class MockEmbedder(_MockProvider):
     """Hashed bag-of-words embedder.
 
     Tokens are lowercased, punctuation-stripped, hashed into ``dim`` buckets
@@ -146,9 +160,9 @@ class MockEmbedder:
     name = "embedder"
 
     def __init__(self, dim: int = 64, seed: int = 0, call_log: CallLog | None = None):
+        super().__init__(call_log)
         self.dim = dim
         self.seed = seed
-        self.call_log = call_log
 
     def _bucket(self, token: str) -> tuple[int, float]:
         digest = hashlib.blake2b(
@@ -169,19 +183,15 @@ class MockEmbedder:
             vec[0] = 1.0
         else:
             vec = vec / norm
-        if self.call_log is not None:
-            self.call_log.record(self.name, estimate_tokens(text), 0)
+        self._record(estimate_tokens(text), 0)
         return vec
 
 
-class MockBoundaryDiscriminator:
+class MockBoundaryDiscriminator(_MockProvider):
     """Keyword-divergence rule: a boundary sits between adjacent utterances
     whose content-word sets do not overlap."""
 
     name = "discriminator"
-
-    def __init__(self, call_log: CallLog | None = None):
-        self.call_log = call_log
 
     def detect(self, utterances: Sequence[EventNode]) -> list[int]:
         boundaries = []
@@ -192,13 +202,11 @@ class MockBoundaryDiscriminator:
             )
             if overlap <= 0.0:
                 boundaries.append(i)
-        if self.call_log is not None:
-            input_tokens = sum(n.token_count for n in utterances)
-            self.call_log.record(self.name, input_tokens, len(boundaries) + 2)
+        self._record(sum(n.token_count for n in utterances), len(boundaries) + 2)
         return boundaries
 
 
-class MockSummarizer:
+class MockSummarizer(_MockProvider):
     """Keyword-frequency summarizer over utterance content.
 
     Role-attributed lines ("speaker: text") are stripped to their text so
@@ -208,9 +216,6 @@ class MockSummarizer:
     """
 
     name = "summarizer"
-
-    def __init__(self, call_log: CallLog | None = None):
-        self.call_log = call_log
 
     def summarize(self, content: str) -> SummaryResult:
         counts: dict[str, int] = {}
@@ -228,23 +233,15 @@ class MockSummarizer:
             if keywords
             else "Empty conversation."
         )
-        if self.call_log is not None:
-            self.call_log.record(
-                self.name,
-                estimate_tokens(content),
-                estimate_tokens(summary) + len(keywords),
-            )
+        self._record(estimate_tokens(content), estimate_tokens(summary) + len(keywords))
         return SummaryResult(keywords, summary)
 
 
-class MockRelationScorer:
+class MockRelationScorer(_MockProvider):
     """Exact match -> coreference/1.0; partial content overlap -> semantic
     weighted by Jaccard; anything else -> unrelated/0."""
 
     name = "relation_scorer"
-
-    def __init__(self, call_log: CallLog | None = None):
-        self.call_log = call_log
 
     def score(self, first: str, second: str) -> tuple[str, float]:
         if first == second:
@@ -255,44 +252,29 @@ class MockRelationScorer:
                 result = (Relation.SEMANTIC.value, overlap)
             else:
                 result = (UNRELATED, 0.0)
-        if self.call_log is not None:
-            self.call_log.record(
-                self.name, estimate_tokens(first) + estimate_tokens(second), 3
-            )
+        self._record(estimate_tokens(first) + estimate_tokens(second), 3)
         return result
 
 
-class MockRelevanceScorer:
+class MockRelevanceScorer(_MockProvider):
     """Token-level Jaccard floored at 0.01 so every candidate stays boostable."""
 
     name = "relevance_scorer"
 
-    def __init__(self, call_log: CallLog | None = None):
-        self.call_log = call_log
-
     def score(self, query: str, text: str) -> float:
         value = max(jaccard(set(words(query)), set(words(text))), 0.01)
-        if self.call_log is not None:
-            self.call_log.record(
-                self.name, estimate_tokens(query) + estimate_tokens(text), 1
-            )
+        self._record(estimate_tokens(query) + estimate_tokens(text), 1)
         return value
 
 
-class MockEntailmentChecker:
+class MockEntailmentChecker(_MockProvider):
     """A summary entails an utterance iff they share a content word."""
 
     name = "entailment"
 
-    def __init__(self, call_log: CallLog | None = None):
-        self.call_log = call_log
-
     def entails(self, summary: str, text: str) -> bool:
         result = bool(content_words(summary) & content_words(text))
-        if self.call_log is not None:
-            self.call_log.record(
-                self.name, estimate_tokens(summary) + estimate_tokens(text), 1
-            )
+        self._record(estimate_tokens(summary) + estimate_tokens(text), 1)
         return result
 
 

@@ -13,6 +13,7 @@ The whole path is read-only and safe to run concurrently over one snapshot.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
-from .errors import CorruptionError, ProviderError
+from .errors import CorruptionError, ProviderError, ProviderParseError
 from .providers import ProviderBundle
 from .store import topic_index, vector_topk
 
@@ -160,8 +161,8 @@ def rerank(
 
     The score is exactly ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.
     Ties resolve to the more recent utterance (larger creation order), then
-    the smaller node id.  A relevance-provider failure degrades that
-    candidate to embedding cosine and marks it.
+    the smaller node id.  A relevance-provider failure, or a score that is
+    not finite, degrades that candidate to embedding cosine and marks it.
     """
     if k is None:
         k = config.retrieval_k
@@ -171,6 +172,8 @@ def rerank(
         degraded = False
         try:
             p_sem = float(providers.relevance_scorer.score(query.text, candidate.node.text))
+            if not math.isfinite(p_sem):
+                raise ProviderParseError(f"non-finite relevance {p_sem}")
         except ProviderError as exc:
             logger.warning(
                 "relevance scoring failed for %s (%s); degrading to cosine",

@@ -213,6 +213,28 @@ class TestQuery:
         assert code == 2
         assert "non-empty" in err
 
+    def test_config_with_engine_keys_is_a_usage_error(self, golden_snapshot_file, tmp_path, capsys):
+        config_file = tmp_path / "engine.conf"
+        config_file.write_text("retrieval_k = 2\nbogus_key = 5\n")
+        code, out, err = run_cli(
+            ["query", "--snapshot", golden_snapshot_file, "--text", "garden", "--config", config_file],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "['bogus_key', 'retrieval_k']" in err
+        assert "--k" in err
+
+    def test_config_with_only_http_keys_is_accepted(self, golden_snapshot_file, tmp_path, capsys):
+        config_file = tmp_path / "http.conf"
+        config_file.write_text("http_base_url = http://model.test/v1\nhttp_model = chat\n")
+        code, out, _ = run_cli(
+            ["query", "--snapshot", golden_snapshot_file, "--text", "garden", "--config", config_file],
+            capsys,
+        )
+        assert code == 0
+        assert len([l for l in out.splitlines() if l[:2].strip().isdigit()]) == 10
+
     def test_explain_exposes_score_components(self, golden_snapshot_file, capsys):
         code, out, _ = run_cli(
             [

@@ -1,6 +1,7 @@
 import pytest
 
 from graphmem.config import EngineConfig, estimate_tokens
+from graphmem.core import new_snapshot, snapshot_hash
 
 
 def test_defaults_pin_the_operating_point():
@@ -50,6 +51,7 @@ def test_invalid_values_rejected(field, value):
         ("heuristic_cutoff", float("inf")),
         ("heuristic_cutoff", float("-inf")),
         ("heuristic_cutoff", float("nan")),
+        pytest.param("beta_time", 10**400, id="beta_time-int_beyond_float"),
     ],
 )
 def test_non_finite_values_rejected(field, value):
@@ -59,6 +61,14 @@ def test_non_finite_values_rejected(field, value):
 
 def test_int_accepted_for_float_fields():
     assert EngineConfig(beta_time=2).beta_time == 2
+
+
+def test_int_for_a_float_field_is_stored_as_float():
+    config = EngineConfig(beta_time=2, beta_role=1, heuristic_cutoff=0)
+    assert all(type(v) is float for v in (config.beta_time, config.beta_role, config.heuristic_cutoff))
+    assert snapshot_hash(new_snapshot(config)) == snapshot_hash(
+        new_snapshot(EngineConfig(beta_time=2.0, beta_role=1.0, heuristic_cutoff=0.0))
+    )
 
 
 def test_boost_outside_validated_range_warns():

@@ -82,6 +82,61 @@ class TestCorpus:
         with pytest.raises(ValueError, match="row 1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("turn_index", 1.7),
+            ("turn_index", True),
+            ("turn_index", -1),
+            ("turn_index", None),
+            ("turn_index", KeyError),
+            ("speaker", None),
+            ("timestamp", 5),
+            ("text", "  "),
+        ],
+    )
+    def test_turn_row_is_checked_as_observe_would_check_it(self, tmp_path, field, value):
+        row = {"session_id": "s1", "turn_index": 1, "speaker": "ana", "text": "x"}
+        if value is KeyError:
+            del row[field]
+        else:
+            row[field] = value
+        path = tmp_path / "turns.jsonl"
+        path.write_text(
+            '{"session_id": "s1", "turn_index": 0, "speaker": "a", "text": "x"}\n'
+            + json.dumps(row)
+            + "\n"
+        )
+        with pytest.raises(ValueError, match=f"{path.name} row 1"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("question", 3),
+            ("gold_answer", None),
+            ("category", ["single_hop"]),
+            ("evidence_turn_ids", "s1:0"),
+            ("evidence_turn_ids", [0]),
+        ],
+    )
+    def test_qa_row_holds_strings_and_a_list_of_ids(self, tmp_path, field, value):
+        turns_path = tmp_path / "turns.jsonl"
+        turns_path.write_text(
+            '{"session_id": "s1", "turn_index": 0, "speaker": "a", "text": "x"}\n'
+        )
+        row = {
+            "question": "q",
+            "gold_answer": "a",
+            "category": "single_hop",
+            "evidence_turn_ids": ["s1:0"],
+        }
+        row[field] = value
+        qa_path = tmp_path / "qa.jsonl"
+        qa_path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"{qa_path.name} row 0"):
+            load_corpus(turns_path, qa_path)
+
     def test_invalid_json_row_reported(self, tmp_path):
         path = tmp_path / "turns.jsonl"
         path.write_text("not json at all\n")

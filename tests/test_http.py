@@ -1,4 +1,5 @@
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphmem.boundary import TriggerKind, check_boundary, heuristic_discriminator
 from graphmem.config import EngineConfig
-from graphmem.core import EventNode
+from graphmem.consolidation import consolidate_segment, score_relation
+from graphmem.core import EventNode, Utterance, append_event, new_snapshot, snapshot_hash
 from graphmem.engine import MemoryEngine
-from graphmem.errors import ProviderParseError, ProviderTransportError
+from graphmem.errors import ConsolidationError, ProviderParseError, ProviderTransportError
 from graphmem.harness import DialogueCorpus, Turn, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
@@ -27,7 +30,7 @@ from graphmem.http import (
     logistic,
     validate_schema,
 )
-from graphmem.providers import CallLog
+from graphmem.providers import CallLog, MockEmbedder
 
 
 def chat_body(content, prompt_tokens=10, completion_tokens=5):
@@ -287,25 +290,6 @@ class TestProviderAdapters:
             dialogue_text=linearize_buffer(utterances)
         )
 
-    def test_discriminator_rejects_non_integers(self):
-        http, _, _ = client(
-            [
-                (200, chat_body('{"boundaries": ["x"]}')),
-                (200, chat_body('{"boundaries": ["x"]}')),
-            ]
-        )
-        with pytest.raises(ProviderParseError):
-            HttpBoundaryDiscriminator(http).detect(
-                [EventNode("e1", "s1", 0, "ana", "line", None, 1)]
-            )
-
-    def test_discriminator_rejects_boolean_indices(self):
-        http, _, _ = client([(200, chat_body('{"boundaries": [true, 2]}'))])
-        with pytest.raises(ProviderParseError, match="integers"):
-            HttpBoundaryDiscriminator(http).detect(
-                [EventNode("e1", "s1", 0, "ana", "line", None, 1)]
-            )
-
     def test_summarizer_payload(self):
         http, _, _ = client(
             [(200, chat_body('{"keywords": ["a", "b"], "summary": "about a and b"}'))]
@@ -314,34 +298,11 @@ class TestProviderAdapters:
         assert result.keywords == ("a", "b")
         assert result.summary == "about a and b"
 
-    @pytest.mark.parametrize("summary", ["", "   "])
-    def test_summarizer_rejects_blank_summary(self, summary):
-        reply = json.dumps({"keywords": ["a"], "summary": summary})
-        http, _, _ = client([(200, chat_body(reply))])
-        with pytest.raises(ProviderParseError, match="blank"):
-            HttpSummarizer(http).summarize("content")
-
     def test_relevance_rejects_nan_score(self):
         # Once as sent, once after the repair.
         http, _, _ = client([(200, chat_body('{"score": NaN}'))] * 2)
         with pytest.raises(ProviderParseError, match="non-finite"):
             HttpRelevanceScorer(http).score("q", "t")
-
-    def test_relation_label_validated(self):
-        http, _, _ = client(
-            [
-                (200, chat_body('{"relation": "sideways", "confidence": 0.5}')),
-            ]
-        )
-        with pytest.raises(ProviderParseError, match="label"):
-            HttpRelationScorer(http).score("one", "two")
-
-    def test_relation_confidence_range_validated(self):
-        http, _, _ = client(
-            [(200, chat_body('{"relation": "support", "confidence": 1.5}'))]
-        )
-        with pytest.raises(ProviderParseError, match="confidence"):
-            HttpRelationScorer(http).score("one", "two")
 
     def test_relation_happy_path(self):
         http, _, _ = client(
@@ -368,6 +329,87 @@ class TestProviderAdapters:
             warnings.simplefilter("error")
             assert logistic(-1000.0) == 0.0
             assert logistic(1000.0) == 1.0
+
+
+def scripted_bundle(chat_replies):
+    """An HTTP bundle whose chat replies are scripted in call order and whose
+    embeddings come from the mock embedder; ``urls`` lists every request."""
+    config = EngineConfig()
+    embedder = MockEmbedder(config.embedding_dim, config.seed)
+    replies = list(chat_replies)
+    urls = []
+
+    def transport(url, payload, headers, timeout):
+        urls.append(url)
+        if url.endswith("/embeddings"):
+            vector = [float(x) for x in embedder.embed(payload["input"])]
+            return 200, {"data": [{"embedding": vector}], "usage": {}}
+        return 200, chat_body(replies.pop(0))
+
+    bundle = http_bundle(
+        HttpConfig(base_url="http://model.test/v1", model="chat-model"),
+        config.embedding_dim,
+        transport=transport,
+    )
+    return bundle, urls
+
+
+def buffered(texts):
+    snap = new_snapshot()
+    for text in texts:
+        snap = append_event(snap, Utterance("s1", "ana", text))
+    return snap
+
+
+class TestEngineJudgesReplies:
+    """The adapters only parse; the engine step that uses a reply decides
+    whether it is usable, with the same rule as for any other provider."""
+
+    def check_falls_back_to_heuristic(self, reply, caplog):
+        bundle, _ = scripted_bundle([reply])
+        snap = buffered(["the puppy leash collar", "an interview offer panel"])
+        with caplog.at_level(logging.WARNING, logger="graphmem.boundary"):
+            verdict = check_boundary(
+                snap, TriggerKind.SESSION_END, bundle.discriminator, bundle.embedder
+            )
+        expected = heuristic_discriminator(
+            snap.buffer, bundle.embedder, snap.config.heuristic_cutoff
+        )
+        assert verdict.split_indices == tuple(expected) == (0,)
+        assert "boundaries must be integers" in caplog.text
+        assert "using heuristic" in caplog.text
+
+    def test_non_integer_boundaries_fall_back_to_the_heuristic(self, caplog):
+        self.check_falls_back_to_heuristic('{"boundaries": ["x"]}', caplog)
+
+    def test_boolean_boundaries_fall_back_to_the_heuristic(self, caplog):
+        self.check_falls_back_to_heuristic('{"boundaries": [true, 2]}', caplog)
+
+    @pytest.mark.parametrize("summary", ["", "   "], ids=["empty", "spaces"])
+    def test_blank_summary_aborts_consolidation(self, summary):
+        bundle, urls = scripted_bundle([json.dumps({"keywords": ["a"], "summary": summary})])
+        snap = buffered(["the garden compost", "garden watering cans"])
+        before = snapshot_hash(snap)
+        with pytest.raises(ConsolidationError, match="blank summary"):
+            consolidate_segment(snap, snap.buffer, bundle)
+        assert snapshot_hash(snap) == before
+        # Refused before the summary is embedded.
+        assert urls == ["http://model.test/v1/chat/completions"]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            '{"relation": "sideways", "confidence": 0.5}',
+            '{"relation": "support", "confidence": 1.5}',
+        ],
+        ids=["unknown_label", "confidence_above_one"],
+    )
+    def test_invalid_relation_scores_unrelated(self, reply, caplog):
+        bundle, _ = scripted_bundle([reply])
+        with caplog.at_level(logging.WARNING, logger="graphmem.consolidation"):
+            result = score_relation("one", "two", bundle.relation_scorer)
+        assert result == ("unrelated", 0.0)
+        assert "relation scorer returned invalid" in caplog.text
 
 
 def blank_summary_transport(url, payload, headers, timeout):

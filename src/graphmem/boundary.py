@@ -18,6 +18,7 @@ import numpy as np
 from .core import EventNode, MemorySnapshot
 from .errors import ProviderParseError, StateError
 from .providers import BoundaryDiscriminator, Embedder
+from .store import checked_vector
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +58,10 @@ def check_boundary(
 ) -> BoundaryVerdict:
     """Consult the discriminator once and normalise the outcome.
 
-    Transport failures propagate (they are retriable by the caller).  A
+    Transport failures propagate (they are retriable by the caller), and
+    so does an unusable embedding in the heuristic.  A
     parse failure that survived the provider's own repair pass, or a reply
-    holding anything but exact integers, falls back to the embedding
+    that is not a list of exact integers, falls back to the embedding
     heuristic over ``embedder``, with a logged warning.  Never mutates the
     snapshot.
     """
@@ -74,8 +76,8 @@ def check_boundary(
 
     try:
         indices = discriminator.detect(buffer)
-        if not all(type(i) is int for i in indices):
-            raise ProviderParseError("boundaries must be integers")
+        if type(indices) is not list or not all(type(i) is int for i in indices):
+            raise ProviderParseError("boundaries must be integers in a list")
     except ProviderParseError as exc:
         logger.warning("discriminator output unusable (%s); using heuristic", exc)
         indices = heuristic_discriminator(
@@ -97,12 +99,15 @@ def heuristic_discriminator(
 
     Declares a shift when the mean embeddings of the buffer's two halves
     diverge (cosine below ``cutoff``); the reported split sits at the
-    prefix/suffix cut with the lowest cosine.
+    prefix/suffix cut with the lowest cosine.  An embedding that is not
+    ``embedder.dim`` finite numbers raises :class:`ProviderParseError`.
     """
     if len(buffer) < 2:
         return []
 
-    vectors = np.stack([embedder.embed(n.text) for n in buffer])
+    vectors = np.stack(
+        [checked_vector(embedder.embed(n.text), embedder.dim) for n in buffer]
+    )
     half = len(buffer) // 2
     similarity = _mean_cosine(vectors[:half], vectors[half:])
     if similarity >= cutoff:

@@ -4,8 +4,9 @@ One consolidation summarizes a buffer prefix, embeds the summary, scores it
 against a small vector-retrieved candidate pool (never the whole graph),
 admits edges above the confidence threshold, archives the prefix, and wires
 the cross-layer link.  The entire transition is all-or-nothing: a failed
-summary or embedding (a blank summary, or an embedding with no finite
-positive norm) leaves the caller's snapshot untouched, while a failed
+summary or embedding (a summary or keyword that is not a string, a blank
+summary, or an embedding that is not ``embedding_dim`` finite numbers with
+a positive norm) leaves the caller's snapshot untouched, while a failed
 relation score only drops that one candidate.
 """
 
@@ -35,7 +36,7 @@ from .core import (
 )
 from .errors import ConsolidationError, ProviderError, ProviderParseError
 from .providers import ProviderBundle, RelationScorer
-from .store import topic_index, vector_topk
+from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
 
@@ -122,13 +123,23 @@ def consolidate_segment(
 
     try:
         summary_result = providers.summarizer.summarize(content)
-        if not summary_result.summary.strip():
+        summary, keywords = summary_result.summary, summary_result.keywords
+        # Exact types, as the loader reads them back.
+        if not (
+            type(summary) is str
+            and isinstance(keywords, (tuple, list))
+            and all(type(keyword) is str for keyword in keywords)
+        ):
+            raise ConsolidationError("aborted: summary and keywords must be strings")
+        if not summary.strip():
             raise ConsolidationError("aborted: blank summary")
-        embedding = np.asarray(providers.embedder.embed(summary_result.summary), float)
+        embedding = checked_vector(
+            providers.embedder.embed(summary), config.embedding_dim
+        )
     except ProviderError as exc:
         raise ConsolidationError(f"aborted: {exc}") from exc
     norm = float(np.linalg.norm(embedding))
-    # Negated so that a NaN norm aborts too; an infinite one normalizes to NaN.
+    # Finite entries can still overflow the norm, which would normalize to NaN.
     if not 1e-12 <= norm < math.inf:
         raise ConsolidationError("aborted: degenerate summary embedding")
     embedding = embedding / norm
@@ -137,9 +148,7 @@ def consolidate_segment(
     entailment_defaults = 0
     for node in segment_nodes:
         try:
-            flags.append(
-                bool(providers.entailment.entails(summary_result.summary, node.text))
-            )
+            flags.append(bool(providers.entailment.entails(summary, node.text)))
         except ProviderError:
             # The flag is advisory; default to trusted rather than aborting.
             flags.append(True)
@@ -153,7 +162,7 @@ def consolidate_segment(
         other = snapshot.topic_graph.nodes[topic_id]
         try:
             label, weight = score_relation(
-                summary_result.summary, other.summary, providers.relation_scorer
+                summary, other.summary, providers.relation_scorer
             )
         except ProviderError as exc:
             logger.warning("relation scoring failed for %s: %s", topic_id, exc)
@@ -172,8 +181,8 @@ def consolidate_segment(
     archive_id, archived = archive_segment(snapshot, len(segment_nodes), flags)
     node = TopicNode(
         id=new_id,
-        summary=summary_result.summary,
-        keywords=summary_result.keywords,
+        summary=summary,
+        keywords=tuple(keywords),
         embedding=tuple(float(x) for x in embedding),
         created_at=archived.logical_clock,
         source_archive_id=archive_id,

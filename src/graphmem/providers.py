@@ -86,7 +86,8 @@ class SummaryResult:
 # call log
 
 
-@dataclass(frozen=True)
+# Slotted: the log keeps one record per provider call.
+@dataclass(frozen=True, slots=True)
 class CallRecord:
     provider: str
     input_tokens: int

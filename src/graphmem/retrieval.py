@@ -24,7 +24,7 @@ from .config import EngineConfig
 from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
 from .errors import CorruptionError, ProviderError, ProviderParseError
 from .providers import ProviderBundle
-from .store import topic_index, vector_topk
+from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
 
@@ -73,14 +73,15 @@ class CandidateEvent:
     anchor_topic_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndicatorFlags:
     time: int
     conf: int
     role: int
 
 
-@dataclass(frozen=True)
+# Slotted, like IndicatorFlags: callers such as evaluation keep every ranking.
+@dataclass(frozen=True, slots=True)
 class RankedCandidate:
     event_node_id: str
     source_archive_id: str
@@ -133,17 +134,19 @@ def is_time_sensitive(query: Query) -> bool:
     return bool(TEMPORAL_RE.search(query.text))
 
 
-def time_indicator(query: Query, candidate: EventNode) -> int:
-    if not is_time_sensitive(query):
-        return 0
-    if TEMPORAL_RE.search(candidate.text) or candidate.timestamp:
-        return 1
-    return 0
+def time_indicator(time_sensitive: bool, candidate: EventNode) -> int:
+    """1 when a time-sensitive query meets a timestamped utterance or one
+    with a temporal expression; the text is searched only when needed."""
+    return int(
+        time_sensitive
+        and bool(candidate.timestamp or TEMPORAL_RE.search(candidate.text))
+    )
 
 
-def role_indicator(query: Query, candidate: EventNode) -> int:
+def role_indicator(lowered_query: str, candidate: EventNode) -> int:
+    """1 when the speaker's name occurs in the lower-cased query text."""
     speaker = candidate.speaker.lower()
-    return int(bool(speaker) and speaker in query.text.lower())
+    return int(bool(speaker) and speaker in lowered_query)
 
 
 def conf_indicator(candidate: EventNode) -> int:
@@ -162,12 +165,16 @@ def rerank(
     The score is exactly ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.
     Ties resolve to the more recent utterance (larger creation order), then
     the smaller node id.  A relevance-provider failure, or a score that is
-    not finite, degrades that candidate to embedding cosine and marks it.
+    not finite, degrades that candidate to embedding cosine and marks it;
+    an embedding that is not ``embedding_dim`` finite numbers, or a cosine
+    that is not finite, raises :class:`ProviderParseError`.
     """
     if k is None:
         k = config.retrieval_k
     scored: list[RankedCandidate] = []
     query_vector = None
+    time_sensitive = is_time_sensitive(query)
+    lowered_query = query.text.lower()
     for candidate in candidates:
         degraded = False
         try:
@@ -180,18 +187,20 @@ def rerank(
                 candidate.node.id,
                 exc,
             )
+            embed, dim = providers.embedder.embed, config.embedding_dim
             if query_vector is None:
-                query_vector = providers.embedder.embed(query.text)
-            cosine = float(
-                np.dot(query_vector, providers.embedder.embed(candidate.node.text))
-            )
+                query_vector = checked_vector(embed(query.text), dim)
+            text_vector = checked_vector(embed(candidate.node.text), dim)
+            cosine = float(np.dot(query_vector, text_vector))
+            if not math.isfinite(cosine):
+                raise ProviderParseError(f"non-finite cosine {cosine}") from exc
             p_sem = max(cosine, 0.01)
             degraded = True
         p_sem = min(max(p_sem, 0.0), 1.0)
         flags = IndicatorFlags(
-            time=time_indicator(query, candidate.node),
+            time=time_indicator(time_sensitive, candidate.node),
             conf=conf_indicator(candidate.node),
-            role=role_indicator(query, candidate.node),
+            role=role_indicator(lowered_query, candidate.node),
         )
         score = (
             p_sem
@@ -226,11 +235,14 @@ def retrieve(
     k: int | None = None,
 ) -> list[RankedCandidate]:
     """Full three-stage pipeline over one immutable snapshot; the live
-    buffer is always a candidate source."""
+    buffer is always a candidate source.  A query embedding that is not
+    ``embedding_dim`` finite numbers raises :class:`ProviderParseError`."""
     config = snapshot.config
     if k is None:
         k = config.retrieval_k
-    query_vector = providers.embedder.embed(query.text)
+    query_vector = checked_vector(
+        providers.embedder.embed(query.text), config.embedding_dim
+    )
     anchors = anchor(snapshot.topic_graph, query_vector, k)
     candidates = drill_down(snapshot, anchors)
     candidates.extend(

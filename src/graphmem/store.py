@@ -7,10 +7,13 @@ The document spells out five derived copies (graph ids, event edges,
 ``cross_index``, each theme's ``raw`` and each edge's ``directed``); the
 loader rebuilds the snapshot without them and rejects a file whose copies
 differ from the derived values.
-The vector index is a plain exhaustive cosine scan; at the intended scale
-(hundreds of themes) the scan is both the implementation and the oracle.
-Each topic graph holds one index, built on first use by :func:`topic_index`
-and extended by one row, into a new index, when a theme is inserted.
+The vector index is exact: one matrix product shortlists the rows that
+could reach the top k, and only those are re-scored with the per-row dot
+product whose scores every caller sees, so the answer equals a full per-row
+scan bit for bit.  Each topic graph holds one index, built on first use by
+:func:`topic_index` and extended by one row, into a new index, when a theme
+is inserted.  Indices grown from one another share one row buffer whose
+capacity doubles; each index is a read-only view of its first rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
@@ -44,7 +48,7 @@ from .core import (
     snapshot_to_dict,
     topic_raw,
 )
-from .errors import CorruptionError
+from .errors import CorruptionError, ProviderParseError
 
 FORMAT_VERSION = "1.0"
 _ID_FORMAT = {prefix: re.compile(prefix + "[0-9]{6}") for prefix in "eta"}
@@ -54,15 +58,39 @@ _ID_FORMAT = {prefix: re.compile(prefix + "[0-9]{6}") for prefix in "eta"}
 # exact vector search
 
 
+class _RowBuffer:
+    """Rows shared by indices grown from one another.
+
+    Rows below ``used`` are taken and never written again; an index views a
+    prefix of them.  The row at ``used`` goes to the first index that claims
+    it, so of two snapshots grown from one parent only one appends in place.
+    """
+
+    def __init__(self, rows: np.ndarray, capacity: int) -> None:
+        self.data = np.empty((capacity, rows.shape[1]))
+        self.data[: len(rows)] = rows
+        self.used = len(rows)
+        self.lock = threading.Lock()
+
+    def claim(self, position: int) -> bool:
+        """Take row ``position`` if it is the next free one."""
+        with self.lock:
+            if self.used != position or position == len(self.data):
+                return False
+            self.used += 1
+            return True
+
+
 @dataclass(frozen=True)
 class VectorIndex:
-    """Exhaustive cosine index over unit vectors, ties broken by smaller id.
+    """Exact cosine index over unit vectors, ties broken by smaller id.
 
     Immutable, so every snapshot sharing a topic graph can share its index.
     """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
+    _rows: _RowBuffer | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -80,11 +108,39 @@ class VectorIndex:
         return cls(tuple(ids), matrix)
 
     def with_row(self, node_id: str, vector: Sequence[float]) -> "VectorIndex":
-        """A new index with one more row; must stay equal to a full rebuild."""
-        position = bisect.bisect_left(self.ids, node_id)
-        ids = self.ids[:position] + (node_id,) + self.ids[position:]
+        """A new index with one more row; must stay equal to a full rebuild.
+
+        A new theme id sorts last, so the row is appended: in place, in the
+        shared buffer, unless a sibling index took that row first, in which
+        case the rows are copied into a new buffer of twice the size.
+        """
         row = np.asarray(vector, dtype=float)
-        return VectorIndex(ids, np.insert(self.matrix, position, row, axis=0))
+        size = len(self.ids)
+        if self.ids and node_id <= self.ids[-1]:
+            position = bisect.bisect_left(self.ids, node_id)
+            ids = self.ids[:position] + (node_id,) + self.ids[position:]
+            return VectorIndex(ids, np.insert(self.matrix, position, row, axis=0))
+        rows = self._rows
+        if rows is None or not rows.claim(size):
+            rows = _RowBuffer(self.matrix, max(2 * size, 8))
+            rows.claim(size)
+        rows.data[size] = row
+        return VectorIndex(self.ids + (node_id,), rows.data[: size + 1], rows)
+
+
+def checked_vector(vector: Sequence[float], dim: int) -> np.ndarray:
+    """An embedder's reply as the index takes it: ``dim`` finite floats.
+
+    Anything else raises :class:`ProviderParseError`: a wrong length breaks
+    the matrix product and a NaN ranks nothing.
+    """
+    try:
+        array = np.asarray(vector, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProviderParseError(f"embedding is not numeric: {exc}") from exc
+    if array.shape != (dim,) or not np.isfinite(array).all():
+        raise ProviderParseError(f"embedding must be {dim} finite numbers")
+    return array
 
 
 def topic_index(graph: TopicGraph, dim: int) -> VectorIndex:
@@ -103,16 +159,33 @@ def vector_topk(
 
     Fewer than ``k`` entries returns everything.  Similarities are computed
     per row so the arithmetic matches any straightforward scan bit for bit.
+
+    Only a shortlist is scored that way, chosen by one matrix product.  A
+    dot product of ``d`` terms, summed in any order, is within
+    ``gamma_d * sum_j |r_j q_j|`` of the exact value, where
+    ``gamma_d = d*u / (1 - d*u)`` and ``u = 2**-53`` (about 7e-15 for
+    ``d = 64``).  For a row of norm 1 that sum is at most
+    ``||q||_2 <= ||q||_1``, so a row's product score and its per-row score
+    differ by at most ``m = 2 * gamma_d * ||q||_1``.  The k-th largest
+    scores of the two kinds then differ by at most ``m``, and every row of
+    the exact top k, ties at the k-th score included, has a product score
+    within ``2m`` of the product's k-th largest.  ``margin`` is at least
+    ``1e-9 * ||q||_1``, over 10^4 times ``2m``, which also covers rows of
+    norm up to 10^4.  A query that is not all finite, or an index of at
+    most ``k`` rows, is scored row by row in full.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.ids:
         return []
     query = np.asarray(query_vector, dtype=float)
-    scored = [
-        (node_id, float(np.dot(index.matrix[i], query)))
-        for i, node_id in enumerate(index.ids)
-    ]
+    rows = range(len(index.ids))
+    if len(index.ids) > k and np.isfinite(query).all():
+        approximate = index.matrix @ query
+        kth = np.partition(approximate, -k)[-k]
+        margin = 1e-9 * (1.0 + float(np.abs(query).sum()))
+        rows = np.flatnonzero(approximate >= kth - margin)
+    scored = [(index.ids[i], float(np.dot(index.matrix[i], query))) for i in rows]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 

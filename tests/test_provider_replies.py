@@ -8,13 +8,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.core import RELATION_LABELS, snapshot_hash
 from graphmem.engine import MemoryEngine
-from graphmem.errors import GraphMemError
+from graphmem.errors import GraphMemError, ProviderParseError, ProviderTransportError
 from graphmem.providers import (
     MockEmbedder,
     MockRelevanceScorer,
@@ -34,6 +35,10 @@ TURNS = (
     ("s2", "ana", "compost and mulch for the garden"),
     ("s2", "riley", "the interview offer salary talk"),
 )
+QUERY = "puppy leash interview"
+DIM = EngineConfig().embedding_dim
+#: A unit vector of half the configured dimension.
+SHORT = [1.0] + [0.0] * (DIM // 2 - 1)
 
 
 class Cycle:
@@ -51,16 +56,21 @@ class Cycle:
 
 class Discriminator(Cycle):
     def detect(self, utterances):
-        return list(self.next())
+        return self.next()
 
 
 class Summarizer(Cycle):
-    """Answers the mock summary, or a drawn replacement for it."""
+    """Answers the mock summary, a drawn replacement for its text, or a
+    drawn :class:`SummaryResult` in its place."""
 
     def summarize(self, content):
         result = MockSummarizer().summarize(content)
-        summary = self.next()
-        return result if summary is None else SummaryResult(result.keywords, summary)
+        answer = self.next()
+        if answer is None:
+            return result
+        if isinstance(answer, SummaryResult):
+            return answer
+        return SummaryResult(result.keywords, answer)
 
 
 class RelationScorer(Cycle):
@@ -89,6 +99,26 @@ class Embedder(Cycle):
         return self.mock.embed(text) if vector is None else np.array(vector)
 
 
+class TextEmbedder:
+    """Answers the mock's unit vector, except for the texts in ``vectors``."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.mock = MockEmbedder(DIM)
+        self.dim = DIM
+
+    def embed(self, text):
+        vector = self.vectors.get(text)
+        return self.mock.embed(text) if vector is None else np.array(vector)
+
+
+class FailingRelevanceScorer:
+    """Every relevance call fails, so every candidate degrades to cosine."""
+
+    def score(self, query, text):
+        raise ProviderTransportError("relevance service down")
+
+
 def run(tmp_path, refused=(), **providers):
     """Replay :data:`TURNS` over the mock bundle with ``providers`` swapped
     in, then query.  An error of a type in ``refused`` ends the run early;
@@ -103,7 +133,7 @@ def run(tmp_path, refused=(), **providers):
         for session, speaker, text in TURNS:
             engine.observe(session, speaker, text)
         engine.end_session()
-        ranked = engine.query("puppy leash interview")
+        ranked = engine.query(QUERY)
     except refused:
         pass
     assert all(math.isfinite(c.score) and math.isfinite(c.p_sem) for c in ranked)
@@ -134,11 +164,78 @@ class TestVerifiedReplies:
         assert engine.snapshot.buffer
 
     def test_non_finite_summary_embedding_commits_no_theme(self, tmp_path):
-        # Once committed a NaN embedding that could not be saved.
+        # Once committed a NaN embedding that could not be saved.  The query
+        # gets the same vector, which it refuses.
         for value in (math.nan, math.inf):
-            vector = [value] + [0.0] * (EngineConfig().embedding_dim - 1)
-            engine, _ = run(tmp_path, embedder=Embedder([vector], EngineConfig().embedding_dim))
+            vector = [value] + [0.0] * (DIM - 1)
+            embedder = Embedder([vector], DIM)
+            engine, _ = run(tmp_path, ProviderParseError, embedder=embedder)
             assert not engine.snapshot.topic_graph.nodes
+
+    def test_wrong_length_summary_embedding_commits_no_theme(self, tmp_path):
+        # Once committed themes whose saved file failed to load (embedding-dim).
+        engine, _ = run(tmp_path, ProviderParseError, embedder=Embedder([SHORT], DIM))
+        assert not engine.snapshot.topic_graph.nodes
+        assert len(engine.snapshot.buffer) == len(TURNS)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            SummaryResult((), None),
+            SummaryResult(("pets",), 42),
+            SummaryResult((1, 2), "A short theme about pets."),
+            SummaryResult(None, "A short theme about pets."),
+        ],
+        ids=["none_summary", "int_summary", "int_keywords", "none_keywords"],
+    )
+    def test_summary_of_the_wrong_type_commits_no_theme(self, tmp_path, reply):
+        # Once raised AttributeError from observe, or committed a theme whose
+        # saved file failed to load (field-type).
+        engine, _ = run(tmp_path, summarizer=Summarizer([reply]))
+        assert not engine.snapshot.topic_graph.nodes
+        assert len(engine.snapshot.buffer) == len(TURNS)
+
+    @pytest.mark.parametrize("reply", [None, (0,), {0: 1}], ids=["none", "tuple", "dict"])
+    def test_boundary_reply_not_a_list_falls_back(self, tmp_path, caplog, reply):
+        # None once raised TypeError from observe.
+        with caplog.at_level(logging.WARNING, logger="graphmem.boundary"):
+            engine, _ = run(tmp_path, discriminator=Discriminator([reply]))
+        assert "boundaries must be integers" in caplog.text
+        assert engine.snapshot.topic_graph.nodes
+
+    @pytest.mark.parametrize("vector", [[math.nan] * DIM, SHORT], ids=["nan", "short"])
+    def test_query_embedding_must_be_finite_and_full_length(self, tmp_path, vector):
+        # NaN once gave NaN scores when relevance scoring failed; a short
+        # vector raised ValueError from the anchor's dot products.
+        engine, _ = run(
+            tmp_path,
+            ProviderParseError,
+            embedder=TextEmbedder({QUERY: vector}),
+            relevance_scorer=FailingRelevanceScorer(),
+        )
+        assert engine.snapshot.topic_graph.nodes
+        with pytest.raises(ProviderParseError, match="finite numbers"):
+            engine.query(QUERY)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            {TURNS[0][2]: [math.nan] * DIM},
+            {QUERY: [1e300, -1e300] + [0.0] * (DIM - 2), TURNS[0][2]: [1e300] * DIM},
+        ],
+        ids=["nan_text", "overflowing_cosine"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_degraded_path_refuses_a_non_finite_cosine(self, tmp_path, vectors):
+        # Both once gave a NaN score.
+        engine, _ = run(
+            tmp_path,
+            ProviderParseError,
+            embedder=TextEmbedder(vectors),
+            relevance_scorer=FailingRelevanceScorer(),
+        )
+        with pytest.raises(ProviderParseError):
+            engine.query(QUERY)
 
     def test_non_finite_relevance_degrades_to_cosine(self, tmp_path):
         # Once returned NaN scores from query.
@@ -147,7 +244,6 @@ class TestVerifiedReplies:
             assert ranked and all(c.degraded for c in ranked)
 
 
-DIM = EngineConfig().embedding_dim
 JUNK_LABELS = ("sideways", "", "SUPPORT", "related")
 BAD_WEIGHTS = (math.nan, math.inf, -math.inf, -0.5, 1.5)
 BAD_RELEVANCE = (math.nan, math.inf, -math.inf)
@@ -159,17 +255,26 @@ boundary_replies = st.lists(
         st.booleans(),
     ),
     max_size=4,
+) | st.sampled_from([None, (0,), "0", 1])
+THEME = "A short theme about pets."
+summaries = st.one_of(
+    st.sampled_from([None, "", "   ", THEME, 42]),
+    st.builds(
+        SummaryResult,
+        keywords=st.sampled_from([("pets",), (), (1, 2), ("pets", None), None]),
+        summary=st.sampled_from([THEME, None, 7.5]),
+    ),
 )
-summaries = st.sampled_from([None, "", "   ", "A short theme about pets."])
 relations = st.tuples(
     st.sampled_from(sorted(RELATION_LABELS) + list(JUNK_LABELS)),
     st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_WEIGHTS)),
 )
 relevances = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from(BAD_RELEVANCE))
-# A unit vector (the mock's, or the first basis vector) or the zero vector.
-# Embeddings of the wrong dimension are left out: only the HTTP embedder
-# checks the dimension against the config.
-embeddings = st.sampled_from([None, [1.0] + [0.0] * (DIM - 1), [0.0] * DIM])
+# A unit vector (the mock's, or the first basis vector), the zero vector, a
+# NaN vector, or a unit vector of the wrong dimension.
+embeddings = st.sampled_from(
+    [None, [1.0] + [0.0] * (DIM - 1), [0.0] * DIM, [math.nan] * DIM, SHORT]
+)
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from graphmem.retrieval import (
     conf_indicator,
     drill_down,
     event_lookup,
+    is_time_sensitive,
     rerank,
     retrieve,
     role_indicator,
@@ -193,7 +194,7 @@ class TestIndicators:
     def test_non_time_sensitive_query_zeroes_everything(self):
         query = Query("What color is the car?")
         candidate = EventNode("e1", "s1", 0, "ana", "the car was red last june", "2026-01-01", 6)
-        assert time_indicator(query, candidate) == 0
+        assert time_indicator(is_time_sensitive(query), candidate) == 0
 
     def test_temporal_query_and_candidate(self):
         query = Query("When did Alice adopt the dog?")
@@ -203,28 +204,29 @@ class TestIndicators:
         from graphmem.retrieval import TEMPORAL_RE
 
         assert TEMPORAL_RE.search(candidate.text)  # oracle: regex hits "last Tuesday"
-        assert time_indicator(query, candidate) == 1
+        assert time_indicator(is_time_sensitive(query), candidate) == 1
 
     def test_candidate_without_temporal_signal(self):
         query = Query("When did Alice adopt the dog?")
         candidate = EventNode("e1", "s1", 0, "alice", "the dog is fluffy", None, 4)
-        assert time_indicator(query, candidate) == 0
+        assert time_indicator(is_time_sensitive(query), candidate) == 0
 
     def test_timestamp_counts_as_temporal_metadata(self):
         query = Query("When did it happen?")
         candidate = EventNode("e1", "s1", 0, "ana", "it happened quietly", "2026-02-02T10:00:00", 3)
-        assert time_indicator(query, candidate) == 1
+        assert time_indicator(is_time_sensitive(query), candidate) == 1
 
     def test_explicit_override_wins(self):
         query = Query("tell me about the car", time_sensitive=True)
         candidate = EventNode("e1", "s1", 0, "ana", "bought in 2019", None, 3)
-        assert time_indicator(query, candidate) == 1
-        assert time_indicator(replace(query, time_sensitive=False), candidate) == 0
+        assert time_indicator(is_time_sensitive(query), candidate) == 1
+        overridden = replace(query, time_sensitive=False)
+        assert time_indicator(is_time_sensitive(overridden), candidate) == 0
 
     def test_role_speaker_mentioned_in_query(self):
         candidate = EventNode("e1", "s1", 0, "Bob", "i like soup", None, 3)
-        assert role_indicator(Query("what did Bob say"), candidate) == 1
-        assert role_indicator(Query("what was said"), candidate) == 0
+        assert role_indicator("what did bob say", candidate) == 1
+        assert role_indicator("what was said", candidate) == 0
 
     def test_role_matches_containment_oracle_on_multiparty_fixture(self):
         speakers = ["ana", "riley", "jordan", "sam"]
@@ -232,7 +234,7 @@ class TestIndicators:
         vector = []
         for i, speaker in enumerate(speakers * 3):
             candidate = EventNode(f"e{i}", "s1", i, speaker, "the plan", None, 2)
-            vector.append(role_indicator(query, candidate))
+            vector.append(role_indicator(query.text.lower(), candidate))
         expected = [
             1 if s.lower() in query.text.lower() else 0 for s in speakers * 3
         ]

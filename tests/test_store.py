@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import random
+import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -546,7 +548,121 @@ class TestVectorIndex:
             incremental = incremental.with_row(node.id, node.embedding)
             rebuilt = VectorIndex.from_topic_graph(snap.topic_graph, config.embedding_dim)
             assert incremental.ids == rebuilt.ids
-            assert np.allclose(incremental.matrix, rebuilt.matrix)
+            assert incremental.matrix.tobytes() == rebuilt.matrix.tobytes()
+
+
+def _scan_topk(index, query, k):
+    """Reference top-k: every row scored by its own dot product, then sorted."""
+    scored = [
+        (node_id, float(np.dot(index.matrix[i], query)))
+        for i, node_id in enumerate(index.ids)
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+@st.composite
+def indexed_queries(draw):
+    """An index with forced ties and near-duplicate rows, a query and a k.
+
+    Copies of a row tie exactly; a row one ulp away from another may score
+    above, below or equal to it.  The query is a row (so copies tie at the
+    top), a unit vector, a scaled one, zero, or partly NaN; ``k`` runs past
+    the number of rows.
+    """
+    dim = draw(st.sampled_from((3, 8, 64)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [unit_vector(rng, dim) for _ in range(draw(st.integers(1, 30)))]
+    for _ in range(draw(st.integers(0, len(rows)))):
+        row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        if draw(st.booleans()):
+            j = draw(st.integers(0, dim - 1))
+            row[j] = float(np.nextafter(row[j], draw(st.sampled_from((-1.0, 2.0)))))
+        rows.append(tuple(row))
+    numbers = draw(st.permutations(range(1, len(rows) + 1)))
+    index = VectorIndex.empty(dim)
+    for number, row in zip(numbers, rows):
+        index = index.with_row(f"t{number:06d}", row)
+    kind = draw(st.sampled_from(("row", "unit", "scaled", "zero", "nan")))
+    if kind == "row":
+        query = np.array(rows[draw(st.integers(0, len(rows) - 1))])
+    elif kind == "zero":
+        query = np.zeros(dim)
+    else:
+        query = np.array(unit_vector(rng, dim))
+        if kind == "scaled":
+            query *= draw(st.sampled_from((1e-6, 0.5, 3.0, 1e4)))
+        if kind == "nan":
+            query[draw(st.integers(0, dim - 1))] = np.nan
+    return index, query, draw(st.integers(1, len(rows) + 3))
+
+
+class TestVectorIndexProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=indexed_queries())
+    def test_topk_equals_a_full_per_row_scan(self, case):
+        index, query, k = case
+        # repr tells -0.0 from 0.0 and compares NaN scores too
+        def exact(ranking):
+            return [(node_id, repr(score)) for node_id, score in ranking]
+
+        assert exact(vector_topk(index, query, k)) == exact(_scan_topk(index, query, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 12),
+        branches=st.lists(st.sampled_from((0, 1)), max_size=24),
+    )
+    def test_sibling_indices_grown_from_one_parent(self, seed, size, branches):
+        # Two snapshots grown from one parent take turns appending; every
+        # index along both lines must stay equal to a full rebuild.
+        rng = random.Random(seed)
+        parent_rows = [unit_vector(rng, 8) for _ in range(size)]
+        parent = VectorIndex.empty(8)
+        for number, row in enumerate(parent_rows, 1):
+            parent = parent.with_row(f"t{number:06d}", row)
+        lines = [[(parent, parent_rows)], [(parent, parent_rows)]]
+        for branch in branches:
+            index, rows = lines[branch][-1]
+            row = unit_vector(rng, 8)
+            grown = index.with_row(f"t{len(rows) + 1:06d}", row)
+            lines[branch].append((grown, rows + [row]))
+        for index, rows in [pair for line in lines for pair in line]:
+            rebuilt = np.array(rows, dtype=float).reshape(len(rows), 8)
+            assert index.ids == tuple(f"t{n:06d}" for n in range(1, len(rows) + 1))
+            assert index.matrix.tobytes() == rebuilt.tobytes()
+            assert not index.matrix.flags.writeable
+
+    def test_threads_growing_one_parent_each_keep_their_rows(self):
+        # More threads than cores append to one shared parent at once; a row
+        # taken twice would leave some thread's index holding another's row.
+        parent = VectorIndex.empty(4).with_row("t000001", (1.0, 0.0, 0.0, 0.0))
+        results = {}
+
+        def grow(worker):
+            index = parent
+            for step in range(200):
+                index = index.with_row(f"t{step + 2:06d}", (0.0, worker, step, 0.0))
+            results[worker] = index
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker, index in results.items():
+            grown = [(0.0, worker, step, 0.0) for step in range(200)]
+            expected = np.array([(1.0, 0.0, 0.0, 0.0), *grown])
+            assert index.matrix.tobytes() == expected.tobytes()
+        assert sorted(results) == list(range(6))
+        assert parent.matrix.tobytes() == np.array([(1.0, 0.0, 0.0, 0.0)]).tobytes()
 
 
 def _scan_next_id(prefix, ids):

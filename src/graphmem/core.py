@@ -60,7 +60,8 @@ RELATION_LABELS = frozenset({r.value for r in Relation} | {UNRELATED})
 DIRECTED_RELATIONS = frozenset({Relation.SUPPORT, Relation.CONTRADICT, Relation.CAUSAL})
 
 
-@dataclass(frozen=True)
+# Slotted, like TopicNode and TopicEdge: a snapshot holds one per utterance.
+@dataclass(frozen=True, slots=True)
 class EventNode:
     """One utterance in an episode."""
 
@@ -150,7 +151,7 @@ class EventGraph:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicNode:
     """Consolidated theme: an abstract summary plus a link to its episode,
     whose verbatim text is :func:`topic_raw`."""
@@ -163,7 +164,7 @@ class TopicNode:
     source_archive_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicEdge:
     from_id: str
     to_id: str

@@ -182,7 +182,8 @@ class HttpClient:
     def _record(self, provider: str, body: dict, prompt: str, output: str):
         """Log the reply's token usage; a count the reply omits is estimated
         from the text, and a ``usage`` that is not an object or a count that
-        is not a non-negative JSON integer is a parse error."""
+        is not a JSON integer in ``[0, 2**63)``, the call log's range, is a
+        parse error."""
         if self.call_log is None:
             return
         usage = body.get("usage", {})
@@ -191,8 +192,8 @@ class HttpClient:
         counts = []
         for key, text in (("prompt_tokens", prompt), ("completion_tokens", output)):
             count = usage.get(key, estimate_tokens(text))
-            if type(count) is not int or count < 0:
-                raise ProviderParseError(f"usage {key} is not a non-negative integer")
+            if type(count) is not int or not 0 <= count < 2**63:
+                raise ProviderParseError(f"usage {key} is not a non-negative 64-bit integer")
             counts.append(count)
         self.call_log.record(provider, *counts)
 

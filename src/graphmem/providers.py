@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -69,6 +70,13 @@ class RelationScorer(Protocol):
 
 
 class RelevanceScorer(Protocol):
+    """Scores one text against a query.
+
+    A scorer may also define ``score_many(query, texts)``, answering one
+    item per text in order, each a score or a :class:`ProviderError`; the
+    re-rank then scores all of a query's candidates in one call.
+    """
+
     def score(self, query: str, text: str) -> float: ...
 
 
@@ -86,7 +94,7 @@ class SummaryResult:
 # call log
 
 
-# Slotted: the log keeps one record per provider call.
+# One call as :meth:`CallLog.entries` returns it; the log itself keeps columns.
 @dataclass(frozen=True, slots=True)
 class CallRecord:
     provider: str
@@ -95,33 +103,70 @@ class CallRecord:
 
 
 class CallLog:
-    """Append-only, thread-safe record of every provider invocation."""
+    """Append-only, thread-safe record of every provider invocation.
+
+    Records are kept as columns: an index into a table of provider names,
+    and the input and output tokens, each an ``array`` of machine integers
+    (so a token count must fit a signed 64-bit integer).  The counts are
+    converted before anything is appended, so a count that does not fit
+    raises ``OverflowError`` and leaves the log as it was.
+    """
 
     def __init__(self) -> None:
-        self._entries: list[CallRecord] = []
+        self._names: list[str] = []
+        self._name_ids: dict[str, int] = {}
+        self._providers = array("I")
+        self._input_tokens = array("q")
+        self._output_tokens = array("q")
         self._lock = threading.Lock()
 
     def record(self, provider: str, input_tokens: int, output_tokens: int) -> None:
+        counts = array("q", (input_tokens, output_tokens))
         with self._lock:
-            self._entries.append(CallRecord(provider, input_tokens, output_tokens))
+            self._providers.append(self._name_id(provider))
+            self._input_tokens.append(counts[0])
+            self._output_tokens.append(counts[1])
+
+    def record_many(self, provider: str, usage: Iterable[tuple[int, int]]) -> None:
+        """Append one record per ``(input_tokens, output_tokens)`` pair, in
+        order and under one lock."""
+        pairs = list(usage)
+        inputs = array("q", [pair[0] for pair in pairs])
+        outputs = array("q", [pair[1] for pair in pairs])
+        with self._lock:
+            self._providers.extend(array("I", [self._name_id(provider)]) * len(pairs))
+            self._input_tokens.extend(inputs)
+            self._output_tokens.extend(outputs)
+
+    def _name_id(self, provider: str) -> int:
+        """The provider's row in the name table, added on first use; called
+        under the lock."""
+        name_id = self._name_ids.get(provider)
+        if name_id is None:
+            name_id = self._name_ids[provider] = len(self._names)
+            self._names.append(provider)
+        return name_id
 
     def entries(self) -> tuple[CallRecord, ...]:
         with self._lock:
-            return tuple(self._entries)
+            names = tuple(self._names)
+            providers = self._providers[:]
+            inputs = self._input_tokens[:]
+            outputs = self._output_tokens[:]
+        return tuple(map(CallRecord, map(names.__getitem__, providers), inputs, outputs))
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._providers)
 
     def count(self, provider: str) -> int:
-        return sum(1 for e in self.entries() if e.provider == provider)
+        with self._lock:
+            name_id = self._name_ids.get(provider)
+            return 0 if name_id is None else self._providers.count(name_id)
 
     def token_totals(self, start: int = 0) -> tuple[int, int]:
-        entries = self.entries()[start:]
-        return (
-            sum(e.input_tokens for e in entries),
-            sum(e.output_tokens for e in entries),
-        )
+        with self._lock:
+            return sum(self._input_tokens[start:]), sum(self._output_tokens[start:])
 
 
 def record_usage(call_log: CallLog, queries: int, start: int = 0) -> float:
@@ -147,6 +192,10 @@ class _MockProvider:
     def _record(self, input_tokens: int, output_tokens: int) -> None:
         if self.call_log is not None:
             self.call_log.record(self.name, input_tokens, output_tokens)
+
+    def _record_many(self, usage: Iterable[tuple[int, int]]) -> None:
+        if self.call_log is not None:
+            self.call_log.record_many(self.name, usage)
 
 
 class MockEmbedder(_MockProvider):
@@ -258,14 +307,23 @@ class MockRelationScorer(_MockProvider):
 
 
 class MockRelevanceScorer(_MockProvider):
-    """Token-level Jaccard floored at 0.01 so every candidate stays boostable."""
+    """Token-level Jaccard floored at 0.01 so every candidate stays boostable.
+
+    A batch tokenizes and counts the query once and records one call per
+    text; :meth:`score` is a batch of one.
+    """
 
     name = "relevance_scorer"
 
     def score(self, query: str, text: str) -> float:
-        value = max(jaccard(set(words(query)), set(words(text))), 0.01)
-        self._record(estimate_tokens(query) + estimate_tokens(text), 1)
-        return value
+        return self.score_many(query, [text])[0]
+
+    def score_many(self, query: str, texts: Sequence[str]) -> list[float]:
+        query_words = set(words(query))
+        query_tokens = estimate_tokens(query)
+        values = [max(jaccard(query_words, set(words(text))), 0.01) for text in texts]
+        self._record_many([(query_tokens + estimate_tokens(text), 1) for text in texts])
+        return values
 
 
 class MockEntailmentChecker(_MockProvider):

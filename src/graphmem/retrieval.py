@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .config import EngineConfig
 from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
 from .errors import CorruptionError, ProviderError, ProviderParseError
-from .providers import ProviderBundle
+from .providers import ProviderBundle, RelevanceScorer
 from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
@@ -153,78 +153,119 @@ def conf_indicator(candidate: EventNode) -> int:
     return int(candidate.confidence_flag)
 
 
+def relevance_replies(
+    scorer: RelevanceScorer, query: str, texts: Sequence[str]
+) -> list[float | ProviderError]:
+    """One reply per text: the scorer's value, or the :class:`ProviderError`
+    that stands for a failed item.
+
+    A scorer with ``score_many`` answers in one batch; a batch that raises
+    ``ProviderError``, or whose reply is not a list of ``len(texts)`` items,
+    fails every item.  Any other scorer is asked once per text.
+    """
+    score_many = getattr(scorer, "score_many", None)
+    if score_many is None:
+        replies: list[float | ProviderError] = []
+        for text in texts:
+            try:
+                replies.append(scorer.score(query, text))
+            except ProviderError as exc:
+                replies.append(exc)
+        return replies
+    try:
+        replies = score_many(query, texts)
+    except ProviderError as exc:
+        return [exc] * len(texts)
+    if type(replies) is not list or len(replies) != len(texts):
+        failure = ProviderParseError(f"relevance batch is not a list of {len(texts)} items")
+        return [failure] * len(texts)
+    return replies
+
+
+#: One shared, immutable IndicatorFlags per combination, indexed by
+#: ``4 * time + 2 * conf + role``.
+_FLAGS = tuple(IndicatorFlags(t, c, r) for t in (0, 1) for c in (0, 1) for r in (0, 1))
+
+
 def rerank(
     query: Query,
     candidates: Sequence[CandidateEvent],
     providers: ProviderBundle,
     config: EngineConfig,
     k: int | None = None,
+    *,
+    query_vector: np.ndarray | None = None,
 ) -> list[RankedCandidate]:
     """Score, boost and order candidates; return the top ``k``.
 
-    The score is exactly ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.
-    Ties resolve to the more recent utterance (larger creation order), then
-    the smaller node id.  A relevance-provider failure, or a score that is
-    not finite, degrades that candidate to embedding cosine and marks it;
-    an embedding that is not ``embedding_dim`` finite numbers, or a cosine
-    that is not finite, raises :class:`ProviderParseError`.
+    Candidates are scored through :func:`relevance_replies`, in one batch
+    when the scorer has ``score_many``.  The score is exactly
+    ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.  Ties resolve to
+    the more recent utterance (larger creation order), then the smaller node
+    id; only the top ``k`` become :class:`RankedCandidate` objects.  A failed
+    item, or a score that is not finite, degrades that candidate to
+    embedding cosine and marks it.  The cosine uses ``query_vector`` when
+    given (the caller's checked query embedding), else embeds the query
+    once; an embedding that is not ``embedding_dim`` finite numbers, or a
+    cosine that is not finite, raises :class:`ProviderParseError`.
     """
     if k is None:
         k = config.retrieval_k
-    scored: list[RankedCandidate] = []
-    query_vector = None
+    replies = relevance_replies(
+        providers.relevance_scorer, query.text, [c.node.text for c in candidates]
+    )
     time_sensitive = is_time_sensitive(query)
     lowered_query = query.text.lower()
-    for candidate in candidates:
-        degraded = False
-        try:
-            p_sem = float(providers.relevance_scorer.score(query.text, candidate.node.text))
+    # One plain tuple per candidate, ordered by the ranking key; the
+    # position breaks any tie before the comparison reaches the payload.
+    rows = []
+    for position, (candidate, reply) in enumerate(zip(candidates, replies)):
+        node = candidate.node
+        failure = None
+        if isinstance(reply, ProviderError):
+            failure = reply
+        else:
+            p_sem = float(reply)
             if not math.isfinite(p_sem):
-                raise ProviderParseError(f"non-finite relevance {p_sem}")
-        except ProviderError as exc:
+                failure = ProviderParseError(f"non-finite relevance {p_sem}")
+        degraded = failure is not None
+        if degraded:
             logger.warning(
                 "relevance scoring failed for %s (%s); degrading to cosine",
-                candidate.node.id,
-                exc,
+                node.id,
+                failure,
             )
             embed, dim = providers.embedder.embed, config.embedding_dim
             if query_vector is None:
                 query_vector = checked_vector(embed(query.text), dim)
-            text_vector = checked_vector(embed(candidate.node.text), dim)
+            text_vector = checked_vector(embed(node.text), dim)
             cosine = float(np.dot(query_vector, text_vector))
             if not math.isfinite(cosine):
-                raise ProviderParseError(f"non-finite cosine {cosine}") from exc
+                raise ProviderParseError(f"non-finite cosine {cosine}") from failure
             p_sem = max(cosine, 0.01)
-            degraded = True
         p_sem = min(max(p_sem, 0.0), 1.0)
-        flags = IndicatorFlags(
-            time=time_indicator(time_sensitive, candidate.node),
-            conf=conf_indicator(candidate.node),
-            role=role_indicator(lowered_query, candidate.node),
+        t = time_indicator(time_sensitive, node)
+        c = conf_indicator(node)
+        r = role_indicator(lowered_query, node)
+        score = p_sem * config.beta_time**t * config.beta_conf**c * config.beta_role**r
+        rows.append(
+            (-score, -int(node.id[1:]), node.id, position, p_sem, degraded, 4 * t + 2 * c + r)
         )
-        score = (
-            p_sem
-            * config.beta_time**flags.time
-            * config.beta_conf**flags.conf
-            * config.beta_role**flags.role
-        )
-        scored.append(
-            RankedCandidate(
-                event_node_id=candidate.node.id,
-                source_archive_id=candidate.source_archive_id,
-                anchor_topic_id=candidate.anchor_topic_id,
-                p_sem=p_sem,
-                indicators=flags,
-                score=score,
-                rank=0,
-                degraded=degraded,
-            )
-        )
-    scored.sort(
-        key=lambda c: (-c.score, -int(c.event_node_id[1:]), c.event_node_id)
-    )
+    rows.sort()
     return [
-        replace(c, rank=position + 1) for position, c in enumerate(scored[:k])
+        RankedCandidate(
+            event_node_id=node_id,
+            source_archive_id=candidates[position].source_archive_id,
+            anchor_topic_id=candidates[position].anchor_topic_id,
+            p_sem=p_sem,
+            indicators=_FLAGS[flags],
+            score=-negative_score,
+            rank=rank,
+            degraded=degraded,
+        )
+        for rank, (negative_score, _, node_id, position, p_sem, degraded, flags) in enumerate(
+            rows[:k], 1
+        )
     ]
 
 
@@ -251,7 +292,7 @@ def retrieve(
     )
     if not candidates:
         return []
-    return rerank(query, candidates, providers, config, k)
+    return rerank(query, candidates, providers, config, k, query_vector=query_vector)
 
 
 def event_lookup(snapshot: MemorySnapshot) -> dict[str, EventNode]:

@@ -306,11 +306,14 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             raise CorruptionError("edge-directed-matches-relation", str(key))
         edges[key] = edge
 
+    strings: dict[str | None, str | None] = {}
     archives = {
-        archive_id: _rebuild_graph(graph_dict, archive_id, "archive-graph-id")
+        archive_id: _rebuild_graph(graph_dict, archive_id, "archive-graph-id", strings)
         for archive_id, graph_dict in body["archives"].items()
     }
-    buffer = _rebuild_graph(body["active_buffer"], LIVE_BUFFER_ID, "buffer-graph-id")
+    buffer = _rebuild_graph(
+        body["active_buffer"], LIVE_BUFFER_ID, "buffer-graph-id", strings
+    )
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
@@ -331,11 +334,24 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     return snapshot
 
 
-def _rebuild_graph(graph_dict: dict, graph_id: str, id_check: str) -> EventGraph:
+def _rebuild_graph(
+    graph_dict: dict, graph_id: str, id_check: str, strings: dict[str | None, str | None]
+) -> EventGraph:
     """Event graph from its document; the stored id and edges must equal
-    the ones the engine derives and writes."""
+    the ones the engine derives and writes.
+
+    ``strings`` holds one copy of each session id, speaker and timestamp
+    seen so far in this load.  Those fields of the parsed entries are
+    replaced by the shared copies, so the nodes hold one ``str`` per
+    distinct value rather than one per node.
+    """
     if graph_dict["graph_id"] != graph_id:
         raise CorruptionError(id_check, graph_id)
+    share = strings.setdefault
+    for entry in graph_dict["nodes"]:
+        entry["session_id"] = share(entry["session_id"], entry["session_id"])
+        entry["speaker"] = share(entry["speaker"], entry["speaker"])
+        entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
     # The caller has checked the field types; a field EventNode lacks is a
     # TypeError.
     graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))

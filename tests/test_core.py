@@ -382,3 +382,18 @@ class TestSerialization:
             EventNode("e2", "s1", 1, "riley", "hi again", None, 2),
         ]
         assert raw_text(nodes) == "\nana: hello there\nriley: hi again"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        EventNode("e000001", "s1", 0, "ana", "hello there", None, 2),
+        TopicNode("t000001", "about hello", ("hello",), (1.0, 0.0), 1, "a000001"),
+        TopicEdge("t000001", "t000002", Relation.CAUSAL, 0.5),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_stored_records_are_slotted(value):
+    # A snapshot holds one per utterance, theme and edge.
+    assert not hasattr(value, "__dict__")
+    assert replace(value) == value

@@ -194,6 +194,7 @@ BAD_USAGE = [
     {"prompt_tokens": 1e400},
     {"prompt_tokens": "x"},
     {"prompt_tokens": -5},
+    {"completion_tokens": 2**63},
     {"prompt_tokens": True},
     {"prompt_tokens": 2.7},
     {"completion_tokens": 2.0},

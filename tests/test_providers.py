@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 
 import numpy as np
@@ -10,6 +11,7 @@ from graphmem.config import EngineConfig
 from graphmem.core import EventNode
 from graphmem.providers import (
     CallLog,
+    CallRecord,
     MockBoundaryDiscriminator,
     MockEmbedder,
     MockEntailmentChecker,
@@ -118,6 +120,20 @@ class TestMockScorers:
         assert a == b
 
 
+texts = st.text(alphabet="abc xyz.,!", max_size=24)
+
+
+class TestRelevanceBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(query=texts, batch=st.lists(texts, max_size=8))
+    def test_batch_equals_single_calls(self, query, batch):
+        batch_log, single_log = CallLog(), CallLog()
+        many = MockRelevanceScorer(batch_log).score_many(query, batch)
+        single = MockRelevanceScorer(single_log)
+        assert many == [single.score(query, text) for text in batch]
+        assert batch_log.entries() == single_log.entries()
+
+
 class TestMockDiscriminator:
     def test_detects_content_word_disjunction(self):
         utterances = [
@@ -168,6 +184,101 @@ class TestCallLog:
         log.record("c", 30, 4)
         assert log.token_totals() == (60, 9)
         assert log.token_totals(start=1) == (50, 7)
+
+
+    def test_count_that_does_not_fit_appends_nothing(self):
+        log = CallLog()
+        log.record("a", 1, 2)
+        with pytest.raises(OverflowError):
+            log.record("a", 2**63, 0)
+        with pytest.raises(OverflowError):
+            log.record_many("b", [(3, 4), (5, -(2**63) - 1)])
+        assert log.entries() == (CallRecord("a", 1, 2),)
+        assert log.count("b") == 0
+
+    def test_threaded_batches_stay_whole_and_in_order(self):
+        log = CallLog()
+        workers, batches, size = 6, 60, 5
+
+        def work(worker):
+            for batch in range(batches):
+                first = batch * size
+                if batch % 2:
+                    log.record_many(f"w{worker}", [(t, worker) for t in range(first, first + size)])
+                else:
+                    for t in range(first, first + size):
+                        log.record(f"w{worker}", t, worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        entries = log.entries()
+        assert len(log) == len(entries) == workers * batches * size
+        for worker in range(workers):
+            name = f"w{worker}"
+            mine = [e.input_tokens for e in entries if e.provider == name]
+            assert mine == list(range(batches * size))
+            assert all(e.output_tokens == worker for e in entries if e.provider == name)
+            assert log.count(name) == batches * size
+        # Each batch sits in one unbroken run of the log.
+        positions = {(e.provider, e.input_tokens): i for i, e in enumerate(entries)}
+        for worker in range(workers):
+            for batch in range(1, batches, 2):
+                first = positions[f"w{worker}", batch * size]
+                assert [positions[f"w{worker}", batch * size + j] for j in range(size)] == list(
+                    range(first, first + size)
+                )
+        assert log.token_totals() == (
+            workers * sum(range(batches * size)),
+            batches * size * sum(range(workers)),
+        )
+
+
+names = st.sampled_from(("embedder", "relevance_scorer", "summarizer"))
+counts = st.integers(0, 2**63 - 1)
+log_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), names, counts, counts),
+        st.tuples(st.just("many"), names, st.lists(st.tuples(counts, counts), max_size=4)),
+    ),
+    max_size=12,
+)
+
+
+class TestColumnarCallLog:
+    """The columnar log reads exactly like a plain list of records."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operations=log_operations)
+    def test_equals_a_plain_list(self, operations):
+        log, reference = CallLog(), []
+        for operation in operations:
+            if operation[0] == "record":
+                _, name, input_tokens, output_tokens = operation
+                log.record(name, input_tokens, output_tokens)
+                reference.append(CallRecord(name, input_tokens, output_tokens))
+            else:
+                _, name, usage = operation
+                log.record_many(name, usage)
+                reference.extend(CallRecord(name, i, o) for i, o in usage)
+        assert log.entries() == tuple(reference)
+        assert len(log) == len(reference)
+        for name in ("embedder", "relevance_scorer", "summarizer", "unknown"):
+            assert log.count(name) == sum(1 for r in reference if r.provider == name)
+        for start in range(-len(reference) - 1, len(reference) + 2):
+            tail = reference[start:]
+            assert log.token_totals(start) == (
+                sum(r.input_tokens for r in tail),
+                sum(r.output_tokens for r in tail),
+            )
 
 
 class TestRecordUsage:

@@ -1,8 +1,11 @@
+import math
 import random
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.core import (
@@ -16,7 +19,7 @@ from graphmem.core import (
     new_snapshot,
     snapshot_hash,
 )
-from graphmem.errors import CorruptionError, ProviderError
+from graphmem.errors import CorruptionError, ProviderError, ProviderTransportError
 from graphmem.providers import mock_bundle
 from graphmem.retrieval import (
     AnchorSet,
@@ -387,7 +390,125 @@ class TestRerank:
         assert ranked[0].p_sem == pytest.approx(max(cosine, 0.01))
 
 
+class TextReplies:
+    """Answers a drawn reply per candidate text; a ``ProviderError`` reply is
+    raised by ``score``."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def score(self, query, text):
+        reply = self.table[text]
+        if isinstance(reply, ProviderError):
+            raise reply
+        return reply
+
+
+class BatchReplies(TextReplies):
+    """The same replies as one batch, a ``ProviderError`` returned as its
+    item; ``mode`` breaks the whole batch."""
+
+    def __init__(self, table, mode):
+        super().__init__(table)
+        self.mode = mode
+
+    def score_many(self, query, texts):
+        replies = [self.table[text] for text in texts]
+        if self.mode == "raises":
+            raise ProviderTransportError("batch endpoint down")
+        if self.mode == "short":
+            return replies[:-1]
+        if self.mode == "long":
+            return replies + [0.5]
+        if self.mode == "tuple":
+            return tuple(replies)
+        return replies
+
+
+relevance_replies = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from((math.nan, math.inf, -math.inf, ProviderTransportError("down"))),
+)
+
+
+@st.composite
+def scored_candidates(draw):
+    replies = draw(st.lists(relevance_replies, max_size=12))
+    order = draw(st.permutations(range(1, len(replies) + 1)))
+    candidates = [
+        make_candidate(
+            idx,
+            f"note {idx} about the garden {('rook', 'soil', 'may')[idx % 3]}",
+            speaker=draw(st.sampled_from(("bob", "carol"))),
+            timestamp=draw(st.sampled_from((None, "2026-01-01T00:00:00"))),
+            flag=draw(st.booleans()),
+        )
+        for idx in order
+    ]
+    return candidates, {c.node.text: r for c, r in zip(candidates, replies)}
+
+
+class TestRelevanceBatch:
+    """A batch scorer ranks exactly like one answering the same items one
+    call at a time; a broken batch fails every item."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=scored_candidates(),
+        mode=st.sampled_from(("list", "raises", "short", "long", "tuple")),
+        query=st.sampled_from(("what did bob plant", "when was the garden soil turned")),
+        k=st.one_of(st.none(), st.integers(1, 14)),
+    )
+    def test_batch_equals_single_calls(self, drawn, mode, query, k):
+        candidates, table = drawn
+        config = EngineConfig()
+        batch_bundle, single_bundle = mock_bundle(config), mock_bundle(config)
+        batch_bundle.relevance_scorer = BatchReplies(table, mode)
+        if mode != "list":
+            table = {text: ProviderTransportError("batch failed") for text in table}
+        single_bundle.relevance_scorer = TextReplies(table)
+        got = rerank(Query(query), candidates, batch_bundle, config, k)
+        assert got == rerank(Query(query), candidates, single_bundle, config, k)
+        for ranked in got:
+            reply = table[next(c.node.text for c in candidates if c.node.id == ranked.event_node_id)]
+            finite = not isinstance(reply, ProviderError) and math.isfinite(reply)
+            assert ranked.degraded is not finite
+
+    def test_equal_flags_are_one_shared_object(self):
+        candidates = [make_candidate(i, f"plain text {i}", flag=False) for i in range(1, 4)]
+        ranked = rerank(Query("anything"), candidates, mock_bundle(), EngineConfig())
+        assert len({id(c.indicators) for c in ranked}) == 1
+
+
+class FailingRelevance:
+    def score(self, query, text):
+        raise ProviderTransportError("relevance service down")
+
+
+class RecordingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return self.inner.embed(text)
+
+
 class TestRetrievePipeline:
+    def test_degraded_query_embeds_the_query_once(self, golden_snapshot):
+        # The degraded path once embedded the query a second time.
+        snap, _, _ = golden_snapshot
+        bundle = mock_bundle(snap.config)
+        bundle.embedder = RecordingEmbedder(bundle.embedder)
+        bundle.relevance_scorer = FailingRelevance()
+        question = "which tomato seedlings are in the garden greenhouse"
+        ranked = retrieve(snap, Query(question), bundle)
+        assert ranked and all(c.degraded for c in ranked)
+        assert bundle.embedder.texts.count(question) == 1
+        assert len(bundle.embedder.texts) > len(ranked)
+
     def test_read_only(self, golden_snapshot):
         snap, _, providers = golden_snapshot
         before = snapshot_hash(snap)

@@ -94,6 +94,21 @@ class TestSaveLoad:
         save(snapshot, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_load_shares_equal_strings(self, golden_snapshot, tmp_path):
+        snap = golden_snapshot[0]
+        path = tmp_path / "memory.json"
+        save(snap, path)
+        loaded = load(path)
+        nodes = [n for g in (*loaded.archive.values(), loaded.active_event_graph) for n in g.nodes]
+        for name in ("session_id", "speaker", "timestamp"):
+            values = [getattr(n, name) for n in nodes if getattr(n, name) is not None]
+            assert len({id(v) for v in values}) == len(set(values))
+        assert len({n.speaker for n in nodes}) < len(nodes)
+        assert snapshot_hash(loaded) == snapshot_hash(snap)
+        again = tmp_path / "again.json"
+        save(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_unwritable_path_raises_oserror(self, snapshot):
         with pytest.raises(OSError):
             save(snapshot, "/nonexistent-root-dir/nope/memory.json")

@@ -35,7 +35,7 @@ from .core import (
     raw_text,
 )
 from .errors import ConsolidationError, ProviderError, ProviderParseError
-from .providers import ProviderBundle, RelationScorer
+from .providers import ProviderBundle, RelationScorer, real_number
 from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
@@ -76,22 +76,28 @@ def score_relation(
 ) -> tuple[str, float]:
     """Label and weight for one candidate pair.
 
-    Output that is still malformed after the provider's own repair pass is
-    demoted to ``(unrelated, 0)`` and logged rather than failing the
-    transaction; transport failures propagate so the caller can skip the
-    candidate.
+    Output that is still malformed after the provider's own repair pass, or
+    that is not a pair of a label in ``RELATION_LABELS`` and a real weight
+    in ``[0, 1]``, is demoted to ``(unrelated, 0)`` and logged rather than
+    failing the transaction; transport failures propagate so the caller can
+    skip the candidate.
     """
     if not first_summary or not second_summary:
         raise ValueError("both summaries must be non-empty")
     try:
-        label, weight = scorer.score(first_summary, second_summary)
+        reply = scorer.score(first_summary, second_summary)
     except ProviderParseError as exc:
         logger.warning("relation scorer output unusable (%s); treating as unrelated", exc)
         return UNRELATED, 0.0
-    if label not in RELATION_LABELS or not 0.0 <= float(weight) <= 1.0:
-        logger.warning("relation scorer returned invalid (%r, %r)", label, weight)
+    try:
+        label, weight = reply
+    except (TypeError, ValueError):
+        label = weight = None
+    weight = weight if type(weight) is float else real_number(weight)
+    if not (isinstance(label, str) and label in RELATION_LABELS and 0.0 <= weight <= 1.0):
+        logger.warning("relation scorer returned invalid %r", reply)
         return UNRELATED, 0.0
-    return label, float(weight)
+    return label, weight
 
 
 def consolidate_segment(
@@ -123,7 +129,8 @@ def consolidate_segment(
 
     try:
         summary_result = providers.summarizer.summarize(content)
-        summary, keywords = summary_result.summary, summary_result.keywords
+        summary = getattr(summary_result, "summary", None)
+        keywords = getattr(summary_result, "keywords", None)
         # Exact types, as the loader reads them back.
         if not (
             type(summary) is str

@@ -6,7 +6,9 @@ with the usual ``{"model": ..., "messages": [...]}`` and
 ``choices[0].message.content`` / ``data[0].embedding`` with token usage taken
 from the ``usage`` object.  Chat calls are schema-checked and get one
 automatic repair re-prompt; transport failures are retried with bounded
-exponential backoff.
+exponential backoff, ``MAX_ATTEMPTS`` tries in all.  Adapters only parse:
+an embedding is divided by its norm and nothing more, and whether a reply is
+usable is decided by the engine step that uses it, alike for every provider.
 
 The transport is injectable so contract tests run without a network.
 """
@@ -14,9 +16,11 @@ The transport is injectable so contract tests run without a network.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +30,8 @@ from .config import estimate_tokens
 from .core import EventNode
 from .errors import ProviderParseError, ProviderTransportError
 from .providers import CallLog, SummaryResult
+
+MAX_ATTEMPTS = 3
 
 RELATION_PROMPT = """Determine the relationship between the following two memories.
 
@@ -78,20 +84,30 @@ _REPAIR_SUFFIX = (
 )
 
 
-def _reject_constant(name: str) -> float:
-    raise ProviderParseError(f"non-finite number {name}")
+def _finite(parse: Callable[[str], float], text: str) -> float:
+    """Parse a JSON number, refusing what no finite float holds."""
+    if not math.isfinite(float(text)):
+        raise ProviderParseError(f"non-finite number {text[:20]}")
+    return parse(text)
+
+
+_DECODER = json.JSONDecoder(
+    parse_float=partial(_finite, float),
+    parse_int=partial(_finite, int),
+    parse_constant=partial(_finite, float),
+)
 
 
 def extract_json_object(text: str) -> dict:
     """Decode the JSON object that starts at the first brace of possibly
-    prosy text; whatever follows the object is ignored.  ``NaN`` and
-    ``Infinity`` are refused: no score, confidence or index may be one."""
+    prosy text; whatever follows the object is ignored.  A number no
+    finite float holds is refused: no score, confidence or index may be one."""
     start = text.find("{")
     if start < 0:
         raise ProviderParseError("no JSON object in response")
     try:
-        return json.JSONDecoder(parse_constant=_reject_constant).raw_decode(text, start)[0]
-    except json.JSONDecodeError as exc:
+        return _DECODER.raw_decode(text, start)[0]
+    except ValueError as exc:
         raise ProviderParseError(f"unparseable JSON object: {exc}") from exc
 
 
@@ -135,7 +151,6 @@ class HttpConfig:
     embed_model: str = ""
     api_key_env: str = "GRAPHMEM_API_KEY"
     timeout: float = 30.0
-    max_attempts: int = 3
     backoff: float = 0.5
 
 
@@ -145,7 +160,7 @@ class HttpClient:
     def __init__(
         self,
         config: HttpConfig,
-        call_log: CallLog | None = None,
+        call_log: CallLog,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -164,7 +179,7 @@ class HttpClient:
     def _post(self, path: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
         last: Exception | None = None
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 status, body = self.transport(
                     url, payload, self._headers(), self.config.timeout
@@ -175,17 +190,14 @@ class HttpClient:
                 if status == 200:
                     return body
                 last = ProviderTransportError(f"HTTP {status}")
-            if attempt + 1 < self.config.max_attempts:
+            if attempt + 1 < MAX_ATTEMPTS:
                 self.sleep(self.config.backoff * 2**attempt)
-        raise ProviderTransportError(f"gave up after {self.config.max_attempts} attempts: {last}")
+        raise ProviderTransportError(f"gave up after {MAX_ATTEMPTS} attempts: {last}")
 
     def _record(self, provider: str, body: dict, prompt: str, output: str):
-        """Log the reply's token usage; a count the reply omits is estimated
-        from the text, and a ``usage`` that is not an object or a count that
-        is not a JSON integer in ``[0, 2**63)``, the call log's range, is a
-        parse error."""
-        if self.call_log is None:
-            return
+        """Log the reply's token usage, estimating a count the reply omits; a
+        ``usage`` that is not an object, or a count that is not a JSON integer
+        in ``[0, 2**63)``, the call log's range, is a parse error."""
         usage = body.get("usage", {})
         if type(usage) is not dict:
             raise ProviderParseError("usage is not an object")
@@ -221,8 +233,10 @@ class HttpClient:
             )
             try:
                 content = body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ProviderTransportError("malformed completion envelope") from exc
+            except (KeyError, IndexError, TypeError):
+                content = None
+            if type(content) is not str:
+                raise ProviderTransportError("malformed completion envelope")
             self._record(provider, body, attempt_prompt, content)
             try:
                 return validate_schema(extract_json_object(content), schema)
@@ -238,15 +252,11 @@ class HttpClient:
         )
         try:
             vector = np.asarray(body["data"][0]["embedding"], dtype=float)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderParseError("malformed embeddings envelope") from exc
         self._record("embedder", body, text, "")
-        if not np.isfinite(vector).all():
-            raise ProviderParseError("non-finite embedding")
-        norm = float(np.linalg.norm(vector))
-        if norm < 1e-12:
-            raise ProviderParseError("zero-norm embedding")
-        return vector / norm
+        with np.errstate(all="ignore"):
+            return vector / float(np.linalg.norm(vector))
 
 
 def linearize_buffer(utterances: Sequence[EventNode]) -> str:
@@ -265,20 +275,11 @@ class HttpEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        vector = self.client.embed(text)
-        if vector.shape[0] != self.dim:
-            raise ProviderParseError(
-                f"embedding dim {vector.shape[0]} != configured {self.dim}"
-            )
-        return vector
+        return self.client.embed(text)
 
 
 class _ChatAdapter:
-    """A provider answered by chat completions through one shared client.
-
-    Adapters only parse: whether a reply is usable is decided by the engine
-    step that uses it, alike for every provider.
-    """
+    """A provider answered by chat completions through one shared client."""
 
     def __init__(self, client: HttpClient):
         self.client = client
@@ -301,9 +302,7 @@ class HttpSummarizer(_ChatAdapter):
             {"keywords": list, "summary": str},
             provider="summarizer",
         )
-        return SummaryResult(
-            tuple(str(k) for k in payload["keywords"]), payload["summary"]
-        )
+        return SummaryResult(tuple(payload["keywords"]), payload["summary"])
 
 
 class HttpRelationScorer(_ChatAdapter):

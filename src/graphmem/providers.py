@@ -9,6 +9,8 @@ same protocols (see :mod:`graphmem.http`).
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import re
 import threading
 from array import array
@@ -82,6 +84,18 @@ class RelevanceScorer(Protocol):
 
 class EntailmentChecker(Protocol):
     def entails(self, summary: str, text: str) -> bool: ...
+
+
+def real_number(reply: object) -> float:
+    """A scorer's numeric reply as a float: an int, float or numpy float
+    that a float holds.  Anything else (``None``, a string, a bool, an int
+    beyond the float range) is NaN, which the engine refuses like any NaN."""
+    if isinstance(reply, numbers.Real) and not isinstance(reply, bool):
+        try:
+            return float(reply)
+        except OverflowError:
+            pass
+    return math.nan
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .config import EngineConfig
 from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
 from .errors import CorruptionError, ProviderError, ProviderParseError
-from .providers import ProviderBundle, RelevanceScorer
+from .providers import ProviderBundle, RelevanceScorer, real_number
 from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,8 @@ def rerank(
     ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.  Ties resolve to
     the more recent utterance (larger creation order), then the smaller node
     id; only the top ``k`` become :class:`RankedCandidate` objects.  A failed
-    item, or a score that is not finite, degrades that candidate to
+    item, or a score that is not a finite real number (see
+    :func:`~graphmem.providers.real_number`), degrades that candidate to
     embedding cosine and marks it.  The cosine uses ``query_vector`` when
     given (the caller's checked query embedding), else embeds the query
     once; an embedding that is not ``embedding_dim`` finite numbers, or a
@@ -221,15 +222,14 @@ def rerank(
     rows = []
     for position, (candidate, reply) in enumerate(zip(candidates, replies)):
         node = candidate.node
-        failure = None
-        if isinstance(reply, ProviderError):
-            failure = reply
-        else:
-            p_sem = float(reply)
-            if not math.isfinite(p_sem):
-                failure = ProviderParseError(f"non-finite relevance {p_sem}")
-        degraded = failure is not None
+        # A float, the common reply, pays one type test.
+        p_sem = reply if type(reply) is float else real_number(reply)
+        degraded = not math.isfinite(p_sem)
         if degraded:
+            failure = reply
+            if not isinstance(reply, ProviderError):
+                kind = type(reply).__name__
+                failure = ProviderParseError(f"relevance {p_sem} ({kind}) is not finite")
             logger.warning(
                 "relevance scoring failed for %s (%s); degrading to cosine",
                 node.id,

@@ -136,7 +136,7 @@ def checked_vector(vector: Sequence[float], dim: int) -> np.ndarray:
     """
     try:
         array = np.asarray(vector, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProviderParseError(f"embedding is not numeric: {exc}") from exc
     if array.shape != (dim,) or not np.isfinite(array).all():
         raise ProviderParseError(f"embedding must be {dim} finite numbers")

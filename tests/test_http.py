@@ -1,10 +1,11 @@
 import json
 import logging
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.boundary import TriggerKind, check_boundary, heuristic_discriminator
@@ -12,7 +13,12 @@ from graphmem.config import EngineConfig
 from graphmem.consolidation import consolidate_segment, score_relation
 from graphmem.core import EventNode, Utterance, append_event, new_snapshot, snapshot_hash
 from graphmem.engine import MemoryEngine
-from graphmem.errors import ConsolidationError, ProviderParseError, ProviderTransportError
+from graphmem.errors import (
+    ConsolidationError,
+    ProviderError,
+    ProviderParseError,
+    ProviderTransportError,
+)
 from graphmem.harness import DialogueCorpus, Turn, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
@@ -21,6 +27,7 @@ from graphmem.http import (
     HttpClient,
     HttpConfig,
     HttpEmbedder,
+    HttpEntailmentChecker,
     HttpRelationScorer,
     HttpRelevanceScorer,
     HttpSummarizer,
@@ -172,6 +179,15 @@ class TestChat:
         with pytest.raises(ProviderTransportError, match="gave up"):
             http.chat("prompt", {"ok": bool})
 
+    def test_non_string_content_is_a_malformed_envelope(self):
+        # Once raised AttributeError from the JSON extraction.
+        for content in (5, None, ["{}"], {"score": 1}):
+            log = CallLog()
+            http, _, _ = client([(200, chat_body(content))], call_log=log)
+            with pytest.raises(ProviderTransportError, match="malformed completion"):
+                HttpRelevanceScorer(http).score("q", "t")
+            assert len(log) == 0
+
     def test_usage_recorded_in_call_log(self):
         log = CallLog()
         http, _, _ = client(
@@ -256,23 +272,48 @@ class TestEmbeddings:
             ("embedder", 9, 0),
         ]
 
-    def test_dimension_checked_by_adapter(self):
-        body = {"data": [{"embedding": [1.0, 0.0, 0.0]}], "usage": {}}
-        http, _, _ = client([(200, body)])
-        embedder = HttpEmbedder(http, dim=5)
-        with pytest.raises(ProviderParseError, match="dim"):
-            embedder.embed("hello")
+    @pytest.mark.parametrize(
+        "vector",
+        [[1.0, 0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [0.0, 0.0]],
+        ids=["short", "nan", "inf", "zero"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_unusable_embedding_refused_by_the_engine(self, vector):
+        # The adapter only divides by the norm, which makes a zero or
+        # non-finite vector NaN; the engine refuses it wherever it embeds.
+        def transport(url, payload, headers, timeout):
+            if url.endswith("/embeddings"):
+                return 200, {"data": [{"embedding": vector}], "usage": {}}
+            return 200, chat_body('{"keywords": ["garden"], "summary": "garden beds"}')
 
-    @pytest.mark.parametrize("vector", [[float("nan"), 1.0], [float("inf"), 0.0]])
-    def test_non_finite_vector_rejected(self, vector):
+        config = EngineConfig()
+        bundle = http_bundle(
+            HttpConfig(base_url="http://model.test/v1", model="chat-model"),
+            config.embedding_dim,
+            transport=transport,
+        )
+        engine = MemoryEngine(bundle, config)
+        corpus = DialogueCorpus(
+            (
+                Turn("s1", 0, "ana", "garden compost beds"),
+                Turn("s2", 0, "riley", "garden mulch herbs"),
+            )
+        )
+        snapshot, telemetry = replay(corpus, engine, "session")
+        assert telemetry.consolidations == 0
+        assert [n.text for n in snapshot.buffer] == [t.text for t in corpus.turns]
+        with pytest.raises(ProviderParseError, match="finite numbers"):
+            engine.query("garden")
+
+    @pytest.mark.parametrize(
+        "vector",
+        [["a", "b"], [[1.0], [1.0, 2.0]], [10**400, 1.0]],
+        ids=["strings", "ragged", "huge_int"],
+    )
+    def test_unreadable_embedding_list_is_a_malformed_envelope(self, vector):
+        # Once raised ValueError or OverflowError from np.asarray.
         http, _, _ = client([(200, {"data": [{"embedding": vector}], "usage": {}})])
-        with pytest.raises(ProviderParseError, match="non-finite"):
-            http.embed("hello")
-
-    def test_zero_vector_rejected(self):
-        body = {"data": [{"embedding": [0.0, 0.0]}], "usage": {}}
-        http, _, _ = client([(200, body)])
-        with pytest.raises(ProviderParseError, match="zero-norm"):
+        with pytest.raises(ProviderParseError, match="malformed embeddings"):
             http.embed("hello")
 
 
@@ -304,6 +345,24 @@ class TestProviderAdapters:
         http, _, _ = client([(200, chat_body('{"score": NaN}'))] * 2)
         with pytest.raises(ProviderParseError, match="non-finite"):
             HttpRelevanceScorer(http).score("q", "t")
+
+    @pytest.mark.parametrize(
+        "number",
+        ["1e400", "-1e400", "1" * 400, "1" * 4301],
+        ids=["1e400", "-1e400", "400_digits", "4301_digits"],
+    )
+    def test_number_no_finite_float_holds_is_refused(self, number):
+        # 1e400 once decoded to inf and scored 1.0; a 400-digit integer
+        # raised OverflowError and a 4301-digit one ValueError.
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            extract_json_object(f'{{"score": {number}}}')
+        http, _, _ = client([(200, chat_body(f'{{"score": {number}}}'))] * 2)
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            HttpRelevanceScorer(http).score("q", "t")
+        reply = chat_body(f'{{"relation": "support", "confidence": {number}}}')
+        http, _, _ = client([(200, reply)] * 2)
+        with pytest.raises(ProviderParseError, match="non-finite"):
+            HttpRelationScorer(http).score("one", "two")
 
     def test_relation_happy_path(self):
         http, _, _ = client(
@@ -397,6 +456,14 @@ class TestEngineJudgesReplies:
         # Refused before the summary is embedded.
         assert urls == ["http://model.test/v1/chat/completions"]
 
+    def test_non_string_keyword_aborts_consolidation(self):
+        # The adapter once stored the keywords "None" and "1".
+        reply = '{"keywords": [null, 1, "garden"], "summary": "garden beds"}'
+        bundle, _ = scripted_bundle([reply])
+        snap = buffered(["the garden compost", "garden watering cans"])
+        with pytest.raises(ConsolidationError, match="must be strings"):
+            consolidate_segment(snap, snap.buffer, bundle)
+
     @pytest.mark.parametrize(
         "reply",
         [
@@ -440,3 +507,89 @@ class TestBundle:
         assert telemetry.consolidations == 0
         assert not snapshot.topic_graph.nodes
         assert [n.text for n in snapshot.buffer] == [t.text for t in corpus.turns]
+
+
+#: Number texts that no finite float holds; the last is past int()'s limit.
+HUGE_NUMBERS = ("1e400", "-1e400", "1" * 400, "-" + "1" * 400, "1" * 4301)
+number_texts = (
+    st.sampled_from(HUGE_NUMBERS)
+    | st.integers().map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+#: The keys the five chat adapters read.
+REPLY_KEYS = (
+    "boundaries", "keywords", "summary", "relation", "confidence", "score", "entailed"
+)
+
+
+@st.composite
+def chat_contents(draw):
+    """A chat message's ``content``: any JSON value (most not a string),
+    prose, or an object with the adapters' keys holding drawn values or
+    drawn number texts."""
+    kind = draw(st.sampled_from(["value", "prose", "object", "number"]))
+    if kind == "value":
+        return draw(JSON_VALUES)
+    if kind == "prose":
+        return draw(st.text())
+    if kind == "object":
+        return json.dumps(draw(st.dictionaries(st.sampled_from(REPLY_KEYS), JSON_VALUES)))
+    fields = draw(st.dictionaries(st.sampled_from(REPLY_KEYS), number_texts, min_size=1))
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+
+
+def with_usage(body, usage):
+    """``body`` with ``usage`` as its token usage, or without one for None."""
+    return body if usage is None else {**body, "usage": usage}
+
+
+usages = st.none() | JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={"prompt_tokens": JSON_VALUES, "completion_tokens": st.integers()}
+)
+embedding_lists = JSON_VALUES | st.lists(
+    st.floats() | st.integers() | st.sampled_from([10**400, -(10**400), 1e300]),
+    max_size=6,
+)
+#: Any JSON value as the whole body, or the expected envelope.
+chat_bodies = JSON_VALUES | st.builds(
+    lambda content, usage: with_usage({"choices": [{"message": {"content": content}}]}, usage),
+    chat_contents(),
+    usages,
+)
+embedding_bodies = JSON_VALUES | st.builds(
+    lambda vector, usage: with_usage({"data": [{"embedding": vector}]}, usage),
+    embedding_lists,
+    usages,
+)
+
+ADAPTER_CALLS = {
+    "discriminator": lambda http: HttpBoundaryDiscriminator(http).detect(
+        [EventNode("e1", "s1", 0, "ana", "first line", None, 2)]
+    ),
+    "summarizer": lambda http: HttpSummarizer(http).summarize("content"),
+    "relation_scorer": lambda http: HttpRelationScorer(http).score("one", "two"),
+    "relevance_scorer": lambda http: HttpRelevanceScorer(http).score("q", "t"),
+    "entailment": lambda http: HttpEntailmentChecker(http).entails("summary", "text"),
+    "embedder": lambda http: HttpEmbedder(http, 4).embed("text"),
+}
+
+
+class TestReplyFuzzing:
+    """Any reply body maps to a value or a typed ``ProviderError``, with no
+    warning: the adapters parse the wire format and judge nothing else."""
+
+    @pytest.mark.parametrize("adapter", sorted(ADAPTER_CALLS))
+    # Hypothesis's failure report imports a module that warns of its own
+    # deprecation; as an error it would hide the failing example.
+    @pytest.mark.filterwarnings("error", "ignore:mypy_extensions:DeprecationWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_reply_maps_to_a_value_or_a_provider_error(self, adapter, data):
+        bodies = embedding_bodies if adapter == "embedder" else chat_bodies
+        # The first reply and the one to the repair re-prompt.
+        replies = data.draw(st.tuples(bodies, bodies))
+        http, _, _ = client([(200, body) for body in replies])
+        try:
+            ADAPTER_CALLS[adapter](http)
+        except ProviderError:
+            pass

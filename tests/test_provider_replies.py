@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
+from graphmem.consolidation import score_relation
 from graphmem.core import RELATION_LABELS, snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.errors import GraphMemError, ProviderParseError, ProviderTransportError
@@ -36,9 +37,35 @@ TURNS = (
     ("s2", "riley", "the interview offer salary talk"),
 )
 QUERY = "puppy leash interview"
+THEME = "A short theme about pets."
 DIM = EngineConfig().embedding_dim
 #: A unit vector of half the configured dimension.
 SHORT = [1.0] + [0.0] * (DIM // 2 - 1)
+#: A vector whose first entry is an int no float holds.
+HUGE = [10**400] + [0.0] * (DIM - 1)
+
+
+class Reply:
+    """A drawn reply that a provider returns as it is, even ``None``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"Reply({self.value!r})"
+
+
+#: Relevance replies that are not real numbers, or that no float holds.
+NOT_REAL = (Reply(None), "high", [0.5], True, 10**400)
+#: Relation replies that are no (label, weight) pair of the right types.
+BAD_RELATIONS = (
+    None,
+    "semantic",
+    (["semantic"], 0.5),
+    ("semantic", None),
+    ("semantic", True),
+    ("semantic", 10**400),
+)
 
 
 class Cycle:
@@ -70,6 +97,8 @@ class Summarizer(Cycle):
             return result
         if isinstance(answer, SummaryResult):
             return answer
+        if isinstance(answer, Reply):
+            return answer.value
         return SummaryResult(result.keywords, answer)
 
 
@@ -83,6 +112,8 @@ class RelevanceScorer(Cycle):
 
     def score(self, query, text):
         value = self.next()
+        if isinstance(value, Reply):
+            return value.value
         return MockRelevanceScorer().score(query, text) if value is None else value
 
 
@@ -185,12 +216,22 @@ class TestVerifiedReplies:
             SummaryResult(("pets",), 42),
             SummaryResult((1, 2), "A short theme about pets."),
             SummaryResult(None, "A short theme about pets."),
+            Reply(None),
+            Reply({"summary": THEME, "keywords": ("pets",)}),
         ],
-        ids=["none_summary", "int_summary", "int_keywords", "none_keywords"],
+        ids=[
+            "none_summary",
+            "int_summary",
+            "int_keywords",
+            "none_keywords",
+            "none_reply",
+            "dict_reply",
+        ],
     )
     def test_summary_of_the_wrong_type_commits_no_theme(self, tmp_path, reply):
         # Once raised AttributeError from observe, or committed a theme whose
-        # saved file failed to load (field-type).
+        # saved file failed to load (field-type); a reply without the two
+        # fields (None, a dict) raised AttributeError.
         engine, _ = run(tmp_path, summarizer=Summarizer([reply]))
         assert not engine.snapshot.topic_graph.nodes
         assert len(engine.snapshot.buffer) == len(TURNS)
@@ -237,6 +278,28 @@ class TestVerifiedReplies:
         with pytest.raises(ProviderParseError):
             engine.query(QUERY)
 
+    def test_summary_embedding_beyond_the_float_range_commits_no_theme(self, tmp_path):
+        # Once raised OverflowError from observe.
+        engine, _ = run(tmp_path, ProviderParseError, embedder=Embedder([HUGE], DIM))
+        assert not engine.snapshot.topic_graph.nodes
+        assert len(engine.snapshot.buffer) == len(TURNS)
+
+    @pytest.mark.parametrize(
+        "reply", NOT_REAL, ids=["none", "string", "list", "bool", "huge_int"]
+    )
+    def test_relevance_not_a_real_number_degrades_only_its_candidate(self, tmp_path, reply):
+        # None, the string and the list once raised TypeError or ValueError
+        # from query, True scored 1.0, and the int raised OverflowError.
+        _, ranked = run(tmp_path, relevance_scorer=RelevanceScorer([reply, None]))
+        assert len(ranked) == len(TURNS)
+        assert sum(c.degraded for c in ranked) == len(TURNS) // 2
+
+    @pytest.mark.parametrize("reply", [1, 0, np.float64(0.5), np.float32(0.25)])
+    def test_int_and_numpy_relevance_accepted(self, tmp_path, reply):
+        _, ranked = run(tmp_path, relevance_scorer=RelevanceScorer([reply]))
+        assert ranked and not any(c.degraded for c in ranked)
+        assert {c.p_sem for c in ranked} == {float(reply)}
+
     def test_non_finite_relevance_degrades_to_cosine(self, tmp_path):
         # Once returned NaN scores from query.
         for value in (math.nan, math.inf, -math.inf):
@@ -256,9 +319,9 @@ boundary_replies = st.lists(
     ),
     max_size=4,
 ) | st.sampled_from([None, (0,), "0", 1])
-THEME = "A short theme about pets."
 summaries = st.one_of(
     st.sampled_from([None, "", "   ", THEME, 42]),
+    st.sampled_from([Reply(None), Reply({"summary": THEME, "keywords": ("pets",)})]),
     st.builds(
         SummaryResult,
         keywords=st.sampled_from([("pets",), (), (1, 2), ("pets", None), None]),
@@ -268,15 +331,21 @@ summaries = st.one_of(
 relations = st.tuples(
     st.sampled_from(sorted(RELATION_LABELS) + list(JUNK_LABELS)),
     st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_WEIGHTS)),
+) | st.sampled_from(BAD_RELATIONS)
+relevances = st.one_of(
+    st.none(), st.floats(0.0, 1.0), st.sampled_from(BAD_RELEVANCE + NOT_REAL)
 )
-relevances = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from(BAD_RELEVANCE))
 # A unit vector (the mock's, or the first basis vector), the zero vector, a
-# NaN vector, or a unit vector of the wrong dimension.
+# NaN vector, a unit vector of the wrong dimension, or one with an int no
+# float holds.
 embeddings = st.sampled_from(
-    [None, [1.0] + [0.0] * (DIM - 1), [0.0] * DIM, [math.nan] * DIM, SHORT]
+    [None, [1.0] + [0.0] * (DIM - 1), [0.0] * DIM, [math.nan] * DIM, SHORT, HUGE]
 )
 
 
+# Hypothesis's failure report imports a module that warns of its own
+# deprecation; as an error it would hide the failing example.
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions:DeprecationWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     boundaries=st.lists(boundary_replies, min_size=1, max_size=3),
@@ -297,3 +366,26 @@ def test_any_reply_leaves_a_usable_snapshot(
     }
     with tempfile.TemporaryDirectory() as workdir:
         run(workdir, refused=GraphMemError, **providers)
+
+
+class TestRelationReplies:
+    """What ``score_relation`` makes of a relation scorer's reply."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        BAD_RELATIONS,
+        ids=["none", "string", "list_label", "none_weight", "bool_weight", "huge_weight"],
+    )
+    def test_unusable_reply_scores_unrelated(self, reply, caplog):
+        # Each once raised TypeError, ValueError or OverflowError from
+        # consolidation, or (for True) scored a weight of 1.0.
+        with caplog.at_level(logging.WARNING, logger="graphmem.consolidation"):
+            result = score_relation("one", "two", RelationScorer([reply]))
+        assert result == ("unrelated", 0.0)
+        assert "relation scorer returned invalid" in caplog.text
+
+    @pytest.mark.parametrize("weight", [1, 0, np.float64(0.5), 0.25])
+    def test_real_weight_accepted(self, weight):
+        label, scored = score_relation("one", "two", RelationScorer([("semantic", weight)]))
+        assert (label, scored) == ("semantic", float(weight))
+        assert type(scored) is float

@@ -2,8 +2,8 @@
 
 The discriminator is only consulted at sparse maintenance events (session
 end, a long interaction pause, buffer overflow, or an explicit request),
-never per turn.  An overflow with no detected shift still forces a
-whole-buffer consolidation so the token budget holds.
+never per turn.  Detection only: what a fired check consumes, including
+the overflow fallback, is the engine's decision.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class BoundaryVerdict:
 
     ``split_indices`` are strictly increasing positions ``i`` meaning the
     topic changes between utterance ``i`` and ``i + 1``.  A forced verdict
-    carries the single index ``len(buffer) - 1``, which consumes the whole
-    buffer.
+    is the engine's overflow fallback: the single index ``len(buffer) - 1``,
+    which consumes the whole buffer.
     """
 
     split_indices: tuple[int, ...] = ()
@@ -52,7 +52,6 @@ class BoundaryVerdict:
 
 def check_boundary(
     snapshot: MemorySnapshot,
-    trigger: TriggerKind,
     discriminator: BoundaryDiscriminator,
     embedder: Embedder,
 ) -> BoundaryVerdict:
@@ -68,12 +67,6 @@ def check_boundary(
     buffer = snapshot.buffer
     if not buffer:
         raise StateError("boundary check on an empty buffer")
-    if (
-        trigger is TriggerKind.BUFFER_OVERFLOW
-        and snapshot.active_event_graph.token_total <= snapshot.config.buffer_token_limit
-    ):
-        raise StateError("overflow trigger without an overflowing buffer")
-
     try:
         indices = discriminator.detect(buffer)
         if type(indices) is not list or not all(type(i) is int for i in indices):
@@ -84,10 +77,7 @@ def check_boundary(
             buffer, embedder, snapshot.config.heuristic_cutoff
         )
 
-    valid = tuple(sorted({i for i in indices if 0 <= i < len(buffer) - 1}))
-    if trigger is TriggerKind.BUFFER_OVERFLOW and not valid:
-        return BoundaryVerdict((len(buffer) - 1,), forced=True)
-    return BoundaryVerdict(valid)
+    return BoundaryVerdict(tuple(sorted({i for i in indices if 0 <= i < len(buffer) - 1})))
 
 
 def heuristic_discriminator(

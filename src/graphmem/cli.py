@@ -139,8 +139,7 @@ def _load_kv_config(path: Path | None) -> dict:
     return values
 
 
-def _engine_config(args) -> EngineConfig:
-    kv = _load_kv_config(args.config)
+def _engine_config(args, kv: dict) -> EngineConfig:
     engine_keys = {k: v for k, v in kv.items() if k not in _HTTP_KEYS}
     config = EngineConfig.from_dict({**EngineConfig().to_dict(), **engine_keys})
     if args.seed is not None:
@@ -148,10 +147,9 @@ def _engine_config(args) -> EngineConfig:
     return config
 
 
-def _bundle(args, config: EngineConfig):
+def _bundle(args, config: EngineConfig, kv: dict):
     if args.provider == "mock":
         return mock_bundle(config)
-    kv = _load_kv_config(args.config)
     base_url = kv.get("http_base_url")
     if not base_url:
         raise ValueError("http provider requires http_base_url in the config file")
@@ -174,8 +172,9 @@ def _qa_sibling(corpus_path: Path, qa: Path | None) -> Path | None:
 
 
 def cmd_ingest(args) -> int:
-    config = _engine_config(args)
-    providers = _bundle(args, config)
+    kv = _load_kv_config(args.config)
+    config = _engine_config(args, kv)
+    providers = _bundle(args, config, kv)
     corpus = load_corpus(args.corpus)
     engine = MemoryEngine(providers, config)
     snapshot, telemetry = replay(corpus, engine, args.strategy)
@@ -198,7 +197,8 @@ def cmd_ingest(args) -> int:
 def cmd_query(args) -> int:
     if not args.text.strip():
         raise ValueError("--text must be non-empty")
-    engine_keys = sorted(set(_load_kv_config(args.config)) - set(_HTTP_KEYS))
+    kv = _load_kv_config(args.config)
+    engine_keys = sorted(set(kv) - set(_HTTP_KEYS))
     if engine_keys:
         raise ValueError(
             f"query reads only {', '.join(_HTTP_KEYS)} from --config; the engine "
@@ -206,7 +206,7 @@ def cmd_query(args) -> int:
         )
     snapshot = load(args.snapshot)
     config = snapshot.config if args.seed is None else replace(snapshot.config, seed=args.seed)
-    providers = _bundle(args, config)
+    providers = _bundle(args, config, kv)
     engine = MemoryEngine(providers, snapshot=snapshot)
     ranked = engine.query(Query(args.text), k=args.k)
     lookup = event_lookup(snapshot)
@@ -242,7 +242,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _engine_config(args)
+    kv = _load_kv_config(args.config)
+    config = _engine_config(args, kv)
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         raise ValueError("--strategy must name at least one strategy")
@@ -264,7 +265,7 @@ def cmd_eval(args) -> int:
     }
     rows = []
     for name in strategies:
-        providers = _bundle(args, config)
+        providers = _bundle(args, config, kv)
         engine = MemoryEngine(providers, config)
         snapshot, telemetry = replay(corpus, engine, name, noise=noise)
         metrics = evaluate(corpus, snapshot, providers)

@@ -59,6 +59,8 @@ class EngineConfig:
             raise ValueError("retrieval_k must be >= 1")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
+        if self.pause_gap_minutes < 0:
+            raise ValueError("pause_gap_minutes must be >= 0")
         for name in ("beta_time", "beta_role", "beta_conf"):
             value = getattr(self, name)
             if value < 1.0:

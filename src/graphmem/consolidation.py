@@ -34,7 +34,7 @@ from .core import (
     next_topic_id,
     raw_text,
 )
-from .errors import ConsolidationError, ProviderError, ProviderParseError
+from .errors import ConsolidationError, ProviderError, ProviderParseError, StateError
 from .providers import ProviderBundle, RelationScorer, real_number
 from .store import checked_vector, topic_index, vector_topk
 
@@ -218,10 +218,12 @@ def apply_verdict(
 ) -> tuple[list[ConsolidationReport], MemorySnapshot]:
     """Consolidate each maximal segment a verdict identifies, in order.
 
-    Content after the last split stays buffered; a forced verdict consumes
-    the whole buffer.  If a segment aborts, earlier committed segments stay
-    committed and the remaining buffer is retained untouched.
+    Content after the last split stays buffered; a split past the buffer
+    raises :class:`StateError` before any provider call.  If a segment aborts,
+    earlier committed segments stay committed and the rest stays buffered.
     """
+    if verdict.split_indices and verdict.split_indices[-1] >= len(snapshot.buffer):
+        raise StateError(f"verdict splits past a buffer of {len(snapshot.buffer)}")
     reports = []
     consumed = -1
     for split in verdict.split_indices:

@@ -3,9 +3,12 @@
 The engine owns the current snapshot and is the only thing that mutates it.
 Boundary checks fire solely on sparse events: a session change, an
 interaction pause longer than the configured gap, buffer overflow after an
-append, or an explicit request.  What a fired check cuts is the segmenter's
-decision; the default consults the discriminator once.  Reads (``query``)
-run against the immutable snapshot and can be shared freely across threads.
+append, or an explicit request.  Where a fired check cuts is the
+segmenter's decision; the default consults the discriminator once.  What
+the cut consumes is the engine's: each segment up to the last split (a
+shift at index 0 takes one turn, even on overflow), or the whole buffer for
+an overflow verdict with no split.  Reads (``query``) run against the
+immutable snapshot and can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class MemoryEngine:
         checked after the append so the budget breach itself is what forces
         the consolidation.  A turn that :class:`Utterance` rejects raises
         ``ValueError`` before any trigger fires, so the snapshot is unchanged.
+        A fired check that raises propagates: the turn is not stored after a
+        session-change or pause check, but is after an overflow check, so
+        retrying that call would store it twice.
         """
         utterance = Utterance(session_id, speaker, text, timestamp, turn_index)
         reports: list[ConsolidationReport] = []
@@ -104,10 +110,7 @@ class MemoryEngine:
         """The default segmenter: one consultation of the bundle's
         discriminator, falling back to the embedding heuristic."""
         return check_boundary(
-            snapshot,
-            trigger,
-            self.providers.discriminator,
-            self.providers.embedder,
+            snapshot, self.providers.discriminator, self.providers.embedder
         )
 
     def query(self, query: Query | str, k: int | None = None) -> list[RankedCandidate]:
@@ -132,6 +135,8 @@ class MemoryEngine:
             return []
         self.trigger_counts[kind] += 1
         verdict = self.segmenter(self._snapshot, kind)
+        if kind is TriggerKind.BUFFER_OVERFLOW and not verdict.split_indices:
+            verdict = BoundaryVerdict((len(self._snapshot.buffer) - 1,), forced=True)
         reports, self._snapshot = apply_verdict(
             self._snapshot, verdict, self.providers
         )

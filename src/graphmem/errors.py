@@ -8,8 +8,8 @@ class GraphMemError(Exception):
 class StateError(GraphMemError):
     """An operation does not fit the memory it was applied to.
 
-    Raised for archiving or boundary-checking an empty buffer, an overflow
-    trigger without an overflowing buffer, and an exhausted id counter.
+    Raised for archiving or boundary-checking an empty buffer, a verdict
+    split past the buffer, and an exhausted id counter.
     """
 
 

@@ -217,7 +217,7 @@ def inject_noise(
 
 
 def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
-    """Perturb every unforced verdict of ``segmenter`` with ``spec``.
+    """Perturb every verdict of ``segmenter`` with ``spec``.
 
     Each check draws its own stream, seeded from ``spec.seed`` and the
     snapshot's logical clock, so runs are reproducible and checks independent.
@@ -226,7 +226,7 @@ def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
     def segment(snapshot: MemorySnapshot, trigger: TriggerKind) -> BoundaryVerdict:
         verdict = segmenter(snapshot, trigger)
         buffer_len = len(snapshot.buffer)
-        if verdict.forced or buffer_len < 2:
+        if buffer_len < 2:
             return verdict
         check_spec = replace(spec, seed=spec.seed * 2**32 + snapshot.logical_clock)
         perturbed = inject_noise(verdict.split_indices, check_spec, buffer_len - 1)
@@ -237,17 +237,14 @@ def _noisy_segmenter(segmenter: Segmenter, spec: NoiseSpec) -> Segmenter:
 
 def _whole_buffer_segmenter(cut_at_session_end: bool) -> Segmenter:
     """Heuristic strategies never consult the discriminator: a fired check
-    consumes the whole buffer on overflow (forced), on an explicit request,
-    and at a session end if the strategy cuts there; otherwise it keeps it."""
+    consumes the whole buffer on an explicit request and at a session end if
+    the strategy cuts there, and otherwise keeps it for the engine to judge."""
 
     def segment(snapshot: MemorySnapshot, trigger: TriggerKind) -> BoundaryVerdict:
-        whole = (len(snapshot.buffer) - 1,)
-        if trigger is TriggerKind.BUFFER_OVERFLOW:
-            return BoundaryVerdict(whole, forced=True)
         if trigger is TriggerKind.MANUAL or (
             cut_at_session_end and trigger is TriggerKind.SESSION_END
         ):
-            return BoundaryVerdict(whole)
+            return BoundaryVerdict((len(snapshot.buffer) - 1,))
         return BoundaryVerdict()
 
     return segment
@@ -301,8 +298,7 @@ def replay(
     perturbed when ``noise`` is given.  The heuristic strategies cut whole
     buffers: ``session`` at session ends, ``fixed_turns``/``fixed_window``
     through an explicit check (counted as ``manual``) once the buffer holds
-    the configured number of turns or tokens; all of them still obey the
-    engine's overflow rule.
+    the configured number of turns or tokens.
     """
     kind, param = parse_strategy(strategy)
     if kind == "semantic":

@@ -15,17 +15,15 @@ from graphmem.errors import ProviderParseError, ProviderTransportError, StateErr
 from graphmem.providers import MockBoundaryDiscriminator, MockEmbedder, content_words, jaccard
 
 
-def buffered(texts, session="s1", config=None):
-    snap = new_snapshot(config)
+def buffered(texts, session="s1"):
+    snap = new_snapshot()
     for text in texts:
         snap = append_event(snap, Utterance(session, "ana", text))
     return snap
 
 
-def check(snap, discriminator=None, trigger=TriggerKind.SESSION_END):
-    return check_boundary(
-        snap, trigger, discriminator or MockBoundaryDiscriminator(), MockEmbedder(64)
-    )
+def check(snap, discriminator=None):
+    return check_boundary(snap, discriminator or MockBoundaryDiscriminator(), MockEmbedder(64))
 
 
 CUTOFF = EngineConfig().heuristic_cutoff
@@ -84,28 +82,11 @@ class TestCheckBoundary:
         verdict = check(snap)
         assert list(verdict.split_indices) == expected
 
-    def test_overflow_with_no_shift_forces_whole_buffer(self):
+    def test_no_shift_is_an_empty_verdict_on_any_buffer(self):
         filler = "garden " * 41  # 41 tokens per line
         snap = buffered([filler.strip()] * 50)  # 2050 estimated tokens
         assert snap.active_event_graph.token_total > 2048
-        verdict = check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
-        assert verdict.forced
-        assert verdict.split_indices == (len(snap.buffer) - 1,)
-
-    def test_overflow_with_real_shift_is_not_forced(self):
-        snap = buffered(
-            ["the puppy leash", "an interview offer"],
-            config=EngineConfig(buffer_token_limit=5),
-        )
-        assert snap.active_event_graph.token_total > 5
-        verdict = check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
-        assert not verdict.forced
-        assert verdict.split_indices == (0,)
-
-    def test_overflow_trigger_requires_an_overflowing_buffer(self):
-        snap = buffered(["a few short words"])
-        with pytest.raises(StateError, match="overflow"):
-            check(snap, trigger=TriggerKind.BUFFER_OVERFLOW)
+        assert check(snap) == BoundaryVerdict()
 
     def test_never_mutates_the_snapshot(self):
         snap = buffered(["puppy leash", "interview offer"])

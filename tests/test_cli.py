@@ -253,6 +253,41 @@ class TestQuery:
             assert column in header
 
 
+@pytest.mark.parametrize("command", ["ingest", "query", "eval"])
+def test_config_file_read_once_per_command(
+    command, smoke_paths, golden_snapshot_file, tmp_path, capsys, monkeypatch
+):
+    """Also over ``--provider http`` (with the mocks behind it), where the
+    provider reads its endpoint from the same file, and for every strategy
+    of an ``eval`` matrix."""
+    import graphmem.cli as cli
+    from graphmem.providers import mock_bundle
+
+    reads = []
+    read = cli._load_kv_config
+    monkeypatch.setattr(cli, "_load_kv_config", lambda path: reads.append(path) or read(path))
+    monkeypatch.setattr(cli, "http_bundle", lambda http_config, dim: mock_bundle())
+    config_file = tmp_path / "engine.conf"
+    config_file.write_text("http_base_url = http://localhost:1\n")
+    arguments = {
+        "ingest": ["--corpus", smoke_paths["corpus"], "--snapshot-out", smoke_paths["snapshot"]],
+        "query": ["--snapshot", golden_snapshot_file, "--text", "garden"],
+        "eval": [
+            "--corpus",
+            FIXTURES / "golden_turns.jsonl",
+            "--strategy",
+            "semantic,session",
+            "--report",
+            smoke_paths["report"],
+        ],
+    }[command]
+    code, _, err = run_cli(
+        [command, *arguments, "--provider", "http", "--config", config_file], capsys
+    )
+    assert code == 0, err
+    assert reads == [config_file]
+
+
 class TestEval:
     def test_matrix_emits_three_rows_and_report(self, smoke_paths, capsys):
         code, out, _ = run_cli(

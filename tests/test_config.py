@@ -26,6 +26,7 @@ def test_defaults_pin_the_operating_point():
         ("beta_time", 0.9),
         ("beta_role", 0.0),
         ("embedding_dim", 0),
+        ("pause_gap_minutes", -1),
         # wrong types: each would load and break a later slice, range or seed
         ("k_cand", 2.5),
         ("retrieval_k", 2.5),
@@ -57,6 +58,12 @@ def test_invalid_values_rejected(field, value):
 def test_non_finite_values_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         EngineConfig(**{field: value})
+
+
+def test_negative_pause_gap_refused_and_zero_accepted():
+    with pytest.raises(ValueError, match="pause_gap_minutes must be >= 0"):
+        EngineConfig(pause_gap_minutes=-5)
+    assert EngineConfig(pause_gap_minutes=0).pause_gap_minutes == 0
 
 
 def test_int_accepted_for_float_fields():

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from graphmem.boundary import BoundaryVerdict, TriggerKind
 from graphmem.config import EngineConfig
 from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
+from graphmem.errors import ProviderTransportError, StateError
 from graphmem.providers import mock_bundle
 from graphmem.store import load, save
 
@@ -129,6 +131,102 @@ class TestSegmenter:
         assert seen == [(TriggerKind.MANUAL, 2), (TriggerKind.SESSION_END, 2)]
         assert len(engine.snapshot.buffer) == 3
         assert engine.providers.call_log.count("discriminator") == 0
+
+
+class DownDiscriminator:
+    def detect(self, utterances):
+        raise ProviderTransportError("discriminator down")
+
+
+def buffered_texts(engine):
+    return [node.text for node in engine.snapshot.buffer]
+
+
+class TestOverflowRule:
+    """What a fired check consumes is the engine's decision, whatever the
+    segmenter answered."""
+
+    def test_overflow_with_no_shift_forces_whole_buffer(self):
+        engine = fresh_engine()
+        filler = ("garden " * 41).strip()  # 41 tokens per line
+        for _ in range(49):
+            assert engine.observe("s1", "ana", filler) == []
+        reports = engine.observe("s1", "ana", filler)  # 2050 > 2048
+        assert engine.trigger_counts[TriggerKind.BUFFER_OVERFLOW] == 1
+        assert [r.forced for r in reports] == [True]
+        assert engine.snapshot.buffer == ()
+        assert [len(g.nodes) for g in engine.snapshot.archive.values()] == [50]
+
+    def test_overflow_with_real_shift_is_not_forced(self):
+        engine = fresh_engine(EngineConfig(buffer_token_limit=5))
+        engine.observe("s1", "ana", "the puppy leash")
+        reports = engine.observe("s1", "riley", "an interview offer")  # 6 > 5
+        assert engine.trigger_counts[TriggerKind.BUFFER_OVERFLOW] == 1
+        assert [r.forced for r in reports] == [False]
+        # The shift at index 0 consumes only the first turn.
+        assert buffered_texts(engine) == ["an interview offer"]
+
+    def test_custom_segmenter_no_split_overflow_empties_the_buffer(self):
+        engine = fresh_engine(EngineConfig(buffer_token_limit=10))
+        engine.segmenter = lambda snapshot, trigger: BoundaryVerdict()
+        forced = []
+        for i in range(10):
+            forced += [r.forced for r in engine.observe("s1", "ana", f"garden compost soil bed{i}")]
+            assert engine.snapshot.active_event_graph.token_total <= 10
+        # 4 tokens a turn: every third turn overflows and takes the buffer.
+        assert engine.trigger_counts[TriggerKind.BUFFER_OVERFLOW] == 3
+        assert forced == [True, True, True]
+        assert buffered_texts(engine) == ["garden compost soil bed9"]
+
+    @pytest.mark.parametrize(
+        "splits,turns", [((5, 7), 2), ((0, 2), 2), ((1,), 1)], ids=["both", "last", "one"]
+    )
+    def test_split_past_the_buffer_raises_before_any_provider_call(self, splits, turns):
+        engine = fresh_engine()
+        engine.segmenter = lambda snapshot, trigger: BoundaryVerdict(splits)
+        for i in range(turns):
+            engine.observe("s1", "ana", f"puppy leash collar {i}")
+        before, calls = engine.snapshot, len(engine.providers.call_log)
+        with pytest.raises(StateError, match="past a buffer"):
+            engine.end_session()
+        assert engine.snapshot is before
+        assert len(engine.providers.call_log) == calls
+
+
+class TestFailedCheck:
+    """A check that raises leaves the turn stored only if it fired after
+    the append, which only the overflow check does."""
+
+    def engine(self, config=None):
+        engine = fresh_engine(config)
+        engine.providers = replace(engine.providers, discriminator=DownDiscriminator())
+        return engine
+
+    def test_failed_overflow_check_has_stored_the_turn(self):
+        engine = self.engine(EngineConfig(buffer_token_limit=5))
+        engine.observe("s1", "ana", "garden compost soil")
+        with pytest.raises(ProviderTransportError):
+            engine.observe("s1", "riley", "garden mulch herbs")  # 6 > 5
+        assert engine.trigger_counts[TriggerKind.BUFFER_OVERFLOW] == 1
+        assert buffered_texts(engine) == ["garden compost soil", "garden mulch herbs"]
+
+    def test_failed_session_change_check_has_not_stored_the_turn(self):
+        engine = self.engine()
+        engine.observe("s1", "ana", "garden compost soil")
+        with pytest.raises(ProviderTransportError):
+            engine.observe("s2", "riley", "garden mulch herbs")
+        assert engine.trigger_counts[TriggerKind.SESSION_END] == 1
+        assert buffered_texts(engine) == ["garden compost soil"]
+
+    def test_failed_pause_check_has_not_stored_the_turn(self):
+        engine = self.engine()
+        engine.observe("s1", "ana", "garden compost soil", timestamp="2026-01-05T09:00:00")
+        with pytest.raises(ProviderTransportError):
+            engine.observe(
+                "s1", "riley", "garden mulch herbs", timestamp="2026-01-05T09:31:00"
+            )
+        assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == 1
+        assert buffered_texts(engine) == ["garden compost soil"]
 
 
 class TestDeterminism:
@@ -256,3 +354,66 @@ def test_every_accepted_turn_saves_loads_and_answers(turns, question):
         reloaded = load(path)
     assert snapshot_hash(reloaded) == snapshot_hash(engine.snapshot)
     MemoryEngine(engine.providers, snapshot=reloaded).query(question)
+
+
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"),
+            st.sampled_from(["s1", "s2"]),
+            st.sampled_from([None, "2026-01-05T09:00:00", "2026-01-05T10:00:00"]),
+            st.integers(1, 4),
+        ),
+        st.tuples(st.just("end_session")),
+        st.tuples(st.just("check_now")),
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations=OPERATIONS, data=st.data())
+def test_any_verdict_stores_every_turn_once(operations, data):
+    """Whatever a segmenter answers, a call raises only ``StateError`` and
+    only for a split past the buffer, each accepted turn is stored once with
+    rising event ids, and an overflow check with no split empties the
+    buffer."""
+    engine = fresh_engine(EngineConfig(buffer_token_limit=6))
+    fired = []
+
+    def segmenter(snapshot, trigger):
+        size = len(snapshot.buffer)
+        splits = data.draw(st.lists(st.integers(0, size + 2), unique=True, max_size=3))
+        fired.append((trigger, tuple(sorted(splits)), size))
+        return BoundaryVerdict(fired[-1][1])
+
+    engine.segmenter = segmenter
+    stored = []
+    for number, (name, *args) in enumerate(operations):
+        fired.clear()
+        text = None
+        try:
+            if name == "observe":
+                session, timestamp, words = args
+                text = " ".join([f"turn{number}"] + ["word"] * (words - 1))
+                engine.observe(session, "ana", text, timestamp)
+            else:
+                getattr(engine, name)()
+        except StateError:
+            trigger, splits, size = fired[-1]
+            assert splits and splits[-1] >= size
+            if trigger is TriggerKind.BUFFER_OVERFLOW:
+                stored.append(text)
+            continue
+        assert all(not splits or splits[-1] < size for _, splits, size in fired)
+        if text is not None:
+            stored.append(text)
+        if fired and fired[-1][0] is TriggerKind.BUFFER_OVERFLOW and not fired[-1][1]:
+            assert engine.snapshot.buffer == ()
+
+    snapshot = engine.snapshot
+    nodes = [n for key in sorted(snapshot.archive) for n in snapshot.archive[key].nodes]
+    nodes += snapshot.buffer
+    assert [n.text for n in nodes] == stored
+    ids = [n.id for n in nodes]
+    assert ids == sorted(set(ids))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.boundary import TriggerKind, check_boundary, heuristic_discriminator
+from graphmem.boundary import check_boundary, heuristic_discriminator
 from graphmem.config import EngineConfig
 from graphmem.consolidation import consolidate_segment, score_relation
 from graphmem.core import EventNode, Utterance, append_event, new_snapshot, snapshot_hash
@@ -429,9 +429,7 @@ class TestEngineJudgesReplies:
         bundle, _ = scripted_bundle([reply])
         snap = buffered(["the puppy leash collar", "an interview offer panel"])
         with caplog.at_level(logging.WARNING, logger="graphmem.boundary"):
-            verdict = check_boundary(
-                snap, TriggerKind.SESSION_END, bundle.discriminator, bundle.embedder
-            )
+            verdict = check_boundary(snap, bundle.discriminator, bundle.embedder)
         expected = heuristic_discriminator(
             snap.buffer, bundle.embedder, snap.config.heuristic_cutoff
         )

@@ -231,6 +231,14 @@ class TestValidation:
             load(path)
         assert err.value.invariant == "document-schema"
 
+    def test_negative_pause_gap_rejected(self, snapshot, tmp_path):
+        document, path = self._document(snapshot, tmp_path)
+        document["config"]["pause_gap_minutes"] = -5
+        self._rewrite(document, path)
+        with pytest.raises(CorruptionError, match="pause_gap_minutes") as err:
+            load(path)
+        assert err.value.invariant == "document-schema"
+
     def test_unknown_event_field_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         _first_archive(document)["nodes"][0]["mood"] = "cheerful"

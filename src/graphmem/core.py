@@ -16,7 +16,11 @@ Identifiers are engine-generated, zero-padded and monotonic ("e000007",
 replays are byte-stable; a counter past 999999 is refused.  Because event ids
 rise through the archives in id order and then the buffer (the loader checks
 this), the next event id follows from the newest node alone, and the next
-topic or archive id from the highest key.
+topic or archive id from the highest key.  A turn appended without a turn
+index gets one past its session's highest: the highest over the archives is
+a derived value carried from snapshot to snapshot, never saved and built by
+one scan on first use (after a load, for instance), so only the buffer,
+which the token limit bounds, is scanned per turn.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .config import EngineConfig, estimate_tokens
 from .errors import StateError
@@ -218,13 +222,21 @@ def raw_text(nodes: Sequence[EventNode]) -> str:
 
 @dataclass(frozen=True)
 class MemorySnapshot:
-    """Composite memory state; see the module docstring for the layout."""
+    """Composite memory state; see the module docstring for the layout.
+
+    ``archive_turn_max`` (session id -> highest archived turn index) is a
+    derived value, like ``TopicGraph.vector_index``; a built map is never
+    changed, so snapshots forked from one parent may share it.
+    """
 
     config: EngineConfig
     topic_graph: TopicGraph = field(default_factory=TopicGraph)
     active_event_graph: EventGraph = field(default_factory=EventGraph)
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
     logical_clock: int = 0
+    archive_turn_max: dict[str, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def buffer(self) -> tuple[EventNode, ...]:
@@ -283,7 +295,9 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     """Append one utterance to the live buffer.
 
     The topic layer and archives are shared with the input snapshot
-    unchanged; only the buffer and the logical clock move.
+    unchanged; only the buffer and the logical clock move.  A missing turn
+    index is one past the session's highest, taken from the carried
+    per-session maximum over the archives and a scan of the buffer.
     """
     turn_index = utterance.turn_index
     if turn_index is None:
@@ -298,22 +312,44 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
         timestamp=utterance.timestamp,
         token_count=estimate_tokens(utterance.text),
     )
-    return replace(
-        snapshot,
-        active_event_graph=EventGraph(snapshot.buffer + (node,)),
-        logical_clock=snapshot.logical_clock + 1,
+    return _carry_turn_max(
+        replace(
+            snapshot,
+            active_event_graph=EventGraph(snapshot.buffer + (node,)),
+            logical_clock=snapshot.logical_clock + 1,
+        ),
+        snapshot.archive_turn_max,
     )
 
 
 def _derive_turn_index(snapshot: MemorySnapshot, session_id: str) -> int:
-    seen = [
-        n.turn_index
-        for n in snapshot.active_event_graph.nodes
-        if n.session_id == session_id
-    ]
-    for graph in snapshot.archive.values():
-        seen.extend(n.turn_index for n in graph.nodes if n.session_id == session_id)
-    return max(seen, default=-1) + 1
+    highest = snapshot.archive_turn_max
+    if highest is None:
+        archived = (n for g in snapshot.archive.values() for n in g.nodes)
+        highest = _raise_turn_max({}, archived)
+        _carry_turn_max(snapshot, highest)
+    turn = highest.get(session_id, -1)
+    for node in snapshot.buffer:
+        if node.session_id == session_id and node.turn_index > turn:
+            turn = node.turn_index
+    return turn + 1
+
+
+def _raise_turn_max(highest: dict[str, int], nodes: Iterable[EventNode]) -> dict[str, int]:
+    for node in nodes:
+        if node.turn_index > highest.get(node.session_id, -1):
+            highest[node.session_id] = node.turn_index
+    return highest
+
+
+def _carry_turn_max(
+    snapshot: MemorySnapshot, highest: dict[str, int] | None
+) -> MemorySnapshot:
+    # A derived value, so setting it on the frozen snapshot changes nothing
+    # the snapshot compares or saves.
+    if highest is not None:
+        object.__setattr__(snapshot, "archive_turn_max", highest)
+    return snapshot
 
 
 def archive_segment(
@@ -342,11 +378,18 @@ def archive_segment(
     )
     new_archive = dict(snapshot.archive)
     new_archive[archive_id] = EventGraph(frozen_nodes)
-    return archive_id, replace(
-        snapshot,
-        active_event_graph=EventGraph(buffer.nodes[length:]),
-        archive=new_archive,
-        logical_clock=snapshot.logical_clock + 1,
+    highest = snapshot.archive_turn_max
+    if highest is not None:
+        # The parent's map stays as it is.
+        highest = _raise_turn_max(dict(highest), frozen_nodes)
+    return archive_id, _carry_turn_max(
+        replace(
+            snapshot,
+            active_event_graph=EventGraph(buffer.nodes[length:]),
+            archive=new_archive,
+            logical_clock=snapshot.logical_clock + 1,
+        ),
+        highest,
     )
 
 
@@ -391,10 +434,9 @@ def insert_topic_node(
         # Derived value: the parent's index stays as it is.
         index = graph.vector_index.with_row(node.id, node.embedding)
         object.__setattr__(new_graph, "vector_index", index)
-    return replace(
-        snapshot,
-        topic_graph=new_graph,
-        logical_clock=snapshot.logical_clock + 1,
+    return _carry_turn_max(
+        replace(snapshot, topic_graph=new_graph, logical_clock=snapshot.logical_clock + 1),
+        snapshot.archive_turn_max,
     )
 
 
@@ -409,7 +451,8 @@ def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
     """Size counts shared by telemetry rows and ``inspect``.
 
     ``edges`` counts every link in the two-layer graph: topic edges, one
-    cross link per theme and the sequential edges inside each archive.
+    cross link per theme and the sequential edges inside each archive, one
+    fewer than its nodes (archives are never empty).
     """
     archives = snapshot.archive.values()
     return {
@@ -418,7 +461,7 @@ def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
         "topic_nodes": len(snapshot.topic_graph.nodes),
         "edges": len(snapshot.topic_graph.edges)
         + len(snapshot.topic_graph.nodes)
-        + sum(len(g.edges) for g in archives),
+        + sum(len(g) - 1 for g in archives),
     }
 
 

@@ -38,6 +38,7 @@ from .core import (
     EventGraph,
     EventNode,
     LIVE_BUFFER_ID,
+    SEQUENTIAL,
     MemorySnapshot,
     Relation,
     TopicEdge,
@@ -354,10 +355,10 @@ def _rebuild_graph(
         entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
     # The caller has checked the field types; a field EventNode lacks is a
     # TypeError.
-    graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))
-    if graph_dict["edges"] != [list(e) for e in graph.edges]:
+    nodes = tuple(EventNode(**entry) for entry in graph_dict["nodes"])
+    if graph_dict["edges"] != [[a.id, b.id, SEQUENTIAL] for a, b in zip(nodes, nodes[1:])]:
         raise CorruptionError("sequential-path", graph_id)
-    return graph
+    return EventGraph(nodes)
 
 
 #: The exact JSON types each stored theme and edge field may have (event

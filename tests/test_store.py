@@ -16,9 +16,13 @@ from hypothesis import strategies as st
 from graphmem.config import EngineConfig
 from graphmem.consolidation import select_candidates
 from graphmem.core import (
+    EventGraph,
+    EventNode,
+    MemorySnapshot,
     TopicGraph,
     Utterance,
     append_event,
+    archive_segment,
     canonical_json,
     neighbors,
     next_archive_id,
@@ -702,9 +706,50 @@ def _observe(engine, turn):
     engine.observe(turn.session_id, turn.speaker, turn.text, turn.timestamp, turn.turn_index)
 
 
+@st.composite
+def turn_programs(draw):
+    """Steps over 1-3 interleaved sessions: turns with the turn index left
+    out or given (also below the session's highest), explicit checks, and
+    save/load round trips."""
+    sessions = ("s1", "s2", "s3")[: draw(st.integers(1, 3))]
+    vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer")
+    steps = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("turn", "turn", "turn", "end_session", "check_now", "reload")))
+        if kind == "turn":
+            session = draw(st.sampled_from(sessions))
+            turn_index = draw(st.none() | st.integers(0, 40))
+            words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5))
+            steps.append((kind, session, turn_index, " ".join(words)))
+        else:
+            steps.append((kind,))
+    return steps
+
+
+def _next_turn(snapshot, session_id):
+    """The turn index an append without one gets."""
+    return append_event(snapshot, Utterance(session_id, "ana", "probe")).buffer[-1].turn_index
+
+
+def _archived_session(session_id, turns):
+    """A snapshot whose one archive holds ``turns`` turns of one session."""
+    snapshot = MemorySnapshot(EngineConfig())
+    for turn in range(turns):
+        snapshot = append_event(snapshot, Utterance(session_id, "ana", f"garden turn {turn}"))
+    return archive_segment(snapshot, turns, [True] * turns)[1]
+
+
+def _scan_next_turn(snapshot, session_id):
+    """Reference derivation: one past the session's highest stored turn."""
+    graphs = (snapshot.active_event_graph, *snapshot.archive.values())
+    turns = [n.turn_index for g in graphs for n in g.nodes if n.session_id == session_id]
+    return max(turns, default=-1) + 1
+
+
 class TestDerivedValueProperties:
-    """Id allocation, the carried vector index and the adjacency map read
-    only derived state; each must equal the full scan it replaced."""
+    """Id allocation, turn-index derivation, the carried vector index and
+    the adjacency map read only derived state; each must equal the full scan
+    it replaced."""
 
     @settings(max_examples=25, deadline=None)
     @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
@@ -752,3 +797,94 @@ class TestDerivedValueProperties:
             assert index.matrix.tobytes() == matrix
             assert len(index.ids) == len(before.topic_graph.nodes)
             assert retrieve(before, query, engine.providers) == ranking
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=turn_programs(), limit=st.sampled_from((8, 24, 2048)))
+    def test_derived_turn_index_matches_a_full_scan(self, steps, limit):
+        engine = _engine(limit)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "snapshot.json")
+            for step in steps:
+                if step[0] == "turn":
+                    _, session, turn_index, text = step
+                    engine.observe(session, "ana", text, None, turn_index)
+                elif step[0] == "reload":
+                    save(engine.snapshot, path)
+                    engine = MemoryEngine(engine.providers, snapshot=load(path))
+                else:
+                    getattr(engine, step[0])()
+                snapshot = engine.snapshot
+                for session in ("s1", "s2", "s3"):
+                    assert _next_turn(snapshot, session) == _scan_next_turn(snapshot, session)
+
+    def test_forks_derive_from_their_own_history(self):
+        parent = _archived_session("s1", 12)
+        assert _next_turn(parent, "s1") == 12
+        built = parent.archive_turn_max
+        frozen = dict(built)
+
+        high = append_event(parent, Utterance("s1", "ana", "a late turn", turn_index=50))
+        low = append_event(parent, Utterance("s2", "riley", "another session"))
+        for child, expected in ((high, 51), (low, 12)):
+            assert _next_turn(child, "s1") == expected
+            _, archived = archive_segment(child, len(child.buffer), [True] * len(child.buffer))
+            assert not archived.buffer
+            assert _next_turn(archived, "s1") == expected
+        assert parent.archive_turn_max is built
+        assert built == frozen
+        assert _next_turn(parent, "s1") == 12
+
+    def test_replaced_archives_derive_from_the_new_ones(self):
+        long, short = _archived_session("s1", 12), _archived_session("s1", 4)
+        assert _next_turn(long, "s1") == 12
+        swapped = dataclasses.replace(long, archive=short.archive)
+        assert _next_turn(swapped, "s1") == 4
+
+    def test_the_derived_map_is_never_saved_compared_or_shown(self):
+        snapshot = _archived_session("s1", 6)
+        fresh = dataclasses.replace(snapshot)
+        _next_turn(snapshot, "s1")
+        assert snapshot.archive_turn_max == {"s1": 5}
+        assert fresh.archive_turn_max is None
+        assert snapshot == fresh
+        assert repr(snapshot) == repr(fresh)
+        assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
+        with pytest.raises(TypeError):
+            MemorySnapshot(snapshot.config, archive_turn_max={})
+
+    def test_turns_after_the_first_never_iterate_an_archive(self):
+        # The per-turn cost stays flat: once derived, the archived maximum is
+        # carried, so appending more turns reads no archived node.
+        iterations = []
+
+        class CountingNodes(tuple):
+            def __iter__(self):
+                iterations.append(1)
+                return super().__iter__()
+
+        archives = {}
+        for number in range(1, 201):
+            nodes = CountingNodes(
+                EventNode(
+                    id=f"e{5 * (number - 1) + i + 1:06d}",
+                    session_id=f"s{number % 10}",
+                    turn_index=number + i,
+                    speaker="ana",
+                    text="an archived turn",
+                    timestamp=None,
+                    token_count=4,
+                )
+                for i in range(5)
+            )
+            archives[f"a{number:06d}"] = EventGraph(nodes)
+        config = EngineConfig()
+        engine = MemoryEngine(mock_bundle(config), config, MemorySnapshot(config, archive=archives))
+
+        engine.observe("s3", "ana", "the first new turn")
+        assert len(iterations) == len(archives)
+        for turn in range(50):
+            engine.observe("s3", "ana", f"another new turn {turn}")
+        assert len(iterations) == len(archives)
+        assert engine.snapshot.archive == archives  # no turn was consolidated
+        turns = [n.turn_index for n in engine.snapshot.buffer]
+        assert turns == list(range(198, 249))

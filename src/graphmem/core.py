@@ -37,6 +37,7 @@ from .config import EngineConfig, estimate_tokens
 from .errors import StateError
 
 if TYPE_CHECKING:
+    from .retrieval import CandidateEvent
     from .store import VectorIndex
 
 _ID_WIDTH = 6
@@ -131,9 +132,19 @@ class Utterance:
 
 @dataclass(frozen=True)
 class EventGraph:
-    """Append-only utterance graph; sequential edges join consecutive nodes."""
+    """Append-only utterance graph; sequential edges join consecutive nodes.
+
+    ``candidates`` is a derived value, like ``TopicGraph.vector_index``, and
+    is never saved or compared: the retrieval candidates the graph yields
+    under one theme, built by the first query that reaches the graph and
+    reused by later ones.  A frozen archive is shared by every later
+    snapshot, so its candidates are built once.
+    """
 
     nodes: tuple[EventNode, ...] = ()
+    candidates: tuple[CandidateEvent, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.nodes)

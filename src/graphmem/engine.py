@@ -114,7 +114,10 @@ class MemoryEngine:
         )
 
     def query(self, query: Query | str, k: int | None = None) -> list[RankedCandidate]:
-        if isinstance(query, str):
+        """Retrieve over the current snapshot; any value that is not a
+        :class:`Query` is taken as its text, so a non-string is a
+        ``ValueError``."""
+        if not isinstance(query, Query):
             query = Query(text=query)
         return retrieve(self._snapshot, query, self.providers, k)
 

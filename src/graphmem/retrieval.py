@@ -3,11 +3,15 @@
 Stage one finds the nearest themes by embedding and widens the set with
 their one-hop graph neighbors.  Stage two follows cross-layer links down to
 the archived utterances behind those themes (plus the live buffer, so the
-ongoing episode is never invisible).  Stage three scores each utterance with
-a pairwise relevance probability modulated multiplicatively by temporal,
-confidence and speaker-match boosts.
+ongoing episode is never invisible); a frozen archive builds its candidates
+on the first visit and keeps them as a derived value for every later query.
+Stage three scores each utterance with a pairwise relevance probability
+modulated multiplicatively by temporal, confidence and speaker-match boosts,
+one column per factor, and builds result objects only for the top k.
 
-The whole path is read-only and safe to run concurrently over one snapshot.
+The whole path is read-only and safe to run concurrently over one snapshot:
+the cached candidates are never saved or compared, and a thread that finds
+them missing or built under another theme builds its own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .core import EventNode, LIVE_BUFFER_ID, MemorySnapshot, TopicGraph, neighbors
+from .core import (
+    EventGraph,
+    EventNode,
+    LIVE_BUFFER_ID,
+    MemorySnapshot,
+    TopicGraph,
+    neighbors,
+)
 from .errors import CorruptionError, ProviderError, ProviderParseError
 from .providers import ProviderBundle, RelevanceScorer, real_number
 from .store import checked_vector, topic_index, vector_topk
@@ -50,6 +61,8 @@ class Query:
     time_sensitive: bool | None = None
 
     def __post_init__(self) -> None:
+        if type(self.text) is not str:
+            raise ValueError("query text must be a str")
         if not self.text.strip():
             raise ValueError("query text must be non-empty")
 
@@ -66,7 +79,8 @@ class AnchorSet:
         return tuple(s for s, _ in self.seeds) + self.expansions
 
 
-@dataclass(frozen=True)
+# Slotted: every archived utterance a query reaches keeps one, cached.
+@dataclass(frozen=True, slots=True)
 class CandidateEvent:
     node: EventNode
     source_archive_id: str
@@ -109,8 +123,10 @@ def anchor(topic_graph: TopicGraph, query_embedding: np.ndarray, k: int) -> Anch
 def drill_down(snapshot: MemorySnapshot, anchors: AnchorSet) -> list[CandidateEvent]:
     """Collect the archived utterances behind every anchor, deduplicated.
 
-    Anchors are visited in ascending id order, so on any overlap a candidate
-    keeps the smallest anchor id as its provenance.
+    Anchors are visited in ascending id order and each archive contributes
+    once, so on any overlap a candidate keeps the smallest anchor id as its
+    provenance.  Event ids are unique across archives, so this is the same
+    as keeping each utterance once.
     """
     candidates: list[CandidateEvent] = []
     seen: set[str] = set()
@@ -118,14 +134,31 @@ def drill_down(snapshot: MemorySnapshot, anchors: AnchorSet) -> list[CandidateEv
         if anchor_id not in snapshot.topic_graph.nodes:
             raise ValueError(f"unknown anchor {anchor_id}")
         archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
+        if archive_id in seen:
+            continue
         graph = snapshot.archive.get(archive_id)
         if graph is None:
             raise CorruptionError("cross-index-target-exists", archive_id)
-        for node in graph.nodes:
-            if node.id not in seen:
-                seen.add(node.id)
-                candidates.append(CandidateEvent(node, archive_id, anchor_id))
+        seen.add(archive_id)
+        candidates.extend(_graph_candidates(graph, archive_id, anchor_id))
     return candidates
+
+
+def _graph_candidates(
+    graph: EventGraph, archive_id: str, anchor_id: str
+) -> tuple[CandidateEvent, ...]:
+    """One candidate per node of ``graph`` under this provenance, kept on
+    the graph as its derived ``candidates`` and reused while the provenance
+    matches; a frozen archive is built once and shared by later snapshots."""
+    cached = graph.candidates
+    # The first candidate carries the provenance of the whole tuple.
+    provenance = (archive_id, anchor_id)
+    if cached and (cached[0].source_archive_id, cached[0].anchor_topic_id) == provenance:
+        return cached
+    built = tuple(CandidateEvent(node, archive_id, anchor_id) for node in graph.nodes)
+    # A derived value: setting it changes nothing the graph saves or compares.
+    object.__setattr__(graph, "candidates", built)
+    return built
 
 
 def is_time_sensitive(query: Query) -> bool:
@@ -147,10 +180,6 @@ def role_indicator(lowered_query: str, candidate: EventNode) -> int:
     """1 when the speaker's name occurs in the lower-cased query text."""
     speaker = candidate.speaker.lower()
     return int(bool(speaker) and speaker in lowered_query)
-
-
-def conf_indicator(candidate: EventNode) -> int:
-    return int(candidate.confidence_flag)
 
 
 def relevance_replies(
@@ -187,6 +216,14 @@ def relevance_replies(
 _FLAGS = tuple(IndicatorFlags(t, c, r) for t in (0, 1) for c in (0, 1) for r in (0, 1))
 
 
+def _top_k(k: int | None, config: EngineConfig) -> int:
+    if k is None:
+        return config.retrieval_k
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return k
+
+
 def rerank(
     query: Query,
     candidates: Sequence[CandidateEvent],
@@ -200,72 +237,87 @@ def rerank(
 
     Candidates are scored through :func:`relevance_replies`, in one batch
     when the scorer has ``score_many``.  The score is exactly
-    ``p_sem * beta_time^t * beta_conf^c * beta_role^r``.  Ties resolve to
-    the more recent utterance (larger creation order), then the smaller node
-    id; only the top ``k`` become :class:`RankedCandidate` objects.  A failed
-    item, or a score that is not a finite real number (see
+    ``p_sem * beta_time^t * beta_conf^c * beta_role^r``, computed as one
+    column per factor.  Ties resolve to the more recent utterance (larger
+    creation order, the number in its id), then the earlier candidate; only
+    the top ``k`` become :class:`RankedCandidate` objects.  A failed item,
+    or a score that is not a finite real number (see
     :func:`~graphmem.providers.real_number`), degrades that candidate to
     embedding cosine and marks it.  The cosine uses ``query_vector`` when
     given (the caller's checked query embedding), else embeds the query
     once; an embedding that is not ``embedding_dim`` finite numbers, or a
-    cosine that is not finite, raises :class:`ProviderParseError`.
+    cosine that is not finite, raises :class:`ProviderParseError`.  A ``k``
+    below 1 is a ``ValueError`` before any provider call.
     """
-    if k is None:
-        k = config.retrieval_k
+    k = _top_k(k, config)
+    nodes = [c.node for c in candidates]
     replies = relevance_replies(
-        providers.relevance_scorer, query.text, [c.node.text for c in candidates]
+        providers.relevance_scorer, query.text, [n.text for n in nodes]
     )
-    time_sensitive = is_time_sensitive(query)
-    lowered_query = query.text.lower()
-    # One plain tuple per candidate, ordered by the ranking key; the
-    # position breaks any tie before the comparison reaches the payload.
-    rows = []
-    for position, (candidate, reply) in enumerate(zip(candidates, replies)):
-        node = candidate.node
-        # A float, the common reply, pays one type test.
-        p_sem = reply if type(reply) is float else real_number(reply)
-        degraded = not math.isfinite(p_sem)
-        if degraded:
-            failure = reply
-            if not isinstance(reply, ProviderError):
-                kind = type(reply).__name__
-                failure = ProviderParseError(f"relevance {p_sem} ({kind}) is not finite")
-            logger.warning(
-                "relevance scoring failed for %s (%s); degrading to cosine",
-                node.id,
-                failure,
-            )
-            embed, dim = providers.embedder.embed, config.embedding_dim
-            if query_vector is None:
-                query_vector = checked_vector(embed(query.text), dim)
-            text_vector = checked_vector(embed(node.text), dim)
-            cosine = float(np.dot(query_vector, text_vector))
-            if not math.isfinite(cosine):
-                raise ProviderParseError(f"non-finite cosine {cosine}") from failure
-            p_sem = max(cosine, 0.01)
-        p_sem = min(max(p_sem, 0.0), 1.0)
-        t = time_indicator(time_sensitive, node)
-        c = conf_indicator(node)
-        r = role_indicator(lowered_query, node)
-        score = p_sem * config.beta_time**t * config.beta_conf**c * config.beta_role**r
-        rows.append(
-            (-score, -int(node.id[1:]), node.id, position, p_sem, degraded, 4 * t + 2 * c + r)
+    # A float, the common reply, pays one type test.
+    values = [r if type(r) is float else real_number(r) for r in replies]
+    p_sem = np.array(values, dtype=float)
+    degraded = ~np.isfinite(p_sem)
+    for position in np.flatnonzero(degraded).tolist():
+        reply, node = replies[position], nodes[position]
+        failure = reply
+        if not isinstance(reply, ProviderError):
+            kind = type(reply).__name__
+            failure = ProviderParseError(f"relevance {values[position]} ({kind}) is not finite")
+        logger.warning(
+            "relevance scoring failed for %s (%s); degrading to cosine", node.id, failure
         )
-    rows.sort()
+        embed, dim = providers.embedder.embed, config.embedding_dim
+        if query_vector is None:
+            query_vector = checked_vector(embed(query.text), dim)
+        text_vector = checked_vector(embed(node.text), dim)
+        cosine = float(np.dot(query_vector, text_vector))
+        if not math.isfinite(cosine):
+            raise ProviderParseError(f"non-finite cosine {cosine}") from failure
+        p_sem[position] = max(cosine, 0.01)
+    # Clamp into [0, 1] as min(max(p, 0.0), 1.0) does, keeping -0.0.
+    p_sem[p_sem < 0.0] = 0.0
+    p_sem[p_sem > 1.0] = 1.0
+
+    if is_time_sensitive(query):
+        t = np.array([time_indicator(True, n) for n in nodes], dtype=np.intp)
+    else:
+        t = np.zeros(len(nodes), dtype=np.intp)
+    c = np.array([n.confidence_flag for n in nodes], dtype=np.intp)
+    lowered_query = query.text.lower()
+    # The speaker match is computed once per distinct speaker.
+    speakers = {n.speaker: n for n in nodes}
+    role = {s: role_indicator(lowered_query, n) for s, n in speakers.items()}
+    r = np.array([role[n.speaker] for n in nodes], dtype=np.intp)
+    # Multiplied left to right like the formula, so every score is bit-exact.
+    score = (
+        p_sem
+        * np.where(t, config.beta_time, 1.0)
+        * np.where(c, config.beta_conf, 1.0)
+        * np.where(r, config.beta_role, 1.0)
+    )
+    creation = np.array([int(n.id[1:]) for n in nodes], dtype=np.int64)
+    top = np.lexsort((-creation, -score))[:k]
+    flags = 4 * t + 2 * c + r
+    rows = zip(
+        top.tolist(),
+        p_sem[top].tolist(),
+        score[top].tolist(),
+        flags[top].tolist(),
+        degraded[top].tolist(),
+    )
     return [
         RankedCandidate(
-            event_node_id=node_id,
-            source_archive_id=candidates[position].source_archive_id,
-            anchor_topic_id=candidates[position].anchor_topic_id,
-            p_sem=p_sem,
-            indicators=_FLAGS[flags],
-            score=-negative_score,
+            event_node_id=nodes[i].id,
+            source_archive_id=candidates[i].source_archive_id,
+            anchor_topic_id=candidates[i].anchor_topic_id,
+            p_sem=p,
+            indicators=_FLAGS[f],
+            score=value,
             rank=rank,
-            degraded=degraded,
+            degraded=d,
         )
-        for rank, (negative_score, _, node_id, position, p_sem, degraded, flags) in enumerate(
-            rows[:k], 1
-        )
+        for rank, (i, p, value, f, d) in enumerate(rows, 1)
     ]
 
 
@@ -276,19 +328,18 @@ def retrieve(
     k: int | None = None,
 ) -> list[RankedCandidate]:
     """Full three-stage pipeline over one immutable snapshot; the live
-    buffer is always a candidate source.  A query embedding that is not
-    ``embedding_dim`` finite numbers raises :class:`ProviderParseError`."""
+    buffer is always a candidate source.  A ``k`` below 1 is a
+    ``ValueError`` before the query is embedded; a query embedding that is
+    not ``embedding_dim`` finite numbers raises :class:`ProviderParseError`."""
     config = snapshot.config
-    if k is None:
-        k = config.retrieval_k
+    k = _top_k(k, config)
     query_vector = checked_vector(
         providers.embedder.embed(query.text), config.embedding_dim
     )
     anchors = anchor(snapshot.topic_graph, query_vector, k)
     candidates = drill_down(snapshot, anchors)
     candidates.extend(
-        CandidateEvent(node, LIVE_PROVENANCE, LIVE_PROVENANCE)
-        for node in snapshot.buffer
+        _graph_candidates(snapshot.active_event_graph, LIVE_PROVENANCE, LIVE_PROVENANCE)
     )
     if not candidates:
         return []

@@ -1,14 +1,20 @@
+import concurrent.futures
+import logging
 import math
 import random
-from dataclasses import asdict, replace
+import sys
+from dataclasses import asdict, fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmem import retrieval
 from graphmem.config import EngineConfig
 from graphmem.core import (
+    EventGraph,
     EventNode,
     Relation,
     TopicEdge,
@@ -17,16 +23,24 @@ from graphmem.core import (
     append_event,
     neighbors,
     new_snapshot,
+    snapshot_bytes,
     snapshot_hash,
 )
-from graphmem.errors import CorruptionError, ProviderError, ProviderTransportError
-from graphmem.providers import mock_bundle
+from graphmem.engine import MemoryEngine
+from graphmem.errors import (
+    CorruptionError,
+    ProviderError,
+    ProviderParseError,
+    ProviderTransportError,
+)
+from graphmem.providers import mock_bundle, real_number
 from graphmem.retrieval import (
     AnchorSet,
     CandidateEvent,
+    IndicatorFlags,
     Query,
+    RankedCandidate,
     anchor,
-    conf_indicator,
     drill_down,
     event_lookup,
     is_time_sensitive,
@@ -35,6 +49,7 @@ from graphmem.retrieval import (
     role_indicator,
     time_indicator,
 )
+from graphmem.store import checked_vector, load, save
 
 from conftest import random_snapshot, unit_vector
 
@@ -57,10 +72,50 @@ class MappedRelevance:
         return self.table.get(text, self.default)
 
 
+@lru_cache(maxsize=None)
+def small_engine():
+    """One consolidated episode plus a live turn; queries only read it."""
+    engine = MemoryEngine(mock_bundle())
+    for i, text in enumerate(
+        ("the garden compost pile", "we turned the soil in may", "riley planted tomatoes")
+    ):
+        engine.observe("s1", ("ana", "riley")[i % 2], text)
+    engine.end_session()
+    engine.observe("s2", "ana", "the rook guards the castle")
+    return engine
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestQuery:
     def test_rejects_empty_text(self):
         with pytest.raises(ValueError):
             Query("   ")
+
+    @pytest.mark.parametrize("text", [None, 123, 1.5, b"garden", ["garden"], True])
+    def test_rejects_text_that_is_not_a_str(self, text):
+        with pytest.raises(ValueError, match="must be a str"):
+            Query(text)
+
+    def test_engine_query_refuses_none_with_a_value_error(self):
+        # Once an AttributeError from reading ``None.text``.
+        with pytest.raises(ValueError):
+            small_engine().query(None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=json_values)
+    def test_only_value_errors_escape_the_engine_query(self, value):
+        try:
+            ranked = small_engine().query(value)
+        except ValueError:
+            return
+        assert type(value) is str and all(type(c) is RankedCandidate for c in ranked)
 
     def test_ranked_candidate_exposes_all_components(self, golden_snapshot):
         snap, _, providers = golden_snapshot
@@ -243,11 +298,15 @@ class TestIndicators:
         ]
         assert vector == expected
 
-    def test_conf_indicator_reads_the_flag(self):
-        flagged = EventNode("e1", "s1", 0, "ana", "text", None, 1, True)
-        unflagged = EventNode("e2", "s1", 1, "ana", "text", None, 1, False)
-        assert conf_indicator(flagged) == 1
-        assert conf_indicator(unflagged) == 0
+    def test_conf_flag_reads_the_node_flag(self):
+        flagged = make_candidate(1, "text", flag=True)
+        unflagged = make_candidate(2, "text", flag=False)
+        config = EngineConfig()
+        ranked = rerank(Query("anything"), [flagged, unflagged], mock_bundle(config), config)
+        assert {c.event_node_id: c.indicators.conf for c in ranked} == {
+            "e000001": 1,
+            "e000002": 0,
+        }
 
 
 class TestRerank:
@@ -566,3 +625,342 @@ class TestRetrievePipeline:
             for _ in range(5):
                 parallel = list(pool.map(run, questions))
                 assert parallel == sequential
+
+
+class CountingRelevance:
+    def __init__(self):
+        self.calls = 0
+
+    def score(self, query, text):
+        self.calls += 1
+        return 0.5
+
+
+class TestTopK:
+    """A ``k`` below 1 is refused before any model is asked."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rerank_refuses_k_below_one_before_scoring(self, k):
+        # Once k=0 scored every candidate and returned [], and k=-1 sliced
+        # off the last candidate.
+        config = EngineConfig()
+        bundle = mock_bundle(config)
+        bundle.relevance_scorer = CountingRelevance()
+        candidates = [make_candidate(i, f"buffered turn {i}") for i in range(1, 6)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rerank(Query("anything"), candidates, bundle, config, k)
+        assert bundle.relevance_scorer.calls == 0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_retrieve_refuses_k_below_one_before_embedding(self, golden_snapshot, k):
+        snap, _, _ = golden_snapshot
+        bundle = mock_bundle(snap.config)
+        bundle.embedder = RecordingEmbedder(bundle.embedder)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            retrieve(snap, Query("garden compost"), bundle, k)
+        assert bundle.embedder.texts == []
+
+    def test_engine_query_records_no_call_for_k_zero(self):
+        engine = small_engine()
+        before = len(engine.providers.call_log)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            engine.query("garden compost", k=0)
+        assert len(engine.providers.call_log) == before
+
+
+def reference_rerank(query, candidates, providers, config, k=None, *, query_vector=None):
+    """The per-candidate re-rank loop that the columnar ``rerank`` replaced,
+    kept as its oracle."""
+    if k is None:
+        k = config.retrieval_k
+    replies = retrieval.relevance_replies(
+        providers.relevance_scorer, query.text, [c.node.text for c in candidates]
+    )
+    time_sensitive = is_time_sensitive(query)
+    lowered_query = query.text.lower()
+    rows = []
+    for position, (candidate, reply) in enumerate(zip(candidates, replies)):
+        node = candidate.node
+        p_sem = reply if type(reply) is float else real_number(reply)
+        degraded = not math.isfinite(p_sem)
+        if degraded:
+            failure = reply
+            if not isinstance(reply, ProviderError):
+                kind = type(reply).__name__
+                failure = ProviderParseError(f"relevance {p_sem} ({kind}) is not finite")
+            logging.getLogger("graphmem.retrieval").warning(
+                "relevance scoring failed for %s (%s); degrading to cosine",
+                node.id,
+                failure,
+            )
+            embed, dim = providers.embedder.embed, config.embedding_dim
+            if query_vector is None:
+                query_vector = checked_vector(embed(query.text), dim)
+            text_vector = checked_vector(embed(node.text), dim)
+            cosine = float(np.dot(query_vector, text_vector))
+            if not math.isfinite(cosine):
+                raise ProviderParseError(f"non-finite cosine {cosine}") from failure
+            p_sem = max(cosine, 0.01)
+        p_sem = min(max(p_sem, 0.0), 1.0)
+        t = time_indicator(time_sensitive, node)
+        c = int(node.confidence_flag)
+        r = role_indicator(lowered_query, node)
+        score = p_sem * config.beta_time**t * config.beta_conf**c * config.beta_role**r
+        rows.append((-score, -int(node.id[1:]), node.id, position, p_sem, degraded, (t, c, r)))
+    rows.sort()
+    return [
+        RankedCandidate(
+            event_node_id=node_id,
+            source_archive_id=candidates[position].source_archive_id,
+            anchor_topic_id=candidates[position].anchor_topic_id,
+            p_sem=p_sem,
+            indicators=IndicatorFlags(*flags),
+            score=-negative_score,
+            rank=rank,
+            degraded=degraded,
+        )
+        for rank, (negative_score, _, node_id, position, p_sem, degraded, flags) in enumerate(
+            rows[:k], 1
+        )
+    ]
+
+
+class DrawnReplies:
+    """Answers the drawn replies in order: one per ``score`` call (a
+    ``ProviderError`` is raised), or all at once from ``score_many`` when
+    ``mode`` names a batch shape."""
+
+    def __init__(self, replies, mode):
+        self.replies = list(replies)
+        self.mode = mode
+        if mode != "single":
+            self.score_many = self._score_many
+
+    def score(self, query, text):
+        reply = self.replies.pop(0)
+        if isinstance(reply, ProviderError):
+            raise reply
+        return reply
+
+    def _score_many(self, query, texts):
+        if self.mode == "raises":
+            raise ProviderTransportError("batch endpoint down")
+        if self.mode == "short":
+            return self.replies[:-1]
+        if self.mode == "long":
+            return self.replies + [0.5]
+        return list(self.replies)
+
+
+class WarningCount(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
+oracle_replies = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, 0.25)),
+    st.integers(-2, 3),
+    st.just(10**400),
+    st.floats(-0.5, 1.5).map(np.float64),
+    st.booleans(),
+    st.sampled_from((None, "0.7", "", math.nan, math.inf, -math.inf)),
+    st.just(ProviderTransportError("down")),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(0, 10))
+    candidates = [
+        CandidateEvent(
+            EventNode(
+                # Repeated numbers make equal creation orders and equal nodes.
+                id=f"e{draw(st.integers(1, 8)):06d}",
+                session_id="s1",
+                turn_index=0,
+                speaker=draw(st.sampled_from(("", "bob", "Bob", "BOB", "carol", "Carol "))),
+                text=f"note about the {draw(st.sampled_from(('rook', 'soil', 'may', 'yesterday', '2019', 'bob')))}",
+                timestamp=draw(st.sampled_from((None, "", "2026-01-01T00:00:00"))),
+                token_count=4,
+                confidence_flag=draw(st.booleans()),
+            ),
+            draw(st.sampled_from(("a000001", "a000002", "live"))),
+            draw(st.sampled_from(("t000001", "t000002", "live"))),
+        )
+        for _ in range(n)
+    ]
+    replies = draw(st.lists(oracle_replies, min_size=n, max_size=n))
+    query = Query(
+        draw(st.sampled_from(
+            ("what did bob plant", "when did carol visit", "garden notes", "Bob and Carol  on 12/05")
+        )),
+        time_sensitive=draw(st.sampled_from((None, True, False))),
+    )
+    betas = [draw(st.sampled_from((1.0, 1.2, 1.4, 2.0))) for _ in range(3)]
+    config = EngineConfig(beta_time=betas[0], beta_conf=betas[1], beta_role=betas[2])
+    mode = draw(st.sampled_from(("single", "list", "raises", "short", "long")))
+    return query, candidates, replies, config, mode, draw(st.integers(1, n + 2)), draw(st.booleans())
+
+
+class TestColumnarRerank:
+    """``rerank`` scores columns; it must rank exactly like the per-candidate
+    loop it replaced, down to the bits of every score and the order of every
+    embedding call on the degraded path."""
+
+    @staticmethod
+    def run(ranker, query, candidates, replies, config, mode, k, give_vector):
+        bundle = mock_bundle(config)
+        bundle.relevance_scorer = DrawnReplies(replies, mode)
+        bundle.embedder = RecordingEmbedder(bundle.embedder)
+        vector = None
+        if give_vector:
+            vector = checked_vector(mock_bundle(config).embedder.embed(query.text), 64)
+        warnings = WarningCount()
+        logger = logging.getLogger("graphmem.retrieval")
+        logger.addHandler(warnings)
+        try:
+            ranked = ranker(query, candidates, bundle, config, k, query_vector=vector)
+        finally:
+            logger.removeHandler(warnings)
+        shown = [
+            tuple(repr(getattr(c, f.name)) for f in fields(RankedCandidate)) for c in ranked
+        ]
+        return shown, warnings.count, bundle.call_log.entries(), bundle.embedder.texts
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_cases())
+    def test_matches_the_per_candidate_loop(self, case):
+        # repr tells -0.0 from 0.0 and a numpy float from a float.
+        assert self.run(rerank, *case) == self.run(reference_rerank, *case)
+
+
+def fresh_drill_down(snapshot, anchors):
+    """``drill_down`` as it was before archives cached their candidates:
+    every call builds new candidates, deduplicated by event id."""
+    candidates, seen = [], set()
+    for anchor_id in sorted(anchors.ids):
+        archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
+        for node in snapshot.archive[archive_id].nodes:
+            if node.id not in seen:
+                seen.add(node.id)
+                candidates.append(CandidateEvent(node, archive_id, anchor_id))
+    return candidates
+
+
+def anchor_sets(snapshot, rng, count=12):
+    """Drawn subsets of the theme ids, from one anchor to all of them."""
+    ids = sorted(snapshot.topic_graph.nodes)
+    return [
+        AnchorSet((), tuple(rng.sample(ids, rng.randint(1, len(ids)))))
+        for _ in range(count)
+    ] + [AnchorSet((), tuple(ids))]
+
+
+def assert_drill_down_matches_a_fresh_build(snapshot, rng):
+    for anchors in anchor_sets(snapshot, rng):
+        assert drill_down(snapshot, anchors) == fresh_drill_down(snapshot, anchors)
+
+
+QUESTIONS = (
+    "which tomato seedlings are in the garden greenhouse",
+    "what did riley say about the chess rook castling",
+    "when was the passport ferry boarding at the customs",
+)
+
+
+class TestCachedCandidates:
+    """A frozen archive keeps the candidates it yields as a derived value;
+    drill-down over it must equal a fresh, uncached build."""
+
+    def test_forks_sharing_archives_match_a_fresh_build(self, golden_snapshot):
+        parent, _, _ = golden_snapshot
+        forks = []
+        for topic in ("the new telescope mirror arrived", "our puppy chewed the leash"):
+            engine = MemoryEngine(mock_bundle(parent.config), snapshot=parent)
+            for i in range(4):
+                engine.observe("fork", ("ana", "riley")[i % 2], f"{topic} part {i}")
+            engine.end_session()
+            forks.append(engine.snapshot)
+        for archive_id, graph in parent.archive.items():
+            assert all(fork.archive[archive_id] is graph for fork in forks)
+        rng = random.Random(41)
+        for snapshot in (*forks, parent, *forks):
+            for question in QUESTIONS:
+                retrieve(snapshot, Query(question), mock_bundle(snapshot.config))
+            assert_drill_down_matches_a_fresh_build(snapshot, rng)
+
+    def test_a_loaded_copy_matches_a_fresh_build(self, golden_snapshot, tmp_path):
+        snapshot, _, providers = golden_snapshot
+        retrieve(snapshot, Query(QUESTIONS[0]), providers)
+        save(snapshot, tmp_path / "copy.json")
+        loaded = load(tmp_path / "copy.json")
+        assert all(g.candidates is None for g in loaded.archive.values())
+        rng = random.Random(42)
+        for _ in range(2):
+            assert_drill_down_matches_a_fresh_build(loaded, rng)
+            assert retrieve(loaded, Query(QUESTIONS[1]), providers) == retrieve(
+                snapshot, Query(QUESTIONS[1]), providers
+            )
+
+    def test_two_themes_over_one_archive_keep_the_smaller_anchor(self):
+        snapshot = random_snapshot(random.Random(43), 3)
+        nodes = dict(snapshot.topic_graph.nodes)
+        nodes["t000004"] = replace(nodes["t000002"], id="t000004")
+        snapshot = replace(snapshot, topic_graph=TopicGraph(nodes, snapshot.topic_graph.edges))
+        for ids in (("t000004",), ("t000004", "t000002"), ("t000004",), ("t000003", "t000004")):
+            anchors = AnchorSet((), ids)
+            got = drill_down(snapshot, anchors)
+            assert got == fresh_drill_down(snapshot, anchors)
+            assert {c.anchor_topic_id for c in got if c.source_archive_id == "a000002"} == {
+                min(ids) if "t000002" in ids else "t000004"
+            }
+        again = drill_down(snapshot, AnchorSet((), ("t000003",)))
+        assert drill_down(snapshot, AnchorSet((), ("t000003",)))[0] is again[0]
+
+    def test_threads_over_one_snapshot_match_a_fresh_build(self):
+        snapshot = random_snapshot(random.Random(44), 30, events_per_archive=4)
+        # Some archives under two themes, so threads also replace entries.
+        nodes = dict(snapshot.topic_graph.nodes)
+        for number in range(31, 41):
+            twin = nodes[f"t{number - 30:06d}"]
+            nodes[f"t{number:06d}"] = replace(twin, id=f"t{number:06d}")
+        snapshot = replace(snapshot, topic_graph=TopicGraph(nodes, snapshot.topic_graph.edges))
+        draws = anchor_sets(snapshot, random.Random(45), count=40)
+        expected = [fresh_drill_down(snapshot, anchors) for anchors in draws]
+
+        def run(seed):
+            order = list(range(len(draws)))
+            random.Random(seed).shuffle(order)
+            return all(drill_down(snapshot, draws[i]) == expected[i] for i in order * 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                assert all(pool.map(run, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_cached_candidates_are_never_saved_compared_or_shown(self, bundle):
+        snapshot = random_snapshot(random.Random(46), 6)
+        fresh = replace(
+            snapshot, archive={k: EventGraph(g.nodes) for k, g in snapshot.archive.items()}
+        )
+        before = snapshot_bytes(snapshot)
+        retrieve(snapshot, Query("utterance number 7 about subject 3"), bundle)
+        cached = [g for g in snapshot.archive.values() if g.candidates is not None]
+        assert cached
+        assert all(g.candidates is None for g in fresh.archive.values())
+        assert snapshot_bytes(snapshot) == before == snapshot_bytes(fresh)
+        assert snapshot == fresh
+        assert repr(snapshot) == repr(fresh)
+        graph = cached[0]
+        assert graph == EventGraph(graph.nodes)
+        assert repr(graph) == repr(EventGraph(graph.nodes))
+        with pytest.raises(TypeError):
+            EventGraph(graph.nodes, candidates=())

@@ -50,7 +50,6 @@ from .harness import (
     DialogueCorpus,
     NoiseSpec,
     QAItem,
-    Turn,
     evaluate,
     inject_noise,
     load_corpus,
@@ -97,7 +96,6 @@ __all__ = [
     "TopicGraph",
     "TopicNode",
     "TriggerKind",
-    "Turn",
     "Utterance",
     "anchor",
     "append_event",

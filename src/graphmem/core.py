@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .config import EngineConfig, estimate_tokens
 from .errors import StateError
@@ -158,11 +158,10 @@ class EventGraph:
         return tuple((a.id, b.id, SEQUENTIAL) for a, b in zip(self.nodes, self.nodes[1:]))
 
     def to_dict(self, graph_id: str) -> dict:
-        nodes = self.nodes
         return {
             "graph_id": graph_id,
-            "nodes": [_event_node_dict(n) for n in nodes],
-            "edges": [[a.id, b.id, SEQUENTIAL] for a, b in zip(nodes, nodes[1:])],
+            "nodes": [_event_node_dict(n) for n in self.nodes],
+            "edges": [list(edge) for edge in self.edges],
         }
 
 
@@ -515,25 +514,26 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
     }
 
 
-def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
-    """Plain-type document with the canonical top-level keys.
+#: The seven top-level members of the snapshot document, each with its
+#: writer.  Graph ids, event edges, ``cross_index``, each theme's ``raw`` and
+#: each edge's ``directed`` are written out from the derived values.
+SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
+    "topic_nodes": lambda s: [
+        _topic_node_dict(s.topic_graph.nodes[k], topic_raw(s, k))
+        for k in sorted(s.topic_graph.nodes)
+    ],
+    "topic_edges": lambda s: [_topic_edge_dict(e) for e in s.topic_graph.edge_list()],
+    "archives": lambda s: {k: v.to_dict(k) for k, v in s.archive.items()},
+    "cross_index": lambda s: s.cross_index,
+    "active_buffer": lambda s: s.active_event_graph.to_dict(LIVE_BUFFER_ID),
+    "config": lambda s: s.config.to_dict(),
+    "logical_clock": lambda s: s.logical_clock,
+}
 
-    Graph ids, event edges, ``cross_index``, each theme's ``raw`` and each
-    edge's ``directed`` are written out from the derived values.
-    """
-    graph = snapshot.topic_graph
-    return {
-        "topic_nodes": [
-            _topic_node_dict(graph.nodes[k], topic_raw(snapshot, k))
-            for k in sorted(graph.nodes)
-        ],
-        "topic_edges": [_topic_edge_dict(e) for e in graph.edge_list()],
-        "archives": {k: v.to_dict(k) for k, v in snapshot.archive.items()},
-        "cross_index": snapshot.cross_index,
-        "active_buffer": snapshot.active_event_graph.to_dict(LIVE_BUFFER_ID),
-        "config": snapshot.config.to_dict(),
-        "logical_clock": snapshot.logical_clock,
-    }
+
+def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
+    """Plain-type document with the canonical top-level keys."""
+    return {name: write(snapshot) for name, write in SNAPSHOT_MEMBERS.items()}
 
 
 def canonical_json(document: object) -> bytes:
@@ -544,8 +544,21 @@ def canonical_json(document: object) -> bytes:
     ).encode("utf-8")
 
 
+def snapshot_members(snapshot: MemorySnapshot) -> dict[str, bytes]:
+    """Each top-level member encoded once, ready for :func:`join_members`."""
+    return {name: canonical_json(value) for name, value in snapshot_to_dict(snapshot).items()}
+
+
+def join_members(members: Mapping[str, bytes]) -> bytes:
+    """Canonical object encoding from already encoded member values: equal
+    to ``canonical_json`` of the decoded object."""
+    return b"{%s}" % b",".join(
+        canonical_json(key) + b":" + members[key] for key in sorted(members)
+    )
+
+
 def snapshot_bytes(snapshot: MemorySnapshot) -> bytes:
-    return canonical_json(snapshot_to_dict(snapshot))
+    return join_members(snapshot_members(snapshot))
 
 
 def snapshot_hash(snapshot: MemorySnapshot) -> str:
@@ -554,8 +567,6 @@ def snapshot_hash(snapshot: MemorySnapshot) -> str:
 
 def stable_layer_hash(snapshot: MemorySnapshot) -> str:
     """Hash of everything appends must not touch: themes, archives, index."""
-    doc = snapshot_to_dict(snapshot)
-    stable = {
-        k: doc[k] for k in ("topic_nodes", "topic_edges", "archives", "cross_index")
-    }
-    return hashlib.sha256(canonical_json(stable)).hexdigest()
+    members = snapshot_members(snapshot)
+    stable = ("topic_nodes", "topic_edges", "archives", "cross_index")
+    return hashlib.sha256(join_members({k: members[k] for k in stable})).hexdigest()

@@ -17,7 +17,8 @@ import random
 import sys
 from pathlib import Path
 
-from .harness import DialogueCorpus, QAItem, Turn, write_corpus
+from .core import Utterance
+from .harness import DialogueCorpus, QAItem, write_corpus
 from .providers import STOPWORDS, content_words
 
 SMOKE_SEED = 11
@@ -133,7 +134,7 @@ def _session_turns(
     turns_per_topic: int,
     speakers: tuple[str, ...],
     facts: dict[int, tuple[str, str]] | None = None,
-) -> list[Turn]:
+) -> list[Utterance]:
     """One session's turns; ``facts`` overrides (index -> (speaker, text))."""
     facts = facts or {}
     turns = []
@@ -147,9 +148,7 @@ def _session_turns(
             anchor = TOPIC_POOLS[topic][0]
             if anchor not in content_words(text):
                 raise AssertionError(f"fact at {session_id}:{index} drops anchor {anchor}")
-            turns.append(
-                Turn(session_id, index, speaker, text, _timestamp(day, index))
-            )
+            turns.append(Utterance(session_id, speaker, text, _timestamp(day, index), index))
             index += 1
     return turns
 
@@ -209,7 +208,7 @@ def make_golden_corpus(seed: int = GOLDEN_SEED) -> DialogueCorpus:
         ("s2", ["astronomy", "finance"], ("sam", "jordan")),
         ("s3", ["travel", "chess"], SPEAKERS),
     ]
-    turns: list[Turn] = []
+    turns: list[Utterance] = []
     for day, (session_id, topics, speakers) in enumerate(plan):
         turns.extend(
             _session_turns(
@@ -291,7 +290,7 @@ SCALING_POOLS = POOL_NAMES[:10]
 def make_scaling_corpus(seed: int = SCALING_SEED) -> DialogueCorpus:
     """27 sessions, four topics each (10 pools cycled), 648 turns total."""
     rng = random.Random(seed)
-    turns: list[Turn] = []
+    turns: list[Utterance] = []
     # Topic layout repeats every five sessions (4 topics over 10 pools), so
     # fact indices below are pinned to the segment that actually holds them.
     fact_plan: dict[str, dict[int, tuple[str, str]]] = {

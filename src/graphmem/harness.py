@@ -43,19 +43,6 @@ CATEGORIES = ("single_hop", "multi_hop", "temporal", "open_domain")
 
 
 @dataclass(frozen=True)
-class Turn:
-    session_id: str
-    turn_index: int
-    speaker: str
-    text: str
-    timestamp: str | None = None
-
-    @property
-    def turn_id(self) -> str:
-        return f"{self.session_id}:{self.turn_index}"
-
-
-@dataclass(frozen=True)
 class QAItem:
     question: str
     gold_answer: str
@@ -65,15 +52,18 @@ class QAItem:
 
 @dataclass(frozen=True)
 class DialogueCorpus:
-    turns: tuple[Turn, ...]
+    """Turns, each with its ``turn_index``, and the QA items over them."""
+
+    turns: tuple[Utterance, ...]
     qa: tuple[QAItem, ...] = ()
 
     def __post_init__(self) -> None:
         seen = set()
         for row, turn in enumerate(self.turns):
-            if turn.turn_id in seen:
-                raise ValueError(f"turn row {row}: duplicate id {turn.turn_id}")
-            seen.add(turn.turn_id)
+            turn_id = f"{turn.session_id}:{turn.turn_index}"
+            if turn_id in seen:
+                raise ValueError(f"turn row {row}: duplicate id {turn_id}")
+            seen.add(turn_id)
         for row, item in enumerate(self.qa):
             if item.category not in CATEGORIES:
                 raise ValueError(f"qa row {row}: unknown category {item.category!r}")
@@ -99,16 +89,14 @@ def load_corpus(turns_path: str | Path, qa_path: str | Path | None = None) -> Di
     return DialogueCorpus(tuple(turns), tuple(qa))
 
 
-def _turn(payload: dict) -> Turn:
-    turn = Turn(
+def _turn(payload: dict) -> Utterance:
+    turn = Utterance(
         payload["session_id"],
-        payload["turn_index"],
         payload["speaker"],
         payload["text"],
         payload.get("timestamp"),
+        payload["turn_index"],
     )
-    # The Utterance that observe builds from the same values judges them.
-    Utterance(turn.session_id, turn.speaker, turn.text, turn.timestamp, turn.turn_index)
     if turn.turn_index is None:
         raise ValueError("turn_index is required")
     return turn

@@ -38,7 +38,7 @@ from .core import (
     EventGraph,
     EventNode,
     LIVE_BUFFER_ID,
-    SEQUENTIAL,
+    SNAPSHOT_MEMBERS,
     MemorySnapshot,
     Relation,
     TopicEdge,
@@ -46,7 +46,8 @@ from .core import (
     TopicNode,
     canonical_json,
     edge_key,
-    snapshot_to_dict,
+    join_members,
+    snapshot_members,
     topic_raw,
 )
 from .errors import CorruptionError, ProviderParseError
@@ -197,13 +198,12 @@ def vector_topk(
 
 def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """Write the canonical document atomically (temp file + rename)."""
-    # Each top-level value is encoded once and shared by the hash and the
-    # file; joined in key order, the members equal ``canonical_json``.
-    members = {k: canonical_json(v) for k, v in snapshot_to_dict(snapshot).items()}
-    content_hash = hashlib.sha256(_join_members(members)).hexdigest()
+    # Each top-level value is encoded once and shared by the hash and the file.
+    members = snapshot_members(snapshot)
+    content_hash = hashlib.sha256(join_members(members)).hexdigest()
     members["format_version"] = canonical_json(FORMAT_VERSION)
     members["content_hash"] = canonical_json(content_hash)
-    payload = _join_members(members)
+    payload = join_members(members)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -214,13 +214,6 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
-
-
-def _join_members(members: dict[str, bytes]) -> bytes:
-    """Canonical object encoding from already encoded member values."""
-    return b"{%s}" % b",".join(
-        canonical_json(key) + b":" + members[key] for key in sorted(members)
-    )
 
 
 def load(path: str | os.PathLike) -> MemorySnapshot:
@@ -249,17 +242,8 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     if major != FORMAT_VERSION.split(".", 1)[0]:
         raise CorruptionError("format-version-known", f"major version {major}")
 
-    body_keys = (
-        "topic_nodes",
-        "topic_edges",
-        "archives",
-        "cross_index",
-        "active_buffer",
-        "config",
-        "logical_clock",
-    )
     body = {}
-    for key in body_keys:
+    for key in SNAPSHOT_MEMBERS:
         if key not in document:
             raise CorruptionError("body-keys-present", key)
         body[key] = document[key]
@@ -355,10 +339,10 @@ def _rebuild_graph(
         entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
     # The caller has checked the field types; a field EventNode lacks is a
     # TypeError.
-    nodes = tuple(EventNode(**entry) for entry in graph_dict["nodes"])
-    if graph_dict["edges"] != [[a.id, b.id, SEQUENTIAL] for a, b in zip(nodes, nodes[1:])]:
+    graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))
+    if graph_dict["edges"] != [list(edge) for edge in graph.edges]:
         raise CorruptionError("sequential-path", graph_id)
-    return EventGraph(nodes)
+    return graph
 
 
 #: The exact JSON types each stored theme and edge field may have (event

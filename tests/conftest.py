@@ -13,11 +13,12 @@ from graphmem.core import (
     TopicEdge,
     TopicGraph,
     TopicNode,
+    Utterance,
     edge_key,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.fixtures import make_golden_corpus, make_scaling_corpus, make_smoke_corpus
-from graphmem.harness import DialogueCorpus, Turn, replay
+from graphmem.harness import DialogueCorpus, replay
 from graphmem.providers import mock_bundle
 from graphmem.store import validate_snapshot
 
@@ -149,12 +150,12 @@ def interleaved_corpora(draw):
         minute += draw(st.integers(0, 45))
         words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
         turns.append(
-            Turn(
+            Utterance(
                 session,
-                index,
                 ("ana", "riley")[row % 2],
                 " ".join(words),
                 f"2026-01-05T{9 + minute // 60:02d}:{minute % 60:02d}:00",
+                index,
             )
         )
     return DialogueCorpus(tuple(turns))

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from graphmem.boundary import TriggerKind
 from graphmem.config import EngineConfig
-from graphmem.core import snapshot_hash
+from graphmem.core import Utterance, snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.harness import (
     DialogueCorpus,
     NoiseSpec,
     QAItem,
-    Turn,
     check_criteria,
     evaluate,
     format_table,
@@ -42,26 +41,28 @@ def mini_corpus(n_turns=4, sessions=1, text="the same garden topic"):
     turns = []
     for s in range(sessions):
         for i in range(n_turns):
-            turns.append(
-                Turn(f"s{s + 1}", i, ("ana", "riley")[i % 2], f"{text} line {i}")
-            )
+            speaker = ("ana", "riley")[i % 2]
+            turns.append(Utterance(f"s{s + 1}", speaker, f"{text} line {i}", turn_index=i))
     return DialogueCorpus(tuple(turns))
 
 
 class TestCorpus:
     def test_duplicate_turn_ids_rejected(self):
-        turns = (Turn("s1", 0, "ana", "a"), Turn("s1", 0, "riley", "b"))
+        turns = (
+            Utterance("s1", "ana", "a", turn_index=0),
+            Utterance("s1", "riley", "b", turn_index=0),
+        )
         with pytest.raises(ValueError, match="duplicate"):
             DialogueCorpus(turns)
 
     def test_unknown_evidence_rejected(self):
-        turns = (Turn("s1", 0, "ana", "a"),)
+        turns = (Utterance("s1", "ana", "a", turn_index=0),)
         qa = (QAItem("q", "a", "single_hop", frozenset({"s1:9"})),)
         with pytest.raises(ValueError, match="evidence"):
             DialogueCorpus(turns, qa)
 
     def test_unknown_category_rejected(self):
-        turns = (Turn("s1", 0, "ana", "a"),)
+        turns = (Utterance("s1", "ana", "a", turn_index=0),)
         qa = (QAItem("q", "a", "mystery"),)
         with pytest.raises(ValueError, match="category"):
             DialogueCorpus(turns, qa)
@@ -446,9 +447,9 @@ class TestScalingReport:
     def test_interleaved_sessions_lose_no_turns(self):
         corpus = DialogueCorpus(
             (
-                Turn("s1", 0, "ana", "garden compost beds"),
-                Turn("s2", 0, "riley", "an interview offer"),
-                Turn("s1", 1, "ana", "garden mulch herbs"),
+                Utterance("s1", "ana", "garden compost beds", turn_index=0),
+                Utterance("s2", "riley", "an interview offer", turn_index=0),
+                Utterance("s1", "ana", "garden mulch herbs", turn_index=1),
             )
         )
         config = EngineConfig()

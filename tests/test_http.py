@@ -19,7 +19,7 @@ from graphmem.errors import (
     ProviderParseError,
     ProviderTransportError,
 )
-from graphmem.harness import DialogueCorpus, Turn, replay
+from graphmem.harness import DialogueCorpus, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
     SUMMARY_PROMPT,
@@ -295,8 +295,8 @@ class TestEmbeddings:
         engine = MemoryEngine(bundle, config)
         corpus = DialogueCorpus(
             (
-                Turn("s1", 0, "ana", "garden compost beds"),
-                Turn("s2", 0, "riley", "garden mulch herbs"),
+                Utterance("s1", "ana", "garden compost beds", turn_index=0),
+                Utterance("s2", "riley", "garden mulch herbs", turn_index=0),
             )
         )
         snapshot, telemetry = replay(corpus, engine, "session")
@@ -497,8 +497,8 @@ class TestBundle:
         )
         corpus = DialogueCorpus(
             (
-                Turn("s1", 0, "ana", "garden compost beds"),
-                Turn("s2", 0, "riley", "garden mulch herbs"),
+                Utterance("s1", "ana", "garden compost beds", turn_index=0),
+                Utterance("s2", "riley", "garden mulch herbs", turn_index=0),
             )
         )
         snapshot, telemetry = replay(corpus, MemoryEngine(bundle, config), "session")

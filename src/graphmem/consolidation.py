@@ -64,7 +64,7 @@ def select_candidates(
     """The coarse retrieval step: nearest themes by cosine, ties by id."""
     vector = np.asarray(summary_embedding, dtype=float)
     norm = float(np.linalg.norm(vector))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # written so that NaN fails
         raise ValueError(f"summary embedding must be unit-normalized, norm={norm}")
     return vector_topk(topic_index(topic_graph, vector.shape[0]), vector, k_cand)
 
@@ -155,9 +155,14 @@ def consolidate_segment(
     entailment_defaults = 0
     for node in segment_nodes:
         try:
-            flags.append(bool(providers.entailment.entails(summary, node.text)))
+            reply = providers.entailment.entails(summary, node.text)
         except ProviderError:
-            # The flag is advisory; default to trusted rather than aborting.
+            reply = None
+        # The flag is advisory: a failed call or a reply that is not a bool
+        # defaults to trusted rather than aborting.
+        if isinstance(reply, (bool, np.bool_)):
+            flags.append(bool(reply))
+        else:
             flags.append(True)
             entailment_defaults += 1
 

@@ -7,7 +7,11 @@ follow from its node order and its id from its archive key (``"live"`` for
 the buffer); the cross-layer index and a theme's verbatim text follow from
 the theme's ``source_archive_id``; an edge's direction follows from its
 relation.  The saved document still writes these copies out, and the loader
-checks them.  Every mutation is functional: operations return a new snapshot
+checks them.  The document is defined here once: :data:`SNAPSHOT_MEMBERS`
+maps each of its seven top-level members to its writer, and the hashes and
+``store.save`` share :func:`snapshot_members` and :func:`join_members`.  An
+:class:`Utterance` is the one turn record, for ``observe`` and corpora alike.
+Every mutation is functional: operations return a new snapshot
 and never modify their input, so an append never sees a consolidation that
 is building its result, and concurrent reads need no locking.
 
@@ -426,7 +430,7 @@ def insert_topic_node(
         other = edge.to_id if edge.from_id == node.id else edge.from_id
         if other not in graph.nodes:
             raise ValueError(f"dangling edge endpoint {other}")
-        if edge.weight <= tau:
+        if not edge.weight > tau:  # written so that NaN fails
             raise ValueError(f"edge weight {edge.weight} <= tau {tau}")
 
     new_edges = dict(graph.edges)
@@ -552,9 +556,12 @@ def snapshot_members(snapshot: MemorySnapshot) -> dict[str, bytes]:
 def join_members(members: Mapping[str, bytes]) -> bytes:
     """Canonical object encoding from already encoded member values: equal
     to ``canonical_json`` of the decoded object."""
-    return b"{%s}" % b",".join(
-        canonical_json(key) + b":" + members[key] for key in sorted(members)
-    )
+    parts = []
+    for key in sorted(members):
+        parts += (b",", canonical_json(key), b":", members[key])
+    # One join over the values themselves, so a large document is copied
+    # once rather than first into "key:value" pieces.
+    return b"".join([b"{", *parts[1:], b"}"])
 
 
 def snapshot_bytes(snapshot: MemorySnapshot) -> bytes:

@@ -10,9 +10,11 @@ them.
 
 Corpus wire format: JSON-lines, one turn per line with fields
 ``session_id``, ``turn_index``, ``speaker``, ``text`` and optional
-``timestamp``; QA items live in a sibling JSONL file with ``question``,
-``gold_answer``, ``category`` and optional ``evidence_turn_ids`` referencing
-turns as ``"<session_id>:<turn_index>"``.
+``timestamp``, read into the :class:`~graphmem.core.Utterance` that
+``observe`` takes, with its ``turn_index`` required; QA items live in a
+sibling JSONL file with ``question``, ``gold_answer``, ``category`` and
+optional ``evidence_turn_ids`` referencing turns as
+``"<session_id>:<turn_index>"``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Snapshot persistence and the exact-scan vector index.
 
-Files are single JSON documents: the canonical snapshot body plus a
-``format_version`` and a ``content_hash`` header over the body, so equal
-snapshots produce byte-equal files and any corruption is named on load.
-The document spells out five derived copies (graph ids, event edges,
-``cross_index``, each theme's ``raw`` and each edge's ``directed``); the
-loader rebuilds the snapshot without them and rejects a file whose copies
-differ from the derived values.
+Files are single JSON documents: the canonical snapshot body, whose members
+``graphmem.core`` defines and encodes, plus a ``format_version`` and a
+``content_hash`` header over the body, so equal snapshots produce byte-equal
+files and any corruption is named on load.  The document spells out five
+derived copies (graph ids, event edges, ``cross_index``, each theme's
+``raw`` and each edge's ``directed``); the loader rebuilds the snapshot
+without them and rejects a file whose copies differ from the derived
+values, or whose body differs in any other way from what ``save`` writes
+for the rebuilt snapshot, so a loaded snapshot hashes to its file's
+``content_hash``.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -271,8 +274,6 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             created_at=entry["created_at"],
             source_archive_id=entry["source_archive_id"],
         )
-        if node.id in topic_nodes:
-            raise CorruptionError("topic-id-unique", node.id)
         topic_nodes[node.id] = node
         raws[node.id] = entry["raw"]
 
@@ -285,8 +286,6 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             weight=entry["weight"],
         )
         key = edge_key(edge.from_id, edge.to_id)
-        if key in edges:
-            raise CorruptionError("edge-pair-unique", str(key))
         if entry["directed"] is not edge.directed:
             raise CorruptionError("edge-directed-matches-relation", str(key))
         edges[key] = edge
@@ -316,7 +315,37 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     for topic_id, raw in raws.items():
         if raw != topic_raw(snapshot, topic_id):
             raise CorruptionError("raw-matches-archive", topic_id)
+    _check_written_form(body, snapshot)
     return snapshot
+
+
+def _check_written_form(body: dict, snapshot: MemorySnapshot) -> None:
+    """Reject a body that ``save`` would not write for ``snapshot``, in ways
+    the rebuilt snapshot would hide, so that a loaded snapshot always hashes
+    to its file's ``content_hash``: themes and edges out of key order or
+    repeated, an entry with a key the engine does not write, or a config
+    whose keys or number types differ from the stored config's."""
+    ids = [entry["id"] for entry in body["topic_nodes"]]
+    if (unsorted := _first_unsorted(ids)) is not None:
+        raise CorruptionError("topic-order", unsorted)
+    keys = [edge_key(entry["from_id"], entry["to_id"]) for entry in body["topic_edges"]]
+    if (unsorted := _first_unsorted(keys)) is not None:
+        raise CorruptionError("edge-order", str(unsorted))
+    graphs = [*body["archives"].values(), body["active_buffer"]]
+    for entries, names in (
+        (body["topic_nodes"], _TOPIC_TYPES.keys()),
+        (body["topic_edges"], _EDGE_TYPES.keys()),
+        (graphs, {"graph_id", "nodes", "edges"}),
+    ):
+        if any(entry.keys() != names for entry in entries):
+            raise CorruptionError("document-schema", f"a key outside {sorted(names)}")
+    if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
+        raise CorruptionError("document-schema", "config differs from the stored form")
+
+
+def _first_unsorted(keys: list) -> object:
+    """The first key not above the one before it, or ``None``."""
+    return next((b for a, b in zip(keys, keys[1:]) if not a < b), None)
 
 
 def _rebuild_graph(

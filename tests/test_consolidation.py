@@ -216,6 +216,28 @@ class TestConsolidateSegment:
         assert all(n.confidence_flag for n in archived.nodes)
         assert report.entailment_defaults == len(archived.nodes)
 
+    @pytest.mark.parametrize(
+        "reply, flag, defaults",
+        [
+            ("false", True, 1),
+            (0, True, 1),
+            (None, True, 1),
+            (np.False_, False, 0),
+            (False, False, 0),
+        ],
+    )
+    def test_entailment_reply_must_be_a_bool(self, reply, flag, defaults):
+        class Scripted:
+            def entails(self, summary, text):
+                return reply
+
+        snap, bundle = grown_snapshot(1)
+        bundle = clone_bundle_with(bundle, entailment=Scripted())
+        snap = append_event(snap, Utterance("s2", "ana", "entirely new material"))
+        report, snap = consolidate_segment(snap, snap.buffer, bundle)
+        assert [n.confidence_flag for n in snap.archive[report.archive_id].nodes] == [flag]
+        assert report.entailment_defaults == defaults
+
     def test_confidence_flags_follow_the_entailment_rule(self, bundle):
         # ten garden words fill all eight keyword slots, and the filler
         # words sort after them alphabetically, so the summary cannot
@@ -289,6 +311,11 @@ class TestSelectCandidates:
         snap = random_snapshot(random.Random(5), 2)
         with pytest.raises(ValueError, match="unit"):
             select_candidates(snap.topic_graph, np.ones(64), 2)
+
+    def test_nan_embedding_rejected(self):
+        snap = random_snapshot(random.Random(5), 2)
+        with pytest.raises(ValueError, match="unit"):
+            select_candidates(snap.topic_graph, np.full(64, np.nan), 2)
 
     def test_fewer_nodes_than_k_returns_all(self):
         rng = random.Random(6)

@@ -258,6 +258,14 @@ class TestInsertTopicNode:
             insert_topic_node(snap, node, edges)
         assert snapshot_bytes(snap) == before
 
+    def test_nan_weight_edge_rejected(self):
+        base = random_snapshot(random.Random(6), 1, edge_probability=0.0)
+        archive_id, snap = with_extra_archive(base)
+        node = fresh_topic(snap, archive_id)
+        edge = TopicEdge(node.id, "t000001", Relation.SUPPORT, float("nan"))
+        with pytest.raises(ValueError, match="tau"):
+            insert_topic_node(snap, node, [edge])
+
     def test_duplicate_node_id_rejected(self):
         base = random_snapshot(random.Random(7), 2, edge_probability=0.0)
         archive_id, snap = with_extra_archive(base)

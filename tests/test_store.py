@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
@@ -496,6 +496,119 @@ class TestEngineSnapshotProperties:
         engine.end_session()
         validate_snapshot(engine.snapshot)
         assert snapshot_bytes(engine.snapshot) == snapshot_bytes(continuous.snapshot)
+
+
+@pytest.fixture(scope="module")
+def saved_fixture_documents(tmp_path_factory, golden_corpus, scaling_corpus):
+    """The saved golden and scaling documents, as file bytes."""
+    documents = {}
+    for name, corpus in (("golden", golden_corpus), ("scaling", scaling_corpus)):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(corpus, engine, "semantic")
+        path = tmp_path_factory.mktemp("saved") / f"{name}.json"
+        save(snapshot, path)
+        documents[name] = path.read_bytes()
+    return documents
+
+
+# Each mutation edits a saved document in place; ``pick(n)`` chooses an
+# index in ``range(n)`` for every choice it makes.
+
+
+def _reorder(pick, entries):
+    first = pick(len(entries))
+    second = (first + 1 + pick(len(entries) - 1)) % len(entries)
+    entries[first], entries[second] = entries[second], entries[first]
+
+
+def _duplicate(pick, entries):
+    entries.insert(pick(len(entries) + 1), dict(entries[pick(len(entries))]))
+
+
+def _add_key(pick, document):
+    sections = [
+        document["topic_nodes"],
+        document["topic_edges"],
+        list(document["archives"].values()),
+        [document["active_buffer"]],
+    ]
+    sections = [entries for entries in sections if entries]
+    entries = sections[pick(len(sections))]
+    values = [None, 0, "x", []]
+    entries[pick(len(entries))]["extra"] = values[pick(len(values))]
+
+
+def _drop_config_key(pick, document):
+    names = sorted(document["config"])
+    del document["config"][names[pick(len(names))]]
+
+
+def _config_float_as_int(pick, document):
+    config = document["config"]
+    names = sorted(k for k, v in config.items() if type(v) is float)
+    name = names[pick(len(names))]
+    config[name] = int(config[name])
+
+
+WRITTEN_FORM_MUTATIONS = {
+    "reorder-themes": lambda pick, doc: _reorder(pick, doc["topic_nodes"]),
+    "duplicate-theme": lambda pick, doc: _duplicate(pick, doc["topic_nodes"]),
+    "reorder-edges": lambda pick, doc: _reorder(pick, doc["topic_edges"]),
+    "duplicate-edge": lambda pick, doc: _duplicate(pick, doc["topic_edges"]),
+    "add-key": _add_key,
+    "drop-config-key": _drop_config_key,
+    "config-float-as-int": _config_float_as_int,
+}
+
+
+class TestWrittenForm:
+    """The loader accepts only the form ``save`` writes, so a loaded
+    snapshot hashes to its file's ``content_hash``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        corpus=st.sampled_from(("golden", "scaling")),
+        mutation=st.sampled_from(sorted(WRITTEN_FORM_MUTATIONS)),
+        data=st.data(),
+    )
+    def test_rehashed_mutant_is_rejected_or_hashes_to_its_record(
+        self, saved_fixture_documents, tmp_path_factory, corpus, mutation, data
+    ):
+        document = json.loads(saved_fixture_documents[corpus])
+        # The golden snapshot has no topic edges.
+        assume("edge" not in mutation or len(document["topic_edges"]) >= 2)
+        pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
+        WRITTEN_FORM_MUTATIONS[mutation](pick, document)
+        path = tmp_path_factory.mktemp("mutant") / "mutant.json"
+        rewrite(document, path)
+        try:
+            loaded = load(path)
+        except CorruptionError:
+            return
+        assert snapshot_hash(loaded) == document["content_hash"]
+
+    @pytest.mark.parametrize(
+        "mutation, invariant",
+        [
+            ("reorder-themes", "topic-order"),
+            ("duplicate-theme", "topic-order"),
+            ("reorder-edges", "edge-order"),
+            ("duplicate-edge", "edge-order"),
+            ("add-key", "document-schema"),
+            ("drop-config-key", "document-schema"),
+            ("config-float-as-int", "document-schema"),
+        ],
+    )
+    def test_each_mutation_is_named(self, saved_fixture_documents, tmp_path, mutation, invariant):
+        document = json.loads(saved_fixture_documents["scaling"])
+        # The first choice every time: the first two entries, the first
+        # section, entry and value, the first config key of its kind.
+        WRITTEN_FORM_MUTATIONS[mutation](lambda n: 0, document)
+        path = tmp_path / "mutant.json"
+        rewrite(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == invariant
 
 
 class TestMutationFuzz:

@@ -9,8 +9,13 @@ the theme's ``source_archive_id``; an edge's direction follows from its
 relation.  The saved document still writes these copies out, and the loader
 checks them.  The document is defined here once: :data:`SNAPSHOT_MEMBERS`
 maps each of its seven top-level members to its writer, and the hashes and
-``store.save`` share :func:`snapshot_members` and :func:`join_members`.  An
-:class:`Utterance` is the one turn record, for ``observe`` and corpora alike.
+``store.save`` share :func:`snapshot_members` and :func:`join_members`.
+Archives, themes and topic edges never change once stored, so a save keeps
+the canonical bytes of each one's entry as a derived value, and a later save
+or hash encodes only the entries stored since, plus the four small members.
+The kept bytes take about the file's size per snapshot chain, shared by its
+forks.  An :class:`Utterance` is the one turn record, for ``observe`` and
+corpora alike.
 Every mutation is functional: operations return a new snapshot
 and never modify their input, so an append never sees a consolidation that
 is building its result, and concurrent reads need no locking.
@@ -138,16 +143,21 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    ``candidates`` is a derived value, like ``TopicGraph.vector_index``, and
-    is never saved or compared: the retrieval candidates the graph yields
-    under one theme, built by the first query that reaches the graph and
-    reused by later ones.  A frozen archive is shared by every later
-    snapshot, so its candidates are built once.
+    Two derived values, like ``TopicGraph.vector_index``, are never saved,
+    compared or shown.  ``candidates`` holds the retrieval candidates the
+    graph yields under one theme, built by the first query that reaches the
+    graph.  ``encoded`` holds the canonical bytes of the graph's archive
+    entry and of its theme's entry, each with the graph id or theme it was
+    written for (see :func:`snapshot_members`).  A frozen archive is shared
+    by every later snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
     candidates: tuple[CandidateEvent, ...] | None = field(
         default=None, init=False, compare=False, repr=False
+    )
+    encoded: tuple[tuple[str, bytes] | None, tuple[TopicNode, bytes] | None] = field(
+        default=(None, None), init=False, compare=False, repr=False
     )
 
     def __len__(self) -> int:
@@ -158,14 +168,15 @@ class EventGraph:
         return sum(n.token_count for n in self.nodes)
 
     @property
-    def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple((a.id, b.id, SEQUENTIAL) for a, b in zip(self.nodes, self.nodes[1:]))
+    def edges(self) -> list[list[str]]:
+        """The sequential edges as written: ``[from_id, to_id, "sequential"]``."""
+        return [[a.id, b.id, SEQUENTIAL] for a, b in zip(self.nodes, self.nodes[1:])]
 
     def to_dict(self, graph_id: str) -> dict:
         return {
             "graph_id": graph_id,
             "nodes": [_event_node_dict(n) for n in self.nodes],
-            "edges": [list(edge) for edge in self.edges],
+            "edges": self.edges,
         }
 
 
@@ -184,10 +195,14 @@ class TopicNode:
 
 @dataclass(frozen=True, slots=True)
 class TopicEdge:
+    """A scored relation between two themes.  ``encoded``, its canonical
+    bytes, is a derived value like ``EventGraph.encoded``."""
+
     from_id: str
     to_id: str
     relation: Relation
     weight: float
+    encoded: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def directed(self) -> bool:
@@ -518,13 +533,18 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
     }
 
 
+def _themes(snapshot: MemorySnapshot) -> list[tuple[TopicNode, EventGraph]]:
+    """Each theme, in id order, with the archive it was consolidated from."""
+    nodes, archive = snapshot.topic_graph.nodes, snapshot.archive
+    return [(nodes[k], archive[nodes[k].source_archive_id]) for k in sorted(nodes)]
+
+
 #: The seven top-level members of the snapshot document, each with its
 #: writer.  Graph ids, event edges, ``cross_index``, each theme's ``raw`` and
 #: each edge's ``directed`` are written out from the derived values.
 SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: [
-        _topic_node_dict(s.topic_graph.nodes[k], topic_raw(s, k))
-        for k in sorted(s.topic_graph.nodes)
+        _topic_node_dict(node, raw_text(graph.nodes)) for node, graph in _themes(s)
     ],
     "topic_edges": lambda s: [_topic_edge_dict(e) for e in s.topic_graph.edge_list()],
     "archives": lambda s: {k: v.to_dict(k) for k, v in s.archive.items()},
@@ -540,17 +560,78 @@ def snapshot_to_dict(snapshot: MemorySnapshot) -> dict:
     return {name: write(snapshot) for name, write in SNAPSHOT_MEMBERS.items()}
 
 
+# One encoder for every call: ``json.dumps`` with these options builds a new
+# one each time, which costs more than encoding a graph id.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(document: object) -> bytes:
     """Key-sorted, separator-fixed encoding: equal documents, equal bytes.
     ``NaN`` and infinities raise ``ValueError``: they are not JSON."""
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")
 
 
-def snapshot_members(snapshot: MemorySnapshot) -> dict[str, bytes]:
-    """Each top-level member encoded once, ready for :func:`join_members`."""
-    return {name: canonical_json(value) for name, value in snapshot_to_dict(snapshot).items()}
+def _archive_bytes(graph_id: str, graph: EventGraph, keep: bool) -> bytes:
+    """``canonical_json(graph.to_dict(graph_id))``, reused from the graph
+    if it was kept there under the same id."""
+    archive = graph.encoded[0]
+    if archive is None or archive[0] != graph_id:
+        archive = (graph_id, canonical_json(graph.to_dict(graph_id)))
+        if keep:
+            # A derived value, so setting it on the frozen graph changes
+            # nothing the graph compares or saves.
+            object.__setattr__(graph, "encoded", (archive, graph.encoded[1]))
+    return archive[1]
+
+
+def _theme_bytes(node: TopicNode, graph: EventGraph, keep: bool) -> bytes:
+    """The entry of theme ``node`` over its source archive ``graph``,
+    reused from the graph if it was kept there for this very node: themes
+    equal in value may still be written apart (``0.0 == -0.0``)."""
+    theme = graph.encoded[1]
+    if theme is None or theme[0] is not node:
+        theme = (node, canonical_json(_topic_node_dict(node, raw_text(graph.nodes))))
+        if keep:
+            object.__setattr__(graph, "encoded", (graph.encoded[0], theme))
+    return theme[1]
+
+
+def _edge_bytes(edge: TopicEdge, keep: bool) -> bytes:
+    encoded = edge.encoded
+    if encoded is None:
+        encoded = canonical_json(_topic_edge_dict(edge))
+        if keep:
+            object.__setattr__(edge, "encoded", encoded)
+    return encoded
+
+
+def _join_list(items: list[bytes]) -> bytes:
+    return b"".join([b"[", b",".join(items), b"]"])
+
+
+def snapshot_members(snapshot: MemorySnapshot, keep: bool = False) -> dict[str, bytes]:
+    """Each top-level member encoded, ready for :func:`join_members`.
+
+    Archives, themes and topic edges never change once stored, so the
+    three members made of them are joined from each entry's canonical
+    bytes, reused from the frozen object where an earlier call with
+    ``keep`` left them (see ``EventGraph.encoded`` and
+    ``TopicEdge.encoded``).  Only the other entries and the four small
+    members are encoded here, and with ``keep`` their bytes stay on their
+    objects.  ``store.save`` keeps; a hash only reuses, so checking a
+    snapshot that is never saved adds nothing to its memory.  Each join
+    equals ``canonical_json`` of what :data:`SNAPSHOT_MEMBERS` writes.
+    """
+    archive, graph = snapshot.archive, snapshot.topic_graph
+    members = {
+        "topic_nodes": _join_list([_theme_bytes(*t, keep) for t in _themes(snapshot)]),
+        "topic_edges": _join_list([_edge_bytes(e, keep) for e in graph.edge_list()]),
+        "archives": join_members({k: _archive_bytes(k, g, keep) for k, g in archive.items()}),
+    }
+    for name, write in SNAPSHOT_MEMBERS.items():
+        if name not in members:
+            members[name] = canonical_json(write(snapshot))
+    return members
 
 
 def join_members(members: Mapping[str, bytes]) -> bytes:

@@ -62,6 +62,8 @@ class DialogueCorpus:
     def __post_init__(self) -> None:
         seen = set()
         for row, turn in enumerate(self.turns):
+            if turn.turn_index is None:
+                raise ValueError(f"turn row {row}: turn_index is required")
             turn_id = f"{turn.session_id}:{turn.turn_index}"
             if turn_id in seen:
                 raise ValueError(f"turn row {row}: duplicate id {turn_id}")

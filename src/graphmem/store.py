@@ -1,9 +1,12 @@
 """Snapshot persistence and the exact-scan vector index.
 
 Files are single JSON documents: the canonical snapshot body, whose members
-``graphmem.core`` defines and encodes, plus a ``format_version`` and a
+``graphmem.core`` defines and encodes (reusing each archive's, theme's and
+edge's bytes kept by an earlier save), plus a ``format_version`` and a
 ``content_hash`` header over the body, so equal snapshots produce byte-equal
-files and any corruption is named on load.  The document spells out five
+files and any corruption is named on load.  ``load`` checks that hash over
+the whole parsed body encoded at once, and the snapshot it returns keeps no
+bytes until its first save.  The document spells out five
 derived copies (graph ids, event edges, ``cross_index``, each theme's
 ``raw`` and each edge's ``directed``); the loader rebuilds the snapshot
 without them and rejects a file whose copies differ from the derived
@@ -201,8 +204,9 @@ def vector_topk(
 
 def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """Write the canonical document atomically (temp file + rename)."""
-    # Each top-level value is encoded once and shared by the hash and the file.
-    members = snapshot_members(snapshot)
+    # Each top-level value is encoded once and shared by the hash and the
+    # file; each new archive, theme and edge keeps its bytes for later saves.
+    members = snapshot_members(snapshot, keep=True)
     content_hash = hashlib.sha256(join_members(members)).hexdigest()
     members["format_version"] = canonical_json(FORMAT_VERSION)
     members["content_hash"] = canonical_json(content_hash)
@@ -369,7 +373,7 @@ def _rebuild_graph(
     # The caller has checked the field types; a field EventNode lacks is a
     # TypeError.
     graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))
-    if graph_dict["edges"] != [list(edge) for edge in graph.edges]:
+    if graph_dict["edges"] != graph.edges:
         raise CorruptionError("sequential-path", graph_id)
     return graph
 

@@ -81,7 +81,7 @@ class TestAppendEvent:
     def test_append_to_empty_buffer(self):
         snap = append_event(new_snapshot(), utt("hello there"))
         assert len(snap.buffer) == 1
-        assert snap.active_event_graph.edges == ()
+        assert snap.active_event_graph.edges == []
 
     def test_three_appends_form_a_path(self):
         snap = new_snapshot()
@@ -89,9 +89,9 @@ class TestAppendEvent:
             snap = append_event(snap, utt(text))
         ids = [n.id for n in snap.buffer]
         assert len(ids) == 3
-        assert list(snap.active_event_graph.edges) == [
-            (ids[0], ids[1], SEQUENTIAL),
-            (ids[1], ids[2], SEQUENTIAL),
+        assert snap.active_event_graph.edges == [
+            [ids[0], ids[1], SEQUENTIAL],
+            [ids[1], ids[2], SEQUENTIAL],
         ]
 
     def test_event_id_overflow_is_refused(self):
@@ -179,8 +179,8 @@ class TestArchive:
         assert len(snap.archive[archive_id]) == 4
         assert snap.buffer == ()
         ids = [n.id for n in snap.archive[archive_id].nodes]
-        assert list(snap.archive[archive_id].edges) == [
-            (ids[i], ids[i + 1], SEQUENTIAL) for i in range(3)
+        assert snap.archive[archive_id].edges == [
+            [ids[i], ids[i + 1], SEQUENTIAL] for i in range(3)
         ]
 
     def test_successive_archives_get_distinct_ids(self):
@@ -210,7 +210,7 @@ class TestArchive:
         assert len(snap.archive[archive_id]) == 3
         assert len(snap.buffer) == 2
         ids = [n.id for n in snap.buffer]
-        assert list(snap.active_event_graph.edges) == [(ids[0], ids[1], SEQUENTIAL)]
+        assert snap.active_event_graph.edges == [[ids[0], ids[1], SEQUENTIAL]]
 
     def test_confidence_flags_stamped_at_freeze(self):
         snap = self._buffered(3)

@@ -55,6 +55,13 @@ class TestCorpus:
         with pytest.raises(ValueError, match="duplicate"):
             DialogueCorpus(turns)
 
+    def test_turn_without_a_turn_index_rejected(self):
+        # Each would otherwise get the id "s1:None", and the second would be
+        # refused as a duplicate of the first.
+        turns = (Utterance("s1", "ana", "a", turn_index=0), Utterance("s1", "ana", "b"))
+        with pytest.raises(ValueError, match="turn row 1: turn_index is required"):
+            DialogueCorpus(turns)
+
     def test_unknown_evidence_rejected(self):
         turns = (Utterance("s1", "ana", "a", turn_index=0),)
         qa = (QAItem("q", "a", "single_hop", frozenset({"s1:9"})),)

@@ -19,17 +19,23 @@ from graphmem.core import (
     EventGraph,
     EventNode,
     MemorySnapshot,
+    Relation,
+    TopicEdge,
     TopicGraph,
+    TopicNode,
     Utterance,
     append_event,
     archive_segment,
     canonical_json,
+    insert_topic_node,
+    join_members,
     neighbors,
     next_archive_id,
     next_event_id,
     next_topic_id,
     snapshot_bytes,
     snapshot_hash,
+    snapshot_members,
     snapshot_to_dict,
 )
 from graphmem.engine import MemoryEngine
@@ -48,6 +54,7 @@ from graphmem.store import (
 )
 
 from conftest import interleaved_corpora, random_snapshot, unit_vector
+from test_acceptance import STRATEGY_MATRIX
 
 BODY_KEYS = (
     "topic_nodes",
@@ -820,15 +827,15 @@ def _observe(engine, turn):
 
 
 @st.composite
-def turn_programs(draw):
+def turn_programs(draw, others=("end_session", "check_now", "reload")):
     """Steps over 1-3 interleaved sessions: turns with the turn index left
-    out or given (also below the session's highest), explicit checks, and
-    save/load round trips."""
+    out or given (also below the session's highest), and ``others``: by
+    default explicit checks, session ends and save/load round trips."""
     sessions = ("s1", "s2", "s3")[: draw(st.integers(1, 3))]
     vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer")
     steps = []
     for _ in range(draw(st.integers(1, 30))):
-        kind = draw(st.sampled_from(("turn", "turn", "turn", "end_session", "check_now", "reload")))
+        kind = draw(st.sampled_from(("turn", "turn", "turn", *others)))
         if kind == "turn":
             session = draw(st.sampled_from(sessions))
             turn_index = draw(st.none() | st.integers(0, 40))
@@ -1001,3 +1008,194 @@ class TestDerivedValueProperties:
         assert engine.snapshot.archive == archives  # no turn was consolidated
         turns = [n.turn_index for n in engine.snapshot.buffer]
         assert turns == list(range(198, 249))
+
+
+def _cold_bytes(snapshot):
+    """Reference encoding: the whole document built and encoded at once."""
+    return canonical_json(snapshot_to_dict(snapshot))
+
+
+def _kept_bytes(snapshot):
+    """The body as ``save`` encodes it, keeping each new entry's bytes."""
+    return join_members(snapshot_members(snapshot, keep=True))
+
+
+def _theme_over(snapshot, archive_id, first):
+    """A theme on ``archive_id`` whose embedding starts with ``first``."""
+    embedding = (first,) + (0.0,) * (snapshot.config.embedding_dim - 2) + (1.0,)
+    return TopicNode("t900000", "a fork's theme", ("fork",), embedding, 1, archive_id)
+
+
+class TestCachedBytes:
+    """A save keeps each archive's, theme's and edge's canonical bytes, and
+    later saves and hashes reuse them; every such encoding must equal the
+    whole document encoded from scratch."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
+    @pytest.mark.parametrize("corpus", ["golden", "scaling"])
+    def test_warm_bytes_are_the_cold_bytes(self, corpus, strategy, tmp_path, request):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        kept = {k: g.encoded for k, g in snapshot.archive.items()}
+        assert all(archive is not None for archive, _ in kept.values())
+        assert all(e.encoded is not None for e in snapshot.topic_graph.edges.values())
+        warm = snapshot_bytes(snapshot)
+        assert warm == _kept_bytes(snapshot) == _cold_bytes(snapshot)
+        loaded = load(path)
+        assert snapshot_bytes(loaded) == warm
+        # Neither a hash nor a save encoded a kept entry again.
+        assert {k: g.encoded for k, g in snapshot.archive.items()} == kept
+        assert all(g.encoded == (None, None) for g in loaded.archive.values())
+
+    def test_a_hash_keeps_nothing(self, snapshot):
+        snapshot_hash(snapshot)
+        assert all(g.encoded == (None, None) for g in snapshot.archive.values())
+        assert all(e.encoded is None for e in snapshot.topic_graph.edges.values())
+
+    def test_forks_adding_themes_to_one_parent(self):
+        # Two forks put a theme on the parent's one unthemed archive.  The
+        # themes compare equal (0.0 == -0.0) yet are written apart, so each
+        # fork's theme bytes must be its own.
+        parent = append_event(random_snapshot(random.Random(5), 6), Utterance("s9", "ana", "x"))
+        archive_id, parent = archive_segment(parent, 1, [True])
+        assert _kept_bytes(parent) == _cold_bytes(parent)
+        plus, minus = (_theme_over(parent, archive_id, z) for z in (0.0, -0.0))
+        assert plus == minus
+        forks = [insert_topic_node(parent, node, []) for node in (plus, minus)]
+        assert _kept_bytes(forks[0]) != _kept_bytes(forks[1])
+        for fork in forks + forks[::-1] + [parent]:
+            assert snapshot_bytes(fork) == _kept_bytes(fork) == _cold_bytes(fork)
+
+    def test_replaced_archives_start_cold(self, snapshot):
+        warm = _kept_bytes(snapshot)
+        first, second = sorted(snapshot.archive)[:2]
+        graph = snapshot.archive[first]
+        renamed = tuple(dataclasses.replace(n, session_id="renamed") for n in graph.nodes)
+        replaced = dataclasses.replace(
+            snapshot, archive={**snapshot.archive, first: dataclasses.replace(graph, nodes=renamed)}
+        )
+        swapped = dataclasses.replace(
+            snapshot,
+            archive={
+                **snapshot.archive,
+                first: snapshot.archive[second],
+                second: snapshot.archive[first],
+            },
+        )
+        for variant in (replaced, swapped, snapshot, swapped, replaced):
+            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant)
+        assert snapshot_bytes(snapshot) == warm
+
+    def test_a_rescored_edge_is_encoded_anew(self, snapshot):
+        warm = _kept_bytes(snapshot)
+        key, edge = next(iter(snapshot.topic_graph.edges.items()))
+        other = next(r for r in Relation if r is not edge.relation)
+        for rescored in (
+            dataclasses.replace(edge, weight=edge.weight / 2 + 0.5),
+            TopicEdge(edge.from_id, edge.to_id, other, edge.weight),
+        ):
+            graph = TopicGraph(snapshot.topic_graph.nodes, {**snapshot.topic_graph.edges, key: rescored})
+            variant = dataclasses.replace(snapshot, topic_graph=graph)
+            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant) != warm
+        assert snapshot_bytes(snapshot) == warm
+
+    def test_threads_saving_shared_archives(self, scaling_corpus, tmp_path):
+        # Eight threads encode one cold snapshot, and one holding the same
+        # graphs each under the next archive id, so every kept pair races.
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(scaling_corpus, engine, "semantic")
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        cold = load(path)
+        ids = sorted(cold.archive)
+        rotated = {a: cold.archive[b] for a, b in zip(ids, ids[1:] + ids[:1])}
+        swapped = dataclasses.replace(cold, archive=rotated)
+        expected = {id(s): _cold_bytes(s) for s in (cold, swapped)}
+        failures = []
+
+        def work(target):
+            for _ in range(40):
+                for encoded in (_kept_bytes(target), snapshot_bytes(target)):
+                    if encoded != expected[id(target)]:
+                        failures.append(target)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=((cold, swapped)[i % 2],)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert snapshot_hash(cold) == snapshot_hash(snapshot)
+
+    def test_the_kept_bytes_are_never_saved_compared_or_shown(self, snapshot, tmp_path):
+        save(snapshot, tmp_path / "warm.json")
+        archives = {k: dataclasses.replace(g) for k, g in snapshot.archive.items()}
+        edges = {k: dataclasses.replace(e) for k, e in snapshot.topic_graph.edges.items()}
+        fresh = dataclasses.replace(
+            snapshot, topic_graph=TopicGraph(snapshot.topic_graph.nodes, edges), archive=archives
+        )
+        for warm, cold in [
+            *zip(snapshot.archive.values(), archives.values()),
+            *zip(snapshot.topic_graph.edges.values(), edges.values()),
+        ]:
+            assert warm.encoded not in (None, (None, None))
+            assert cold.encoded in (None, (None, None))
+            assert warm == cold
+            assert repr(warm) == repr(cold)
+        assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
+        save(fresh, tmp_path / "cold.json")
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+        with pytest.raises(TypeError):
+            EventGraph((), encoded=(None, None))
+        with pytest.raises(TypeError):
+            TopicEdge("t000001", "t000002", Relation.SEMANTIC, 0.9, b"{}")
+
+    def test_a_nan_entry_is_refused_and_keeps_nothing(self, snapshot, tmp_path):
+        topic_id = min(snapshot.topic_graph.nodes)
+        node = snapshot.topic_graph.nodes[topic_id]
+        nan_node = dataclasses.replace(node, embedding=(float("nan"),) + node.embedding[1:])
+        key, edge = next(iter(snapshot.topic_graph.edges.items()))
+        nan_edge = dataclasses.replace(edge, weight=float("nan"))
+        graph = snapshot.topic_graph
+        archive = snapshot.archive[node.source_archive_id]
+        path = tmp_path / "memory.json"
+        for variant, kept in (
+            (TopicGraph({**graph.nodes, topic_id: nan_node}, graph.edges), lambda: archive.encoded[1]),
+            (TopicGraph(graph.nodes, {**graph.edges, key: nan_edge}), lambda: nan_edge.encoded),
+        ):
+            with pytest.raises(ValueError):
+                save(dataclasses.replace(snapshot, topic_graph=variant), path)
+            assert not path.exists()
+            assert kept() is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=turn_programs(others=("end_session", "save")),
+        limit=st.sampled_from((8, 24, 2048)),
+    )
+    def test_every_save_writes_the_cold_bytes(self, steps, limit):
+        engine = _engine(limit)
+        saved = []
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "snapshot.json")
+            for step in steps + [("save",)]:
+                if step[0] == "turn":
+                    _, session, turn_index, text = step
+                    engine.observe(session, "ana", text, None, turn_index)
+                elif step[0] == "save":
+                    save(engine.snapshot, path)
+                    saved.append(engine.snapshot)
+                    assert snapshot_bytes(engine.snapshot) == _cold_bytes(engine.snapshot)
+                else:
+                    engine.end_session()
+        # A later snapshot reusing an entry leaves every earlier one intact.
+        for snapshot in saved:
+            assert snapshot_bytes(snapshot) == _cold_bytes(snapshot)

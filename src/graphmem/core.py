@@ -7,15 +7,18 @@ follow from its node order and its id from its archive key (``"live"`` for
 the buffer); the cross-layer index and a theme's verbatim text follow from
 the theme's ``source_archive_id``; an edge's direction follows from its
 relation.  The saved document still writes these copies out, and the loader
-checks them.  The document is defined here once: :data:`SNAPSHOT_MEMBERS`
-maps each of its seven top-level members to its writer, and the hashes and
-``store.save`` share :func:`snapshot_members` and :func:`join_members`.
-Archives, themes and topic edges never change once stored, so a save keeps
-the canonical bytes of each one's entry as a derived value, and a later save
-or hash encodes only the entries stored since, plus the four small members.
-The kept bytes take about the file's size per snapshot chain, shared by its
-forks.  An :class:`Utterance` is the one turn record, for ``observe`` and
-corpora alike.
+checks them.  The document is defined here, once per entry: one writer each
+for an event node, a theme, a topic edge and an event graph, and
+:data:`SNAPSHOT_MEMBERS` maps each of the seven top-level members to its
+writer.  The hashes and ``store.save`` share :func:`snapshot_members` and
+:func:`join_members`.  Archives and themes never change once stored, so a
+save keeps the canonical bytes of each one's entry on the archive as a
+derived value, and a later save or hash encodes only the archives and
+themes stored since, plus the topic edges and the four small members.  The
+kept bytes take about the file's size per snapshot chain, shared by its
+forks, and pay off only where one process saves a chain more than once.
+An :class:`Utterance` is the one turn record, for ``observe`` and corpora
+alike.
 Every mutation is functional: operations return a new snapshot
 and never modify their input, so an append never sees a consolidation that
 is building its result, and concurrent reads need no locking.
@@ -143,21 +146,25 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    Two derived values, like ``TopicGraph.vector_index``, are never saved,
+    Three derived values, like ``TopicGraph.vector_index``, are never saved,
     compared or shown.  ``candidates`` holds the retrieval candidates the
     graph yields under one theme, built by the first query that reaches the
-    graph.  ``encoded`` holds the canonical bytes of the graph's archive
-    entry and of its theme's entry, each with the graph id or theme it was
-    written for (see :func:`snapshot_members`).  A frozen archive is shared
-    by every later snapshot, so each is built once.
+    graph.  ``encoded_archive`` holds the canonical bytes of the graph's
+    archive entry with the graph id they were written for, and
+    ``encoded_theme`` those of its theme's entry with that theme (see
+    :func:`snapshot_members`).  A frozen archive is shared by every later
+    snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
     candidates: tuple[CandidateEvent, ...] | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    encoded: tuple[tuple[str, bytes] | None, tuple[TopicNode, bytes] | None] = field(
-        default=(None, None), init=False, compare=False, repr=False
+    encoded_archive: tuple[str, bytes] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    encoded_theme: tuple[TopicNode, bytes] | None = field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __len__(self) -> int:
@@ -195,14 +202,10 @@ class TopicNode:
 
 @dataclass(frozen=True, slots=True)
 class TopicEdge:
-    """A scored relation between two themes.  ``encoded``, its canonical
-    bytes, is a derived value like ``EventGraph.encoded``."""
-
     from_id: str
     to_id: str
     relation: Relation
     weight: float
-    encoded: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def directed(self) -> bool:
@@ -277,10 +280,14 @@ class MemorySnapshot:
         return {t.id: t.source_archive_id for t in self.topic_graph.nodes.values()}
 
 
+def _topic_archive(snapshot: MemorySnapshot, topic_id: str) -> EventGraph:
+    """The archive a theme was consolidated from."""
+    return snapshot.archive[snapshot.topic_graph.nodes[topic_id].source_archive_id]
+
+
 def topic_raw(snapshot: MemorySnapshot, topic_id: str) -> str:
     """Verbatim text of the episode a theme was built from."""
-    node = snapshot.topic_graph.nodes[topic_id]
-    return raw_text(snapshot.archive[node.source_archive_id].nodes)
+    return raw_text(_topic_archive(snapshot, topic_id).nodes)
 
 
 def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
@@ -533,18 +540,16 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
     }
 
 
-def _themes(snapshot: MemorySnapshot) -> list[tuple[TopicNode, EventGraph]]:
-    """Each theme, in id order, with the archive it was consolidated from."""
-    nodes, archive = snapshot.topic_graph.nodes, snapshot.archive
-    return [(nodes[k], archive[nodes[k].source_archive_id]) for k in sorted(nodes)]
-
-
 #: The seven top-level members of the snapshot document, each with its
 #: writer.  Graph ids, event edges, ``cross_index``, each theme's ``raw`` and
-#: each edge's ``directed`` are written out from the derived values.
+#: each edge's ``directed`` are written out from the derived values.  These
+#: writers, through :func:`snapshot_to_dict`, are the reference encoding;
+#: :func:`snapshot_members` writes ``topic_nodes`` and ``archives`` entry by
+#: entry with the same entry writers, so it can reuse each entry's bytes.
 SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: [
-        _topic_node_dict(node, raw_text(graph.nodes)) for node, graph in _themes(s)
+        _topic_node_dict(s.topic_graph.nodes[k], topic_raw(s, k))
+        for k in sorted(s.topic_graph.nodes)
     ],
     "topic_edges": lambda s: [_topic_edge_dict(e) for e in s.topic_graph.edge_list()],
     "archives": lambda s: {k: v.to_dict(k) for k, v in s.archive.items()},
@@ -574,63 +579,53 @@ def canonical_json(document: object) -> bytes:
 def _archive_bytes(graph_id: str, graph: EventGraph, keep: bool) -> bytes:
     """``canonical_json(graph.to_dict(graph_id))``, reused from the graph
     if it was kept there under the same id."""
-    archive = graph.encoded[0]
+    archive = graph.encoded_archive
     if archive is None or archive[0] != graph_id:
         archive = (graph_id, canonical_json(graph.to_dict(graph_id)))
         if keep:
             # A derived value, so setting it on the frozen graph changes
             # nothing the graph compares or saves.
-            object.__setattr__(graph, "encoded", (archive, graph.encoded[1]))
+            object.__setattr__(graph, "encoded_archive", archive)
     return archive[1]
 
 
-def _theme_bytes(node: TopicNode, graph: EventGraph, keep: bool) -> bytes:
-    """The entry of theme ``node`` over its source archive ``graph``,
-    reused from the graph if it was kept there for this very node: themes
-    equal in value may still be written apart (``0.0 == -0.0``)."""
-    theme = graph.encoded[1]
+def _theme_bytes(snapshot: MemorySnapshot, topic_id: str, keep: bool) -> bytes:
+    """The entry of theme ``topic_id``, reused from its source archive if it
+    was kept there for this very node: themes equal in value may still be
+    written apart (``0.0 == -0.0``)."""
+    node, graph = snapshot.topic_graph.nodes[topic_id], _topic_archive(snapshot, topic_id)
+    theme = graph.encoded_theme
     if theme is None or theme[0] is not node:
         theme = (node, canonical_json(_topic_node_dict(node, raw_text(graph.nodes))))
         if keep:
-            object.__setattr__(graph, "encoded", (graph.encoded[0], theme))
+            object.__setattr__(graph, "encoded_theme", theme)
     return theme[1]
-
-
-def _edge_bytes(edge: TopicEdge, keep: bool) -> bytes:
-    encoded = edge.encoded
-    if encoded is None:
-        encoded = canonical_json(_topic_edge_dict(edge))
-        if keep:
-            object.__setattr__(edge, "encoded", encoded)
-    return encoded
-
-
-def _join_list(items: list[bytes]) -> bytes:
-    return b"".join([b"[", b",".join(items), b"]"])
 
 
 def snapshot_members(snapshot: MemorySnapshot, keep: bool = False) -> dict[str, bytes]:
     """Each top-level member encoded, ready for :func:`join_members`.
 
-    Archives, themes and topic edges never change once stored, so the
-    three members made of them are joined from each entry's canonical
-    bytes, reused from the frozen object where an earlier call with
-    ``keep`` left them (see ``EventGraph.encoded`` and
-    ``TopicEdge.encoded``).  Only the other entries and the four small
-    members are encoded here, and with ``keep`` their bytes stay on their
-    objects.  ``store.save`` keeps; a hash only reuses, so checking a
-    snapshot that is never saved adds nothing to its memory.  Each join
-    equals ``canonical_json`` of what :data:`SNAPSHOT_MEMBERS` writes.
+    Archives and themes never change once stored, so ``archives`` and
+    ``topic_nodes`` are joined from each entry's canonical bytes, reused
+    from the frozen archive where an earlier call with ``keep`` left them
+    (see ``EventGraph.encoded_archive`` and ``encoded_theme``).  Entries
+    without such bytes are encoded here, and with ``keep`` their bytes stay
+    on their archives.  ``store.save`` keeps; a hash only reuses, so
+    checking a snapshot that is never saved adds nothing to its memory.
+    The other five members are encoded whole each time: topic edges are
+    small and many, and one call for all of them costs less than one call
+    per edge.  Each member equals ``canonical_json`` of what
+    :data:`SNAPSHOT_MEMBERS` writes.
     """
-    archive, graph = snapshot.archive, snapshot.topic_graph
     members = {
-        "topic_nodes": _join_list([_theme_bytes(*t, keep) for t in _themes(snapshot)]),
-        "topic_edges": _join_list([_edge_bytes(e, keep) for e in graph.edge_list()]),
-        "archives": join_members({k: _archive_bytes(k, g, keep) for k, g in archive.items()}),
+        name: canonical_json(write(snapshot))
+        for name, write in SNAPSHOT_MEMBERS.items()
+        if name not in ("topic_nodes", "archives")
     }
-    for name, write in SNAPSHOT_MEMBERS.items():
-        if name not in members:
-            members[name] = canonical_json(write(snapshot))
+    themes = [_theme_bytes(snapshot, k, keep) for k in sorted(snapshot.topic_graph.nodes)]
+    members["topic_nodes"] = b"[" + b",".join(themes) + b"]"
+    archives = {k: _archive_bytes(k, g, keep) for k, g in snapshot.archive.items()}
+    members["archives"] = join_members(archives)
     return members
 
 

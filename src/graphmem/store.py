@@ -1,8 +1,8 @@
 """Snapshot persistence and the exact-scan vector index.
 
 Files are single JSON documents: the canonical snapshot body, whose members
-``graphmem.core`` defines and encodes (reusing each archive's, theme's and
-edge's bytes kept by an earlier save), plus a ``format_version`` and a
+``graphmem.core`` defines and encodes (reusing each archive's and theme's
+bytes kept by an earlier save), plus a ``format_version`` and a
 ``content_hash`` header over the body, so equal snapshots produce byte-equal
 files and any corruption is named on load.  ``load`` checks that hash over
 the whole parsed body encoded at once, and the snapshot it returns keeps no
@@ -205,7 +205,7 @@ def vector_topk(
 def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """Write the canonical document atomically (temp file + rename)."""
     # Each top-level value is encoded once and shared by the hash and the
-    # file; each new archive, theme and edge keeps its bytes for later saves.
+    # file; each new archive and theme keeps its bytes for later saves.
     members = snapshot_members(snapshot, keep=True)
     content_hash = hashlib.sha256(join_members(members)).hexdigest()
     members["format_version"] = canonical_json(FORMAT_VERSION)

@@ -1027,9 +1027,9 @@ def _theme_over(snapshot, archive_id, first):
 
 
 class TestCachedBytes:
-    """A save keeps each archive's, theme's and edge's canonical bytes, and
-    later saves and hashes reuse them; every such encoding must equal the
-    whole document encoded from scratch."""
+    """A save keeps each archive's and theme's canonical bytes, and later
+    saves and hashes reuse them; every such encoding must equal the whole
+    document encoded from scratch."""
 
     @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
     @pytest.mark.parametrize("corpus", ["golden", "scaling"])
@@ -1038,21 +1038,20 @@ class TestCachedBytes:
         snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
         path = tmp_path / "memory.json"
         save(snapshot, path)
-        kept = {k: g.encoded for k, g in snapshot.archive.items()}
+        kept = {k: (g.encoded_archive, g.encoded_theme) for k, g in snapshot.archive.items()}
         assert all(archive is not None for archive, _ in kept.values())
-        assert all(e.encoded is not None for e in snapshot.topic_graph.edges.values())
+        assert sum(theme is not None for _, theme in kept.values()) == len(snapshot.topic_graph.nodes)
         warm = snapshot_bytes(snapshot)
         assert warm == _kept_bytes(snapshot) == _cold_bytes(snapshot)
         loaded = load(path)
         assert snapshot_bytes(loaded) == warm
         # Neither a hash nor a save encoded a kept entry again.
-        assert {k: g.encoded for k, g in snapshot.archive.items()} == kept
-        assert all(g.encoded == (None, None) for g in loaded.archive.values())
+        assert {k: (g.encoded_archive, g.encoded_theme) for k, g in snapshot.archive.items()} == kept
+        assert not any(g.encoded_archive or g.encoded_theme for g in loaded.archive.values())
 
     def test_a_hash_keeps_nothing(self, snapshot):
         snapshot_hash(snapshot)
-        assert all(g.encoded == (None, None) for g in snapshot.archive.values())
-        assert all(e.encoded is None for e in snapshot.topic_graph.edges.values())
+        assert not any(g.encoded_archive or g.encoded_theme for g in snapshot.archive.values())
 
     def test_forks_adding_themes_to_one_parent(self):
         # Two forks put a theme on the parent's one unthemed archive.  The
@@ -1138,25 +1137,18 @@ class TestCachedBytes:
     def test_the_kept_bytes_are_never_saved_compared_or_shown(self, snapshot, tmp_path):
         save(snapshot, tmp_path / "warm.json")
         archives = {k: dataclasses.replace(g) for k, g in snapshot.archive.items()}
-        edges = {k: dataclasses.replace(e) for k, e in snapshot.topic_graph.edges.items()}
-        fresh = dataclasses.replace(
-            snapshot, topic_graph=TopicGraph(snapshot.topic_graph.nodes, edges), archive=archives
-        )
-        for warm, cold in [
-            *zip(snapshot.archive.values(), archives.values()),
-            *zip(snapshot.topic_graph.edges.values(), edges.values()),
-        ]:
-            assert warm.encoded not in (None, (None, None))
-            assert cold.encoded in (None, (None, None))
+        fresh = dataclasses.replace(snapshot, archive=archives)
+        for warm, cold in zip(snapshot.archive.values(), archives.values()):
+            assert warm.encoded_archive is not None
+            assert cold.encoded_archive is None and cold.encoded_theme is None
             assert warm == cold
             assert repr(warm) == repr(cold)
         assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
         save(fresh, tmp_path / "cold.json")
         assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
-        with pytest.raises(TypeError):
-            EventGraph((), encoded=(None, None))
-        with pytest.raises(TypeError):
-            TopicEdge("t000001", "t000002", Relation.SEMANTIC, 0.9, b"{}")
+        for name in ("encoded_archive", "encoded_theme"):
+            with pytest.raises(TypeError):
+                EventGraph((), **{name: None})
 
     def test_a_nan_entry_is_refused_and_keeps_nothing(self, snapshot, tmp_path):
         topic_id = min(snapshot.topic_graph.nodes)
@@ -1167,14 +1159,14 @@ class TestCachedBytes:
         graph = snapshot.topic_graph
         archive = snapshot.archive[node.source_archive_id]
         path = tmp_path / "memory.json"
-        for variant, kept in (
-            (TopicGraph({**graph.nodes, topic_id: nan_node}, graph.edges), lambda: archive.encoded[1]),
-            (TopicGraph(graph.nodes, {**graph.edges, key: nan_edge}), lambda: nan_edge.encoded),
+        for variant in (
+            TopicGraph({**graph.nodes, topic_id: nan_node}, graph.edges),
+            TopicGraph(graph.nodes, {**graph.edges, key: nan_edge}),
         ):
             with pytest.raises(ValueError):
                 save(dataclasses.replace(snapshot, topic_graph=variant), path)
             assert not path.exists()
-            assert kept() is None
+            assert archive.encoded_theme is None
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -296,6 +297,11 @@ def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
 
 # ---------------------------------------------------------------------------
 # id allocation
+
+
+#: The ids :func:`_id_after` writes, by prefix (event, topic, archive); the
+#: loader refuses any other, since allocation parses the digits back.
+ID_FORMAT = {prefix: re.compile(f"{prefix}[0-9]{{{_ID_WIDTH}}}") for prefix in "eta"}
 
 
 def _id_after(prefix: str, newest: str | None) -> str:

@@ -10,26 +10,33 @@ exponential backoff, ``MAX_ATTEMPTS`` tries in all.  Adapters only parse:
 an embedding is divided by its norm and nothing more, and whether a reply is
 usable is decided by the engine step that uses it, alike for every provider.
 
-The transport is injectable so contract tests run without a network.
+The default transport posts with ``urllib.request`` from the standard
+library, so the package needs numpy alone: TLS uses the system trust store
+(``SSL_CERT_FILE``/``SSL_CERT_DIR`` point elsewhere), the usual proxy
+variables apply, and a redirect of a POST comes back as its status.  The
+transport is injectable so contract tests run without a network.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .config import estimate_tokens
 from .core import EventNode
 from .errors import ProviderParseError, ProviderTransportError
-from .providers import CallLog, SummaryResult
+from .providers import CallLog, ProviderBundle, SummaryResult
 
 MAX_ATTEMPTS = 3
 
@@ -132,16 +139,27 @@ def validate_schema(payload: dict, schema: dict[str, type | tuple[type, ...]]) -
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
+def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float):
+    """POST ``payload`` as JSON and return ``(status, parsed body)`` for any
+    reply, error statuses included, so the client decides what to retry.
+    A network failure or timeout, a URL or header value urllib refuses, and
+    a body that is not JSON are transport errors."""
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+        )
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            status, raw = response.status, response.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise ProviderTransportError(str(exc)) from exc
     try:
-        body = response.json()
+        return status, json.loads(raw)
     except ValueError as exc:
         raise ProviderTransportError("non-JSON response body") from exc
-    return response.status_code, body
 
 
 @dataclass
@@ -152,6 +170,12 @@ class HttpConfig:
     api_key_env: str = "GRAPHMEM_API_KEY"
     timeout: float = 30.0
     backoff: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Refused here, not after every retry of the first call.
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL: {self.base_url!r}")
 
 
 class HttpClient:
@@ -166,7 +190,7 @@ class HttpClient:
     ):
         self.config = config
         self.call_log = call_log
-        self.transport = transport or _requests_transport
+        self.transport = transport or _urllib_transport
         self.sleep = sleep
 
     def _headers(self) -> dict:
@@ -356,10 +380,8 @@ def http_bundle(
     http_config: HttpConfig,
     embedding_dim: int,
     transport: Transport | None = None,
-) -> "ProviderBundle":
+) -> ProviderBundle:
     """Bundle wired to a chat/embeddings endpoint; shares one call log."""
-    from .providers import ProviderBundle
-
     log = CallLog()
     client = HttpClient(http_config, call_log=log, transport=transport)
     return ProviderBundle(

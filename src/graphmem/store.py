@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ import numpy as np
 from .config import EngineConfig, estimate_tokens
 from .core import (
     EVENT_FIELD_TYPES,
+    ID_FORMAT,
     EventGraph,
     EventNode,
     LIVE_BUFFER_ID,
@@ -59,7 +59,6 @@ from .core import (
 from .errors import CorruptionError, ProviderParseError
 
 FORMAT_VERSION = "1.0"
-_ID_FORMAT = {prefix: re.compile(prefix + "[0-9]{6}") for prefix in "eta"}
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +460,5 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
 
 
 def _check_id_format(prefix: str, identifier: str) -> None:
-    # Id allocation parses the digits back; anything else would fail later.
-    if not _ID_FORMAT[prefix].fullmatch(identifier):
+    if not ID_FORMAT[prefix].fullmatch(identifier):
         raise CorruptionError("id-format", identifier)

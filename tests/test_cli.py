@@ -235,6 +235,29 @@ class TestQuery:
         assert code == 0
         assert len([l for l in out.splitlines() if l[:2].strip().isdigit()]) == 10
 
+    def test_http_base_url_without_scheme_exits_two_before_any_call(
+        self, golden_snapshot_file, tmp_path, capsys
+    ):
+        config_file = tmp_path / "http.conf"
+        config_file.write_text("http_base_url = model.test/v1\n")
+        code, out, err = run_cli(
+            [
+                "query",
+                "--snapshot",
+                golden_snapshot_file,
+                "--text",
+                "garden",
+                "--provider",
+                "http",
+                "--config",
+                config_file,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "base_url must be an http:// or https:// URL: 'model.test/v1'" in err
+
     def test_explain_exposes_score_components(self, golden_snapshot_file, capsys):
         code, out, _ = run_cli(
             [

@@ -23,12 +23,16 @@ def test_three_demos_found():
     ]
 
 
+def source_env():
+    """The environment with ``src`` first on ``PYTHONPATH``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_exits_zero(demo, tmp_path):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=source_env()
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
@@ -47,3 +51,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in graphmem.__all__ if not hasattr(graphmem, name)]
     assert missing == []
     assert len(set(graphmem.__all__)) == len(graphmem.__all__)
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # graphmem depends on numpy alone; the HTTP provider posts with urllib.
+    code = "import sys, graphmem.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=source_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

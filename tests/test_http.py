@@ -88,6 +88,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "base_url",
+        ["model.test/v1", "localhost:8000/v1", "ftp://model.test/v1", "http://", "https:///v1", ""],
+    )
+    def test_base_url_needs_http_scheme_and_host(self, base_url):
+        with pytest.raises(ValueError, match="base_url"):
+            HttpConfig(base_url=base_url, model="chat-model")
+
+    @pytest.mark.parametrize(
+        "base_url", ["http://model.test/v1", "https://127.0.0.1:8443", "HTTP://Model.Test"]
+    )
+    def test_http_and_https_urls_accepted(self, base_url):
+        assert HttpConfig(base_url=base_url, model="chat-model").base_url == base_url
+
+
 class TestJsonExtraction:
     def test_plain_object(self):
         assert extract_json_object('{"boundaries": [2, 6]}') == {"boundaries": [2, 6]}

@@ -11,12 +11,14 @@ checks them.  The document is defined here, once per entry: one writer each
 for an event node, a theme, a topic edge and an event graph, and
 :data:`SNAPSHOT_MEMBERS` maps each of the seven top-level members to its
 writer.  The hashes and ``store.save`` share :func:`snapshot_members` and
-:func:`join_members`.  Archives and themes never change once stored, so a
-save keeps the canonical bytes of each one's entry on the archive as a
-derived value, and a later save or hash encodes only the archives and
-themes stored since, plus the topic edges and the four small members.  The
-kept bytes take about the file's size per snapshot chain, shared by its
-forks, and pay off only where one process saves a chain more than once.
+:func:`join_members`.  Archives and themes never change once stored, and
+neither do a built topic graph's edges, so a save keeps the canonical bytes
+of each archive's and theme's entry on the archive, and of the whole
+``topic_edges`` member on the topic graph, as derived values.  A later save
+or hash encodes only the archives and themes stored since, the edges of a
+topic graph not saved before, and the four small members.  The kept bytes
+take about the file's size per snapshot chain, shared by its forks, and pay
+off only where one process saves a chain more than once.
 An :class:`Utterance` is the one turn record, for ``observe`` and corpora
 alike.
 Every mutation is functional: operations return a new snapshot
@@ -150,11 +152,12 @@ class EventGraph:
     Three derived values, like ``TopicGraph.vector_index``, are never saved,
     compared or shown.  ``candidates`` holds the retrieval candidates the
     graph yields under one theme, built by the first query that reaches the
-    graph.  ``encoded_archive`` holds the canonical bytes of the graph's
-    archive entry with the graph id they were written for, and
-    ``encoded_theme`` those of its theme's entry with that theme (see
-    :func:`snapshot_members`).  A frozen archive is shared by every later
-    snapshot, so each is built once.
+    graph.  The other two are canonical bytes kept by a save, each with what
+    they were written for (see :func:`snapshot_members`):
+    ``encoded_archive`` the graph's ``"graph_id":{...}`` member of the
+    archives with that graph id, and ``encoded_theme`` its theme's entry
+    with that theme.  A frozen archive is shared by every later snapshot, so
+    each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
@@ -217,11 +220,14 @@ class TopicEdge:
 class TopicGraph:
     """Theme graph; at most one edge per unordered node pair.
 
-    Two derived values are built at most once per graph and are never saved
-    or compared: :attr:`adjacency`, and ``vector_index``, the exact-scan
+    Three derived values are built at most once per graph and are never
+    saved or compared: :attr:`adjacency`; ``vector_index``, the exact-scan
     index over the node embeddings that ``store.topic_index`` builds on
     first use and :func:`insert_topic_node` carries to the next graph with
-    one more row.
+    one more row; and ``encoded_edges``, the canonical bytes of the
+    ``topic_edges`` member, kept by a save (see :func:`snapshot_members`).
+    A built graph's edges never change, so the bytes hold while the graph
+    lives; the next graph starts without them.
     """
 
     nodes: Mapping[str, TopicNode] = field(default_factory=dict)
@@ -229,6 +235,7 @@ class TopicGraph:
     vector_index: VectorIndex | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    encoded_edges: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def edge_list(self) -> list[TopicEdge]:
         return [self.edges[k] for k in sorted(self.edges)]
@@ -582,20 +589,17 @@ def canonical_json(document: object) -> bytes:
     return _ENCODER.encode(document).encode("utf-8")
 
 
-def _archive_bytes(graph_id: str, graph: EventGraph, keep: bool) -> bytes:
-    """``canonical_json(graph.to_dict(graph_id))``, reused from the graph
-    if it was kept there under the same id."""
+def _archive_bytes(graph_id: str, graph: EventGraph, fresh: list) -> bytes:
+    """The member ``"graph_id":{...}`` of the ``archives`` object, reused
+    from the graph if it was kept there under the same id."""
     archive = graph.encoded_archive
     if archive is None or archive[0] != graph_id:
-        archive = (graph_id, canonical_json(graph.to_dict(graph_id)))
-        if keep:
-            # A derived value, so setting it on the frozen graph changes
-            # nothing the graph compares or saves.
-            object.__setattr__(graph, "encoded_archive", archive)
+        archive = (graph_id, canonical_json({graph_id: graph.to_dict(graph_id)})[1:-1])
+        fresh.append((graph, "encoded_archive", archive))
     return archive[1]
 
 
-def _theme_bytes(snapshot: MemorySnapshot, topic_id: str, keep: bool) -> bytes:
+def _theme_bytes(snapshot: MemorySnapshot, topic_id: str, fresh: list) -> bytes:
     """The entry of theme ``topic_id``, reused from its source archive if it
     was kept there for this very node: themes equal in value may still be
     written apart (``0.0 == -0.0``)."""
@@ -603,8 +607,7 @@ def _theme_bytes(snapshot: MemorySnapshot, topic_id: str, keep: bool) -> bytes:
     theme = graph.encoded_theme
     if theme is None or theme[0] is not node:
         theme = (node, canonical_json(_topic_node_dict(node, raw_text(graph.nodes))))
-        if keep:
-            object.__setattr__(graph, "encoded_theme", theme)
+        fresh.append((graph, "encoded_theme", theme))
     return theme[1]
 
 
@@ -614,24 +617,37 @@ def snapshot_members(snapshot: MemorySnapshot, keep: bool = False) -> dict[str, 
     Archives and themes never change once stored, so ``archives`` and
     ``topic_nodes`` are joined from each entry's canonical bytes, reused
     from the frozen archive where an earlier call with ``keep`` left them
-    (see ``EventGraph.encoded_archive`` and ``encoded_theme``).  Entries
-    without such bytes are encoded here, and with ``keep`` their bytes stay
-    on their archives.  ``store.save`` keeps; a hash only reuses, so
-    checking a snapshot that is never saved adds nothing to its memory.
-    The other five members are encoded whole each time: topic edges are
-    small and many, and one call for all of them costs less than one call
-    per edge.  Each member equals ``canonical_json`` of what
-    :data:`SNAPSHOT_MEMBERS` writes.
+    (see ``EventGraph``).  A built topic graph's edges never change either,
+    so ``topic_edges`` is reused whole from ``TopicGraph.encoded_edges``.
+    Anything without such bytes is encoded here, and with ``keep`` its
+    bytes stay on its archive or graph once every member is encoded, so a
+    save refused for a NaN keeps nothing.  ``store.save`` keeps; a hash
+    only reuses, so checking a snapshot that is never saved adds nothing to
+    its memory.  The four small members are encoded whole each time.  Each
+    member equals ``canonical_json`` of what :data:`SNAPSHOT_MEMBERS`
+    writes.
     """
+    fresh: list[tuple[object, str, object]] = []
     members = {
         name: canonical_json(write(snapshot))
         for name, write in SNAPSHOT_MEMBERS.items()
-        if name not in ("topic_nodes", "archives")
+        if name not in ("topic_nodes", "topic_edges", "archives")
     }
-    themes = [_theme_bytes(snapshot, k, keep) for k in sorted(snapshot.topic_graph.nodes)]
+    graph = snapshot.topic_graph
+    edges = graph.encoded_edges
+    if edges is None:
+        edges = canonical_json(SNAPSHOT_MEMBERS["topic_edges"](snapshot))
+        fresh.append((graph, "encoded_edges", edges))
+    members["topic_edges"] = edges
+    themes = [_theme_bytes(snapshot, k, fresh) for k in sorted(graph.nodes)]
     members["topic_nodes"] = b"[" + b",".join(themes) + b"]"
-    archives = {k: _archive_bytes(k, g, keep) for k, g in snapshot.archive.items()}
-    members["archives"] = join_members(archives)
+    archives = [_archive_bytes(k, snapshot.archive[k], fresh) for k in sorted(snapshot.archive)]
+    members["archives"] = b"{" + b",".join(archives) + b"}"
+    if keep:
+        for owner, name, value in fresh:
+            # A derived value, so setting it on the frozen graph changes
+            # nothing the graph compares or saves.
+            object.__setattr__(owner, name, value)
     return members
 
 

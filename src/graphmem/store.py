@@ -1,8 +1,8 @@
 """Snapshot persistence and the exact-scan vector index.
 
 Files are single JSON documents: the canonical snapshot body, whose members
-``graphmem.core`` defines and encodes (reusing each archive's and theme's
-bytes kept by an earlier save), plus a ``format_version`` and a
+``graphmem.core`` defines and encodes (reusing the archive, theme and
+topic edge bytes kept by an earlier save), plus a ``format_version`` and a
 ``content_hash`` header over the body, so equal snapshots produce byte-equal
 files and any corruption is named on load.  ``load`` checks that hash over
 the whole parsed body encoded at once, and the snapshot it returns keeps no
@@ -29,7 +29,8 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
+import stat
 import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -202,21 +203,35 @@ def vector_topk(
 
 
 def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
-    """Write the canonical document atomically (temp file + rename)."""
+    """Write the canonical document atomically (temp file + rename).
+
+    The file gets the mode ``open(path, "wb")`` would give it: an existing
+    file keeps its mode, and a new one gets ``0o666`` less the umask.
+    """
     # Each top-level value is encoded once and shared by the hash and the
-    # file; each new archive and theme keeps its bytes for later saves.
+    # file; each new archive and theme, and a topic graph not saved before,
+    # keeps its bytes for later saves.
     members = snapshot_members(snapshot, keep=True)
     content_hash = hashlib.sha256(join_members(members)).hexdigest()
     members["format_version"] = canonical_json(FORMAT_VERSION)
     members["content_hash"] = canonical_json(content_hash)
     payload = join_members(members)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    directory = os.path.dirname(os.path.abspath(path))
+    # Named apart from the target, so any name the target may have fits.
+    temp_path = os.path.join(directory, f".{secrets.token_hex(8)}.tmp")
+    # Created like open() creates a file, so the kernel applies the umask.
+    fd = os.open(temp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        if mode is not None:
+            os.chmod(temp_path, mode)
         os.replace(temp_path, path)
-    except OSError:
+    except BaseException:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise

@@ -1,10 +1,12 @@
 """A hypothesis state machine over ``MemoryEngine`` with the mock providers.
 
 Rules observe turns in three sessions, end sessions, request checks, query,
-and round-trip the snapshot through save and load, continuing on the loaded
-copy.  A small buffer budget makes overflows fire.  After every step the
-engine is checked against a plain model: the list of accepted turns and the
-number of committed consolidations.
+round-trip the snapshot through save and load, continuing on the loaded
+copy, and fork: a second engine continues from the current snapshot and
+saves its own, so the fork shares archives and bytes kept on them with the
+main chain.  A small buffer budget makes overflows fire.  After every step
+the engine is checked against a plain model: the list of accepted turns and
+the number of committed consolidations.
 """
 
 import os
@@ -18,7 +20,11 @@ from graphmem.config import EngineConfig
 from graphmem.core import (
     LIVE_BUFFER_ID,
     EventNode,
+    MemorySnapshot,
+    _topic_edge_dict,
+    _topic_node_dict,
     canonical_json,
+    raw_text,
     snapshot_bytes,
     snapshot_hash,
     snapshot_to_dict,
@@ -42,6 +48,28 @@ def stored(node: EventNode) -> tuple:
     return (node.session_id, node.speaker, node.text, node.timestamp, node.turn_index)
 
 
+def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:
+    """Every stored node: the archives in id order, then the buffer."""
+    archives = [snapshot.archive[k].nodes for k in sorted(snapshot.archive)]
+    return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
+
+
+def check_kept_bytes(snapshot: MemorySnapshot) -> None:
+    """Every value a save kept equals a fresh encoding of what it was kept
+    for, and the encoding built from them equals the reference."""
+    for graph in snapshot.archive.values():
+        if graph.encoded_archive is not None:
+            kept_id, encoded = graph.encoded_archive
+            assert encoded == canonical_json({kept_id: graph.to_dict(kept_id)})[1:-1]
+        if graph.encoded_theme is not None:
+            node, encoded = graph.encoded_theme
+            assert encoded == canonical_json(_topic_node_dict(node, raw_text(graph.nodes)))
+    edges = snapshot.topic_graph.encoded_edges
+    if edges is not None:
+        assert edges == canonical_json([_topic_edge_dict(e) for e in snapshot.topic_graph.edge_list()])
+    assert snapshot_bytes(snapshot) == canonical_json(snapshot_to_dict(snapshot))
+
+
 class EngineMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -52,15 +80,13 @@ class EngineMachine(RuleBasedStateMachine):
         self.committed = 0
         self.directory = tempfile.TemporaryDirectory()
         self.path = os.path.join(self.directory.name, "memory.json")
+        self.fork_path = os.path.join(self.directory.name, "fork.json")
 
     def teardown(self):
         self.directory.cleanup()
 
     def nodes(self) -> list[EventNode]:
-        """Every stored node: the archives in id order, then the buffer."""
-        snapshot = self.engine.snapshot
-        archives = [snapshot.archive[k].nodes for k in sorted(snapshot.archive)]
-        return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
+        return stored_nodes(self.engine.snapshot)
 
     @rule(
         session=st.sampled_from(("s1", "s2", "s3")),
@@ -94,6 +120,32 @@ class EngineMachine(RuleBasedStateMachine):
         assert len(ranked) <= k
         assert {c.event_node_id for c in ranked} <= {n.id for n in self.nodes()}
 
+    @rule(
+        turns=st.lists(
+            st.tuples(st.sampled_from(("s1", "s4")), st.sampled_from(("ana", "riley")), texts),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def fork(self, turns):
+        # The fork runs on the main snapshot, consolidates, and saves before
+        # the main engine saves again.
+        parent = self.engine.snapshot
+        fork = MemoryEngine(mock_bundle(parent.config), snapshot=parent)
+        for session, speaker, text in turns:
+            fork.observe(session, speaker, text)
+        fork.end_session()
+        snapshot = fork.snapshot
+        nodes = [stored(n) for n in stored_nodes(snapshot)]
+        assert nodes[: len(self.turns)] == self.turns
+        added = [node[:4] for node in nodes[len(self.turns) :]]
+        assert added == [(session, speaker, text, None) for session, speaker, text in turns]
+        validate_snapshot(snapshot)
+        save(snapshot, self.fork_path)
+        check_kept_bytes(snapshot)
+        assert snapshot_hash(load(self.fork_path)) == snapshot_hash(snapshot)
+        assert self.engine.snapshot is parent
+
     @rule()
     def continue_on_loaded_copy(self):
         save(self.engine.snapshot, self.path)
@@ -124,7 +176,7 @@ class EngineMachine(RuleBasedStateMachine):
             if graph.candidates is not None:
                 assert [c.node for c in graph.candidates] == list(graph.nodes)
                 assert {c.source_archive_id for c in graph.candidates} <= {graph_id}
-        assert snapshot_bytes(snapshot) == canonical_json(snapshot_to_dict(snapshot))
+        check_kept_bytes(snapshot)
 
     @invariant()
     def hash_survives_save_and_load(self):

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphmem import core
 from graphmem.config import EngineConfig
-from graphmem.consolidation import select_candidates
+from graphmem.consolidation import consolidate_segment, select_candidates
 from graphmem.core import (
     EventGraph,
     EventNode,
+    SNAPSHOT_MEMBERS,
     MemorySnapshot,
     Relation,
     TopicEdge,
@@ -160,6 +162,64 @@ class TestSaveLoad:
         elapsed = time.perf_counter() - started
         assert snapshot_hash(reloaded) == snapshot_hash(snapshot)
         assert elapsed < 1.0
+
+
+@pytest.fixture
+def umask():
+    """Sets the process umask for one test and restores it afterwards."""
+    previous = os.umask(0o022)
+    yield os.umask
+    os.umask(previous)
+
+
+def _mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+class TestFileMode:
+    """A save gives its file the mode a plain ``open(path, "wb")`` would."""
+
+    @pytest.mark.parametrize(
+        "mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_a_new_file_gets_0666_minus_the_umask(self, snapshot, tmp_path, umask, mask, mode):
+        umask(mask)
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        assert _mode(path) == mode
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=oct)
+    @pytest.mark.parametrize("mode", [0o640, 0o644, 0o600], ids=oct)
+    def test_an_existing_file_keeps_its_mode(self, snapshot, tmp_path, umask, mask, mode):
+        umask(mask)
+        path = tmp_path / "memory.json"
+        path.write_bytes(b"older contents")
+        path.chmod(mode)
+        save(snapshot, path)
+        assert _mode(path) == mode
+        assert snapshot_hash(load(path)) == snapshot_hash(snapshot)
+
+    def test_a_target_name_of_240_bytes_is_saved(self, snapshot, tmp_path):
+        # The temporary file is named apart from the target, so it fits
+        # whatever fits the target.
+        path = tmp_path / ("m" * 235 + ".json")
+        save(snapshot, path)
+        assert snapshot_hash(load(path)) == snapshot_hash(snapshot)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError, RuntimeError])
+    def test_a_write_that_raises_leaves_no_temporary_file(self, snapshot, tmp_path, monkeypatch, error):
+        path = tmp_path / "memory.json"
+        path.write_bytes(b"older contents")
+
+        def interrupted(*args, **kwargs):
+            raise error("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(error):
+            save(snapshot, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.json"]
+        assert path.read_bytes() == b"older contents"
 
 
 class TestValidation:
@@ -1026,10 +1086,41 @@ def _theme_over(snapshot, archive_id, first):
     return TopicNode("t900000", "a fork's theme", ("fork",), embedding, 1, archive_id)
 
 
+KEPT = ("encoded_archive", "encoded_theme")
+
+
+def _kept_values(snapshot):
+    """What a save keeps: each archive's pair, and the topic edges' bytes."""
+    archives = {k: tuple(getattr(g, name) for name in KEPT) for k, g in snapshot.archive.items()}
+    return archives, snapshot.topic_graph.encoded_edges
+
+
+def _nothing_kept(snapshot):
+    archives, edges = _kept_values(snapshot)
+    return edges is None and not any(any(pair) for pair in archives.values())
+
+
+def _cold_edges(snapshot):
+    return canonical_json(SNAPSHOT_MEMBERS["topic_edges"](snapshot))
+
+
+def _count_edge_entries(monkeypatch):
+    """Counts the edge entries written from here on."""
+    calls = []
+    write = core._topic_edge_dict
+
+    def counted(edge):
+        calls.append(edge)
+        return write(edge)
+
+    monkeypatch.setattr(core, "_topic_edge_dict", counted)
+    return calls
+
+
 class TestCachedBytes:
-    """A save keeps each archive's and theme's canonical bytes, and later
-    saves and hashes reuse them; every such encoding must equal the whole
-    document encoded from scratch."""
+    """A save keeps each archive's and theme's canonical bytes, and those of
+    the topic edges, and later saves and hashes reuse them; every such
+    encoding must equal the whole document encoded from scratch."""
 
     @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
     @pytest.mark.parametrize("corpus", ["golden", "scaling"])
@@ -1038,20 +1129,24 @@ class TestCachedBytes:
         snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
         path = tmp_path / "memory.json"
         save(snapshot, path)
-        kept = {k: (g.encoded_archive, g.encoded_theme) for k, g in snapshot.archive.items()}
+        kept, edges = _kept_values(snapshot)
         assert all(archive is not None for archive, _ in kept.values())
         assert sum(theme is not None for _, theme in kept.values()) == len(snapshot.topic_graph.nodes)
+        assert snapshot.topic_graph.edges or corpus == "golden"
+        assert edges == _cold_edges(snapshot)
         warm = snapshot_bytes(snapshot)
         assert warm == _kept_bytes(snapshot) == _cold_bytes(snapshot)
         loaded = load(path)
         assert snapshot_bytes(loaded) == warm
         # Neither a hash nor a save encoded a kept entry again.
-        assert {k: (g.encoded_archive, g.encoded_theme) for k, g in snapshot.archive.items()} == kept
-        assert not any(g.encoded_archive or g.encoded_theme for g in loaded.archive.values())
+        assert _kept_values(snapshot) == (kept, edges)
+        assert snapshot.topic_graph.encoded_edges is edges
+        assert _nothing_kept(loaded)
 
     def test_a_hash_keeps_nothing(self, snapshot):
         snapshot_hash(snapshot)
-        assert not any(g.encoded_archive or g.encoded_theme for g in snapshot.archive.values())
+        assert snapshot.topic_graph.edges
+        assert _nothing_kept(snapshot)
 
     def test_forks_adding_themes_to_one_parent(self):
         # Two forks put a theme on the parent's one unthemed archive.  The
@@ -1087,18 +1182,141 @@ class TestCachedBytes:
             assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant)
         assert snapshot_bytes(snapshot) == warm
 
-    def test_a_rescored_edge_is_encoded_anew(self, snapshot):
+    def test_a_rescored_edge_is_encoded_anew(self, snapshot, monkeypatch):
         warm = _kept_bytes(snapshot)
         key, edge = next(iter(snapshot.topic_graph.edges.items()))
         other = next(r for r in Relation if r is not edge.relation)
+        calls = _count_edge_entries(monkeypatch)
         for rescored in (
             dataclasses.replace(edge, weight=edge.weight / 2 + 0.5),
             TopicEdge(edge.from_id, edge.to_id, other, edge.weight),
         ):
             graph = TopicGraph(snapshot.topic_graph.nodes, {**snapshot.topic_graph.edges, key: rescored})
             variant = dataclasses.replace(snapshot, topic_graph=graph)
-            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant) != warm
-        assert snapshot_bytes(snapshot) == warm
+            calls.clear()
+            assert _kept_bytes(variant) != warm
+            assert len(calls) == len(graph.edges) and rescored in calls
+            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant)
+        calls.clear()
+        assert snapshot_bytes(snapshot) == _kept_bytes(snapshot) == warm
+        assert calls == []
+
+    def test_a_new_topic_graph_starts_cold(self, snapshot, monkeypatch):
+        # Over the very same edges, or over equal-valued new ones: the kept
+        # bytes belong to one graph object and are never carried.
+        warm = _kept_bytes(snapshot)
+        nodes, edges = snapshot.topic_graph.nodes, snapshot.topic_graph.edges
+        copied = {k: dataclasses.replace(e) for k, e in edges.items()}
+        assert copied == edges
+        calls = _count_edge_entries(monkeypatch)
+        for same in (edges, copied):
+            variant = dataclasses.replace(snapshot, topic_graph=TopicGraph(nodes, same))
+            assert variant.topic_graph.encoded_edges is None
+            calls.clear()
+            assert _kept_bytes(variant) == warm
+            assert calls == [same[k] for k in sorted(same)]
+            calls.clear()
+            assert _kept_bytes(variant) == snapshot_bytes(variant) == warm
+            assert calls == []
+
+    def test_forks_linking_new_themes_to_one_older_theme(self, snapshot, tmp_path):
+        # Each fork adds a theme on the parent's one unthemed archive with an
+        # edge to the same older theme.  The forks share every archive, so
+        # each save replaces the theme bytes the other fork kept there, and
+        # each fork's topic graph keeps edge bytes of its own.
+        parent = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
+        archive_id, parent = archive_segment(parent, 1, [True])
+        older = min(parent.topic_graph.nodes)
+        forks = [
+            insert_topic_node(parent, new, [TopicEdge(new.id, older, relation, weight)])
+            for new, relation, weight in (
+                (_theme_over(parent, archive_id, 0.0), Relation.SEMANTIC, 0.9),
+                (_theme_over(parent, archive_id, -0.0), Relation.CAUSAL, 0.8),
+            )
+        ]
+        assert forks[0].topic_graph.edges != forks[1].topic_graph.edges
+        save(parent, tmp_path / "parent.json")
+        files = {}
+        for number, fork in enumerate(forks * 3 + [parent]):
+            path = tmp_path / f"{number}.json"
+            save(fork, path)
+            files.setdefault(id(fork), path.read_bytes())
+            assert path.read_bytes() == files[id(fork)]
+            assert snapshot_bytes(fork) == _cold_bytes(fork)
+            assert snapshot_hash(load(path)) == snapshot_hash(fork)
+        assert len(set(files.values())) == 3
+
+    def test_only_a_topic_graph_not_saved_before_writes_its_edges(self, scaling_corpus, monkeypatch):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        replay(scaling_corpus, engine, "semantic")
+        parent = engine.snapshot
+        _kept_bytes(parent)
+        calls = _count_edge_entries(monkeypatch)
+        # Appends keep the topic graph, so their snapshots reuse its bytes.
+        child = parent
+        for turn in scaling_corpus.turns[42:48]:
+            child = append_event(child, Utterance("again", turn.speaker, turn.text))
+        assert child.topic_graph is parent.topic_graph
+        assert _kept_bytes(child) == _cold_bytes(child)
+        calls.clear()
+        assert snapshot_bytes(child) == _kept_bytes(child)
+        assert calls == []
+        # A consolidation builds a new graph: its first save writes every
+        # edge once, and a hash or save after that writes none.
+        report, child = consolidate_segment(child, child.buffer, engine.providers)
+        assert len(child.topic_graph.nodes) == len(parent.topic_graph.nodes) + 1
+        assert report.accepted_edges == child.config.k_cand
+        calls.clear()
+        warm = _kept_bytes(child)
+        assert calls == child.topic_graph.edge_list()
+        calls.clear()
+        assert snapshot_bytes(child) == _kept_bytes(child) == warm
+        snapshot_hash(parent)
+        assert calls == []
+        assert warm == _cold_bytes(child)
+
+    def test_threads_saving_forks_of_one_parent(self, scaling_corpus, tmp_path):
+        # Eight threads save forks of one saved parent.  Each fork puts a
+        # theme of its own on the same archive, so the theme bytes kept there
+        # are replaced under the other threads, and links it to the same
+        # older themes.
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        parent, _ = replay(scaling_corpus, engine, "semantic")
+        parent = append_event(parent, Utterance("s9", "ana", "a new episode"))
+        archive_id, parent = archive_segment(parent, len(parent.buffer), [True] * len(parent.buffer))
+        save(parent, tmp_path / "parent.json")
+        older = sorted(parent.topic_graph.nodes)[:6]
+        forks = []
+        for worker in range(8):
+            new = dataclasses.replace(_theme_over(parent, archive_id, 0.0), summary=f"fork {worker}")
+            weight = 0.55 + worker / 20
+            links = [TopicEdge(new.id, t, Relation.SEMANTIC, weight) for t in older]
+            forks.append(insert_topic_node(parent, new, links))
+        expected = [_cold_bytes(fork) for fork in forks]
+        failures = []
+
+        def work(worker):
+            path = tmp_path / f"fork-{worker}.json"
+            for _ in range(15):
+                save(forks[worker], path)
+                if snapshot_bytes(forks[worker]) != expected[worker]:
+                    failures.append(worker)
+            if json.loads(path.read_bytes())["content_hash"] != snapshot_hash(forks[worker]):
+                failures.append(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(set(expected)) == 8
 
     def test_threads_saving_shared_archives(self, scaling_corpus, tmp_path):
         # Eight threads encode one cold snapshot, and one holding the same
@@ -1137,36 +1355,43 @@ class TestCachedBytes:
     def test_the_kept_bytes_are_never_saved_compared_or_shown(self, snapshot, tmp_path):
         save(snapshot, tmp_path / "warm.json")
         archives = {k: dataclasses.replace(g) for k, g in snapshot.archive.items()}
-        fresh = dataclasses.replace(snapshot, archive=archives)
+        graph = TopicGraph(snapshot.topic_graph.nodes, snapshot.topic_graph.edges)
+        fresh = dataclasses.replace(snapshot, archive=archives, topic_graph=graph)
+        assert snapshot.topic_graph.encoded_edges is not None
+        assert _nothing_kept(fresh)
+        assert snapshot.topic_graph == graph
+        assert repr(snapshot.topic_graph) == repr(graph)
         for warm, cold in zip(snapshot.archive.values(), archives.values()):
             assert warm.encoded_archive is not None
-            assert cold.encoded_archive is None and cold.encoded_theme is None
             assert warm == cold
             assert repr(warm) == repr(cold)
         assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
         save(fresh, tmp_path / "cold.json")
         assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
-        for name in ("encoded_archive", "encoded_theme"):
+        for name in KEPT:
             with pytest.raises(TypeError):
                 EventGraph((), **{name: None})
+        with pytest.raises(TypeError):
+            TopicGraph(encoded_edges=None)
 
     def test_a_nan_entry_is_refused_and_keeps_nothing(self, snapshot, tmp_path):
-        topic_id = min(snapshot.topic_graph.nodes)
+        # The NaN theme is the last one, so the topic edges and every other
+        # theme are encoded before it is refused.
+        topic_id = max(snapshot.topic_graph.nodes)
         node = snapshot.topic_graph.nodes[topic_id]
         nan_node = dataclasses.replace(node, embedding=(float("nan"),) + node.embedding[1:])
         key, edge = next(iter(snapshot.topic_graph.edges.items()))
         nan_edge = dataclasses.replace(edge, weight=float("nan"))
         graph = snapshot.topic_graph
-        archive = snapshot.archive[node.source_archive_id]
         path = tmp_path / "memory.json"
         for variant in (
-            TopicGraph({**graph.nodes, topic_id: nan_node}, graph.edges),
-            TopicGraph(graph.nodes, {**graph.edges, key: nan_edge}),
+            dataclasses.replace(snapshot, topic_graph=TopicGraph({**graph.nodes, topic_id: nan_node}, graph.edges)),
+            dataclasses.replace(snapshot, topic_graph=TopicGraph(graph.nodes, {**graph.edges, key: nan_edge})),
         ):
             with pytest.raises(ValueError):
-                save(dataclasses.replace(snapshot, topic_graph=variant), path)
+                save(variant, path)
             assert not path.exists()
-            assert archive.encoded_theme is None
+            assert _nothing_kept(snapshot) and _nothing_kept(variant)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -30,11 +30,14 @@ Identifiers are engine-generated, zero-padded and monotonic ("e000007",
 replays are byte-stable; a counter past 999999 is refused.  Because event ids
 rise through the archives in id order and then the buffer (the loader checks
 this), the next event id follows from the newest node alone, and the next
-topic or archive id from the highest key.  A turn appended without a turn
-index gets one past its session's highest: the highest over the archives is
-a derived value carried from snapshot to snapshot, never saved and built by
-one scan on first use (after a load, for instance), so only the buffer,
-which the token limit bounds, is scanned per turn.
+topic or archive id from the highest key.  The highest topic and archive
+keys, the buffer's token total and, per session, the highest archived turn
+index are derived values carried from snapshot to snapshot: never saved,
+each built by one scan on first use (after a load, for instance) and then
+moved on in constant time by the mutation that changes it.  So a turn costs
+the same however much is stored; only the buffer, which the token limit
+bounds, is scanned, for a turn appended without a turn index.  Mutations
+build their results directly rather than through ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import hashlib
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -149,15 +152,16 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    Three derived values, like ``TopicGraph.vector_index``, are never saved,
-    compared or shown.  ``candidates`` holds the retrieval candidates the
-    graph yields under one theme, built by the first query that reaches the
-    graph.  The other two are canonical bytes kept by a save, each with what
-    they were written for (see :func:`snapshot_members`):
-    ``encoded_archive`` the graph's ``"graph_id":{...}`` member of the
-    archives with that graph id, and ``encoded_theme`` its theme's entry
-    with that theme.  A frozen archive is shared by every later snapshot, so
-    each is built once.
+    Four derived values, like ``TopicGraph.vector_index``, are never saved,
+    compared or shown.  :attr:`token_total` is summed once per graph, or
+    carried by :func:`append_event` as the old total plus the new node's
+    count.  ``candidates`` holds the retrieval candidates the graph yields
+    under one theme, built by the first query that reaches the graph.  The
+    other two are canonical bytes kept by a save, each with what they were
+    written for (see :func:`snapshot_members`): ``encoded_archive`` the
+    graph's ``"graph_id":{...}`` member of the archives with that graph id,
+    and ``encoded_theme`` its theme's entry with that theme.  A frozen
+    archive is shared by every later snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
@@ -174,7 +178,7 @@ class EventGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def token_total(self) -> int:
         return sum(n.token_count for n in self.nodes)
 
@@ -264,9 +268,13 @@ def raw_text(nodes: Sequence[EventNode]) -> str:
 class MemorySnapshot:
     """Composite memory state; see the module docstring for the layout.
 
-    ``archive_turn_max`` (session id -> highest archived turn index) is a
-    derived value, like ``TopicGraph.vector_index``; a built map is never
-    changed, so snapshots forked from one parent may share it.
+    Two derived values, like ``TopicGraph.vector_index``, are never saved,
+    compared or shown.  Each is built by one scan on first use (a snapshot
+    built by hand or loaded) and carried by every mutation here.
+    ``archive_turn_max`` maps a session id to its highest archived turn
+    index; a built map is never changed, so snapshots forked from one parent
+    may share it.  ``newest_ids`` holds the highest topic and archive keys,
+    ``None`` where there is none, as ``max()`` over the keys gives them.
     """
 
     config: EngineConfig
@@ -275,6 +283,9 @@ class MemorySnapshot:
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
     logical_clock: int = 0
     archive_turn_max: dict[str, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    newest_ids: tuple[str | None, str | None] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -319,25 +330,61 @@ def _id_after(prefix: str, newest: str | None) -> str:
     return f"{prefix}{counter:0{_ID_WIDTH}d}"
 
 
+def _newest_ids(snapshot: MemorySnapshot) -> tuple[str | None, str | None]:
+    newest = snapshot.newest_ids
+    if newest is None:
+        # Built once per snapshot chain; a derived value, so setting it on
+        # the frozen snapshot changes nothing it compares or saves.
+        newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
+        object.__setattr__(snapshot, "newest_ids", newest)
+    return newest
+
+
 def next_event_id(snapshot: MemorySnapshot) -> str:
     # The newest event ends the buffer or, with the buffer empty, the newest
     # archive; archives are never empty.
-    newest = snapshot.buffer or (
-        snapshot.archive[max(snapshot.archive)].nodes if snapshot.archive else ()
-    )
+    newest = snapshot.buffer
+    if not newest:
+        archive_id = _newest_ids(snapshot)[1]
+        newest = snapshot.archive[archive_id].nodes if archive_id is not None else ()
     return _id_after("e", newest[-1].id if newest else None)
 
 
 def next_topic_id(snapshot: MemorySnapshot) -> str:
-    return _id_after("t", max(snapshot.topic_graph.nodes, default=None))
+    return _id_after("t", _newest_ids(snapshot)[0])
 
 
 def next_archive_id(snapshot: MemorySnapshot) -> str:
-    return _id_after("a", max(snapshot.archive, default=None))
+    return _id_after("a", _newest_ids(snapshot)[1])
+
+
+def _higher(newest: str | None, key: str) -> str:
+    return key if newest is None or key > newest else newest
 
 
 # ---------------------------------------------------------------------------
 # structural mutations
+
+
+def _successor(
+    snapshot: MemorySnapshot,
+    topic_graph: TopicGraph,
+    active_event_graph: EventGraph,
+    archive: Mapping[str, EventGraph],
+    archive_turn_max: dict[str, int] | None,
+    newest_ids: tuple[str | None, str | None] | None,
+) -> MemorySnapshot:
+    """The next snapshot, one tick on, built directly with the derived
+    values carried: setting them on the frozen snapshot changes nothing it
+    compares or saves."""
+    successor = MemorySnapshot(
+        snapshot.config, topic_graph, active_event_graph, archive, snapshot.logical_clock + 1
+    )
+    if archive_turn_max is not None:
+        object.__setattr__(successor, "archive_turn_max", archive_turn_max)
+    if newest_ids is not None:
+        object.__setattr__(successor, "newest_ids", newest_ids)
+    return successor
 
 
 def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapshot:
@@ -352,22 +399,26 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     if turn_index is None:
         turn_index = _derive_turn_index(snapshot, utterance.session_id)
 
+    token_count = estimate_tokens(utterance.text)
     node = EventNode(
-        id=next_event_id(snapshot),
-        session_id=utterance.session_id,
-        turn_index=turn_index,
-        speaker=utterance.speaker,
-        text=utterance.text,
-        timestamp=utterance.timestamp,
-        token_count=estimate_tokens(utterance.text),
+        next_event_id(snapshot),
+        utterance.session_id,
+        turn_index,
+        utterance.speaker,
+        utterance.text,
+        utterance.timestamp,
+        token_count,
     )
-    return _carry_turn_max(
-        replace(
-            snapshot,
-            active_event_graph=EventGraph(snapshot.buffer + (node,)),
-            logical_clock=snapshot.logical_clock + 1,
-        ),
+    buffer = snapshot.active_event_graph
+    graph = EventGraph(buffer.nodes + (node,))
+    object.__setattr__(graph, "token_total", buffer.token_total + token_count)
+    return _successor(
+        snapshot,
+        snapshot.topic_graph,
+        graph,
+        snapshot.archive,
         snapshot.archive_turn_max,
+        snapshot.newest_ids,
     )
 
 
@@ -376,7 +427,7 @@ def _derive_turn_index(snapshot: MemorySnapshot, session_id: str) -> int:
     if highest is None:
         archived = (n for g in snapshot.archive.values() for n in g.nodes)
         highest = _raise_turn_max({}, archived)
-        _carry_turn_max(snapshot, highest)
+        object.__setattr__(snapshot, "archive_turn_max", highest)
     turn = highest.get(session_id, -1)
     for node in snapshot.buffer:
         if node.session_id == session_id and node.turn_index > turn:
@@ -391,16 +442,6 @@ def _raise_turn_max(highest: dict[str, int], nodes: Iterable[EventNode]) -> dict
     return highest
 
 
-def _carry_turn_max(
-    snapshot: MemorySnapshot, highest: dict[str, int] | None
-) -> MemorySnapshot:
-    # A derived value, so setting it on the frozen snapshot changes nothing
-    # the snapshot compares or saves.
-    if highest is not None:
-        object.__setattr__(snapshot, "archive_turn_max", highest)
-    return snapshot
-
-
 def archive_segment(
     snapshot: MemorySnapshot,
     length: int,
@@ -410,7 +451,8 @@ def archive_segment(
 
     The buffer keeps its suffix and the frozen graph is stored under a fresh
     archive id.  ``confidence_flags`` are the per-node self-consistency
-    results stamped at freeze time.
+    results stamped at freeze time; a node whose flag already matches is
+    stored as it is.
     """
     buffer = snapshot.active_event_graph
     if not buffer.nodes:
@@ -422,8 +464,12 @@ def archive_segment(
 
     archive_id = next_archive_id(snapshot)
     frozen_nodes = tuple(
-        replace(n, confidence_flag=bool(flag))
-        for n, flag in zip(buffer.nodes[:length], confidence_flags)
+        n
+        if n.confidence_flag is flag
+        else EventNode(
+            n.id, n.session_id, n.turn_index, n.speaker, n.text, n.timestamp, n.token_count, flag
+        )
+        for n, flag in zip(buffer.nodes[:length], map(bool, confidence_flags))
     )
     new_archive = dict(snapshot.archive)
     new_archive[archive_id] = EventGraph(frozen_nodes)
@@ -431,14 +477,14 @@ def archive_segment(
     if highest is not None:
         # The parent's map stays as it is.
         highest = _raise_turn_max(dict(highest), frozen_nodes)
-    return archive_id, _carry_turn_max(
-        replace(
-            snapshot,
-            active_event_graph=EventGraph(buffer.nodes[length:]),
-            archive=new_archive,
-            logical_clock=snapshot.logical_clock + 1,
-        ),
+    newest_topic, newest_archive = _newest_ids(snapshot)
+    return archive_id, _successor(
+        snapshot,
+        snapshot.topic_graph,
+        EventGraph(buffer.nodes[length:]),
+        new_archive,
         highest,
+        (newest_topic, _higher(newest_archive, archive_id)),
     )
 
 
@@ -483,9 +529,16 @@ def insert_topic_node(
         # Derived value: the parent's index stays as it is.
         index = graph.vector_index.with_row(node.id, node.embedding)
         object.__setattr__(new_graph, "vector_index", index)
-    return _carry_turn_max(
-        replace(snapshot, topic_graph=new_graph, logical_clock=snapshot.logical_clock + 1),
+    newest = snapshot.newest_ids
+    if newest is not None:
+        newest = (_higher(newest[0], node.id), newest[1])
+    return _successor(
+        snapshot,
+        new_graph,
+        snapshot.active_event_graph,
+        snapshot.archive,
         snapshot.archive_turn_max,
+        newest,
     )
 
 

@@ -14,6 +14,7 @@ immutable snapshot and can be shared freely across threads.
 from __future__ import annotations
 
 import logging
+import re
 from datetime import datetime
 from typing import Callable
 
@@ -29,11 +30,27 @@ logger = logging.getLogger(__name__)
 Segmenter = Callable[[MemorySnapshot, TriggerKind], BoundaryVerdict]
 
 
+#: The one timestamp grammar, on every Python version: ``YYYY-MM-DD``, then
+#: optionally ``T`` or a space, ``HH:MM[:SS[.fff|.ffffff]]`` and a ``Z`` or
+#: ``+HH:MM``/``-HH:MM`` offset.  ``datetime.fromisoformat`` alone accepts
+#: more from Python 3.11 on (``20240101T100000``, ``10:00:00.5``), so the
+#: same corpus would fire different pauses on different versions.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}|\.[0-9]{6})?)?"
+    r"(?:Z|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?)?"
+)
+
+
 def _parse_timestamp(value: str | None) -> datetime | None:
-    if not value:
+    """The time a timestamp in the grammar names; ``None`` for anything
+    else, including a date that does not exist."""
+    if not value or _TIMESTAMP.fullmatch(value) is None:
         return None
+    if value.endswith("Z"):
+        value = value[:-1] + "+00:00"
     try:
-        return datetime.fromisoformat(value.replace("Z", "+00:00"))
+        return datetime.fromisoformat(value)
     except ValueError:
         return None
 
@@ -53,6 +70,9 @@ class MemoryEngine:
         self._snapshot = snapshot if snapshot is not None else new_snapshot(config)
         self.segmenter: Segmenter = self.detect_boundary
         self.trigger_counts: dict[TriggerKind, int] = {k: 0 for k in TriggerKind}
+        # The last timestamp parsed, with its parse: a pause check reads the
+        # previous turn's timestamp, which that turn's check parsed as its own.
+        self._parsed: tuple[str | None, datetime | None] = (None, None)
 
     @property
     def snapshot(self) -> MemorySnapshot:
@@ -122,16 +142,22 @@ class MemoryEngine:
         return retrieve(self._snapshot, query, self.providers, k)
 
     def _pause_exceeded(self, last: str | None, incoming: str | None) -> bool:
-        """A gap needs two comparable times: a missing or unparseable
-        timestamp, or a UTC offset on only one side, never fires a pause."""
-        previous = _parse_timestamp(last)
-        current = _parse_timestamp(incoming)
+        """A gap needs two comparable times: a timestamp that is missing or
+        outside the grammar (:data:`_TIMESTAMP`), or a UTC offset on only
+        one side, never fires a pause."""
+        previous = self._parse(last)
+        current = self._parse(incoming)
         if previous is None or current is None:
             return False
         if (previous.tzinfo is None) != (current.tzinfo is None):
             return False
         gap = (current - previous).total_seconds() / 60.0
         return gap > self.config.pause_gap_minutes
+
+    def _parse(self, value: str | None) -> datetime | None:
+        if value != self._parsed[0]:
+            self._parsed = (value, _parse_timestamp(value))
+        return self._parsed[1]
 
     def _fire(self, kind: TriggerKind) -> list[ConsolidationReport]:
         if not self._snapshot.buffer:

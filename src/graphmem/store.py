@@ -206,7 +206,9 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """Write the canonical document atomically (temp file + rename).
 
     The file gets the mode ``open(path, "wb")`` would give it: an existing
-    file keeps its mode, and a new one gets ``0o666`` less the umask.
+    file keeps its mode, and a new one gets ``0o666`` less the umask.  As
+    with ``open``, a symbolic link stays a link and the file it names gets
+    the bytes.
     """
     # Each top-level value is encoded once and shared by the hash and the
     # file; each new archive and theme, and a topic graph not saved before,
@@ -216,11 +218,13 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     members["format_version"] = canonical_json(FORMAT_VERSION)
     members["content_hash"] = canonical_json(content_hash)
     payload = join_members(members)
+    # The file a link names, so the rename replaces that file, not the link.
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         mode = None
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path)
     # Named apart from the target, so any name the target may have fits.
     temp_path = os.path.join(directory, f".{secrets.token_hex(8)}.tmp")
     # Created like open() creates a file, so the kernel applies the umask.

@@ -20,6 +20,9 @@ from graphmem.core import (
     insert_topic_node,
     neighbors,
     new_snapshot,
+    next_archive_id,
+    next_event_id,
+    next_topic_id,
     raw_text,
     snapshot_bytes,
     snapshot_hash,
@@ -220,6 +223,92 @@ class TestArchive:
             False,
             True,
         ]
+
+
+def _scanned_ids(snapshot):
+    return max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None)
+
+
+class TestCarriedValues:
+    """The buffer's token total and the newest topic and archive ids are
+    carried from snapshot to snapshot; each must equal a fresh scan."""
+
+    def _event(self, number, text="carried value check"):
+        return EventNode(f"e{number:06d}", "s1", number, "ana", text, None, estimate_tokens(text))
+
+    def _theme(self, snapshot, topic_id, archive_id):
+        return fresh_topic(snapshot, archive_id, topic_id, random.Random(topic_id))
+
+    def test_a_hand_built_snapshot_out_of_id_order_allocates_the_scanned_ids(self):
+        # Dict order is not id order: neither the first nor the last key is
+        # the newest.
+        archive = {
+            "a000002": EventGraph((self._event(3), self._event(4))),
+            "a000005": EventGraph((self._event(7),)),
+            "a000001": EventGraph((self._event(1),)),
+        }
+        snap = new_snapshot()
+        snap = replace(snap, archive=archive)
+        themes = {
+            topic_id: self._theme(snap, topic_id, archive_id)
+            for topic_id, archive_id in (("t000004", "a000002"), ("t000009", "a000005"), ("t000001", "a000001"))
+        }
+        snap = replace(snap, topic_graph=TopicGraph(themes, {}))
+        assert snap.newest_ids is None
+        assert next_event_id(snap) == "e000008"
+        assert next_topic_id(snap) == "t000010"
+        assert next_archive_id(snap) == "a000006"
+        assert snap.newest_ids == _scanned_ids(snap) == ("t000009", "a000005")
+
+        snap = append_event(snap, utt("one more turn"))
+        archive_id, snap = archive_all(snap)
+        assert archive_id == "a000006"
+        # A theme below the newest, as a hand-written caller may insert.
+        snap = insert_topic_node(snap, self._theme(snap, "t000002", archive_id), [])
+        assert snap.newest_ids == _scanned_ids(snap) == ("t000009", "a000006")
+        assert next_topic_id(snap) == "t000010"
+        assert next_event_id(snap) == "e000009"
+
+    def test_ids_above_the_allocated_width_stay_the_newest(self):
+        # "a1" sorts after "a000002": the carried value must say so, as
+        # max() over the keys does.
+        archive_id, snap = with_extra_archive(new_snapshot())
+        snap = replace(snap, archive={"a1": snap.archive[archive_id]})
+        snap = append_event(snap, utt("one more turn"))
+        archive_id, snap = archive_all(snap)
+        assert archive_id == "a000002"
+        assert snap.newest_ids[1] == max(snap.archive) == "a1"
+
+    def test_token_total_is_carried_by_append(self):
+        snap = new_snapshot()
+        for i in range(6):
+            parent = snap.active_event_graph
+            snap = append_event(snap, utt(" ".join(["word"] * (i + 1))))
+            # Set on the new graph by the append, not summed on first read.
+            assert "token_total" in vars(snap.active_event_graph)
+            assert snap.active_event_graph.token_total == parent.token_total + i + 1
+        assert snap.active_event_graph.token_total == sum(n.token_count for n in snap.buffer) == 21
+        _, snap = archive_segment(snap, 2, [True, True])
+        assert snap.active_event_graph.token_total == 18
+
+    def test_carried_values_are_never_saved_compared_or_shown(self):
+        snap = append_event(new_snapshot(), utt("one turn"))
+        archive_id, snap = archive_all(snap)
+        bare = replace(snap)
+        assert bare.newest_ids is None and snap.newest_ids is not None
+        assert "token_total" not in vars(bare.active_event_graph)
+        assert bare == snap
+        assert repr(bare) == repr(snap)
+        assert snapshot_bytes(bare) == snapshot_bytes(snap)
+        assert "newest_ids" not in snapshot_to_dict(snap)
+
+    def test_a_frozen_node_whose_flag_matches_is_stored_as_it_is(self):
+        snap = append_event(append_event(new_snapshot(), utt("kept node")), utt("flagged node"))
+        buffered = snap.buffer
+        archive_id, snap = archive_segment(snap, 2, [True, False])
+        frozen = snap.archive[archive_id].nodes
+        assert frozen[0] is buffered[0]
+        assert frozen[1] == replace(buffered[1], confidence_flag=False)
 
 
 class TestInsertTopicNode:

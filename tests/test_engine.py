@@ -67,6 +67,51 @@ class TestTriggers:
         assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == 0
         assert len(engine.snapshot.buffer) == 3
 
+    @pytest.mark.parametrize(
+        "later, fires",
+        [
+            ("2026-01-05T10:00", True),
+            ("2026-01-05 10:00:00", True),
+            ("2026-01-05T10:00:00.500", True),
+            ("2026-01-05T10:00:00.500000", True),
+            ("2026-01-05T09:10:00", False),
+            ("2026-01-06", True),
+            # Outside the grammar, though some Python versions parse them.
+            ("20260105T100000", False),
+            ("2026-01-05T10:00:00.5", False),
+            ("2026-W02-1T10:00", False),
+            ("2026-01-05T10", False),
+            ("2026-01-05x10:00:00", False),
+            ("2026-01-05T10:00:00+0100", False),
+            ("2026-01-05T10:00:00\n", False),
+            # In the grammar, but no such time.
+            ("2026-01-05T24:00:00", False),
+            ("2026-02-30T10:00:00", False),
+        ],
+    )
+    def test_pause_timestamps_follow_one_grammar(self, later, fires):
+        engine = fresh_engine()
+        engine.observe("s1", "ana", "puppy leash", timestamp="2026-01-05T09:00:00")
+        engine.observe("s1", "riley", "interview offer", timestamp=later)
+        assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == int(fires)
+
+    @pytest.mark.parametrize(
+        "earlier, later, fires",
+        [
+            ("2026-01-05T09:00:00Z", "2026-01-05T10:00:00+00:00", True),
+            ("2026-01-05T09:00:00+01:00", "2026-01-05T08:20:00Z", False),
+            ("2026-01-05T09:00:00-05:30", "2026-01-05T15:01:00+00:00", True),
+            ("2026-01-05T09:00:00Z", "2026-01-05T10:00:00+24:00", False),
+            ("2026-01-05T09:00:00Z", "2026-01-05T10:00:00+05:60", False),
+            ("2026-01-05T09:00:00Z", "2026-01-05T10:00:00z", False),
+        ],
+    )
+    def test_pause_offsets_follow_one_grammar(self, earlier, later, fires):
+        engine = fresh_engine()
+        engine.observe("s1", "ana", "puppy leash", timestamp=earlier)
+        engine.observe("s1", "riley", "interview offer", timestamp=later)
+        assert engine.trigger_counts[TriggerKind.INTERACTION_PAUSE] == int(fires)
+
     def test_overflow_fires_after_the_breaching_append(self):
         config = EngineConfig(buffer_token_limit=10)
         engine = fresh_engine(config)

@@ -2,9 +2,10 @@
 
 Rules observe turns in three sessions, end sessions, request checks, query,
 round-trip the snapshot through save and load, continuing on the loaded
-copy, and fork: a second engine continues from the current snapshot and
-saves its own, so the fork shares archives and bytes kept on them with the
-main chain.  A small buffer budget makes overflows fire.  After every step
+copy, restart (the same with fresh providers, as a new process would), and
+fork: a second engine continues from the current snapshot and saves its
+own, so the fork shares archives and bytes kept on them with the main
+chain.  A small buffer budget makes overflows fire.  After every step
 the engine is checked against a plain model: the list of accepted turns and
 the number of committed consolidations.
 """
@@ -151,6 +152,16 @@ class EngineMachine(RuleBasedStateMachine):
         save(self.engine.snapshot, self.path)
         self.engine = MemoryEngine(self.bundle, snapshot=load(self.path))
 
+    @rule()
+    def restart(self):
+        # As a new process would: nothing but the file carries over, so the
+        # loaded snapshot's derived values are built afresh on first use.
+        save(self.engine.snapshot, self.path)
+        loaded = load(self.path)
+        assert loaded.newest_ids is None and loaded.archive_turn_max is None
+        self.bundle = mock_bundle(loaded.config)
+        self.engine = MemoryEngine(self.bundle, snapshot=loaded)
+
     @invariant()
     def each_accepted_turn_stored_once_in_id_order(self):
         nodes = self.nodes()
@@ -171,6 +182,12 @@ class EngineMachine(RuleBasedStateMachine):
                 for node in graph.nodes:
                     highest[node.session_id] = max(highest.get(node.session_id, -1), node.turn_index)
             assert snapshot.archive_turn_max == highest
+        if snapshot.newest_ids is not None:
+            newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
+            assert snapshot.newest_ids == newest
+        graph = snapshot.active_event_graph
+        if "token_total" in vars(graph):
+            assert graph.token_total == sum(n.token_count for n in graph.nodes)
         graphs = [*snapshot.archive.items(), (LIVE_BUFFER_ID, snapshot.active_event_graph)]
         for graph_id, graph in graphs:
             if graph.candidates is not None:

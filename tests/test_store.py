@@ -207,6 +207,33 @@ class TestFileMode:
         assert snapshot_hash(load(path)) == snapshot_hash(snapshot)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_a_save_through_a_symbolic_link_writes_its_target(self, snapshot, tmp_path):
+        # As open(path, "wb") would: the link stays, the file it names
+        # gets the bytes and keeps its mode.
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "real.json"
+        target.write_bytes(b"older contents")
+        target.chmod(0o640)
+        link = tmp_path / "memory.json"
+        link.symlink_to(os.path.join("data", "real.json"))
+        save(snapshot, link)
+        assert link.is_symlink()
+        assert os.readlink(link) == os.path.join("data", "real.json")
+        assert snapshot_hash(load(target)) == snapshot_hash(snapshot)
+        assert _mode(target) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "memory.json"]
+        assert [p.name for p in target.parent.iterdir()] == ["real.json"]
+
+    def test_a_save_through_a_dangling_link_creates_its_target(self, snapshot, tmp_path, umask):
+        umask(0o022)
+        link = tmp_path / "memory.json"
+        link.symlink_to(tmp_path / "chain.json")
+        (tmp_path / "chain.json").symlink_to(tmp_path / "real.json")
+        save(snapshot, link)
+        assert link.is_symlink() and (tmp_path / "chain.json").is_symlink()
+        assert snapshot_hash(load(tmp_path / "real.json")) == snapshot_hash(snapshot)
+        assert _mode(tmp_path / "real.json") == 0o644
+
     @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError, RuntimeError])
     def test_a_write_that_raises_leaves_no_temporary_file(self, snapshot, tmp_path, monkeypatch, error):
         path = tmp_path / "memory.json"
@@ -942,6 +969,13 @@ class TestDerivedValueProperties:
             snapshot = engine.snapshot
             graphs = (snapshot.active_event_graph, *snapshot.archive.values())
             events = [n.id for g in graphs for n in g.nodes]
+            assert snapshot.active_event_graph.token_total == sum(n.token_count for n in snapshot.buffer)
+            # Read before the allocators below would build it: from the
+            # first consolidation on it is carried.
+            newest = snapshot.newest_ids
+            assert newest is not None or not snapshot.archive
+            if newest is not None:
+                assert newest == (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
             assert next_event_id(snapshot) == _scan_next_id("e", events)
             assert next_topic_id(snapshot) == _scan_next_id("t", snapshot.topic_graph.nodes)
             assert next_archive_id(snapshot) == _scan_next_id("a", snapshot.archive)

@@ -296,8 +296,14 @@ def rerank(
         * np.where(c, config.beta_conf, 1.0)
         * np.where(r, config.beta_role, 1.0)
     )
-    creation = np.array([int(n.id[1:]) for n in nodes], dtype=np.int64)
-    top = np.lexsort((-creation, -score))[:k]
+    # Only rows scoring at least the k-th largest can rank, so only their ids
+    # are parsed; a stable sort of that ascending shortlist orders it as a
+    # sort of every row would.
+    shortlist = np.arange(len(nodes))
+    if len(nodes) > k:
+        shortlist = np.flatnonzero(score >= np.partition(score, -k)[-k])
+    creation = np.array([int(nodes[i].id[1:]) for i in shortlist.tolist()], dtype=np.int64)
+    top = shortlist[np.lexsort((-creation, -score[shortlist]))[:k]]
     flags = 4 * t + 2 * c + r
     rows = zip(
         top.tolist(),

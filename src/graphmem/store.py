@@ -12,7 +12,12 @@ derived copies (graph ids, event edges, ``cross_index``, each theme's
 without them and rejects a file whose copies differ from the derived
 values, or whose body differs in any other way from what ``save`` writes
 for the rebuilt snapshot, so a loaded snapshot hashes to its file's
-``content_hash``.
+``content_hash``.  It works a field at a time: each event, theme and edge
+field is taken out as one list and type-checked in that pass, nodes and
+edges are built from those columns, the copies are compared with them,
+and :func:`validate_snapshot` checks each invariant over a whole column.
+The theme norms come from the topic graph's vector index, which the
+loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -27,19 +32,21 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
 import os
+import re
 import secrets
 import stat
 import threading
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Sequence
+from itertools import chain, repeat
+from operator import attrgetter, eq, ge, gt, itemgetter, lt
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import EngineConfig, estimate_tokens
 from .core import (
+    DIRECTED_RELATIONS,
     EVENT_FIELD_TYPES,
     ID_FORMAT,
     EventGraph,
@@ -47,12 +54,14 @@ from .core import (
     LIVE_BUFFER_ID,
     SNAPSHOT_MEMBERS,
     MemorySnapshot,
+    SEQUENTIAL,
     Relation,
     TopicEdge,
     TopicGraph,
     TopicNode,
     canonical_json,
     edge_key,
+    from_columns,
     join_members,
     snapshot_members,
     topic_raw,
@@ -279,47 +288,58 @@ def _reconstruct(document: dict) -> MemorySnapshot:
 
     config = EngineConfig.from_dict(body["config"])
     graphs = [*body["archives"].values(), body["active_buffer"]]
-    _check_types([entry for graph in graphs for entry in graph["nodes"]], EVENT_FIELD_TYPES)
-    _check_types(body["topic_nodes"], _TOPIC_TYPES)
-    _check_types(body["topic_edges"], _EDGE_TYPES)
-    topic_nodes = {}
-    raws = {}
-    for entry in body["topic_nodes"]:
-        for name, item_type in (("keywords", str), ("embedding", float)):
-            if not set(map(type, entry[name])) <= {item_type}:
-                raise CorruptionError("field-type", f"{entry['id']} {name}")
-        node = TopicNode(
-            id=entry["id"],
-            summary=entry["summary"],
-            keywords=tuple(entry["keywords"]),
-            embedding=tuple(entry["embedding"]),
-            created_at=entry["created_at"],
-            source_archive_id=entry["source_archive_id"],
-        )
-        topic_nodes[node.id] = node
-        raws[node.id] = entry["raw"]
-
-    edges = {}
-    for entry in body["topic_edges"]:
-        edge = TopicEdge(
-            from_id=entry["from_id"],
-            to_id=entry["to_id"],
-            relation=Relation(entry["relation"]),
-            weight=entry["weight"],
-        )
-        key = edge_key(edge.from_id, edge.to_id)
-        if entry["directed"] is not edge.directed:
-            raise CorruptionError("edge-directed-matches-relation", str(key))
-        edges[key] = edge
-
-    strings: dict[str | None, str | None] = {}
-    archives = {
-        archive_id: _rebuild_graph(graph_dict, archive_id, "archive-graph-id", strings)
-        for archive_id, graph_dict in body["archives"].items()
-    }
-    buffer = _rebuild_graph(
-        body["active_buffer"], LIVE_BUFFER_ID, "buffer-graph-id", strings
+    node_lists = list(map(itemgetter("nodes"), graphs))
+    events = _columns(list(chain.from_iterable(node_lists)), EVENT_FIELD_TYPES)
+    themes = _columns(body["topic_nodes"], _TOPIC_TYPES)
+    links = _columns(body["topic_edges"], _EDGE_TYPES)
+    theme_ids = themes["id"]
+    for name, item_type in (("keywords", str), ("embedding", float)):
+        if not set(map(type, chain.from_iterable(themes[name]))) <= {item_type}:
+            where = next(
+                theme_id
+                for theme_id, items in zip(theme_ids, themes[name])
+                if not set(map(type, items)) <= {item_type}
+            )
+            raise CorruptionError("field-type", f"{where} {name}")
+    theme_columns = (
+        theme_ids,
+        themes["summary"],
+        list(map(tuple, themes["keywords"])),
+        list(map(tuple, themes["embedding"])),
+        themes["created_at"],
+        themes["source_archive_id"],
     )
+    topic_nodes = dict(zip(theme_ids, from_columns(TopicNode, theme_columns)))
+
+    labels, froms, tos = links["relation"], links["from_id"], links["to_id"]
+    relations = list(map(_RELATIONS.get, labels))
+    if None in relations:
+        raise CorruptionError("document-schema", f"relation {labels[relations.index(None)]!r}")
+    keys = list(map(edge_key, froms, tos))
+    directed = map(eq, map(_DIRECTED.get, labels), links["directed"])
+    _require("edge-directed-matches-relation", directed, keys)
+    edges = dict(zip(keys, from_columns(TopicEdge, (froms, tos, relations, links["weight"]))))
+
+    # One str per distinct session id, speaker and timestamp in this load,
+    # rather than one per node.
+    share = {}.setdefault
+    for name in ("session_id", "speaker", "timestamp"):
+        events[name] = list(map(share, events[name], events[name]))
+    # EVENT_FIELD_TYPES lists the fields in EventNode's order.
+    nodes = tuple(from_columns(EventNode, list(events.values())))
+    ids = events["id"]
+    rebuilt = []
+    end = 0
+    graph_ids = [*body["archives"], LIVE_BUFFER_ID]
+    checks = ["archive-graph-id"] * len(body["archives"]) + ["buffer-graph-id"]
+    for graph_id, check, graph, count in zip(graph_ids, checks, graphs, map(len, node_lists)):
+        if graph["graph_id"] != graph_id:
+            raise CorruptionError(check, graph_id)
+        start, end = end, end + count
+        path = ids[start:end]
+        if graph["edges"] != list(map(list, zip(path, path[1:], repeat(SEQUENTIAL)))):
+            raise CorruptionError("sequential-path", graph_id)
+        rebuilt.append(EventGraph(nodes[start:end]))
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
@@ -327,73 +347,43 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     snapshot = MemorySnapshot(
         config=config,
         topic_graph=TopicGraph(topic_nodes, edges),
-        active_event_graph=buffer,
-        archive=archives,
+        active_event_graph=rebuilt.pop(),
+        archive=dict(zip(body["archives"], rebuilt)),
         logical_clock=clock,
     )
     validate_snapshot(snapshot)
-    if body["cross_index"] != snapshot.cross_index:
+    if body["cross_index"] != dict(zip(theme_ids, themes["source_archive_id"])):
         raise CorruptionError("cross-index-matches-source")
-    for topic_id, raw in raws.items():
-        if raw != topic_raw(snapshot, topic_id):
-            raise CorruptionError("raw-matches-archive", topic_id)
-    _check_written_form(body, snapshot)
+    raws = dict(zip(theme_ids, themes["raw"]))
+    archived = map(topic_raw, repeat(snapshot), raws)
+    _require("raw-matches-archive", map(eq, raws.values(), archived), list(raws))
+    _check_written_form(body, graphs, node_lists, theme_ids, keys, snapshot)
     return snapshot
 
 
-def _check_written_form(body: dict, snapshot: MemorySnapshot) -> None:
+def _check_written_form(
+    body: dict,
+    graphs: list,
+    node_lists: list,
+    theme_ids: list,
+    keys: list,
+    snapshot: MemorySnapshot,
+) -> None:
     """Reject a body that ``save`` would not write for ``snapshot``, in ways
     the rebuilt snapshot would hide, so that a loaded snapshot always hashes
     to its file's ``content_hash``: themes and edges out of key order or
-    repeated, an entry with a key the engine does not write, or a config
-    whose keys or number types differ from the stored config's."""
-    ids = [entry["id"] for entry in body["topic_nodes"]]
-    if (unsorted := _first_unsorted(ids)) is not None:
-        raise CorruptionError("topic-order", unsorted)
-    keys = [edge_key(entry["from_id"], entry["to_id"]) for entry in body["topic_edges"]]
-    if (unsorted := _first_unsorted(keys)) is not None:
-        raise CorruptionError("edge-order", str(unsorted))
-    graphs = [*body["archives"].values(), body["active_buffer"]]
-    for entries, names in (
-        (body["topic_nodes"], _TOPIC_TYPES.keys()),
-        (body["topic_edges"], _EDGE_TYPES.keys()),
-        (graphs, {"graph_id", "nodes", "edges"}),
-    ):
-        if any(entry.keys() != names for entry in entries):
-            raise CorruptionError("document-schema", f"a key outside {sorted(names)}")
+    repeated, a graph with a key the engine does not write, an empty list
+    written as another empty value, or a config whose keys or number types
+    differ from the stored config's.  (An entry with an unwritten key was
+    refused when its columns were taken.)"""
+    _require("topic-order", map(lt, theme_ids, theme_ids[1:]), theme_ids[1:])
+    _require("edge-order", map(lt, keys, keys[1:]), keys[1:])
+    if set(map(len, graphs)) - {3}:
+        raise CorruptionError("document-schema", "a key outside ['edges', 'graph_id', 'nodes']")
+    if not set(map(type, [body["topic_nodes"], body["topic_edges"], *node_lists])) <= {list}:
+        raise CorruptionError("document-schema", "themes, edges or event nodes not in a list")
     if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
         raise CorruptionError("document-schema", "config differs from the stored form")
-
-
-def _first_unsorted(keys: list) -> object:
-    """The first key not above the one before it, or ``None``."""
-    return next((b for a, b in zip(keys, keys[1:]) if not a < b), None)
-
-
-def _rebuild_graph(
-    graph_dict: dict, graph_id: str, id_check: str, strings: dict[str | None, str | None]
-) -> EventGraph:
-    """Event graph from its document; the stored id and edges must equal
-    the ones the engine derives and writes.
-
-    ``strings`` holds one copy of each session id, speaker and timestamp
-    seen so far in this load.  Those fields of the parsed entries are
-    replaced by the shared copies, so the nodes hold one ``str`` per
-    distinct value rather than one per node.
-    """
-    if graph_dict["graph_id"] != graph_id:
-        raise CorruptionError(id_check, graph_id)
-    share = strings.setdefault
-    for entry in graph_dict["nodes"]:
-        entry["session_id"] = share(entry["session_id"], entry["session_id"])
-        entry["speaker"] = share(entry["speaker"], entry["speaker"])
-        entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
-    # The caller has checked the field types; a field EventNode lacks is a
-    # TypeError.
-    graph = EventGraph(tuple(EventNode(**entry) for entry in graph_dict["nodes"]))
-    if graph_dict["edges"] != graph.edges:
-        raise CorruptionError("sequential-path", graph_id)
-    return graph
 
 
 #: The exact JSON types each stored theme and edge field may have (event
@@ -416,68 +406,111 @@ _EDGE_TYPES = {
     "weight": (float,),
     "directed": (bool,),
 }
+_RELATIONS = {relation.value: relation for relation in Relation}
+_DIRECTED = {relation.value: relation in DIRECTED_RELATIONS for relation in Relation}
 
 
-def _check_types(entries: list[dict], types: dict[str, tuple[type, ...]]) -> None:
-    """Raise ``field-type`` naming a field and an entry whose value there
-    has a type other than ``types`` allows."""
+def _columns(entries: list, types: dict[str, tuple[type, ...]]) -> dict[str, list]:
+    """Each field of ``entries`` as one list, in the order of ``types``.
+
+    A value whose type ``types`` does not allow is ``field-type``, naming
+    the field and the first such entry; an entry with a key outside
+    ``types`` is ``document-schema`` (a missing key is a ``KeyError``).
+    """
+    columns = {}
     for name, allowed in types.items():
+        column = columns[name] = list(map(itemgetter(name), entries))
         # One pass per field in C; only a failure looks for its entry.
-        if not set(map(type, map(itemgetter(name), entries))) <= set(allowed):
+        if not set(map(type, column)) <= set(allowed):
             entry = next(e for e in entries if type(e[name]) not in allowed)
             where = entry.get("id") or f"{entry.get('from_id')}-{entry.get('to_id')}"
             raise CorruptionError("field-type", f"{where} {name}")
+    # Every key of ``types`` is present, so a longer entry has another.
+    if set(map(len, entries)) - {len(types)}:
+        raise CorruptionError("document-schema", f"a key outside {sorted(types)}")
+    return columns
 
 
 def validate_snapshot(snapshot: MemorySnapshot) -> None:
-    """Check every structural invariant, naming the first one that fails."""
+    """Check every structural invariant, naming the first one that fails.
+
+    Each invariant is checked over a whole column at once, in this order:
+    archive ids, non-empty archives; event ids, their order, turn indices,
+    token counts; theme ids, summaries, embedding sizes, norms, source
+    archives; edge keys, endpoints, weights; one theme per archive.  The first
+    entry that breaks the first failing invariant is named.  The norms come
+    from the topic graph's vector index (built here if the graph has none),
+    as NumPy computes them.
+    """
     config = snapshot.config
-    for archive_id, graph in snapshot.archive.items():
-        _check_id_format("a", archive_id)
-        if not graph.nodes:
-            raise CorruptionError("archive-non-empty", archive_id)
+    archive_ids = list(snapshot.archive)
+    _check_ids("a", archive_ids)
+    _require("archive-non-empty", map(len, snapshot.archive.values()), archive_ids)
 
     # Event ids rise through the archives in id order and then the buffer,
     # which makes them unique and lets allocation read only the newest one.
-    previous = ""
-    archives = [snapshot.archive[k] for k in sorted(snapshot.archive)]
-    for graph in [*archives, snapshot.active_event_graph]:
-        for node in graph.nodes:
-            _check_id_format("e", node.id)
-            if node.id <= previous:
-                raise CorruptionError("event-id-order", node.id)
-            previous = node.id
-            if node.turn_index < 0:
-                raise CorruptionError("turn-index-non-negative", node.id)
-            if node.token_count != estimate_tokens(node.text):
-                raise CorruptionError("token-count-matches-estimator", node.id)
+    graphs = [*map(snapshot.archive.__getitem__, sorted(archive_ids)), snapshot.active_event_graph]
+    nodes = list(chain.from_iterable(map(attrgetter("nodes"), graphs)))
+    ids = list(map(attrgetter("id"), nodes))
+    _check_ids("e", ids)
+    _require("event-id-order", map(lt, ids, ids[1:]), ids[1:])
+    turns = map(attrgetter("turn_index"), nodes)
+    _require("turn-index-non-negative", map(ge, turns, repeat(0)), ids)
+    counts = map(attrgetter("token_count"), nodes)
+    estimates = map(estimate_tokens, map(attrgetter("text"), nodes))
+    _require("token-count-matches-estimator", map(eq, counts, estimates), ids)
 
     graph = snapshot.topic_graph
-    for node in graph.nodes.values():
-        _check_id_format("t", node.id)
-        if not node.summary.strip():
-            # Relation scoring refuses a blank summary in the next consolidation.
-            raise CorruptionError("summary-non-empty", node.id)
-        if len(node.embedding) != config.embedding_dim:
-            raise CorruptionError("embedding-dim", node.id)
-        norm = math.sqrt(sum(x * x for x in node.embedding))
-        if not abs(norm - 1.0) <= 1e-6:  # written so that NaN fails
-            raise CorruptionError("embedding-unit-norm", node.id)
-        if node.source_archive_id not in snapshot.archive:
-            raise CorruptionError("source-archive-exists", node.id)
-    for key, edge in graph.edges.items():
-        if key != edge_key(edge.from_id, edge.to_id):
-            raise CorruptionError("edge-key-canonical", str(key))
-        if edge.from_id not in graph.nodes or edge.to_id not in graph.nodes:
-            raise CorruptionError("topic-edge-endpoints", str(key))
-        if not edge.weight > config.tau:
-            raise CorruptionError("edge-weight-above-tau", str(key))
+    themes = list(graph.nodes.values())
+    theme_ids = list(map(attrgetter("id"), themes))
+    _check_ids("t", theme_ids)
+    # Relation scoring refuses a blank summary in the next consolidation.
+    _require("summary-non-empty", map(str.strip, map(attrgetter("summary"), themes)), theme_ids)
+    sizes = map(len, map(attrgetter("embedding"), themes))
+    _require("embedding-dim", map(eq, sizes, repeat(config.embedding_dim)), theme_ids)
+    index = topic_index(graph, config.embedding_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix))
+        # Written so that NaN fails.
+        unit = (np.abs(norms - 1.0) <= 1e-6).tolist()
+    _require("embedding-unit-norm", unit, index.ids)
+    sources = list(map(attrgetter("source_archive_id"), themes))
+    _require("source-archive-exists", map(snapshot.archive.__contains__, sources), theme_ids)
 
-    sources = [node.source_archive_id for node in graph.nodes.values()]
+    keys, edges = list(graph.edges), list(graph.edges.values())
+    froms, tos = list(map(attrgetter("from_id"), edges)), list(map(attrgetter("to_id"), edges))
+    _require("edge-key-canonical", map(eq, keys, map(edge_key, froms, tos)), keys)
+    if not graph.nodes.keys() >= {*froms, *tos}:
+        _require("topic-edge-endpoints", map(graph.nodes.__contains__, froms), keys)
+        _require("topic-edge-endpoints", map(graph.nodes.__contains__, tos), keys)
+    # Compared one by one rather than through min(), which a NaN would pass.
+    weights = map(attrgetter("weight"), edges)
+    _require("edge-weight-above-tau", map(gt, weights, repeat(config.tau)), keys)
+
     if len(sources) != len(set(sources)):
         raise CorruptionError("cross-index-injective")
 
 
-def _check_id_format(prefix: str, identifier: str) -> None:
-    if not ID_FORMAT[prefix].fullmatch(identifier):
-        raise CorruptionError("id-format", identifier)
+def _require(invariant: str, checks: Iterable[object], names: Sequence[object]) -> None:
+    """Raise ``invariant`` naming the first of ``names`` whose check is false."""
+    checks = list(checks)
+    if not all(checks):
+        raise CorruptionError(invariant, str(next(n for c, n in zip(checks, names) if not c)))
+
+
+#: A whole list of ids in the form the engine writes, joined by newlines.
+_ID_LISTS = {
+    prefix: re.compile(f"{pattern.pattern}(?:\n{pattern.pattern})*")
+    for prefix, pattern in ID_FORMAT.items()
+}
+
+
+def _check_ids(prefix: str, ids: list[str]) -> None:
+    """Raise ``id-format`` naming the first of ``ids`` that is not of the
+    form the engine writes."""
+    joined = "\n".join(ids)
+    # One match over all ids at once; the newline count shows that no id
+    # holds a newline of its own.
+    if not ids or (joined.count("\n") == len(ids) - 1 and _ID_LISTS[prefix].fullmatch(joined)):
+        return
+    _require("id-format", map(ID_FORMAT[prefix].fullmatch, ids), ids)

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from graphmem.config import estimate_tokens
 from graphmem.core import (
+    from_columns,
+    EVENT_FIELD_TYPES,
     EventGraph,
     EventNode,
     Relation,
@@ -494,3 +496,34 @@ def test_stored_records_are_slotted(value):
     # A snapshot holds one per utterance, theme and edge.
     assert not hasattr(value, "__dict__")
     assert replace(value) == value
+
+
+def test_event_field_types_follow_the_node_fields():
+    # The loader builds nodes positionally from columns in this order.
+    assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode)]
+
+
+@pytest.mark.parametrize(
+    "cls, rows",
+    [
+        (
+            EventNode,
+            [
+                ("e000001", "s1", 0, "ana", "a line", None, 2, True),
+                ("e000002", "s1", 1, "riley", "another line", "2026-01-05T09:00:00", 2, False),
+            ],
+        ),
+        (TopicNode, [("t000001", "summary", ("word",), (1.0, 0.0), 3, "a000001")]),
+        (
+            TopicEdge,
+            [("t000001", "t000002", Relation.CAUSAL, 0.75), ("t000001", "t000003", Relation.SEMANTIC, 0.5)],
+        ),
+    ],
+)
+def test_records_from_columns_equal_constructed_records(cls, rows):
+    built = from_columns(cls, [list(column) for column in zip(*rows)])
+    assert built == [cls(*row) for row in rows]
+    assert [hash(record) for record in built] == [hash(cls(*row)) for row in rows]
+    assert from_columns(cls, [[] for _ in fields(cls)]) == []
+    # Building from columns skips __init__, so construction must check nothing.
+    assert not hasattr(cls, "__post_init__")

@@ -725,6 +725,111 @@ class TestMutationFuzz:
             assert snapshot_hash(result) == reference
 
 
+class TestLoadedIndex:
+    """A load checks theme norms on the vector index and leaves it on the
+    loaded topic graph, so the first query does not build it again."""
+
+    def test_the_loaded_index_is_the_rebuilt_index(self, golden_snapshot, scaling_corpus, tmp_path):
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        scaling, _ = replay(scaling_corpus, engine, "semantic")
+        for snapshot in (golden_snapshot[0], scaling):
+            path = tmp_path / "memory.json"
+            save(snapshot, path)
+            graph = load(path).topic_graph
+            kept = graph.vector_index
+            rebuilt = VectorIndex.from_topic_graph(graph, snapshot.config.embedding_dim)
+            assert kept is not None and kept.ids == rebuilt.ids
+            assert kept.matrix.dtype == rebuilt.matrix.dtype
+            assert kept.matrix.tobytes() == rebuilt.matrix.tobytes()
+            assert not kept.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                kept.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", ["golden", "scaling"])
+    def test_a_loaded_copy_ranks_with_identical_scores(
+        self, name, golden_corpus, scaling_corpus, tmp_path, monkeypatch
+    ):
+        corpus = {"golden": golden_corpus, "scaling": scaling_corpus}[name]
+        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
+        snapshot, _ = replay(corpus, engine, "semantic")
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        loaded = load(path)
+        builds = []
+        original = VectorIndex.from_topic_graph.__func__
+        monkeypatch.setattr(
+            VectorIndex,
+            "from_topic_graph",
+            classmethod(lambda cls, *args: builds.append(args) or original(cls, *args)),
+        )
+
+        def rankings(snapshot):
+            bundle = mock_bundle(snapshot.config)
+            return [
+                [(r.event_node_id, r.score.hex()) for r in retrieve(snapshot, Query(q), bundle)]
+                for q in [item.question for item in corpus.qa]
+            ]
+
+        ranked = rankings(loaded)
+        # The loaded copy queried with the index its load built.
+        assert builds == []
+        assert ranked == rankings(snapshot)
+
+    def test_an_in_memory_check_leaves_an_equal_index(self, snapshot):
+        graph = TopicGraph(dict(snapshot.topic_graph.nodes), snapshot.topic_graph.edges)
+        assert graph.vector_index is None
+        validate_snapshot(dataclasses.replace(snapshot, topic_graph=graph))
+        kept = graph.vector_index
+        rebuilt = VectorIndex.from_topic_graph(graph, snapshot.config.embedding_dim)
+        assert kept.ids == rebuilt.ids and kept.matrix.tobytes() == rebuilt.matrix.tobytes()
+
+
+def _with_first_embedding(snapshot, embedding):
+    nodes = dict(snapshot.topic_graph.nodes)
+    first = min(nodes)
+    nodes[first] = dataclasses.replace(nodes[first], embedding=tuple(embedding))
+    return dataclasses.replace(snapshot, topic_graph=TopicGraph(nodes, snapshot.topic_graph.edges))
+
+
+class TestNormTolerance:
+    """A theme's embedding norm must lie within 1e-6 of 1; the norm comes
+    from NumPy, which may differ from ``math.sqrt(sum(...))`` in the last
+    bits, far inside the 1e-9 margins below."""
+
+    @pytest.mark.parametrize(
+        "norm, accepted",
+        [
+            (1.0 + 1e-6 - 1e-9, True),
+            (1.0 - 1e-6 + 1e-9, True),
+            (1.0 + 1e-6 + 1e-9, False),
+            (1.0 - 1e-6 - 1e-9, False),
+        ],
+    )
+    def test_norms_near_the_tolerance(self, snapshot, tmp_path, norm, accepted):
+        first = snapshot.topic_graph.nodes[min(snapshot.topic_graph.nodes)].embedding
+        unit = np.asarray(first) / np.linalg.norm(first)
+        changed = _with_first_embedding(snapshot, (unit * norm).tolist())
+        document = json.loads(canonical_json(snapshot_to_dict(changed)))
+        path = tmp_path / "memory.json"
+        document["format_version"] = FORMAT_VERSION
+        rewrite(document, path)
+        for check in (lambda: validate_snapshot(changed), lambda: load(path)):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(CorruptionError) as err:
+                    check()
+                assert err.value.invariant == "embedding-unit-norm"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e200])
+    def test_a_non_finite_or_overflowing_norm_fails(self, snapshot, value):
+        first = snapshot.topic_graph.nodes[min(snapshot.topic_graph.nodes)].embedding
+        changed = _with_first_embedding(snapshot, (value,) + first[1:])
+        with pytest.raises(CorruptionError) as err:
+            validate_snapshot(changed)
+        assert err.value.invariant == "embedding-unit-norm"
+
+
 class TestVectorIndex:
     def test_topk_ties_by_id(self):
         shared = np.array([1.0, 0.0, 0.0, 0.0])

@@ -47,6 +47,7 @@ from graphmem.core import (
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError
+from graphmem.fixtures import make_golden_corpus
 from graphmem.harness import replay
 from graphmem.providers import mock_bundle
 from graphmem.store import FORMAT_VERSION, load, save
@@ -285,8 +286,6 @@ def saved_documents(tmp_path_factory):
     """Saved documents as bytes: a synthetic one with edges and a buffer,
     the golden replay with timestamps, and one with no edges or buffer."""
     engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
-    from graphmem.fixtures import make_golden_corpus
-
     golden, _ = replay(make_golden_corpus(), engine, "semantic")
     synthetic = _with_buffer(random_snapshot(random.Random(5), 7, edge_probability=0.6))
     # No edges and an empty buffer: members written as empty lists.

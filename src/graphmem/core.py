@@ -10,15 +10,10 @@ relation.  The saved document still writes these copies out, and the loader
 checks them.  The document is defined here, once per entry: one writer each
 for an event node, a theme, a topic edge and an event graph, and
 :data:`SNAPSHOT_MEMBERS` maps each of the seven top-level members to its
-writer.  The hashes and ``store.save`` share :func:`snapshot_members` and
-:func:`join_members`.  Archives and themes never change once stored, and
-neither do a built topic graph's edges, so a save keeps the canonical bytes
-of each archive's and theme's entry on the archive, and of the whole
-``topic_edges`` member on the topic graph, as derived values.  A later save
-or hash encodes only the archives and themes stored since, the edges of a
-topic graph not saved before, and the four small members.  The kept bytes
-take about the file's size per snapshot chain, shared by its forks, and pay
-off only where one process saves a chain more than once.
+writer.  :func:`snapshot_to_dict` runs them all, and the hashes and
+``store.save`` encode what it returns.  A save keeps the file it wrote on
+the snapshot (``saved_bytes``), so a re-save of that very object only
+writes; any other snapshot's save encodes the whole document.
 An :class:`Utterance` is the one turn record, for ``observe`` and corpora
 alike.
 Every mutation is functional: operations return a new snapshot
@@ -154,26 +149,16 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    Four derived values, like ``TopicGraph.vector_index``, are never saved,
+    Two derived values, like ``TopicGraph.vector_index``, are never saved,
     compared or shown.  :attr:`token_total` is summed once per graph, or
     carried by :func:`append_event` as the old total plus the new node's
     count.  ``candidates`` holds the retrieval candidates the graph yields
-    under one theme, built by the first query that reaches the graph.  The
-    other two are canonical bytes kept by a save, each with what they were
-    written for (see :func:`snapshot_members`): ``encoded_archive`` the
-    graph's ``"graph_id":{...}`` member of the archives with that graph id,
-    and ``encoded_theme`` its theme's entry with that theme.  A frozen
-    archive is shared by every later snapshot, so each is built once.
+    under one theme, built by the first query that reaches the graph.  A
+    frozen archive is shared by every later snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
     candidates: tuple[CandidateEvent, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    encoded_archive: tuple[str, bytes] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    encoded_theme: tuple[TopicNode, bytes] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -226,14 +211,11 @@ class TopicEdge:
 class TopicGraph:
     """Theme graph; at most one edge per unordered node pair.
 
-    Three derived values are built at most once per graph and are never
-    saved or compared: :attr:`adjacency`; ``vector_index``, the exact-scan
+    Two derived values are built at most once per graph and are never saved
+    or compared: :attr:`adjacency`, and ``vector_index``, the exact-scan
     index over the node embeddings that ``store.topic_index`` builds on
     first use and :func:`insert_topic_node` carries to the next graph with
-    one more row; and ``encoded_edges``, the canonical bytes of the
-    ``topic_edges`` member, kept by a save (see :func:`snapshot_members`).
-    A built graph's edges never change, so the bytes hold while the graph
-    lives; the next graph starts without them.
+    one more row.
     """
 
     nodes: Mapping[str, TopicNode] = field(default_factory=dict)
@@ -241,7 +223,6 @@ class TopicGraph:
     vector_index: VectorIndex | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    encoded_edges: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def edge_list(self) -> list[TopicEdge]:
         return [self.edges[k] for k in sorted(self.edges)]
@@ -290,13 +271,18 @@ def raw_text(nodes: Sequence[EventNode]) -> str:
 class MemorySnapshot:
     """Composite memory state; see the module docstring for the layout.
 
-    Two derived values, like ``TopicGraph.vector_index``, are never saved,
-    compared or shown.  Each is built by one scan on first use (a snapshot
-    built by hand or loaded) and carried by every mutation here.
+    Three derived values, like ``TopicGraph.vector_index``, are never
+    saved, compared or shown.  Two are built by one scan on first use (a
+    snapshot built by hand or loaded) and carried by every mutation here.
     ``archive_turn_max`` maps a session id to its highest archived turn
     index; a built map is never changed, so snapshots forked from one parent
     may share it.  ``newest_ids`` holds the highest topic and archive keys,
     ``None`` where there is none, as ``max()`` over the keys gives them.
+    ``saved_bytes`` holds the file ``store.save`` wrote for this very
+    object, so a re-save writes it again without encoding; a snapshot is
+    never changed in place, so the file holds while it lives.  Nothing
+    carries it: every mutation, ``dataclasses.replace`` and ``store.load``
+    build a new snapshot, which starts without it.
     """
 
     config: EngineConfig
@@ -310,6 +296,7 @@ class MemorySnapshot:
     newest_ids: tuple[str | None, str | None] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    saved_bytes: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def buffer(self) -> tuple[EventNode, ...]:
@@ -630,10 +617,7 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
 
 #: The seven top-level members of the snapshot document, each with its
 #: writer.  Graph ids, event edges, ``cross_index``, each theme's ``raw`` and
-#: each edge's ``directed`` are written out from the derived values.  These
-#: writers, through :func:`snapshot_to_dict`, are the reference encoding;
-#: :func:`snapshot_members` writes ``topic_nodes`` and ``archives`` entry by
-#: entry with the same entry writers, so it can reuse each entry's bytes.
+#: each edge's ``directed`` are written out from the derived values.
 SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: [
         _topic_node_dict(s.topic_graph.nodes[k], topic_raw(s, k))
@@ -668,66 +652,11 @@ def canonical_json(document: object) -> bytes:
     return _ENCODER.encode(document).encode("utf-8")
 
 
-def _archive_bytes(graph_id: str, graph: EventGraph, fresh: list) -> bytes:
-    """The member ``"graph_id":{...}`` of the ``archives`` object, reused
-    from the graph if it was kept there under the same id."""
-    archive = graph.encoded_archive
-    if archive is None or archive[0] != graph_id:
-        archive = (graph_id, canonical_json({graph_id: graph.to_dict(graph_id)})[1:-1])
-        fresh.append((graph, "encoded_archive", archive))
-    return archive[1]
-
-
-def _theme_bytes(snapshot: MemorySnapshot, topic_id: str, fresh: list) -> bytes:
-    """The entry of theme ``topic_id``, reused from its source archive if it
-    was kept there for this very node: themes equal in value may still be
-    written apart (``0.0 == -0.0``)."""
-    node, graph = snapshot.topic_graph.nodes[topic_id], _topic_archive(snapshot, topic_id)
-    theme = graph.encoded_theme
-    if theme is None or theme[0] is not node:
-        theme = (node, canonical_json(_topic_node_dict(node, raw_text(graph.nodes))))
-        fresh.append((graph, "encoded_theme", theme))
-    return theme[1]
-
-
-def snapshot_members(snapshot: MemorySnapshot, keep: bool = False) -> dict[str, bytes]:
-    """Each top-level member encoded, ready for :func:`join_members`.
-
-    Archives and themes never change once stored, so ``archives`` and
-    ``topic_nodes`` are joined from each entry's canonical bytes, reused
-    from the frozen archive where an earlier call with ``keep`` left them
-    (see ``EventGraph``).  A built topic graph's edges never change either,
-    so ``topic_edges`` is reused whole from ``TopicGraph.encoded_edges``.
-    Anything without such bytes is encoded here, and with ``keep`` its
-    bytes stay on its archive or graph once every member is encoded, so a
-    save refused for a NaN keeps nothing.  ``store.save`` keeps; a hash
-    only reuses, so checking a snapshot that is never saved adds nothing to
-    its memory.  The four small members are encoded whole each time.  Each
-    member equals ``canonical_json`` of what :data:`SNAPSHOT_MEMBERS`
-    writes.
-    """
-    fresh: list[tuple[object, str, object]] = []
-    members = {
-        name: canonical_json(write(snapshot))
-        for name, write in SNAPSHOT_MEMBERS.items()
-        if name not in ("topic_nodes", "topic_edges", "archives")
-    }
-    graph = snapshot.topic_graph
-    edges = graph.encoded_edges
-    if edges is None:
-        edges = canonical_json(SNAPSHOT_MEMBERS["topic_edges"](snapshot))
-        fresh.append((graph, "encoded_edges", edges))
-    members["topic_edges"] = edges
-    themes = [_theme_bytes(snapshot, k, fresh) for k in sorted(graph.nodes)]
-    members["topic_nodes"] = b"[" + b",".join(themes) + b"]"
-    archives = [_archive_bytes(k, snapshot.archive[k], fresh) for k in sorted(snapshot.archive)]
-    members["archives"] = b"{" + b",".join(archives) + b"}"
-    if keep:
-        for owner, name, value in fresh:
-            # A derived value, so setting it on the frozen graph changes
-            # nothing the graph compares or saves.
-            object.__setattr__(owner, name, value)
-    return members
+def snapshot_members(snapshot: MemorySnapshot) -> dict[str, bytes]:
+    """Each top-level member of :func:`snapshot_to_dict` encoded, ready for
+    :func:`join_members`, so ``store.save`` encodes the body once for both
+    the content hash and the file."""
+    return {name: canonical_json(value) for name, value in snapshot_to_dict(snapshot).items()}
 
 
 def join_members(members: Mapping[str, bytes]) -> bytes:
@@ -742,7 +671,7 @@ def join_members(members: Mapping[str, bytes]) -> bytes:
 
 
 def snapshot_bytes(snapshot: MemorySnapshot) -> bytes:
-    return join_members(snapshot_members(snapshot))
+    return canonical_json(snapshot_to_dict(snapshot))
 
 
 def snapshot_hash(snapshot: MemorySnapshot) -> str:
@@ -751,6 +680,6 @@ def snapshot_hash(snapshot: MemorySnapshot) -> str:
 
 def stable_layer_hash(snapshot: MemorySnapshot) -> str:
     """Hash of everything appends must not touch: themes, archives, index."""
-    members = snapshot_members(snapshot)
     stable = ("topic_nodes", "topic_edges", "archives", "cross_index")
-    return hashlib.sha256(join_members({k: members[k] for k in stable})).hexdigest()
+    document = {k: SNAPSHOT_MEMBERS[k](snapshot) for k in stable}
+    return hashlib.sha256(canonical_json(document)).hexdigest()

@@ -1,17 +1,17 @@
 """Snapshot persistence and the exact-scan vector index.
 
 Files are single JSON documents: the canonical snapshot body, whose members
-``graphmem.core`` defines and encodes (reusing the archive, theme and
-topic edge bytes kept by an earlier save), plus a ``format_version`` and a
+``graphmem.core`` defines and encodes, plus a ``format_version`` and a
 ``content_hash`` header over the body, so equal snapshots produce byte-equal
-files and any corruption is named on load.  ``load`` checks that hash over
-the whole parsed body encoded at once, and the snapshot it returns keeps no
-bytes until its first save.  The document spells out five
-derived copies (graph ids, event edges, ``cross_index``, each theme's
-``raw`` and each edge's ``directed``); the loader rebuilds the snapshot
-without them and rejects a file whose copies differ from the derived
-values, or whose body differs in any other way from what ``save`` writes
-for the rebuilt snapshot, so a loaded snapshot hashes to its file's
+files and any corruption is named on load.  ``save`` keeps the file it
+wrote on the snapshot, so saving that very object again only writes.
+``load`` checks the hash over the whole parsed body encoded at once, and
+the snapshot it returns keeps no file until its first save.  The document
+spells out five derived copies (graph ids, event edges, ``cross_index``,
+each theme's ``raw`` and each edge's ``directed``); the loader rebuilds
+the snapshot without them and rejects a file whose copies differ from the
+derived values, or whose body differs in any other way from what ``save``
+writes for the rebuilt snapshot, so a loaded snapshot hashes to its file's
 ``content_hash``.  It works a field at a time: each event, theme and edge
 field is taken out as one list and type-checked in that pass, nodes and
 edges are built from those columns, the copies are compared with them,
@@ -218,15 +218,23 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     file keeps its mode, and a new one gets ``0o666`` less the umask.  As
     with ``open``, a symbolic link stays a link and the file it names gets
     the bytes.
+
+    The first save of a snapshot encodes each top-level member once, for
+    both the content hash and the file, and keeps the file's bytes on the
+    snapshot (``MemorySnapshot.saved_bytes``); a later save of the same
+    object writes those bytes without encoding.
     """
-    # Each top-level value is encoded once and shared by the hash and the
-    # file; each new archive and theme, and a topic graph not saved before,
-    # keeps its bytes for later saves.
-    members = snapshot_members(snapshot, keep=True)
-    content_hash = hashlib.sha256(join_members(members)).hexdigest()
-    members["format_version"] = canonical_json(FORMAT_VERSION)
-    members["content_hash"] = canonical_json(content_hash)
-    payload = join_members(members)
+    payload = snapshot.saved_bytes
+    if payload is None:
+        members = snapshot_members(snapshot)
+        content_hash = hashlib.sha256(join_members(members)).hexdigest()
+        members["format_version"] = canonical_json(FORMAT_VERSION)
+        members["content_hash"] = canonical_json(content_hash)
+        payload = join_members(members)
+        # Set only once the whole payload is encoded, so a save refused
+        # for a NaN keeps nothing; a derived value, so setting it on the
+        # frozen snapshot changes nothing it compares or saves.
+        object.__setattr__(snapshot, "saved_bytes", payload)
     # The file a link names, so the rename replaces that file, not the link.
     path = os.path.realpath(path)
     try:

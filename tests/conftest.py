@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -14,13 +15,15 @@ from graphmem.core import (
     TopicGraph,
     TopicNode,
     Utterance,
+    canonical_json,
     edge_key,
+    snapshot_to_dict,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.fixtures import make_golden_corpus, make_scaling_corpus, make_smoke_corpus
 from graphmem.harness import DialogueCorpus, replay
 from graphmem.providers import mock_bundle
-from graphmem.store import validate_snapshot
+from graphmem.store import FORMAT_VERSION, validate_snapshot
 
 
 @pytest.fixture
@@ -159,3 +162,11 @@ def interleaved_corpora(draw):
             )
         )
     return DialogueCorpus(tuple(turns))
+
+
+def cold_file(snapshot):
+    """Reference file: the whole document built and encoded at once, with
+    the header ``save`` adds."""
+    body = snapshot_to_dict(snapshot)
+    content_hash = hashlib.sha256(canonical_json(body)).hexdigest()
+    return canonical_json({**body, "format_version": FORMAT_VERSION, "content_hash": content_hash})

@@ -4,10 +4,10 @@ Rules observe turns in three sessions, end sessions, request checks, query,
 round-trip the snapshot through save and load, continuing on the loaded
 copy, restart (the same with fresh providers, as a new process would), and
 fork: a second engine continues from the current snapshot and saves its
-own, so the fork shares archives and bytes kept on them with the main
-chain.  A small buffer budget makes overflows fire.  After every step
-the engine is checked against a plain model: the list of accepted turns and
-the number of committed consolidations.
+own, so the fork shares archives with the main chain.  A small buffer
+budget makes overflows fire.  After every step the engine is checked
+against a plain model: the list of accepted turns and the number of
+committed consolidations.
 """
 
 import os
@@ -18,21 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from graphmem.config import EngineConfig
-from graphmem.core import (
-    LIVE_BUFFER_ID,
-    EventNode,
-    MemorySnapshot,
-    _topic_edge_dict,
-    _topic_node_dict,
-    canonical_json,
-    raw_text,
-    snapshot_bytes,
-    snapshot_hash,
-    snapshot_to_dict,
-)
+from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.providers import mock_bundle
 from graphmem.store import load, save, validate_snapshot
+
+from conftest import cold_file
 
 WORDS = ("garden", "compost", "puppy", "leash", "ferry", "passport", "yesterday", "the")
 
@@ -55,20 +46,11 @@ def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:
     return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
 
 
-def check_kept_bytes(snapshot: MemorySnapshot) -> None:
-    """Every value a save kept equals a fresh encoding of what it was kept
-    for, and the encoding built from them equals the reference."""
-    for graph in snapshot.archive.values():
-        if graph.encoded_archive is not None:
-            kept_id, encoded = graph.encoded_archive
-            assert encoded == canonical_json({kept_id: graph.to_dict(kept_id)})[1:-1]
-        if graph.encoded_theme is not None:
-            node, encoded = graph.encoded_theme
-            assert encoded == canonical_json(_topic_node_dict(node, raw_text(graph.nodes)))
-    edges = snapshot.topic_graph.encoded_edges
-    if edges is not None:
-        assert edges == canonical_json([_topic_edge_dict(e) for e in snapshot.topic_graph.edge_list()])
-    assert snapshot_bytes(snapshot) == canonical_json(snapshot_to_dict(snapshot))
+def check_saved_bytes(snapshot: MemorySnapshot) -> None:
+    """The file a save kept on the snapshot, if any, is the one the whole
+    document encoded from scratch gives."""
+    if snapshot.saved_bytes is not None:
+        assert snapshot.saved_bytes == cold_file(snapshot)
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -143,7 +125,7 @@ class EngineMachine(RuleBasedStateMachine):
         assert added == [(session, speaker, text, None) for session, speaker, text in turns]
         validate_snapshot(snapshot)
         save(snapshot, self.fork_path)
-        check_kept_bytes(snapshot)
+        check_saved_bytes(snapshot)
         assert snapshot_hash(load(self.fork_path)) == snapshot_hash(snapshot)
         assert self.engine.snapshot is parent
 
@@ -159,6 +141,7 @@ class EngineMachine(RuleBasedStateMachine):
         save(self.engine.snapshot, self.path)
         loaded = load(self.path)
         assert loaded.newest_ids is None and loaded.archive_turn_max is None
+        assert loaded.saved_bytes is None
         self.bundle = mock_bundle(loaded.config)
         self.engine = MemoryEngine(self.bundle, snapshot=loaded)
 
@@ -193,7 +176,7 @@ class EngineMachine(RuleBasedStateMachine):
             if graph.candidates is not None:
                 assert [c.node for c in graph.candidates] == list(graph.nodes)
                 assert {c.source_archive_id for c in graph.candidates} <= {graph_id}
-        check_kept_bytes(snapshot)
+        check_saved_bytes(snapshot)
 
     @invariant()
     def hash_survives_save_and_load(self):

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphmem import core
 from graphmem.config import EngineConfig
 from graphmem.consolidation import consolidate_segment, select_candidates
 from graphmem.core import (
@@ -30,15 +29,14 @@ from graphmem.core import (
     archive_segment,
     canonical_json,
     insert_topic_node,
-    join_members,
     neighbors,
     next_archive_id,
     next_event_id,
     next_topic_id,
     snapshot_bytes,
     snapshot_hash,
-    snapshot_members,
     snapshot_to_dict,
+    stable_layer_hash,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError, GraphMemError
@@ -55,7 +53,7 @@ from graphmem.store import (
     vector_topk,
 )
 
-from conftest import interleaved_corpora, random_snapshot, unit_vector
+from conftest import cold_file, interleaved_corpora, random_snapshot, unit_vector
 from test_acceptance import STRATEGY_MATRIX
 
 BODY_KEYS = (
@@ -1209,100 +1207,75 @@ class TestDerivedValueProperties:
         assert turns == list(range(198, 249))
 
 
-def _cold_bytes(snapshot):
-    """Reference encoding: the whole document built and encoded at once."""
-    return canonical_json(snapshot_to_dict(snapshot))
-
-
-def _kept_bytes(snapshot):
-    """The body as ``save`` encodes it, keeping each new entry's bytes."""
-    return join_members(snapshot_members(snapshot, keep=True))
-
-
 def _theme_over(snapshot, archive_id, first):
     """A theme on ``archive_id`` whose embedding starts with ``first``."""
     embedding = (first,) + (0.0,) * (snapshot.config.embedding_dim - 2) + (1.0,)
     return TopicNode("t900000", "a fork's theme", ("fork",), embedding, 1, archive_id)
 
 
-KEPT = ("encoded_archive", "encoded_theme")
-
-
-def _kept_values(snapshot):
-    """What a save keeps: each archive's pair, and the topic edges' bytes."""
-    archives = {k: tuple(getattr(g, name) for name in KEPT) for k, g in snapshot.archive.items()}
-    return archives, snapshot.topic_graph.encoded_edges
-
-
-def _nothing_kept(snapshot):
-    archives, edges = _kept_values(snapshot)
-    return edges is None and not any(any(pair) for pair in archives.values())
-
-
-def _cold_edges(snapshot):
-    return canonical_json(SNAPSHOT_MEMBERS["topic_edges"](snapshot))
-
-
-def _count_edge_entries(monkeypatch):
-    """Counts the edge entries written from here on."""
+def _count_member_writes(monkeypatch):
+    """Counts the calls of every member writer from here on, by name."""
     calls = []
-    write = core._topic_edge_dict
+    for name, write in SNAPSHOT_MEMBERS.items():
 
-    def counted(edge):
-        calls.append(edge)
-        return write(edge)
+        def counted(snapshot, name=name, write=write):
+            calls.append(name)
+            return write(snapshot)
 
-    monkeypatch.setattr(core, "_topic_edge_dict", counted)
+        monkeypatch.setitem(SNAPSHOT_MEMBERS, name, counted)
     return calls
 
 
 class TestCachedBytes:
-    """A save keeps each archive's and theme's canonical bytes, and those of
-    the topic edges, and later saves and hashes reuse them; every such
-    encoding must equal the whole document encoded from scratch."""
+    """A save keeps the file it wrote on the snapshot, and a re-save of that
+    very object writes it again without encoding; every file must equal the
+    whole document encoded from scratch."""
 
     @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
     @pytest.mark.parametrize("corpus", ["golden", "scaling"])
-    def test_warm_bytes_are_the_cold_bytes(self, corpus, strategy, tmp_path, request):
+    def test_warm_bytes_are_the_cold_bytes(self, corpus, strategy, tmp_path, request, monkeypatch):
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
-        path = tmp_path / "memory.json"
-        save(snapshot, path)
-        kept, edges = _kept_values(snapshot)
-        assert all(archive is not None for archive, _ in kept.values())
-        assert sum(theme is not None for _, theme in kept.values()) == len(snapshot.topic_graph.nodes)
-        assert snapshot.topic_graph.edges or corpus == "golden"
-        assert edges == _cold_edges(snapshot)
-        warm = snapshot_bytes(snapshot)
-        assert warm == _kept_bytes(snapshot) == _cold_bytes(snapshot)
-        loaded = load(path)
-        assert snapshot_bytes(loaded) == warm
-        # Neither a hash nor a save encoded a kept entry again.
-        assert _kept_values(snapshot) == (kept, edges)
-        assert snapshot.topic_graph.encoded_edges is edges
-        assert _nothing_kept(loaded)
+        cold = cold_file(snapshot)
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save(snapshot, first)
+        assert first.read_bytes() == cold
+        assert snapshot.saved_bytes == cold
+        calls = _count_member_writes(monkeypatch)
+        save(snapshot, again)
+        assert calls == []
+        assert again.read_bytes() == cold
+        loaded = load(again)
+        assert loaded.saved_bytes is None
+        assert snapshot_hash(loaded) == snapshot_hash(snapshot) == json.loads(cold)["content_hash"]
 
     def test_a_hash_keeps_nothing(self, snapshot):
         snapshot_hash(snapshot)
-        assert snapshot.topic_graph.edges
-        assert _nothing_kept(snapshot)
+        stable_layer_hash(snapshot)
+        assert snapshot.saved_bytes is None
 
-    def test_forks_adding_themes_to_one_parent(self):
+    def test_forks_adding_themes_to_one_parent(self, tmp_path):
         # Two forks put a theme on the parent's one unthemed archive.  The
-        # themes compare equal (0.0 == -0.0) yet are written apart, so each
-        # fork's theme bytes must be its own.
+        # forks compare equal (0.0 == -0.0) yet are written apart, so each
+        # fork's file must be its own.
         parent = append_event(random_snapshot(random.Random(5), 6), Utterance("s9", "ana", "x"))
         archive_id, parent = archive_segment(parent, 1, [True])
-        assert _kept_bytes(parent) == _cold_bytes(parent)
+        path = tmp_path / "memory.json"
+        save(parent, path)
         plus, minus = (_theme_over(parent, archive_id, z) for z in (0.0, -0.0))
-        assert plus == minus
         forks = [insert_topic_node(parent, node, []) for node in (plus, minus)]
-        assert _kept_bytes(forks[0]) != _kept_bytes(forks[1])
+        assert forks[0] == forks[1]
+        files = {}
         for fork in forks + forks[::-1] + [parent]:
-            assert snapshot_bytes(fork) == _kept_bytes(fork) == _cold_bytes(fork)
+            save(fork, path)
+            assert path.read_bytes() == cold_file(fork)
+            files.setdefault(id(fork), path.read_bytes())
+        assert len(set(files.values())) == 3
 
-    def test_replaced_archives_start_cold(self, snapshot):
-        warm = _kept_bytes(snapshot)
+    def test_replaced_archives_start_cold(self, snapshot, tmp_path):
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        warm = path.read_bytes()
         first, second = sorted(snapshot.archive)[:2]
         graph = snapshot.archive[first]
         renamed = tuple(dataclasses.replace(n, session_id="renamed") for n in graph.nodes)
@@ -1317,52 +1290,34 @@ class TestCachedBytes:
                 second: snapshot.archive[first],
             },
         )
+        assert replaced.saved_bytes is None and swapped.saved_bytes is None
         for variant in (replaced, swapped, snapshot, swapped, replaced):
-            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant)
-        assert snapshot_bytes(snapshot) == warm
+            save(variant, path)
+            assert path.read_bytes() == cold_file(variant)
+        assert len({replaced.saved_bytes, swapped.saved_bytes, warm}) == 3
+        assert snapshot.saved_bytes == warm
 
-    def test_a_rescored_edge_is_encoded_anew(self, snapshot, monkeypatch):
-        warm = _kept_bytes(snapshot)
-        key, edge = next(iter(snapshot.topic_graph.edges.items()))
-        other = next(r for r in Relation if r is not edge.relation)
-        calls = _count_edge_entries(monkeypatch)
-        for rescored in (
-            dataclasses.replace(edge, weight=edge.weight / 2 + 0.5),
-            TopicEdge(edge.from_id, edge.to_id, other, edge.weight),
-        ):
-            graph = TopicGraph(snapshot.topic_graph.nodes, {**snapshot.topic_graph.edges, key: rescored})
-            variant = dataclasses.replace(snapshot, topic_graph=graph)
+    def test_no_mutation_carries_the_saved_document(self, snapshot, tmp_path, monkeypatch):
+        # Each mutation builds a new snapshot, whose first save encodes
+        # every member once, whatever its parent saved.
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        appended = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
+        archive_id, archived = archive_segment(appended, 1, [True])
+        older = min(archived.topic_graph.nodes)
+        new = _theme_over(archived, archive_id, 0.0)
+        themed = insert_topic_node(archived, new, [TopicEdge(new.id, older, Relation.CAUSAL, 0.9)])
+        calls = _count_member_writes(monkeypatch)
+        for child in (appended, archived, themed):
+            assert child.saved_bytes is None
             calls.clear()
-            assert _kept_bytes(variant) != warm
-            assert len(calls) == len(graph.edges) and rescored in calls
-            assert snapshot_bytes(variant) == _kept_bytes(variant) == _cold_bytes(variant)
-        calls.clear()
-        assert snapshot_bytes(snapshot) == _kept_bytes(snapshot) == warm
-        assert calls == []
-
-    def test_a_new_topic_graph_starts_cold(self, snapshot, monkeypatch):
-        # Over the very same edges, or over equal-valued new ones: the kept
-        # bytes belong to one graph object and are never carried.
-        warm = _kept_bytes(snapshot)
-        nodes, edges = snapshot.topic_graph.nodes, snapshot.topic_graph.edges
-        copied = {k: dataclasses.replace(e) for k, e in edges.items()}
-        assert copied == edges
-        calls = _count_edge_entries(monkeypatch)
-        for same in (edges, copied):
-            variant = dataclasses.replace(snapshot, topic_graph=TopicGraph(nodes, same))
-            assert variant.topic_graph.encoded_edges is None
-            calls.clear()
-            assert _kept_bytes(variant) == warm
-            assert calls == [same[k] for k in sorted(same)]
-            calls.clear()
-            assert _kept_bytes(variant) == snapshot_bytes(variant) == warm
-            assert calls == []
+            save(child, path)
+            assert sorted(calls) == sorted(SNAPSHOT_MEMBERS)
+            assert path.read_bytes() == cold_file(child)
 
     def test_forks_linking_new_themes_to_one_older_theme(self, snapshot, tmp_path):
         # Each fork adds a theme on the parent's one unthemed archive with an
-        # edge to the same older theme.  The forks share every archive, so
-        # each save replaces the theme bytes the other fork kept there, and
-        # each fork's topic graph keeps edge bytes of its own.
+        # edge to the same older theme; each save writes that fork's file.
         parent = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
         archive_id, parent = archive_segment(parent, 1, [True])
         older = min(parent.topic_graph.nodes)
@@ -1380,44 +1335,13 @@ class TestCachedBytes:
             path = tmp_path / f"{number}.json"
             save(fork, path)
             files.setdefault(id(fork), path.read_bytes())
-            assert path.read_bytes() == files[id(fork)]
-            assert snapshot_bytes(fork) == _cold_bytes(fork)
+            assert path.read_bytes() == files[id(fork)] == cold_file(fork)
             assert snapshot_hash(load(path)) == snapshot_hash(fork)
         assert len(set(files.values())) == 3
 
-    def test_only_a_topic_graph_not_saved_before_writes_its_edges(self, scaling_corpus, monkeypatch):
-        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
-        replay(scaling_corpus, engine, "semantic")
-        parent = engine.snapshot
-        _kept_bytes(parent)
-        calls = _count_edge_entries(monkeypatch)
-        # Appends keep the topic graph, so their snapshots reuse its bytes.
-        child = parent
-        for turn in scaling_corpus.turns[42:48]:
-            child = append_event(child, Utterance("again", turn.speaker, turn.text))
-        assert child.topic_graph is parent.topic_graph
-        assert _kept_bytes(child) == _cold_bytes(child)
-        calls.clear()
-        assert snapshot_bytes(child) == _kept_bytes(child)
-        assert calls == []
-        # A consolidation builds a new graph: its first save writes every
-        # edge once, and a hash or save after that writes none.
-        report, child = consolidate_segment(child, child.buffer, engine.providers)
-        assert len(child.topic_graph.nodes) == len(parent.topic_graph.nodes) + 1
-        assert report.accepted_edges == child.config.k_cand
-        calls.clear()
-        warm = _kept_bytes(child)
-        assert calls == child.topic_graph.edge_list()
-        calls.clear()
-        assert snapshot_bytes(child) == _kept_bytes(child) == warm
-        snapshot_hash(parent)
-        assert calls == []
-        assert warm == _cold_bytes(child)
-
     def test_threads_saving_forks_of_one_parent(self, scaling_corpus, tmp_path):
         # Eight threads save forks of one saved parent.  Each fork puts a
-        # theme of its own on the same archive, so the theme bytes kept there
-        # are replaced under the other threads, and links it to the same
+        # theme of its own on the same archive and links it to the same
         # older themes.
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         parent, _ = replay(scaling_corpus, engine, "semantic")
@@ -1431,35 +1355,24 @@ class TestCachedBytes:
             weight = 0.55 + worker / 20
             links = [TopicEdge(new.id, t, Relation.SEMANTIC, weight) for t in older]
             forks.append(insert_topic_node(parent, new, links))
-        expected = [_cold_bytes(fork) for fork in forks]
+        expected = [cold_file(fork) for fork in forks]
         failures = []
 
         def work(worker):
             path = tmp_path / f"fork-{worker}.json"
             for _ in range(15):
                 save(forks[worker], path)
-                if snapshot_bytes(forks[worker]) != expected[worker]:
+                if path.read_bytes() != expected[worker]:
                     failures.append(worker)
-            if json.loads(path.read_bytes())["content_hash"] != snapshot_hash(forks[worker]):
-                failures.append(worker)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _run_threads([(work, worker) for worker in range(8)])
         assert failures == []
         assert len(set(expected)) == 8
 
     def test_threads_saving_shared_archives(self, scaling_corpus, tmp_path):
-        # Eight threads encode one cold snapshot, and one holding the same
-        # graphs each under the next archive id, so every kept pair races.
+        # Eight threads save two snapshots, each not saved before, that hold
+        # the same graphs under rotated archive ids, so the first saves of
+        # one object race.
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, _ = replay(scaling_corpus, engine, "semantic")
         path = tmp_path / "memory.json"
@@ -1468,54 +1381,35 @@ class TestCachedBytes:
         ids = sorted(cold.archive)
         rotated = {a: cold.archive[b] for a, b in zip(ids, ids[1:] + ids[:1])}
         swapped = dataclasses.replace(cold, archive=rotated)
-        expected = {id(s): _cold_bytes(s) for s in (cold, swapped)}
+        expected = {id(s): cold_file(s) for s in (cold, swapped)}
         failures = []
 
-        def work(target):
-            for _ in range(40):
-                for encoded in (_kept_bytes(target), snapshot_bytes(target)):
-                    if encoded != expected[id(target)]:
-                        failures.append(target)
+        def work(worker, target):
+            path = tmp_path / f"thread-{worker}.json"
+            for _ in range(10):
+                save(target, path)
+                if path.read_bytes() != expected[id(target)]:
+                    failures.append(worker)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=((cold, swapped)[i % 2],)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _run_threads([(work, worker, (cold, swapped)[worker % 2]) for worker in range(8)])
         assert failures == []
-        assert snapshot_hash(cold) == snapshot_hash(snapshot)
+        assert cold.saved_bytes == path.read_bytes()
 
     def test_the_kept_bytes_are_never_saved_compared_or_shown(self, snapshot, tmp_path):
-        save(snapshot, tmp_path / "warm.json")
-        archives = {k: dataclasses.replace(g) for k, g in snapshot.archive.items()}
-        graph = TopicGraph(snapshot.topic_graph.nodes, snapshot.topic_graph.edges)
-        fresh = dataclasses.replace(snapshot, archive=archives, topic_graph=graph)
-        assert snapshot.topic_graph.encoded_edges is not None
-        assert _nothing_kept(fresh)
-        assert snapshot.topic_graph == graph
-        assert repr(snapshot.topic_graph) == repr(graph)
-        for warm, cold in zip(snapshot.archive.values(), archives.values()):
-            assert warm.encoded_archive is not None
-            assert warm == cold
-            assert repr(warm) == repr(cold)
+        warm = tmp_path / "warm.json"
+        save(snapshot, warm)
+        fresh = dataclasses.replace(snapshot)
+        assert snapshot.saved_bytes is not None and fresh.saved_bytes is None
+        assert snapshot == fresh
+        assert repr(snapshot) == repr(fresh)
         assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
+        assert "saved_bytes" not in json.loads(warm.read_bytes())
         save(fresh, tmp_path / "cold.json")
-        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
-        for name in KEPT:
-            with pytest.raises(TypeError):
-                EventGraph((), **{name: None})
+        assert (tmp_path / "cold.json").read_bytes() == warm.read_bytes()
         with pytest.raises(TypeError):
-            TopicGraph(encoded_edges=None)
+            MemorySnapshot(snapshot.config, saved_bytes=None)
 
     def test_a_nan_entry_is_refused_and_keeps_nothing(self, snapshot, tmp_path):
-        # The NaN theme is the last one, so the topic edges and every other
-        # theme are encoded before it is refused.
         topic_id = max(snapshot.topic_graph.nodes)
         node = snapshot.topic_graph.nodes[topic_id]
         nan_node = dataclasses.replace(node, embedding=(float("nan"),) + node.embedding[1:])
@@ -1530,7 +1424,7 @@ class TestCachedBytes:
             with pytest.raises(ValueError):
                 save(variant, path)
             assert not path.exists()
-            assert _nothing_kept(snapshot) and _nothing_kept(variant)
+            assert variant.saved_bytes is None
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1549,9 +1443,26 @@ class TestCachedBytes:
                 elif step[0] == "save":
                     save(engine.snapshot, path)
                     saved.append(engine.snapshot)
-                    assert snapshot_bytes(engine.snapshot) == _cold_bytes(engine.snapshot)
+                    with open(path, "rb") as handle:
+                        assert handle.read() == cold_file(engine.snapshot)
                 else:
                     engine.end_session()
-        # A later snapshot reusing an entry leaves every earlier one intact.
+        # A later snapshot's save leaves every earlier one's file intact.
         for snapshot in saved:
-            assert snapshot_bytes(snapshot) == _cold_bytes(snapshot)
+            assert snapshot.saved_bytes == cold_file(snapshot)
+
+
+def _run_threads(jobs):
+    """Runs each ``(target, *args)`` in a thread of its own, switching
+    between threads as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=args) for target, *args in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)

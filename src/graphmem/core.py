@@ -26,13 +26,13 @@ replays are byte-stable; a counter past 999999 is refused.  Because event ids
 rise through the archives in id order and then the buffer (the loader checks
 this), the next event id follows from the newest node alone, and the next
 topic or archive id from the highest key.  The highest topic and archive
-keys, the buffer's token total and, per session, the highest archived turn
-index are derived values carried from snapshot to snapshot: never saved,
-each built by one scan on first use (after a load, for instance) and then
-moved on in constant time by the mutation that changes it.  So a turn costs
-the same however much is stored; only the buffer, which the token limit
-bounds, is scanned, for a turn appended without a turn index.  Mutations
-build their results directly rather than through ``dataclasses.replace``.
+keys, the buffer's token total and, per session, the highest turn index in
+the archives and in the buffer are derived values carried from snapshot to
+snapshot: never saved, each built by one scan on first use (after a load,
+for instance) and then moved on in constant time by the mutation that
+changes it.  So a turn costs the same however much is stored or buffered,
+with or without a turn index.  Mutations build their results directly
+rather than through ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -149,16 +149,23 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    Two derived values, like ``TopicGraph.vector_index``, are never saved,
+    Three derived values, like ``TopicGraph.vector_index``, are never saved,
     compared or shown.  :attr:`token_total` is summed once per graph, or
     carried by :func:`append_event` as the old total plus the new node's
-    count.  ``candidates`` holds the retrieval candidates the graph yields
-    under one theme, built by the first query that reaches the graph.  A
-    frozen archive is shared by every later snapshot, so each is built once.
+    count.  ``turn_max`` maps a session id to its highest turn index in the
+    graph; the first turn derived without an index builds it for the buffer,
+    and :func:`append_event` carries a built map on, copied when the new
+    turn raises it, so forks may share it.  ``candidates`` holds the
+    retrieval candidates the graph yields under one theme, built by the
+    first query that reaches the graph.  A frozen archive is shared by every
+    later snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
     candidates: tuple[CandidateEvent, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    turn_max: dict[str, int] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -211,11 +218,11 @@ class TopicEdge:
 class TopicGraph:
     """Theme graph; at most one edge per unordered node pair.
 
-    Two derived values are built at most once per graph and are never saved
-    or compared: :attr:`adjacency`, and ``vector_index``, the exact-scan
-    index over the node embeddings that ``store.topic_index`` builds on
-    first use and :func:`insert_topic_node` carries to the next graph with
-    one more row.
+    Two derived values are never saved or compared, each built by one scan
+    on first use and carried by :func:`insert_topic_node` to the next graph
+    when built: :attr:`adjacency`, with the new theme joined to the other
+    ends of its edges, and ``vector_index``, the exact-scan index over the
+    node embeddings that ``store.topic_index`` builds, with one more row.
     """
 
     nodes: Mapping[str, TopicNode] = field(default_factory=dict)
@@ -402,7 +409,7 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     The topic layer and archives are shared with the input snapshot
     unchanged; only the buffer and the logical clock move.  A missing turn
     index is one past the session's highest, taken from the carried
-    per-session maximum over the archives and a scan of the buffer.
+    per-session maxima over the archives and over the buffer.
     """
     turn_index = utterance.turn_index
     if turn_index is None:
@@ -421,6 +428,12 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     buffer = snapshot.active_event_graph
     graph = EventGraph(buffer.nodes + (node,))
     object.__setattr__(graph, "token_total", buffer.token_total + token_count)
+    highest = buffer.turn_max
+    if highest is not None:
+        # Copied when raised, never changed in place: forks share the map.
+        if turn_index > highest.get(node.session_id, -1):
+            highest = {**highest, node.session_id: turn_index}
+        object.__setattr__(graph, "turn_max", highest)
     return _successor(
         snapshot,
         snapshot.topic_graph,
@@ -432,16 +445,17 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
 
 
 def _derive_turn_index(snapshot: MemorySnapshot, session_id: str) -> int:
-    highest = snapshot.archive_turn_max
-    if highest is None:
-        archived = (n for g in snapshot.archive.values() for n in g.nodes)
-        highest = _raise_turn_max({}, archived)
-        object.__setattr__(snapshot, "archive_turn_max", highest)
-    turn = highest.get(session_id, -1)
-    for node in snapshot.buffer:
-        if node.session_id == session_id and node.turn_index > turn:
-            turn = node.turn_index
-    return turn + 1
+    archived = snapshot.archive_turn_max
+    if archived is None:
+        nodes = (n for g in snapshot.archive.values() for n in g.nodes)
+        archived = _raise_turn_max({}, nodes)
+        object.__setattr__(snapshot, "archive_turn_max", archived)
+    buffer = snapshot.active_event_graph
+    buffered = buffer.turn_max
+    if buffered is None:
+        buffered = _raise_turn_max({}, buffer.nodes)
+        object.__setattr__(buffer, "turn_max", buffered)
+    return max(archived.get(session_id, -1), buffered.get(session_id, -1)) + 1
 
 
 def _raise_turn_max(highest: dict[str, int], nodes: Iterable[EventNode]) -> dict[str, int]:
@@ -514,10 +528,12 @@ def insert_topic_node(
         raise ValueError(f"duplicate topic node id {node.id}")
     if node.source_archive_id not in snapshot.archive:
         raise ValueError(f"source archive {node.source_archive_id} not found")
+    ends = set()
     for edge in edges:
         if node.id not in (edge.from_id, edge.to_id):
             raise ValueError(f"edge {edge.from_id}->{edge.to_id} does not touch {node.id}")
         other = edge.to_id if edge.from_id == node.id else edge.from_id
+        ends.add(other)
         if other not in graph.nodes:
             raise ValueError(f"dangling edge endpoint {other}")
         if not edge.weight > tau:  # written so that NaN fails
@@ -538,6 +554,15 @@ def insert_topic_node(
         # Derived value: the parent's index stays as it is.
         index = graph.vector_index.with_row(node.id, node.embedding)
         object.__setattr__(new_graph, "vector_index", index)
+    if "adjacency" in vars(graph):
+        # Derived value, like the index: the parent's map stays as it is,
+        # and a theme without edges gets no entry, as in a fresh build.
+        adjacency = dict(graph.adjacency)
+        if ends:
+            adjacency[node.id] = frozenset(ends)
+            for other in ends:
+                adjacency[other] = adjacency.get(other, frozenset()) | {node.id}
+        object.__setattr__(new_graph, "adjacency", adjacency)
     newest = snapshot.newest_ids
     if newest is not None:
         newest = (_higher(newest[0], node.id), newest[1])

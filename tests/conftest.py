@@ -170,3 +170,11 @@ def cold_file(snapshot):
     body = snapshot_to_dict(snapshot)
     content_hash = hashlib.sha256(canonical_json(body)).hexdigest()
     return canonical_json({**body, "format_version": FORMAT_VERSION, "content_hash": content_hash})
+
+
+def highest_turns(nodes) -> dict[str, int]:
+    """Session id -> its highest turn index among ``nodes``."""
+    highest: dict[str, int] = {}
+    for node in nodes:
+        highest[node.session_id] = max(highest.get(node.session_id, -1), node.turn_index)
+    return highest

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmem import core
 from graphmem.config import estimate_tokens
 from graphmem.core import (
     from_columns,
@@ -33,7 +34,7 @@ from graphmem.core import (
 )
 from graphmem.errors import StateError
 
-from conftest import random_snapshot, unit_vector
+from conftest import highest_turns, random_snapshot, unit_vector
 
 
 def utt(text, session="s1", speaker="ana", ts=None):
@@ -313,6 +314,103 @@ class TestCarriedValues:
         assert frozen[1] == replace(buffered[1], confidence_flag=False)
 
 
+def _scanned_turn_index(snapshot, session_id):
+    """Reference derivation: the archives' highest turn from a fresh scan,
+    then a walk over every buffered node, as before the buffer carried its
+    own maxima."""
+    archived = (n for g in snapshot.archive.values() for n in g.nodes)
+    turn = max((n.turn_index for n in archived if n.session_id == session_id), default=-1)
+    for node in snapshot.buffer:
+        if node.session_id == session_id and node.turn_index > turn:
+            turn = node.turn_index
+    return turn + 1
+
+
+SESSIONS = ("s1", "s2", "s3")
+
+# Each step picks the snapshot it continues from among all made so far, so
+# several children grow from one parent.
+turn_steps = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.tuples(st.just("turn"), st.sampled_from(SESSIONS), st.none() | st.integers(0, 30))
+        | st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestCarriedTurnMaxima:
+    """The buffer's per-session highest turn index is carried from buffer
+    to buffer; every derived index must equal the scan it replaced."""
+
+    @given(turn_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_derived_turn_indices_match_a_scan_across_cuts_and_forks(self, steps):
+        heads = [new_snapshot()]
+        for pick, step in steps:
+            parent = heads[pick % len(heads)]
+            if step[0] == "turn":
+                _, session, turn_index = step
+                expected = turn_index
+                if expected is None:
+                    expected = _scanned_turn_index(parent, session)
+                child = append_event(parent, Utterance(session, "ana", "a drawn turn", None, turn_index))
+                assert child.buffer[-1].turn_index == expected
+            elif parent.buffer:
+                length = 1 + step[1] % len(parent.buffer)
+                _, child = archive_segment(parent, length, [True] * length)
+            else:
+                continue
+            heads.append(child)
+        for head in heads:
+            graph = head.active_event_graph
+            if graph.turn_max is not None:
+                assert graph.turn_max == highest_turns(graph.nodes)
+            for session in SESSIONS:
+                derived = append_event(head, Utterance(session, "riley", "one more turn"))
+                assert derived.buffer[-1].turn_index == _scanned_turn_index(head, session)
+
+    def test_appends_without_turn_indices_build_the_buffer_map_once(self, monkeypatch):
+        scans = []
+        scan = core._raise_turn_max
+
+        def counted(highest, nodes):
+            scans.append(nodes)
+            return scan(highest, nodes)
+
+        monkeypatch.setattr(core, "_raise_turn_max", counted)
+        snap = new_snapshot()
+        for i in range(200):
+            snap = append_event(snap, utt(f"turn number {i}", session=("s1", "s2")[i % 2]))
+        # Both scans ran on the first turn: one over the (empty) archives and
+        # one over the buffer.  Every later turn reads the carried maps.
+        assert len(scans) == 2
+        assert [n.turn_index for n in snap.buffer] == [i // 2 for i in range(200)]
+        assert snap.active_event_graph.turn_max == {"s1": 99, "s2": 99}
+
+    def test_explicit_turn_indices_never_build_the_map(self):
+        snap = new_snapshot()
+        for i in range(5):
+            snap = append_event(snap, Utterance("s1", "ana", f"turn {i}", None, turn_index=i))
+        assert snap.active_event_graph.turn_max is None
+        snap = append_event(snap, utt("a derived turn"))
+        assert snap.buffer[-1].turn_index == 5
+        assert snap.active_event_graph.turn_max == {"s1": 5}
+
+    def test_the_map_is_never_saved_compared_or_shown(self):
+        snap = append_event(append_event(new_snapshot(), utt("one turn")), utt("two turns"))
+        graph = snap.active_event_graph
+        bare = EventGraph(graph.nodes)
+        assert graph.turn_max == {"s1": 1} and bare.turn_max is None
+        assert bare == graph
+        assert repr(bare) == repr(graph)
+        assert bare.to_dict("live") == graph.to_dict("live")
+        with pytest.raises(TypeError):
+            EventGraph(graph.nodes, turn_max={})
+
+
 class TestInsertTopicNode:
     def test_first_node_into_empty_graph(self):
         archive_id, snap = with_extra_archive(new_snapshot())
@@ -446,6 +544,38 @@ class TestNeighbors:
         snap = random_snapshot(random.Random(1), 2)
         with pytest.raises(ValueError):
             neighbors(snap.topic_graph, "t999999")
+
+    def test_insert_carries_a_built_adjacency_map(self):
+        snap = random_snapshot(random.Random(21), 5, edge_probability=0.4)
+        tau = snap.config.tau
+        assert "adjacency" not in vars(insert_topic_node(*self._theme(snap, "t000006"), []).topic_graph)
+        graphs = [snap.topic_graph]
+        built = graphs[0].adjacency
+        inserts = [
+            ("t000006", []),  # no edges: no entry, as a fresh build has none
+            ("t000007", [("t000001", tau + 0.1), ("t000006", tau + 0.2)]),
+            # The same pair twice: the rescored edge replaces the first.
+            ("t000008", [("t000002", tau + 0.1), ("t000002", tau + 0.3), ("t000007", tau + 0.2)]),
+        ]
+        for topic_id, ends in inserts:
+            snap, node = self._theme(snap, topic_id)
+            edges = [TopicEdge(topic_id, other, Relation.SEMANTIC, weight) for other, weight in ends]
+            snap = insert_topic_node(snap, node, edges)
+            graph = snap.topic_graph
+            assert "adjacency" in vars(graph)
+            assert graph.adjacency == TopicGraph(graph.nodes, graph.edges).adjacency
+            graphs.append(graph)
+        assert "t000006" in graphs[-1].adjacency
+        assert "t000006" not in graphs[1].adjacency
+        # Every parent's map stays as it was built.
+        assert graphs[0].adjacency is built
+        for graph in graphs:
+            assert graph.adjacency == TopicGraph(graph.nodes, graph.edges).adjacency
+
+    @staticmethod
+    def _theme(snapshot, topic_id):
+        archive_id, snapshot = with_extra_archive(snapshot)
+        return snapshot, fresh_topic(snapshot, archive_id, topic_id)
 
 
 class TestSerialization:

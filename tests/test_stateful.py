@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from graphmem.config import EngineConfig
-from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, snapshot_hash
+from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, TopicGraph, snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.providers import mock_bundle
 from graphmem.store import load, save, validate_snapshot
 
-from conftest import cold_file
+from conftest import cold_file, highest_turns
 
 WORDS = ("garden", "compost", "puppy", "leash", "ferry", "passport", "yesterday", "the")
 
@@ -142,6 +142,8 @@ class EngineMachine(RuleBasedStateMachine):
         loaded = load(self.path)
         assert loaded.newest_ids is None and loaded.archive_turn_max is None
         assert loaded.saved_bytes is None
+        assert loaded.active_event_graph.turn_max is None
+        assert "adjacency" not in vars(loaded.topic_graph)
         self.bundle = mock_bundle(loaded.config)
         self.engine = MemoryEngine(self.bundle, snapshot=loaded)
 
@@ -160,17 +162,19 @@ class EngineMachine(RuleBasedStateMachine):
     def derived_values_match_a_fresh_build(self):
         snapshot = self.engine.snapshot
         if snapshot.archive_turn_max is not None:
-            highest: dict[str, int] = {}
-            for graph in snapshot.archive.values():
-                for node in graph.nodes:
-                    highest[node.session_id] = max(highest.get(node.session_id, -1), node.turn_index)
-            assert snapshot.archive_turn_max == highest
+            archived = (n for g in snapshot.archive.values() for n in g.nodes)
+            assert snapshot.archive_turn_max == highest_turns(archived)
         if snapshot.newest_ids is not None:
             newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
             assert snapshot.newest_ids == newest
         graph = snapshot.active_event_graph
         if "token_total" in vars(graph):
             assert graph.token_total == sum(n.token_count for n in graph.nodes)
+        if graph.turn_max is not None:
+            assert graph.turn_max == highest_turns(graph.nodes)
+        topic_graph = snapshot.topic_graph
+        if "adjacency" in vars(topic_graph):
+            assert topic_graph.adjacency == TopicGraph(topic_graph.nodes, topic_graph.edges).adjacency
         graphs = [*snapshot.archive.items(), (LIVE_BUFFER_ID, snapshot.active_event_graph)]
         for graph_id, graph in graphs:
             if graph.candidates is not None:

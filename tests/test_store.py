@@ -128,20 +128,6 @@ class TestSaveLoad:
         with pytest.raises(OSError):
             load(tmp_path / "never-written.json")
 
-    @pytest.mark.parametrize("corpus", ["golden", "scaling"])
-    def test_saved_bytes_are_the_canonical_document(self, corpus, tmp_path, request):
-        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
-        snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, "semantic")
-        body = snapshot_to_dict(snapshot)
-        document = {
-            **body,
-            "format_version": FORMAT_VERSION,
-            "content_hash": hashlib.sha256(canonical_json(body)).hexdigest(),
-        }
-        path = tmp_path / "memory.json"
-        save(snapshot, path)
-        assert path.read_bytes() == canonical_json(document)
-
     def test_scaling_snapshot_round_trips_under_a_second(self, tmp_path):
         from graphmem.config import EngineConfig
         from graphmem.engine import MemoryEngine

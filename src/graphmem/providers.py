@@ -76,7 +76,9 @@ class RelevanceScorer(Protocol):
 
     A scorer may also define ``score_many(query, texts)``, answering one
     item per text in order, each a score or a :class:`ProviderError`; the
-    re-rank then scores all of a query's candidates in one call.
+    re-rank then scores a query's distinct candidate texts in one call.
+    The re-rank asks each distinct text once, through either method, and
+    gives every candidate with that text the same reply.
     """
 
     def score(self, query: str, text: str) -> float: ...

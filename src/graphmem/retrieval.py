@@ -188,27 +188,34 @@ def relevance_replies(
     """One reply per text: the scorer's value, or the :class:`ProviderError`
     that stands for a failed item.
 
-    A scorer with ``score_many`` answers in one batch; a batch that raises
-    ``ProviderError``, or whose reply is not a list of ``len(texts)`` items,
-    fails every item.  Any other scorer is asked once per text.
+    A scorer sees only the query and the text, so it is asked once per
+    distinct text, in first-occurrence order, and every position takes the
+    reply for its text.  A scorer with ``score_many`` answers the distinct
+    texts in one batch; a batch that raises ``ProviderError``, or whose
+    reply is not a list of one item per distinct text, fails every item.
+    Any other scorer is asked once per distinct text.
     """
+    distinct = list(dict.fromkeys(texts))
     score_many = getattr(scorer, "score_many", None)
     if score_many is None:
         replies: list[float | ProviderError] = []
-        for text in texts:
+        for text in distinct:
             try:
                 replies.append(scorer.score(query, text))
             except ProviderError as exc:
                 replies.append(exc)
-        return replies
-    try:
-        replies = score_many(query, texts)
-    except ProviderError as exc:
-        return [exc] * len(texts)
-    if type(replies) is not list or len(replies) != len(texts):
-        failure = ProviderParseError(f"relevance batch is not a list of {len(texts)} items")
-        return [failure] * len(texts)
-    return replies
+    else:
+        try:
+            replies = score_many(query, distinct)
+        except ProviderError as exc:
+            return [exc] * len(texts)
+        if type(replies) is not list or len(replies) != len(distinct):
+            failure = ProviderParseError(
+                f"relevance batch is not a list of {len(distinct)} items"
+            )
+            return [failure] * len(texts)
+    by_text = dict(zip(distinct, replies))
+    return [by_text[text] for text in texts]
 
 
 #: One shared, immutable IndicatorFlags per combination, indexed by
@@ -235,15 +242,17 @@ def rerank(
 ) -> list[RankedCandidate]:
     """Score, boost and order candidates; return the top ``k``.
 
-    Candidates are scored through :func:`relevance_replies`, in one batch
-    when the scorer has ``score_many``.  The score is exactly
+    Candidates are scored through :func:`relevance_replies`, once per
+    distinct text and in one batch when the scorer has ``score_many``.  The
+    score is exactly
     ``p_sem * beta_time^t * beta_conf^c * beta_role^r``, computed as one
     column per factor.  Ties resolve to the more recent utterance (larger
     creation order, the number in its id), then the earlier candidate; only
     the top ``k`` become :class:`RankedCandidate` objects.  A failed item,
     or a score that is not a finite real number (see
-    :func:`~graphmem.providers.real_number`), degrades that candidate to
-    embedding cosine and marks it.  The cosine uses ``query_vector`` when
+    :func:`~graphmem.providers.real_number`), degrades every candidate with
+    that text to its own embedding cosine, logs a warning for each, and
+    marks it.  The cosine uses ``query_vector`` when
     given (the caller's checked query embedding), else embeds the query
     once; an embedding that is not ``embedding_dim`` finite numbers, or a
     cosine that is not finite, raises :class:`ProviderParseError`.  A ``k``

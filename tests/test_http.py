@@ -22,6 +22,7 @@ from graphmem.errors import (
 from graphmem.harness import DialogueCorpus, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
+    RELEVANCE_PROMPT,
     SUMMARY_PROMPT,
     HttpBoundaryDiscriminator,
     HttpClient,
@@ -435,6 +436,43 @@ def buffered(texts):
     for text in texts:
         snap = append_event(snap, Utterance("s1", "ana", text))
     return snap
+
+
+class TestRelevanceRequests:
+    def test_one_request_per_distinct_text(self):
+        # Once one request went out per candidate, repeats included.
+        config = EngineConfig()
+        embedder = MockEmbedder(config.embedding_dim, config.seed)
+        raw = {"the garden compost": 1.5, "a puppy leash": -0.5, "the ferry passport": 0.25}
+        prompts = []
+
+        def transport(url, payload, headers, timeout):
+            if url.endswith("/embeddings"):
+                vector = [float(x) for x in embedder.embed(payload["input"])]
+                return 200, {"data": [{"embedding": vector}], "usage": {}}
+            prompt = payload["messages"][0]["content"]
+            prompts.append(prompt)
+            text = prompt.split("Memory: ", 1)[1].split("\n", 1)[0]
+            return 200, chat_body(json.dumps({"score": raw[text]}))
+
+        bundle = http_bundle(
+            HttpConfig(base_url="http://model.test/v1", model="chat-model"),
+            config.embedding_dim,
+            transport=transport,
+        )
+        texts = ["a puppy leash", "the garden compost", "a puppy leash", "the ferry passport"]
+        texts += ["the garden compost", "a puppy leash"]
+        engine = MemoryEngine(bundle, config, snapshot=buffered(texts))
+        ranked = engine.query("garden compost")
+        assert prompts == [
+            RELEVANCE_PROMPT.format(query="garden compost", text=text)
+            for text in dict.fromkeys(texts)
+        ]
+        assert bundle.call_log.count("relevance_scorer") == 3
+        lookup = {n.id: n.text for n in engine.snapshot.buffer}
+        assert len(ranked) == len(texts)
+        for candidate in ranked:
+            assert candidate.p_sem == logistic(raw[lookup[candidate.event_node_id]])
 
 
 class TestEngineJudgesReplies:

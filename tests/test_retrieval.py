@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem import retrieval
-from graphmem.config import EngineConfig
+from graphmem.config import EngineConfig, estimate_tokens
 from graphmem.core import (
     EventGraph,
     EventNode,
@@ -33,7 +32,7 @@ from graphmem.errors import (
     ProviderParseError,
     ProviderTransportError,
 )
-from graphmem.providers import mock_bundle, real_number
+from graphmem.providers import MockRelevanceScorer, mock_bundle, real_number
 from graphmem.retrieval import (
     AnchorSet,
     CandidateEvent,
@@ -451,12 +450,14 @@ class TestRerank:
 
 class TextReplies:
     """Answers a drawn reply per candidate text; a ``ProviderError`` reply is
-    raised by ``score``."""
+    raised by ``score``.  ``asked`` lists the texts asked, in order."""
 
     def __init__(self, table):
         self.table = table
+        self.asked = []
 
     def score(self, query, text):
+        self.asked.append(text)
         reply = self.table[text]
         if isinstance(reply, ProviderError):
             raise reply
@@ -472,6 +473,7 @@ class BatchReplies(TextReplies):
         self.mode = mode
 
     def score_many(self, query, texts):
+        self.asked.append(list(texts))
         replies = [self.table[text] for text in texts]
         if self.mode == "raises":
             raise ProviderTransportError("batch endpoint down")
@@ -482,6 +484,24 @@ class BatchReplies(TextReplies):
         if self.mode == "tuple":
             return tuple(replies)
         return replies
+
+
+class WarningCount(logging.Handler):
+    """Counts the re-rank's warnings inside a ``with`` block."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+    def __enter__(self):
+        logging.getLogger("graphmem.retrieval").addHandler(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        logging.getLogger("graphmem.retrieval").removeHandler(self)
 
 
 relevance_replies = st.one_of(
@@ -537,6 +557,72 @@ class TestRelevanceBatch:
         candidates = [make_candidate(i, f"plain text {i}", flag=False) for i in range(1, 4)]
         ranked = rerank(Query("anything"), candidates, mock_bundle(), EngineConfig())
         assert len({id(c.indicators) for c in ranked}) == 1
+
+
+@st.composite
+def repeated_text_candidates(draw):
+    """Candidates whose texts come from a few choices, so texts repeat, and
+    one drawn reply per distinct text."""
+    choices = ("garden soil", "rook may", "when soil", "")
+    texts = draw(st.lists(st.sampled_from(choices), max_size=12))
+    order = draw(st.permutations(range(1, len(texts) + 1)))
+    candidates = [
+        make_candidate(
+            idx,
+            text,
+            speaker=draw(st.sampled_from(("bob", "carol"))),
+            timestamp=draw(st.sampled_from((None, "2026-01-01T00:00:00"))),
+            flag=draw(st.booleans()),
+        )
+        for idx, text in zip(order, texts)
+    ]
+    return candidates, {text: draw(relevance_replies) for text in dict.fromkeys(texts)}
+
+
+class TestDistinctTexts:
+    """A scorer sees only the query and the text, so each distinct text is
+    asked once and every candidate with that text shares its reply."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        drawn=repeated_text_candidates(),
+        mode=st.sampled_from(("single", "list", "raises", "short", "long", "tuple")),
+        query=st.sampled_from(("what did bob plant", "when was the garden soil turned")),
+        k=st.one_of(st.none(), st.integers(1, 14)),
+    )
+    def test_each_distinct_text_is_asked_once(self, drawn, mode, query, k):
+        candidates, table = drawn
+        config = EngineConfig()
+        distinct = list(dict.fromkeys(c.node.text for c in candidates))
+        bundle = mock_bundle(config)
+        scorer = bundle.relevance_scorer = (
+            TextReplies(table) if mode == "single" else BatchReplies(table, mode)
+        )
+        with WarningCount() as warnings:
+            got = rerank(Query(query), candidates, bundle, config, k)
+        assert scorer.asked == (distinct if mode == "single" else [distinct])
+        if mode not in ("single", "list"):
+            table = {text: ProviderTransportError("batch failed") for text in table}
+        # Each candidate asks for its own text's reply, one at a time.
+        replies = [table[c.node.text] for c in candidates]
+        expected = reference_rerank(
+            Query(query), candidates, mock_bundle(config), config, k, replies=replies
+        )
+        assert got == expected
+        failed = [r for r in replies if isinstance(r, ProviderError) or not math.isfinite(r)]
+        assert warnings.count == len(failed)
+
+        bundle = mock_bundle(config)
+        ranked = rerank(Query(query), candidates, bundle, config, k)
+        records = bundle.call_log.entries()
+        assert [r.provider for r in records] == ["relevance_scorer"] * len(distinct)
+        tokens = estimate_tokens(query)
+        assert [r.input_tokens for r in records] == [tokens + estimate_tokens(t) for t in distinct]
+        scorer = MockRelevanceScorer()
+        lookup = {c.node.id: c.node.text for c in candidates}
+        assert [c.p_sem for c in ranked] == [
+            scorer.score(query, lookup[c.event_node_id]) for c in ranked
+        ]
 
 
 class FailingRelevance:
@@ -668,14 +754,45 @@ class TestTopK:
         assert len(engine.providers.call_log) == before
 
 
-def reference_rerank(query, candidates, providers, config, k=None, *, query_vector=None):
+def reference_replies(scorer, query, texts):
+    """How ``rerank`` gathers its replies, written out apart from
+    ``retrieval.relevance_replies`` so that the oracle sees a change there:
+    each distinct text is asked once, in first-occurrence order, and each
+    position takes the reply for its text."""
+    distinct = []
+    for text in texts:
+        if text not in distinct:
+            distinct.append(text)
+    if not hasattr(scorer, "score_many"):
+        answers = []
+        for text in distinct:
+            try:
+                answers.append(scorer.score(query, text))
+            except ProviderError as exc:
+                answers.append(exc)
+    else:
+        try:
+            answers = scorer.score_many(query, distinct)
+        except ProviderError as exc:
+            return [exc] * len(texts)
+        if type(answers) is not list or len(answers) != len(distinct):
+            failure = ProviderParseError(f"relevance batch is not a list of {len(distinct)} items")
+            return [failure] * len(texts)
+    return [answers[distinct.index(text)] for text in texts]
+
+
+def reference_rerank(
+    query, candidates, providers, config, k=None, *, query_vector=None, replies=None
+):
     """The per-candidate re-rank loop that the columnar ``rerank`` replaced,
-    kept as its oracle."""
+    kept as its oracle; ``replies``, one per candidate, replaces the
+    gathering by :func:`reference_replies`."""
     if k is None:
         k = config.retrieval_k
-    replies = retrieval.relevance_replies(
-        providers.relevance_scorer, query.text, [c.node.text for c in candidates]
-    )
+    if replies is None:
+        replies = reference_replies(
+            providers.relevance_scorer, query.text, [c.node.text for c in candidates]
+        )
     time_sensitive = is_time_sensitive(query)
     lowered_query = query.text.lower()
     rows = []
@@ -727,8 +844,8 @@ def reference_rerank(query, candidates, providers, config, k=None, *, query_vect
 
 class DrawnReplies:
     """Answers the drawn replies in order: one per ``score`` call (a
-    ``ProviderError`` is raised), or all at once from ``score_many`` when
-    ``mode`` names a batch shape."""
+    ``ProviderError`` is raised), or one per asked text from ``score_many``
+    when ``mode`` names a batch shape."""
 
     def __init__(self, replies, mode):
         self.replies = list(replies)
@@ -743,22 +860,14 @@ class DrawnReplies:
         return reply
 
     def _score_many(self, query, texts):
+        replies = self.replies[: len(texts)]
         if self.mode == "raises":
             raise ProviderTransportError("batch endpoint down")
         if self.mode == "short":
-            return self.replies[:-1]
+            return replies[:-1]
         if self.mode == "long":
-            return self.replies + [0.5]
-        return list(self.replies)
-
-
-class WarningCount(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.count = 0
-
-    def emit(self, record):
-        self.count += 1
+            return replies + [0.5]
+        return replies
 
 
 oracle_replies = st.one_of(
@@ -820,13 +929,8 @@ class TestColumnarRerank:
         vector = None
         if give_vector:
             vector = checked_vector(mock_bundle(config).embedder.embed(query.text), 64)
-        warnings = WarningCount()
-        logger = logging.getLogger("graphmem.retrieval")
-        logger.addHandler(warnings)
-        try:
+        with WarningCount() as warnings:
             ranked = ranker(query, candidates, bundle, config, k, query_vector=vector)
-        finally:
-            logger.removeHandler(warnings)
         shown = [
             tuple(repr(getattr(c, f.name)) for f in fields(RankedCandidate)) for c in ranked
         ]

@@ -20,8 +20,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from graphmem.config import EngineConfig
 from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, TopicGraph, snapshot_hash
 from graphmem.engine import MemoryEngine
-from graphmem.providers import mock_bundle
-from graphmem.store import load, save, validate_snapshot
+from graphmem.providers import MockEmbedder, MockRelevanceScorer, mock_bundle
+from graphmem.retrieval import anchor, drill_down
+from graphmem.store import checked_vector, load, save, validate_snapshot
 
 from conftest import cold_file, highest_turns
 
@@ -97,11 +98,24 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(text=texts, k=st.integers(1, 5))
     def query(self, text, k):
         before = self.engine.snapshot
+        call_log = self.engine.providers.call_log
+        scored = call_log.count("relevance_scorer")
         ranked = self.engine.query(text, k=k)
         assert self.engine.snapshot is before
         assert [c.rank for c in ranked] == list(range(1, len(ranked) + 1))
         assert len(ranked) <= k
         assert {c.event_node_id for c in ranked} <= {n.id for n in self.nodes()}
+        # Stored texts repeat; each distinct candidate text is scored once.
+        config = before.config
+        vector = MockEmbedder(config.embedding_dim, config.seed).embed(text)
+        anchors = anchor(before.topic_graph, checked_vector(vector, config.embedding_dim), k)
+        candidates = [c.node for c in drill_down(before, anchors)] + list(before.buffer)
+        distinct = {n.text for n in candidates}
+        assert call_log.count("relevance_scorer") - scored == len(distinct)
+        lookup = {n.id: n.text for n in candidates}
+        scorer = MockRelevanceScorer()
+        for candidate in ranked:
+            assert candidate.p_sem == scorer.score(text, lookup[candidate.event_node_id])
 
     @rule(
         turns=st.lists(

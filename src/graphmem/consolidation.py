@@ -7,7 +7,11 @@ the cross-layer link.  The entire transition is all-or-nothing: a failed
 summary or embedding (a summary or keyword that is not a string, a blank
 summary, or an embedding that is not ``embedding_dim`` finite numbers with
 a positive norm) leaves the caller's snapshot untouched, while a failed
-relation score only drops that one candidate.
+relation score only drops the candidates with that summary.  Each scorer
+sees only the summary and one other text, so it is asked once per distinct
+text (:func:`~graphmem.providers.distinct_replies`): the entailment checker
+once per distinct utterance text, the relation scorer once per distinct
+candidate summary.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .core import (
     raw_text,
 )
 from .errors import ConsolidationError, ProviderError, ProviderParseError, StateError
-from .providers import ProviderBundle, RelationScorer, real_number
+from .providers import ProviderBundle, RelationScorer, distinct_replies, real_number
 from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
@@ -80,7 +84,9 @@ def score_relation(
     that is not a pair of a label in ``RELATION_LABELS`` and a real weight
     in ``[0, 1]``, is demoted to ``(unrelated, 0)`` and logged rather than
     failing the transaction; transport failures propagate so the caller can
-    skip the candidate.
+    skip the candidate.  :func:`consolidate_segment` calls this once per
+    distinct candidate summary, so a demotion is logged once per pair asked
+    and holds for every candidate with that summary.
     """
     if not first_summary or not second_summary:
         raise ValueError("both summaries must be non-empty")
@@ -113,6 +119,16 @@ def consolidate_segment(
     and the remaining suffix still buffered.  Raises
     :class:`ConsolidationError` on abort, leaving the input snapshot the
     caller holds fully intact.
+
+    Each scorer is asked once per distinct text, in first-occurrence order,
+    and every position takes the reply for its text.  The entailment
+    checker is asked once per distinct utterance text; a failed call or a
+    reply that is not a bool flags every utterance with that text trusted,
+    and each such utterance counts in ``entailment_defaults``.  The relation
+    scorer is asked through :func:`score_relation` once per distinct
+    candidate summary; a ``ProviderError`` skips every candidate with that
+    summary, each with its own warning and its own entry in
+    ``skipped_candidates``.
     """
     buffer = snapshot.buffer
     if not segment:
@@ -153,11 +169,8 @@ def consolidate_segment(
 
     flags = []
     entailment_defaults = 0
-    for node in segment_nodes:
-        try:
-            reply = providers.entailment.entails(summary, node.text)
-        except ProviderError:
-            reply = None
+    texts = [node.text for node in segment_nodes]
+    for reply in distinct_replies(providers.entailment.entails, summary, texts):
         # The flag is advisory: a failed call or a reply that is not a bool
         # defaults to trusted rather than aborting.
         if isinstance(reply, (bool, np.bool_)):
@@ -168,19 +181,21 @@ def consolidate_segment(
 
     new_id = next_topic_id(snapshot)
     candidates = select_candidates(snapshot.topic_graph, embedding, config.k_cand)
+    scorer = providers.relation_scorer
+    others = [snapshot.topic_graph.nodes[topic_id].summary for topic_id, _ in candidates]
+    # The module-level name is read on each call, so a wrapped
+    # ``score_relation`` (a tracer's) is the one asked.
+    replies = distinct_replies(
+        lambda first, second: score_relation(first, second, scorer), summary, others
+    )
     scored: list[tuple[str, str, float]] = []
     skipped: list[str] = []
-    for topic_id, _similarity in candidates:
-        other = snapshot.topic_graph.nodes[topic_id]
-        try:
-            label, weight = score_relation(
-                summary, other.summary, providers.relation_scorer
-            )
-        except ProviderError as exc:
-            logger.warning("relation scoring failed for %s: %s", topic_id, exc)
+    for (topic_id, _similarity), reply in zip(candidates, replies):
+        if isinstance(reply, ProviderError):
+            logger.warning("relation scoring failed for %s: %s", topic_id, reply)
             skipped.append(topic_id)
-            continue
-        scored.append((topic_id, label, weight))
+        else:
+            scored.append((topic_id, *reply))
 
     edges = [
         TopicEdge(

@@ -15,12 +15,13 @@ import re
 import threading
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .config import EngineConfig, estimate_tokens
 from .core import UNRELATED, EventNode, Relation
+from .errors import ProviderError, ProviderParseError
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -68,6 +69,13 @@ class Summarizer(Protocol):
 
 
 class RelationScorer(Protocol):
+    """Labels and weighs the relation between two theme summaries.
+
+    A consolidation asks it once per distinct candidate summary (see
+    :func:`distinct_replies`) and gives every candidate with that summary
+    the same reply.
+    """
+
     def score(self, first: str, second: str) -> tuple[str, float]: ...
 
 
@@ -85,7 +93,54 @@ class RelevanceScorer(Protocol):
 
 
 class EntailmentChecker(Protocol):
+    """Says whether a summary entails an utterance's text.
+
+    A consolidation asks it once per distinct utterance text (see
+    :func:`distinct_replies`) and gives every utterance with that text the
+    same flag.
+    """
+
     def entails(self, summary: str, text: str) -> bool: ...
+
+
+Reply = TypeVar("Reply")
+
+
+def distinct_replies(
+    ask: Callable[[str, str], Reply],
+    first: str,
+    texts: Sequence[str],
+    ask_many: Callable[[str, list[str]], object] | None = None,
+) -> list[Reply | ProviderError]:
+    """One reply per text to ``ask(first, text)``, or the
+    :class:`ProviderError` that stands for a failed item.
+
+    A scorer sees only ``first`` and the text, so it is asked once per
+    distinct text, in first-occurrence order, and every position takes the
+    reply for its text.  With ``ask_many`` (a batch method such as
+    ``score_many``) the distinct texts go in one batch; a batch that raises
+    ``ProviderError``, or whose reply is not a list of one item per
+    distinct text, fails every item.  Otherwise ``ask`` is called once per
+    distinct text, and a ``ProviderError`` fails that text alone.
+    """
+    distinct = list(dict.fromkeys(texts))
+    if ask_many is None:
+        replies: list = []
+        for text in distinct:
+            try:
+                replies.append(ask(first, text))
+            except ProviderError as exc:
+                replies.append(exc)
+    else:
+        try:
+            replies = ask_many(first, distinct)
+        except ProviderError as exc:
+            return [exc] * len(texts)
+        if type(replies) is not list or len(replies) != len(distinct):
+            failure = ProviderParseError(f"batch reply is not a list of {len(distinct)} items")
+            return [failure] * len(texts)
+    by_text = dict(zip(distinct, replies))
+    return [by_text[text] for text in texts]
 
 
 def real_number(reply: object) -> float:

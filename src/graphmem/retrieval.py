@@ -34,7 +34,7 @@ from .core import (
     neighbors,
 )
 from .errors import CorruptionError, ProviderError, ProviderParseError
-from .providers import ProviderBundle, RelevanceScorer, real_number
+from .providers import ProviderBundle, distinct_replies, real_number
 from .store import checked_vector, topic_index, vector_topk
 
 logger = logging.getLogger(__name__)
@@ -182,42 +182,6 @@ def role_indicator(lowered_query: str, candidate: EventNode) -> int:
     return int(bool(speaker) and speaker in lowered_query)
 
 
-def relevance_replies(
-    scorer: RelevanceScorer, query: str, texts: Sequence[str]
-) -> list[float | ProviderError]:
-    """One reply per text: the scorer's value, or the :class:`ProviderError`
-    that stands for a failed item.
-
-    A scorer sees only the query and the text, so it is asked once per
-    distinct text, in first-occurrence order, and every position takes the
-    reply for its text.  A scorer with ``score_many`` answers the distinct
-    texts in one batch; a batch that raises ``ProviderError``, or whose
-    reply is not a list of one item per distinct text, fails every item.
-    Any other scorer is asked once per distinct text.
-    """
-    distinct = list(dict.fromkeys(texts))
-    score_many = getattr(scorer, "score_many", None)
-    if score_many is None:
-        replies: list[float | ProviderError] = []
-        for text in distinct:
-            try:
-                replies.append(scorer.score(query, text))
-            except ProviderError as exc:
-                replies.append(exc)
-    else:
-        try:
-            replies = score_many(query, distinct)
-        except ProviderError as exc:
-            return [exc] * len(texts)
-        if type(replies) is not list or len(replies) != len(distinct):
-            failure = ProviderParseError(
-                f"relevance batch is not a list of {len(distinct)} items"
-            )
-            return [failure] * len(texts)
-    by_text = dict(zip(distinct, replies))
-    return [by_text[text] for text in texts]
-
-
 #: One shared, immutable IndicatorFlags per combination, indexed by
 #: ``4 * time + 2 * conf + role``.
 _FLAGS = tuple(IndicatorFlags(t, c, r) for t in (0, 1) for c in (0, 1) for r in (0, 1))
@@ -242,8 +206,9 @@ def rerank(
 ) -> list[RankedCandidate]:
     """Score, boost and order candidates; return the top ``k``.
 
-    Candidates are scored through :func:`relevance_replies`, once per
-    distinct text and in one batch when the scorer has ``score_many``.  The
+    Candidates are scored through
+    :func:`~graphmem.providers.distinct_replies`, once per distinct text
+    and in one batch when the scorer has ``score_many``.  The
     score is exactly
     ``p_sem * beta_time^t * beta_conf^c * beta_role^r``, computed as one
     column per factor.  Ties resolve to the more recent utterance (larger
@@ -260,8 +225,9 @@ def rerank(
     """
     k = _top_k(k, config)
     nodes = [c.node for c in candidates]
-    replies = relevance_replies(
-        providers.relevance_scorer, query.text, [n.text for n in nodes]
+    scorer = providers.relevance_scorer
+    replies = distinct_replies(
+        scorer.score, query.text, [n.text for n in nodes], getattr(scorer, "score_many", None)
     )
     # A float, the common reply, pays one type test.
     values = [r if type(r) is float else real_number(r) for r in replies]

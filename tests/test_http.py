@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from graphmem.boundary import check_boundary, heuristic_discriminator
 from graphmem.config import EngineConfig
 from graphmem.consolidation import consolidate_segment, score_relation
-from graphmem.core import EventNode, Utterance, append_event, new_snapshot, snapshot_hash
+from graphmem.core import (
+    EventNode,
+    Utterance,
+    append_event,
+    new_snapshot,
+    raw_text,
+    snapshot_hash,
+)
 from graphmem.engine import MemoryEngine
 from graphmem.errors import (
     ConsolidationError,
@@ -22,6 +29,8 @@ from graphmem.errors import (
 from graphmem.harness import DialogueCorpus, replay
 from graphmem.http import (
     BOUNDARY_PROMPT,
+    ENTAILMENT_PROMPT,
+    RELATION_PROMPT,
     RELEVANCE_PROMPT,
     SUMMARY_PROMPT,
     HttpBoundaryDiscriminator,
@@ -473,6 +482,60 @@ class TestRelevanceRequests:
         assert len(ranked) == len(texts)
         for candidate in ranked:
             assert candidate.p_sem == logistic(raw[lookup[candidate.event_node_id]])
+
+
+class TestConsolidationRequests:
+    def test_one_request_per_distinct_text(self):
+        # Once one entailment request went out per utterance and one
+        # relation request per candidate, repeats included.
+        config = EngineConfig()
+        embedder = MockEmbedder(config.embedding_dim, config.seed)
+        summary = "Talk about the garden."
+        prompts = []
+
+        def transport(url, payload, headers, timeout):
+            if url.endswith("/embeddings"):
+                vector = [float(x) for x in embedder.embed(payload["input"])]
+                return 200, {"data": [{"embedding": vector}], "usage": {}}
+            prompt = payload["messages"][0]["content"]
+            prompts.append(prompt)
+            if prompt.startswith(ENTAILMENT_PROMPT[:20]):
+                reply = {"entailed": "soil" in prompt}
+            elif prompt.startswith(RELATION_PROMPT[:20]):
+                reply = {"relation": "coreference", "confidence": 1.0}
+            else:
+                reply = {"keywords": ["garden"], "summary": summary}
+            return 200, chat_body(json.dumps(reply))
+
+        bundle = http_bundle(
+            HttpConfig(base_url="http://model.test/v1", model="chat-model"),
+            config.embedding_dim,
+            transport=transport,
+        )
+        # Every theme gets the one summary, so the two candidates share it.
+        snap = new_snapshot(config)
+        for text in ("garden soil", "garden compost"):
+            snap = append_event(snap, Utterance("s1", "ana", text))
+            _, snap = consolidate_segment(snap, snap.buffer, bundle)
+        texts = ["garden soil", "the compost", "garden soil", "the compost", "garden soil"]
+        for text in texts:
+            snap = append_event(snap, Utterance("s2", "ana", text))
+        segment = snap.buffer
+        prompts.clear()
+        report, snap = consolidate_segment(snap, segment, bundle)
+        assert len(report.candidate_pool) == 2
+        assert prompts == [
+            SUMMARY_PROMPT.format(content=raw_text(segment)),
+            ENTAILMENT_PROMPT.format(summary=summary, text="garden soil"),
+            ENTAILMENT_PROMPT.format(summary=summary, text="the compost"),
+            RELATION_PROMPT.format(memory_1_content=summary, memory_2_content=summary),
+        ]
+        flags = [n.confidence_flag for n in snap.archive[report.archive_id].nodes]
+        assert flags == ["soil" in text for text in texts]
+        assert report.scored_relations == tuple(
+            (topic_id, "coreference", 1.0) for topic_id, _ in report.candidate_pool
+        )
+        assert report.accepted_edges == 2
 
 
 class TestEngineJudgesReplies:

@@ -756,7 +756,7 @@ class TestTopK:
 
 def reference_replies(scorer, query, texts):
     """How ``rerank`` gathers its replies, written out apart from
-    ``retrieval.relevance_replies`` so that the oracle sees a change there:
+    ``providers.distinct_replies`` so that the oracle sees a change there:
     each distinct text is asked once, in first-occurrence order, and each
     position takes the reply for its text."""
     distinct = []
@@ -776,7 +776,7 @@ def reference_replies(scorer, query, texts):
         except ProviderError as exc:
             return [exc] * len(texts)
         if type(answers) is not list or len(answers) != len(distinct):
-            failure = ProviderParseError(f"relevance batch is not a list of {len(distinct)} items")
+            failure = ProviderParseError(f"batch reply is not a list of {len(distinct)} items")
             return [failure] * len(texts)
     return [answers[distinct.index(text)] for text in texts]
 

@@ -7,7 +7,9 @@ fork: a second engine continues from the current snapshot and saves its
 own, so the fork shares archives with the main chain.  A small buffer
 budget makes overflows fire.  After every step the engine is checked
 against a plain model: the list of accepted turns and the number of
-committed consolidations.
+committed consolidations.  Each step that consolidates is also checked
+against the calls it adds: one entailment call per distinct text of each
+segment, and one relation call per distinct summary of each candidate pool.
 """
 
 import os
@@ -17,7 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from graphmem.config import EngineConfig
+from graphmem.config import EngineConfig, estimate_tokens
 from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, TopicGraph, snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.providers import MockEmbedder, MockRelevanceScorer, mock_bundle
@@ -72,6 +74,29 @@ class EngineMachine(RuleBasedStateMachine):
     def nodes(self) -> list[EventNode]:
         return stored_nodes(self.engine.snapshot)
 
+    def consolidate(self, step) -> None:
+        """Run an engine step that may consolidate, and count its commits.
+
+        Each consolidation asks the entailment checker once per distinct
+        text of its segment and the relation scorer once per distinct
+        summary of its candidate pool, each in first-occurrence order; the
+        mock records the tokens of each pair it is asked."""
+        log = self.engine.providers.call_log
+        start = len(log)
+        reports = step()
+        snapshot = self.engine.snapshot
+        entailed, related = [], []
+        for report in reports:
+            summary = estimate_tokens(snapshot.topic_graph.nodes[report.new_topic_id].summary)
+            texts = [n.text for n in snapshot.archive[report.archive_id].nodes]
+            pool = [snapshot.topic_graph.nodes[t].summary for t, _ in report.candidate_pool]
+            entailed += [summary + estimate_tokens(text) for text in dict.fromkeys(texts)]
+            related += [summary + estimate_tokens(other) for other in dict.fromkeys(pool)]
+        added = log.entries()[start:]
+        assert [r.input_tokens for r in added if r.provider == "entailment"] == entailed
+        assert [r.input_tokens for r in added if r.provider == "relation_scorer"] == related
+        self.committed += len(reports)
+
     @rule(
         session=st.sampled_from(("s1", "s2", "s3")),
         speaker=st.sampled_from(("ana", "riley")),
@@ -84,16 +109,18 @@ class EngineMachine(RuleBasedStateMachine):
         if expected is None:
             # A derived index is one past the session's highest so far.
             expected = 1 + max((t[4] for t in self.turns if t[0] == session), default=-1)
-        self.committed += len(self.engine.observe(session, speaker, text, timestamp, turn_index))
+        self.consolidate(
+            lambda: self.engine.observe(session, speaker, text, timestamp, turn_index)
+        )
         self.turns.append((session, speaker, text, timestamp, expected))
 
     @rule()
     def end_session(self):
-        self.committed += len(self.engine.end_session())
+        self.consolidate(self.engine.end_session)
 
     @rule()
     def check_now(self):
-        self.committed += len(self.engine.check_now())
+        self.consolidate(self.engine.check_now)
 
     @rule(text=texts, k=st.integers(1, 5))
     def query(self, text, k):

@@ -118,11 +118,12 @@ def _read_jsonl(path: str | Path, parse) -> list:
     """``parse`` applied to the object on each non-blank line; an error names
     the file and the 0-based line number."""
     items = []
-    with open(path, encoding="utf-8") as handle:
-        for row, line in enumerate(handle):
-            if not line.strip():
-                continue
+    with open(path, "rb") as handle:
+        for row, raw in enumerate(handle):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("expected an object")
@@ -130,37 +131,6 @@ def _read_jsonl(path: str | Path, parse) -> list:
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path} row {row}: {exc!r}") from exc
     return items
-
-
-def write_corpus(
-    corpus: DialogueCorpus, turns_path: str | Path, qa_path: str | Path | None = None
-) -> None:
-    with open(turns_path, "w", encoding="utf-8") as handle:
-        for turn in corpus.turns:
-            record = {
-                "session_id": turn.session_id,
-                "turn_index": turn.turn_index,
-                "speaker": turn.speaker,
-                "text": turn.text,
-            }
-            if turn.timestamp is not None:
-                record["timestamp"] = turn.timestamp
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    if qa_path is not None:
-        with open(qa_path, "w", encoding="utf-8") as handle:
-            for item in corpus.qa:
-                handle.write(
-                    json.dumps(
-                        {
-                            "question": item.question,
-                            "gold_answer": item.gold_answer,
-                            "category": item.category,
-                            "evidence_turn_ids": sorted(item.evidence_turn_ids),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,26 @@
-"""The corpora checked in under ``fixtures/`` are exactly what their seeded
-generators produce, so tests that read the files and tests that call the
-generators see the same data."""
+"""The corpora the package ships are the files checked in under
+``fixtures/``, reached through one copy."""
 
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from graphmem.fixtures import FIXTURES, write_fixture_files
+from graphmem import fixtures
 from graphmem.harness import load_corpus
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def test_generators_write_the_checked_in_files(tmp_path):
-    written = write_fixture_files(tmp_path)
-    checked_in = sorted(path.name for path in FIXTURE_DIR.glob("*.jsonl"))
-    assert sorted(path.name for path in written) == checked_in
-    for path in written:
-        assert path.read_bytes() == (FIXTURE_DIR / path.name).read_bytes(), path.name
+def test_packaged_corpora_are_the_checked_in_directory():
+    corpora = Path(str(files("graphmem") / "corpora"))
+    assert corpora.resolve() == FIXTURE_DIR
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_loaded_files_equal_the_generated_corpus(name):
+@pytest.mark.parametrize("name", ["golden", "scaling", "smoke"])
+def test_maker_loads_its_checked_in_pair(name):
+    maker = getattr(fixtures, f"make_{name}_corpus")
     loaded = load_corpus(
         FIXTURE_DIR / f"{name}_turns.jsonl", FIXTURE_DIR / f"{name}_qa.jsonl"
     )
-    assert loaded == FIXTURES[name]()
+    assert maker() == loaded

@@ -21,7 +21,6 @@ from graphmem.harness import (
     parse_strategy,
     replay,
     scaling_report,
-    write_corpus,
 )
 from graphmem.providers import mock_bundle
 
@@ -74,12 +73,39 @@ class TestCorpus:
         with pytest.raises(ValueError, match="category"):
             DialogueCorpus(turns, qa)
 
-    def test_jsonl_round_trip(self, tmp_path, golden_corpus):
+    def test_jsonl_pair_loads_as_written(self, tmp_path):
         turns_path = tmp_path / "turns.jsonl"
         qa_path = tmp_path / "qa.jsonl"
-        write_corpus(golden_corpus, turns_path, qa_path)
+        turns_path.write_text(
+            '{"session_id": "s1", "turn_index": 0, "speaker": "ana", "text": "x",'
+            ' "timestamp": "2026-01-05T09:00:00"}\n'
+            "\n"
+            '{"session_id": "s1", "turn_index": 1, "speaker": "riley", "text": "y"}\n'
+        )
+        qa_path.write_text(
+            '{"question": "q", "gold_answer": "a", "category": "multi_hop",'
+            ' "evidence_turn_ids": ["s1:1", "s1:0"]}\n'
+        )
         loaded = load_corpus(turns_path, qa_path)
-        assert loaded == golden_corpus
+        assert loaded == DialogueCorpus(
+            (
+                Utterance("s1", "ana", "x", "2026-01-05T09:00:00", 0),
+                Utterance("s1", "riley", "y", None, 1),
+            ),
+            (QAItem("q", "a", "multi_hop", frozenset({"s1:0", "s1:1"})),),
+        )
+        assert loaded.turns[1].timestamp is None
+        assert type(loaded.qa[0].evidence_turn_ids) is frozenset
+
+    def test_undecodable_row_is_reported_with_its_number(self, tmp_path):
+        path = tmp_path / "turns.jsonl"
+        path.write_bytes(
+            b'{"session_id": "s1", "turn_index": 0, "speaker": "a", "text": "x"}\n'
+            b'{"session_id": "s1", "turn_index": 1, "speaker": "a", "text": "y"}\n'
+            b'\xff\xfe{"session_id": "s1"}\n'
+        )
+        with pytest.raises(ValueError, match=f"{path.name} row 2"):
+            load_corpus(path)
 
     def test_malformed_row_is_reported_with_its_number(self, tmp_path):
         path = tmp_path / "turns.jsonl"

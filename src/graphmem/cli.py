@@ -165,7 +165,8 @@ def _bundle(args, config: EngineConfig, kv: dict):
 def _qa_sibling(corpus_path: Path, qa: Path | None) -> Path | None:
     if qa is not None:
         return qa
-    candidate = corpus_path.with_name(corpus_path.name.replace("turns", "qa"))
+    # Only the last "turns": "returns_turns.jsonl" pairs with "returns_qa.jsonl".
+    candidate = corpus_path.with_name("qa".join(corpus_path.name.rsplit("turns", 1)))
     if candidate != corpus_path and candidate.exists():
         return candidate
     return None
@@ -249,6 +250,9 @@ def cmd_eval(args) -> int:
         raise ValueError("--strategy must name at least one strategy")
     for name in strategies:
         parse_strategy(name)
+    repeated = next((name for name in strategies if strategies.count(name) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"--strategy names {repeated} more than once")
     qa_path = _qa_sibling(args.corpus, args.qa)
     corpus = load_corpus(args.corpus, qa_path)
     noise = NoiseSpec(args.noise, config.seed) if args.noise is not None else None

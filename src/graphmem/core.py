@@ -26,11 +26,12 @@ replays are byte-stable; a counter past 999999 is refused.  Because event ids
 rise through the archives in id order and then the buffer (the loader checks
 this), the next event id follows from the newest node alone, and the next
 topic or archive id from the highest key.  The highest topic and archive
-keys, the buffer's token total and, per session, the highest turn index in
-the archives and in the buffer are derived values carried from snapshot to
-snapshot: never saved, each built by one scan on first use (after a load,
-for instance) and then moved on in constant time by the mutation that
-changes it.  So a turn costs the same however much is stored or buffered,
+keys, the buffer's token total and, per session, the highest stored turn
+index are derived values carried from snapshot to snapshot: never saved,
+each built by one scan on first use (after a load, for instance) and then
+moved on in constant time by the mutation that changes it.  Archiving moves
+nodes without changing their turn indices, so it passes the turn maxima on
+as they are.  So a turn costs the same however much is stored or buffered,
 with or without a turn index.  Mutations build their results directly
 rather than through ``dataclasses.replace``.
 """
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .config import EngineConfig, estimate_tokens
 from .errors import StateError
@@ -149,23 +150,16 @@ class Utterance:
 class EventGraph:
     """Append-only utterance graph; sequential edges join consecutive nodes.
 
-    Three derived values, like ``TopicGraph.vector_index``, are never saved,
+    Two derived values, like ``TopicGraph.vector_index``, are never saved,
     compared or shown.  :attr:`token_total` is summed once per graph, or
     carried by :func:`append_event` as the old total plus the new node's
-    count.  ``turn_max`` maps a session id to its highest turn index in the
-    graph; the first turn derived without an index builds it for the buffer,
-    and :func:`append_event` carries a built map on, copied when the new
-    turn raises it, so forks may share it.  ``candidates`` holds the
-    retrieval candidates the graph yields under one theme, built by the
-    first query that reaches the graph.  A frozen archive is shared by every
-    later snapshot, so each is built once.
+    count.  ``candidates`` holds the retrieval candidates the graph yields
+    under one theme, built by the first query that reaches the graph.  A
+    frozen archive is shared by every later snapshot, so each is built once.
     """
 
     nodes: tuple[EventNode, ...] = ()
     candidates: tuple[CandidateEvent, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    turn_max: dict[str, int] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -281,10 +275,14 @@ class MemorySnapshot:
     Three derived values, like ``TopicGraph.vector_index``, are never
     saved, compared or shown.  Two are built by one scan on first use (a
     snapshot built by hand or loaded) and carried by every mutation here.
-    ``archive_turn_max`` maps a session id to its highest archived turn
-    index; a built map is never changed, so snapshots forked from one parent
-    may share it.  ``newest_ids`` holds the highest topic and archive keys,
-    ``None`` where there is none, as ``max()`` over the keys gives them.
+    ``turn_max`` maps a session id to its highest turn index over the
+    archives and the buffer together; the first turn derived without an
+    index builds it, :func:`append_event` carries it on, copied when the new
+    turn raises it, and archiving and theme insertion pass on the very
+    object.  A built map is never changed, so snapshots forked from one
+    parent may share it.  ``newest_ids`` holds the highest topic and
+    archive keys, ``None`` where there is none, as ``max()`` over the keys
+    gives them.
     ``saved_bytes`` holds the file ``store.save`` wrote for this very
     object, so a re-save writes it again without encoding; a snapshot is
     never changed in place, so the file holds while it lives.  Nothing
@@ -297,7 +295,7 @@ class MemorySnapshot:
     active_event_graph: EventGraph = field(default_factory=EventGraph)
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
     logical_clock: int = 0
-    archive_turn_max: dict[str, int] | None = field(
+    turn_max: dict[str, int] | None = field(
         default=None, init=False, compare=False, repr=False
     )
     newest_ids: tuple[str | None, str | None] | None = field(
@@ -387,7 +385,7 @@ def _successor(
     topic_graph: TopicGraph,
     active_event_graph: EventGraph,
     archive: Mapping[str, EventGraph],
-    archive_turn_max: dict[str, int] | None,
+    turn_max: dict[str, int] | None,
     newest_ids: tuple[str | None, str | None] | None,
 ) -> MemorySnapshot:
     """The next snapshot, one tick on, built directly with the derived
@@ -396,8 +394,8 @@ def _successor(
     successor = MemorySnapshot(
         snapshot.config, topic_graph, active_event_graph, archive, snapshot.logical_clock + 1
     )
-    if archive_turn_max is not None:
-        object.__setattr__(successor, "archive_turn_max", archive_turn_max)
+    if turn_max is not None:
+        object.__setattr__(successor, "turn_max", turn_max)
     if newest_ids is not None:
         object.__setattr__(successor, "newest_ids", newest_ids)
     return successor
@@ -408,17 +406,21 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
 
     The topic layer and archives are shared with the input snapshot
     unchanged; only the buffer and the logical clock move.  A missing turn
-    index is one past the session's highest, taken from the carried
-    per-session maxima over the archives and over the buffer.
+    index is one past the session's highest, read from the carried
+    per-session maxima.
     """
+    session_id = utterance.session_id
     turn_index = utterance.turn_index
+    highest = snapshot.turn_max
     if turn_index is None:
-        turn_index = _derive_turn_index(snapshot, utterance.session_id)
+        if highest is None:
+            highest = _scan_turn_max(snapshot)
+        turn_index = highest.get(session_id, -1) + 1
 
     token_count = estimate_tokens(utterance.text)
     node = EventNode(
         next_event_id(snapshot),
-        utterance.session_id,
+        session_id,
         turn_index,
         utterance.speaker,
         utterance.text,
@@ -428,40 +430,23 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     buffer = snapshot.active_event_graph
     graph = EventGraph(buffer.nodes + (node,))
     object.__setattr__(graph, "token_total", buffer.token_total + token_count)
-    highest = buffer.turn_max
-    if highest is not None:
+    if highest is not None and turn_index > highest.get(session_id, -1):
         # Copied when raised, never changed in place: forks share the map.
-        if turn_index > highest.get(node.session_id, -1):
-            highest = {**highest, node.session_id: turn_index}
-        object.__setattr__(graph, "turn_max", highest)
+        highest = {**highest, session_id: turn_index}
     return _successor(
-        snapshot,
-        snapshot.topic_graph,
-        graph,
-        snapshot.archive,
-        snapshot.archive_turn_max,
-        snapshot.newest_ids,
+        snapshot, snapshot.topic_graph, graph, snapshot.archive, highest, snapshot.newest_ids
     )
 
 
-def _derive_turn_index(snapshot: MemorySnapshot, session_id: str) -> int:
-    archived = snapshot.archive_turn_max
-    if archived is None:
-        nodes = (n for g in snapshot.archive.values() for n in g.nodes)
-        archived = _raise_turn_max({}, nodes)
-        object.__setattr__(snapshot, "archive_turn_max", archived)
-    buffer = snapshot.active_event_graph
-    buffered = buffer.turn_max
-    if buffered is None:
-        buffered = _raise_turn_max({}, buffer.nodes)
-        object.__setattr__(buffer, "turn_max", buffered)
-    return max(archived.get(session_id, -1), buffered.get(session_id, -1)) + 1
-
-
-def _raise_turn_max(highest: dict[str, int], nodes: Iterable[EventNode]) -> dict[str, int]:
-    for node in nodes:
-        if node.turn_index > highest.get(node.session_id, -1):
-            highest[node.session_id] = node.turn_index
+def _scan_turn_max(snapshot: MemorySnapshot) -> dict[str, int]:
+    """Each session's highest turn index over the archives and the buffer,
+    kept on ``snapshot`` so its forks read it too."""
+    highest: dict[str, int] = {}
+    for graph in (*snapshot.archive.values(), snapshot.active_event_graph):
+        for node in graph.nodes:
+            if node.turn_index > highest.get(node.session_id, -1):
+                highest[node.session_id] = node.turn_index
+    object.__setattr__(snapshot, "turn_max", highest)
     return highest
 
 
@@ -496,17 +481,13 @@ def archive_segment(
     )
     new_archive = dict(snapshot.archive)
     new_archive[archive_id] = EventGraph(frozen_nodes)
-    highest = snapshot.archive_turn_max
-    if highest is not None:
-        # The parent's map stays as it is.
-        highest = _raise_turn_max(dict(highest), frozen_nodes)
     newest_topic, newest_archive = _newest_ids(snapshot)
     return archive_id, _successor(
         snapshot,
         snapshot.topic_graph,
         EventGraph(buffer.nodes[length:]),
         new_archive,
-        highest,
+        snapshot.turn_max,
         (newest_topic, _higher(newest_archive, archive_id)),
     )
 
@@ -571,7 +552,7 @@ def insert_topic_node(
         new_graph,
         snapshot.active_event_graph,
         snapshot.archive,
-        snapshot.archive_turn_max,
+        snapshot.turn_max,
         newest,
     )
 

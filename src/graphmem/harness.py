@@ -51,6 +51,14 @@ class QAItem:
     category: str
     evidence_turn_ids: frozenset[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        # The rule ``retrieval.Query`` applies, so a bad question is refused
+        # at its row rather than after the corpus was replayed.
+        if type(self.question) is not str:
+            raise ValueError("QA question must be a str")
+        if not self.question.strip():
+            raise ValueError("QA question must be non-empty")
+
 
 @dataclass(frozen=True)
 class DialogueCorpus:

@@ -172,6 +172,12 @@ def cold_file(snapshot):
     return canonical_json({**body, "format_version": FORMAT_VERSION, "content_hash": content_hash})
 
 
+def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:
+    """Every stored node: the archives in id order, then the buffer."""
+    archives = [snapshot.archive[k].nodes for k in sorted(snapshot.archive)]
+    return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
+
+
 def highest_turns(nodes) -> dict[str, int]:
     """Session id -> its highest turn index among ``nodes``."""
     highest: dict[str, int] = {}

@@ -335,6 +335,36 @@ class TestEval:
         report = json.loads(smoke_paths["report"].read_text())
         assert set(report["strategies"]) == {"semantic", "session", "fixed_turns:3"}
 
+    def test_repeated_strategy_exits_two_before_any_replay(self, smoke_paths, capsys):
+        # The report holds one entry per name, so a repeat would print a
+        # table row the report does not have.
+        code, out, err = run_cli(
+            [
+                "eval",
+                "--corpus",
+                FIXTURES / "golden_turns.jsonl",
+                "--strategy",
+                "semantic,session,semantic",
+                "--report",
+                smoke_paths["report"],
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: --strategy names semantic more than once\n"
+        assert out == ""
+        assert not smoke_paths["report"].exists()
+
+    def test_qa_sibling_replaces_only_the_last_turns(self, tmp_path, capsys):
+        corpus = tmp_path / "returns_turns.jsonl"
+        corpus.write_bytes((FIXTURES / "golden_turns.jsonl").read_bytes())
+        (tmp_path / "returns_qa.jsonl").write_bytes((FIXTURES / "golden_qa.jsonl").read_bytes())
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(["eval", "--corpus", corpus, "--report", report], capsys)
+        assert code == 0
+        metrics = json.loads(report.read_text())["strategies"]["semantic"]["metrics"]
+        assert metrics["items"] == 10
+
     def test_explicit_qa_file(self, smoke_paths, capsys):
         code, _, _ = run_cli(
             [

@@ -34,7 +34,7 @@ from graphmem.core import (
 )
 from graphmem.errors import StateError
 
-from conftest import highest_turns, random_snapshot, unit_vector
+from conftest import highest_turns, random_snapshot, stored_nodes, unit_vector
 
 
 def utt(text, session="s1", speaker="ana", ts=None):
@@ -315,15 +315,9 @@ class TestCarriedValues:
 
 
 def _scanned_turn_index(snapshot, session_id):
-    """Reference derivation: the archives' highest turn from a fresh scan,
-    then a walk over every buffered node, as before the buffer carried its
-    own maxima."""
-    archived = (n for g in snapshot.archive.values() for n in g.nodes)
-    turn = max((n.turn_index for n in archived if n.session_id == session_id), default=-1)
-    for node in snapshot.buffer:
-        if node.session_id == session_id and node.turn_index > turn:
-            turn = node.turn_index
-    return turn + 1
+    """Reference derivation: one past the session's highest turn index in a
+    fresh scan of the archives and the buffer."""
+    return highest_turns(stored_nodes(snapshot)).get(session_id, -1) + 1
 
 
 SESSIONS = ("s1", "s2", "s3")
@@ -342,8 +336,8 @@ turn_steps = st.lists(
 
 
 class TestCarriedTurnMaxima:
-    """The buffer's per-session highest turn index is carried from buffer
-    to buffer; every derived index must equal the scan it replaced."""
+    """Each session's highest stored turn index is carried from snapshot to
+    snapshot; every derived index must equal a scan of the stored nodes."""
 
     @given(turn_steps)
     @settings(max_examples=100, deadline=None)
@@ -361,54 +355,79 @@ class TestCarriedTurnMaxima:
             elif parent.buffer:
                 length = 1 + step[1] % len(parent.buffer)
                 _, child = archive_segment(parent, length, [True] * length)
+                assert child.turn_max is parent.turn_max
             else:
                 continue
             heads.append(child)
         for head in heads:
-            graph = head.active_event_graph
-            if graph.turn_max is not None:
-                assert graph.turn_max == highest_turns(graph.nodes)
+            if head.turn_max is not None:
+                assert head.turn_max == highest_turns(stored_nodes(head))
             for session in SESSIONS:
                 derived = append_event(head, Utterance(session, "riley", "one more turn"))
                 assert derived.buffer[-1].turn_index == _scanned_turn_index(head, session)
 
-    def test_appends_without_turn_indices_build_the_buffer_map_once(self, monkeypatch):
+    def test_appends_without_turn_indices_build_the_map_once(self, monkeypatch):
         scans = []
-        scan = core._raise_turn_max
+        scan = core._scan_turn_max
 
-        def counted(highest, nodes):
-            scans.append(nodes)
-            return scan(highest, nodes)
+        def counted(snapshot):
+            scans.append(snapshot)
+            return scan(snapshot)
 
-        monkeypatch.setattr(core, "_raise_turn_max", counted)
+        monkeypatch.setattr(core, "_scan_turn_max", counted)
         snap = new_snapshot()
         for i in range(200):
             snap = append_event(snap, utt(f"turn number {i}", session=("s1", "s2")[i % 2]))
-        # Both scans ran on the first turn: one over the (empty) archives and
-        # one over the buffer.  Every later turn reads the carried maps.
-        assert len(scans) == 2
-        assert [n.turn_index for n in snap.buffer] == [i // 2 for i in range(200)]
-        assert snap.active_event_graph.turn_max == {"s1": 99, "s2": 99}
+            if i % 50 == 49:
+                _, snap = archive_all(snap)
+        # The first turn scanned the (empty) snapshot; every later turn, the
+        # archived ones included, read the carried map.
+        assert len(scans) == 1
+        assert [n.turn_index for n in stored_nodes(snap)] == [i // 2 for i in range(200)]
+        assert snap.turn_max == {"s1": 99, "s2": 99}
 
-    def test_explicit_turn_indices_never_build_the_map(self):
+    def test_explicit_turn_indices_never_build_the_map(self, monkeypatch):
+        def refused(snapshot):
+            raise AssertionError("an explicit turn index built the map")
+
+        monkeypatch.setattr(core, "_scan_turn_max", refused)
         snap = new_snapshot()
         for i in range(5):
             snap = append_event(snap, Utterance("s1", "ana", f"turn {i}", None, turn_index=i))
-        assert snap.active_event_graph.turn_max is None
+        archive_id, snap = archive_segment(snap, 3, [True] * 3)
+        snap = insert_topic_node(snap, fresh_topic(snap, archive_id), [])
+        assert snap.turn_max is None
+        monkeypatch.undo()
         snap = append_event(snap, utt("a derived turn"))
         assert snap.buffer[-1].turn_index == 5
-        assert snap.active_event_graph.turn_max == {"s1": 5}
+        assert snap.turn_max == {"s1": 5}
+
+    def test_archiving_and_theme_insertion_pass_on_the_parents_map(self):
+        # Moving nodes from the buffer into an archive changes no stored
+        # turn index, so neither mutation copies or rebuilds the map.
+        snap = append_event(append_event(new_snapshot(), utt("one turn")), utt("two turns"))
+        built = snap.turn_max
+        assert built == {"s1": 1}
+        archive_id, archived = archive_segment(snap, 1, [False])
+        assert archived.turn_max is built
+        inserted = insert_topic_node(archived, fresh_topic(archived, archive_id), [])
+        assert inserted.turn_max is built
+        assert built == {"s1": 1}
 
     def test_the_map_is_never_saved_compared_or_shown(self):
         snap = append_event(append_event(new_snapshot(), utt("one turn")), utt("two turns"))
-        graph = snap.active_event_graph
-        bare = EventGraph(graph.nodes)
-        assert graph.turn_max == {"s1": 1} and bare.turn_max is None
-        assert bare == graph
-        assert repr(bare) == repr(graph)
-        assert bare.to_dict("live") == graph.to_dict("live")
+        bare = replace(snap)
+        assert snap.turn_max == {"s1": 1} and bare.turn_max is None
+        assert bare == snap
+        assert repr(bare) == repr(snap)
+        assert snapshot_to_dict(bare) == snapshot_to_dict(snap)
+        assert snapshot_bytes(bare) == snapshot_bytes(snap)
+        assert "turn_max" not in snapshot_to_dict(snap)
+        # No graph carries a map of its own any more.
         with pytest.raises(TypeError):
-            EventGraph(graph.nodes, turn_max={})
+            EventGraph(snap.active_event_graph.nodes, turn_max={})
+        with pytest.raises(TypeError):
+            core.MemorySnapshot(snap.config, turn_max={})
 
 
 class TestInsertTopicNode:

@@ -171,6 +171,24 @@ class TestCorpus:
         with pytest.raises(ValueError, match=f"{qa_path.name} row 0"):
             load_corpus(turns_path, qa_path)
 
+    def test_blank_question_is_refused_at_its_row(self, tmp_path):
+        # Refused while loading, as a query would refuse it, rather than by
+        # ``evaluate`` after the whole corpus was replayed.
+        turns_path = tmp_path / "turns.jsonl"
+        turns_path.write_text(
+            '{"session_id": "s1", "turn_index": 0, "speaker": "a", "text": "x"}\n'
+        )
+        qa_path = tmp_path / "qa.jsonl"
+        good = {"question": "q", "gold_answer": "a", "category": "single_hop"}
+        qa_path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "question": "   "}) + "\n")
+        with pytest.raises(ValueError, match=f"{qa_path.name} row 1"):
+            load_corpus(turns_path, qa_path)
+
+    @pytest.mark.parametrize("question", ["", " \t\n", 3, None])
+    def test_qa_item_built_in_code_needs_a_non_blank_question(self, question):
+        with pytest.raises(ValueError, match="question"):
+            QAItem(question, "a", "single_hop")
+
     def test_invalid_json_row_reported(self, tmp_path):
         path = tmp_path / "turns.jsonl"
         path.write_text("not json at all\n")

@@ -26,7 +26,7 @@ from graphmem.providers import MockEmbedder, MockRelevanceScorer, mock_bundle
 from graphmem.retrieval import anchor, drill_down
 from graphmem.store import checked_vector, load, save, validate_snapshot
 
-from conftest import cold_file, highest_turns
+from conftest import cold_file, highest_turns, stored_nodes
 
 WORDS = ("garden", "compost", "puppy", "leash", "ferry", "passport", "yesterday", "the")
 
@@ -41,12 +41,6 @@ timestamps = st.none() | st.integers(0, 600).map(
 
 def stored(node: EventNode) -> tuple:
     return (node.session_id, node.speaker, node.text, node.timestamp, node.turn_index)
-
-
-def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:
-    """Every stored node: the archives in id order, then the buffer."""
-    archives = [snapshot.archive[k].nodes for k in sorted(snapshot.archive)]
-    return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
 
 
 def check_saved_bytes(snapshot: MemorySnapshot) -> None:
@@ -181,9 +175,8 @@ class EngineMachine(RuleBasedStateMachine):
         # loaded snapshot's derived values are built afresh on first use.
         save(self.engine.snapshot, self.path)
         loaded = load(self.path)
-        assert loaded.newest_ids is None and loaded.archive_turn_max is None
+        assert loaded.newest_ids is None and loaded.turn_max is None
         assert loaded.saved_bytes is None
-        assert loaded.active_event_graph.turn_max is None
         assert "adjacency" not in vars(loaded.topic_graph)
         self.bundle = mock_bundle(loaded.config)
         self.engine = MemoryEngine(self.bundle, snapshot=loaded)
@@ -202,17 +195,14 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def derived_values_match_a_fresh_build(self):
         snapshot = self.engine.snapshot
-        if snapshot.archive_turn_max is not None:
-            archived = (n for g in snapshot.archive.values() for n in g.nodes)
-            assert snapshot.archive_turn_max == highest_turns(archived)
+        if snapshot.turn_max is not None:
+            assert snapshot.turn_max == highest_turns(stored_nodes(snapshot))
         if snapshot.newest_ids is not None:
             newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
             assert snapshot.newest_ids == newest
         graph = snapshot.active_event_graph
         if "token_total" in vars(graph):
             assert graph.token_total == sum(n.token_count for n in graph.nodes)
-        if graph.turn_max is not None:
-            assert graph.turn_max == highest_turns(graph.nodes)
         topic_graph = snapshot.topic_graph
         if "adjacency" in vars(topic_graph):
             assert topic_graph.adjacency == TopicGraph(topic_graph.nodes, topic_graph.edges).adjacency

@@ -1003,11 +1003,12 @@ def _observe(engine, turn):
 
 
 @st.composite
-def turn_programs(draw, others=("end_session", "check_now", "reload")):
-    """Steps over 1-3 interleaved sessions: turns with the turn index left
-    out or given (also below the session's highest), and ``others``: by
-    default explicit checks, session ends and save/load round trips."""
-    sessions = ("s1", "s2", "s3")[: draw(st.integers(1, 3))]
+def turn_programs(draw, others=("end_session", "check_now", "reload"), sessions=3):
+    """Steps over 1 to ``sessions`` interleaved sessions ("s1", "s2", ...):
+    turns with the turn index left out or given (also below the session's
+    highest), and ``others``: by default explicit checks, session ends and
+    save/load round trips."""
+    sessions = [f"s{i}" for i in range(1, draw(st.integers(1, sessions)) + 1)]
     vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer")
     steps = []
     for _ in range(draw(st.integers(1, 30))):
@@ -1033,6 +1034,26 @@ def _archived_session(session_id, turns):
     for turn in range(turns):
         snapshot = append_event(snapshot, Utterance(session_id, "ana", f"garden turn {turn}"))
     return archive_segment(snapshot, turns, [True] * turns)[1]
+
+
+def _check_derived_turns(steps, limit, sessions):
+    """Runs ``steps`` on an engine; after each, every session in
+    ``sessions`` must derive the index a full scan gives."""
+    engine = _engine(limit)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "snapshot.json")
+        for step in steps:
+            if step[0] == "turn":
+                _, session, turn_index, text = step
+                engine.observe(session, "ana", text, None, turn_index)
+            elif step[0] == "reload":
+                save(engine.snapshot, path)
+                engine = MemoryEngine(engine.providers, snapshot=load(path))
+            else:
+                getattr(engine, step[0])()
+            snapshot = engine.snapshot
+            for session in sessions:
+                assert _next_turn(snapshot, session) == _scan_next_turn(snapshot, session)
 
 
 def _scan_next_turn(snapshot, session_id):
@@ -1104,26 +1125,17 @@ class TestDerivedValueProperties:
     @settings(max_examples=40, deadline=None)
     @given(steps=turn_programs(), limit=st.sampled_from((8, 24, 2048)))
     def test_derived_turn_index_matches_a_full_scan(self, steps, limit):
-        engine = _engine(limit)
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "snapshot.json")
-            for step in steps:
-                if step[0] == "turn":
-                    _, session, turn_index, text = step
-                    engine.observe(session, "ana", text, None, turn_index)
-                elif step[0] == "reload":
-                    save(engine.snapshot, path)
-                    engine = MemoryEngine(engine.providers, snapshot=load(path))
-                else:
-                    getattr(engine, step[0])()
-                snapshot = engine.snapshot
-                for session in ("s1", "s2", "s3"):
-                    assert _next_turn(snapshot, session) == _scan_next_turn(snapshot, session)
+        _check_derived_turns(steps, limit, ("s1", "s2", "s3"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=turn_programs(sessions=8), limit=st.sampled_from((8, 24, 2048)))
+    def test_derived_turn_index_matches_a_full_scan_over_many_sessions(self, steps, limit):
+        _check_derived_turns(steps, limit, [f"s{i}" for i in range(1, 10)])
 
     def test_forks_derive_from_their_own_history(self):
         parent = _archived_session("s1", 12)
         assert _next_turn(parent, "s1") == 12
-        built = parent.archive_turn_max
+        built = parent.turn_max
         frozen = dict(built)
 
         high = append_event(parent, Utterance("s1", "ana", "a late turn", turn_index=50))
@@ -1132,8 +1144,9 @@ class TestDerivedValueProperties:
             assert _next_turn(child, "s1") == expected
             _, archived = archive_segment(child, len(child.buffer), [True] * len(child.buffer))
             assert not archived.buffer
+            assert archived.turn_max is child.turn_max
             assert _next_turn(archived, "s1") == expected
-        assert parent.archive_turn_max is built
+        assert parent.turn_max is built
         assert built == frozen
         assert _next_turn(parent, "s1") == 12
 
@@ -1144,19 +1157,21 @@ class TestDerivedValueProperties:
         assert _next_turn(swapped, "s1") == 4
 
     def test_the_derived_map_is_never_saved_compared_or_shown(self):
+        # The map is built over the archive and carried past the buffered turn.
         snapshot = _archived_session("s1", 6)
+        snapshot = append_event(snapshot, Utterance("s1", "ana", "a buffered turn"))
         fresh = dataclasses.replace(snapshot)
-        _next_turn(snapshot, "s1")
-        assert snapshot.archive_turn_max == {"s1": 5}
-        assert fresh.archive_turn_max is None
+        assert snapshot.turn_max == {"s1": 6}
+        assert fresh.turn_max is None
         assert snapshot == fresh
         assert repr(snapshot) == repr(fresh)
         assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
+        assert snapshot_bytes(snapshot) == snapshot_bytes(fresh)
         with pytest.raises(TypeError):
-            MemorySnapshot(snapshot.config, archive_turn_max={})
+            MemorySnapshot(snapshot.config, turn_max={})
 
     def test_turns_after_the_first_never_iterate_an_archive(self):
-        # The per-turn cost stays flat: once derived, the archived maximum is
+        # The per-turn cost stays flat: once derived, the turn maxima are
         # carried, so appending more turns reads no archived node.
         iterations = []
 

@@ -162,14 +162,18 @@ def _bundle(args, config: EngineConfig, kv: dict):
     return http_bundle(http_config, config.embedding_dim)
 
 
-def _qa_sibling(corpus_path: Path, qa: Path | None) -> Path | None:
+def _qa_sibling(corpus_path: Path, qa: Path | None) -> Path:
+    """The QA file ``eval`` reads: ``qa`` or the corpus's ``*_qa.jsonl``
+    sibling, which must exist, since 0 items would evaluate as a pass."""
     if qa is not None:
         return qa
     # Only the last "turns": "returns_turns.jsonl" pairs with "returns_qa.jsonl".
     candidate = corpus_path.with_name("qa".join(corpus_path.name.rsplit("turns", 1)))
-    if candidate != corpus_path and candidate.exists():
-        return candidate
-    return None
+    if candidate == corpus_path:
+        raise ValueError(f"no QA file: {corpus_path} has no 'turns' in its name; pass --qa")
+    if not candidate.exists():
+        raise ValueError(f"no QA file: {candidate} not found; pass --qa")
+    return candidate
 
 
 def cmd_ingest(args) -> int:

@@ -6,14 +6,17 @@ past episodes.  Each fact is held once: an event graph's sequential edges
 follow from its node order and its id from its archive key (``"live"`` for
 the buffer); the cross-layer index and a theme's verbatim text follow from
 the theme's ``source_archive_id``; an edge's direction follows from its
-relation.  The saved document still writes these copies out, and the loader
-checks them.  The document is defined here, once per entry: one writer each
-for an event node, a theme, a topic edge and an event graph, and
-:data:`SNAPSHOT_MEMBERS` maps each of the seven top-level members to its
-writer.  :func:`snapshot_to_dict` runs them all, and the hashes and
-``store.save`` encode what it returns.  A save keeps the file it wrote on
-the snapshot (``saved_bytes``), so a re-save of that very object only
-writes; any other snapshot's save encodes the whole document.
+relation, and an event's token count from its text.  Two documents are
+defined here, each field by one writer.  The stored body,
+:data:`STORED_MEMBERS`, holds none of those copies: six members, written
+by one writer each for an event node, a theme and a topic edge, which
+``store.save`` encodes.  The hashed document, :data:`SNAPSHOT_MEMBERS`,
+which :func:`snapshot_to_dict` builds and the hashes encode, has seven:
+its writers reuse the stored-form ones and add the copies, so a
+snapshot's identity does not depend on what the file leaves out.  A save
+keeps the file it wrote on the snapshot (``saved_bytes``), so a re-save of
+that very object only writes; any other snapshot's save encodes the whole
+body.
 An :class:`Utterance` is the one turn record, for ``observe`` and corpora
 alike.
 Every mutation is functional: operations return a new snapshot
@@ -95,10 +98,10 @@ class EventNode:
     confidence_flag: bool = True
 
 
-#: The exact JSON types each event-node field may have, in :class:`EventNode`'s
-#: field order, checked by the loader and by :class:`Utterance`.  Nothing is
-#: coerced and a bool is not an int, so only values the engine can save, load
-#: and query get in.
+#: The exact JSON types each stored event-node field may have (all but the
+#: derived ``token_count``), checked by the loader and by :class:`Utterance`.
+#: Nothing is coerced and a bool is not an int, so only values the engine
+#: can save, load and query get in.
 EVENT_FIELD_TYPES = {
     "id": (str,),
     "session_id": (str,),
@@ -106,7 +109,6 @@ EVENT_FIELD_TYPES = {
     "speaker": (str,),
     "text": (str,),
     "timestamp": (str, type(None)),
-    "token_count": (int,),
     "confidence_flag": (bool,),
 }
 
@@ -586,7 +588,7 @@ def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
 # canonical serialization
 
 
-def _event_node_dict(node: EventNode) -> dict:
+def _stored_event(node: EventNode) -> dict:
     return {
         "id": node.id,
         "session_id": node.session_id,
@@ -594,47 +596,74 @@ def _event_node_dict(node: EventNode) -> dict:
         "speaker": node.speaker,
         "text": node.text,
         "timestamp": node.timestamp,
-        "token_count": node.token_count,
         "confidence_flag": node.confidence_flag,
     }
 
 
-def _topic_node_dict(node: TopicNode, raw: str) -> dict:
+def _stored_events(graph: EventGraph) -> list[dict]:
+    return [_stored_event(n) for n in graph.nodes]
+
+
+def _stored_topic(node: TopicNode) -> dict:
     return {
         "id": node.id,
         "summary": node.summary,
         "keywords": list(node.keywords),
-        "raw": raw,
         "embedding": [float(x) for x in node.embedding],
         "created_at": node.created_at,
         "source_archive_id": node.source_archive_id,
     }
 
 
-def _topic_edge_dict(edge: TopicEdge) -> dict:
+def _stored_edge(edge: TopicEdge) -> dict:
     return {
         "from_id": edge.from_id,
         "to_id": edge.to_id,
         "relation": edge.relation.value,
         "weight": float(edge.weight),
-        "directed": edge.directed,
     }
 
 
-#: The seven top-level members of the snapshot document, each with its
-#: writer.  Graph ids, event edges, ``cross_index``, each theme's ``raw`` and
-#: each edge's ``directed`` are written out from the derived values.
-SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
+#: The six members of the stored body, each with its writer; none writes a
+#: field the loader derives.
+STORED_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: [
-        _topic_node_dict(s.topic_graph.nodes[k], topic_raw(s, k))
-        for k in sorted(s.topic_graph.nodes)
+        _stored_topic(s.topic_graph.nodes[k]) for k in sorted(s.topic_graph.nodes)
     ],
+    "topic_edges": lambda s: [_stored_edge(e) for e in s.topic_graph.edge_list()],
+    "archives": lambda s: {k: _stored_events(v) for k, v in s.archive.items()},
+    "active_buffer": lambda s: _stored_events(s.active_event_graph),
+    "config": lambda s: s.config.to_dict(),
+    "logical_clock": lambda s: s.logical_clock,
+}
+
+
+def _event_node_dict(node: EventNode) -> dict:
+    return {**_stored_event(node), "token_count": node.token_count}
+
+
+def _topic_node_dict(snapshot: MemorySnapshot, topic_id: str) -> dict:
+    theme = _stored_topic(snapshot.topic_graph.nodes[topic_id])
+    return {**theme, "raw": topic_raw(snapshot, topic_id)}
+
+
+def _topic_edge_dict(edge: TopicEdge) -> dict:
+    return {**_stored_edge(edge), "directed": edge.directed}
+
+
+#: The seven top-level members of the hashed document, each with its writer:
+#: the stored members with the derived copies added (graph ids, event edges,
+#: ``cross_index``, each event's ``token_count``, each theme's ``raw`` and
+#: each edge's ``directed``), so the snapshot's identity does not depend on
+#: what the file leaves out.
+SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
+    "topic_nodes": lambda s: [_topic_node_dict(s, k) for k in sorted(s.topic_graph.nodes)],
     "topic_edges": lambda s: [_topic_edge_dict(e) for e in s.topic_graph.edge_list()],
     "archives": lambda s: {k: v.to_dict(k) for k, v in s.archive.items()},
     "cross_index": lambda s: s.cross_index,
     "active_buffer": lambda s: s.active_event_graph.to_dict(LIVE_BUFFER_ID),
-    "config": lambda s: s.config.to_dict(),
-    "logical_clock": lambda s: s.logical_clock,
+    "config": STORED_MEMBERS["config"],
+    "logical_clock": STORED_MEMBERS["logical_clock"],
 }
 
 
@@ -656,13 +685,6 @@ def canonical_json(document: object) -> bytes:
     """Key-sorted, separator-fixed encoding: equal documents, equal bytes.
     ``NaN`` and infinities raise ``ValueError``: they are not JSON."""
     return _ENCODER.encode(document).encode("utf-8")
-
-
-def snapshot_members(snapshot: MemorySnapshot) -> dict[str, bytes]:
-    """Each top-level member of :func:`snapshot_to_dict` encoded, ready for
-    :func:`join_members`, so ``store.save`` encodes the body once for both
-    the content hash and the file."""
-    return {name: canonical_json(value) for name, value in snapshot_to_dict(snapshot).items()}
 
 
 def join_members(members: Mapping[str, bytes]) -> bytes:

@@ -1,23 +1,25 @@
 """Snapshot persistence and the exact-scan vector index.
 
-Files are single JSON documents: the canonical snapshot body, whose members
-``graphmem.core`` defines and encodes, plus a ``format_version`` and a
-``content_hash`` header over the body, so equal snapshots produce byte-equal
-files and any corruption is named on load.  ``save`` keeps the file it
-wrote on the snapshot, so saving that very object again only writes.
-``load`` checks the hash over the whole parsed body encoded at once, and
-the snapshot it returns keeps no file until its first save.  The document
-spells out five derived copies (graph ids, event edges, ``cross_index``,
-each theme's ``raw`` and each edge's ``directed``); the loader rebuilds
-the snapshot without them and rejects a file whose copies differ from the
-derived values, or whose body differs in any other way from what ``save``
-writes for the rebuilt snapshot, so a loaded snapshot hashes to its file's
-``content_hash``.  It works a field at a time: each event, theme and edge
-field is taken out as one list and type-checked in that pass, nodes and
-edges are built from those columns, the copies are compared with them,
-and :func:`validate_snapshot` checks each invariant over a whole column.
-The theme norms come from the topic graph's vector index, which the
-loaded graph keeps.
+Files are single JSON documents in format 2.0: the stored body, whose six
+members ``graphmem.core`` defines and encodes (``STORED_MEMBERS``), plus a
+``format_version`` and a ``content_hash`` header over the body, so equal
+snapshots produce byte-equal files and any corruption is named on load.
+The body stores each fact once; what follows from it (graph ids, event
+edges, ``cross_index``, token counts, each theme's ``raw`` and each edge's
+``directed``) is derived on load, not read.  A 1.x file is refused as
+``format-version-known``.  ``content_hash`` checks the file's integrity;
+a snapshot's identity is ``core.snapshot_hash``, over the hashed document
+with the derived copies, which no file format changes.  ``save`` keeps the
+file it wrote on the snapshot, so saving that very object again only
+writes.  ``load`` checks the hash over the whole parsed body encoded at
+once, rejects a body that differs in any way from what ``save`` writes for
+the rebuilt snapshot, so saving a loaded snapshot rewrites its file byte
+for byte, and returns a snapshot that keeps no file until its first save.
+It works a field at a time: each event, theme and edge field is taken out
+as one list and type-checked in that pass, nodes and edges are built from
+those columns, and :func:`validate_snapshot` checks each invariant over a
+whole column.  The theme norms come from the topic graph's vector index,
+which the loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -37,7 +39,7 @@ import re
 import secrets
 import stat
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import attrgetter, eq, ge, gt, itemgetter, lt
 from typing import Iterable, Sequence
@@ -46,15 +48,12 @@ import numpy as np
 
 from .config import EngineConfig, estimate_tokens
 from .core import (
-    DIRECTED_RELATIONS,
     EVENT_FIELD_TYPES,
     ID_FORMAT,
+    STORED_MEMBERS,
     EventGraph,
     EventNode,
-    LIVE_BUFFER_ID,
-    SNAPSHOT_MEMBERS,
     MemorySnapshot,
-    SEQUENTIAL,
     Relation,
     TopicEdge,
     TopicGraph,
@@ -63,12 +62,10 @@ from .core import (
     edge_key,
     from_columns,
     join_members,
-    snapshot_members,
-    topic_raw,
 )
 from .errors import CorruptionError, ProviderParseError
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "2.0"
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     """
     payload = snapshot.saved_bytes
     if payload is None:
-        members = snapshot_members(snapshot)
+        members = {name: canonical_json(write(snapshot)) for name, write in STORED_MEMBERS.items()}
         content_hash = hashlib.sha256(join_members(members)).hexdigest()
         members["format_version"] = canonical_json(FORMAT_VERSION)
         members["content_hash"] = canonical_json(content_hash)
@@ -285,7 +282,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         raise CorruptionError("format-version-known", f"major version {major}")
 
     body = {}
-    for key in SNAPSHOT_MEMBERS:
+    for key in STORED_MEMBERS:
         if key not in document:
             raise CorruptionError("body-keys-present", key)
         body[key] = document[key]
@@ -296,8 +293,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
 
     config = EngineConfig.from_dict(body["config"])
     graphs = [*body["archives"].values(), body["active_buffer"]]
-    node_lists = list(map(itemgetter("nodes"), graphs))
-    events = _columns(list(chain.from_iterable(node_lists)), EVENT_FIELD_TYPES)
+    events = _columns(list(chain.from_iterable(graphs)), EVENT_FIELD_TYPES)
     themes = _columns(body["topic_nodes"], _TOPIC_TYPES)
     links = _columns(body["topic_edges"], _EDGE_TYPES)
     theme_ids = themes["id"]
@@ -324,8 +320,6 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     if None in relations:
         raise CorruptionError("document-schema", f"relation {labels[relations.index(None)]!r}")
     keys = list(map(edge_key, froms, tos))
-    directed = map(eq, map(_DIRECTED.get, labels), links["directed"])
-    _require("edge-directed-matches-relation", directed, keys)
     edges = dict(zip(keys, from_columns(TopicEdge, (froms, tos, relations, links["weight"]))))
 
     # One str per distinct session id, speaker and timestamp in this load,
@@ -333,20 +327,13 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     share = {}.setdefault
     for name in ("session_id", "speaker", "timestamp"):
         events[name] = list(map(share, events[name], events[name]))
-    # EVENT_FIELD_TYPES lists the fields in EventNode's order.
-    nodes = tuple(from_columns(EventNode, list(events.values())))
-    ids = events["id"]
+    # Not stored: the count append_event gave each turn.
+    events["token_count"] = list(map(estimate_tokens, events["text"]))
+    nodes = tuple(from_columns(EventNode, [events[f.name] for f in fields(EventNode)]))
     rebuilt = []
     end = 0
-    graph_ids = [*body["archives"], LIVE_BUFFER_ID]
-    checks = ["archive-graph-id"] * len(body["archives"]) + ["buffer-graph-id"]
-    for graph_id, check, graph, count in zip(graph_ids, checks, graphs, map(len, node_lists)):
-        if graph["graph_id"] != graph_id:
-            raise CorruptionError(check, graph_id)
+    for count in map(len, graphs):
         start, end = end, end + count
-        path = ids[start:end]
-        if graph["edges"] != list(map(list, zip(path, path[1:], repeat(SEQUENTIAL)))):
-            raise CorruptionError("sequential-path", graph_id)
         rebuilt.append(EventGraph(nodes[start:end]))
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
@@ -360,35 +347,22 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         logical_clock=clock,
     )
     validate_snapshot(snapshot)
-    if body["cross_index"] != dict(zip(theme_ids, themes["source_archive_id"])):
-        raise CorruptionError("cross-index-matches-source")
-    raws = dict(zip(theme_ids, themes["raw"]))
-    archived = map(topic_raw, repeat(snapshot), raws)
-    _require("raw-matches-archive", map(eq, raws.values(), archived), list(raws))
-    _check_written_form(body, graphs, node_lists, theme_ids, keys, snapshot)
+    _check_written_form(body, graphs, theme_ids, keys, snapshot)
     return snapshot
 
 
 def _check_written_form(
-    body: dict,
-    graphs: list,
-    node_lists: list,
-    theme_ids: list,
-    keys: list,
-    snapshot: MemorySnapshot,
+    body: dict, graphs: list, theme_ids: list, keys: list, snapshot: MemorySnapshot
 ) -> None:
     """Reject a body that ``save`` would not write for ``snapshot``, in ways
-    the rebuilt snapshot would hide, so that a loaded snapshot always hashes
-    to its file's ``content_hash``: themes and edges out of key order or
-    repeated, a graph with a key the engine does not write, an empty list
-    written as another empty value, or a config whose keys or number types
-    differ from the stored config's.  (An entry with an unwritten key was
-    refused when its columns were taken.)"""
+    the rebuilt snapshot would hide, so that saving a loaded snapshot
+    rewrites its file byte for byte: themes and edges out of key order or
+    repeated, an empty list written as another empty value, or a config
+    whose keys or number types differ from the stored config's.  (An entry
+    with an unwritten key was refused when its columns were taken.)"""
     _require("topic-order", map(lt, theme_ids, theme_ids[1:]), theme_ids[1:])
     _require("edge-order", map(lt, keys, keys[1:]), keys[1:])
-    if set(map(len, graphs)) - {3}:
-        raise CorruptionError("document-schema", "a key outside ['edges', 'graph_id', 'nodes']")
-    if not set(map(type, [body["topic_nodes"], body["topic_edges"], *node_lists])) <= {list}:
+    if not set(map(type, [body["topic_nodes"], body["topic_edges"], *graphs])) <= {list}:
         raise CorruptionError("document-schema", "themes, edges or event nodes not in a list")
     if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
         raise CorruptionError("document-schema", "config differs from the stored form")
@@ -405,17 +379,14 @@ _TOPIC_TYPES = {
     "embedding": (list,),
     "created_at": (int,),
     "source_archive_id": (str,),
-    "raw": (str,),
 }
 _EDGE_TYPES = {
     "from_id": (str,),
     "to_id": (str,),
     "relation": (str,),
     "weight": (float,),
-    "directed": (bool,),
 }
 _RELATIONS = {relation.value: relation for relation in Relation}
-_DIRECTED = {relation.value: relation in DIRECTED_RELATIONS for relation in Relation}
 
 
 def _columns(entries: list, types: dict[str, tuple[type, ...]]) -> dict[str, list]:
@@ -443,12 +414,12 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails.
 
     Each invariant is checked over a whole column at once, in this order:
-    archive ids, non-empty archives; event ids, their order, turn indices,
-    token counts; theme ids, summaries, embedding sizes, norms, source
-    archives; edge keys, endpoints, weights; one theme per archive.  The first
-    entry that breaks the first failing invariant is named.  The norms come
-    from the topic graph's vector index (built here if the graph has none),
-    as NumPy computes them.
+    archive ids, non-empty archives; event ids, their order, turn indices;
+    theme ids, summaries, embedding sizes, norms, source archives; edge
+    keys, endpoints, weights; one theme per archive.  The first entry that
+    breaks the first failing invariant is named.  The norms come from the
+    topic graph's vector index (built here if the graph has none), as NumPy
+    computes them.
     """
     config = snapshot.config
     archive_ids = list(snapshot.archive)
@@ -464,9 +435,6 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     _require("event-id-order", map(lt, ids, ids[1:]), ids[1:])
     turns = map(attrgetter("turn_index"), nodes)
     _require("turn-index-non-negative", map(ge, turns, repeat(0)), ids)
-    counts = map(attrgetter("token_count"), nodes)
-    estimates = map(estimate_tokens, map(attrgetter("text"), nodes))
-    _require("token-count-matches-estimator", map(eq, counts, estimates), ids)
 
     graph = snapshot.topic_graph
     themes = list(graph.nodes.values())

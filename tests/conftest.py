@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.core import (
+    STORED_MEMBERS,
     EventGraph,
     EventNode,
     MemorySnapshot,
@@ -17,7 +18,6 @@ from graphmem.core import (
     Utterance,
     canonical_json,
     edge_key,
-    snapshot_to_dict,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.fixtures import make_golden_corpus, make_scaling_corpus, make_smoke_corpus
@@ -164,12 +164,22 @@ def interleaved_corpora(draw):
     return DialogueCorpus(tuple(turns))
 
 
+def stored_body(snapshot):
+    """The body ``save`` writes for ``snapshot``: every stored member's
+    writer run at once."""
+    return {name: write(snapshot) for name, write in STORED_MEMBERS.items()}
+
+
+def body_hash(snapshot):
+    """The ``content_hash`` a file of ``snapshot`` records."""
+    return hashlib.sha256(canonical_json(stored_body(snapshot))).hexdigest()
+
+
 def cold_file(snapshot):
-    """Reference file: the whole document built and encoded at once, with
-    the header ``save`` adds."""
-    body = snapshot_to_dict(snapshot)
-    content_hash = hashlib.sha256(canonical_json(body)).hexdigest()
-    return canonical_json({**body, "format_version": FORMAT_VERSION, "content_hash": content_hash})
+    """Reference file: the whole body built and encoded at once, with the
+    header ``save`` adds."""
+    header = {"format_version": FORMAT_VERSION, "content_hash": body_hash(snapshot)}
+    return canonical_json({**stored_body(snapshot), **header})
 
 
 def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:

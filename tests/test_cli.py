@@ -365,6 +365,22 @@ class TestEval:
         metrics = json.loads(report.read_text())["strategies"]["semantic"]["metrics"]
         assert metrics["items"] == 10
 
+    @pytest.mark.parametrize(
+        "name, named",
+        [("chat_turns.jsonl", "chat_qa.jsonl"), ("chat.jsonl", "chat.jsonl")],
+        ids=["missing-sibling", "no-turns-in-name"],
+    )
+    def test_no_qa_file_exits_two_before_any_replay(self, tmp_path, capsys, name, named):
+        # Evaluating 0 items would pass a mistyped QA path silently.
+        corpus = tmp_path / name
+        corpus.write_bytes((FIXTURES / "golden_turns.jsonl").read_bytes())
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(["eval", "--corpus", corpus, "--report", report], capsys)
+        assert code == 2
+        assert str(tmp_path / named) in err and "--qa" in err
+        assert out == ""
+        assert not report.exists()
+
     def test_explicit_qa_file(self, smoke_paths, capsys):
         code, _, _ = run_cli(
             [

@@ -14,6 +14,7 @@ from graphmem.core import (
     EventNode,
     Relation,
     SEQUENTIAL,
+    STORED_MEMBERS,
     TopicEdge,
     TopicGraph,
     TopicNode,
@@ -648,8 +649,11 @@ def test_stored_records_are_slotted(value):
 
 
 def test_event_field_types_follow_the_node_fields():
-    # The loader builds nodes positionally from columns in this order.
-    assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode)]
+    # The loader type-checks each field an event is stored with: every node
+    # field but the token count, which it derives from the text.
+    assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode) if f.name != "token_count"]
+    snap = append_event(new_snapshot(), utt("hello there"))
+    assert list(STORED_MEMBERS["active_buffer"](snap)[0]) == list(EVENT_FIELD_TYPES)
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,12 @@ edges, ``cross_index``, token counts, each theme's ``raw`` and each edge's
 a snapshot's identity is ``core.snapshot_hash``, over the hashed document
 with the derived copies, which no file format changes.  ``save`` keeps the
 file it wrote on the snapshot, so saving that very object again only
-writes.  ``load`` checks the hash over the whole parsed body encoded at
-once, rejects a body that differs in any way from what ``save`` writes for
-the rebuilt snapshot, so saving a loaded snapshot rewrites its file byte
-for byte, and returns a snapshot that keeps no file until its first save.
+writes.  ``load`` checks the hash over the bytes it read, less the
+header, which for a file ``save`` wrote are the canonical body, so nothing
+is encoded again; it rejects a number that is not finite and a body that
+differs in any way from what ``save`` writes for the rebuilt snapshot, so
+saving a loaded snapshot rewrites its file byte for byte, and returns a
+snapshot that keeps no file until its first save.
 It works a field at a time: each event, theme and edge field is taken out
 as one list and type-checked in that pass, nodes and edges are built from
 those columns, and :func:`validate_snapshot` checks each invariant over a
@@ -34,6 +36,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import os
 import re
 import secrets
@@ -261,19 +264,21 @@ def load(path: str | os.PathLike) -> MemorySnapshot:
         raw = handle.read()
     try:
         document = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the interpreter's digit
+        # limit; RecursionError, arrays or objects nested too deep.
         raise CorruptionError("well-formed-json", str(exc)) from exc
     if not isinstance(document, dict):
         raise CorruptionError("document-is-object")
     try:
-        return _reconstruct(document)
+        return _reconstruct(document, raw)
     except CorruptionError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise CorruptionError("document-schema", repr(exc)) from exc
 
 
-def _reconstruct(document: dict) -> MemorySnapshot:
+def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
     version = document.get("format_version")
     if not isinstance(version, str) or "." not in version:
         raise CorruptionError("format-version-present")
@@ -287,8 +292,7 @@ def _reconstruct(document: dict) -> MemorySnapshot:
             raise CorruptionError("body-keys-present", key)
         body[key] = document[key]
     recorded = document.get("content_hash")
-    actual = hashlib.sha256(canonical_json(body)).hexdigest()
-    if recorded != actual:
+    if not isinstance(recorded, str) or _body_digest(raw, recorded, version) != recorded:
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
@@ -314,6 +318,12 @@ def _reconstruct(document: dict) -> MemorySnapshot:
         themes["source_archive_id"],
     )
     topic_nodes = dict(zip(theme_ids, from_columns(TopicNode, theme_columns)))
+
+    # json.loads reads NaN, Infinity and 1e999 as floats, which save refuses
+    # to write.  The config refuses them itself, and no other field takes a
+    # float.
+    if not _all_finite([links["weight"], *themes["embedding"]]):
+        raise CorruptionError("document-schema", "a number that is not finite")
 
     labels, froms, tos = links["relation"], links["from_id"], links["to_id"]
     relations = list(map(_RELATIONS.get, labels))
@@ -349,6 +359,33 @@ def _reconstruct(document: dict) -> MemorySnapshot:
     validate_snapshot(snapshot)
     _check_written_form(body, graphs, theme_ids, keys, snapshot)
     return snapshot
+
+
+def _body_digest(raw: bytes, recorded: str, version: str) -> str | None:
+    """The sha256 of the file's bytes without the header ``save`` writes
+    between ``config`` and ``logical_clock``, or ``None`` if it holds no such
+    header.  For a file ``save`` wrote, that is the canonical body the header
+    hashes, so it is checked without encoding the body again."""
+    header = (
+        b',"content_hash":' + canonical_json(recorded)
+        + b',"format_version":' + canonical_json(version)
+    )
+    start = raw.find(header)
+    if start < 0:
+        return None
+    view = memoryview(raw)
+    digest = hashlib.sha256(view[:start])
+    digest.update(view[start + len(header) :])
+    return digest.hexdigest()
+
+
+def _all_finite(columns: list[list[float]]) -> bool:
+    """Whether every number in ``columns`` is finite.  A NaN or infinite
+    term makes the sum one too, so only a sum that is not finite, which
+    finite terms can also give by overflowing, has its terms looked at."""
+    return math.isfinite(sum(map(sum, columns))) or all(
+        map(math.isfinite, chain.from_iterable(columns))
+    )
 
 
 def _check_written_form(
@@ -414,8 +451,8 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails.
 
     Each invariant is checked over a whole column at once, in this order:
-    archive ids, non-empty archives; event ids, their order, turn indices;
-    theme ids, summaries, embedding sizes, norms, source archives; edge
+    archive ids, non-empty archives; event ids, their order, turn indices,
+    texts; theme ids, summaries, embedding sizes, norms, source archives; edge
     keys, endpoints, weights; one theme per archive.  The first entry that
     breaks the first failing invariant is named.  The norms come from the
     topic graph's vector index (built here if the graph has none), as NumPy
@@ -435,6 +472,8 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     _require("event-id-order", map(lt, ids, ids[1:]), ids[1:])
     turns = map(attrgetter("turn_index"), nodes)
     _require("turn-index-non-negative", map(ge, turns, repeat(0)), ids)
+    # Utterance refuses a blank text, so no turn the engine stored has one.
+    _require("text-non-empty", map(str.strip, map(attrgetter("text"), nodes)), ids)
 
     graph = snapshot.topic_graph
     themes = list(graph.nodes.values())

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -180,6 +181,21 @@ def cold_file(snapshot):
     header ``save`` adds."""
     header = {"format_version": FORMAT_VERSION, "content_hash": body_hash(snapshot)}
     return canonical_json({**stored_body(snapshot), **header})
+
+
+def as_saved(document):
+    """``document`` encoded as ``save`` writes a file (sorted keys, no
+    spaces); a bare NaN or infinity is spelled as Python's encoder spells
+    it."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
+def write_rehashed(document, path):
+    """Write ``document`` as ``save`` writes a file, with a content hash over
+    its body as written, so the load reaches the checks behind the hash."""
+    body = {k: document[k] for k in STORED_MEMBERS if k in document}
+    document["content_hash"] = hashlib.sha256(as_saved(body)).hexdigest()
+    path.write_bytes(as_saved(document))
 
 
 def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:

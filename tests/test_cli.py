@@ -642,6 +642,13 @@ class TestInspect:
         assert code == 2
         assert "unknown topic" in err
 
+    def test_a_file_nested_too_deep_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+        code, _, err = run_cli(["inspect", "--snapshot", path, "--stats"], capsys)
+        assert code == 2
+        assert err.startswith("error: well-formed-json")
+
 
 class TestHelp:
     def test_help_text_is_pinned(self, capsys):

@@ -7,11 +7,12 @@ and checks each copy; it is the oracle for what a 2.0 file leaves out.
 
 Every mutant edits one place in a saved document (a type swap, a deleted
 key or entry, a huge or negative int, an empty string, a bare ``NaN``) and
-is written with a content hash over its edited body, so the load reaches
-the checks behind the hash.  Each mutant must be refused with
-:class:`CorruptionError` by both loaders, under the same invariant, or be
-accepted by both as the same snapshot, which then survives a short run:
-observe, end the session, query, save, load.
+is written as ``save`` writes a file, with a content hash over its edited
+body as written, so the load reaches the checks behind the hash.  Each
+mutant must be refused with :class:`CorruptionError` by both loaders,
+under the same invariant, or be accepted by both as the same snapshot,
+which then survives a short run: observe, end the session, query, save,
+load.
 
 One difference is meant: the reference takes an empty JSON object or
 string where the document writes an empty list of themes, edges or buffered
@@ -58,7 +59,7 @@ from graphmem.harness import replay
 from graphmem.providers import mock_bundle
 from graphmem.store import FORMAT_VERSION, load, save
 
-from conftest import body_hash, random_snapshot
+from conftest import body_hash, random_snapshot, write_rehashed
 from test_acceptance import STRATEGY_MATRIX
 
 # ---------------------------------------------------------------------------
@@ -70,19 +71,19 @@ def reference_load(path):
         raw = handle.read()
     try:
         document = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptionError("well-formed-json", str(exc)) from exc
     if not isinstance(document, dict):
         raise CorruptionError("document-is-object")
     try:
-        return _reconstruct(document)
+        return _reconstruct(document, raw)
     except CorruptionError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise CorruptionError("document-schema", repr(exc)) from exc
 
 
-def _reconstruct(document):
+def _reconstruct(document, raw):
     version = document.get("format_version")
     if not isinstance(version, str) or "." not in version:
         raise CorruptionError("format-version-present")
@@ -95,9 +96,11 @@ def _reconstruct(document):
         if key not in document:
             raise CorruptionError("body-keys-present", key)
         body[key] = document[key]
+    # The hash covers the file's bytes with the header save writes taken out.
     recorded = document.get("content_hash")
-    actual = hashlib.sha256(canonical_json(body)).hexdigest()
-    if recorded != actual:
+    header = f',"content_hash":{json.dumps(recorded)},"format_version":{json.dumps(version)}'
+    header = header.encode()
+    if header not in raw or hashlib.sha256(raw.replace(header, b"", 1)).hexdigest() != recorded:
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
@@ -110,6 +113,8 @@ def _reconstruct(document):
         for name, item_type in (("keywords", str), ("embedding", float)):
             if not set(map(type, entry[name])) <= {item_type}:
                 raise CorruptionError("field-type", f"{entry['id']} {name}")
+        if not all(map(math.isfinite, entry["embedding"])):
+            raise CorruptionError("document-schema", f"{entry['id']} embedding")
         node = TopicNode(
             id=entry["id"],
             summary=entry["summary"],
@@ -122,6 +127,8 @@ def _reconstruct(document):
 
     edges = {}
     for entry in body["topic_edges"]:
+        if not math.isfinite(entry["weight"]):
+            raise CorruptionError("document-schema", "edge weight")
         edge = TopicEdge(
             from_id=entry["from_id"],
             to_id=entry["to_id"],
@@ -225,6 +232,8 @@ def reference_validate(snapshot):
             previous = node.id
             if node.turn_index < 0:
                 raise CorruptionError("turn-index-non-negative", node.id)
+            if not node.text.strip():
+                raise CorruptionError("text-non-empty", node.id)
 
     graph = snapshot.topic_graph
     for node in graph.nodes.values():
@@ -306,9 +315,6 @@ def _rebuild_graph_v1(graph_dict, graph_id):
 # ---------------------------------------------------------------------------
 # mutants
 
-BODY_KEYS = tuple(STORED_MEMBERS)
-
-
 def _with_buffer(snapshot):
     for minute, text in ((1, "one more buffered line"), (2, "and a second buffered line")):
         utterance = Utterance("s99", "ana", text, f"2026-01-05T09:0{minute}:00")
@@ -382,15 +388,6 @@ def mutants(document, rng, count):
         else:
             parent[key] = options[choice]
             yield mutant, f"{path} = {options[choice]!r}"
-
-
-def write_rehashed(document, path):
-    """Write ``document`` with a content hash over its body as it now is; a
-    bare NaN is written and hashed as Python's encoder spells it."""
-    body = {k: document[k] for k in BODY_KEYS if k in document}
-    encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    document["content_hash"] = hashlib.sha256(encoded.encode()).hexdigest()
-    path.write_text(json.dumps(document))
 
 
 def outcome(loader, path):

@@ -46,6 +46,7 @@ from graphmem.retrieval import Query, anchor, retrieve
 from graphmem.store import (
     FORMAT_VERSION,
     VectorIndex,
+    _body_digest,
     load,
     save,
     topic_index,
@@ -54,16 +55,16 @@ from graphmem.store import (
 )
 
 from conftest import (
+    as_saved,
     body_hash,
     cold_file,
     interleaved_corpora,
     random_snapshot,
     stored_body,
     unit_vector,
+    write_rehashed,
 )
 from test_acceptance import STRATEGY_MATRIX
-
-BODY_KEYS = tuple(STORED_MEMBERS)
 
 
 @pytest.fixture
@@ -76,14 +77,6 @@ def buffered_snapshot(snapshot):
     for text in ("one more buffered line", "and a second buffered line"):
         snapshot = append_event(snapshot, Utterance("s99", "ana", text))
     return snapshot
-
-
-def rewrite(document, path):
-    """Write ``document`` with a content hash matching its body, so the load
-    reaches the structural checks behind the hash."""
-    body = {k: document[k] for k in BODY_KEYS}
-    document["content_hash"] = hashlib.sha256(canonical_json(body)).hexdigest()
-    path.write_text(json.dumps(document))
 
 
 def saved_document(snapshot, path):
@@ -254,14 +247,11 @@ class TestValidation:
         save(snapshot, path)
         return json.loads(path.read_text()), path
 
-    def _rewrite(self, document, path):
-        rewrite(document, path)
-
     def test_cross_index_pointing_at_missing_archive(self, snapshot, tmp_path):
         # The cross index is each theme's source archive.
         document, path = self._document(snapshot, tmp_path)
         document["topic_nodes"][0]["source_archive_id"] = "a999999"
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "source-archive-exists"
@@ -269,14 +259,14 @@ class TestValidation:
     def test_tampered_body_fails_hash_check(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         document["logical_clock"] += 1
-        path.write_text(json.dumps(document))
+        path.write_bytes(as_saved(document))
         with pytest.raises(CorruptionError, match="content-hash"):
             load(path)
 
     def test_unknown_major_version_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         document["format_version"] = "3.0"
-        path.write_text(json.dumps(document))
+        path.write_bytes(as_saved(document))
         with pytest.raises(CorruptionError, match="format-version"):
             load(path)
 
@@ -298,14 +288,14 @@ class TestValidation:
         document, path = self._document(snapshot, tmp_path)
         major = FORMAT_VERSION.split(".")[0]
         document["format_version"] = f"{major}.9"
-        path.write_text(json.dumps(document))
+        path.write_bytes(as_saved(document))
         assert snapshot_hash(load(path)) == snapshot_hash(snapshot)
 
     def test_duplicate_event_id_detected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         nodes = _first_archive(document)
         nodes[1]["id"] = nodes[0]["id"]
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "event-id-order"
@@ -316,14 +306,14 @@ class TestValidation:
         if not document["topic_edges"]:
             pytest.skip("sampled graph has no edges")
         document["topic_edges"][0]["weight"] = 0.1
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="weight"):
             load(path)
 
     def test_non_unit_embedding_detected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         document["topic_nodes"][0]["embedding"][0] += 0.5
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="unit-norm"):
             load(path)
 
@@ -331,7 +321,7 @@ class TestValidation:
         # A fractional retrieval_k would load and then fail every query.
         document, path = self._document(snapshot, tmp_path)
         document["config"]["retrieval_k"] = 2.5
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "document-schema"
@@ -339,7 +329,7 @@ class TestValidation:
     def test_negative_pause_gap_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         document["config"]["pause_gap_minutes"] = -5
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="pause_gap_minutes") as err:
             load(path)
         assert err.value.invariant == "document-schema"
@@ -347,7 +337,7 @@ class TestValidation:
     def test_unknown_event_field_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         _first_archive(document)[0]["mood"] = "cheerful"
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "document-schema"
@@ -355,7 +345,7 @@ class TestValidation:
     def test_boolean_logical_clock_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
         document["logical_clock"] = True
-        self._rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="logical-clock"):
             load(path)
 
@@ -433,7 +423,7 @@ def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, tamper
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
     tamper(document)
-    rewrite(document, path)
+    write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "field-type"
@@ -447,11 +437,25 @@ def test_blank_theme_summary_is_rejected(golden_snapshot, tmp_path, summary):
     path = tmp_path / "memory.json"
     document = saved_document(golden_snapshot[0], path)
     document["topic_nodes"][0]["summary"] = summary
-    rewrite(document, path)
+    write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "summary-non-empty"
     assert document["topic_nodes"][0]["id"] in str(err.value)
+
+
+@pytest.mark.parametrize("where, text", [("archived", ""), ("buffered", "   ")])
+def test_blank_event_text_is_rejected(buffered_snapshot, tmp_path, where, text):
+    # Utterance refuses such a text, so observe never stores one.
+    path = tmp_path / "memory.json"
+    document = saved_document(buffered_snapshot, path)
+    node = (_archived_node if where == "archived" else _buffered_node)(document)
+    node["text"] = text
+    write_rehashed(document, path)
+    with pytest.raises(CorruptionError) as err:
+        load(path)
+    assert err.value.invariant == "text-non-empty"
+    assert str(err.value).endswith(node["id"])
 
 
 class TestNonFinite:
@@ -472,13 +476,123 @@ class TestNonFinite:
         path = tmp_path / "memory.json"
         document = saved_document(snapshot, path)
         document["topic_nodes"][0]["embedding"][0] = float("nan")
-        body = {k: document[k] for k in BODY_KEYS}
-        encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        document["content_hash"] = hashlib.sha256(encoded.encode()).hexdigest()
-        path.write_text(json.dumps(document))
+        write_rehashed(document, path)
         assert "NaN" in path.read_text()
         with pytest.raises(CorruptionError):
             load(path)
+
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"1e999"])
+    @pytest.mark.parametrize("place", ["edge weight", "embedding item", "config float"])
+    def test_a_number_that_is_not_finite_is_a_schema_error(
+        self, buffered_snapshot, tmp_path, place, token
+    ):
+        path = tmp_path / "memory.json"
+        document = saved_document(buffered_snapshot, path)
+        marker = "number-to-spell"
+        if place == "edge weight":
+            document["topic_edges"][0]["weight"] = marker
+        elif place == "embedding item":
+            document["topic_nodes"][0]["embedding"][5] = marker
+        else:
+            document["config"]["heuristic_cutoff"] = marker
+
+        def spelled(data):
+            # The token in the file's bytes, under a hash over them.
+            return as_saved(data).replace(f'"{marker}"'.encode(), token)
+
+        body = {k: document[k] for k in STORED_MEMBERS}
+        document["content_hash"] = hashlib.sha256(spelled(body)).hexdigest()
+        path.write_bytes(spelled(document))
+        assert token in path.read_bytes()
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "document-schema"
+
+    def test_finite_numbers_whose_sum_overflows_pass_as_finite(self, buffered_snapshot, tmp_path):
+        path = tmp_path / "memory.json"
+        document = saved_document(buffered_snapshot, path)
+        document["topic_nodes"][0]["embedding"][:2] = [1e308, 1e308]
+        write_rehashed(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "embedding-unit-norm"
+
+
+class TestContentHash:
+    """The hash covers the bytes a load read, less the header; for a file
+    ``save`` wrote, those are the canonical body."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
+    def test_the_digest_of_a_saved_file_is_the_canonical_body_hash(self, corpus, limit):
+        config = EngineConfig(buffer_token_limit=limit)
+        snapshot, _ = replay(corpus, MemoryEngine(mock_bundle(config), config), "semantic")
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "memory.json")
+            save(snapshot, path)
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        recorded = json.loads(raw)["content_hash"]
+        expected = hashlib.sha256(canonical_json(stored_body(snapshot))).hexdigest()
+        assert _body_digest(raw, recorded, FORMAT_VERSION) == expected == recorded
+
+    def _spaced(self, snapshot, path):
+        """A file of ``snapshot`` as ``save`` writes it, then with a space
+        after each key of a list and a final newline, and its recorded hash."""
+        save(snapshot, path)
+        spaced = path.read_bytes().replace(b'":[', b'": [') + b"\n"
+        return spaced, json.loads(spaced)["content_hash"]
+
+    def test_a_file_that_is_not_canonical_fails_the_canonical_hash(
+        self, buffered_snapshot, tmp_path
+    ):
+        path = tmp_path / "memory.json"
+        spaced, _ = self._spaced(buffered_snapshot, path)
+        path.write_bytes(spaced)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "content-hash-match"
+
+    def test_a_file_that_is_not_canonical_loads_under_a_hash_of_its_bytes(
+        self, buffered_snapshot, tmp_path
+    ):
+        path, again = tmp_path / "memory.json", tmp_path / "again.json"
+        spaced, recorded = self._spaced(buffered_snapshot, path)
+        canonical = path.read_bytes()
+        header = f',"content_hash":"{recorded}","format_version":"{FORMAT_VERSION}"'.encode()
+        own = hashlib.sha256(spaced.replace(header, b"")).hexdigest()
+        path.write_bytes(spaced.replace(recorded.encode(), own.encode()))
+        loaded = load(path)
+        assert snapshot_hash(loaded) == snapshot_hash(buffered_snapshot)
+        # Saved again, it is the canonical file, not the file it came from.
+        save(loaded, again)
+        assert again.read_bytes() == canonical
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class TestUnparsable:
+    """Input that ``json.loads`` refuses with other errors than
+    ``JSONDecodeError`` is ``well-formed-json`` too."""
+
+    @pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter parses any integer")
+    def test_an_integer_past_the_digit_limit(self, snapshot, tmp_path):
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        clock = b'"logical_clock":%d' % snapshot.logical_clock
+        huge = b'"logical_clock":' + b"7" * (_DIGIT_LIMIT + 1)
+        path.write_bytes(path.read_bytes().replace(clock, huge))
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "well-formed-json"
+
+    def test_arrays_nested_too_deep(self, tmp_path):
+        path = tmp_path / "memory.json"
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "well-formed-json"
 
 
 class TestEventIdOrder:
@@ -491,7 +605,7 @@ class TestEventIdOrder:
         path = tmp_path / "memory.json"
         document = saved_document(snapshot, path)
         tamper(document)
-        rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "event-id-order"
@@ -505,7 +619,7 @@ class TestIdFormat:
         path = tmp_path / "memory.json"
         document = saved_document(buffered_snapshot, path)
         malform(document)
-        rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == "id-format"
@@ -623,7 +737,7 @@ class TestWrittenForm:
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
         WRITTEN_FORM_MUTATIONS[mutation](pick, document)
         path = tmp_path_factory.mktemp("mutant") / "mutant.json"
-        rewrite(document, path)
+        write_rehashed(document, path)
         try:
             loaded = load(path)
         except CorruptionError:
@@ -648,7 +762,7 @@ class TestWrittenForm:
         # section, entry and value, the first config key of its kind.
         WRITTEN_FORM_MUTATIONS[mutation](lambda n: 0, document)
         path = tmp_path / "mutant.json"
-        rewrite(document, path)
+        write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
         assert err.value.invariant == invariant
@@ -761,7 +875,7 @@ class TestNormTolerance:
         document = json.loads(canonical_json(stored_body(changed)))
         path = tmp_path / "memory.json"
         document["format_version"] = FORMAT_VERSION
-        rewrite(document, path)
+        write_rehashed(document, path)
         for check in (lambda: validate_snapshot(changed), lambda: load(path)):
             if accepted:
                 check()

@@ -263,7 +263,10 @@ def cmd_eval(args) -> int:
     rules = None
     if args.criteria is not None:
         # Read before any replay, so a bad file fails fast and writes nothing.
-        rules = validate_criteria(json.loads(args.criteria.read_text(encoding="utf-8")))
+        try:
+            rules = validate_criteria(json.loads(args.criteria.read_text(encoding="utf-8")))
+        except RecursionError as exc:
+            raise ValueError(f"{args.criteria}: nested too deep") from exc
 
     report: dict = {
         "corpus": str(args.corpus),

@@ -23,18 +23,19 @@ Every mutation is functional: operations return a new snapshot
 and never modify their input, so an append never sees a consolidation that
 is building its result, and concurrent reads need no locking.
 
-Identifiers are engine-generated, zero-padded and monotonic ("e000007",
-"t000002", "a000003") so that lexicographic order equals creation order and
-replays are byte-stable; a counter past 999999 is refused.  Because event ids
-rise through the archives in id order and then the buffer (the loader checks
-this), the next event id follows from the newest node alone, and the next
-topic or archive id from the highest key.  The highest topic and archive
-keys, the buffer's token total and, per session, the highest stored turn
-index are derived values carried from snapshot to snapshot: never saved,
-each built by one scan on first use (after a load, for instance) and then
-moved on in constant time by the mutation that changes it.  Archiving moves
-nodes without changing their turn indices, so it passes the turn maxima on
-as they are.  So a turn costs the same however much is stored or buffered,
+Identifiers are engine-generated and zero-padded ("e000007", "t000002",
+"a000003"), and each is its creation position: the graphs only grow, so
+lexicographic order equals creation order and replays are byte-stable; a
+counter past 999999 is refused.  The next topic or archive id is the count
+plus one, and the next event id follows the newest node, which ends the
+buffer or else the newest archive, ``a{count}``.  The mutations refuse to
+break this sequence and the loader checks it (``id-sequence``).  The
+buffer's token total and, per session, the highest stored turn index are
+derived values carried from snapshot to snapshot: never saved, each built
+by one scan on first use (after a load, for instance) and then moved on in
+constant time by the mutation that changes it.  Archiving moves nodes
+without changing their turn indices, so it passes the turn maxima on as
+they are.  So a turn costs the same however much is stored or buffered,
 with or without a turn index.  Mutations build their results directly
 rather than through ``dataclasses.replace``.
 """
@@ -274,17 +275,14 @@ def raw_text(nodes: Sequence[EventNode]) -> str:
 class MemorySnapshot:
     """Composite memory state; see the module docstring for the layout.
 
-    Three derived values, like ``TopicGraph.vector_index``, are never
-    saved, compared or shown.  Two are built by one scan on first use (a
-    snapshot built by hand or loaded) and carried by every mutation here.
-    ``turn_max`` maps a session id to its highest turn index over the
-    archives and the buffer together; the first turn derived without an
-    index builds it, :func:`append_event` carries it on, copied when the new
-    turn raises it, and archiving and theme insertion pass on the very
-    object.  A built map is never changed, so snapshots forked from one
-    parent may share it.  ``newest_ids`` holds the highest topic and
-    archive keys, ``None`` where there is none, as ``max()`` over the keys
-    gives them.
+    Two derived values, like ``TopicGraph.vector_index``, are never saved,
+    compared or shown.  ``turn_max`` maps a session id to its highest turn
+    index over the archives and the buffer together: built by one scan on
+    first use (a snapshot built by hand or loaded) by the first turn derived
+    without an index, carried on by :func:`append_event`, copied when the
+    new turn raises it, and passed on as the very object by archiving and
+    theme insertion.  A built map is never changed, so snapshots forked from
+    one parent may share it.
     ``saved_bytes`` holds the file ``store.save`` wrote for this very
     object, so a re-save writes it again without encoding; a snapshot is
     never changed in place, so the file holds while it lives.  Nothing
@@ -298,9 +296,6 @@ class MemorySnapshot:
     archive: Mapping[str, EventGraph] = field(default_factory=dict)
     logical_clock: int = 0
     turn_max: dict[str, int] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    newest_ids: tuple[str | None, str | None] | None = field(
         default=None, init=False, compare=False, repr=False
     )
     saved_bytes: bytes | None = field(default=None, init=False, compare=False, repr=False)
@@ -338,44 +333,36 @@ def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
 ID_FORMAT = {prefix: re.compile(f"{prefix}[0-9]{{{_ID_WIDTH}}}") for prefix in "eta"}
 
 
-def _id_after(prefix: str, newest: str | None) -> str:
-    """The id following ``newest`` (the first id when there is none)."""
-    counter = 1 if newest is None else int(newest[1:]) + 1
-    if counter >= 10**_ID_WIDTH:
+def position_id(prefix: str, position: int) -> str:
+    """The id of the ``position``-th node of its kind, counting from 1."""
+    return f"{prefix}{position:0{_ID_WIDTH}d}"
+
+
+def _id_after(prefix: str, count: int) -> str:
+    """The id at creation position ``count + 1``."""
+    if count + 1 >= 10**_ID_WIDTH:
         raise StateError(f"{prefix} id counter exhausted at {_ID_WIDTH} digits")
-    return f"{prefix}{counter:0{_ID_WIDTH}d}"
-
-
-def _newest_ids(snapshot: MemorySnapshot) -> tuple[str | None, str | None]:
-    newest = snapshot.newest_ids
-    if newest is None:
-        # Built once per snapshot chain; a derived value, so setting it on
-        # the frozen snapshot changes nothing it compares or saves.
-        newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
-        object.__setattr__(snapshot, "newest_ids", newest)
-    return newest
+    return position_id(prefix, count + 1)
 
 
 def next_event_id(snapshot: MemorySnapshot) -> str:
     # The newest event ends the buffer or, with the buffer empty, the newest
     # archive; archives are never empty.
     newest = snapshot.buffer
-    if not newest:
-        archive_id = _newest_ids(snapshot)[1]
-        newest = snapshot.archive[archive_id].nodes if archive_id is not None else ()
-    return _id_after("e", newest[-1].id if newest else None)
+    if not newest and snapshot.archive:
+        archive_id = position_id("a", len(snapshot.archive))
+        if archive_id not in snapshot.archive:
+            raise StateError(f"newest archive {archive_id} not found")
+        newest = snapshot.archive[archive_id].nodes
+    return _id_after("e", int(newest[-1].id[1:]) if newest else 0)
 
 
 def next_topic_id(snapshot: MemorySnapshot) -> str:
-    return _id_after("t", _newest_ids(snapshot)[0])
+    return _id_after("t", len(snapshot.topic_graph.nodes))
 
 
 def next_archive_id(snapshot: MemorySnapshot) -> str:
-    return _id_after("a", _newest_ids(snapshot)[1])
-
-
-def _higher(newest: str | None, key: str) -> str:
-    return key if newest is None or key > newest else newest
+    return _id_after("a", len(snapshot.archive))
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +375,15 @@ def _successor(
     active_event_graph: EventGraph,
     archive: Mapping[str, EventGraph],
     turn_max: dict[str, int] | None,
-    newest_ids: tuple[str | None, str | None] | None,
 ) -> MemorySnapshot:
-    """The next snapshot, one tick on, built directly with the derived
-    values carried: setting them on the frozen snapshot changes nothing it
+    """The next snapshot, one tick on, built directly with the turn maxima
+    carried: setting them on the frozen snapshot changes nothing it
     compares or saves."""
     successor = MemorySnapshot(
         snapshot.config, topic_graph, active_event_graph, archive, snapshot.logical_clock + 1
     )
     if turn_max is not None:
         object.__setattr__(successor, "turn_max", turn_max)
-    if newest_ids is not None:
-        object.__setattr__(successor, "newest_ids", newest_ids)
     return successor
 
 
@@ -435,9 +419,7 @@ def append_event(snapshot: MemorySnapshot, utterance: Utterance) -> MemorySnapsh
     if highest is not None and turn_index > highest.get(session_id, -1):
         # Copied when raised, never changed in place: forks share the map.
         highest = {**highest, session_id: turn_index}
-    return _successor(
-        snapshot, snapshot.topic_graph, graph, snapshot.archive, highest, snapshot.newest_ids
-    )
+    return _successor(snapshot, snapshot.topic_graph, graph, snapshot.archive, highest)
 
 
 def _scan_turn_max(snapshot: MemorySnapshot) -> dict[str, int]:
@@ -473,6 +455,8 @@ def archive_segment(
         raise ValueError("confidence_flags length mismatch")
 
     archive_id = next_archive_id(snapshot)
+    if archive_id in snapshot.archive:
+        raise StateError(f"archive id {archive_id} already taken")
     frozen_nodes = tuple(
         n
         if n.confidence_flag is flag
@@ -483,14 +467,12 @@ def archive_segment(
     )
     new_archive = dict(snapshot.archive)
     new_archive[archive_id] = EventGraph(frozen_nodes)
-    newest_topic, newest_archive = _newest_ids(snapshot)
     return archive_id, _successor(
         snapshot,
         snapshot.topic_graph,
         EventGraph(buffer.nodes[length:]),
         new_archive,
         snapshot.turn_max,
-        (newest_topic, _higher(newest_archive, archive_id)),
     )
 
 
@@ -501,14 +483,18 @@ def insert_topic_node(
 ) -> MemorySnapshot:
     """Atomically add a theme plus its admitted edges.
 
-    Rejects, before any mutation: duplicate node ids, edges not touching the
-    new node, dangling endpoints, weights at or below the admission
-    threshold, and source archives that do not exist.
+    Rejects, before any mutation: duplicate node ids, an id other than
+    :func:`next_topic_id`, edges not touching the new node, dangling
+    endpoints, weights at or below the admission threshold, and source
+    archives that do not exist.
     """
     graph = snapshot.topic_graph
     tau = snapshot.config.tau
     if node.id in graph.nodes:
         raise ValueError(f"duplicate topic node id {node.id}")
+    expected = next_topic_id(snapshot)
+    if node.id != expected:
+        raise ValueError(f"topic node id {node.id} is not the next id, {expected}")
     if node.source_archive_id not in snapshot.archive:
         raise ValueError(f"source archive {node.source_archive_id} not found")
     ends = set()
@@ -546,16 +532,8 @@ def insert_topic_node(
             for other in ends:
                 adjacency[other] = adjacency.get(other, frozenset()) | {node.id}
         object.__setattr__(new_graph, "adjacency", adjacency)
-    newest = snapshot.newest_ids
-    if newest is not None:
-        newest = (_higher(newest[0], node.id), newest[1])
     return _successor(
-        snapshot,
-        new_graph,
-        snapshot.active_event_graph,
-        snapshot.archive,
-        snapshot.turn_max,
-        newest,
+        snapshot, new_graph, snapshot.active_event_graph, snapshot.archive, snapshot.turn_max
     )
 
 
@@ -685,17 +663,6 @@ def canonical_json(document: object) -> bytes:
     """Key-sorted, separator-fixed encoding: equal documents, equal bytes.
     ``NaN`` and infinities raise ``ValueError``: they are not JSON."""
     return _ENCODER.encode(document).encode("utf-8")
-
-
-def join_members(members: Mapping[str, bytes]) -> bytes:
-    """Canonical object encoding from already encoded member values: equal
-    to ``canonical_json`` of the decoded object."""
-    parts = []
-    for key in sorted(members):
-        parts += (b",", canonical_json(key), b":", members[key])
-    # One join over the values themselves, so a large document is copied
-    # once rather than first into "key:value" pieces.
-    return b"".join([b"{", *parts[1:], b"}"])
 
 
 def snapshot_bytes(snapshot: MemorySnapshot) -> bytes:

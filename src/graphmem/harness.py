@@ -123,7 +123,8 @@ def _qa_item(payload: dict) -> QAItem:
 
 
 def _read_jsonl(path: str | Path, parse) -> list:
-    """``parse`` applied to the object on each non-blank line; an error names
+    """``parse`` applied to the object on each non-blank line; an error,
+    a line nested too deep to decode included, is a ``ValueError`` naming
     the file and the 0-based line number."""
     items = []
     with open(path, "rb") as handle:
@@ -136,7 +137,7 @@ def _read_jsonl(path: str | Path, parse) -> list:
                 if not isinstance(payload, dict):
                     raise ValueError("expected an object")
                 items.append(parse(payload))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path} row {row}: {exc!r}") from exc
     return items
 

@@ -114,7 +114,8 @@ def extract_json_object(text: str) -> dict:
         raise ProviderParseError("no JSON object in response")
     try:
         return _DECODER.raw_decode(text, start)[0]
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep.
         raise ProviderParseError(f"unparseable JSON object: {exc}") from exc
 
 
@@ -143,7 +144,8 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float):
     """POST ``payload`` as JSON and return ``(status, parsed body)`` for any
     reply, error statuses included, so the client decides what to retry.
     A network failure or timeout, a URL or header value urllib refuses, and
-    a body that is not JSON are transport errors."""
+    a body that is not JSON or is nested too deep to decode are transport
+    errors."""
     try:
         request = urllib.request.Request(
             url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
@@ -158,7 +160,7 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float):
         raise ProviderTransportError(str(exc)) from exc
     try:
         return status, json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProviderTransportError("non-JSON response body") from exc
 
 

@@ -9,19 +9,21 @@ edges, ``cross_index``, token counts, each theme's ``raw`` and each edge's
 ``directed``) is derived on load, not read.  A 1.x file is refused as
 ``format-version-known``.  ``content_hash`` checks the file's integrity;
 a snapshot's identity is ``core.snapshot_hash``, over the hashed document
-with the derived copies, which no file format changes.  ``save`` keeps the
-file it wrote on the snapshot, so saving that very object again only
-writes.  ``load`` checks the hash over the bytes it read, less the
-header, which for a file ``save`` wrote are the canonical body, so nothing
-is encoded again; it rejects a number that is not finite and a body that
-differs in any way from what ``save`` writes for the rebuilt snapshot, so
-saving a loaded snapshot rewrites its file byte for byte, and returns a
-snapshot that keeps no file until its first save.
+with the derived copies, which no file format changes.  ``save`` encodes
+the body once, inserts the header where its keys sort, and keeps the file
+on the snapshot, so saving that very object again only writes.  ``load``
+checks the hash over the bytes it read, less that header, which for a file
+``save`` wrote are the canonical body, so nothing is encoded again; it
+rejects a number that is not finite and a body that differs in any way
+from what ``save`` writes for the rebuilt snapshot, so saving a loaded
+snapshot rewrites its file byte for byte, and returns a snapshot that
+keeps no file until its first save.
 It works a field at a time: each event, theme and edge field is taken out
 as one list and type-checked in that pass, nodes and edges are built from
 those columns, and :func:`validate_snapshot` checks each invariant over a
-whole column.  The theme norms come from the topic graph's vector index,
-which the loaded graph keeps.
+whole column, ids included: each kind must be its creation positions
+(``id-sequence``).  The theme norms come from the topic graph's vector
+index, which the loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -33,7 +35,6 @@ capacity doubles; each index is a read-only view of its first rows.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -64,7 +65,7 @@ from .core import (
     canonical_json,
     edge_key,
     from_columns,
-    join_members,
+    position_id,
 )
 from .errors import CorruptionError, ProviderParseError
 
@@ -127,16 +128,15 @@ class VectorIndex:
     def with_row(self, node_id: str, vector: Sequence[float]) -> "VectorIndex":
         """A new index with one more row; must stay equal to a full rebuild.
 
-        A new theme id sorts last, so the row is appended: in place, in the
-        shared buffer, unless a sibling index took that row first, in which
-        case the rows are copied into a new buffer of twice the size.
+        A new theme's id sorts last (any other is a ``ValueError``), so the
+        row is appended: in place, in the shared buffer, unless a sibling
+        index took that row first, in which case the rows are copied into a
+        new buffer of twice the size.
         """
+        if self.ids and node_id <= self.ids[-1]:
+            raise ValueError(f"id {node_id} does not sort after {self.ids[-1]}")
         row = np.asarray(vector, dtype=float)
         size = len(self.ids)
-        if self.ids and node_id <= self.ids[-1]:
-            position = bisect.bisect_left(self.ids, node_id)
-            ids = self.ids[:position] + (node_id,) + self.ids[position:]
-            return VectorIndex(ids, np.insert(self.matrix, position, row, axis=0))
         rows = self._rows
         if rows is None or not rows.claim(size):
             rows = _RowBuffer(self.matrix, max(2 * size, 8))
@@ -219,18 +219,20 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     with ``open``, a symbolic link stays a link and the file it names gets
     the bytes.
 
-    The first save of a snapshot encodes each top-level member once, for
-    both the content hash and the file, and keeps the file's bytes on the
-    snapshot (``MemorySnapshot.saved_bytes``); a later save of the same
-    object writes those bytes without encoding.
+    The first save of a snapshot encodes the stored body once, hashes it
+    and writes it with the header inserted at its place among the sorted
+    keys, and keeps the file's bytes on the snapshot
+    (``MemorySnapshot.saved_bytes``); a later save of the same object writes
+    those bytes without encoding.
     """
     payload = snapshot.saved_bytes
     if payload is None:
-        members = {name: canonical_json(write(snapshot)) for name, write in STORED_MEMBERS.items()}
-        content_hash = hashlib.sha256(join_members(members)).hexdigest()
-        members["format_version"] = canonical_json(FORMAT_VERSION)
-        members["content_hash"] = canonical_json(content_hash)
-        payload = join_members(members)
+        body = canonical_json({name: write(snapshot) for name, write in STORED_MEMBERS.items()})
+        # The header's keys sort just before logical_clock; searched from
+        # the end, as no later member has keys of its own choosing.
+        at = body.rindex(b',"logical_clock":')
+        header = _header(hashlib.sha256(body).hexdigest(), FORMAT_VERSION)
+        payload = b"".join((body[:at], header, body[at:]))
         # Set only once the whole payload is encoded, so a save refused
         # for a NaN keeps nothing; a derived value, so setting it on the
         # frozen snapshot changes nothing it compares or saves.
@@ -361,15 +363,17 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
     return snapshot
 
 
+def _header(content_hash: str, version: str) -> bytes:
+    """The header's two members as ``save`` writes them into the body."""
+    return b"," + canonical_json({"content_hash": content_hash, "format_version": version})[1:-1]
+
+
 def _body_digest(raw: bytes, recorded: str, version: str) -> str | None:
     """The sha256 of the file's bytes without the header ``save`` writes
     between ``config`` and ``logical_clock``, or ``None`` if it holds no such
     header.  For a file ``save`` wrote, that is the canonical body the header
     hashes, so it is checked without encoding the body again."""
-    header = (
-        b',"content_hash":' + canonical_json(recorded)
-        + b',"format_version":' + canonical_json(version)
-    )
+    header = _header(recorded, version)
     start = raw.find(header)
     if start < 0:
         return None
@@ -451,25 +455,28 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails.
 
     Each invariant is checked over a whole column at once, in this order:
-    archive ids, non-empty archives; event ids, their order, turn indices,
-    texts; theme ids, summaries, embedding sizes, norms, source archives; edge
-    keys, endpoints, weights; one theme per archive.  The first entry that
-    breaks the first failing invariant is named.  The norms come from the
-    topic graph's vector index (built here if the graph has none), as NumPy
-    computes them.
+    archive ids, their sequence, non-empty archives; event ids, their order,
+    their sequence, turn indices, texts; theme ids, their sequence,
+    summaries, embedding sizes, norms, source archives; edge endpoints,
+    weights; one theme per archive.  The first entry that breaks the first
+    failing invariant is named.  The norms come from the topic graph's
+    vector index (built here if the graph has none), as NumPy computes them.
     """
     config = snapshot.config
-    archive_ids = list(snapshot.archive)
+    archive_ids = sorted(snapshot.archive)
     _check_ids("a", archive_ids)
-    _require("archive-non-empty", map(len, snapshot.archive.values()), archive_ids)
+    _check_sequence("a", archive_ids)
+    archives = list(map(snapshot.archive.__getitem__, archive_ids))
+    _require("archive-non-empty", map(len, archives), archive_ids)
 
     # Event ids rise through the archives in id order and then the buffer,
     # which makes them unique and lets allocation read only the newest one.
-    graphs = [*map(snapshot.archive.__getitem__, sorted(archive_ids)), snapshot.active_event_graph]
+    graphs = [*archives, snapshot.active_event_graph]
     nodes = list(chain.from_iterable(map(attrgetter("nodes"), graphs)))
     ids = list(map(attrgetter("id"), nodes))
     _check_ids("e", ids)
     _require("event-id-order", map(lt, ids, ids[1:]), ids[1:])
+    _check_sequence("e", ids)
     turns = map(attrgetter("turn_index"), nodes)
     _require("turn-index-non-negative", map(ge, turns, repeat(0)), ids)
     # Utterance refuses a blank text, so no turn the engine stored has one.
@@ -479,6 +486,8 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     themes = list(graph.nodes.values())
     theme_ids = list(map(attrgetter("id"), themes))
     _check_ids("t", theme_ids)
+    # Sorted in linear time: a file that loads lists its themes in order.
+    _check_sequence("t", sorted(theme_ids))
     # Relation scoring refuses a blank summary in the next consolidation.
     _require("summary-non-empty", map(str.strip, map(attrgetter("summary"), themes)), theme_ids)
     sizes = map(len, map(attrgetter("embedding"), themes))
@@ -494,7 +503,6 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
 
     keys, edges = list(graph.edges), list(graph.edges.values())
     froms, tos = list(map(attrgetter("from_id"), edges)), list(map(attrgetter("to_id"), edges))
-    _require("edge-key-canonical", map(eq, keys, map(edge_key, froms, tos)), keys)
     if not graph.nodes.keys() >= {*froms, *tos}:
         _require("topic-edge-endpoints", map(graph.nodes.__contains__, froms), keys)
         _require("topic-edge-endpoints", map(graph.nodes.__contains__, tos), keys)
@@ -518,6 +526,14 @@ _ID_LISTS = {
     prefix: re.compile(f"{pattern.pattern}(?:\n{pattern.pattern})*")
     for prefix, pattern in ID_FORMAT.items()
 }
+
+
+def _check_sequence(prefix: str, ids: list[str]) -> None:
+    """Raise ``id-sequence`` unless ``ids``, distinct, in the engine's form
+    and sorted, run from the first creation position to the ``len(ids)``-th:
+    then they are exactly the ids the engine allocates, with no gap."""
+    if ids and (ids[0], ids[-1]) != (position_id(prefix, 1), position_id(prefix, len(ids))):
+        raise CorruptionError("id-sequence", f"{len(ids)} ids from {ids[0]} to {ids[-1]}")
 
 
 def _check_ids(prefix: str, ids: list[str]) -> None:

@@ -79,6 +79,16 @@ class TestIngest:
         assert code == 2
         assert str(missing) in err
 
+    def test_a_corpus_line_nested_too_deep_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        code, _, err = run_cli(
+            ["ingest", "--corpus", corpus, "--snapshot-out", tmp_path / "out.json"], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: {corpus} row 0: RecursionError")
+        assert not (tmp_path / "out.json").exists()
+
     def test_fixed_window_strategy_engaged(self, smoke_paths, capsys):
         code, out, _ = run_cli(
             [
@@ -572,8 +582,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "[{", json.dumps([{"metric": "k", "value": 1}])],
-        ids=["missing-file", "invalid-json", "missing-op"],
+        [None, "[{", "[" * 100_000 + "]" * 100_000, json.dumps([{"metric": "k", "value": 1}])],
+        ids=["missing-file", "invalid-json", "nested-too-deep", "missing-op"],
     )
     def test_bad_criteria_file_fails_before_any_replay(
         self, smoke_paths, tmp_path, capsys, content

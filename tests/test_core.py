@@ -72,10 +72,11 @@ def with_extra_archive(snapshot, n_events=2):
     return archive_id, replace(snapshot, archive=archives)
 
 
-def fresh_topic(snapshot, archive_id, node_id="t000099", rng=None):
+def fresh_topic(snapshot, archive_id, node_id=None, rng=None):
+    """A theme on ``archive_id``, by default under the next topic id."""
     rng = rng or random.Random(0)
     return TopicNode(
-        id=node_id,
+        id=node_id or next_topic_id(snapshot),
         summary="a fresh theme",
         keywords=("fresh",),
         embedding=unit_vector(rng, snapshot.config.embedding_dim),
@@ -229,59 +230,47 @@ class TestArchive:
         ]
 
 
-def _scanned_ids(snapshot):
-    return max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None)
+class TestIdSequence:
+    """Every id is its creation position: the mutations allocate by count
+    and refuse to break the sequence."""
+
+    def _event(self, number, text="id sequence check"):
+        return EventNode(f"e{number:06d}", "s1", number, "ana", text, None, estimate_tokens(text))
+
+    def _gapped(self, buffered=()):
+        """One archive, filed under the second archive id."""
+        return replace(
+            new_snapshot(),
+            archive={"a000002": EventGraph((self._event(1),))},
+            active_event_graph=EventGraph(tuple(buffered)),
+        )
+
+    def test_a_theme_id_other_than_the_next_is_refused(self):
+        base = random_snapshot(random.Random(4), 2, edge_probability=0.0)
+        archive_id, snap = with_extra_archive(base)
+        for node_id in ("t000004", "t000099", "t3"):
+            with pytest.raises(ValueError, match="not the next id, t000003"):
+                insert_topic_node(snap, fresh_topic(snap, archive_id, node_id), [])
+        inserted = insert_topic_node(snap, fresh_topic(snap, archive_id), [])
+        assert "t000003" in inserted.topic_graph.nodes
+
+    def test_an_archive_id_already_taken_is_a_state_error(self):
+        snap = self._gapped([self._event(2)])
+        assert next_archive_id(snap) == "a000002"
+        with pytest.raises(StateError, match="a000002"):
+            archive_all(snap)
+
+    def test_a_missing_newest_archive_is_a_state_error(self):
+        snap = self._gapped()
+        with pytest.raises(StateError, match="a000001"):
+            next_event_id(snap)
+        with pytest.raises(StateError):
+            append_event(snap, utt("one more turn"))
 
 
 class TestCarriedValues:
-    """The buffer's token total and the newest topic and archive ids are
-    carried from snapshot to snapshot; each must equal a fresh scan."""
-
-    def _event(self, number, text="carried value check"):
-        return EventNode(f"e{number:06d}", "s1", number, "ana", text, None, estimate_tokens(text))
-
-    def _theme(self, snapshot, topic_id, archive_id):
-        return fresh_topic(snapshot, archive_id, topic_id, random.Random(topic_id))
-
-    def test_a_hand_built_snapshot_out_of_id_order_allocates_the_scanned_ids(self):
-        # Dict order is not id order: neither the first nor the last key is
-        # the newest.
-        archive = {
-            "a000002": EventGraph((self._event(3), self._event(4))),
-            "a000005": EventGraph((self._event(7),)),
-            "a000001": EventGraph((self._event(1),)),
-        }
-        snap = new_snapshot()
-        snap = replace(snap, archive=archive)
-        themes = {
-            topic_id: self._theme(snap, topic_id, archive_id)
-            for topic_id, archive_id in (("t000004", "a000002"), ("t000009", "a000005"), ("t000001", "a000001"))
-        }
-        snap = replace(snap, topic_graph=TopicGraph(themes, {}))
-        assert snap.newest_ids is None
-        assert next_event_id(snap) == "e000008"
-        assert next_topic_id(snap) == "t000010"
-        assert next_archive_id(snap) == "a000006"
-        assert snap.newest_ids == _scanned_ids(snap) == ("t000009", "a000005")
-
-        snap = append_event(snap, utt("one more turn"))
-        archive_id, snap = archive_all(snap)
-        assert archive_id == "a000006"
-        # A theme below the newest, as a hand-written caller may insert.
-        snap = insert_topic_node(snap, self._theme(snap, "t000002", archive_id), [])
-        assert snap.newest_ids == _scanned_ids(snap) == ("t000009", "a000006")
-        assert next_topic_id(snap) == "t000010"
-        assert next_event_id(snap) == "e000009"
-
-    def test_ids_above_the_allocated_width_stay_the_newest(self):
-        # "a1" sorts after "a000002": the carried value must say so, as
-        # max() over the keys does.
-        archive_id, snap = with_extra_archive(new_snapshot())
-        snap = replace(snap, archive={"a1": snap.archive[archive_id]})
-        snap = append_event(snap, utt("one more turn"))
-        archive_id, snap = archive_all(snap)
-        assert archive_id == "a000002"
-        assert snap.newest_ids[1] == max(snap.archive) == "a1"
+    """The buffer's token total is carried from snapshot to snapshot; it
+    must equal a fresh scan."""
 
     def test_token_total_is_carried_by_append(self):
         snap = new_snapshot()
@@ -297,14 +286,12 @@ class TestCarriedValues:
 
     def test_carried_values_are_never_saved_compared_or_shown(self):
         snap = append_event(new_snapshot(), utt("one turn"))
-        archive_id, snap = archive_all(snap)
-        bare = replace(snap)
-        assert bare.newest_ids is None and snap.newest_ids is not None
+        assert "token_total" in vars(snap.active_event_graph)
+        bare = replace(snap, active_event_graph=EventGraph(snap.buffer))
         assert "token_total" not in vars(bare.active_event_graph)
         assert bare == snap
         assert repr(bare) == repr(snap)
         assert snapshot_bytes(bare) == snapshot_bytes(snap)
-        assert "newest_ids" not in snapshot_to_dict(snap)
 
     def test_a_frozen_node_whose_flag_matches_is_stored_as_it_is(self):
         snap = append_event(append_event(new_snapshot(), utt("kept node")), utt("flagged node"))
@@ -500,8 +487,7 @@ class TestInsertTopicNode:
 
     def test_missing_source_archive_rejected(self):
         snap = random_snapshot(random.Random(10), 2, edge_probability=0.0)
-        node = fresh_topic(snap, "a000001", node_id="t000099")
-        node = replace(node, source_archive_id="a009999")
+        node = fresh_topic(snap, "a009999")
         with pytest.raises(ValueError, match="archive"):
             insert_topic_node(snap, node, [])
 

@@ -116,6 +116,15 @@ class TestCorpus:
         with pytest.raises(ValueError, match="row 1"):
             load_corpus(path)
 
+    def test_a_row_nested_too_deep_is_reported_with_its_number(self, tmp_path):
+        path = tmp_path / "turns.jsonl"
+        path.write_bytes(
+            b'{"session_id": "s1", "turn_index": 0, "speaker": "a", "text": "x"}\n'
+            + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        )
+        with pytest.raises(ValueError, match=f"{path.name} row 1: RecursionError"):
+            load_corpus(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [

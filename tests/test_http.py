@@ -162,6 +162,10 @@ class TestJsonExtraction:
         assert extract_json_object(prose + json.dumps(obj) + suffix) == obj
 
 
+#: A reply nested deeper than the decoder can recurse.
+DEEP_REPLY = '{"boundaries":' + "[" * 100000 + "]" * 100000 + "}"
+
+
 class TestChat:
     def test_valid_boundaries_payload(self):
         http, transport, _ = client([(200, chat_body('{"boundaries": [2, 6]}'))])
@@ -180,6 +184,16 @@ class TestChat:
         assert len(transport.requests) == 2
         second_prompt = transport.requests[1][1]["messages"][0]["content"]
         assert "not valid JSON" in second_prompt
+
+    def test_a_reply_nested_too_deep_is_repaired_like_any_parse_error(self):
+        http, transport, _ = client(
+            [(200, chat_body(DEEP_REPLY)), (200, chat_body('{"boundaries": []}'))]
+        )
+        assert http.chat("prompt", {"boundaries": list}) == {"boundaries": []}
+        assert len(transport.requests) == 2
+        http, _, _ = client([(200, chat_body(DEEP_REPLY))] * 2)
+        with pytest.raises(ProviderParseError, match="unparseable"):
+            http.chat("prompt", {"boundaries": list})
 
     def test_invalid_twice_surfaces_parse_error(self):
         http, _, _ = client(

@@ -2,9 +2,11 @@
 
 Every other HTTP test injects a transport; these post through the one
 ``HttpClient`` uses when none is given.  The server binds port 0 and each
-test starts and stops its own, so nothing outlives a test.
+test starts and stops its own, so nothing outlives a test; one test stubs
+``urlopen`` instead, with a body nested too deep to decode.
 """
 
+import io
 import json
 import socket
 import threading
@@ -139,6 +141,19 @@ def test_failure_is_a_transport_error(case, message, server, refusing_port):
         headers = {"Authorization": "Bearer ключ"}
     with pytest.raises(ProviderTransportError, match=message):
         post(target, headers, timeout)
+
+
+class Reply(io.BytesIO):
+    """A response as ``urlopen`` returns it: a status and a readable body."""
+
+    status = 200
+
+
+def test_a_body_nested_too_deep_is_a_transport_error(monkeypatch):
+    deep = b"[" * 100_000 + b"]" * 100_000
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: Reply(deep))
+    with pytest.raises(ProviderTransportError, match="non-JSON response body"):
+        post("http://127.0.0.1/ok")
 
 
 def test_client_gives_up_with_a_transport_error(refusing_port):

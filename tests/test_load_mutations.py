@@ -221,6 +221,7 @@ def reference_validate(snapshot):
         _check_id_format("a", archive_id)
         if not graph.nodes:
             raise CorruptionError("archive-non-empty", archive_id)
+    _check_sequence("a", sorted(snapshot.archive))
 
     previous = ""
     archives = [snapshot.archive[k] for k in sorted(snapshot.archive)]
@@ -234,6 +235,7 @@ def reference_validate(snapshot):
                 raise CorruptionError("turn-index-non-negative", node.id)
             if not node.text.strip():
                 raise CorruptionError("text-non-empty", node.id)
+    _check_sequence("e", [n.id for g in [*archives, snapshot.active_event_graph] for n in g.nodes])
 
     graph = snapshot.topic_graph
     for node in graph.nodes.values():
@@ -247,9 +249,8 @@ def reference_validate(snapshot):
             raise CorruptionError("embedding-unit-norm", node.id)
         if node.source_archive_id not in snapshot.archive:
             raise CorruptionError("source-archive-exists", node.id)
+    _check_sequence("t", sorted(graph.nodes))
     for key, edge in graph.edges.items():
-        if key != edge_key(edge.from_id, edge.to_id):
-            raise CorruptionError("edge-key-canonical", str(key))
         if edge.from_id not in graph.nodes or edge.to_id not in graph.nodes:
             raise CorruptionError("topic-edge-endpoints", str(key))
         if not edge.weight > config.tau:
@@ -258,6 +259,13 @@ def reference_validate(snapshot):
     sources = [node.source_archive_id for node in graph.nodes.values()]
     if len(sources) != len(set(sources)):
         raise CorruptionError("cross-index-injective")
+
+
+def _check_sequence(prefix, ids):
+    """Each id, in order, names its creation position."""
+    for position, identifier in enumerate(ids, 1):
+        if identifier != f"{prefix}{position:06d}":
+            raise CorruptionError("id-sequence", identifier)
 
 
 def _check_id_format(prefix, identifier):

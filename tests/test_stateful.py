@@ -175,7 +175,7 @@ class EngineMachine(RuleBasedStateMachine):
         # loaded snapshot's derived values are built afresh on first use.
         save(self.engine.snapshot, self.path)
         loaded = load(self.path)
-        assert loaded.newest_ids is None and loaded.turn_max is None
+        assert loaded.turn_max is None
         assert loaded.saved_bytes is None
         assert "adjacency" not in vars(loaded.topic_graph)
         self.bundle = mock_bundle(loaded.config)
@@ -189,6 +189,17 @@ class EngineMachine(RuleBasedStateMachine):
         assert ids == sorted(set(ids))
 
     @invariant()
+    def each_id_is_its_creation_position(self):
+        snapshot = self.engine.snapshot
+        kinds = (
+            ("e", [n.id for n in self.nodes()]),
+            ("t", list(snapshot.topic_graph.nodes)),
+            ("a", list(snapshot.archive)),
+        )
+        for prefix, ids in kinds:
+            assert ids == [f"{prefix}{n:06d}" for n in range(1, len(ids) + 1)]
+
+    @invariant()
     def one_theme_per_committed_consolidation(self):
         assert len(self.engine.snapshot.topic_graph.nodes) == self.committed
 
@@ -197,9 +208,6 @@ class EngineMachine(RuleBasedStateMachine):
         snapshot = self.engine.snapshot
         if snapshot.turn_max is not None:
             assert snapshot.turn_max == highest_turns(stored_nodes(snapshot))
-        if snapshot.newest_ids is not None:
-            newest = (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
-            assert snapshot.newest_ids == newest
         graph = snapshot.active_event_graph
         if "token_total" in vars(graph):
             assert graph.token_total == sum(n.token_count for n in graph.nodes)

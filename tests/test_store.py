@@ -625,6 +625,57 @@ class TestIdFormat:
         assert err.value.invariant == "id-format"
 
 
+def _next_number(identifier):
+    return f"{identifier[0]}{int(identifier[1:]) + 1:06d}"
+
+
+def _event_gap(document):
+    # The buffer's last node skips one id.
+    node = document["active_buffer"][-1]
+    node["id"] = _next_number(node["id"])
+
+
+def _first_event_gone(document):
+    del _first_archive(document)[0]
+
+
+def _theme_gap(document):
+    # The last theme skips one id.
+    theme = document["topic_nodes"][-1]
+    theme["id"] = _next_number(theme["id"])
+
+
+def _archive_gap(document):
+    # The last archive skips one id.
+    archives = document["archives"]
+    last = max(archives)
+    archives[_next_number(last)] = archives.pop(last)
+
+
+class TestIdSequence:
+    """Each id is its creation position, so the loader refuses ids that do
+    not run from the first position without a gap."""
+
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (_event_gap, "38 ids from e000001 to e000039"),
+            (_first_event_gone, "37 ids from e000002 to e000038"),
+            (_theme_gap, "12 ids from t000001 to t000013"),
+            (_archive_gap, "12 ids from a000001 to a000013"),
+        ],
+    )
+    def test_a_gap_is_refused(self, buffered_snapshot, tmp_path, tamper, detail):
+        path = tmp_path / "memory.json"
+        document = saved_document(buffered_snapshot, path)
+        tamper(document)
+        write_rehashed(document, path)
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "id-sequence"
+        assert str(err.value).endswith(detail)
+
+
 class TestEngineSnapshotProperties:
     @settings(max_examples=25, deadline=None)
     @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
@@ -898,13 +949,20 @@ class TestVectorIndex:
         shared = np.array([1.0, 0.0, 0.0, 0.0])
         index = (
             VectorIndex.empty(4)
-            .with_row("t000002", shared)
             .with_row("t000001", shared)
+            .with_row("t000002", shared)
             .with_row("t000003", np.array([0.0, 1.0, 0.0, 0.0]))
         )
         result = vector_topk(index, shared, 3)
         assert [i for i, _ in result] == ["t000001", "t000002", "t000003"]
         assert result[0][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("node_id", ["t000001", "t000002", "t0000021"])
+    def test_a_row_whose_id_does_not_sort_last_is_refused(self, node_id):
+        index = VectorIndex.empty(4).with_row("t000001", (1.0, 0.0, 0.0, 0.0))
+        index = index.with_row("t000003", (0.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="does not sort after t000003"):
+            index.with_row(node_id, (0.0, 0.0, 1.0, 0.0))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -919,9 +977,7 @@ class TestVectorIndex:
         graph = snapshot.topic_graph
         rebuilt = VectorIndex.from_topic_graph(graph, 64)
         incremental = VectorIndex.empty(64)
-        order = list(graph.nodes)
-        rng.shuffle(order)
-        for tid in order:
+        for tid in graph.nodes:
             extended = incremental.with_row(tid, graph.nodes[tid].embedding)
             assert len(incremental.ids) == len(extended.ids) - 1
             incremental = extended
@@ -981,9 +1037,10 @@ def indexed_queries(draw):
             j = draw(st.integers(0, dim - 1))
             row[j] = float(np.nextafter(row[j], draw(st.sampled_from((-1.0, 2.0)))))
         rows.append(tuple(row))
-    numbers = draw(st.permutations(range(1, len(rows) + 1)))
+    # Shuffled, so a copy's id may sort before or after its original's.
+    rows = draw(st.permutations(rows))
     index = VectorIndex.empty(dim)
-    for number, row in zip(numbers, rows):
+    for number, row in enumerate(rows, 1):
         index = index.with_row(f"t{number:06d}", row)
     kind = draw(st.sampled_from(("row", "unit", "scaled", "zero", "nan")))
     if kind == "row":
@@ -1159,12 +1216,6 @@ class TestDerivedValueProperties:
             graphs = (snapshot.active_event_graph, *snapshot.archive.values())
             events = [n.id for g in graphs for n in g.nodes]
             assert snapshot.active_event_graph.token_total == sum(n.token_count for n in snapshot.buffer)
-            # Read before the allocators below would build it: from the
-            # first consolidation on it is carried.
-            newest = snapshot.newest_ids
-            assert newest is not None or not snapshot.archive
-            if newest is not None:
-                assert newest == (max(snapshot.topic_graph.nodes, default=None), max(snapshot.archive, default=None))
             assert next_event_id(snapshot) == _scan_next_id("e", events)
             assert next_topic_id(snapshot) == _scan_next_id("t", snapshot.topic_graph.nodes)
             assert next_archive_id(snapshot) == _scan_next_id("a", snapshot.archive)
@@ -1290,7 +1341,7 @@ class TestDerivedValueProperties:
 def _theme_over(snapshot, archive_id, first):
     """A theme on ``archive_id`` whose embedding starts with ``first``."""
     embedding = (first,) + (0.0,) * (snapshot.config.embedding_dim - 2) + (1.0,)
-    return TopicNode("t900000", "a fork's theme", ("fork",), embedding, 1, archive_id)
+    return TopicNode(next_topic_id(snapshot), "a fork's theme", ("fork",), embedding, 1, archive_id)
 
 
 def _count_member_writes(monkeypatch):

@@ -212,7 +212,6 @@ def consolidate_segment(
         keywords=tuple(keywords),
         embedding=tuple(float(x) for x in embedding),
         created_at=archived.logical_clock,
-        source_archive_id=archive_id,
     )
     committed = insert_topic_node(archived, node, edges)
 

@@ -4,9 +4,10 @@ A snapshot combines three parts: the topic graph of consolidated themes,
 the active event buffer holding the live episode, and frozen archives of
 past episodes.  Each fact is held once: an event graph's sequential edges
 follow from its node order and its id from its archive key (``"live"`` for
-the buffer); the cross-layer index and a theme's verbatim text follow from
-the theme's ``source_archive_id``; an edge's direction follows from its
-relation, and an event's token count from its text.  Two documents are
+the buffer); theme ``t{k}`` consolidates archive ``a{k}``, so a theme's
+``source_archive_id``, the cross-layer index and a theme's verbatim text
+follow from its id; an edge's direction follows from its relation, and an
+event's token count from its text.  Two documents are
 defined here, each field by one writer.  The stored body,
 :data:`STORED_MEMBERS`, holds none of those copies: six members, written
 by one writer each for an event node, a theme and a topic edge, which
@@ -28,8 +29,9 @@ Identifiers are engine-generated and zero-padded ("e000007", "t000002",
 lexicographic order equals creation order and replays are byte-stable; a
 counter past 999999 is refused.  The next topic or archive id is the count
 plus one, and the next event id follows the newest node, which ends the
-buffer or else the newest archive, ``a{count}``.  The mutations refuse to
-break this sequence and the loader checks it (``id-sequence``).  The
+buffer or else the newest archive, ``a{count}``; theme ``t{k}`` goes in
+only while ``a{k}`` is the newest archive.  The mutations refuse to break
+either rule, so the file stores no id: a load derives each.  The
 buffer's token total and, per session, the highest stored turn index are
 derived values carried from snapshot to snapshot: never saved, each built
 by one scan on first use (after a load, for instance) and then moved on in
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -59,7 +60,8 @@ if TYPE_CHECKING:
     from .retrieval import CandidateEvent
     from .store import VectorIndex
 
-_ID_WIDTH = 6
+#: Digits in an id's number: a kind holds at most ``10**ID_WIDTH - 1`` nodes.
+ID_WIDTH = 6
 LIVE_BUFFER_ID = "live"
 SEQUENTIAL = "sequential"
 
@@ -100,11 +102,10 @@ class EventNode:
 
 
 #: The exact JSON types each stored event-node field may have (all but the
-#: derived ``token_count``), checked by the loader and by :class:`Utterance`.
-#: Nothing is coerced and a bool is not an int, so only values the engine
-#: can save, load and query get in.
+#: derived ``id`` and ``token_count``), checked by the loader and by
+#: :class:`Utterance`.  Nothing is coerced and a bool is not an int, so
+#: only values the engine can save, load and query get in.
 EVENT_FIELD_TYPES = {
-    "id": (str,),
     "session_id": (str,),
     "turn_index": (int,),
     "speaker": (str,),
@@ -188,15 +189,19 @@ class EventGraph:
 
 @dataclass(frozen=True, slots=True)
 class TopicNode:
-    """Consolidated theme: an abstract summary plus a link to its episode,
-    whose verbatim text is :func:`topic_raw`."""
+    """Consolidated theme: an abstract summary of one episode, whose
+    verbatim text is :func:`topic_raw`."""
 
     id: str
     summary: str
     keywords: tuple[str, ...]
     embedding: tuple[float, ...]
     created_at: int
-    source_archive_id: str
+
+    @property
+    def source_archive_id(self) -> str:
+        """The archive this theme consolidates: ``t{k}`` is ``a{k}``'s."""
+        return "a" + self.id[1:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,14 +315,10 @@ class MemorySnapshot:
         return {t.id: t.source_archive_id for t in self.topic_graph.nodes.values()}
 
 
-def _topic_archive(snapshot: MemorySnapshot, topic_id: str) -> EventGraph:
-    """The archive a theme was consolidated from."""
-    return snapshot.archive[snapshot.topic_graph.nodes[topic_id].source_archive_id]
-
-
 def topic_raw(snapshot: MemorySnapshot, topic_id: str) -> str:
     """Verbatim text of the episode a theme was built from."""
-    return raw_text(_topic_archive(snapshot, topic_id).nodes)
+    archive_id = snapshot.topic_graph.nodes[topic_id].source_archive_id
+    return raw_text(snapshot.archive[archive_id].nodes)
 
 
 def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
@@ -328,20 +329,23 @@ def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
 # id allocation
 
 
-#: The ids :func:`_id_after` writes, by prefix (event, topic, archive); the
-#: loader refuses any other, since allocation parses the digits back.
-ID_FORMAT = {prefix: re.compile(f"{prefix}[0-9]{{{_ID_WIDTH}}}") for prefix in "eta"}
-
-
 def position_id(prefix: str, position: int) -> str:
     """The id of the ``position``-th node of its kind, counting from 1."""
-    return f"{prefix}{position:0{_ID_WIDTH}d}"
+    return f"{prefix}{position:0{ID_WIDTH}d}"
+
+
+def position_ids(prefix: str, count: int) -> list[str]:
+    """The ids of the first ``count`` nodes of a kind, in creation order; a
+    ``ValueError`` when ``count`` is more than ``ID_WIDTH`` digits number."""
+    if count >= 10**ID_WIDTH:
+        raise ValueError(f"{count} {prefix} ids do not fit in {ID_WIDTH} digits")
+    return list(map(f"{prefix}%0{ID_WIDTH}d".__mod__, range(1, count + 1)))
 
 
 def _id_after(prefix: str, count: int) -> str:
     """The id at creation position ``count + 1``."""
-    if count + 1 >= 10**_ID_WIDTH:
-        raise StateError(f"{prefix} id counter exhausted at {_ID_WIDTH} digits")
+    if count + 1 >= 10**ID_WIDTH:
+        raise StateError(f"{prefix} id counter exhausted at {ID_WIDTH} digits")
     return position_id(prefix, count + 1)
 
 
@@ -484,9 +488,10 @@ def insert_topic_node(
     """Atomically add a theme plus its admitted edges.
 
     Rejects, before any mutation: duplicate node ids, an id other than
-    :func:`next_topic_id`, edges not touching the new node, dangling
-    endpoints, weights at or below the admission threshold, and source
-    archives that do not exist.
+    :func:`next_topic_id`, a theme ``t{k}`` while ``a{k}`` is not the newest
+    archive (``len(snapshot.archive) != k``), edges not touching the new
+    node, dangling endpoints, and weights at or below the admission
+    threshold.
     """
     graph = snapshot.topic_graph
     tau = snapshot.config.tau
@@ -495,8 +500,8 @@ def insert_topic_node(
     expected = next_topic_id(snapshot)
     if node.id != expected:
         raise ValueError(f"topic node id {node.id} is not the next id, {expected}")
-    if node.source_archive_id not in snapshot.archive:
-        raise ValueError(f"source archive {node.source_archive_id} not found")
+    if len(snapshot.archive) != len(graph.nodes) + 1:
+        raise ValueError(f"theme {node.id} needs {node.source_archive_id} as the newest archive")
     ends = set()
     for edge in edges:
         if node.id not in (edge.from_id, edge.to_id):
@@ -568,7 +573,6 @@ def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
 
 def _stored_event(node: EventNode) -> dict:
     return {
-        "id": node.id,
         "session_id": node.session_id,
         "turn_index": node.turn_index,
         "speaker": node.speaker,
@@ -584,12 +588,10 @@ def _stored_events(graph: EventGraph) -> list[dict]:
 
 def _stored_topic(node: TopicNode) -> dict:
     return {
-        "id": node.id,
         "summary": node.summary,
         "keywords": list(node.keywords),
         "embedding": [float(x) for x in node.embedding],
         "created_at": node.created_at,
-        "source_archive_id": node.source_archive_id,
     }
 
 
@@ -603,13 +605,12 @@ def _stored_edge(edge: TopicEdge) -> dict:
 
 
 #: The six members of the stored body, each with its writer; none writes a
-#: field the loader derives.
+#: field the loader derives, ids included: the k-th theme is ``t{k}``, the
+#: k-th archive ``a{k}``, and events count over the archives, then the buffer.
 STORED_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
-    "topic_nodes": lambda s: [
-        _stored_topic(s.topic_graph.nodes[k]) for k in sorted(s.topic_graph.nodes)
-    ],
+    "topic_nodes": lambda s: [_stored_topic(t) for t in s.topic_graph.nodes.values()],
     "topic_edges": lambda s: [_stored_edge(e) for e in s.topic_graph.edge_list()],
-    "archives": lambda s: {k: _stored_events(v) for k, v in s.archive.items()},
+    "archives": lambda s: [_stored_events(g) for g in s.archive.values()],
     "active_buffer": lambda s: _stored_events(s.active_event_graph),
     "config": lambda s: s.config.to_dict(),
     "logical_clock": lambda s: s.logical_clock,
@@ -617,12 +618,13 @@ STORED_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
 
 
 def _event_node_dict(node: EventNode) -> dict:
-    return {**_stored_event(node), "token_count": node.token_count}
+    return {**_stored_event(node), "id": node.id, "token_count": node.token_count}
 
 
 def _topic_node_dict(snapshot: MemorySnapshot, topic_id: str) -> dict:
-    theme = _stored_topic(snapshot.topic_graph.nodes[topic_id])
-    return {**theme, "raw": topic_raw(snapshot, topic_id)}
+    node = snapshot.topic_graph.nodes[topic_id]
+    derived = {"id": node.id, "source_archive_id": node.source_archive_id}
+    return {**_stored_topic(node), **derived, "raw": topic_raw(snapshot, topic_id)}
 
 
 def _topic_edge_dict(edge: TopicEdge) -> dict:
@@ -631,9 +633,9 @@ def _topic_edge_dict(edge: TopicEdge) -> dict:
 
 #: The seven top-level members of the hashed document, each with its writer:
 #: the stored members with the derived copies added (graph ids, event edges,
-#: ``cross_index``, each event's ``token_count``, each theme's ``raw`` and
-#: each edge's ``directed``), so the snapshot's identity does not depend on
-#: what the file leaves out.
+#: ``cross_index``, each event's ``id`` and ``token_count``, each theme's
+#: ``id``, ``source_archive_id`` and ``raw``, and each edge's ``directed``),
+#: so the snapshot's identity does not depend on what the file leaves out.
 SNAPSHOT_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: [_topic_node_dict(s, k) for k in sorted(s.topic_graph.nodes)],
     "topic_edges": lambda s: [_topic_edge_dict(e) for e in s.topic_graph.edge_list()],

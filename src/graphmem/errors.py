@@ -9,7 +9,8 @@ class StateError(GraphMemError):
     """An operation does not fit the memory it was applied to.
 
     Raised for archiving or boundary-checking an empty buffer, a verdict
-    split past the buffer, and an exhausted id counter.
+    split past the buffer, an exhausted id counter, and a save of a
+    snapshot whose ids are not their creation positions.
     """
 
 

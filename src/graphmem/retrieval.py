@@ -121,25 +121,20 @@ def anchor(topic_graph: TopicGraph, query_embedding: np.ndarray, k: int) -> Anch
 
 
 def drill_down(snapshot: MemorySnapshot, anchors: AnchorSet) -> list[CandidateEvent]:
-    """Collect the archived utterances behind every anchor, deduplicated.
+    """Collect the archived utterances behind every anchor, each once.
 
-    Anchors are visited in ascending id order and each archive contributes
-    once, so on any overlap a candidate keeps the smallest anchor id as its
-    provenance.  Event ids are unique across archives, so this is the same
-    as keeping each utterance once.
+    Distinct anchors are visited in ascending id order.  Each theme
+    consolidates an archive of its own (``t{k}`` is ``a{k}``'s), so no
+    utterance is reached twice.
     """
     candidates: list[CandidateEvent] = []
-    seen: set[str] = set()
-    for anchor_id in sorted(anchors.ids):
+    for anchor_id in sorted(set(anchors.ids)):
         if anchor_id not in snapshot.topic_graph.nodes:
             raise ValueError(f"unknown anchor {anchor_id}")
         archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
-        if archive_id in seen:
-            continue
         graph = snapshot.archive.get(archive_id)
         if graph is None:
             raise CorruptionError("cross-index-target-exists", archive_id)
-        seen.add(archive_id)
         candidates.extend(_graph_candidates(graph, archive_id, anchor_id))
     return candidates
 
@@ -151,9 +146,9 @@ def _graph_candidates(
     the graph as its derived ``candidates`` and reused while the provenance
     matches; a frozen archive is built once and shared by later snapshots."""
     cached = graph.candidates
-    # The first candidate carries the provenance of the whole tuple.
-    provenance = (archive_id, anchor_id)
-    if cached and (cached[0].source_archive_id, cached[0].anchor_topic_id) == provenance:
+    # The first candidate carries the provenance of the whole tuple; the
+    # anchor names the archive.
+    if cached and cached[0].anchor_topic_id == anchor_id:
         return cached
     built = tuple(CandidateEvent(node, archive_id, anchor_id) for node in graph.nodes)
     # A derived value: setting it changes nothing the graph saves or compares.
@@ -188,8 +183,12 @@ _FLAGS = tuple(IndicatorFlags(t, c, r) for t in (0, 1) for c in (0, 1) for r in 
 
 
 def _top_k(k: int | None, config: EngineConfig) -> int:
+    """``k``, or the configured default for ``None``; anything but an int
+    of at least 1 (a bool is not one) is a ``ValueError``."""
     if k is None:
         return config.retrieval_k
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, not {type(k).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
     return k
@@ -221,7 +220,8 @@ def rerank(
     given (the caller's checked query embedding), else embeds the query
     once; an embedding that is not ``embedding_dim`` finite numbers, or a
     cosine that is not finite, raises :class:`ProviderParseError`.  A ``k``
-    below 1 is a ``ValueError`` before any provider call.
+    that is not an int of at least 1 is a ``ValueError`` before any
+    provider call.
     """
     k = _top_k(k, config)
     nodes = [c.node for c in candidates]
@@ -309,9 +309,10 @@ def retrieve(
     k: int | None = None,
 ) -> list[RankedCandidate]:
     """Full three-stage pipeline over one immutable snapshot; the live
-    buffer is always a candidate source.  A ``k`` below 1 is a
-    ``ValueError`` before the query is embedded; a query embedding that is
-    not ``embedding_dim`` finite numbers raises :class:`ProviderParseError`."""
+    buffer is always a candidate source.  A ``k`` that is not an int of at
+    least 1 is a ``ValueError`` before the query is embedded; a query
+    embedding that is not ``embedding_dim`` finite numbers raises
+    :class:`ProviderParseError`."""
     config = snapshot.config
     k = _top_k(k, config)
     query_vector = checked_vector(

@@ -1,13 +1,14 @@
 """Snapshot persistence and the exact-scan vector index.
 
-Files are single JSON documents in format 2.0: the stored body, whose six
+Files are single JSON documents in format 3.0: the stored body, whose six
 members ``graphmem.core`` defines and encodes (``STORED_MEMBERS``), plus a
 ``format_version`` and a ``content_hash`` header over the body, so equal
 snapshots produce byte-equal files and any corruption is named on load.
-The body stores each fact once; what follows from it (graph ids, event
-edges, ``cross_index``, token counts, each theme's ``raw`` and each edge's
-``directed``) is derived on load, not read.  A 1.x file is refused as
-``format-version-known``.  ``content_hash`` checks the file's integrity;
+The body stores each fact once; what follows from it (every id, which is
+a position, graph ids, event edges, ``cross_index``, token counts, each
+theme's ``raw`` and each edge's ``directed``) is derived on load, not read.
+A 1.x or 2.x file is refused as ``format-version-known``.  ``content_hash``
+checks the file's integrity;
 a snapshot's identity is ``core.snapshot_hash``, over the hashed document
 with the derived copies, which no file format changes.  ``save`` encodes
 the body once, inserts the header where its keys sort, and keeps the file
@@ -20,10 +21,9 @@ snapshot rewrites its file byte for byte, and returns a snapshot that
 keeps no file until its first save.
 It works a field at a time: each event, theme and edge field is taken out
 as one list and type-checked in that pass, nodes and edges are built from
-those columns, and :func:`validate_snapshot` checks each invariant over a
-whole column, ids included: each kind must be its creation positions
-(``id-sequence``).  The theme norms come from the topic graph's vector
-index, which the loaded graph keeps.
+those columns and the derived ids, and :func:`validate_snapshot` checks
+each invariant over a whole column.  The theme norms come from the topic
+graph's vector index, which the loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -39,7 +39,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import secrets
 import stat
 import threading
@@ -53,7 +52,6 @@ import numpy as np
 from .config import EngineConfig, estimate_tokens
 from .core import (
     EVENT_FIELD_TYPES,
-    ID_FORMAT,
     STORED_MEMBERS,
     EventGraph,
     EventNode,
@@ -66,10 +64,11 @@ from .core import (
     edge_key,
     from_columns,
     position_id,
+    position_ids,
 )
-from .errors import CorruptionError, ProviderParseError
+from .errors import CorruptionError, ProviderParseError, StateError
 
-FORMAT_VERSION = "2.0"
+FORMAT_VERSION = "3.0"
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +222,14 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     and writes it with the header inserted at its place among the sorted
     keys, and keeps the file's bytes on the snapshot
     (``MemorySnapshot.saved_bytes``); a later save of the same object writes
-    those bytes without encoding.
+    those bytes without encoding.  Before it encodes, a snapshot whose ids
+    are not their creation positions, or whose archive count is not its
+    theme count, raises :class:`StateError` and nothing is written: its
+    file would load as another snapshot, or not at all.
     """
     payload = snapshot.saved_bytes
     if payload is None:
+        _check_positions(snapshot)
         body = canonical_json({name: write(snapshot) for name, write in STORED_MEMBERS.items()})
         # The header's keys sort just before logical_clock; searched from
         # the end, as no later member has keys of its own choosing.
@@ -258,6 +261,28 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+
+
+def _check_positions(snapshot: MemorySnapshot) -> None:
+    """Raise :class:`StateError` unless a load of the file of ``snapshot``
+    gives it back: the archives, themes and events (over the archives in
+    order, then the buffer) must each be their creation positions, and the
+    archives as many as the themes."""
+    themes, archives = snapshot.topic_graph.nodes.values(), snapshot.archive
+    if len(archives) != len(themes):
+        raise StateError(f"{len(archives)} archives for {len(themes)} themes")
+    graphs = (*archives.values(), snapshot.active_event_graph)
+    nodes = chain.from_iterable(map(attrgetter("nodes"), graphs))
+    kinds = {
+        "a": list(archives),
+        "t": list(map(attrgetter("id"), themes)),
+        "e": list(map(attrgetter("id"), nodes)),
+    }
+    for prefix, ids in kinds.items():
+        expected = position_ids(prefix, len(ids))
+        if ids != expected:
+            found, position = next((i, p) for i, p in zip(ids, expected) if i != p)
+            raise StateError(f"id {found} is not its creation position, {position}")
 
 
 def load(path: str | os.PathLike) -> MemorySnapshot:
@@ -298,11 +323,17 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
-    graphs = [*body["archives"].values(), body["active_buffer"]]
-    events = _columns(list(chain.from_iterable(graphs)), EVENT_FIELD_TYPES)
-    themes = _columns(body["topic_nodes"], _TOPIC_TYPES)
-    links = _columns(body["topic_edges"], _EDGE_TYPES)
-    theme_ids = themes["id"]
+    graphs = [*body["archives"], body["active_buffer"]]
+    events = _columns(list(chain.from_iterable(graphs)), EVENT_FIELD_TYPES, "e")
+    themes = _columns(body["topic_nodes"], _TOPIC_TYPES, "t")
+    links = _columns(body["topic_edges"], _EDGE_TYPES, None)
+    # Each id is a position: events count over the archives, then the buffer.
+    try:
+        events["id"] = position_ids("e", len(events["text"]))
+        theme_ids = position_ids("t", len(body["topic_nodes"]))
+        archive_ids = position_ids("a", len(body["archives"]))
+    except ValueError as exc:
+        raise CorruptionError("id-width", str(exc)) from exc
     for name, item_type in (("keywords", str), ("embedding", float)):
         if not set(map(type, chain.from_iterable(themes[name]))) <= {item_type}:
             where = next(
@@ -317,7 +348,6 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
         list(map(tuple, themes["keywords"])),
         list(map(tuple, themes["embedding"])),
         themes["created_at"],
-        themes["source_archive_id"],
     )
     topic_nodes = dict(zip(theme_ids, from_columns(TopicNode, theme_columns)))
 
@@ -355,11 +385,11 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
         config=config,
         topic_graph=TopicGraph(topic_nodes, edges),
         active_event_graph=rebuilt.pop(),
-        archive=dict(zip(body["archives"], rebuilt)),
+        archive=dict(zip(archive_ids, rebuilt)),
         logical_clock=clock,
     )
     validate_snapshot(snapshot)
-    _check_written_form(body, graphs, theme_ids, keys, snapshot)
+    _check_written_form(body, graphs, keys, snapshot)
     return snapshot
 
 
@@ -392,19 +422,17 @@ def _all_finite(columns: list[list[float]]) -> bool:
     )
 
 
-def _check_written_form(
-    body: dict, graphs: list, theme_ids: list, keys: list, snapshot: MemorySnapshot
-) -> None:
+def _check_written_form(body: dict, graphs: list, keys: list, snapshot: MemorySnapshot) -> None:
     """Reject a body that ``save`` would not write for ``snapshot``, in ways
     the rebuilt snapshot would hide, so that saving a loaded snapshot
-    rewrites its file byte for byte: themes and edges out of key order or
-    repeated, an empty list written as another empty value, or a config
-    whose keys or number types differ from the stored config's.  (An entry
-    with an unwritten key was refused when its columns were taken.)"""
-    _require("topic-order", map(lt, theme_ids, theme_ids[1:]), theme_ids[1:])
+    rewrites its file byte for byte: edges out of key order or repeated, an
+    empty list written as another empty value, or a config whose keys or
+    number types differ from the stored config's.  (An entry with an
+    unwritten key was refused when its columns were taken.)"""
     _require("edge-order", map(lt, keys, keys[1:]), keys[1:])
-    if not set(map(type, [body["topic_nodes"], body["topic_edges"], *graphs])) <= {list}:
-        raise CorruptionError("document-schema", "themes, edges or event nodes not in a list")
+    lists = [body["topic_nodes"], body["topic_edges"], body["archives"], *graphs]
+    if not set(map(type, lists)) <= {list}:
+        raise CorruptionError("document-schema", "themes, edges, archives or events not in a list")
     if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
         raise CorruptionError("document-schema", "config differs from the stored form")
 
@@ -414,12 +442,10 @@ def _check_written_form(
 #: an int, so a file loads only with values the engine could have written;
 #: any other value would fail later, in a query or an append.
 _TOPIC_TYPES = {
-    "id": (str,),
     "summary": (str,),
     "keywords": (list,),
     "embedding": (list,),
     "created_at": (int,),
-    "source_archive_id": (str,),
 }
 _EDGE_TYPES = {
     "from_id": (str,),
@@ -430,20 +456,25 @@ _EDGE_TYPES = {
 _RELATIONS = {relation.value: relation for relation in Relation}
 
 
-def _columns(entries: list, types: dict[str, tuple[type, ...]]) -> dict[str, list]:
+def _columns(
+    entries: list, types: dict[str, tuple[type, ...]], prefix: str | None
+) -> dict[str, list]:
     """Each field of ``entries`` as one list, in the order of ``types``.
 
     A value whose type ``types`` does not allow is ``field-type``, naming
-    the field and the first such entry; an entry with a key outside
-    ``types`` is ``document-schema`` (a missing key is a ``KeyError``).
+    the field and the first such entry: by the id its position gives it,
+    with ``prefix``, or else (an edge) by its ends; an entry with a key
+    outside ``types`` is ``document-schema`` (a missing key is a
+    ``KeyError``).
     """
     columns = {}
     for name, allowed in types.items():
         column = columns[name] = list(map(itemgetter(name), entries))
         # One pass per field in C; only a failure looks for its entry.
         if not set(map(type, column)) <= set(allowed):
-            entry = next(e for e in entries if type(e[name]) not in allowed)
-            where = entry.get("id") or f"{entry.get('from_id')}-{entry.get('to_id')}"
+            at = next(i for i, value in enumerate(column) if type(value) not in allowed)
+            ends = f"{entries[at].get('from_id')}-{entries[at].get('to_id')}"
+            where = position_id(prefix, at + 1) if prefix else ends
             raise CorruptionError("field-type", f"{where} {name}")
     # Every key of ``types`` is present, so a longer entry has another.
     if set(map(len, entries)) - {len(types)}:
@@ -455,39 +486,31 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     """Check every structural invariant, naming the first one that fails.
 
     Each invariant is checked over a whole column at once, in this order:
-    archive ids, their sequence, non-empty archives; event ids, their order,
-    their sequence, turn indices, texts; theme ids, their sequence,
-    summaries, embedding sizes, norms, source archives; edge endpoints,
-    weights; one theme per archive.  The first entry that breaks the first
+    the archive count (the theme count: each theme has its own archive),
+    non-empty archives; turn indices, texts; summaries, embedding sizes,
+    norms; edge endpoints, weights.  The first entry that breaks the first
     failing invariant is named.  The norms come from the topic graph's
     vector index (built here if the graph has none), as NumPy computes them.
+    Ids are not checked: a load derives them from positions.
     """
     config = snapshot.config
-    archive_ids = sorted(snapshot.archive)
-    _check_ids("a", archive_ids)
-    _check_sequence("a", archive_ids)
-    archives = list(map(snapshot.archive.__getitem__, archive_ids))
-    _require("archive-non-empty", map(len, archives), archive_ids)
+    graph = snapshot.topic_graph
+    themes = list(graph.nodes.values())
+    archive_count = len(snapshot.archive)
+    if archive_count != len(themes):
+        raise CorruptionError("archive-count", f"{archive_count} archives for {len(themes)} themes")
+    archives = list(snapshot.archive.values())
+    _require("archive-non-empty", map(len, archives), list(snapshot.archive))
 
-    # Event ids rise through the archives in id order and then the buffer,
-    # which makes them unique and lets allocation read only the newest one.
     graphs = [*archives, snapshot.active_event_graph]
     nodes = list(chain.from_iterable(map(attrgetter("nodes"), graphs)))
     ids = list(map(attrgetter("id"), nodes))
-    _check_ids("e", ids)
-    _require("event-id-order", map(lt, ids, ids[1:]), ids[1:])
-    _check_sequence("e", ids)
     turns = map(attrgetter("turn_index"), nodes)
     _require("turn-index-non-negative", map(ge, turns, repeat(0)), ids)
     # Utterance refuses a blank text, so no turn the engine stored has one.
     _require("text-non-empty", map(str.strip, map(attrgetter("text"), nodes)), ids)
 
-    graph = snapshot.topic_graph
-    themes = list(graph.nodes.values())
     theme_ids = list(map(attrgetter("id"), themes))
-    _check_ids("t", theme_ids)
-    # Sorted in linear time: a file that loads lists its themes in order.
-    _check_sequence("t", sorted(theme_ids))
     # Relation scoring refuses a blank summary in the next consolidation.
     _require("summary-non-empty", map(str.strip, map(attrgetter("summary"), themes)), theme_ids)
     sizes = map(len, map(attrgetter("embedding"), themes))
@@ -498,8 +521,6 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
         # Written so that NaN fails.
         unit = (np.abs(norms - 1.0) <= 1e-6).tolist()
     _require("embedding-unit-norm", unit, index.ids)
-    sources = list(map(attrgetter("source_archive_id"), themes))
-    _require("source-archive-exists", map(snapshot.archive.__contains__, sources), theme_ids)
 
     keys, edges = list(graph.edges), list(graph.edges.values())
     froms, tos = list(map(attrgetter("from_id"), edges)), list(map(attrgetter("to_id"), edges))
@@ -510,9 +531,6 @@ def validate_snapshot(snapshot: MemorySnapshot) -> None:
     weights = map(attrgetter("weight"), edges)
     _require("edge-weight-above-tau", map(gt, weights, repeat(config.tau)), keys)
 
-    if len(sources) != len(set(sources)):
-        raise CorruptionError("cross-index-injective")
-
 
 def _require(invariant: str, checks: Iterable[object], names: Sequence[object]) -> None:
     """Raise ``invariant`` naming the first of ``names`` whose check is false."""
@@ -520,28 +538,3 @@ def _require(invariant: str, checks: Iterable[object], names: Sequence[object]) 
     if not all(checks):
         raise CorruptionError(invariant, str(next(n for c, n in zip(checks, names) if not c)))
 
-
-#: A whole list of ids in the form the engine writes, joined by newlines.
-_ID_LISTS = {
-    prefix: re.compile(f"{pattern.pattern}(?:\n{pattern.pattern})*")
-    for prefix, pattern in ID_FORMAT.items()
-}
-
-
-def _check_sequence(prefix: str, ids: list[str]) -> None:
-    """Raise ``id-sequence`` unless ``ids``, distinct, in the engine's form
-    and sorted, run from the first creation position to the ``len(ids)``-th:
-    then they are exactly the ids the engine allocates, with no gap."""
-    if ids and (ids[0], ids[-1]) != (position_id(prefix, 1), position_id(prefix, len(ids))):
-        raise CorruptionError("id-sequence", f"{len(ids)} ids from {ids[0]} to {ids[-1]}")
-
-
-def _check_ids(prefix: str, ids: list[str]) -> None:
-    """Raise ``id-format`` naming the first of ``ids`` that is not of the
-    form the engine writes."""
-    joined = "\n".join(ids)
-    # One match over all ids at once; the newline count shows that no id
-    # holds a newline of its own.
-    if not ids or (joined.count("\n") == len(ids) - 1 and _ID_LISTS[prefix].fullmatch(joined)):
-        return
-    _require("id-format", map(ID_FORMAT[prefix].fullmatch, ids), ids)

@@ -114,7 +114,6 @@ def random_snapshot(
             keywords=(f"subject{i}",),
             embedding=unit_vector(rng, config.embedding_dim),
             created_at=i,
-            source_archive_id=archive_id,
         )
 
     edges = {}

@@ -575,14 +575,13 @@ def reference_consolidate(snapshot, segment, providers):
         for topic_id, label, weight in scored
         if label != UNRELATED and weight > config.tau
     ]
-    archive_id, archived = archive_segment(snapshot, len(segment), flags)
+    _, archived = archive_segment(snapshot, len(segment), flags)
     node = TopicNode(
         id=new_id,
         summary=summary,
         keywords=tuple(summary_result.keywords),
         embedding=tuple(float(x) for x in embedding),
         created_at=archived.logical_clock,
-        source_archive_id=archive_id,
     )
     fields = {
         "candidate_pool": tuple(candidates),

@@ -72,8 +72,8 @@ def with_extra_archive(snapshot, n_events=2):
     return archive_id, replace(snapshot, archive=archives)
 
 
-def fresh_topic(snapshot, archive_id, node_id=None, rng=None):
-    """A theme on ``archive_id``, by default under the next topic id."""
+def fresh_topic(snapshot, node_id=None, rng=None):
+    """A theme, by default under the next topic id."""
     rng = rng or random.Random(0)
     return TopicNode(
         id=node_id or next_topic_id(snapshot),
@@ -81,7 +81,6 @@ def fresh_topic(snapshot, archive_id, node_id=None, rng=None):
         keywords=("fresh",),
         embedding=unit_vector(rng, snapshot.config.embedding_dim),
         created_at=snapshot.logical_clock + 1,
-        source_archive_id=archive_id,
     )
 
 
@@ -247,11 +246,11 @@ class TestIdSequence:
 
     def test_a_theme_id_other_than_the_next_is_refused(self):
         base = random_snapshot(random.Random(4), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
+        _, snap = with_extra_archive(base)
         for node_id in ("t000004", "t000099", "t3"):
             with pytest.raises(ValueError, match="not the next id, t000003"):
-                insert_topic_node(snap, fresh_topic(snap, archive_id, node_id), [])
-        inserted = insert_topic_node(snap, fresh_topic(snap, archive_id), [])
+                insert_topic_node(snap, fresh_topic(snap, node_id), [])
+        inserted = insert_topic_node(snap, fresh_topic(snap), [])
         assert "t000003" in inserted.topic_graph.nodes
 
     def test_an_archive_id_already_taken_is_a_state_error(self):
@@ -382,8 +381,8 @@ class TestCarriedTurnMaxima:
         snap = new_snapshot()
         for i in range(5):
             snap = append_event(snap, Utterance("s1", "ana", f"turn {i}", None, turn_index=i))
-        archive_id, snap = archive_segment(snap, 3, [True] * 3)
-        snap = insert_topic_node(snap, fresh_topic(snap, archive_id), [])
+        _, snap = archive_segment(snap, 3, [True] * 3)
+        snap = insert_topic_node(snap, fresh_topic(snap), [])
         assert snap.turn_max is None
         monkeypatch.undo()
         snap = append_event(snap, utt("a derived turn"))
@@ -396,9 +395,9 @@ class TestCarriedTurnMaxima:
         snap = append_event(append_event(new_snapshot(), utt("one turn")), utt("two turns"))
         built = snap.turn_max
         assert built == {"s1": 1}
-        archive_id, archived = archive_segment(snap, 1, [False])
+        _, archived = archive_segment(snap, 1, [False])
         assert archived.turn_max is built
-        inserted = insert_topic_node(archived, fresh_topic(archived, archive_id), [])
+        inserted = insert_topic_node(archived, fresh_topic(archived), [])
         assert inserted.turn_max is built
         assert built == {"s1": 1}
 
@@ -421,7 +420,7 @@ class TestCarriedTurnMaxima:
 class TestInsertTopicNode:
     def test_first_node_into_empty_graph(self):
         archive_id, snap = with_extra_archive(new_snapshot())
-        node = fresh_topic(snap, archive_id, "t000001")
+        node = fresh_topic(snap, "t000001")
         snap = insert_topic_node(snap, node, [])
         assert set(snap.topic_graph.nodes) == {"t000001"}
         assert snap.topic_graph.edges == {}
@@ -429,8 +428,8 @@ class TestInsertTopicNode:
 
     def test_edges_above_threshold_stored(self):
         base = random_snapshot(random.Random(5), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         edges = [
             TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.9),
             TopicEdge(node.id, "t000002", Relation.SEMANTIC, 0.8),
@@ -441,8 +440,8 @@ class TestInsertTopicNode:
 
     def test_low_weight_edge_rejected_before_any_mutation(self):
         base = random_snapshot(random.Random(6), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         before = snapshot_bytes(snap)
         admitted = [w for w in (0.9, 0.4) if w > snap.config.tau]
         assert admitted == [0.9]  # oracle: only weights above tau survive
@@ -456,45 +455,59 @@ class TestInsertTopicNode:
 
     def test_nan_weight_edge_rejected(self):
         base = random_snapshot(random.Random(6), 1, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         edge = TopicEdge(node.id, "t000001", Relation.SUPPORT, float("nan"))
         with pytest.raises(ValueError, match="tau"):
             insert_topic_node(snap, node, [edge])
 
     def test_duplicate_node_id_rejected(self):
         base = random_snapshot(random.Random(7), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id, node_id="t000001")
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap, node_id="t000001")
         with pytest.raises(ValueError, match="duplicate"):
             insert_topic_node(snap, node, [])
 
     def test_dangling_endpoint_rejected(self):
         base = random_snapshot(random.Random(8), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         edge = TopicEdge(node.id, "t999999", Relation.SEMANTIC, 0.9)
         with pytest.raises(ValueError, match="dangling"):
             insert_topic_node(snap, node, [edge])
 
     def test_edge_not_touching_node_rejected(self):
         base = random_snapshot(random.Random(9), 2, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         edge = TopicEdge("t000001", "t000002", Relation.SEMANTIC, 0.9)
         with pytest.raises(ValueError, match="touch"):
             insert_topic_node(snap, node, [edge])
 
-    def test_missing_source_archive_rejected(self):
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_a_theme_whose_archive_is_not_the_newest_is_refused(self, extra):
+        # Theme t000003 goes in only while a000003 is the newest archive:
+        # not before it exists, and not once a later one does.
         snap = random_snapshot(random.Random(10), 2, edge_probability=0.0)
-        node = fresh_topic(snap, "a009999")
-        with pytest.raises(ValueError, match="archive"):
+        for _ in range(extra):
+            _, snap = with_extra_archive(snap)
+        node = fresh_topic(snap)
+        assert node.source_archive_id == "a000003"
+        with pytest.raises(ValueError, match="a000003 as the newest archive"):
             insert_topic_node(snap, node, [])
+
+    def test_a_theme_consolidates_the_archive_of_its_number(self):
+        node = TopicNode("t000042", "about hello", ("hello",), (1.0, 0.0), 1)
+        assert node.source_archive_id == "a000042"
+        archive_id, snap = with_extra_archive(random_snapshot(random.Random(10), 2))
+        inserted = insert_topic_node(snap, fresh_topic(snap), [])
+        assert inserted.cross_index == {f"t{k:06d}": f"a{k:06d}" for k in (1, 2, 3)}
+        assert archive_id == "a000003"
 
     def test_one_edge_per_pair_higher_weight_wins(self):
         base = random_snapshot(random.Random(11), 1, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         lower = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.7)
         higher = TopicEdge("t000001", node.id, Relation.SEMANTIC, 0.9)
         snap_a = insert_topic_node(snap, node, [lower, higher])
@@ -507,8 +520,8 @@ class TestInsertTopicNode:
 
     def test_equal_weight_keeps_first(self):
         base = random_snapshot(random.Random(12), 1, edge_probability=0.0)
-        archive_id, snap = with_extra_archive(base)
-        node = fresh_topic(snap, archive_id)
+        _, snap = with_extra_archive(base)
+        node = fresh_topic(snap)
         first = TopicEdge(node.id, "t000001", Relation.SUPPORT, 0.8)
         second = TopicEdge(node.id, "t000001", Relation.SEMANTIC, 0.8)
         result = insert_topic_node(snap, node, [first, second])
@@ -580,8 +593,8 @@ class TestNeighbors:
 
     @staticmethod
     def _theme(snapshot, topic_id):
-        archive_id, snapshot = with_extra_archive(snapshot)
-        return snapshot, fresh_topic(snapshot, archive_id, topic_id)
+        _, snapshot = with_extra_archive(snapshot)
+        return snapshot, fresh_topic(snapshot, topic_id)
 
 
 class TestSerialization:
@@ -623,7 +636,7 @@ class TestSerialization:
     "value",
     [
         EventNode("e000001", "s1", 0, "ana", "hello there", None, 2),
-        TopicNode("t000001", "about hello", ("hello",), (1.0, 0.0), 1, "a000001"),
+        TopicNode("t000001", "about hello", ("hello",), (1.0, 0.0), 1),
         TopicEdge("t000001", "t000002", Relation.CAUSAL, 0.5),
     ],
     ids=lambda value: type(value).__name__,
@@ -636,8 +649,10 @@ def test_stored_records_are_slotted(value):
 
 def test_event_field_types_follow_the_node_fields():
     # The loader type-checks each field an event is stored with: every node
-    # field but the token count, which it derives from the text.
-    assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode) if f.name != "token_count"]
+    # field but the id and the token count, which it derives from the
+    # node's position and its text.
+    derived = ("id", "token_count")
+    assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode) if f.name not in derived]
     snap = append_event(new_snapshot(), utt("hello there"))
     assert list(STORED_MEMBERS["active_buffer"](snap)[0]) == list(EVENT_FIELD_TYPES)
 
@@ -652,7 +667,7 @@ def test_event_field_types_follow_the_node_fields():
                 ("e000002", "s1", 1, "riley", "another line", "2026-01-05T09:00:00", 2, False),
             ],
         ),
-        (TopicNode, [("t000001", "summary", ("word",), (1.0, 0.0), 3, "a000001")]),
+        (TopicNode, [("t000001", "summary", ("word",), (1.0, 0.0), 3)]),
         (
             TopicEdge,
             [("t000001", "t000002", Relation.CAUSAL, 0.75), ("t000001", "t000003", Relation.SEMANTIC, 0.5)],

@@ -1,9 +1,9 @@
 """Whole-document mutations, checked against reference loaders.
 
-``reference_load`` is a per-record loader of format 2.0 files, the oracle
+``reference_load`` is a per-record loader of format 3.0 files, the oracle
 of the column passes of ``graphmem.store``.  ``reference_load_v1`` reads
 the 1.0 document, which spells out every derived copy, record by record
-and checks each copy; it is the oracle for what a 2.0 file leaves out.
+and checks each copy; it is the oracle for what a 3.0 file leaves out.
 
 Every mutant edits one place in a saved document (a type swap, a deleted
 key or entry, a huge or negative int, an empty string, a bare ``NaN``) and
@@ -25,14 +25,12 @@ import hashlib
 import json
 import math
 import random
-from operator import itemgetter
 
 import pytest
 
 from graphmem.config import EngineConfig, estimate_tokens
 from graphmem.core import (
     EVENT_FIELD_TYPES,
-    ID_FORMAT,
     LIVE_BUFFER_ID,
     SEQUENTIAL,
     STORED_MEMBERS,
@@ -63,7 +61,7 @@ from conftest import body_hash, random_snapshot, write_rehashed
 from test_acceptance import STRATEGY_MATRIX
 
 # ---------------------------------------------------------------------------
-# the reference loader: per-record walks over a 2.0 file
+# the reference loader: per-record walks over a 3.0 file
 
 
 def reference_load(path):
@@ -104,26 +102,30 @@ def _reconstruct(document, raw):
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
-    graphs = [*body["archives"].values(), body["active_buffer"]]
-    _check_types([entry for graph in graphs for entry in graph], EVENT_FIELD_TYPES)
-    _check_types(body["topic_nodes"], _TOPIC_TYPES)
-    _check_types(body["topic_edges"], _EDGE_TYPES)
+    graphs = [*body["archives"], body["active_buffer"]]
+    events = [entry for graph in graphs for entry in graph]
+    _check_types(events, EVENT_FIELD_TYPES, "e")
+    _check_types(body["topic_nodes"], _TOPIC_TYPES, "t")
+    _check_types(body["topic_edges"], _EDGE_TYPES, None)
+    for prefix, entries in (("e", events), ("t", body["topic_nodes"]), ("a", body["archives"])):
+        if len(entries) >= 10**6:
+            raise CorruptionError("id-width", f"{len(entries)} {prefix} ids")
+    # Each id is the entry's position, counted from 1.
     topic_nodes = {}
-    for entry in body["topic_nodes"]:
+    for position, entry in enumerate(body["topic_nodes"], 1):
+        theme_id = f"t{position:06d}"
         for name, item_type in (("keywords", str), ("embedding", float)):
             if not set(map(type, entry[name])) <= {item_type}:
-                raise CorruptionError("field-type", f"{entry['id']} {name}")
+                raise CorruptionError("field-type", f"{theme_id} {name}")
         if not all(map(math.isfinite, entry["embedding"])):
-            raise CorruptionError("document-schema", f"{entry['id']} embedding")
-        node = TopicNode(
-            id=entry["id"],
+            raise CorruptionError("document-schema", f"{theme_id} embedding")
+        topic_nodes[theme_id] = TopicNode(
+            id=theme_id,
             summary=entry["summary"],
             keywords=tuple(entry["keywords"]),
             embedding=tuple(entry["embedding"]),
             created_at=entry["created_at"],
-            source_archive_id=entry["source_archive_id"],
         )
-        topic_nodes[node.id] = node
 
     edges = {}
     for entry in body["topic_edges"]:
@@ -137,12 +139,12 @@ def _reconstruct(document, raw):
         )
         edges[edge_key(edge.from_id, edge.to_id)] = edge
 
-    strings = {}
+    strings, numbers = {}, iter(range(1, len(events) + 1))
     archives = {
-        archive_id: _rebuild_graph(entries, strings)
-        for archive_id, entries in body["archives"].items()
+        f"a{position:06d}": _rebuild_graph(entries, strings, numbers)
+        for position, entries in enumerate(body["archives"], 1)
     }
-    buffer = _rebuild_graph(body["active_buffer"], strings)
+    buffer = _rebuild_graph(body["active_buffer"], strings, numbers)
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
@@ -160,11 +162,8 @@ def _reconstruct(document, raw):
 
 
 def _check_written_form(body, snapshot):
-    ids = [entry["id"] for entry in body["topic_nodes"]]
-    if (unsorted := _first_unsorted(ids)) is not None:
-        raise CorruptionError("topic-order", unsorted)
     keys = [edge_key(entry["from_id"], entry["to_id"]) for entry in body["topic_edges"]]
-    if (unsorted := _first_unsorted(keys)) is not None:
+    if (unsorted := next((b for a, b in zip(keys, keys[1:]) if not a < b), None)) is not None:
         raise CorruptionError("edge-order", str(unsorted))
     for entries, names in (
         (body["topic_nodes"], _TOPIC_TYPES.keys()),
@@ -176,28 +175,26 @@ def _check_written_form(body, snapshot):
         raise CorruptionError("document-schema", "config differs from the stored form")
 
 
-def _first_unsorted(keys):
-    return next((b for a, b in zip(keys, keys[1:]) if not a < b), None)
-
-
-def _rebuild_graph(entries, strings):
+def _rebuild_graph(entries, strings, numbers):
+    """The graph of ``entries``, each numbered by the next of ``numbers``."""
     share = strings.setdefault
     for entry in entries:
         entry["session_id"] = share(entry["session_id"], entry["session_id"])
         entry["speaker"] = share(entry["speaker"], entry["speaker"])
         entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
     return EventGraph(
-        tuple(EventNode(**entry, token_count=estimate_tokens(entry["text"])) for entry in entries)
+        tuple(
+            EventNode(id=f"e{next(numbers):06d}", **entry, token_count=estimate_tokens(entry["text"]))
+            for entry in entries
+        )
     )
 
 
 _TOPIC_TYPES = {
-    "id": (str,),
     "summary": (str,),
     "keywords": (list,),
     "embedding": (list,),
     "created_at": (int,),
-    "source_archive_id": (str,),
 }
 _EDGE_TYPES = {
     "from_id": (str,),
@@ -207,39 +204,37 @@ _EDGE_TYPES = {
 }
 
 
-def _check_types(entries, types):
+def _check_types(entries, types, prefix):
+    """Each field's type over every entry; a failure names the entry by the
+    id its position gives it (``prefix``) or, for an edge, its ends."""
     for name, allowed in types.items():
-        if not set(map(type, map(itemgetter(name), entries))) <= set(allowed):
-            entry = next(e for e in entries if type(e[name]) not in allowed)
-            where = entry.get("id") or f"{entry.get('from_id')}-{entry.get('to_id')}"
-            raise CorruptionError("field-type", f"{where} {name}")
+        for position, entry in enumerate(entries, 1):
+            if type(entry[name]) not in allowed:
+                where = (
+                    f"{prefix}{position:06d}"
+                    if prefix
+                    else f"{entry.get('from_id')}-{entry.get('to_id')}"
+                )
+                raise CorruptionError("field-type", f"{where} {name}")
 
 
 def reference_validate(snapshot):
     config = snapshot.config
-    for archive_id, graph in snapshot.archive.items():
-        _check_id_format("a", archive_id)
-        if not graph.nodes:
+    graph = snapshot.topic_graph
+    # Theme t{k} consolidates archive a{k}.
+    if len(snapshot.archive) != len(graph.nodes):
+        raise CorruptionError("archive-count")
+    for archive_id, events in snapshot.archive.items():
+        if not events.nodes:
             raise CorruptionError("archive-non-empty", archive_id)
-    _check_sequence("a", sorted(snapshot.archive))
-
-    previous = ""
-    archives = [snapshot.archive[k] for k in sorted(snapshot.archive)]
-    for graph in [*archives, snapshot.active_event_graph]:
-        for node in graph.nodes:
-            _check_id_format("e", node.id)
-            if node.id <= previous:
-                raise CorruptionError("event-id-order", node.id)
-            previous = node.id
+    for events in [*snapshot.archive.values(), snapshot.active_event_graph]:
+        for node in events.nodes:
             if node.turn_index < 0:
                 raise CorruptionError("turn-index-non-negative", node.id)
             if not node.text.strip():
                 raise CorruptionError("text-non-empty", node.id)
-    _check_sequence("e", [n.id for g in [*archives, snapshot.active_event_graph] for n in g.nodes])
 
-    graph = snapshot.topic_graph
     for node in graph.nodes.values():
-        _check_id_format("t", node.id)
         if not node.summary.strip():
             raise CorruptionError("summary-non-empty", node.id)
         if len(node.embedding) != config.embedding_dim:
@@ -247,30 +242,11 @@ def reference_validate(snapshot):
         norm = math.sqrt(sum(x * x for x in node.embedding))
         if not abs(norm - 1.0) <= 1e-6:
             raise CorruptionError("embedding-unit-norm", node.id)
-        if node.source_archive_id not in snapshot.archive:
-            raise CorruptionError("source-archive-exists", node.id)
-    _check_sequence("t", sorted(graph.nodes))
     for key, edge in graph.edges.items():
         if edge.from_id not in graph.nodes or edge.to_id not in graph.nodes:
             raise CorruptionError("topic-edge-endpoints", str(key))
         if not edge.weight > config.tau:
             raise CorruptionError("edge-weight-above-tau", str(key))
-
-    sources = [node.source_archive_id for node in graph.nodes.values()]
-    if len(sources) != len(set(sources)):
-        raise CorruptionError("cross-index-injective")
-
-
-def _check_sequence(prefix, ids):
-    """Each id, in order, names its creation position."""
-    for position, identifier in enumerate(ids, 1):
-        if identifier != f"{prefix}{position:06d}":
-            raise CorruptionError("id-sequence", identifier)
-
-
-def _check_id_format(prefix, identifier):
-    if not ID_FORMAT[prefix].fullmatch(identifier):
-        raise CorruptionError("id-format", identifier)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +263,6 @@ def reference_load_v1(document):
             tuple(entry["keywords"]),
             tuple(entry["embedding"]),
             entry["created_at"],
-            entry["source_archive_id"],
         )
         for entry in document["topic_nodes"]
     }
@@ -305,6 +280,7 @@ def reference_load_v1(document):
     )
     assert document["cross_index"] == {k: v.source_archive_id for k, v in topic_nodes.items()}
     for entry in document["topic_nodes"]:
+        assert entry["source_archive_id"] == topic_nodes[entry["id"]].source_archive_id
         assert entry["raw"] == topic_raw(snapshot, entry["id"])
     reference_validate(snapshot)
     return snapshot

@@ -239,12 +239,12 @@ class TestDrillDown:
 
     def test_dangling_cross_link_is_corruption(self):
         snap = random_snapshot(random.Random(11), 2)
-        topic = snap.topic_graph.nodes["t000002"]
-        nodes = dict(snap.topic_graph.nodes)
-        nodes["t000002"] = replace(topic, source_archive_id="a999999")
-        broken = replace(snap, topic_graph=replace(snap.topic_graph, nodes=nodes))
-        with pytest.raises(CorruptionError):
+        archives = dict(snap.archive)
+        del archives["a000002"]
+        broken = replace(snap, archive=archives)
+        with pytest.raises(CorruptionError) as err:
             drill_down(broken, AnchorSet((), ("t000002",)))
+        assert err.value.invariant == "cross-index-target-exists"
 
 
 class TestIndicators:
@@ -753,6 +753,23 @@ class TestTopK:
             engine.query("garden compost", k=0)
         assert len(engine.providers.call_log) == before
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", True, False, [3]], ids=repr)
+    @pytest.mark.parametrize("call", ["query", "retrieve", "rerank"])
+    def test_a_k_that_is_not_an_int_is_a_value_error(self, call, k):
+        # Once numpy's TypeError for 2.5, a TypeError from "<" for "3", and
+        # True taken as 1.
+        engine = small_engine()
+        before = len(engine.providers.call_log)
+        with pytest.raises(ValueError, match="k must be an int"):
+            if call == "query":
+                engine.query("garden compost", k=k)
+            elif call == "retrieve":
+                retrieve(engine.snapshot, Query("garden compost"), engine.providers, k)
+            else:
+                candidates = [make_candidate(i, f"buffered turn {i}") for i in range(1, 6)]
+                rerank(Query("garden"), candidates, engine.providers, engine.config, k)
+        assert len(engine.providers.call_log) == before
+
 
 def reference_replies(scorer, query, texts):
     """How ``rerank`` gathers its replies, written out apart from
@@ -1011,36 +1028,37 @@ class TestCachedCandidates:
                 snapshot, Query(QUESTIONS[1]), providers
             )
 
-    def test_two_themes_over_one_archive_keep_the_smaller_anchor(self):
+    def test_each_anchor_reaches_its_own_archive_and_keeps_its_candidates(self):
         snapshot = random_snapshot(random.Random(43), 3)
-        nodes = dict(snapshot.topic_graph.nodes)
-        nodes["t000004"] = replace(nodes["t000002"], id="t000004")
-        snapshot = replace(snapshot, topic_graph=TopicGraph(nodes, snapshot.topic_graph.edges))
-        for ids in (("t000004",), ("t000004", "t000002"), ("t000004",), ("t000003", "t000004")):
+        for ids in (("t000002",), ("t000002", "t000001"), ("t000003", "t000002", "t000003")):
             anchors = AnchorSet((), ids)
             got = drill_down(snapshot, anchors)
             assert got == fresh_drill_down(snapshot, anchors)
-            assert {c.anchor_topic_id for c in got if c.source_archive_id == "a000002"} == {
-                min(ids) if "t000002" in ids else "t000004"
-            }
+            pairs = {(c.anchor_topic_id, c.source_archive_id) for c in got}
+            assert pairs == {(t, "a" + t[1:]) for t in ids}
         again = drill_down(snapshot, AnchorSet((), ("t000003",)))
         assert drill_down(snapshot, AnchorSet((), ("t000003",)))[0] is again[0]
 
-    def test_threads_over_one_snapshot_match_a_fresh_build(self):
+    def test_threads_over_two_snapshots_match_a_fresh_build(self):
         snapshot = random_snapshot(random.Random(44), 30, events_per_archive=4)
-        # Some archives under two themes, so threads also replace entries.
-        nodes = dict(snapshot.topic_graph.nodes)
-        for number in range(31, 41):
-            twin = nodes[f"t{number - 30:06d}"]
-            nodes[f"t{number:06d}"] = replace(twin, id=f"t{number:06d}")
-        snapshot = replace(snapshot, topic_graph=TopicGraph(nodes, snapshot.topic_graph.edges))
-        draws = anchor_sets(snapshot, random.Random(45), count=40)
-        expected = [fresh_drill_down(snapshot, anchors) for anchors in draws]
+        # A copy that files the first ten archives under each other's ids,
+        # so one graph serves two themes and threads also replace entries.
+        archives = dict(snapshot.archive)
+        for number in range(1, 11, 2):
+            first, second = f"a{number:06d}", f"a{number + 1:06d}"
+            archives[first], archives[second] = archives[second], archives[first]
+        swapped = replace(snapshot, archive=archives)
+        draws = [
+            (copy, anchors)
+            for copy in (snapshot, swapped)
+            for anchors in anchor_sets(copy, random.Random(45), count=20)
+        ]
+        expected = [fresh_drill_down(copy, anchors) for copy, anchors in draws]
 
         def run(seed):
             order = list(range(len(draws)))
             random.Random(seed).shuffle(order)
-            return all(drill_down(snapshot, draws[i]) == expected[i] for i in order * 3)
+            return all(drill_down(*draws[i]) == expected[i] for i in order * 3)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

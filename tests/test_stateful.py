@@ -204,6 +204,13 @@ class EngineMachine(RuleBasedStateMachine):
         assert len(self.engine.snapshot.topic_graph.nodes) == self.committed
 
     @invariant()
+    def theme_k_consolidates_archive_k(self):
+        snapshot = self.engine.snapshot
+        themes = len(snapshot.topic_graph.nodes)
+        assert len(snapshot.archive) == themes
+        assert snapshot.cross_index == {f"t{k:06d}": f"a{k:06d}" for k in range(1, themes + 1)}
+
+    @invariant()
     def derived_values_match_a_fresh_build(self):
         snapshot = self.engine.snapshot
         if snapshot.turn_max is not None:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphmem import core
 from graphmem.config import EngineConfig
 from graphmem.consolidation import consolidate_segment, select_candidates
 from graphmem.core import (
@@ -39,7 +41,7 @@ from graphmem.core import (
     stable_layer_hash,
 )
 from graphmem.engine import MemoryEngine
-from graphmem.errors import CorruptionError, GraphMemError
+from graphmem.errors import CorruptionError, GraphMemError, StateError
 from graphmem.harness import replay
 from graphmem.providers import mock_bundle
 from graphmem.retrieval import Query, anchor, retrieve
@@ -61,6 +63,7 @@ from conftest import (
     interleaved_corpora,
     random_snapshot,
     stored_body,
+    stored_nodes,
     unit_vector,
     write_rehashed,
 )
@@ -82,6 +85,19 @@ def buffered_snapshot(snapshot):
 def saved_document(snapshot, path):
     save(snapshot, path)
     return json.loads(path.read_text())
+
+
+def _all_keys(document):
+    """Every object key anywhere in a parsed document."""
+    keys, values = set(), [document]
+    while values:
+        value = values.pop()
+        if isinstance(value, dict):
+            keys |= value.keys()
+            values += value.values()
+        elif isinstance(value, list):
+            values += value
+    return keys
 
 
 class TestSaveLoad:
@@ -117,16 +133,8 @@ class TestSaveLoad:
         # theme's raw text and each edge's direction follow from the rest.
         document = saved_document(buffered_snapshot, tmp_path / "memory.json")
         assert document["topic_edges"] and document["active_buffer"]
-        keys, values = set(), [document]
-        while values:
-            value = values.pop()
-            if isinstance(value, dict):
-                keys |= value.keys()
-                values += value.values()
-            elif isinstance(value, list):
-                values += value
         copies = {"graph_id", "edges", "token_count", "cross_index", "raw", "directed"}
-        assert keys & copies == set()
+        assert _all_keys(document) & copies == set()
 
     def test_unwritable_path_raises_oserror(self, snapshot):
         with pytest.raises(OSError):
@@ -247,14 +255,27 @@ class TestValidation:
         save(snapshot, path)
         return json.loads(path.read_text()), path
 
-    def test_cross_index_pointing_at_missing_archive(self, snapshot, tmp_path):
-        # The cross index is each theme's source archive.
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (lambda archives: archives.pop(), "11 archives for 12 themes"),
+            (lambda archives: archives.append(archives[0]), "13 archives for 12 themes"),
+        ],
+    )
+    def test_an_archive_count_other_than_the_theme_count(
+        self, snapshot, tmp_path, tamper, detail
+    ):
+        # Theme t{k} consolidates archive a{k}, and the engine makes no
+        # archive without its theme: one that waited for it would fail the
+        # next consolidation.
         document, path = self._document(snapshot, tmp_path)
-        document["topic_nodes"][0]["source_archive_id"] = "a999999"
+        tamper(document["archives"])
         write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
-        assert err.value.invariant == "source-archive-exists"
+        assert err.value.invariant == "archive-count"
+        assert str(err.value).endswith(detail)
+
 
     def test_tampered_body_fails_hash_check(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
@@ -265,10 +286,21 @@ class TestValidation:
 
     def test_unknown_major_version_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        document["format_version"] = "3.0"
+        document["format_version"] = "4.0"
         path.write_bytes(as_saved(document))
         with pytest.raises(CorruptionError, match="format-version"):
             load(path)
+
+    def test_a_version_2_file_is_refused(self, buffered_snapshot, tmp_path):
+        # The header names the version, and no 2.x file loads.
+        path = tmp_path / "memory.json"
+        save(buffered_snapshot, path)
+        current = f'"format_version":"{FORMAT_VERSION}"'.encode()
+        path.write_bytes(path.read_bytes().replace(current, b'"format_version":"2.0"'))
+        with pytest.raises(CorruptionError) as err:
+            load(path)
+        assert err.value.invariant == "format-version-known"
+        assert str(err.value).endswith("major version 2")
 
     @pytest.mark.parametrize("version", ["1.0", "1.9"])
     def test_a_version_1_file_is_refused(self, buffered_snapshot, tmp_path, version):
@@ -290,16 +322,6 @@ class TestValidation:
         document["format_version"] = f"{major}.9"
         path.write_bytes(as_saved(document))
         assert snapshot_hash(load(path)) == snapshot_hash(snapshot)
-
-    def test_duplicate_event_id_detected(self, snapshot, tmp_path):
-        document, path = self._document(snapshot, tmp_path)
-        nodes = _first_archive(document)
-        nodes[1]["id"] = nodes[0]["id"]
-        write_rehashed(document, path)
-        with pytest.raises(CorruptionError) as err:
-            load(path)
-        assert err.value.invariant == "event-id-order"
-        assert str(err.value).endswith(nodes[0]["id"])
 
     def test_edge_weight_below_tau_detected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
@@ -355,38 +377,7 @@ class TestValidation:
 
 
 def _first_archive(document):
-    return document["archives"][sorted(document["archives"])[0]]
-
-
-def _malformed_event_id(document):
-    # The buffer's last node becomes "ezz".
-    document["active_buffer"][-1]["id"] = "ezz"
-
-
-def _malformed_topic_id(document):
-    topic = next(
-        t
-        for t in document["topic_nodes"]
-        if not any(t["id"] in (e["from_id"], e["to_id"]) for e in document["topic_edges"])
-    )
-    topic["id"] = "t12"
-
-
-def _malformed_archive_id(document):
-    document["archives"]["a1"] = document["archives"].pop("a000001")
-    document["topic_nodes"][0]["source_archive_id"] = "a1"
-
-
-def _buffer_below_archives(document):
-    # The single buffered node takes an id below every archived one.
-    document["active_buffer"][0]["id"] = "e000000"
-
-
-def _archives_swapped(document):
-    # The first two archives trade episodes.
-    archives = document["archives"]
-    first, second = sorted(archives)[:2]
-    archives[first], archives[second] = archives[second], archives[first]
+    return document["archives"][0]
 
 
 def _buffered_node(document):
@@ -414,7 +405,6 @@ def _archived_node(document):
         (lambda d: d["topic_nodes"][0].update(keywords=[1]), "keywords"),
         (lambda d: d["topic_nodes"][0].update(keywords="word"), "keywords"),
         (lambda d: d["topic_nodes"][0]["embedding"].__setitem__(0, "0.5"), "embedding"),
-        (lambda d: d["topic_nodes"][0].update(source_archive_id=1), "source_archive_id"),
         (lambda d: d["topic_edges"][0].update(weight=True), "weight"),
         (lambda d: d["topic_edges"][0].update(weight="0.9"), "weight"),
     ],
@@ -441,12 +431,15 @@ def test_blank_theme_summary_is_rejected(golden_snapshot, tmp_path, summary):
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "summary-non-empty"
-    assert document["topic_nodes"][0]["id"] in str(err.value)
+    assert str(err.value).endswith("t000001")
 
 
-@pytest.mark.parametrize("where, text", [("archived", ""), ("buffered", "   ")])
-def test_blank_event_text_is_rejected(buffered_snapshot, tmp_path, where, text):
-    # Utterance refuses such a text, so observe never stores one.
+@pytest.mark.parametrize(
+    "where, text, named", [("archived", "", "e000001"), ("buffered", "   ", "e000037")]
+)
+def test_blank_event_text_is_rejected(buffered_snapshot, tmp_path, where, text, named):
+    # Utterance refuses such a text, so observe never stores one.  The node
+    # is named by the id its position gives it.
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
     node = (_archived_node if where == "archived" else _buffered_node)(document)
@@ -455,7 +448,27 @@ def test_blank_event_text_is_rejected(buffered_snapshot, tmp_path, where, text):
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "text-non-empty"
-    assert str(err.value).endswith(node["id"])
+    assert str(err.value).endswith(named)
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [("buffered", "id"), ("archived", "id"), ("theme", "id"), ("theme", "source_archive_id")],
+)
+def test_a_stored_id_is_refused(buffered_snapshot, tmp_path, where, key):
+    # Every id follows from a position, so the file holds none.
+    path = tmp_path / "memory.json"
+    document = saved_document(buffered_snapshot, path)
+    entry = {
+        "buffered": _buffered_node,
+        "archived": _archived_node,
+        "theme": lambda d: d["topic_nodes"][0],
+    }[where](document)
+    entry[key] = "e000001" if where != "theme" else "t000001"
+    write_rehashed(document, path)
+    with pytest.raises(CorruptionError) as err:
+        load(path)
+    assert err.value.invariant == "document-schema"
 
 
 class TestNonFinite:
@@ -595,85 +608,108 @@ class TestUnparsable:
         assert err.value.invariant == "well-formed-json"
 
 
-class TestEventIdOrder:
-    """Allocation reads only the newest event, so the loader insists that
-    ids rise through the archives in id order and then the buffer."""
-
-    @pytest.mark.parametrize("tamper", [_buffer_below_archives, _archives_swapped])
-    def test_out_of_order_ids_rejected(self, snapshot, tmp_path, tamper):
-        snapshot = append_event(snapshot, Utterance("s99", "ana", "one buffered line"))
-        path = tmp_path / "memory.json"
-        document = saved_document(snapshot, path)
-        tamper(document)
-        write_rehashed(document, path)
-        with pytest.raises(CorruptionError) as err:
-            load(path)
-        assert err.value.invariant == "event-id-order"
-
-
-class TestIdFormat:
-    @pytest.mark.parametrize(
-        "malform", [_malformed_event_id, _malformed_topic_id, _malformed_archive_id]
-    )
-    def test_malformed_id_rejected(self, buffered_snapshot, tmp_path, malform):
-        path = tmp_path / "memory.json"
-        document = saved_document(buffered_snapshot, path)
-        malform(document)
-        write_rehashed(document, path)
-        with pytest.raises(CorruptionError) as err:
-            load(path)
-        assert err.value.invariant == "id-format"
-
-
-def _next_number(identifier):
-    return f"{identifier[0]}{int(identifier[1:]) + 1:06d}"
-
-
-def _event_gap(document):
+def _event_gap(snapshot):
     # The buffer's last node skips one id.
-    node = document["active_buffer"][-1]
-    node["id"] = _next_number(node["id"])
+    last = snapshot.buffer[-1]
+    skipped = dataclasses.replace(last, id=f"e{int(last.id[1:]) + 1:06d}")
+    return dataclasses.replace(
+        snapshot, active_event_graph=EventGraph(snapshot.buffer[:-1] + (skipped,))
+    )
 
 
-def _first_event_gone(document):
-    del _first_archive(document)[0]
-
-
-def _theme_gap(document):
+def _theme_gap(snapshot):
     # The last theme skips one id.
-    theme = document["topic_nodes"][-1]
-    theme["id"] = _next_number(theme["id"])
+    nodes = dict(snapshot.topic_graph.nodes)
+    last = nodes.pop(max(nodes))
+    nodes["t000013"] = dataclasses.replace(last, id="t000013")
+    return dataclasses.replace(snapshot, topic_graph=TopicGraph(nodes, {}))
 
 
-def _archive_gap(document):
+def _archive_gap(snapshot):
     # The last archive skips one id.
-    archives = document["archives"]
-    last = max(archives)
-    archives[_next_number(last)] = archives.pop(last)
+    archives = dict(snapshot.archive)
+    archives["a000013"] = archives.pop("a000012")
+    return dataclasses.replace(snapshot, archive=archives)
 
 
-class TestIdSequence:
-    """Each id is its creation position, so the loader refuses ids that do
-    not run from the first position without a gap."""
+def _archives_out_of_order(snapshot):
+    # The same archives, listed last first: read back, they would trade ids.
+    archives = dict(reversed(snapshot.archive.items()))
+    return dataclasses.replace(snapshot, archive=archives)
+
+
+def _archives_swapped(snapshot):
+    # The first two archives trade episodes, so event ids no longer rise.
+    archives = dict(snapshot.archive)
+    archives["a000001"], archives["a000002"] = archives["a000002"], archives["a000001"]
+    return dataclasses.replace(snapshot, archive=archives)
+
+
+def _archive_missing(snapshot):
+    archives = dict(snapshot.archive)
+    del archives["a000012"]
+    return dataclasses.replace(snapshot, archive=archives)
+
+
+class TestSaveGuard:
+    """A file stores no id: a load numbers each kind by position.  So a
+    save refuses a snapshot, built by hand, whose ids are not their
+    positions or whose archive count breaks the archive rule, and writes
+    nothing, rather than write a file that loads as another snapshot."""
 
     @pytest.mark.parametrize(
         "tamper, detail",
         [
-            (_event_gap, "38 ids from e000001 to e000039"),
-            (_first_event_gone, "37 ids from e000002 to e000038"),
-            (_theme_gap, "12 ids from t000001 to t000013"),
-            (_archive_gap, "12 ids from a000001 to a000013"),
+            (_event_gap, "id e000039 is not its creation position, e000038"),
+            (_theme_gap, "id t000013 is not its creation position, t000012"),
+            (_archive_gap, "id a000013 is not its creation position, a000012"),
+            (_archives_out_of_order, "id a000012 is not its creation position, a000001"),
+            (_archives_swapped, "id e000004 is not its creation position, e000001"),
+            (_archive_missing, "11 archives for 12 themes"),
         ],
     )
-    def test_a_gap_is_refused(self, buffered_snapshot, tmp_path, tamper, detail):
+    def test_ids_that_are_not_positions_are_refused(
+        self, buffered_snapshot, tmp_path, tamper, detail
+    ):
         path = tmp_path / "memory.json"
-        document = saved_document(buffered_snapshot, path)
-        tamper(document)
-        write_rehashed(document, path)
-        with pytest.raises(CorruptionError) as err:
-            load(path)
-        assert err.value.invariant == "id-sequence"
-        assert str(err.value).endswith(detail)
+        tampered = tamper(buffered_snapshot)
+        with pytest.raises(StateError) as err:
+            save(tampered, path)
+        assert str(err.value) == detail
+        assert list(tmp_path.iterdir()) == []
+        assert tampered.saved_bytes is None
+        path.write_bytes(b"older contents")
+        with pytest.raises(StateError):
+            save(tampered, path)
+        assert path.read_bytes() == b"older contents"
+
+
+class TestIdWidth:
+    """Each id has six digits, so a file with more entries of one kind than
+    they number is refused; shown with the width cut to one digit, over
+    files saved under six."""
+
+    @pytest.mark.parametrize("buffered, accepted", [(0, True), (1, False)])
+    def test_nine_events_fit_in_one_digit_and_ten_do_not(
+        self, tmp_path, monkeypatch, buffered, accepted
+    ):
+        # No edges: an edge names its themes by id, which the file stores.
+        snapshot = random_snapshot(random.Random(3), 3, edge_probability=0.0)
+        for turn in range(buffered):
+            snapshot = append_event(snapshot, Utterance("s9", "ana", f"buffered turn {turn}"))
+        path = tmp_path / "memory.json"
+        save(snapshot, path)
+        monkeypatch.setattr(core, "ID_WIDTH", 1)
+        if not accepted:
+            with pytest.raises(CorruptionError) as err:
+                load(path)
+            assert err.value.invariant == "id-width"
+            assert str(err.value).endswith("10 e ids do not fit in 1 digits")
+            return
+        loaded = load(path)
+        assert [n.id for n in stored_nodes(loaded)] == [f"e{i}" for i in range(1, 10)]
+        assert list(loaded.topic_graph.nodes) == ["t1", "t2", "t3"]
+        assert list(loaded.archive) == ["a1", "a2", "a3"]
 
 
 class TestEngineSnapshotProperties:
@@ -705,6 +741,27 @@ class TestEngineSnapshotProperties:
         validate_snapshot(engine.snapshot)
         assert snapshot_bytes(engine.snapshot) == snapshot_bytes(continuous.snapshot)
 
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
+    def test_the_file_stores_no_id_and_is_rewritten_byte_for_byte(self, corpus, limit):
+        # Every id follows from a position: events over the archives in
+        # order and then the buffer, which holds one turn here.
+        config = EngineConfig(buffer_token_limit=limit)
+        snapshot, _ = replay(corpus, MemoryEngine(mock_bundle(config), config), "semantic")
+        snapshot = append_event(snapshot, Utterance("s9", "ana", "one buffered line"))
+        with tempfile.TemporaryDirectory() as directory:
+            first, again = (os.path.join(directory, n) for n in ("first.json", "again.json"))
+            save(snapshot, first)
+            loaded = load(first)
+            save(loaded, again)
+            with open(first, "rb") as handle:
+                written = handle.read()
+            with open(again, "rb") as handle:
+                rewritten = handle.read()
+        assert _all_keys(json.loads(written)) & {"id", "source_archive_id"} == set()
+        assert snapshot_hash(loaded) == snapshot_hash(snapshot)
+        assert rewritten == written
+
 
 @pytest.fixture(scope="module")
 def saved_fixture_documents(tmp_path_factory, golden_corpus, scaling_corpus):
@@ -730,14 +787,14 @@ def _reorder(pick, entries):
 
 
 def _duplicate(pick, entries):
-    entries.insert(pick(len(entries) + 1), dict(entries[pick(len(entries))]))
+    entries.insert(pick(len(entries) + 1), copy.deepcopy(entries[pick(len(entries))]))
 
 
 def _add_key(pick, document):
     sections = [
         document["topic_nodes"],
         document["topic_edges"],
-        [e for entries in document["archives"].values() for e in entries],
+        [e for entries in document["archives"] for e in entries],
         document["active_buffer"],
     ]
     sections = [entries for entries in sections if entries]
@@ -761,6 +818,8 @@ def _config_float_as_int(pick, document):
 WRITTEN_FORM_MUTATIONS = {
     "reorder-themes": lambda pick, doc: _reorder(pick, doc["topic_nodes"]),
     "duplicate-theme": lambda pick, doc: _duplicate(pick, doc["topic_nodes"]),
+    "reorder-archives": lambda pick, doc: _reorder(pick, doc["archives"]),
+    "duplicate-archive": lambda pick, doc: _duplicate(pick, doc["archives"]),
     "reorder-edges": lambda pick, doc: _reorder(pick, doc["topic_edges"]),
     "duplicate-edge": lambda pick, doc: _duplicate(pick, doc["topic_edges"]),
     "add-key": _add_key,
@@ -798,8 +857,7 @@ class TestWrittenForm:
     @pytest.mark.parametrize(
         "mutation, invariant",
         [
-            ("reorder-themes", "topic-order"),
-            ("duplicate-theme", "topic-order"),
+            ("duplicate-theme", "archive-count"),
             ("reorder-edges", "edge-order"),
             ("duplicate-edge", "edge-order"),
             ("add-key", "document-schema"),
@@ -1338,10 +1396,10 @@ class TestDerivedValueProperties:
         assert turns == list(range(198, 249))
 
 
-def _theme_over(snapshot, archive_id, first):
-    """A theme on ``archive_id`` whose embedding starts with ``first``."""
+def _theme_over(snapshot, first):
+    """The next theme, whose embedding starts with ``first``."""
     embedding = (first,) + (0.0,) * (snapshot.config.embedding_dim - 2) + (1.0,)
-    return TopicNode(next_topic_id(snapshot), "a fork's theme", ("fork",), embedding, 1, archive_id)
+    return TopicNode(next_topic_id(snapshot), "a fork's theme", ("fork",), embedding, 1)
 
 
 def _count_member_writes(monkeypatch):
@@ -1388,15 +1446,15 @@ class TestCachedBytes:
         assert snapshot.saved_bytes is None
 
     def test_forks_adding_themes_to_one_parent(self, tmp_path):
-        # Two forks put a theme on the parent's one unthemed archive.  The
-        # forks compare equal (0.0 == -0.0) yet are written apart, so each
-        # fork's file must be its own.
+        # Two forks put a theme on the parent's buffered episode, archived
+        # once.  The forks compare equal (0.0 == -0.0) yet are written
+        # apart, so each fork's file must be its own.
         parent = append_event(random_snapshot(random.Random(5), 6), Utterance("s9", "ana", "x"))
-        archive_id, parent = archive_segment(parent, 1, [True])
+        _, archived = archive_segment(parent, 1, [True])
         path = tmp_path / "memory.json"
         save(parent, path)
-        plus, minus = (_theme_over(parent, archive_id, z) for z in (0.0, -0.0))
-        forks = [insert_topic_node(parent, node, []) for node in (plus, minus)]
+        plus, minus = (_theme_over(archived, z) for z in (0.0, -0.0))
+        forks = [insert_topic_node(archived, node, []) for node in (plus, minus)]
         assert forks[0] == forks[1]
         files = {}
         for fork in forks + forks[::-1] + [parent]:
@@ -1409,25 +1467,21 @@ class TestCachedBytes:
         path = tmp_path / "memory.json"
         save(snapshot, path)
         warm = path.read_bytes()
-        first, second = sorted(snapshot.archive)[:2]
-        graph = snapshot.archive[first]
-        renamed = tuple(dataclasses.replace(n, session_id="renamed") for n in graph.nodes)
-        replaced = dataclasses.replace(
-            snapshot, archive={**snapshot.archive, first: dataclasses.replace(graph, nodes=renamed)}
-        )
-        swapped = dataclasses.replace(
-            snapshot,
-            archive={
-                **snapshot.archive,
-                first: snapshot.archive[second],
-                second: snapshot.archive[first],
-            },
-        )
-        assert replaced.saved_bytes is None and swapped.saved_bytes is None
-        for variant in (replaced, swapped, snapshot, swapped, replaced):
+        first, second = list(snapshot.archive)[:2]
+
+        def replaced_nodes(archive_id, **changes):
+            graph = snapshot.archive[archive_id]
+            nodes = tuple(dataclasses.replace(n, **changes) for n in graph.nodes)
+            archive = {**snapshot.archive, archive_id: dataclasses.replace(graph, nodes=nodes)}
+            return dataclasses.replace(snapshot, archive=archive)
+
+        replaced = replaced_nodes(first, session_id="renamed")
+        flagged = replaced_nodes(second, confidence_flag=False)
+        assert replaced.saved_bytes is None and flagged.saved_bytes is None
+        for variant in (replaced, flagged, snapshot, flagged, replaced):
             save(variant, path)
             assert path.read_bytes() == cold_file(variant)
-        assert len({replaced.saved_bytes, swapped.saved_bytes, warm}) == 3
+        assert len({replaced.saved_bytes, flagged.saved_bytes, warm}) == 3
         assert snapshot.saved_bytes == warm
 
     def test_no_mutation_carries_the_saved_document(self, snapshot, tmp_path, monkeypatch):
@@ -1436,29 +1490,35 @@ class TestCachedBytes:
         path = tmp_path / "memory.json"
         save(snapshot, path)
         appended = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
-        archive_id, archived = archive_segment(appended, 1, [True])
+        _, archived = archive_segment(appended, 1, [True])
         older = min(archived.topic_graph.nodes)
-        new = _theme_over(archived, archive_id, 0.0)
+        new = _theme_over(archived, 0.0)
         themed = insert_topic_node(archived, new, [TopicEdge(new.id, older, Relation.CAUSAL, 0.9)])
         calls = _count_member_writes(monkeypatch)
         for child in (appended, archived, themed):
             assert child.saved_bytes is None
+            if child is archived:
+                # Its new archive waits for its theme, so it has no file.
+                with pytest.raises(StateError, match="13 archives for 12 themes"):
+                    save(child, path)
+                continue
             calls.clear()
             save(child, path)
             assert sorted(calls) == sorted(STORED_MEMBERS)
             assert path.read_bytes() == cold_file(child)
 
     def test_forks_linking_new_themes_to_one_older_theme(self, snapshot, tmp_path):
-        # Each fork adds a theme on the parent's one unthemed archive with an
-        # edge to the same older theme; each save writes that fork's file.
+        # Each fork adds a theme on the parent's buffered episode, archived
+        # once, with an edge to the same older theme; each save writes that
+        # fork's file.
         parent = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
-        archive_id, parent = archive_segment(parent, 1, [True])
+        _, archived = archive_segment(parent, 1, [True])
         older = min(parent.topic_graph.nodes)
         forks = [
-            insert_topic_node(parent, new, [TopicEdge(new.id, older, relation, weight)])
+            insert_topic_node(archived, new, [TopicEdge(new.id, older, relation, weight)])
             for new, relation, weight in (
-                (_theme_over(parent, archive_id, 0.0), Relation.SEMANTIC, 0.9),
-                (_theme_over(parent, archive_id, -0.0), Relation.CAUSAL, 0.8),
+                (_theme_over(archived, 0.0), Relation.SEMANTIC, 0.9),
+                (_theme_over(archived, -0.0), Relation.CAUSAL, 0.8),
             )
         ]
         assert forks[0].topic_graph.edges != forks[1].topic_graph.edges
@@ -1474,20 +1534,20 @@ class TestCachedBytes:
 
     def test_threads_saving_forks_of_one_parent(self, scaling_corpus, tmp_path):
         # Eight threads save forks of one saved parent.  Each fork puts a
-        # theme of its own on the same archive and links it to the same
-        # older themes.
+        # theme of its own on the same archive, the parent's buffer, and
+        # links it to the same older themes.
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         parent, _ = replay(scaling_corpus, engine, "semantic")
         parent = append_event(parent, Utterance("s9", "ana", "a new episode"))
-        archive_id, parent = archive_segment(parent, len(parent.buffer), [True] * len(parent.buffer))
         save(parent, tmp_path / "parent.json")
+        _, archived = archive_segment(parent, len(parent.buffer), [True] * len(parent.buffer))
         older = sorted(parent.topic_graph.nodes)[:6]
         forks = []
         for worker in range(8):
-            new = dataclasses.replace(_theme_over(parent, archive_id, 0.0), summary=f"fork {worker}")
+            new = dataclasses.replace(_theme_over(archived, 0.0), summary=f"fork {worker}")
             weight = 0.55 + worker / 20
             links = [TopicEdge(new.id, t, Relation.SEMANTIC, weight) for t in older]
-            forks.append(insert_topic_node(parent, new, links))
+            forks.append(insert_topic_node(archived, new, links))
         expected = [cold_file(fork) for fork in forks]
         failures = []
 
@@ -1504,17 +1564,15 @@ class TestCachedBytes:
 
     def test_threads_saving_shared_archives(self, scaling_corpus, tmp_path):
         # Eight threads save two snapshots, each not saved before, that hold
-        # the same graphs under rotated archive ids, so the first saves of
-        # one object race.
+        # the same archive graphs, one a tick later than the other, so the
+        # first saves of one object race.
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, _ = replay(scaling_corpus, engine, "semantic")
         path = tmp_path / "memory.json"
         save(snapshot, path)
         cold = load(path)
-        ids = sorted(cold.archive)
-        rotated = {a: cold.archive[b] for a, b in zip(ids, ids[1:] + ids[:1])}
-        swapped = dataclasses.replace(cold, archive=rotated)
-        expected = {id(s): cold_file(s) for s in (cold, swapped)}
+        later = dataclasses.replace(cold, logical_clock=cold.logical_clock + 1)
+        expected = {id(s): cold_file(s) for s in (cold, later)}
         failures = []
 
         def work(worker, target):
@@ -1524,7 +1582,7 @@ class TestCachedBytes:
                 if path.read_bytes() != expected[id(target)]:
                     failures.append(worker)
 
-        _run_threads([(work, worker, (cold, swapped)[worker % 2]) for worker in range(8)])
+        _run_threads([(work, worker, (cold, later)[worker % 2]) for worker in range(8)])
         assert failures == []
         assert cold.saved_bytes == path.read_bytes()
 
@@ -1587,11 +1645,20 @@ class TestCachedBytes:
 
 def _run_threads(jobs):
     """Runs each ``(target, *args)`` in a thread of its own, switching
-    between threads as often as the interpreter allows."""
+    between threads as often as the interpreter allows; an exception in any
+    thread fails the test."""
+    errors = []
+
+    def guarded(target, *args):
+        try:
+            target(*args)
+        except BaseException as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=target, args=args) for target, *args in jobs]
+        threads = [threading.Thread(target=guarded, args=job) for job in jobs]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -1599,3 +1666,4 @@ def _run_threads(jobs):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -324,7 +324,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     snapshot = load(args.snapshot)
-    if args.topic:
+    if args.topic is not None:
         node = snapshot.topic_graph.nodes.get(args.topic)
         if node is None:
             raise ValueError(f"unknown topic node {args.topic}")
@@ -340,7 +340,7 @@ def cmd_inspect(args) -> int:
             arrow = "->" if edge.directed else "--"
             print(f"edge {edge.from_id} {arrow} {edge.to_id} {edge.relation.value} {edge.weight:.3f}")
         return 0
-    if args.archive:
+    if args.archive is not None:
         graph = snapshot.archive.get(args.archive)
         if graph is None:
             raise ValueError(f"unknown archive {args.archive}")

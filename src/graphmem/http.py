@@ -178,6 +178,12 @@ class HttpConfig:
         parts = urllib.parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL: {self.base_url!r}")
+        # A negative or NaN wait would reach ``time.sleep`` or the socket as
+        # an untyped error on the first failed call.
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and above 0: {self.timeout!r}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and at least 0: {self.backoff!r}")
 
 
 class HttpClient:

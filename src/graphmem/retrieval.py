@@ -65,6 +65,9 @@ class Query:
             raise ValueError("query text must be a str")
         if not self.text.strip():
             raise ValueError("query text must be non-empty")
+        # Any other value would be taken by its truth: "no" would boost.
+        if self.time_sensitive is not None and type(self.time_sensitive) is not bool:
+            raise ValueError("query time_sensitive must be None or a bool")
 
 
 @dataclass(frozen=True)

@@ -195,17 +195,3 @@ def write_rehashed(document, path):
     body = {k: document[k] for k in STORED_MEMBERS if k in document}
     document["content_hash"] = hashlib.sha256(as_saved(body)).hexdigest()
     path.write_bytes(as_saved(document))
-
-
-def stored_nodes(snapshot: MemorySnapshot) -> list[EventNode]:
-    """Every stored node: the archives in id order, then the buffer."""
-    archives = [snapshot.archive[k].nodes for k in sorted(snapshot.archive)]
-    return [n for nodes in archives for n in nodes] + list(snapshot.buffer)
-
-
-def highest_turns(nodes) -> dict[str, int]:
-    """Session id -> its highest turn index among ``nodes``."""
-    highest: dict[str, int] = {}
-    for node in nodes:
-        highest[node.session_id] = max(highest.get(node.session_id, -1), node.turn_index)
-    return highest

@@ -652,6 +652,17 @@ class TestInspect:
         assert code == 2
         assert "unknown topic" in err
 
+    @pytest.mark.parametrize(
+        "option, named", [("--topic", "unknown topic node"), ("--archive", "unknown archive")]
+    )
+    def test_an_empty_id_is_an_unknown_id(self, golden_snapshot_file, capsys, option, named):
+        # Once taken as no id at all, so the stats table printed.
+        args = ["inspect", "--snapshot", golden_snapshot_file, option, ""]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {named} \n"
+
     def test_a_file_nested_too_deep_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_bytes(b"[" * 100_000 + b"]" * 100_000)

@@ -17,17 +17,9 @@ from graphmem.consolidation import (
 )
 from graphmem.core import (
     RELATION_LABELS,
-    UNRELATED,
-    Relation,
-    TopicEdge,
-    TopicNode,
     Utterance,
     append_event,
-    archive_segment,
-    insert_topic_node,
     new_snapshot,
-    next_topic_id,
-    raw_text,
     snapshot_bytes,
 )
 from graphmem.errors import (
@@ -37,9 +29,9 @@ from graphmem.errors import (
     ProviderTransportError,
 )
 from graphmem.providers import MockRelationScorer, ProviderBundle, mock_bundle
-from graphmem.store import checked_vector
 
 from conftest import random_snapshot, unit_vector
+from reference import reference_consolidate
 
 
 def buffered(texts, config=None, session="s1"):
@@ -538,59 +530,6 @@ class ConsolidationLog(logging.Handler):
 
     def __exit__(self, *exc_info):
         logging.getLogger("graphmem.consolidation").removeHandler(self)
-
-
-def reference_consolidate(snapshot, segment, providers):
-    """The consolidation that asked the entailment checker once per
-    utterance and the relation scorer once per candidate, kept as the
-    oracle with its own gathering; it logs nothing.  Returns the report
-    fields the scorers decide, and the committed snapshot."""
-    config = snapshot.config
-    summary_result = providers.summarizer.summarize(raw_text(segment))
-    summary = summary_result.summary
-    embedding = checked_vector(providers.embedder.embed(summary), config.embedding_dim)
-    embedding = embedding / float(np.linalg.norm(embedding))
-    flags, defaults = [], 0
-    for node in segment:
-        try:
-            reply = providers.entailment.entails(summary, node.text)
-        except ProviderError:
-            reply = None
-        trusted = not isinstance(reply, (bool, np.bool_))
-        flags.append(True if trusted else bool(reply))
-        defaults += trusted
-    new_id = next_topic_id(snapshot)
-    candidates = select_candidates(snapshot.topic_graph, embedding, config.k_cand)
-    scored, skipped = [], []
-    for topic_id, _similarity in candidates:
-        other = snapshot.topic_graph.nodes[topic_id].summary
-        try:
-            label, weight = score_relation(summary, other, providers.relation_scorer)
-        except ProviderError:
-            skipped.append(topic_id)
-            continue
-        scored.append((topic_id, label, weight))
-    edges = [
-        TopicEdge(from_id=new_id, to_id=topic_id, relation=Relation(label), weight=weight)
-        for topic_id, label, weight in scored
-        if label != UNRELATED and weight > config.tau
-    ]
-    _, archived = archive_segment(snapshot, len(segment), flags)
-    node = TopicNode(
-        id=new_id,
-        summary=summary,
-        keywords=tuple(summary_result.keywords),
-        embedding=tuple(float(x) for x in embedding),
-        created_at=archived.logical_clock,
-    )
-    fields = {
-        "candidate_pool": tuple(candidates),
-        "scored_relations": tuple(scored),
-        "skipped_candidates": tuple(skipped),
-        "entailment_defaults": defaults,
-        "accepted_edges": len(edges),
-    }
-    return fields, insert_topic_node(archived, node, edges)
 
 
 # Reordered words keep a summary: the mock summarizer sorts its keywords.

@@ -113,6 +113,28 @@ class TestConfig:
     def test_http_and_https_urls_accepted(self, base_url):
         assert HttpConfig(base_url=base_url, model="chat-model").base_url == base_url
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("backoff", -1.0),
+            ("backoff", float("nan")),
+            ("backoff", float("inf")),
+        ],
+    )
+    def test_a_wait_that_is_not_finite_or_is_negative_is_refused(self, field, value):
+        # Once accepted, and then an untyped ValueError from time.sleep on
+        # the first failed transport call.
+        with pytest.raises(ValueError, match=field):
+            HttpConfig(base_url="http://model.test/v1", model="chat-model", **{field: value})
+
+    def test_a_zero_backoff_is_accepted(self):
+        config = HttpConfig(base_url="http://model.test/v1", model="chat-model", backoff=0.0)
+        assert config.backoff == 0.0
+
 
 class TestJsonExtraction:
     def test_plain_object(self):

@@ -1,9 +1,10 @@
-"""Whole-document mutations, checked against reference loaders.
+"""Whole-document mutations, checked against the reference loaders.
 
-``reference_load`` is a per-record loader of format 3.0 files, the oracle
-of the column passes of ``graphmem.store``.  ``reference_load_v1`` reads
-the 1.0 document, which spells out every derived copy, record by record
-and checks each copy; it is the oracle for what a 3.0 file leaves out.
+``reference.reference_load`` is a per-record loader of format 3.0 files,
+the oracle of the column passes of ``graphmem.store``.
+``reference.reference_load_v1`` reads the 1.0 document, which spells out
+every derived copy, record by record and checks each copy; it is the
+oracle for what a 3.0 file leaves out.
 
 Every mutant edits one place in a saved document (a type swap, a deleted
 key or entry, a huge or negative int, an empty string, a bare ``NaN``) and
@@ -21,280 +22,30 @@ event nodes, so its snapshot's body does not hash to the file's
 """
 
 import copy
-import hashlib
 import json
-import math
 import random
 
 import pytest
 
-from graphmem.config import EngineConfig, estimate_tokens
+from graphmem.config import EngineConfig
 from graphmem.core import (
-    EVENT_FIELD_TYPES,
-    LIVE_BUFFER_ID,
-    SEQUENTIAL,
-    STORED_MEMBERS,
-    EventGraph,
-    EventNode,
-    MemorySnapshot,
-    Relation,
-    TopicEdge,
-    TopicGraph,
-    TopicNode,
     Utterance,
     append_event,
     canonical_json,
-    edge_key,
     new_snapshot,
     snapshot_hash,
     snapshot_to_dict,
-    topic_raw,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError
 from graphmem.fixtures import make_golden_corpus
 from graphmem.harness import replay
 from graphmem.providers import mock_bundle
-from graphmem.store import FORMAT_VERSION, load, save
+from graphmem.store import load, save
 
 from conftest import body_hash, random_snapshot, write_rehashed
+from reference import reference_load, reference_load_v1
 from test_acceptance import STRATEGY_MATRIX
-
-# ---------------------------------------------------------------------------
-# the reference loader: per-record walks over a 3.0 file
-
-
-def reference_load(path):
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        document = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise CorruptionError("well-formed-json", str(exc)) from exc
-    if not isinstance(document, dict):
-        raise CorruptionError("document-is-object")
-    try:
-        return _reconstruct(document, raw)
-    except CorruptionError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise CorruptionError("document-schema", repr(exc)) from exc
-
-
-def _reconstruct(document, raw):
-    version = document.get("format_version")
-    if not isinstance(version, str) or "." not in version:
-        raise CorruptionError("format-version-present")
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
-        raise CorruptionError("format-version-known", f"major version {major}")
-
-    body = {}
-    for key in STORED_MEMBERS:
-        if key not in document:
-            raise CorruptionError("body-keys-present", key)
-        body[key] = document[key]
-    # The hash covers the file's bytes with the header save writes taken out.
-    recorded = document.get("content_hash")
-    header = f',"content_hash":{json.dumps(recorded)},"format_version":{json.dumps(version)}'
-    header = header.encode()
-    if header not in raw or hashlib.sha256(raw.replace(header, b"", 1)).hexdigest() != recorded:
-        raise CorruptionError("content-hash-match")
-
-    config = EngineConfig.from_dict(body["config"])
-    graphs = [*body["archives"], body["active_buffer"]]
-    events = [entry for graph in graphs for entry in graph]
-    _check_types(events, EVENT_FIELD_TYPES, "e")
-    _check_types(body["topic_nodes"], _TOPIC_TYPES, "t")
-    _check_types(body["topic_edges"], _EDGE_TYPES, None)
-    for prefix, entries in (("e", events), ("t", body["topic_nodes"]), ("a", body["archives"])):
-        if len(entries) >= 10**6:
-            raise CorruptionError("id-width", f"{len(entries)} {prefix} ids")
-    # Each id is the entry's position, counted from 1.
-    topic_nodes = {}
-    for position, entry in enumerate(body["topic_nodes"], 1):
-        theme_id = f"t{position:06d}"
-        for name, item_type in (("keywords", str), ("embedding", float)):
-            if not set(map(type, entry[name])) <= {item_type}:
-                raise CorruptionError("field-type", f"{theme_id} {name}")
-        if not all(map(math.isfinite, entry["embedding"])):
-            raise CorruptionError("document-schema", f"{theme_id} embedding")
-        topic_nodes[theme_id] = TopicNode(
-            id=theme_id,
-            summary=entry["summary"],
-            keywords=tuple(entry["keywords"]),
-            embedding=tuple(entry["embedding"]),
-            created_at=entry["created_at"],
-        )
-
-    edges = {}
-    for entry in body["topic_edges"]:
-        if not math.isfinite(entry["weight"]):
-            raise CorruptionError("document-schema", "edge weight")
-        edge = TopicEdge(
-            from_id=entry["from_id"],
-            to_id=entry["to_id"],
-            relation=Relation(entry["relation"]),
-            weight=entry["weight"],
-        )
-        edges[edge_key(edge.from_id, edge.to_id)] = edge
-
-    strings, numbers = {}, iter(range(1, len(events) + 1))
-    archives = {
-        f"a{position:06d}": _rebuild_graph(entries, strings, numbers)
-        for position, entries in enumerate(body["archives"], 1)
-    }
-    buffer = _rebuild_graph(body["active_buffer"], strings, numbers)
-    clock = body["logical_clock"]
-    if type(clock) is not int or clock < 0:
-        raise CorruptionError("logical-clock-non-negative")
-
-    snapshot = MemorySnapshot(
-        config=config,
-        topic_graph=TopicGraph(topic_nodes, edges),
-        active_event_graph=buffer,
-        archive=archives,
-        logical_clock=clock,
-    )
-    reference_validate(snapshot)
-    _check_written_form(body, snapshot)
-    return snapshot
-
-
-def _check_written_form(body, snapshot):
-    keys = [edge_key(entry["from_id"], entry["to_id"]) for entry in body["topic_edges"]]
-    if (unsorted := next((b for a, b in zip(keys, keys[1:]) if not a < b), None)) is not None:
-        raise CorruptionError("edge-order", str(unsorted))
-    for entries, names in (
-        (body["topic_nodes"], _TOPIC_TYPES.keys()),
-        (body["topic_edges"], _EDGE_TYPES.keys()),
-    ):
-        if any(entry.keys() != names for entry in entries):
-            raise CorruptionError("document-schema", f"a key outside {sorted(names)}")
-    if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
-        raise CorruptionError("document-schema", "config differs from the stored form")
-
-
-def _rebuild_graph(entries, strings, numbers):
-    """The graph of ``entries``, each numbered by the next of ``numbers``."""
-    share = strings.setdefault
-    for entry in entries:
-        entry["session_id"] = share(entry["session_id"], entry["session_id"])
-        entry["speaker"] = share(entry["speaker"], entry["speaker"])
-        entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
-    return EventGraph(
-        tuple(
-            EventNode(id=f"e{next(numbers):06d}", **entry, token_count=estimate_tokens(entry["text"]))
-            for entry in entries
-        )
-    )
-
-
-_TOPIC_TYPES = {
-    "summary": (str,),
-    "keywords": (list,),
-    "embedding": (list,),
-    "created_at": (int,),
-}
-_EDGE_TYPES = {
-    "from_id": (str,),
-    "to_id": (str,),
-    "relation": (str,),
-    "weight": (float,),
-}
-
-
-def _check_types(entries, types, prefix):
-    """Each field's type over every entry; a failure names the entry by the
-    id its position gives it (``prefix``) or, for an edge, its ends."""
-    for name, allowed in types.items():
-        for position, entry in enumerate(entries, 1):
-            if type(entry[name]) not in allowed:
-                where = (
-                    f"{prefix}{position:06d}"
-                    if prefix
-                    else f"{entry.get('from_id')}-{entry.get('to_id')}"
-                )
-                raise CorruptionError("field-type", f"{where} {name}")
-
-
-def reference_validate(snapshot):
-    config = snapshot.config
-    graph = snapshot.topic_graph
-    # Theme t{k} consolidates archive a{k}.
-    if len(snapshot.archive) != len(graph.nodes):
-        raise CorruptionError("archive-count")
-    for archive_id, events in snapshot.archive.items():
-        if not events.nodes:
-            raise CorruptionError("archive-non-empty", archive_id)
-    for events in [*snapshot.archive.values(), snapshot.active_event_graph]:
-        for node in events.nodes:
-            if node.turn_index < 0:
-                raise CorruptionError("turn-index-non-negative", node.id)
-            if not node.text.strip():
-                raise CorruptionError("text-non-empty", node.id)
-
-    for node in graph.nodes.values():
-        if not node.summary.strip():
-            raise CorruptionError("summary-non-empty", node.id)
-        if len(node.embedding) != config.embedding_dim:
-            raise CorruptionError("embedding-dim", node.id)
-        norm = math.sqrt(sum(x * x for x in node.embedding))
-        if not abs(norm - 1.0) <= 1e-6:
-            raise CorruptionError("embedding-unit-norm", node.id)
-    for key, edge in graph.edges.items():
-        if edge.from_id not in graph.nodes or edge.to_id not in graph.nodes:
-            raise CorruptionError("topic-edge-endpoints", str(key))
-        if not edge.weight > config.tau:
-            raise CorruptionError("edge-weight-above-tau", str(key))
-
-
-# ---------------------------------------------------------------------------
-# the 1.0 reference loader: a document with every derived copy spelled out
-
-
-def reference_load_v1(document):
-    """The snapshot a 1.0 document describes, read record by record, with
-    each derived copy checked against the value it copies."""
-    topic_nodes = {
-        entry["id"]: TopicNode(
-            entry["id"],
-            entry["summary"],
-            tuple(entry["keywords"]),
-            tuple(entry["embedding"]),
-            entry["created_at"],
-        )
-        for entry in document["topic_nodes"]
-    }
-    edges = {}
-    for entry in document["topic_edges"]:
-        edge = TopicEdge(entry["from_id"], entry["to_id"], Relation(entry["relation"]), entry["weight"])
-        assert entry["directed"] is edge.directed
-        edges[edge_key(edge.from_id, edge.to_id)] = edge
-    snapshot = MemorySnapshot(
-        config=EngineConfig.from_dict(document["config"]),
-        topic_graph=TopicGraph(topic_nodes, edges),
-        active_event_graph=_rebuild_graph_v1(document["active_buffer"], LIVE_BUFFER_ID),
-        archive={k: _rebuild_graph_v1(g, k) for k, g in document["archives"].items()},
-        logical_clock=document["logical_clock"],
-    )
-    assert document["cross_index"] == {k: v.source_archive_id for k, v in topic_nodes.items()}
-    for entry in document["topic_nodes"]:
-        assert entry["source_archive_id"] == topic_nodes[entry["id"]].source_archive_id
-        assert entry["raw"] == topic_raw(snapshot, entry["id"])
-    reference_validate(snapshot)
-    return snapshot
-
-
-def _rebuild_graph_v1(graph_dict, graph_id):
-    assert graph_dict.keys() == {"graph_id", "nodes", "edges"}
-    assert graph_dict["graph_id"] == graph_id
-    nodes = tuple(EventNode(**entry) for entry in graph_dict["nodes"])
-    assert all(node.token_count == estimate_tokens(node.text) for node in nodes)
-    path = [[a.id, b.id, SEQUENTIAL] for a, b in zip(nodes, nodes[1:])]
-    assert graph_dict["edges"] == path
-    return EventGraph(nodes)
-
 
 # ---------------------------------------------------------------------------
 # mutants
@@ -448,7 +199,7 @@ def test_an_empty_list_written_as_another_value_is_refused(tmp_path, member, val
 @pytest.mark.filterwarnings("ignore:beta_:UserWarning")
 @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
 @pytest.mark.parametrize("corpus", ["golden", "scaling"])
-def test_the_1_0_document_and_the_2_0_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
+def test_the_1_0_document_and_the_3_0_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
     engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
     snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
     path, again = tmp_path / "memory.json", tmp_path / "again.json"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig, estimate_tokens
 from graphmem.core import (
-    EventGraph,
     EventNode,
     Relation,
     TopicEdge,
@@ -22,21 +21,18 @@ from graphmem.core import (
     append_event,
     neighbors,
     new_snapshot,
-    snapshot_bytes,
     snapshot_hash,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import (
     CorruptionError,
     ProviderError,
-    ProviderParseError,
     ProviderTransportError,
 )
-from graphmem.providers import MockRelevanceScorer, mock_bundle, real_number
+from graphmem.providers import MockRelevanceScorer, mock_bundle
 from graphmem.retrieval import (
     AnchorSet,
     CandidateEvent,
-    IndicatorFlags,
     Query,
     RankedCandidate,
     anchor,
@@ -48,9 +44,10 @@ from graphmem.retrieval import (
     role_indicator,
     time_indicator,
 )
-from graphmem.store import checked_vector, load, save
+from graphmem.store import checked_vector
 
 from conftest import random_snapshot, unit_vector
+from reference import reference_drill_down, reference_rerank
 
 
 def make_candidate(idx, text, speaker="ana", timestamp=None, flag=True):
@@ -101,6 +98,14 @@ class TestQuery:
     def test_rejects_text_that_is_not_a_str(self, text):
         with pytest.raises(ValueError, match="must be a str"):
             Query(text)
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, 1.0, np.True_, [True]])
+    def test_time_sensitive_must_be_none_or_a_bool(self, value):
+        # Once taken by its truth, so "no" got the time boost.
+        with pytest.raises(ValueError, match="time_sensitive"):
+            Query("what about the garden", time_sensitive=value)
+        for flag in (None, True, False):
+            assert Query("what about the garden", time_sensitive=flag).time_sensitive is flag
 
     def test_engine_query_refuses_none_with_a_value_error(self):
         # Once an AttributeError from reading ``None.text``.
@@ -771,94 +776,6 @@ class TestTopK:
         assert len(engine.providers.call_log) == before
 
 
-def reference_replies(scorer, query, texts):
-    """How ``rerank`` gathers its replies, written out apart from
-    ``providers.distinct_replies`` so that the oracle sees a change there:
-    each distinct text is asked once, in first-occurrence order, and each
-    position takes the reply for its text."""
-    distinct = []
-    for text in texts:
-        if text not in distinct:
-            distinct.append(text)
-    if not hasattr(scorer, "score_many"):
-        answers = []
-        for text in distinct:
-            try:
-                answers.append(scorer.score(query, text))
-            except ProviderError as exc:
-                answers.append(exc)
-    else:
-        try:
-            answers = scorer.score_many(query, distinct)
-        except ProviderError as exc:
-            return [exc] * len(texts)
-        if type(answers) is not list or len(answers) != len(distinct):
-            failure = ProviderParseError(f"batch reply is not a list of {len(distinct)} items")
-            return [failure] * len(texts)
-    return [answers[distinct.index(text)] for text in texts]
-
-
-def reference_rerank(
-    query, candidates, providers, config, k=None, *, query_vector=None, replies=None
-):
-    """The per-candidate re-rank loop that the columnar ``rerank`` replaced,
-    kept as its oracle; ``replies``, one per candidate, replaces the
-    gathering by :func:`reference_replies`."""
-    if k is None:
-        k = config.retrieval_k
-    if replies is None:
-        replies = reference_replies(
-            providers.relevance_scorer, query.text, [c.node.text for c in candidates]
-        )
-    time_sensitive = is_time_sensitive(query)
-    lowered_query = query.text.lower()
-    rows = []
-    for position, (candidate, reply) in enumerate(zip(candidates, replies)):
-        node = candidate.node
-        p_sem = reply if type(reply) is float else real_number(reply)
-        degraded = not math.isfinite(p_sem)
-        if degraded:
-            failure = reply
-            if not isinstance(reply, ProviderError):
-                kind = type(reply).__name__
-                failure = ProviderParseError(f"relevance {p_sem} ({kind}) is not finite")
-            logging.getLogger("graphmem.retrieval").warning(
-                "relevance scoring failed for %s (%s); degrading to cosine",
-                node.id,
-                failure,
-            )
-            embed, dim = providers.embedder.embed, config.embedding_dim
-            if query_vector is None:
-                query_vector = checked_vector(embed(query.text), dim)
-            text_vector = checked_vector(embed(node.text), dim)
-            cosine = float(np.dot(query_vector, text_vector))
-            if not math.isfinite(cosine):
-                raise ProviderParseError(f"non-finite cosine {cosine}") from failure
-            p_sem = max(cosine, 0.01)
-        p_sem = min(max(p_sem, 0.0), 1.0)
-        t = time_indicator(time_sensitive, node)
-        c = int(node.confidence_flag)
-        r = role_indicator(lowered_query, node)
-        score = p_sem * config.beta_time**t * config.beta_conf**c * config.beta_role**r
-        rows.append((-score, -int(node.id[1:]), node.id, position, p_sem, degraded, (t, c, r)))
-    rows.sort()
-    return [
-        RankedCandidate(
-            event_node_id=node_id,
-            source_archive_id=candidates[position].source_archive_id,
-            anchor_topic_id=candidates[position].anchor_topic_id,
-            p_sem=p_sem,
-            indicators=IndicatorFlags(*flags),
-            score=-negative_score,
-            rank=rank,
-            degraded=degraded,
-        )
-        for rank, (negative_score, _, node_id, position, p_sem, degraded, flags) in enumerate(
-            rows[:k], 1
-        )
-    ]
-
-
 class DrawnReplies:
     """Answers the drawn replies in order: one per ``score`` call (a
     ``ProviderError`` is raised), or one per asked text from ``score_many``
@@ -960,19 +877,6 @@ class TestColumnarRerank:
         assert self.run(rerank, *case) == self.run(reference_rerank, *case)
 
 
-def fresh_drill_down(snapshot, anchors):
-    """``drill_down`` as it was before archives cached their candidates:
-    every call builds new candidates, deduplicated by event id."""
-    candidates, seen = [], set()
-    for anchor_id in sorted(anchors.ids):
-        archive_id = snapshot.topic_graph.nodes[anchor_id].source_archive_id
-        for node in snapshot.archive[archive_id].nodes:
-            if node.id not in seen:
-                seen.add(node.id)
-                candidates.append(CandidateEvent(node, archive_id, anchor_id))
-    return candidates
-
-
 def anchor_sets(snapshot, rng, count=12):
     """Drawn subsets of the theme ids, from one anchor to all of them."""
     ids = sorted(snapshot.topic_graph.nodes)
@@ -982,58 +886,16 @@ def anchor_sets(snapshot, rng, count=12):
     ] + [AnchorSet((), tuple(ids))]
 
 
-def assert_drill_down_matches_a_fresh_build(snapshot, rng):
-    for anchors in anchor_sets(snapshot, rng):
-        assert drill_down(snapshot, anchors) == fresh_drill_down(snapshot, anchors)
-
-
-QUESTIONS = (
-    "which tomato seedlings are in the garden greenhouse",
-    "what did riley say about the chess rook castling",
-    "when was the passport ferry boarding at the customs",
-)
-
-
 class TestCachedCandidates:
     """A frozen archive keeps the candidates it yields as a derived value;
-    drill-down over it must equal a fresh, uncached build."""
-
-    def test_forks_sharing_archives_match_a_fresh_build(self, golden_snapshot):
-        parent, _, _ = golden_snapshot
-        forks = []
-        for topic in ("the new telescope mirror arrived", "our puppy chewed the leash"):
-            engine = MemoryEngine(mock_bundle(parent.config), snapshot=parent)
-            for i in range(4):
-                engine.observe("fork", ("ana", "riley")[i % 2], f"{topic} part {i}")
-            engine.end_session()
-            forks.append(engine.snapshot)
-        for archive_id, graph in parent.archive.items():
-            assert all(fork.archive[archive_id] is graph for fork in forks)
-        rng = random.Random(41)
-        for snapshot in (*forks, parent, *forks):
-            for question in QUESTIONS:
-                retrieve(snapshot, Query(question), mock_bundle(snapshot.config))
-            assert_drill_down_matches_a_fresh_build(snapshot, rng)
-
-    def test_a_loaded_copy_matches_a_fresh_build(self, golden_snapshot, tmp_path):
-        snapshot, _, providers = golden_snapshot
-        retrieve(snapshot, Query(QUESTIONS[0]), providers)
-        save(snapshot, tmp_path / "copy.json")
-        loaded = load(tmp_path / "copy.json")
-        assert all(g.candidates is None for g in loaded.archive.values())
-        rng = random.Random(42)
-        for _ in range(2):
-            assert_drill_down_matches_a_fresh_build(loaded, rng)
-            assert retrieve(loaded, Query(QUESTIONS[1]), providers) == retrieve(
-                snapshot, Query(QUESTIONS[1]), providers
-            )
+    drill-down over it must equal the reference's, and reuse them."""
 
     def test_each_anchor_reaches_its_own_archive_and_keeps_its_candidates(self):
         snapshot = random_snapshot(random.Random(43), 3)
         for ids in (("t000002",), ("t000002", "t000001"), ("t000003", "t000002", "t000003")):
             anchors = AnchorSet((), ids)
             got = drill_down(snapshot, anchors)
-            assert got == fresh_drill_down(snapshot, anchors)
+            assert got == reference_drill_down(snapshot, anchors.ids)
             pairs = {(c.anchor_topic_id, c.source_archive_id) for c in got}
             assert pairs == {(t, "a" + t[1:]) for t in ids}
         again = drill_down(snapshot, AnchorSet((), ("t000003",)))
@@ -1053,7 +915,7 @@ class TestCachedCandidates:
             for copy in (snapshot, swapped)
             for anchors in anchor_sets(copy, random.Random(45), count=20)
         ]
-        expected = [fresh_drill_down(copy, anchors) for copy, anchors in draws]
+        expected = [reference_drill_down(copy, anchors.ids) for copy, anchors in draws]
 
         def run(seed):
             order = list(range(len(draws)))
@@ -1067,22 +929,3 @@ class TestCachedCandidates:
                 assert all(pool.map(run, range(8), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-
-    def test_the_cached_candidates_are_never_saved_compared_or_shown(self, bundle):
-        snapshot = random_snapshot(random.Random(46), 6)
-        fresh = replace(
-            snapshot, archive={k: EventGraph(g.nodes) for k, g in snapshot.archive.items()}
-        )
-        before = snapshot_bytes(snapshot)
-        retrieve(snapshot, Query("utterance number 7 about subject 3"), bundle)
-        cached = [g for g in snapshot.archive.values() if g.candidates is not None]
-        assert cached
-        assert all(g.candidates is None for g in fresh.archive.values())
-        assert snapshot_bytes(snapshot) == before == snapshot_bytes(fresh)
-        assert snapshot == fresh
-        assert repr(snapshot) == repr(fresh)
-        graph = cached[0]
-        assert graph == EventGraph(graph.nodes)
-        assert repr(graph) == repr(EventGraph(graph.nodes))
-        with pytest.raises(TypeError):
-            EventGraph(graph.nodes, candidates=())

@@ -3,30 +3,61 @@
 Rules observe turns in three sessions, end sessions, request checks, query,
 round-trip the snapshot through save and load, continuing on the loaded
 copy, restart (the same with fresh providers, as a new process would), and
-fork: a second engine continues from the current snapshot and saves its
-own, so the fork shares archives with the main chain.  A small buffer
-budget makes overflows fire.  After every step the engine is checked
-against a plain model: the list of accepted turns and the number of
-committed consolidations.  Each step that consolidates is also checked
-against the calls it adds: one entailment call per distinct text of each
-segment, and one relation call per distinct summary of each candidate pool.
+fork: a second engine continues from the current snapshot, queries and
+saves its own, so the fork shares archives with the main chain.  A small
+buffer budget makes overflows fire.
+
+Every step is checked against a plain model (the list of accepted turns
+and the number of committed consolidations) and against the scan-only
+reference engine in ``reference.py``:
+
+- each query's full ranking, down to the bits of every score;
+- each committed consolidation's report and committed snapshot, and the
+  calls it adds: one entailment call per distinct text of each segment,
+  and one relation call per distinct summary of each candidate pool;
+- each saved file, which the reference loader must read back as the
+  snapshot saved;
+- each value the engine carries from snapshot to snapshot, against its
+  scan (:meth:`EngineMachine.carried_values_match_a_scan`).  A new carried
+  value gets one line there.
 """
 
 import os
 import tempfile
+from contextlib import contextmanager
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from graphmem import consolidation
 from graphmem.config import EngineConfig, estimate_tokens
-from graphmem.core import LIVE_BUFFER_ID, EventNode, MemorySnapshot, TopicGraph, snapshot_hash
+from graphmem.core import (
+    LIVE_BUFFER_ID,
+    EventNode,
+    MemorySnapshot,
+    next_archive_id,
+    next_event_id,
+    next_topic_id,
+    snapshot_hash,
+    stable_layer_hash,
+)
 from graphmem.engine import MemoryEngine
-from graphmem.providers import MockEmbedder, MockRelevanceScorer, mock_bundle
-from graphmem.retrieval import anchor, drill_down
-from graphmem.store import checked_vector, load, save, validate_snapshot
+from graphmem.providers import mock_bundle
+from graphmem.retrieval import Query
+from graphmem.store import load, save, validate_snapshot
 
-from conftest import cold_file, highest_turns, stored_nodes
+from conftest import cold_file
+from reference import (
+    highest_turns,
+    next_ids,
+    reference_consolidate,
+    reference_load,
+    reference_neighbours,
+    reference_retrieve,
+    stored_nodes,
+)
 
 WORDS = ("garden", "compost", "puppy", "leash", "ferry", "passport", "yesterday", "the")
 
@@ -43,11 +74,83 @@ def stored(node: EventNode) -> tuple:
     return (node.session_id, node.speaker, node.text, node.timestamp, node.turn_index)
 
 
-def check_saved_bytes(snapshot: MemorySnapshot) -> None:
-    """The file a save kept on the snapshot, if any, is the one the whole
-    document encoded from scratch gives."""
-    if snapshot.saved_bytes is not None:
-        assert snapshot.saved_bytes == cold_file(snapshot)
+def next_turn(turns: list[tuple], session: str) -> int:
+    """The turn index the model derives: one past the session's highest."""
+    return 1 + max((t[4] for t in turns if t[0] == session), default=-1)
+
+
+def check_file(snapshot: MemorySnapshot, path: str) -> None:
+    """Save ``snapshot``: the file it keeps is the whole document encoded
+    from scratch, and the engine's loader and the reference loader both
+    read it back as ``snapshot``, so no carried value is saved or compared."""
+    save(snapshot, path)
+    assert snapshot.saved_bytes == cold_file(snapshot)
+    loaded = load(path)
+    assert loaded == reference_load(path) == snapshot
+    assert snapshot_hash(loaded) == snapshot_hash(snapshot)
+
+
+def shown(ranking) -> list[tuple]:
+    """Every field of a ranking, each float by its bits."""
+    return [
+        (c.rank, c.event_node_id, c.source_archive_id, c.anchor_topic_id, c.indicators)
+        + (c.p_sem.hex(), c.score.hex(), c.degraded)
+        for c in ranking
+    ]
+
+
+def check_query(engine: MemoryEngine, text: str, k: int) -> None:
+    """The engine ranks ``text`` as the reference does, leaves its snapshot
+    as it was, and asks the relevance scorer as often: once per distinct
+    candidate text."""
+    before = engine.snapshot
+    log = engine.providers.call_log
+    scored = log.count("relevance_scorer")
+    ranked = engine.query(text, k=k)
+    assert engine.snapshot is before
+    oracle = mock_bundle(before.config)
+    assert shown(ranked) == shown(reference_retrieve(before, Query(text), oracle, k))
+    assert log.count("relevance_scorer") - scored == oracle.call_log.count("relevance_scorer")
+
+
+@contextmanager
+def consolidations():
+    """Records each consolidation committed inside the block: the snapshot
+    it started from, its segment's length, its report and its result."""
+    committed = []
+    original = consolidation.consolidate_segment
+
+    def recorded(snapshot, segment, providers, forced=False):
+        report, result = original(snapshot, segment, providers, forced)
+        committed.append((snapshot, len(segment), report, result))
+        return report, result
+
+    consolidation.consolidate_segment = recorded
+    try:
+        yield committed
+    finally:
+        consolidation.consolidate_segment = original
+
+
+def check_consolidations(committed: list[tuple], calls) -> None:
+    """Each consolidation commits what the reference commits, and ``calls``
+    hold each one's scorer calls in order: the entailment checker once per
+    distinct text of its segment and the relation scorer once per distinct
+    summary of its candidate pool, each in first-occurrence order (the mock
+    records the tokens of each pair it is asked)."""
+    entailed, related = [], []
+    for parent, length, report, result in committed:
+        segment = parent.buffer[:length]
+        fields, expected = reference_consolidate(parent, segment, mock_bundle(parent.config))
+        assert {name: getattr(report, name) for name in fields} == fields
+        assert result == expected
+        assert stable_layer_hash(result) == stable_layer_hash(expected)
+        summary = estimate_tokens(result.topic_graph.nodes[report.new_topic_id].summary)
+        pool = [parent.topic_graph.nodes[t].summary for t, _ in report.candidate_pool]
+        entailed += [summary + estimate_tokens(t) for t in dict.fromkeys(n.text for n in segment)]
+        related += [summary + estimate_tokens(other) for other in dict.fromkeys(pool)]
+    assert [r.input_tokens for r in calls if r.provider == "entailment"] == entailed
+    assert [r.input_tokens for r in calls if r.provider == "relation_scorer"] == related
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -58,6 +161,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine = MemoryEngine(self.bundle, config)
         self.turns: list[tuple] = []
         self.committed = 0
+        self.checked: MemorySnapshot | None = None
         self.directory = tempfile.TemporaryDirectory()
         self.path = os.path.join(self.directory.name, "memory.json")
         self.fork_path = os.path.join(self.directory.name, "fork.json")
@@ -65,30 +169,15 @@ class EngineMachine(RuleBasedStateMachine):
     def teardown(self):
         self.directory.cleanup()
 
-    def nodes(self) -> list[EventNode]:
-        return stored_nodes(self.engine.snapshot)
-
     def consolidate(self, step) -> None:
-        """Run an engine step that may consolidate, and count its commits.
-
-        Each consolidation asks the entailment checker once per distinct
-        text of its segment and the relation scorer once per distinct
-        summary of its candidate pool, each in first-occurrence order; the
-        mock records the tokens of each pair it is asked."""
+        """Run an engine step that may consolidate, check what it commits,
+        and count its commits."""
         log = self.engine.providers.call_log
         start = len(log)
-        reports = step()
-        snapshot = self.engine.snapshot
-        entailed, related = [], []
-        for report in reports:
-            summary = estimate_tokens(snapshot.topic_graph.nodes[report.new_topic_id].summary)
-            texts = [n.text for n in snapshot.archive[report.archive_id].nodes]
-            pool = [snapshot.topic_graph.nodes[t].summary for t, _ in report.candidate_pool]
-            entailed += [summary + estimate_tokens(text) for text in dict.fromkeys(texts)]
-            related += [summary + estimate_tokens(other) for other in dict.fromkeys(pool)]
-        added = log.entries()[start:]
-        assert [r.input_tokens for r in added if r.provider == "entailment"] == entailed
-        assert [r.input_tokens for r in added if r.provider == "relation_scorer"] == related
+        with consolidations() as committed:
+            reports = step()
+        assert reports == [report for _, _, report, _ in committed]
+        check_consolidations(committed, log.entries()[start:])
         self.committed += len(reports)
 
     @rule(
@@ -99,10 +188,7 @@ class EngineMachine(RuleBasedStateMachine):
         turn_index=st.none() | st.integers(0, 40),
     )
     def observe(self, session, speaker, text, timestamp, turn_index):
-        expected = turn_index
-        if expected is None:
-            # A derived index is one past the session's highest so far.
-            expected = 1 + max((t[4] for t in self.turns if t[0] == session), default=-1)
+        expected = next_turn(self.turns, session) if turn_index is None else turn_index
         self.consolidate(
             lambda: self.engine.observe(session, speaker, text, timestamp, turn_index)
         )
@@ -118,50 +204,33 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(text=texts, k=st.integers(1, 5))
     def query(self, text, k):
-        before = self.engine.snapshot
-        call_log = self.engine.providers.call_log
-        scored = call_log.count("relevance_scorer")
-        ranked = self.engine.query(text, k=k)
-        assert self.engine.snapshot is before
-        assert [c.rank for c in ranked] == list(range(1, len(ranked) + 1))
-        assert len(ranked) <= k
-        assert {c.event_node_id for c in ranked} <= {n.id for n in self.nodes()}
-        # Stored texts repeat; each distinct candidate text is scored once.
-        config = before.config
-        vector = MockEmbedder(config.embedding_dim, config.seed).embed(text)
-        anchors = anchor(before.topic_graph, checked_vector(vector, config.embedding_dim), k)
-        candidates = [c.node for c in drill_down(before, anchors)] + list(before.buffer)
-        distinct = {n.text for n in candidates}
-        assert call_log.count("relevance_scorer") - scored == len(distinct)
-        lookup = {n.id: n.text for n in candidates}
-        scorer = MockRelevanceScorer()
-        for candidate in ranked:
-            assert candidate.p_sem == scorer.score(text, lookup[candidate.event_node_id])
+        check_query(self.engine, text, k)
 
     @rule(
         turns=st.lists(
             st.tuples(st.sampled_from(("s1", "s4")), st.sampled_from(("ana", "riley")), texts),
             min_size=1,
             max_size=8,
-        )
+        ),
+        k=st.integers(1, 5),
     )
-    def fork(self, turns):
-        # The fork runs on the main snapshot, consolidates, and saves before
-        # the main engine saves again.
+    def fork(self, turns, k):
+        # The fork runs on the main snapshot, consolidates, queries the
+        # archives it shares with the main chain, and saves before the main
+        # engine saves again.
         parent = self.engine.snapshot
         fork = MemoryEngine(mock_bundle(parent.config), snapshot=parent)
-        for session, speaker, text in turns:
-            fork.observe(session, speaker, text)
-        fork.end_session()
-        snapshot = fork.snapshot
-        nodes = [stored(n) for n in stored_nodes(snapshot)]
-        assert nodes[: len(self.turns)] == self.turns
-        added = [node[:4] for node in nodes[len(self.turns) :]]
-        assert added == [(session, speaker, text, None) for session, speaker, text in turns]
-        validate_snapshot(snapshot)
-        save(snapshot, self.fork_path)
-        check_saved_bytes(snapshot)
-        assert snapshot_hash(load(self.fork_path)) == snapshot_hash(snapshot)
+        model = list(self.turns)
+        with consolidations() as committed:
+            for session, speaker, text in turns:
+                fork.observe(session, speaker, text)
+                model.append((session, speaker, text, None, next_turn(model, session)))
+            fork.end_session()
+        check_consolidations(committed, fork.providers.call_log.entries())
+        assert [stored(n) for n in stored_nodes(fork.snapshot)] == model
+        check_query(fork, turns[0][2], k)
+        validate_snapshot(fork.snapshot)
+        check_file(fork.snapshot, self.fork_path)
         assert self.engine.snapshot is parent
 
     @rule()
@@ -178,12 +247,13 @@ class EngineMachine(RuleBasedStateMachine):
         assert loaded.turn_max is None
         assert loaded.saved_bytes is None
         assert "adjacency" not in vars(loaded.topic_graph)
+        assert all(g.candidates is None for g in loaded.archive.values())
         self.bundle = mock_bundle(loaded.config)
         self.engine = MemoryEngine(self.bundle, snapshot=loaded)
 
     @invariant()
     def each_accepted_turn_stored_once_in_id_order(self):
-        nodes = self.nodes()
+        nodes = stored_nodes(self.engine.snapshot)
         assert [stored(n) for n in nodes] == self.turns
         ids = [n.id for n in nodes]
         assert ids == sorted(set(ids))
@@ -192,7 +262,7 @@ class EngineMachine(RuleBasedStateMachine):
     def each_id_is_its_creation_position(self):
         snapshot = self.engine.snapshot
         kinds = (
-            ("e", [n.id for n in self.nodes()]),
+            ("e", [n.id for n in stored_nodes(snapshot)]),
             ("t", list(snapshot.topic_graph.nodes)),
             ("a", list(snapshot.archive)),
         )
@@ -211,32 +281,46 @@ class EngineMachine(RuleBasedStateMachine):
         assert snapshot.cross_index == {f"t{k:06d}": f"a{k:06d}" for k in range(1, themes + 1)}
 
     @invariant()
-    def derived_values_match_a_fresh_build(self):
+    def carried_values_match_a_scan(self):
+        # One line per value the engine carries, checked whenever built.
         snapshot = self.engine.snapshot
+        ids = next_ids(snapshot)
+        allocated = (next_event_id(snapshot), next_topic_id(snapshot), next_archive_id(snapshot))
+        assert allocated == (ids["e"], ids["t"], ids["a"])
         if snapshot.turn_max is not None:
-            assert snapshot.turn_max == highest_turns(stored_nodes(snapshot))
-        graph = snapshot.active_event_graph
-        if "token_total" in vars(graph):
-            assert graph.token_total == sum(n.token_count for n in graph.nodes)
-        topic_graph = snapshot.topic_graph
-        if "adjacency" in vars(topic_graph):
-            assert topic_graph.adjacency == TopicGraph(topic_graph.nodes, topic_graph.edges).adjacency
-        graphs = [*snapshot.archive.items(), (LIVE_BUFFER_ID, snapshot.active_event_graph)]
-        for graph_id, graph in graphs:
+            assert snapshot.turn_max == highest_turns(snapshot)
+        buffer = snapshot.active_event_graph
+        if "token_total" in vars(buffer):
+            assert buffer.token_total == sum(n.token_count for n in buffer.nodes)
+        themes = snapshot.topic_graph
+        if "adjacency" in vars(themes):
+            scanned = {t: ends for t in themes.nodes if (ends := reference_neighbours(themes, t))}
+            assert themes.adjacency == scanned
+        if themes.vector_index is not None:
+            order = sorted(themes.nodes)
+            rows = np.array([themes.nodes[t].embedding for t in order], dtype=float)
+            assert themes.vector_index.ids == tuple(order)
+            assert themes.vector_index.matrix.tobytes() == rows.tobytes()
+        for graph_id, graph in [*snapshot.archive.items(), (LIVE_BUFFER_ID, buffer)]:
             if graph.candidates is not None:
-                assert [c.node for c in graph.candidates] == list(graph.nodes)
-                assert {c.source_archive_id for c in graph.candidates} <= {graph_id}
-        check_saved_bytes(snapshot)
+                anchor = LIVE_BUFFER_ID if graph_id == LIVE_BUFFER_ID else "t" + graph_id[1:]
+                built = [(c.node, c.source_archive_id, c.anchor_topic_id) for c in graph.candidates]
+                assert built == [(n, graph_id, anchor) for n in graph.nodes]
+        # The bytes a save keeps are checked by check_file.
 
     @invariant()
-    def hash_survives_save_and_load(self):
+    def the_saved_file_reads_back_as_the_snapshot(self):
+        # A step that kept the snapshot, such as a query, would only write
+        # the same file again.
         snapshot = self.engine.snapshot
-        validate_snapshot(snapshot)
-        save(snapshot, self.path)
-        assert snapshot_hash(load(self.path)) == snapshot_hash(snapshot)
+        if snapshot is not self.checked:
+            validate_snapshot(snapshot)
+            check_file(snapshot, self.path)
+            self.checked = snapshot
 
 
-# About 20 s: long enough runs for overflows, pauses and reloads to mix.
+# About 20 to 30 s, by the states drawn: long enough runs for overflows,
+# pauses and reloads to mix.
 EngineMachine.TestCase.settings = settings(
     max_examples=100, stateful_step_count=50, deadline=None
 )

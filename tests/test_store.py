@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from graphmem import core
 from graphmem.config import EngineConfig
-from graphmem.consolidation import consolidate_segment, select_candidates
+from graphmem.consolidation import consolidate_segment
 from graphmem.core import (
     EventGraph,
     EventNode,
@@ -31,9 +31,6 @@ from graphmem.core import (
     archive_segment,
     canonical_json,
     insert_topic_node,
-    neighbors,
-    next_archive_id,
-    next_event_id,
     next_topic_id,
     snapshot_bytes,
     snapshot_hash,
@@ -44,14 +41,13 @@ from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError, GraphMemError, StateError
 from graphmem.harness import replay
 from graphmem.providers import mock_bundle
-from graphmem.retrieval import Query, anchor, retrieve
+from graphmem.retrieval import Query, retrieve
 from graphmem.store import (
     FORMAT_VERSION,
     VectorIndex,
     _body_digest,
     load,
     save,
-    topic_index,
     validate_snapshot,
     vector_topk,
 )
@@ -63,10 +59,10 @@ from conftest import (
     interleaved_corpora,
     random_snapshot,
     stored_body,
-    stored_nodes,
     unit_vector,
     write_rehashed,
 )
+from reference import reference_topk, stored_nodes
 from test_acceptance import STRATEGY_MATRIX
 
 
@@ -1067,16 +1063,6 @@ class TestVectorIndex:
             assert incremental.matrix.tobytes() == rebuilt.matrix.tobytes()
 
 
-def _scan_topk(index, query, k):
-    """Reference top-k: every row scored by its own dot product, then sorted."""
-    scored = [
-        (node_id, float(np.dot(index.matrix[i], query)))
-        for i, node_id in enumerate(index.ids)
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
-
-
 @st.composite
 def indexed_queries(draw):
     """An index with forced ties and near-duplicate rows, a query and a k.
@@ -1123,7 +1109,8 @@ class TestVectorIndexProperties:
         def exact(ranking):
             return [(node_id, repr(score)) for node_id, score in ranking]
 
-        assert exact(vector_topk(index, query, k)) == exact(_scan_topk(index, query, k))
+        expected = reference_topk(zip(index.ids, index.matrix), query, k)
+        assert exact(vector_topk(index, query, k)) == exact(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1182,181 +1169,9 @@ class TestVectorIndexProperties:
         assert parent.matrix.tobytes() == np.array([(1.0, 0.0, 0.0, 0.0)]).tobytes()
 
 
-def _scan_next_id(prefix, ids):
-    """Reference allocator: one past the largest number among all ids."""
-    return f"{prefix}{max((int(i[1:]) for i in ids), default=0) + 1:06d}"
-
-
-def _engine(limit):
-    config = EngineConfig(buffer_token_limit=limit)
-    return MemoryEngine(mock_bundle(config), config)
-
-
-def _observe(engine, turn):
-    engine.observe(turn.session_id, turn.speaker, turn.text, turn.timestamp, turn.turn_index)
-
-
-@st.composite
-def turn_programs(draw, others=("end_session", "check_now", "reload"), sessions=3):
-    """Steps over 1 to ``sessions`` interleaved sessions ("s1", "s2", ...):
-    turns with the turn index left out or given (also below the session's
-    highest), and ``others``: by default explicit checks, session ends and
-    save/load round trips."""
-    sessions = [f"s{i}" for i in range(1, draw(st.integers(1, sessions)) + 1)]
-    vocabulary = ("garden", "compost", "puppy", "leash", "interview", "offer")
-    steps = []
-    for _ in range(draw(st.integers(1, 30))):
-        kind = draw(st.sampled_from(("turn", "turn", "turn", *others)))
-        if kind == "turn":
-            session = draw(st.sampled_from(sessions))
-            turn_index = draw(st.none() | st.integers(0, 40))
-            words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5))
-            steps.append((kind, session, turn_index, " ".join(words)))
-        else:
-            steps.append((kind,))
-    return steps
-
-
-def _next_turn(snapshot, session_id):
-    """The turn index an append without one gets."""
-    return append_event(snapshot, Utterance(session_id, "ana", "probe")).buffer[-1].turn_index
-
-
-def _archived_session(session_id, turns):
-    """A snapshot whose one archive holds ``turns`` turns of one session."""
-    snapshot = MemorySnapshot(EngineConfig())
-    for turn in range(turns):
-        snapshot = append_event(snapshot, Utterance(session_id, "ana", f"garden turn {turn}"))
-    return archive_segment(snapshot, turns, [True] * turns)[1]
-
-
-def _check_derived_turns(steps, limit, sessions):
-    """Runs ``steps`` on an engine; after each, every session in
-    ``sessions`` must derive the index a full scan gives."""
-    engine = _engine(limit)
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "snapshot.json")
-        for step in steps:
-            if step[0] == "turn":
-                _, session, turn_index, text = step
-                engine.observe(session, "ana", text, None, turn_index)
-            elif step[0] == "reload":
-                save(engine.snapshot, path)
-                engine = MemoryEngine(engine.providers, snapshot=load(path))
-            else:
-                getattr(engine, step[0])()
-            snapshot = engine.snapshot
-            for session in sessions:
-                assert _next_turn(snapshot, session) == _scan_next_turn(snapshot, session)
-
-
-def _scan_next_turn(snapshot, session_id):
-    """Reference derivation: one past the session's highest stored turn."""
-    graphs = (snapshot.active_event_graph, *snapshot.archive.values())
-    turns = [n.turn_index for g in graphs for n in g.nodes if n.session_id == session_id]
-    return max(turns, default=-1) + 1
-
-
-class TestDerivedValueProperties:
-    """Id allocation, turn-index derivation, the carried vector index and
-    the adjacency map read only derived state; each must equal the full scan
-    it replaced."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
-    def test_each_turn_matches_a_full_scan(self, corpus, limit):
-        engine = _engine(limit)
-        dim = engine.config.embedding_dim
-        query = engine.providers.embedder.embed("garden puppy offer")
-        for turn in corpus.turns:
-            _observe(engine, turn)
-            snapshot = engine.snapshot
-            graphs = (snapshot.active_event_graph, *snapshot.archive.values())
-            events = [n.id for g in graphs for n in g.nodes]
-            assert snapshot.active_event_graph.token_total == sum(n.token_count for n in snapshot.buffer)
-            assert next_event_id(snapshot) == _scan_next_id("e", events)
-            assert next_topic_id(snapshot) == _scan_next_id("t", snapshot.topic_graph.nodes)
-            assert next_archive_id(snapshot) == _scan_next_id("a", snapshot.archive)
-
-            graph = snapshot.topic_graph
-            carried = topic_index(graph, dim)
-            rebuilt = VectorIndex.from_topic_graph(graph, dim)
-            assert carried.ids == rebuilt.ids
-            assert carried.matrix.tobytes() == rebuilt.matrix.tobytes()
-            k = max(len(graph.nodes), 1)
-            expected = vector_topk(rebuilt, query, k)
-            assert select_candidates(graph, query, k) == expected
-            assert anchor(graph, query, k).seeds == tuple(expected)
-
-            for node_id in graph.nodes:
-                scanned = {b if a == node_id else a for a, b in graph.edges if node_id in (a, b)}
-                assert neighbors(graph, node_id) == scanned
-
-    @settings(max_examples=25, deadline=None)
-    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24)))
-    def test_consolidation_leaves_the_parent_index_alone(self, corpus, limit):
-        engine = _engine(limit)
-        query = Query("what about the garden and the puppy")
-        for turn in corpus.turns:
-            before = engine.snapshot
-            ranking = retrieve(before, query, engine.providers)
-            index = before.topic_graph.vector_index
-            matrix = index.matrix.tobytes()
-            _observe(engine, turn)
-            # Querying the new snapshot uses the index carried from ``before``.
-            engine.query(query)
-            assert before.topic_graph.vector_index is index
-            assert index.matrix.tobytes() == matrix
-            assert len(index.ids) == len(before.topic_graph.nodes)
-            assert retrieve(before, query, engine.providers) == ranking
-
-    @settings(max_examples=40, deadline=None)
-    @given(steps=turn_programs(), limit=st.sampled_from((8, 24, 2048)))
-    def test_derived_turn_index_matches_a_full_scan(self, steps, limit):
-        _check_derived_turns(steps, limit, ("s1", "s2", "s3"))
-
-    @settings(max_examples=25, deadline=None)
-    @given(steps=turn_programs(sessions=8), limit=st.sampled_from((8, 24, 2048)))
-    def test_derived_turn_index_matches_a_full_scan_over_many_sessions(self, steps, limit):
-        _check_derived_turns(steps, limit, [f"s{i}" for i in range(1, 10)])
-
-    def test_forks_derive_from_their_own_history(self):
-        parent = _archived_session("s1", 12)
-        assert _next_turn(parent, "s1") == 12
-        built = parent.turn_max
-        frozen = dict(built)
-
-        high = append_event(parent, Utterance("s1", "ana", "a late turn", turn_index=50))
-        low = append_event(parent, Utterance("s2", "riley", "another session"))
-        for child, expected in ((high, 51), (low, 12)):
-            assert _next_turn(child, "s1") == expected
-            _, archived = archive_segment(child, len(child.buffer), [True] * len(child.buffer))
-            assert not archived.buffer
-            assert archived.turn_max is child.turn_max
-            assert _next_turn(archived, "s1") == expected
-        assert parent.turn_max is built
-        assert built == frozen
-        assert _next_turn(parent, "s1") == 12
-
-    def test_replaced_archives_derive_from_the_new_ones(self):
-        long, short = _archived_session("s1", 12), _archived_session("s1", 4)
-        assert _next_turn(long, "s1") == 12
-        swapped = dataclasses.replace(long, archive=short.archive)
-        assert _next_turn(swapped, "s1") == 4
-
-    def test_the_derived_map_is_never_saved_compared_or_shown(self):
-        # The map is built over the archive and carried past the buffered turn.
-        snapshot = _archived_session("s1", 6)
-        snapshot = append_event(snapshot, Utterance("s1", "ana", "a buffered turn"))
-        fresh = dataclasses.replace(snapshot)
-        assert snapshot.turn_max == {"s1": 6}
-        assert fresh.turn_max is None
-        assert snapshot == fresh
-        assert repr(snapshot) == repr(fresh)
-        assert snapshot_to_dict(snapshot) == snapshot_to_dict(fresh)
-        assert snapshot_bytes(snapshot) == snapshot_bytes(fresh)
-        with pytest.raises(TypeError):
-            MemorySnapshot(snapshot.config, turn_max={})
+class TestDerivedTurnIndexCost:
+    """The state machine checks every derived turn index against a scan;
+    this checks what the carried maxima save."""
 
     def test_turns_after_the_first_never_iterate_an_archive(self):
         # The per-turn cost stays flat: once derived, the turn maxima are
@@ -1616,31 +1431,6 @@ class TestCachedBytes:
                 save(variant, path)
             assert not path.exists()
             assert variant.saved_bytes is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        steps=turn_programs(others=("end_session", "save")),
-        limit=st.sampled_from((8, 24, 2048)),
-    )
-    def test_every_save_writes_the_cold_bytes(self, steps, limit):
-        engine = _engine(limit)
-        saved = []
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "snapshot.json")
-            for step in steps + [("save",)]:
-                if step[0] == "turn":
-                    _, session, turn_index, text = step
-                    engine.observe(session, "ana", text, None, turn_index)
-                elif step[0] == "save":
-                    save(engine.snapshot, path)
-                    saved.append(engine.snapshot)
-                    with open(path, "rb") as handle:
-                        assert handle.read() == cold_file(engine.snapshot)
-                else:
-                    engine.end_session()
-        # A later snapshot's save leaves every earlier one's file intact.
-        for snapshot in saved:
-            assert snapshot.saved_bytes == cold_file(snapshot)
 
 
 def _run_threads(jobs):

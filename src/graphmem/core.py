@@ -7,17 +7,18 @@ follow from its node order and its id from its archive key (``"live"`` for
 the buffer); theme ``t{k}`` consolidates archive ``a{k}``, so a theme's
 ``source_archive_id``, the cross-layer index and a theme's verbatim text
 follow from its id; an edge's direction follows from its relation, and an
-event's token count from its text.  Two documents are
-defined here, each field by one writer.  The stored body,
-:data:`STORED_MEMBERS`, holds none of those copies: six members, written
-by one writer each for an event node, a theme and a topic edge, which
-``store.save`` encodes.  The hashed document, :data:`SNAPSHOT_MEMBERS`,
-which :func:`snapshot_to_dict` builds and the hashes encode, has seven:
-its writers reuse the stored-form ones and add the copies, so a
-snapshot's identity does not depend on what the file leaves out.  A save
-keeps the file it wrote on the snapshot (``saved_bytes``), so a re-save of
-that very object only writes; any other snapshot's save encodes the whole
-body.
+event's token count from its text.  Two documents are defined here, and
+each stored field of an event, a theme or an edge has one writer, which
+both use.  The stored body, :data:`STORED_MEMBERS`, holds none of those
+copies: six members, each table an object of columns with the field
+writers applied a column at a time, which ``store.save`` encodes.  The
+hashed document, :data:`SNAPSHOT_MEMBERS`, which :func:`snapshot_to_dict`
+builds and the hashes encode, has seven: a record per object, with the
+field writers applied a record at a time and the copies added, so a
+snapshot's identity does not depend on what the file leaves out or how it
+lays the records out.  A save keeps the file it wrote on the snapshot
+(``saved_bytes``), so a re-save of that very object only writes; any
+other snapshot's save encodes the whole body.
 An :class:`Utterance` is the one turn record, for ``observe`` and corpora
 alike.
 Every mutation is functional: operations return a new snapshot
@@ -50,8 +51,9 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence, TypeVar
 
 from .config import EngineConfig, estimate_tokens
 from .errors import StateError
@@ -571,64 +573,73 @@ def memory_stats(snapshot: MemorySnapshot) -> dict[str, int]:
 # canonical serialization
 
 
-def _stored_event(node: EventNode) -> dict:
-    return {
-        "session_id": node.session_id,
-        "turn_index": node.turn_index,
-        "speaker": node.speaker,
-        "text": node.text,
-        "timestamp": node.timestamp,
-        "confidence_flag": node.confidence_flag,
-    }
+#: Each stored field of an event node, a theme and a topic edge, in the
+#: order of :data:`EVENT_FIELD_TYPES` and ``store``'s theme and edge types,
+#: with its one writer: the JSON value a record stores in that field.  The
+#: file applies them a column at a time (:func:`_table`), the hashed
+#: document a record at a time (:func:`_row`).
+_EVENT_WRITERS: dict[str, Callable[[EventNode], object]] = {
+    name: attrgetter(name) for name in EVENT_FIELD_TYPES
+}
+_TOPIC_WRITERS: dict[str, Callable[[TopicNode], object]] = {
+    "summary": attrgetter("summary"),
+    "keywords": lambda node: list(node.keywords),
+    "embedding": lambda node: list(map(float, node.embedding)),
+    "created_at": attrgetter("created_at"),
+}
+_EDGE_WRITERS: dict[str, Callable[[TopicEdge], object]] = {
+    "from_id": attrgetter("from_id"),
+    "to_id": attrgetter("to_id"),
+    "relation": lambda edge: edge.relation.value,
+    "weight": lambda edge: float(edge.weight),
+}
 
 
-def _stored_events(graph: EventGraph) -> list[dict]:
-    return [_stored_event(n) for n in graph.nodes]
+def _row(writers: Mapping[str, Callable], record: object) -> dict:
+    """One record as an object of its stored fields."""
+    return {name: write(record) for name, write in writers.items()}
 
 
-def _stored_topic(node: TopicNode) -> dict:
-    return {
-        "summary": node.summary,
-        "keywords": list(node.keywords),
-        "embedding": [float(x) for x in node.embedding],
-        "created_at": node.created_at,
-    }
+def _table(writers: Mapping[str, Callable], records: Collection) -> dict[str, list]:
+    """Records as an object of equal-length columns, one per stored field:
+    entry k of each column is record k's field."""
+    return {name: list(map(write, records)) for name, write in writers.items()}
 
 
-def _stored_edge(edge: TopicEdge) -> dict:
-    return {
-        "from_id": edge.from_id,
-        "to_id": edge.to_id,
-        "relation": edge.relation.value,
-        "weight": float(edge.weight),
-    }
+def _stored_archives(snapshot: MemorySnapshot) -> dict:
+    """Every archived event in one table, and how many each archive holds."""
+    graphs = snapshot.archive.values()
+    nodes = list(chain.from_iterable(map(attrgetter("nodes"), graphs)))
+    return {"lengths": list(map(len, graphs)), "events": _table(_EVENT_WRITERS, nodes)}
 
 
-#: The six members of the stored body, each with its writer; none writes a
-#: field the loader derives, ids included: the k-th theme is ``t{k}``, the
-#: k-th archive ``a{k}``, and events count over the archives, then the buffer.
+#: The six members of the stored body, each with its writer.  Each table is
+#: an object of equal-length columns; none writes a field the loader
+#: derives, ids included: the k-th theme is ``t{k}``, the k-th archive
+#: ``a{k}``, holding the next ``lengths[k-1]`` archived events, and events
+#: count over the archives, then the buffer.
 STORED_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
-    "topic_nodes": lambda s: [_stored_topic(t) for t in s.topic_graph.nodes.values()],
-    "topic_edges": lambda s: [_stored_edge(e) for e in s.topic_graph.edge_list()],
-    "archives": lambda s: [_stored_events(g) for g in s.archive.values()],
-    "active_buffer": lambda s: _stored_events(s.active_event_graph),
+    "topic_nodes": lambda s: _table(_TOPIC_WRITERS, s.topic_graph.nodes.values()),
+    "topic_edges": lambda s: _table(_EDGE_WRITERS, s.topic_graph.edge_list()),
+    "archives": _stored_archives,
+    "active_buffer": lambda s: _table(_EVENT_WRITERS, s.buffer),
     "config": lambda s: s.config.to_dict(),
     "logical_clock": lambda s: s.logical_clock,
 }
 
 
 def _event_node_dict(node: EventNode) -> dict:
-    return {**_stored_event(node), "id": node.id, "token_count": node.token_count}
+    return {**_row(_EVENT_WRITERS, node), "id": node.id, "token_count": node.token_count}
 
 
 def _topic_node_dict(snapshot: MemorySnapshot, topic_id: str) -> dict:
     node = snapshot.topic_graph.nodes[topic_id]
     derived = {"id": node.id, "source_archive_id": node.source_archive_id}
-    return {**_stored_topic(node), **derived, "raw": topic_raw(snapshot, topic_id)}
+    return {**_row(_TOPIC_WRITERS, node), **derived, "raw": topic_raw(snapshot, topic_id)}
 
 
 def _topic_edge_dict(edge: TopicEdge) -> dict:
-    return {**_stored_edge(edge), "directed": edge.directed}
+    return {**_row(_EDGE_WRITERS, edge), "directed": edge.directed}
 
 
 #: The seven top-level members of the hashed document, each with its writer:

@@ -1,29 +1,33 @@
 """Snapshot persistence and the exact-scan vector index.
 
-Files are single JSON documents in format 3.0: the stored body, whose six
+Files are single JSON documents in format 4.0: the stored body, whose six
 members ``graphmem.core`` defines and encodes (``STORED_MEMBERS``), plus a
 ``format_version`` and a ``content_hash`` header over the body, so equal
 snapshots produce byte-equal files and any corruption is named on load.
-The body stores each fact once; what follows from it (every id, which is
-a position, graph ids, event edges, ``cross_index``, token counts, each
-theme's ``raw`` and each edge's ``directed``) is derived on load, not read.
-A 1.x or 2.x file is refused as ``format-version-known``.  ``content_hash``
-checks the file's integrity;
-a snapshot's identity is ``core.snapshot_hash``, over the hashed document
-with the derived copies, which no file format changes.  ``save`` encodes
-the body once, inserts the header where its keys sort, and keeps the file
-on the snapshot, so saving that very object again only writes.  ``load``
-checks the hash over the bytes it read, less that header, which for a file
-``save`` wrote are the canonical body, so nothing is encoded again; it
-rejects a number that is not finite and a body that differs in any way
-from what ``save`` writes for the rebuilt snapshot, so saving a loaded
-snapshot rewrites its file byte for byte, and returns a snapshot that
-keeps no file until its first save.
-It works a field at a time: each event, theme and edge field is taken out
-as one list and type-checked in that pass, nodes and edges are built from
-those columns and the derived ids, and :func:`validate_snapshot` checks
-each invariant over a whole column.  The theme norms come from the topic
-graph's vector index, which the loaded graph keeps.
+Each table (themes, edges, the archived events, the buffered events) is
+an object of equal-length columns, one per stored field, so a field's
+name is written once per table, not once per record; the archives are
+one event table and the list of their ``lengths``.  The body stores each
+fact once; what follows from it (every id, which is a position, graph
+ids, event edges, ``cross_index``, token counts, each theme's ``raw`` and
+each edge's ``directed``) is derived on load, not read.  A 1.x, 2.x or 3.x
+file is refused as ``format-version-known``.  ``content_hash`` checks the
+file's integrity; a snapshot's identity is ``core.snapshot_hash``, over
+the hashed document with the derived copies, which no file format
+changes.  ``save`` encodes the body once, inserts the header where its
+keys sort, and keeps the file on the snapshot, so saving that very object
+again only writes.  ``load`` checks the hash over the bytes it read, less
+that header, which for a file ``save`` wrote are the canonical body, so
+nothing is encoded again; it rejects a number that is not finite and a
+body that differs in any way from what ``save`` writes for the rebuilt
+snapshot, so saving a loaded snapshot rewrites its file byte for byte,
+and returns a snapshot that keeps no file until its first save.
+It works a field at a time: each table's columns are read as they are
+parsed (:func:`_columns` checks their names, lengths and JSON types, one
+pass per column), nodes and edges are built from those columns and the
+derived ids, and :func:`validate_snapshot` checks each invariant over a
+whole column.  The theme norms come from the topic graph's vector index,
+which the loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
 product whose scores every caller sees, so the answer equals a full per-row
@@ -44,7 +48,7 @@ import stat
 import threading
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter, lt
+from operator import attrgetter, eq, ge, gt, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,7 +72,7 @@ from .core import (
 )
 from .errors import CorruptionError, ProviderParseError, StateError
 
-FORMAT_VERSION = "3.0"
+FORMAT_VERSION = "4.0"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,9 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     The file gets the mode ``open(path, "wb")`` would give it: an existing
     file keeps its mode, and a new one gets ``0o666`` less the umask.  As
     with ``open``, a symbolic link stays a link and the file it names gets
-    the bytes.
+    the bytes.  The bytes go to a temporary file in the target's directory,
+    renamed over the target; an ``OSError`` names the path given, not that
+    file, and leaves none behind.
 
     The first save of a snapshot encodes the stored body once, hashes it
     and writes it with the header inserted at its place among the sorted
@@ -240,6 +246,7 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
         # for a NaN keeps nothing; a derived value, so setting it on the
         # frozen snapshot changes nothing it compares or saves.
         object.__setattr__(snapshot, "saved_bytes", payload)
+    given = os.fspath(path)
     # The file a link names, so the rename replaces that file, not the link.
     path = os.path.realpath(path)
     try:
@@ -249,18 +256,24 @@ def save(snapshot: MemorySnapshot, path: str | os.PathLike) -> None:
     directory = os.path.dirname(path)
     # Named apart from the target, so any name the target may have fits.
     temp_path = os.path.join(directory, f".{secrets.token_hex(8)}.tmp")
-    # Created like open() creates a file, so the kernel applies the umask.
-    fd = os.open(temp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        if mode is not None:
-            os.chmod(temp_path, mode)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+        # Created like open() creates a file, so the kernel applies the umask.
+        fd = os.open(temp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            if mode is not None:
+                os.chmod(temp_path, mode)
+            os.replace(temp_path, path)
+        except BaseException:
+            if os.path.exists(temp_path):
+                os.unlink(temp_path)
+            raise
+    except OSError as exc:
+        # The temporary file is the save's own affair: name the path given.
+        if exc.filename != temp_path:
+            raise
+        raise OSError(exc.errno, exc.strerror, given) from exc
 
 
 def _check_positions(snapshot: MemorySnapshot) -> None:
@@ -323,17 +336,27 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
-    graphs = [*body["archives"], body["active_buffer"]]
-    events = _columns(list(chain.from_iterable(graphs)), EVENT_FIELD_TYPES, "e")
+    archives = body["archives"]
+    if type(archives) is not dict or archives.keys() != {"lengths", "events"}:
+        raise CorruptionError("document-schema", "archives not an object of lengths and events")
+    # The lengths as a table of one column, so they are checked as one.
+    lengths = _columns({"lengths": archives["lengths"]}, _LENGTH_TYPES, "a")["lengths"]
+    archived = _columns(archives["events"], EVENT_FIELD_TYPES, "e")
+    count = len(archived["text"])
+    buffered = _columns(body["active_buffer"], EVENT_FIELD_TYPES, "e", count)
     themes = _columns(body["topic_nodes"], _TOPIC_TYPES, "t")
     links = _columns(body["topic_edges"], _EDGE_TYPES, None)
     # Each id is a position: events count over the archives, then the buffer.
+    events = {name: archived[name] + buffered[name] for name in EVENT_FIELD_TYPES}
     try:
         events["id"] = position_ids("e", len(events["text"]))
-        theme_ids = position_ids("t", len(body["topic_nodes"]))
-        archive_ids = position_ids("a", len(body["archives"]))
+        theme_ids = position_ids("t", len(themes["summary"]))
+        archive_ids = position_ids("a", len(lengths))
     except ValueError as exc:
         raise CorruptionError("id-width", str(exc)) from exc
+    _require("archive-non-empty", map(ge, lengths, repeat(1)), archive_ids)
+    if sum(lengths) != count:
+        raise CorruptionError("archive-lengths", f"{sum(lengths)} for {count} archived events")
     for name, item_type in (("keywords", str), ("embedding", float)):
         if not set(map(type, chain.from_iterable(themes[name]))) <= {item_type}:
             where = next(
@@ -374,8 +397,8 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
     nodes = tuple(from_columns(EventNode, [events[f.name] for f in fields(EventNode)]))
     rebuilt = []
     end = 0
-    for count in map(len, graphs):
-        start, end = end, end + count
+    for length in [*lengths, len(buffered["text"])]:
+        start, end = end, end + length
         rebuilt.append(EventGraph(nodes[start:end]))
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
@@ -389,7 +412,7 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
         logical_clock=clock,
     )
     validate_snapshot(snapshot)
-    _check_written_form(body, graphs, keys, snapshot)
+    _check_written_form(body, keys, snapshot)
     return snapshot
 
 
@@ -422,17 +445,14 @@ def _all_finite(columns: list[list[float]]) -> bool:
     )
 
 
-def _check_written_form(body: dict, graphs: list, keys: list, snapshot: MemorySnapshot) -> None:
+def _check_written_form(body: dict, keys: list, snapshot: MemorySnapshot) -> None:
     """Reject a body that ``save`` would not write for ``snapshot``, in ways
     the rebuilt snapshot would hide, so that saving a loaded snapshot
-    rewrites its file byte for byte: edges out of key order or repeated, an
-    empty list written as another empty value, or a config whose keys or
-    number types differ from the stored config's.  (An entry with an
-    unwritten key was refused when its columns were taken.)"""
+    rewrites its file byte for byte: edges out of key order or repeated, or
+    a config whose keys or number types differ from the stored config's.
+    (A table with another column, or a column written as another value
+    than a list, was refused when its columns were taken.)"""
     _require("edge-order", map(lt, keys, keys[1:]), keys[1:])
-    lists = [body["topic_nodes"], body["topic_edges"], body["archives"], *graphs]
-    if not set(map(type, lists)) <= {list}:
-        raise CorruptionError("document-schema", "themes, edges, archives or events not in a list")
     if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
         raise CorruptionError("document-schema", "config differs from the stored form")
 
@@ -453,32 +473,41 @@ _EDGE_TYPES = {
     "relation": (str,),
     "weight": (float,),
 }
+#: An archive's length: how many of the archived events, taken in order,
+#: it holds.
+_LENGTH_TYPES = {"lengths": (int,)}
 _RELATIONS = {relation.value: relation for relation in Relation}
 
 
 def _columns(
-    entries: list, types: dict[str, tuple[type, ...]], prefix: str | None
+    table: object, types: dict[str, tuple[type, ...]], prefix: str | None, before: int = 0
 ) -> dict[str, list]:
-    """Each field of ``entries`` as one list, in the order of ``types``.
+    """The columns of a stored table, one per key of ``types``, in its order.
 
-    A value whose type ``types`` does not allow is ``field-type``, naming
-    the field and the first such entry: by the id its position gives it,
-    with ``prefix``, or else (an edge) by its ends; an entry with a key
-    outside ``types`` is ``document-schema`` (a missing key is a
-    ``KeyError``).
+    The table must be an object whose keys are exactly those of ``types``,
+    each a list, all of one length (else ``document-schema``).  A value
+    whose type ``types`` does not allow is ``field-type``, naming the field
+    and the first such entry: by the id its position gives it, with
+    ``prefix``, counting on from ``before`` entries of its kind, or else
+    (an edge) by its ends.
     """
-    columns = {}
+    if type(table) is not dict or table.keys() != types.keys():
+        raise CorruptionError("document-schema", f"a table not of the columns {sorted(types)}")
+    columns = {name: table[name] for name in types}
+    if not set(map(type, columns.values())) <= {list}:
+        raise CorruptionError("document-schema", f"a column of {sorted(types)} not a list")
+    if len(set(map(len, columns.values()))) > 1:
+        raise CorruptionError("document-schema", f"columns of {sorted(types)} of unequal length")
     for name, allowed in types.items():
-        column = columns[name] = list(map(itemgetter(name), entries))
+        column = columns[name]
         # One pass per field in C; only a failure looks for its entry.
         if not set(map(type, column)) <= set(allowed):
             at = next(i for i, value in enumerate(column) if type(value) not in allowed)
-            ends = f"{entries[at].get('from_id')}-{entries[at].get('to_id')}"
-            where = position_id(prefix, at + 1) if prefix else ends
+            if prefix:
+                where = position_id(prefix, before + at + 1)
+            else:
+                where = f"{columns['from_id'][at]}-{columns['to_id'][at]}"
             raise CorruptionError("field-type", f"{where} {name}")
-    # Every key of ``types`` is present, so a longer entry has another.
-    if set(map(len, entries)) - {len(types)}:
-        raise CorruptionError("document-schema", f"a key outside {sorted(types)}")
     return columns
 
 

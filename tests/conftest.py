@@ -24,7 +24,7 @@ from graphmem.engine import MemoryEngine
 from graphmem.fixtures import make_golden_corpus, make_scaling_corpus, make_smoke_corpus
 from graphmem.harness import DialogueCorpus, replay
 from graphmem.providers import mock_bundle
-from graphmem.store import FORMAT_VERSION, validate_snapshot
+from graphmem.store import validate_snapshot
 
 
 @pytest.fixture
@@ -173,13 +173,6 @@ def stored_body(snapshot):
 def body_hash(snapshot):
     """The ``content_hash`` a file of ``snapshot`` records."""
     return hashlib.sha256(canonical_json(stored_body(snapshot))).hexdigest()
-
-
-def cold_file(snapshot):
-    """Reference file: the whole body built and encoded at once, with the
-    header ``save`` adds."""
-    header = {"format_version": FORMAT_VERSION, "content_hash": body_hash(snapshot)}
-    return canonical_json({**stored_body(snapshot), **header})
 
 
 def as_saved(document):

@@ -18,7 +18,8 @@ snapshot stores, each record is built by its own constructor, and no
 - a consolidation: :func:`reference_consolidate`, which asks each scorer
   once per position and builds the committed state with the plain
   constructors;
-- a file: :func:`reference_load` reads a 3.0 file record by record and
+- a file: :func:`reference_file` writes a 4.0 file with plain loops over
+  the records, :func:`reference_load` reads one position by position and
   checks it with :func:`reference_validate`; :func:`reference_load_v1`
   reads a 1.0 document, which spells out every derived copy, and checks
   each copy.
@@ -41,7 +42,6 @@ from graphmem.core import (
     EVENT_FIELD_TYPES,
     LIVE_BUFFER_ID,
     SEQUENTIAL,
-    STORED_MEMBERS,
     UNRELATED,
     EventGraph,
     EventNode,
@@ -312,7 +312,64 @@ def reference_consolidate(snapshot, segment, providers):
 
 
 # ---------------------------------------------------------------------------
-# a 3.0 file, record by record
+# a 4.0 file, record by record
+
+#: The fields of each record, in the order README's "Snapshot file format"
+#: lists them.
+_EVENT_FIELDS = ["session_id", "turn_index", "speaker", "text", "timestamp", "confidence_flag"]
+_TOPIC_FIELDS = ["summary", "keywords", "embedding", "created_at"]
+_EDGE_FIELDS = ["from_id", "to_id", "relation", "weight"]
+
+
+def _as_table(rows, names):
+    """Rows, each a list of values in the order of ``names``, as an object
+    of one column per name."""
+    table = {name: [] for name in names}
+    for row in rows:
+        for name, value in zip(names, row):
+            table[name].append(value)
+    return table
+
+
+def _event_table(nodes):
+    return _as_table([[getattr(node, name) for name in _EVENT_FIELDS] for node in nodes], _EVENT_FIELDS)
+
+
+def _encoded(document):
+    return json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+
+
+def reference_file(snapshot):
+    """The file ``save`` writes for ``snapshot``, from README's "Snapshot
+    file format": each table an object of columns, entry k of each column
+    the k-th record's field; themes and archives in id order, edges in pair
+    order, the archived events in one table split by ``lengths``; under a
+    ``content_hash`` of the encoded body."""
+    graph = snapshot.topic_graph
+    themes = []
+    for topic_id in sorted(graph.nodes):
+        node = graph.nodes[topic_id]
+        embedding = [float(x) for x in node.embedding]
+        themes.append([node.summary, list(node.keywords), embedding, node.created_at])
+    edges = []
+    for key in sorted(graph.edges):
+        edge = graph.edges[key]
+        edges.append([edge.from_id, edge.to_id, edge.relation.value, float(edge.weight)])
+    lengths, archived = [], []
+    for archive_id in sorted(snapshot.archive):
+        nodes = snapshot.archive[archive_id].nodes
+        lengths.append(len(nodes))
+        archived.extend(nodes)
+    body = {
+        "topic_nodes": _as_table(themes, _TOPIC_FIELDS),
+        "topic_edges": _as_table(edges, _EDGE_FIELDS),
+        "archives": {"lengths": lengths, "events": _event_table(archived)},
+        "active_buffer": _event_table(snapshot.buffer),
+        "config": snapshot.config.to_dict(),
+        "logical_clock": snapshot.logical_clock,
+    }
+    header = {"content_hash": hashlib.sha256(_encoded(body)).hexdigest(), "format_version": "4.0"}
+    return _encoded({**body, **header})
 
 
 def reference_load(path):
@@ -341,7 +398,7 @@ def _reconstruct(document, raw):
         raise CorruptionError("format-version-known", f"major version {major}")
 
     body = {}
-    for key in STORED_MEMBERS:
+    for key in ("topic_nodes", "topic_edges", "archives", "active_buffer", "config", "logical_clock"):
         if key not in document:
             raise CorruptionError("body-keys-present", key)
         body[key] = document[key]
@@ -353,49 +410,64 @@ def _reconstruct(document, raw):
         raise CorruptionError("content-hash-match")
 
     config = EngineConfig.from_dict(body["config"])
-    graphs = [*body["archives"], body["active_buffer"]]
-    events = [entry for graph in graphs for entry in graph]
-    _check_types(events, EVENT_FIELD_TYPES, "e")
-    _check_types(body["topic_nodes"], _TOPIC_TYPES, "t")
-    _check_types(body["topic_edges"], _EDGE_TYPES, None)
-    for prefix, entries in (("e", events), ("t", body["topic_nodes"]), ("a", body["archives"])):
-        if len(entries) >= 10**6:
-            raise CorruptionError("id-width", f"{len(entries)} {prefix} ids")
-    # Each id is the entry's position, counted from 1.
+    archives = body["archives"]
+    if type(archives) is not dict or sorted(archives) != ["events", "lengths"]:
+        raise CorruptionError("document-schema", "archives")
+    lengths = archives["lengths"]
+    if type(lengths) is not list:
+        raise CorruptionError("document-schema", "archive lengths")
+    for position, length in enumerate(lengths, 1):
+        if type(length) is not int:
+            raise CorruptionError("field-type", f"a{position:06d} lengths")
+    archived = _records(archives["events"], EVENT_FIELD_TYPES, "e", 0)
+    buffered = _records(body["active_buffer"], EVENT_FIELD_TYPES, "e", len(archived))
+    themes = _records(body["topic_nodes"], _TOPIC_TYPES, "t", 0)
+    links = _records(body["topic_edges"], _EDGE_TYPES, None, 0)
+    for prefix, records in (("e", archived + buffered), ("t", themes), ("a", lengths)):
+        if len(records) >= 10**6:
+            raise CorruptionError("id-width", f"{len(records)} {prefix} ids")
+    for position, length in enumerate(lengths, 1):
+        if length < 1:
+            raise CorruptionError("archive-non-empty", f"a{position:06d}")
+    if sum(lengths) != len(archived):
+        raise CorruptionError("archive-lengths")
+    # Each id is the record's position, counted from 1.
     topic_nodes = {}
-    for position, entry in enumerate(body["topic_nodes"], 1):
+    for position, record in enumerate(themes, 1):
         theme_id = f"t{position:06d}"
         for name, item_type in (("keywords", str), ("embedding", float)):
-            if not set(map(type, entry[name])) <= {item_type}:
+            if not set(map(type, record[name])) <= {item_type}:
                 raise CorruptionError("field-type", f"{theme_id} {name}")
-        if not all(map(math.isfinite, entry["embedding"])):
+        if not all(map(math.isfinite, record["embedding"])):
             raise CorruptionError("document-schema", f"{theme_id} embedding")
         topic_nodes[theme_id] = TopicNode(
             id=theme_id,
-            summary=entry["summary"],
-            keywords=tuple(entry["keywords"]),
-            embedding=tuple(entry["embedding"]),
-            created_at=entry["created_at"],
+            summary=record["summary"],
+            keywords=tuple(record["keywords"]),
+            embedding=tuple(record["embedding"]),
+            created_at=record["created_at"],
         )
 
     edges = {}
-    for entry in body["topic_edges"]:
-        if not math.isfinite(entry["weight"]):
+    for record in links:
+        if not math.isfinite(record["weight"]):
             raise CorruptionError("document-schema", "edge weight")
         edge = TopicEdge(
-            from_id=entry["from_id"],
-            to_id=entry["to_id"],
-            relation=Relation(entry["relation"]),
-            weight=entry["weight"],
+            from_id=record["from_id"],
+            to_id=record["to_id"],
+            relation=Relation(record["relation"]),
+            weight=record["weight"],
         )
         edges[edge_key(edge.from_id, edge.to_id)] = edge
 
-    strings, numbers = {}, iter(range(1, len(events) + 1))
-    archives = {
-        f"a{position:06d}": _rebuild_graph(entries, strings, numbers)
-        for position, entries in enumerate(body["archives"], 1)
-    }
-    buffer = _rebuild_graph(body["active_buffer"], strings, numbers)
+    strings, numbers = {}, iter(range(1, len(archived) + len(buffered) + 1))
+    archive_graphs, start = {}, 0
+    for position, length in enumerate(lengths, 1):
+        archive_graphs[f"a{position:06d}"] = _rebuild_graph(
+            archived[start : start + length], strings, numbers
+        )
+        start += length
+    buffer = _rebuild_graph(buffered, strings, numbers)
     clock = body["logical_clock"]
     if type(clock) is not int or clock < 0:
         raise CorruptionError("logical-clock-non-negative")
@@ -404,39 +476,33 @@ def _reconstruct(document, raw):
         config=config,
         topic_graph=TopicGraph(topic_nodes, edges),
         active_event_graph=buffer,
-        archive=archives,
+        archive=archive_graphs,
         logical_clock=clock,
     )
     reference_validate(snapshot)
-    _check_written_form(body, snapshot)
+    _check_written_form(body, links, snapshot)
     return snapshot
 
 
-def _check_written_form(body, snapshot):
-    keys = [edge_key(entry["from_id"], entry["to_id"]) for entry in body["topic_edges"]]
+def _check_written_form(body, links, snapshot):
+    keys = [edge_key(record["from_id"], record["to_id"]) for record in links]
     if (unsorted := next((b for a, b in zip(keys, keys[1:]) if not a < b), None)) is not None:
         raise CorruptionError("edge-order", str(unsorted))
-    for entries, names in (
-        (body["topic_nodes"], _TOPIC_TYPES.keys()),
-        (body["topic_edges"], _EDGE_TYPES.keys()),
-    ):
-        if any(entry.keys() != names for entry in entries):
-            raise CorruptionError("document-schema", f"a key outside {sorted(names)}")
     if canonical_json(body["config"]) != canonical_json(snapshot.config.to_dict()):
         raise CorruptionError("document-schema", "config differs from the stored form")
 
 
-def _rebuild_graph(entries, strings, numbers):
-    """The graph of ``entries``, each numbered by the next of ``numbers``."""
+def _rebuild_graph(records, strings, numbers):
+    """The graph of ``records``, each numbered by the next of ``numbers``."""
     share = strings.setdefault
-    for entry in entries:
-        entry["session_id"] = share(entry["session_id"], entry["session_id"])
-        entry["speaker"] = share(entry["speaker"], entry["speaker"])
-        entry["timestamp"] = share(entry["timestamp"], entry["timestamp"])
+    for record in records:
+        record["session_id"] = share(record["session_id"], record["session_id"])
+        record["speaker"] = share(record["speaker"], record["speaker"])
+        record["timestamp"] = share(record["timestamp"], record["timestamp"])
     return EventGraph(
         tuple(
-            EventNode(id=f"e{next(numbers):06d}", **entry, token_count=estimate_tokens(entry["text"]))
-            for entry in entries
+            EventNode(id=f"e{next(numbers):06d}", **record, token_count=estimate_tokens(record["text"]))
+            for record in records
         )
     )
 
@@ -455,18 +521,36 @@ _EDGE_TYPES = {
 }
 
 
-def _check_types(entries, types, prefix):
-    """Each field's type over every entry; a failure names the entry by the
-    id its position gives it (``prefix``) or, for an edge, its ends."""
+def _records(table, types, prefix, before):
+    """The records of a table, the k-th holding entry k of each column.
+
+    The table must be an object of exactly the columns of ``types``, each
+    a list, all of one length; then each field's type is checked over every
+    record, and a failure names the record by the id its position gives it
+    (``prefix``, counting on from ``before`` records) or, for an edge, its
+    ends."""
+    if type(table) is not dict or sorted(table) != sorted(types):
+        raise CorruptionError("document-schema", f"columns {sorted(types)}")
+    for name in types:
+        if type(table[name]) is not list:
+            raise CorruptionError("document-schema", f"column {name}")
+    count = len(table[next(iter(types))])
+    for name in types:
+        if len(table[name]) != count:
+            raise CorruptionError("document-schema", f"column {name} of unequal length")
+    records = []
+    for position in range(count):
+        records.append({name: table[name][position] for name in types})
     for name, allowed in types.items():
-        for position, entry in enumerate(entries, 1):
-            if type(entry[name]) not in allowed:
+        for position, record in enumerate(records, before + 1):
+            if type(record[name]) not in allowed:
                 where = (
                     f"{prefix}{position:06d}"
                     if prefix
-                    else f"{entry.get('from_id')}-{entry.get('to_id')}"
+                    else f"{record['from_id']}-{record['to_id']}"
                 )
                 raise CorruptionError("field-type", f"{where} {name}")
+    return records
 
 
 def reference_validate(snapshot):

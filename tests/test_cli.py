@@ -79,6 +79,15 @@ class TestIngest:
         assert code == 2
         assert str(missing) in err
 
+    def test_a_snapshot_out_in_a_missing_directory_names_that_path(self, tmp_path, capsys):
+        out = tmp_path / "nowhere" / "out.json"
+        code, _, err = run_cli(
+            ["ingest", "--corpus", FIXTURES / "smoke_turns.jsonl", "--snapshot-out", out], capsys
+        )
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_corpus_line_nested_too_deep_exits_two(self, tmp_path, capsys):
         corpus = tmp_path / "deep.jsonl"
         corpus.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")

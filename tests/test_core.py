@@ -563,7 +563,7 @@ def test_event_field_types_follow_the_node_fields():
     derived = ("id", "token_count")
     assert list(EVENT_FIELD_TYPES) == [f.name for f in fields(EventNode) if f.name not in derived]
     snap = append_event(new_snapshot(), utt("hello there"))
-    assert list(STORED_MEMBERS["active_buffer"](snap)[0]) == list(EVENT_FIELD_TYPES)
+    assert list(STORED_MEMBERS["active_buffer"](snap)) == list(EVENT_FIELD_TYPES)
 
 
 @pytest.mark.parametrize(

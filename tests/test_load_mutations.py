@@ -1,24 +1,24 @@
 """Whole-document mutations, checked against the reference loaders.
 
-``reference.reference_load`` is a per-record loader of format 3.0 files,
-the oracle of the column passes of ``graphmem.store``.
-``reference.reference_load_v1`` reads the 1.0 document, which spells out
-every derived copy, record by record and checks each copy; it is the
-oracle for what a 3.0 file leaves out.
+``reference.reference_load`` reads a format 4.0 file a record at a time,
+walking each table's columns position by position; it is the oracle of
+the column passes of ``graphmem.store``.  ``reference.reference_load_v1``
+reads the 1.0 document, which spells out every derived copy, record by
+record and checks each copy; it is the oracle for what a 4.0 file leaves
+out.
 
 Every mutant edits one place in a saved document (a type swap, a deleted
-key or entry, a huge or negative int, an empty string, a bare ``NaN``) and
-is written as ``save`` writes a file, with a content hash over its edited
-body as written, so the load reaches the checks behind the hash.  Each
-mutant must be refused with :class:`CorruptionError` by both loaders,
-under the same invariant, or be accepted by both as the same snapshot,
-which then survives a short run: observe, end the session, query, save,
-load.
+key, column or entry, a huge or negative int, an empty string, a bare
+``NaN``) and is written as ``save`` writes a file, with a content hash
+over its edited body as written, so the load reaches the checks behind
+the hash.  Each mutant must be refused with :class:`CorruptionError` by
+both loaders, under the same invariant, or be accepted by both as the
+same snapshot, whose body hashes to the file's ``content_hash`` and which
+then survives a short run: observe, end the session, query, save, load.
 
-One difference is meant: the reference takes an empty JSON object or
-string where the document writes an empty list of themes, edges or buffered
-event nodes, so its snapshot's body does not hash to the file's
-``content_hash``; ``store.load`` refuses that as ``document-schema``.
+No difference is meant.  Each loader takes a table only as an object of
+exactly its columns, each a list, so an empty table or column written as
+another empty value (``{}``, ``""``) is ``document-schema`` in both.
 """
 
 import copy
@@ -41,9 +41,9 @@ from graphmem.errors import CorruptionError
 from graphmem.fixtures import make_golden_corpus
 from graphmem.harness import replay
 from graphmem.providers import mock_bundle
-from graphmem.store import load, save
+from graphmem.store import FORMAT_VERSION, load, save
 
-from conftest import body_hash, random_snapshot, write_rehashed
+from conftest import as_saved, body_hash, random_snapshot, write_rehashed
 from reference import reference_load, reference_load_v1
 from test_acceptance import STRATEGY_MATRIX
 
@@ -106,7 +106,7 @@ def mutants(document, rng, count):
     places = [
         p
         for p in _paths(document)
-        if p and p[0] != "content_hash" and not (len(p) > 1 and p[-2] == "embedding" and p[-1] > 1)
+        if p and p[0] != "content_hash" and not (len(p) > 3 and p[-3] == "embedding" and p[-1] > 1)
     ]
     for _ in range(count):
         path = places[rng.randrange(len(places))]
@@ -165,10 +165,6 @@ class TestReferenceLoader:
             if isinstance(expected, str):
                 assert actual == expected, edit
                 continue
-            if body_hash(expected) != mutant["content_hash"]:
-                # The one meant difference (see the module docstring).
-                assert actual == "document-schema", edit
-                continue
             assert not isinstance(actual, str), (edit, actual)
             assert actual == expected, edit
             assert snapshot_hash(actual) == snapshot_hash(expected)
@@ -180,26 +176,87 @@ class TestReferenceLoader:
 
 
 @pytest.mark.parametrize("value", [{}, ""])
-@pytest.mark.parametrize("member", ["topic_nodes", "topic_edges", "nodes"])
-def test_an_empty_list_written_as_another_value_is_refused(tmp_path, member, value):
-    # A new snapshot writes every one of these members as an empty list;
-    # "nodes" is the buffer's list of event nodes.
+@pytest.mark.parametrize("member", ["topic_nodes", "topic_edges", "active_buffer", "lengths"])
+def test_an_empty_table_or_column_written_as_another_value_is_refused(tmp_path, member, value):
+    # A new snapshot writes every table with empty columns, and no lengths.
     path = tmp_path / "memory.json"
     save(new_snapshot(), path)
     document = json.loads(path.read_text())
-    document["active_buffer" if member == "nodes" else member] = value
+    if member == "lengths":
+        document["archives"]["lengths"] = value
+    else:
+        document[member] = value
     write_rehashed(document, path)
-    # The reference loader takes it, as a snapshot that saves differently.
-    assert body_hash(reference_load(path)) != document["content_hash"]
-    with pytest.raises(CorruptionError) as err:
-        load(path)
-    assert err.value.invariant == "document-schema"
+    assert outcome(reference_load, path) == outcome(load, path) == "document-schema"
+
+
+def _extra_column(document):
+    buffered = document["active_buffer"]
+    buffered["id"] = ["e000001"] * len(buffered["text"])
+
+
+def _empty_archive(document):
+    # The lengths still sum to the archived events.
+    lengths = document["archives"]["lengths"]
+    lengths[1] += lengths[0]
+    lengths[0] = 0
+
+
+def _lengths_off_by_one(document):
+    document["archives"]["lengths"][-1] += 1
+
+
+def _set(*keys_and_value):
+    """The edit that puts the last argument at the place the others name."""
+    *keys, last, value = keys_and_value
+
+    def put(document):
+        for key in keys:
+            document = document[key]
+        document[last] = value
+
+    return put
+
+
+#: Edits of a saved file that each loader must refuse, with the invariant
+#: each must name.
+MALFORMED = {
+    "version-3": (_set("format_version", "3.0"), "format-version-known"),
+    "version-3-minor": (_set("format_version", "3.7"), "format-version-known"),
+    "missing-column": (lambda d: d["topic_nodes"].pop("keywords"), "document-schema"),
+    "extra-column": (_extra_column, "document-schema"),
+    "column-an-object": (_set("topic_edges", "weight", {}), "document-schema"),
+    "column-a-string": (_set("archives", "events", "speaker", "ana"), "document-schema"),
+    "unequal-columns": (lambda d: d["archives"]["events"]["text"].pop(), "document-schema"),
+    "archives-extra-key": (_set("archives", "extra", []), "document-schema"),
+    "archives-a-list": (_set("archives", []), "document-schema"),
+    "archive-length-0": (_empty_archive, "archive-non-empty"),
+    "archive-length-negative": (_set("archives", "lengths", 0, -1), "archive-non-empty"),
+    "archive-length-float": (_set("archives", "lengths", 0, 3.0), "field-type"),
+    "archive-length-bool": (_set("archives", "lengths", 0, True), "field-type"),
+    "archive-length-string": (_set("archives", "lengths", 0, "3"), "field-type"),
+    "lengths-sum": (_lengths_off_by_one, "archive-lengths"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_file_is_refused_alike(saved_documents, tmp_path, case):
+    edit, invariant = MALFORMED[case]
+    document = json.loads(saved_documents["synthetic"])
+    edit(document)
+    path = tmp_path / "memory.json"
+    if document["format_version"] == FORMAT_VERSION:
+        write_rehashed(document, path)
+    else:
+        # The version is part of the header the hash leaves out.
+        path.write_bytes(as_saved(document))
+    assert outcome(reference_load, path) == outcome(load, path) == invariant
 
 
 @pytest.mark.filterwarnings("ignore:beta_:UserWarning")
 @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
 @pytest.mark.parametrize("corpus", ["golden", "scaling"])
-def test_the_1_0_document_and_the_3_0_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
+def test_the_1_0_document_and_the_4_0_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
     engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
     snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
     path, again = tmp_path / "memory.json", tmp_path / "again.json"

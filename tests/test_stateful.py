@@ -15,7 +15,8 @@ reference engine in ``reference.py``:
 - each committed consolidation's report and committed snapshot, and the
   calls it adds: one entailment call per distinct text of each segment,
   and one relation call per distinct summary of each candidate pool;
-- each saved file, which the reference loader must read back as the
+- each saved file, which must be byte for byte the file the reference
+  writer writes, and which the reference loader must read back as the
   snapshot saved;
 - each value the engine carries from snapshot to snapshot, against its
   scan (:meth:`EngineMachine.carried_values_match_a_scan`).  A new carried
@@ -48,11 +49,11 @@ from graphmem.providers import mock_bundle
 from graphmem.retrieval import Query
 from graphmem.store import load, save, validate_snapshot
 
-from conftest import cold_file
 from reference import (
     highest_turns,
     next_ids,
     reference_consolidate,
+    reference_file,
     reference_load,
     reference_neighbours,
     reference_retrieve,
@@ -80,11 +81,11 @@ def next_turn(turns: list[tuple], session: str) -> int:
 
 
 def check_file(snapshot: MemorySnapshot, path: str) -> None:
-    """Save ``snapshot``: the file it keeps is the whole document encoded
-    from scratch, and the engine's loader and the reference loader both
-    read it back as ``snapshot``, so no carried value is saved or compared."""
+    """Save ``snapshot``: the file it keeps is the one the reference writer
+    writes, and the engine's loader and the reference loader both read it
+    back as ``snapshot``, so no carried value is saved or compared."""
     save(snapshot, path)
-    assert snapshot.saved_bytes == cold_file(snapshot)
+    assert snapshot.saved_bytes == reference_file(snapshot)
     loaded = load(path)
     assert loaded == reference_load(path) == snapshot
     assert snapshot_hash(loaded) == snapshot_hash(snapshot)

@@ -55,14 +55,13 @@ from graphmem.store import (
 from conftest import (
     as_saved,
     body_hash,
-    cold_file,
     interleaved_corpora,
     random_snapshot,
     stored_body,
     unit_vector,
     write_rehashed,
 )
-from reference import reference_topk, stored_nodes
+from reference import reference_file, reference_topk, stored_nodes
 from test_acceptance import STRATEGY_MATRIX
 
 
@@ -128,13 +127,32 @@ class TestSaveLoad:
         # Graph ids, event edges, token counts, the cross index, each
         # theme's raw text and each edge's direction follow from the rest.
         document = saved_document(buffered_snapshot, tmp_path / "memory.json")
-        assert document["topic_edges"] and document["active_buffer"]
+        assert document["topic_edges"]["weight"] and document["active_buffer"]["text"]
         copies = {"graph_id", "edges", "token_count", "cross_index", "raw", "directed"}
         assert _all_keys(document) & copies == set()
 
     def test_unwritable_path_raises_oserror(self, snapshot):
         with pytest.raises(OSError):
             save(snapshot, "/nonexistent-root-dir/nope/memory.json")
+
+    def test_a_missing_directory_is_named_by_the_path_given(self, snapshot, tmp_path):
+        # Not by the temporary file the save would have written first.
+        path = tmp_path / "nowhere" / "memory.json"
+        with pytest.raises(FileNotFoundError) as err:
+            save(snapshot, path)
+        assert err.value.filename == str(path)
+        assert str(err.value).endswith(f"'{path}'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_as_the_target_is_named_and_leaves_no_temporary_file(
+        self, snapshot, tmp_path
+    ):
+        path = tmp_path / "memory.json"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            save(snapshot, path)
+        assert err.value.filename == str(path) and err.value.filename2 is None
+        assert [p.name for p in tmp_path.iterdir()] == ["memory.json"]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -265,7 +283,9 @@ class TestValidation:
         # archive without its theme: one that waited for it would fail the
         # next consolidation.
         document, path = self._document(snapshot, tmp_path)
-        tamper(document["archives"])
+        archives = _archives(document)
+        tamper(archives)
+        _set_archives(document, archives)
         write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
@@ -282,7 +302,7 @@ class TestValidation:
 
     def test_unknown_major_version_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        document["format_version"] = "4.0"
+        document["format_version"] = "5.0"
         path.write_bytes(as_saved(document))
         with pytest.raises(CorruptionError, match="format-version"):
             load(path)
@@ -321,16 +341,16 @@ class TestValidation:
 
     def test_edge_weight_below_tau_detected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        if not document["topic_edges"]:
+        if not document["topic_edges"]["weight"]:
             pytest.skip("sampled graph has no edges")
-        document["topic_edges"][0]["weight"] = 0.1
+        document["topic_edges"]["weight"][0] = 0.1
         write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="weight"):
             load(path)
 
     def test_non_unit_embedding_detected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        document["topic_nodes"][0]["embedding"][0] += 0.5
+        document["topic_nodes"]["embedding"][0][0] += 0.5
         write_rehashed(document, path)
         with pytest.raises(CorruptionError, match="unit-norm"):
             load(path)
@@ -354,7 +374,8 @@ class TestValidation:
 
     def test_unknown_event_field_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        _first_archive(document)[0]["mood"] = "cheerful"
+        events = _tables(document)["archived"]
+        events["mood"] = ["cheerful"] * len(events["text"])
         write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
@@ -372,48 +393,80 @@ class TestValidation:
             validate_snapshot(random_snapshot(random.Random(seed), 8))
 
 
-def _first_archive(document):
-    return document["archives"][0]
+def _tables(document):
+    """The four tables of a parsed file, by the records they hold."""
+    return {
+        "archived": document["archives"]["events"],
+        "buffered": document["active_buffer"],
+        "theme": document["topic_nodes"],
+        "edge": document["topic_edges"],
+    }
 
 
-def _buffered_node(document):
-    return document["active_buffer"][0]
+def _rows(table):
+    """A table's records, the k-th a dict of entry k of each column."""
+    return [dict(zip(table, values)) for values in zip(*table.values())]
 
 
-def _archived_node(document):
-    return _first_archive(document)[0]
+def _set_rows(table, rows):
+    """Writes ``rows`` back into ``table``, a column at a time."""
+    for name, column in table.items():
+        column[:] = [row[name] for row in rows]
+
+
+def _archives(document):
+    """Each archive's event records, in order."""
+    rows, archives = _rows(document["archives"]["events"]), []
+    for length in document["archives"]["lengths"]:
+        archives.append(rows[:length])
+        rows = rows[length:]
+    return archives
+
+
+def _set_archives(document, archives):
+    document["archives"]["lengths"] = [len(rows) for rows in archives]
+    _set_rows(document["archives"]["events"], [row for rows in archives for row in rows])
 
 
 @pytest.mark.parametrize(
-    "tamper, field",
+    "table, field, value",
     [
-        (lambda d: _buffered_node(d).update(speaker=None), "speaker"),
-        (lambda d: _buffered_node(d).update(speaker=7), "speaker"),
-        (lambda d: _buffered_node(d).update(timestamp=5), "timestamp"),
-        (lambda d: _archived_node(d).update(turn_index="3"), "turn_index"),
-        (lambda d: _archived_node(d).update(turn_index=True), "turn_index"),
-        (lambda d: _archived_node(d).update(confidence_flag="false"), "confidence_flag"),
-        (lambda d: _archived_node(d).update(confidence_flag=1), "confidence_flag"),
-        (lambda d: _archived_node(d).update(session_id=1), "session_id"),
-        (lambda d: d["topic_nodes"][0].update(created_at="3"), "created_at"),
-        (lambda d: d["topic_nodes"][0].update(created_at=False), "created_at"),
-        (lambda d: d["topic_nodes"][0].update(summary=None), "summary"),
-        (lambda d: d["topic_nodes"][0].update(keywords=[1]), "keywords"),
-        (lambda d: d["topic_nodes"][0].update(keywords="word"), "keywords"),
-        (lambda d: d["topic_nodes"][0]["embedding"].__setitem__(0, "0.5"), "embedding"),
-        (lambda d: d["topic_edges"][0].update(weight=True), "weight"),
-        (lambda d: d["topic_edges"][0].update(weight="0.9"), "weight"),
+        ("buffered", "speaker", None),
+        ("buffered", "speaker", 7),
+        ("buffered", "timestamp", 5),
+        ("archived", "turn_index", "3"),
+        ("archived", "turn_index", True),
+        ("archived", "confidence_flag", "false"),
+        ("archived", "confidence_flag", 1),
+        ("archived", "session_id", 1),
+        ("theme", "created_at", "3"),
+        ("theme", "created_at", False),
+        ("theme", "summary", None),
+        ("theme", "keywords", [1]),
+        ("theme", "keywords", "word"),
+        ("theme", "embedding", ["0.5"]),
+        ("edge", "weight", True),
+        ("edge", "weight", "0.9"),
     ],
 )
-def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, tamper, field):
+def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, table, field, value):
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
-    tamper(document)
+    edges = document["topic_edges"]
+    # The first record of each table, named by the id its position gives it
+    # (an edge, by its ends).
+    named = {
+        "archived": "e000001",
+        "buffered": "e000037",
+        "theme": "t000001",
+        "edge": f"{edges['from_id'][0]}-{edges['to_id'][0]}",
+    }[table]
+    _tables(document)[table][field][0] = value
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "field-type"
-    assert field in str(err.value)
+    assert str(err.value).endswith(f"{named} {field}")
 
 
 @pytest.mark.parametrize("summary", ["", "   "])
@@ -422,7 +475,7 @@ def test_blank_theme_summary_is_rejected(golden_snapshot, tmp_path, summary):
     # scoring raise ValueError.
     path = tmp_path / "memory.json"
     document = saved_document(golden_snapshot[0], path)
-    document["topic_nodes"][0]["summary"] = summary
+    document["topic_nodes"]["summary"][0] = summary
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
@@ -438,8 +491,7 @@ def test_blank_event_text_is_rejected(buffered_snapshot, tmp_path, where, text, 
     # is named by the id its position gives it.
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
-    node = (_archived_node if where == "archived" else _buffered_node)(document)
-    node["text"] = text
+    _tables(document)[where]["text"][0] = text
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
@@ -455,12 +507,8 @@ def test_a_stored_id_is_refused(buffered_snapshot, tmp_path, where, key):
     # Every id follows from a position, so the file holds none.
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
-    entry = {
-        "buffered": _buffered_node,
-        "archived": _archived_node,
-        "theme": lambda d: d["topic_nodes"][0],
-    }[where](document)
-    entry[key] = "e000001" if where != "theme" else "t000001"
+    table = _tables(document)[where]
+    table[key] = ["e000001" if where != "theme" else "t000001"] * len(_rows(table))
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
@@ -484,7 +532,7 @@ class TestNonFinite:
     def test_file_with_a_bare_nan_is_rejected(self, snapshot, tmp_path):
         path = tmp_path / "memory.json"
         document = saved_document(snapshot, path)
-        document["topic_nodes"][0]["embedding"][0] = float("nan")
+        document["topic_nodes"]["embedding"][0][0] = float("nan")
         write_rehashed(document, path)
         assert "NaN" in path.read_text()
         with pytest.raises(CorruptionError):
@@ -499,9 +547,9 @@ class TestNonFinite:
         document = saved_document(buffered_snapshot, path)
         marker = "number-to-spell"
         if place == "edge weight":
-            document["topic_edges"][0]["weight"] = marker
+            document["topic_edges"]["weight"][0] = marker
         elif place == "embedding item":
-            document["topic_nodes"][0]["embedding"][5] = marker
+            document["topic_nodes"]["embedding"][0][5] = marker
         else:
             document["config"]["heuristic_cutoff"] = marker
 
@@ -520,7 +568,7 @@ class TestNonFinite:
     def test_finite_numbers_whose_sum_overflows_pass_as_finite(self, buffered_snapshot, tmp_path):
         path = tmp_path / "memory.json"
         document = saved_document(buffered_snapshot, path)
-        document["topic_nodes"][0]["embedding"][:2] = [1e308, 1e308]
+        document["topic_nodes"]["embedding"][0][:2] = [1e308, 1e308]
         write_rehashed(document, path)
         with pytest.raises(CorruptionError) as err:
             load(path)
@@ -786,17 +834,33 @@ def _duplicate(pick, entries):
     entries.insert(pick(len(entries) + 1), copy.deepcopy(entries[pick(len(entries))]))
 
 
+def _on_records(edit, table):
+    """``edit`` applied to the records of the table named ``table``."""
+
+    def mutate(pick, document):
+        rows = _rows(document[table])
+        edit(pick, rows)
+        _set_rows(document[table], rows)
+
+    return mutate
+
+
+def _on_archives(edit):
+    """``edit`` applied to the list of archives."""
+
+    def mutate(pick, document):
+        archives = _archives(document)
+        edit(pick, archives)
+        _set_archives(document, archives)
+
+    return mutate
+
+
 def _add_key(pick, document):
-    sections = [
-        document["topic_nodes"],
-        document["topic_edges"],
-        [e for entries in document["archives"] for e in entries],
-        document["active_buffer"],
-    ]
-    sections = [entries for entries in sections if entries]
-    entries = sections[pick(len(sections))]
+    tables = [table for table in _tables(document).values() if _rows(table)]
+    table = tables[pick(len(tables))]
     values = [None, 0, "x", []]
-    entries[pick(len(entries))]["extra"] = values[pick(len(values))]
+    table["extra"] = [values[pick(len(values))]] * len(_rows(table))
 
 
 def _drop_config_key(pick, document):
@@ -812,12 +876,12 @@ def _config_float_as_int(pick, document):
 
 
 WRITTEN_FORM_MUTATIONS = {
-    "reorder-themes": lambda pick, doc: _reorder(pick, doc["topic_nodes"]),
-    "duplicate-theme": lambda pick, doc: _duplicate(pick, doc["topic_nodes"]),
-    "reorder-archives": lambda pick, doc: _reorder(pick, doc["archives"]),
-    "duplicate-archive": lambda pick, doc: _duplicate(pick, doc["archives"]),
-    "reorder-edges": lambda pick, doc: _reorder(pick, doc["topic_edges"]),
-    "duplicate-edge": lambda pick, doc: _duplicate(pick, doc["topic_edges"]),
+    "reorder-themes": _on_records(_reorder, "topic_nodes"),
+    "duplicate-theme": _on_records(_duplicate, "topic_nodes"),
+    "reorder-archives": _on_archives(_reorder),
+    "duplicate-archive": _on_archives(_duplicate),
+    "reorder-edges": _on_records(_reorder, "topic_edges"),
+    "duplicate-edge": _on_records(_duplicate, "topic_edges"),
     "add-key": _add_key,
     "drop-config-key": _drop_config_key,
     "config-float-as-int": _config_float_as_int,
@@ -839,7 +903,7 @@ class TestWrittenForm:
     ):
         document = json.loads(saved_fixture_documents[corpus])
         # The golden snapshot has no topic edges.
-        assume("edge" not in mutation or len(document["topic_edges"]) >= 2)
+        assume("edge" not in mutation or len(document["topic_edges"]["weight"]) >= 2)
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
         WRITTEN_FORM_MUTATIONS[mutation](pick, document)
         path = tmp_path_factory.mktemp("mutant") / "mutant.json"
@@ -1234,14 +1298,14 @@ def _count_member_writes(monkeypatch):
 class TestCachedBytes:
     """A save keeps the file it wrote on the snapshot, and a re-save of that
     very object writes it again without encoding; every file must equal the
-    whole document encoded from scratch."""
+    reference writer's file, built from scratch."""
 
     @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
     @pytest.mark.parametrize("corpus", ["golden", "scaling"])
     def test_warm_bytes_are_the_cold_bytes(self, corpus, strategy, tmp_path, request, monkeypatch):
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
-        cold = cold_file(snapshot)
+        cold = reference_file(snapshot)
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         save(snapshot, first)
         assert first.read_bytes() == cold
@@ -1274,7 +1338,7 @@ class TestCachedBytes:
         files = {}
         for fork in forks + forks[::-1] + [parent]:
             save(fork, path)
-            assert path.read_bytes() == cold_file(fork)
+            assert path.read_bytes() == reference_file(fork)
             files.setdefault(id(fork), path.read_bytes())
         assert len(set(files.values())) == 3
 
@@ -1295,7 +1359,7 @@ class TestCachedBytes:
         assert replaced.saved_bytes is None and flagged.saved_bytes is None
         for variant in (replaced, flagged, snapshot, flagged, replaced):
             save(variant, path)
-            assert path.read_bytes() == cold_file(variant)
+            assert path.read_bytes() == reference_file(variant)
         assert len({replaced.saved_bytes, flagged.saved_bytes, warm}) == 3
         assert snapshot.saved_bytes == warm
 
@@ -1320,7 +1384,7 @@ class TestCachedBytes:
             calls.clear()
             save(child, path)
             assert sorted(calls) == sorted(STORED_MEMBERS)
-            assert path.read_bytes() == cold_file(child)
+            assert path.read_bytes() == reference_file(child)
 
     def test_forks_linking_new_themes_to_one_older_theme(self, snapshot, tmp_path):
         # Each fork adds a theme on the parent's buffered episode, archived
@@ -1343,7 +1407,7 @@ class TestCachedBytes:
             path = tmp_path / f"{number}.json"
             save(fork, path)
             files.setdefault(id(fork), path.read_bytes())
-            assert path.read_bytes() == files[id(fork)] == cold_file(fork)
+            assert path.read_bytes() == files[id(fork)] == reference_file(fork)
             assert snapshot_hash(load(path)) == snapshot_hash(fork)
         assert len(set(files.values())) == 3
 
@@ -1363,7 +1427,7 @@ class TestCachedBytes:
             weight = 0.55 + worker / 20
             links = [TopicEdge(new.id, t, Relation.SEMANTIC, weight) for t in older]
             forks.append(insert_topic_node(archived, new, links))
-        expected = [cold_file(fork) for fork in forks]
+        expected = [reference_file(fork) for fork in forks]
         failures = []
 
         def work(worker):
@@ -1387,7 +1451,7 @@ class TestCachedBytes:
         save(snapshot, path)
         cold = load(path)
         later = dataclasses.replace(cold, logical_clock=cold.logical_clock + 1)
-        expected = {id(s): cold_file(s) for s in (cold, later)}
+        expected = {id(s): reference_file(s) for s in (cold, later)}
         failures = []
 
         def work(worker, target):

@@ -152,6 +152,11 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        # A bool is neither, as in EngineConfig: True would replay seed 1.
+        if isinstance(self.eta, bool) or not isinstance(self.eta, (int, float)):
+            raise ValueError(f"eta must be a number, got {self.eta!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
         if not 0.0 <= self.eta <= 0.4:
             raise ValueError("eta must lie in [0, 0.4]")
         if self.seed < 0:

@@ -16,8 +16,8 @@ snapshot stores, each record is built by its own constructor, and no
   loop :func:`reference_rerank` and its own gathering of the relevance
   replies, :func:`reference_replies`;
 - a consolidation: :func:`reference_consolidate`, which asks each scorer
-  once per position and builds the committed state with the plain
-  constructors;
+  once per position, says when a provider's reply aborts it, and builds
+  the committed state with the plain constructors;
 - a file: :func:`reference_file` writes a 4.0 file with plain loops over
   the records, :func:`reference_load` reads one position by position and
   checks it with :func:`reference_validate`; :func:`reference_load_v1`
@@ -37,10 +37,10 @@ from dataclasses import replace
 import numpy as np
 
 from graphmem.config import EngineConfig, estimate_tokens
-from graphmem.consolidation import score_relation
 from graphmem.core import (
     EVENT_FIELD_TYPES,
     LIVE_BUFFER_ID,
+    RELATION_LABELS,
     SEQUENTIAL,
     UNRELATED,
     EventGraph,
@@ -152,7 +152,7 @@ def reference_retrieve(snapshot, query, providers, k):
     candidates += [CandidateEvent(n, LIVE_BUFFER_ID, LIVE_BUFFER_ID) for n in snapshot.buffer]
     if not candidates:
         return []
-    return reference_rerank(query, candidates, providers, config, k, query_vector=vector)
+    return reference_rerank(query, candidates, providers, config, k, vector)
 
 
 def reference_replies(scorer, query, texts):
@@ -182,18 +182,12 @@ def reference_replies(scorer, query, texts):
     return [answers[distinct.index(text)] for text in texts]
 
 
-def reference_rerank(
-    query, candidates, providers, config, k=None, *, query_vector=None, replies=None
-):
-    """The per-candidate re-rank loop that the columnar ``rerank`` replaced;
-    ``replies``, one per candidate, replaces the gathering by
-    :func:`reference_replies`."""
-    if k is None:
-        k = config.retrieval_k
-    if replies is None:
-        replies = reference_replies(
-            providers.relevance_scorer, query.text, [c.node.text for c in candidates]
-        )
+def reference_rerank(query, candidates, providers, config, k, query_vector):
+    """The per-candidate re-rank loop that the columnar ``rerank`` replaced,
+    with ``query_vector`` the checked query embedding."""
+    replies = reference_replies(
+        providers.relevance_scorer, query.text, [c.node.text for c in candidates]
+    )
     time_sensitive = is_time_sensitive(query)
     lowered_query = query.text.lower()
     rows = []
@@ -211,10 +205,7 @@ def reference_rerank(
                 node.id,
                 failure,
             )
-            embed, dim = providers.embedder.embed, config.embedding_dim
-            if query_vector is None:
-                query_vector = checked_vector(embed(query.text), dim)
-            text_vector = checked_vector(embed(node.text), dim)
+            text_vector = checked_vector(providers.embedder.embed(node.text), config.embedding_dim)
             cosine = float(np.dot(query_vector, text_vector))
             if not math.isfinite(cosine):
                 raise ProviderParseError(f"non-finite cosine {cosine}") from failure
@@ -250,15 +241,30 @@ def reference_rerank(
 def reference_consolidate(snapshot, segment, providers):
     """Consolidate ``segment``, a prefix of the buffer, asking the
     entailment checker once per utterance and the relation scorer once per
-    candidate; it logs nothing.  Returns the report fields the scorers and
+    candidate; it logs nothing.  Returns ``None`` if the consolidation
+    aborts: the summarizer or embedder raises a ``ProviderError``, the
+    summary or a keyword is not a ``str``, the summary is blank, or the
+    embedding is not ``embedding_dim`` finite numbers with a norm in
+    ``[1e-12, inf)``.  Otherwise returns the report fields the scorers and
     the ids decide, and the committed snapshot, built by the plain
     constructors one tick past the archived one."""
     config = snapshot.config
     graph = snapshot.topic_graph
-    summary_result = providers.summarizer.summarize(raw_text(segment))
-    summary = summary_result.summary
-    embedding = checked_vector(providers.embedder.embed(summary), config.embedding_dim)
-    embedding = embedding / float(np.linalg.norm(embedding))
+    try:
+        summary_result = providers.summarizer.summarize(raw_text(segment))
+        summary = getattr(summary_result, "summary", None)
+        keywords = getattr(summary_result, "keywords", None)
+        if type(summary) is not str or not summary.strip():
+            return None
+        if not isinstance(keywords, (tuple, list)) or {type(k) for k in keywords} - {str}:
+            return None
+        embedding = checked_vector(providers.embedder.embed(summary), config.embedding_dim)
+    except ProviderError:
+        return None
+    norm = float(np.linalg.norm(embedding))
+    if not 1e-12 <= norm < math.inf:
+        return None
+    embedding = embedding / norm
     flags, defaults = [], 0
     for node in segment:
         try:
@@ -275,11 +281,13 @@ def reference_consolidate(snapshot, segment, providers):
     for topic_id, _similarity in candidates:
         other = graph.nodes[topic_id].summary
         try:
-            label, weight = score_relation(summary, other, providers.relation_scorer)
+            reply = providers.relation_scorer.score(summary, other)
+        except ProviderParseError:
+            reply = None
         except ProviderError:
             skipped.append(topic_id)
             continue
-        scored.append((topic_id, label, weight))
+        scored.append((topic_id, *reference_relation(reply)))
     edges = dict(graph.edges)
     for topic_id, label, weight in scored:
         if label != UNRELATED and weight > config.tau:
@@ -287,7 +295,7 @@ def reference_consolidate(snapshot, segment, providers):
     node = TopicNode(
         id=new_id,
         summary=summary,
-        keywords=tuple(summary_result.keywords),
+        keywords=tuple(keywords),
         embedding=tuple(float(x) for x in embedding),
         created_at=snapshot.logical_clock + 1,
     )
@@ -309,6 +317,19 @@ def reference_consolidate(snapshot, segment, providers):
         "accepted_edges": len(edges) - len(graph.edges),
     }
     return fields, committed
+
+
+def reference_relation(reply):
+    """The label and weight a relation scorer's reply stands for: a pair of
+    a known label and a real weight in ``[0, 1]``, else unrelated at 0."""
+    try:
+        label, weight = reply
+    except (TypeError, ValueError):
+        return UNRELATED, 0.0
+    weight = real_number(weight)
+    if isinstance(label, str) and label in RELATION_LABELS and 0.0 <= weight <= 1.0:
+        return label, weight
+    return UNRELATED, 0.0
 
 
 # ---------------------------------------------------------------------------

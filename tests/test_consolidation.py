@@ -1,11 +1,8 @@
-import logging
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphmem.boundary import BoundaryVerdict
 from graphmem.config import EngineConfig
@@ -16,7 +13,6 @@ from graphmem.consolidation import (
     select_candidates,
 )
 from graphmem.core import (
-    RELATION_LABELS,
     Utterance,
     append_event,
     new_snapshot,
@@ -26,12 +22,10 @@ from graphmem.errors import (
     ConsolidationError,
     ProviderError,
     ProviderParseError,
-    ProviderTransportError,
 )
 from graphmem.providers import MockRelationScorer, ProviderBundle, mock_bundle
 
 from conftest import random_snapshot, unit_vector
-from reference import reference_consolidate
 
 
 def buffered(texts, config=None, session="s1"):
@@ -392,40 +386,6 @@ class TestEdgeAdmissionSweep:
         assert report.accepted_edges == len(expected)
 
 
-class TestInvariantPreservation:
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=5)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_random_op_sequences_keep_the_snapshot_valid(self, ops):
-        from graphmem.store import validate_snapshot
-
-        config = EngineConfig()
-        bundle = mock_bundle(config)
-        snap = new_snapshot(config)
-        consolidations = 0
-        clock = snap.logical_clock
-        for is_append, word in ops:
-            if is_append or not snap.buffer:
-                snap = append_event(
-                    snap,
-                    Utterance("s1", "ana", f"word{word} extra{word} and word{word}"),
-                )
-            else:
-                _, snap = consolidate_segment(snap, snap.buffer, bundle)
-                consolidations += 1
-            assert snap.logical_clock > clock
-            clock = snap.logical_clock
-        validate_snapshot(snap)
-        assert len(snap.topic_graph.nodes) == consolidations
-        assert len(snap.archive) == consolidations
-        assert len(snap.cross_index) == consolidations
-
-
 class TestApplyVerdict:
     def test_no_boundary_is_a_no_op(self, bundle):
         snap = buffered(["one thing", "same one thing"])
@@ -480,162 +440,3 @@ class TestApplyVerdict:
         assert len(reports) == 1
         assert [n.text for n in after.buffer] == texts[1:]
         assert len(after.topic_graph.nodes) == 1
-
-
-class TextEntailment:
-    """Answers ``table[text]`` (an exception is raised) and records every
-    text it is asked about."""
-
-    def __init__(self, table):
-        self.table = table
-        self.asked = []
-
-    def entails(self, summary, text):
-        self.asked.append((summary, text))
-        reply = self.table[text]
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-
-class SummaryRelations:
-    """Answers ``table[second]`` (an exception is raised) and records every
-    pair it is asked about."""
-
-    def __init__(self, table):
-        self.table = table
-        self.asked = []
-
-    def score(self, first, second):
-        self.asked.append((first, second))
-        reply = self.table[second]
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-
-class ConsolidationLog(logging.Handler):
-    """Collects the consolidation module's warnings inside a ``with`` block."""
-
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-    def __enter__(self):
-        logging.getLogger("graphmem.consolidation").addHandler(self)
-        return self
-
-    def __exit__(self, *exc_info):
-        logging.getLogger("graphmem.consolidation").removeHandler(self)
-
-
-# Reordered words keep a summary: the mock summarizer sorts its keywords.
-THEME_TEXTS = (
-    "garden compost soil",
-    "soil garden compost",
-    "compost soil garden",
-    "garden compost mulch",
-    "puppy leash collar",
-    "leash collar puppy",
-)
-SEGMENT_TEXTS = ("garden soil today", "the compost pile", "zz yy xx", "puppy leash walk")
-ENTAILMENT_REPLIES = (
-    True,
-    False,
-    np.True_,
-    np.False_,
-    None,
-    "yes",
-    1,
-    ProviderTransportError("down"),
-    ProviderParseError("bad json twice"),
-)
-MALFORMED_RELATIONS = (
-    ("sideways", 0.9),
-    ("support", 1.7),
-    ("semantic", "0.7"),
-    "garbage",
-    ProviderParseError("bad json twice"),
-)
-RELATION_REPLIES = st.one_of(
-    st.tuples(st.sampled_from(sorted(RELATION_LABELS)), st.floats(0.0, 1.0)),
-    st.sampled_from(MALFORMED_RELATIONS + (ProviderTransportError("down"),)),
-)
-
-
-def themed_snapshot(theme_texts, segment_texts, config):
-    """One theme per theme text, each its own consolidation through the
-    mock providers, then the segment texts buffered."""
-    bundle = mock_bundle(config)
-    snap = new_snapshot(config)
-    for text in theme_texts:
-        snap = append_event(snap, Utterance("s1", "ana", text))
-        _, snap = consolidate_segment(snap, snap.buffer, bundle)
-    for i, text in enumerate(segment_texts):
-        snap = append_event(snap, Utterance("s2", ("ana", "riley")[i % 2], text))
-    return snap
-
-
-class TestDistinctTexts:
-    """Each scorer sees only the summary and one other text, so it is asked
-    once per distinct text and every position takes the reply for its text,
-    exactly as a per-position gathering would decide."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        theme_texts=st.lists(st.sampled_from(THEME_TEXTS), min_size=1, max_size=7),
-        segment_texts=st.lists(st.sampled_from(SEGMENT_TEXTS), min_size=1, max_size=8),
-        data=st.data(),
-    )
-    def test_each_distinct_text_is_asked_once(self, theme_texts, segment_texts, data):
-        config = EngineConfig()
-        snap = themed_snapshot(theme_texts, segment_texts, config)
-        summaries = sorted({node.summary for node in snap.topic_graph.nodes.values()})
-        entailment = {
-            text: data.draw(st.sampled_from(ENTAILMENT_REPLIES), label=text)
-            for text in dict.fromkeys(segment_texts)
-        }
-        relations = {
-            summary: data.draw(RELATION_REPLIES, label=summary) for summary in summaries
-        }
-        bundle = clone_bundle_with(
-            mock_bundle(config),
-            entailment=TextEntailment(entailment),
-            relation_scorer=SummaryRelations(relations),
-        )
-        oracle_bundle = clone_bundle_with(
-            mock_bundle(config),
-            entailment=TextEntailment(entailment),
-            relation_scorer=SummaryRelations(relations),
-        )
-        with ConsolidationLog() as log:
-            report, got = consolidate_segment(snap, snap.buffer, bundle)
-        want, expected = reference_consolidate(snap, snap.buffer, oracle_bundle)
-
-        assert snapshot_bytes(got) == snapshot_bytes(expected)
-        assert {name: getattr(report, name) for name in want} == want
-        skips = [m for m in log.messages if m.startswith("relation scoring failed")]
-        assert skips == [
-            f"relation scoring failed for {topic_id}: down"
-            for topic_id in report.skipped_candidates
-        ]
-        # Each distinct text once, in first-occurrence order.
-        summary = got.topic_graph.nodes[report.new_topic_id].summary
-        assert bundle.entailment.asked == [
-            (summary, text) for text in dict.fromkeys(segment_texts)
-        ]
-        pool = [snap.topic_graph.nodes[topic_id].summary for topic_id, _ in report.candidate_pool]
-        assert bundle.relation_scorer.asked == [(summary, other) for other in dict.fromkeys(pool)]
-        # A malformed reply is demoted, with one warning per pair asked.
-        demoted = [m for m in log.messages if m.startswith("relation scorer")]
-        malformed = [other for other in dict.fromkeys(pool) if relations[other] in MALFORMED_RELATIONS]
-        assert len(demoted) == len(malformed)
-
-        # The mock providers record one call per distinct text.
-        mock = mock_bundle(config)
-        consolidate_segment(snap, snap.buffer, mock)
-        assert mock.call_log.count("entailment") == len(set(segment_texts))
-        assert mock.call_log.count("relation_scorer") == len(set(pool))

@@ -1,10 +1,6 @@
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphmem.boundary import BoundaryVerdict, TriggerKind
 from graphmem.config import EngineConfig
@@ -12,7 +8,6 @@ from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
 from graphmem.errors import ProviderTransportError, StateError
 from graphmem.providers import mock_bundle
-from graphmem.store import load, save
 
 
 def fresh_engine(config=None):
@@ -345,120 +340,3 @@ class TestRejectedTurns:
             engine.observe(**{**turn, **bad})
         assert engine.snapshot is before
         assert engine.trigger_counts == counts
-
-
-TIMESTAMPS = st.sampled_from(
-    [
-        None,
-        "2026-01-05T09:00:00",
-        "2026-01-05T10:00:00",
-        "2026-01-05T09:00:00Z",
-        "2026-01-05T11:00:00+02:00",
-        "not a time",
-        "",
-    ]
-)
-VALID_TURNS = st.fixed_dictionaries(
-    {
-        "session_id": st.sampled_from(["s1", "s2", ""]),
-        "speaker": st.one_of(st.sampled_from(["ana", "Riley"]), st.text(max_size=5)),
-        "text": st.one_of(
-            st.sampled_from(["garden compost beds", "puppy leash collar"]),
-            st.text(max_size=30),
-        ),
-        "timestamp": TIMESTAMPS,
-        "turn_index": st.one_of(st.none(), st.integers(-2, 5)),
-    }
-)
-#: At most one field of a turn replaced by a value of another type.
-ODD_FIELD = st.dictionaries(
-    st.sampled_from(["session_id", "speaker", "text", "timestamp", "turn_index"]),
-    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 3)),
-    max_size=1,
-)
-TURNS = st.lists(
-    st.builds(lambda turn, odd: {**turn, **odd}, VALID_TURNS, ODD_FIELD), max_size=12
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(turns=TURNS, question=st.text(max_size=20).filter(str.strip))
-def test_every_accepted_turn_saves_loads_and_answers(turns, question):
-    """Whatever ``observe`` accepts, the engine can write, read back and
-    query; whatever it refuses is a ``ValueError``."""
-    engine = fresh_engine(EngineConfig(buffer_token_limit=12))
-    for turn in turns:
-        try:
-            engine.observe(**turn)
-        except ValueError:
-            continue
-    engine.end_session()
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "memory.json"
-        save(engine.snapshot, path)
-        reloaded = load(path)
-    assert snapshot_hash(reloaded) == snapshot_hash(engine.snapshot)
-    MemoryEngine(engine.providers, snapshot=reloaded).query(question)
-
-
-OPERATIONS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("observe"),
-            st.sampled_from(["s1", "s2"]),
-            st.sampled_from([None, "2026-01-05T09:00:00", "2026-01-05T10:00:00"]),
-            st.integers(1, 4),
-        ),
-        st.tuples(st.just("end_session")),
-        st.tuples(st.just("check_now")),
-    ),
-    max_size=16,
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(operations=OPERATIONS, data=st.data())
-def test_any_verdict_stores_every_turn_once(operations, data):
-    """Whatever a segmenter answers, a call raises only ``StateError`` and
-    only for a split past the buffer, each accepted turn is stored once with
-    rising event ids, and an overflow check with no split empties the
-    buffer."""
-    engine = fresh_engine(EngineConfig(buffer_token_limit=6))
-    fired = []
-
-    def segmenter(snapshot, trigger):
-        size = len(snapshot.buffer)
-        splits = data.draw(st.lists(st.integers(0, size + 2), unique=True, max_size=3))
-        fired.append((trigger, tuple(sorted(splits)), size))
-        return BoundaryVerdict(fired[-1][1])
-
-    engine.segmenter = segmenter
-    stored = []
-    for number, (name, *args) in enumerate(operations):
-        fired.clear()
-        text = None
-        try:
-            if name == "observe":
-                session, timestamp, words = args
-                text = " ".join([f"turn{number}"] + ["word"] * (words - 1))
-                engine.observe(session, "ana", text, timestamp)
-            else:
-                getattr(engine, name)()
-        except StateError:
-            trigger, splits, size = fired[-1]
-            assert splits and splits[-1] >= size
-            if trigger is TriggerKind.BUFFER_OVERFLOW:
-                stored.append(text)
-            continue
-        assert all(not splits or splits[-1] < size for _, splits, size in fired)
-        if text is not None:
-            stored.append(text)
-        if fired and fired[-1][0] is TriggerKind.BUFFER_OVERFLOW and not fired[-1][1]:
-            assert engine.snapshot.buffer == ()
-
-    snapshot = engine.snapshot
-    nodes = [n for key in sorted(snapshot.archive) for n in snapshot.archive[key].nodes]
-    nodes += snapshot.buffer
-    assert [n.text for n in nodes] == stored
-    ids = [n.id for n in nodes]
-    assert ids == sorted(set(ids))

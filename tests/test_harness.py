@@ -393,6 +393,18 @@ class TestNoise:
             NoiseSpec(0.2, -1)
         assert NoiseSpec(0.2, 0).seed == 0
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        # True and 1.0 once perturbed exactly as seed 1; "1" and None
+        # raised TypeError.
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.4, seed)
+
+    @pytest.mark.parametrize("eta", [True, False, "0.2", None])
+    def test_an_eta_that_is_not_a_number_is_refused(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            NoiseSpec(eta, 1)
+
     def test_noisy_semantic_replay_completes(self, golden_corpus):
         engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
         snapshot, telemetry = replay(

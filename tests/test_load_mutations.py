@@ -206,6 +206,53 @@ def _lengths_off_by_one(document):
     document["archives"]["lengths"][-1] += 1
 
 
+def _first_record_twice(table):
+    """The edit that writes the first record of ``table`` twice."""
+
+    def edit(document):
+        for column in document[table].values():
+            column.insert(0, column[0])
+
+    return edit
+
+
+def _first_two_records_swapped(table):
+    """The edit that swaps the first two records of ``table``."""
+
+    def edit(document):
+        for column in document[table].values():
+            column[0], column[1] = column[1], column[0]
+
+    return edit
+
+
+def _first_two_archives_swapped(document):
+    archives = document["archives"]
+    first, second = archives["lengths"][:2]
+    for column in archives["events"].values():
+        column[: first + second] = column[first : first + second] + column[:first]
+    archives["lengths"][:2] = [second, first]
+
+
+def _first_archive_twice(document):
+    archives = document["archives"]
+    first = archives["lengths"][0]
+    for column in archives["events"].values():
+        column[:0] = column[:first]
+    archives["lengths"].insert(0, first)
+
+
+def _theme_extra_column(document):
+    themes = document["topic_nodes"]
+    themes["extra"] = [None] * len(themes["summary"])
+
+
+def _config_float_as_int(document):
+    config = document["config"]
+    name = min(k for k, v in config.items() if type(v) is float)
+    config[name] = int(config[name])
+
+
 def _set(*keys_and_value):
     """The edit that puts the last argument at the place the others name."""
     *keys, last, value = keys_and_value
@@ -236,6 +283,13 @@ MALFORMED = {
     "archive-length-bool": (_set("archives", "lengths", 0, True), "field-type"),
     "archive-length-string": (_set("archives", "lengths", 0, "3"), "field-type"),
     "lengths-sum": (_lengths_off_by_one, "archive-lengths"),
+    "duplicate-theme": (_first_record_twice("topic_nodes"), "archive-count"),
+    "duplicate-archive": (_first_archive_twice, "archive-count"),
+    "reorder-edges": (_first_two_records_swapped("topic_edges"), "edge-order"),
+    "duplicate-edge": (_first_record_twice("topic_edges"), "edge-order"),
+    "theme-extra-column": (_theme_extra_column, "document-schema"),
+    "drop-config-key": (lambda d: d["config"].pop(min(d["config"])), "document-schema"),
+    "config-float-as-int": (_config_float_as_int, "document-schema"),
 }
 
 
@@ -251,6 +305,21 @@ def test_a_malformed_file_is_refused_alike(saved_documents, tmp_path, case):
         # The version is part of the header the hash leaves out.
         path.write_bytes(as_saved(document))
     assert outcome(reference_load, path) == outcome(load, path) == invariant
+
+
+@pytest.mark.parametrize(
+    "edit", [_first_two_records_swapped("topic_nodes"), _first_two_archives_swapped]
+)
+def test_reordered_records_load_alike_and_hash_to_the_file(saved_documents, tmp_path, edit):
+    # Ids are positions, so a file with two themes or two archives swapped
+    # holds another valid snapshot, whose body the file's hash covers.
+    document = json.loads(saved_documents["synthetic"])
+    edit(document)
+    path = tmp_path / "memory.json"
+    write_rehashed(document, path)
+    loaded = load(path)
+    assert loaded == reference_load(path)
+    assert body_hash(loaded) == document["content_hash"]
 
 
 @pytest.mark.filterwarnings("ignore:beta_:UserWarning")

@@ -1,22 +1,22 @@
 """Replies from any provider, not only the bundled ones, are judged by the
 engine step that uses them: an unusable reply degrades or aborts that step,
-only typed errors escape, and every snapshot left behind saves and loads."""
+only typed errors escape, and every snapshot left behind saves and loads.
+
+These are the named cases, each a defect once seen; the state machine in
+``tests/test_stateful.py`` draws such replies from all six providers."""
 
 import logging
 import math
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.consolidation import score_relation
-from graphmem.core import RELATION_LABELS, snapshot_hash
+from graphmem.core import snapshot_hash
 from graphmem.engine import MemoryEngine
-from graphmem.errors import GraphMemError, ProviderParseError, ProviderTransportError
+from graphmem.errors import ProviderParseError, ProviderTransportError
 from graphmem.providers import (
     MockEmbedder,
     MockRelevanceScorer,
@@ -305,67 +305,6 @@ class TestVerifiedReplies:
         for value in (math.nan, math.inf, -math.inf):
             _, ranked = run(tmp_path, relevance_scorer=RelevanceScorer([value]))
             assert ranked and all(c.degraded for c in ranked)
-
-
-JUNK_LABELS = ("sideways", "", "SUPPORT", "related")
-BAD_WEIGHTS = (math.nan, math.inf, -math.inf, -0.5, 1.5)
-BAD_RELEVANCE = (math.nan, math.inf, -math.inf)
-
-boundary_replies = st.lists(
-    st.one_of(
-        st.integers(-3, len(TURNS) + 3),
-        st.floats(-2.0, 8.0),
-        st.booleans(),
-    ),
-    max_size=4,
-) | st.sampled_from([None, (0,), "0", 1])
-summaries = st.one_of(
-    st.sampled_from([None, "", "   ", THEME, 42]),
-    st.sampled_from([Reply(None), Reply({"summary": THEME, "keywords": ("pets",)})]),
-    st.builds(
-        SummaryResult,
-        keywords=st.sampled_from([("pets",), (), (1, 2), ("pets", None), None]),
-        summary=st.sampled_from([THEME, None, 7.5]),
-    ),
-)
-relations = st.tuples(
-    st.sampled_from(sorted(RELATION_LABELS) + list(JUNK_LABELS)),
-    st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_WEIGHTS)),
-) | st.sampled_from(BAD_RELATIONS)
-relevances = st.one_of(
-    st.none(), st.floats(0.0, 1.0), st.sampled_from(BAD_RELEVANCE + NOT_REAL)
-)
-# A unit vector (the mock's, or the first basis vector), the zero vector, a
-# NaN vector, a unit vector of the wrong dimension, or one with an int no
-# float holds.
-embeddings = st.sampled_from(
-    [None, [1.0] + [0.0] * (DIM - 1), [0.0] * DIM, [math.nan] * DIM, SHORT, HUGE]
-)
-
-
-# Hypothesis's failure report imports a module that warns of its own
-# deprecation; as an error it would hide the failing example.
-@pytest.mark.filterwarnings("error", "ignore:mypy_extensions:DeprecationWarning")
-@settings(max_examples=60, deadline=None)
-@given(
-    boundaries=st.lists(boundary_replies, min_size=1, max_size=3),
-    summary_answers=st.lists(summaries, min_size=1, max_size=3),
-    relation_answers=st.lists(relations, min_size=1, max_size=3),
-    relevance_answers=st.lists(relevances, min_size=1, max_size=4),
-    embedding_answers=st.lists(embeddings, min_size=1, max_size=4),
-)
-def test_any_reply_leaves_a_usable_snapshot(
-    boundaries, summary_answers, relation_answers, relevance_answers, embedding_answers
-):
-    providers = {
-        "discriminator": Discriminator(boundaries),
-        "summarizer": Summarizer(summary_answers),
-        "relation_scorer": RelationScorer(relation_answers),
-        "relevance_scorer": RelevanceScorer(relevance_answers),
-        "embedder": Embedder(embedding_answers, DIM),
-    }
-    with tempfile.TemporaryDirectory() as workdir:
-        run(workdir, refused=GraphMemError, **providers)
 
 
 class TestRelationReplies:

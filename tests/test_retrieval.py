@@ -1,9 +1,7 @@
 import concurrent.futures
-import logging
-import math
 import random
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.config import EngineConfig, estimate_tokens
+from graphmem.config import EngineConfig
 from graphmem.core import (
     EventNode,
     Relation,
@@ -29,7 +27,7 @@ from graphmem.errors import (
     ProviderError,
     ProviderTransportError,
 )
-from graphmem.providers import MockRelevanceScorer, mock_bundle
+from graphmem.providers import mock_bundle
 from graphmem.retrieval import (
     AnchorSet,
     CandidateEvent,
@@ -44,10 +42,9 @@ from graphmem.retrieval import (
     role_indicator,
     time_indicator,
 )
-from graphmem.store import checked_vector
 
 from conftest import random_snapshot, unit_vector
-from reference import reference_drill_down, reference_rerank
+from reference import reference_drill_down
 
 
 def make_candidate(idx, text, speaker="ana", timestamp=None, flag=True):
@@ -452,182 +449,10 @@ class TestRerank:
         cosine = float(np.dot(emb.embed("garden soil"), emb.embed("garden soil compost")))
         assert ranked[0].p_sem == pytest.approx(max(cosine, 0.01))
 
-
-class TextReplies:
-    """Answers a drawn reply per candidate text; a ``ProviderError`` reply is
-    raised by ``score``.  ``asked`` lists the texts asked, in order."""
-
-    def __init__(self, table):
-        self.table = table
-        self.asked = []
-
-    def score(self, query, text):
-        self.asked.append(text)
-        reply = self.table[text]
-        if isinstance(reply, ProviderError):
-            raise reply
-        return reply
-
-
-class BatchReplies(TextReplies):
-    """The same replies as one batch, a ``ProviderError`` returned as its
-    item; ``mode`` breaks the whole batch."""
-
-    def __init__(self, table, mode):
-        super().__init__(table)
-        self.mode = mode
-
-    def score_many(self, query, texts):
-        self.asked.append(list(texts))
-        replies = [self.table[text] for text in texts]
-        if self.mode == "raises":
-            raise ProviderTransportError("batch endpoint down")
-        if self.mode == "short":
-            return replies[:-1]
-        if self.mode == "long":
-            return replies + [0.5]
-        if self.mode == "tuple":
-            return tuple(replies)
-        return replies
-
-
-class WarningCount(logging.Handler):
-    """Counts the re-rank's warnings inside a ``with`` block."""
-
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.count = 0
-
-    def emit(self, record):
-        self.count += 1
-
-    def __enter__(self):
-        logging.getLogger("graphmem.retrieval").addHandler(self)
-        return self
-
-    def __exit__(self, *exc_info):
-        logging.getLogger("graphmem.retrieval").removeHandler(self)
-
-
-relevance_replies = st.one_of(
-    st.floats(-0.5, 1.5),
-    st.sampled_from((math.nan, math.inf, -math.inf, ProviderTransportError("down"))),
-)
-
-
-@st.composite
-def scored_candidates(draw):
-    replies = draw(st.lists(relevance_replies, max_size=12))
-    order = draw(st.permutations(range(1, len(replies) + 1)))
-    candidates = [
-        make_candidate(
-            idx,
-            f"note {idx} about the garden {('rook', 'soil', 'may')[idx % 3]}",
-            speaker=draw(st.sampled_from(("bob", "carol"))),
-            timestamp=draw(st.sampled_from((None, "2026-01-01T00:00:00"))),
-            flag=draw(st.booleans()),
-        )
-        for idx in order
-    ]
-    return candidates, {c.node.text: r for c, r in zip(candidates, replies)}
-
-
-class TestRelevanceBatch:
-    """A batch scorer ranks exactly like one answering the same items one
-    call at a time; a broken batch fails every item."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        drawn=scored_candidates(),
-        mode=st.sampled_from(("list", "raises", "short", "long", "tuple")),
-        query=st.sampled_from(("what did bob plant", "when was the garden soil turned")),
-        k=st.one_of(st.none(), st.integers(1, 14)),
-    )
-    def test_batch_equals_single_calls(self, drawn, mode, query, k):
-        candidates, table = drawn
-        config = EngineConfig()
-        batch_bundle, single_bundle = mock_bundle(config), mock_bundle(config)
-        batch_bundle.relevance_scorer = BatchReplies(table, mode)
-        if mode != "list":
-            table = {text: ProviderTransportError("batch failed") for text in table}
-        single_bundle.relevance_scorer = TextReplies(table)
-        got = rerank(Query(query), candidates, batch_bundle, config, k)
-        assert got == rerank(Query(query), candidates, single_bundle, config, k)
-        for ranked in got:
-            reply = table[next(c.node.text for c in candidates if c.node.id == ranked.event_node_id)]
-            finite = not isinstance(reply, ProviderError) and math.isfinite(reply)
-            assert ranked.degraded is not finite
-
     def test_equal_flags_are_one_shared_object(self):
         candidates = [make_candidate(i, f"plain text {i}", flag=False) for i in range(1, 4)]
         ranked = rerank(Query("anything"), candidates, mock_bundle(), EngineConfig())
         assert len({id(c.indicators) for c in ranked}) == 1
-
-
-@st.composite
-def repeated_text_candidates(draw):
-    """Candidates whose texts come from a few choices, so texts repeat, and
-    one drawn reply per distinct text."""
-    choices = ("garden soil", "rook may", "when soil", "")
-    texts = draw(st.lists(st.sampled_from(choices), max_size=12))
-    order = draw(st.permutations(range(1, len(texts) + 1)))
-    candidates = [
-        make_candidate(
-            idx,
-            text,
-            speaker=draw(st.sampled_from(("bob", "carol"))),
-            timestamp=draw(st.sampled_from((None, "2026-01-01T00:00:00"))),
-            flag=draw(st.booleans()),
-        )
-        for idx, text in zip(order, texts)
-    ]
-    return candidates, {text: draw(relevance_replies) for text in dict.fromkeys(texts)}
-
-
-class TestDistinctTexts:
-    """A scorer sees only the query and the text, so each distinct text is
-    asked once and every candidate with that text shares its reply."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        drawn=repeated_text_candidates(),
-        mode=st.sampled_from(("single", "list", "raises", "short", "long", "tuple")),
-        query=st.sampled_from(("what did bob plant", "when was the garden soil turned")),
-        k=st.one_of(st.none(), st.integers(1, 14)),
-    )
-    def test_each_distinct_text_is_asked_once(self, drawn, mode, query, k):
-        candidates, table = drawn
-        config = EngineConfig()
-        distinct = list(dict.fromkeys(c.node.text for c in candidates))
-        bundle = mock_bundle(config)
-        scorer = bundle.relevance_scorer = (
-            TextReplies(table) if mode == "single" else BatchReplies(table, mode)
-        )
-        with WarningCount() as warnings:
-            got = rerank(Query(query), candidates, bundle, config, k)
-        assert scorer.asked == (distinct if mode == "single" else [distinct])
-        if mode not in ("single", "list"):
-            table = {text: ProviderTransportError("batch failed") for text in table}
-        # Each candidate asks for its own text's reply, one at a time.
-        replies = [table[c.node.text] for c in candidates]
-        expected = reference_rerank(
-            Query(query), candidates, mock_bundle(config), config, k, replies=replies
-        )
-        assert got == expected
-        failed = [r for r in replies if isinstance(r, ProviderError) or not math.isfinite(r)]
-        assert warnings.count == len(failed)
-
-        bundle = mock_bundle(config)
-        ranked = rerank(Query(query), candidates, bundle, config, k)
-        records = bundle.call_log.entries()
-        assert [r.provider for r in records] == ["relevance_scorer"] * len(distinct)
-        tokens = estimate_tokens(query)
-        assert [r.input_tokens for r in records] == [tokens + estimate_tokens(t) for t in distinct]
-        scorer = MockRelevanceScorer()
-        lookup = {c.node.id: c.node.text for c in candidates}
-        assert [c.p_sem for c in ranked] == [
-            scorer.score(query, lookup[c.event_node_id]) for c in ranked
-        ]
 
 
 class FailingRelevance:
@@ -776,107 +601,6 @@ class TestTopK:
         assert len(engine.providers.call_log) == before
 
 
-class DrawnReplies:
-    """Answers the drawn replies in order: one per ``score`` call (a
-    ``ProviderError`` is raised), or one per asked text from ``score_many``
-    when ``mode`` names a batch shape."""
-
-    def __init__(self, replies, mode):
-        self.replies = list(replies)
-        self.mode = mode
-        if mode != "single":
-            self.score_many = self._score_many
-
-    def score(self, query, text):
-        reply = self.replies.pop(0)
-        if isinstance(reply, ProviderError):
-            raise reply
-        return reply
-
-    def _score_many(self, query, texts):
-        replies = self.replies[: len(texts)]
-        if self.mode == "raises":
-            raise ProviderTransportError("batch endpoint down")
-        if self.mode == "short":
-            return replies[:-1]
-        if self.mode == "long":
-            return replies + [0.5]
-        return replies
-
-
-oracle_replies = st.one_of(
-    st.floats(-0.5, 1.5),
-    st.sampled_from((0.0, -0.0, 0.5, 1.0, 0.25)),
-    st.integers(-2, 3),
-    st.just(10**400),
-    st.floats(-0.5, 1.5).map(np.float64),
-    st.booleans(),
-    st.sampled_from((None, "0.7", "", math.nan, math.inf, -math.inf)),
-    st.just(ProviderTransportError("down")),
-)
-
-
-@st.composite
-def oracle_cases(draw):
-    n = draw(st.integers(0, 10))
-    candidates = [
-        CandidateEvent(
-            EventNode(
-                # Repeated numbers make equal creation orders and equal nodes.
-                id=f"e{draw(st.integers(1, 8)):06d}",
-                session_id="s1",
-                turn_index=0,
-                speaker=draw(st.sampled_from(("", "bob", "Bob", "BOB", "carol", "Carol "))),
-                text=f"note about the {draw(st.sampled_from(('rook', 'soil', 'may', 'yesterday', '2019', 'bob')))}",
-                timestamp=draw(st.sampled_from((None, "", "2026-01-01T00:00:00"))),
-                token_count=4,
-                confidence_flag=draw(st.booleans()),
-            ),
-            draw(st.sampled_from(("a000001", "a000002", "live"))),
-            draw(st.sampled_from(("t000001", "t000002", "live"))),
-        )
-        for _ in range(n)
-    ]
-    replies = draw(st.lists(oracle_replies, min_size=n, max_size=n))
-    query = Query(
-        draw(st.sampled_from(
-            ("what did bob plant", "when did carol visit", "garden notes", "Bob and Carol  on 12/05")
-        )),
-        time_sensitive=draw(st.sampled_from((None, True, False))),
-    )
-    betas = [draw(st.sampled_from((1.0, 1.2, 1.4, 2.0))) for _ in range(3)]
-    config = EngineConfig(beta_time=betas[0], beta_conf=betas[1], beta_role=betas[2])
-    mode = draw(st.sampled_from(("single", "list", "raises", "short", "long")))
-    return query, candidates, replies, config, mode, draw(st.integers(1, n + 2)), draw(st.booleans())
-
-
-class TestColumnarRerank:
-    """``rerank`` scores columns; it must rank exactly like the per-candidate
-    loop it replaced, down to the bits of every score and the order of every
-    embedding call on the degraded path."""
-
-    @staticmethod
-    def run(ranker, query, candidates, replies, config, mode, k, give_vector):
-        bundle = mock_bundle(config)
-        bundle.relevance_scorer = DrawnReplies(replies, mode)
-        bundle.embedder = RecordingEmbedder(bundle.embedder)
-        vector = None
-        if give_vector:
-            vector = checked_vector(mock_bundle(config).embedder.embed(query.text), 64)
-        with WarningCount() as warnings:
-            ranked = ranker(query, candidates, bundle, config, k, query_vector=vector)
-        shown = [
-            tuple(repr(getattr(c, f.name)) for f in fields(RankedCandidate)) for c in ranked
-        ]
-        return shown, warnings.count, bundle.call_log.entries(), bundle.embedder.texts
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=oracle_cases())
-    def test_matches_the_per_candidate_loop(self, case):
-        # repr tells -0.0 from 0.0 and a numpy float from a float.
-        assert self.run(rerank, *case) == self.run(reference_rerank, *case)
-
-
 def anchor_sets(snapshot, rng, count=12):
     """Drawn subsets of the theme ids, from one anchor to all of them."""
     ids = sorted(snapshot.topic_graph.nodes)
@@ -900,6 +624,18 @@ class TestCachedCandidates:
             assert pairs == {(t, "a" + t[1:]) for t in ids}
         again = drill_down(snapshot, AnchorSet((), ("t000003",)))
         assert drill_down(snapshot, AnchorSet((), ("t000003",)))[0] is again[0]
+
+    def test_a_graph_filed_under_another_id_yields_candidates_under_that_id(self):
+        # The swapped copy files each of the first two archive graphs under
+        # the other's id, so a drill-down there finds candidates kept under
+        # the other anchor.
+        snapshot = random_snapshot(random.Random(44), 3)
+        archives = dict(snapshot.archive)
+        archives["a000001"], archives["a000002"] = archives["a000002"], archives["a000001"]
+        swapped = replace(snapshot, archive=archives)
+        anchors = AnchorSet((), ("t000001", "t000002"))
+        for copy in (snapshot, swapped, snapshot):
+            assert drill_down(copy, anchors) == reference_drill_down(copy, anchors.ids)
 
     def test_threads_over_two_snapshots_match_a_fresh_build(self):
         snapshot = random_snapshot(random.Random(44), 30, events_per_archive=4)

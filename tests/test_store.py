@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import json
@@ -11,12 +10,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem import core
 from graphmem.config import EngineConfig
-from graphmem.consolidation import consolidate_segment
 from graphmem.core import (
     EventGraph,
     EventNode,
@@ -32,10 +30,8 @@ from graphmem.core import (
     canonical_json,
     insert_topic_node,
     next_topic_id,
-    snapshot_bytes,
     snapshot_hash,
     snapshot_to_dict,
-    stable_layer_hash,
 )
 from graphmem.engine import MemoryEngine
 from graphmem.errors import CorruptionError, GraphMemError, StateError
@@ -756,187 +752,6 @@ class TestIdWidth:
         assert list(loaded.archive) == ["a1", "a2", "a3"]
 
 
-class TestEngineSnapshotProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
-    def test_every_snapshot_validates_round_trips_and_keeps_ingesting(
-        self, corpus, limit
-    ):
-        # The engine restarts from the reloaded copy after every turn, so the
-        # final state also proves that loaded snapshots ingest like live ones.
-        config = EngineConfig(buffer_token_limit=limit)
-        bundle = mock_bundle(config)
-        continuous = MemoryEngine(mock_bundle(config), config)
-        engine = MemoryEngine(bundle, config)
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "memory.json")
-            for turn in corpus.turns:
-                args = (turn.session_id, turn.speaker, turn.text, turn.timestamp)
-                continuous.observe(*args, turn.turn_index)
-                engine.observe(*args, turn.turn_index)
-                snapshot = engine.snapshot
-                validate_snapshot(snapshot)
-                save(snapshot, path)
-                loaded = load(path)
-                assert snapshot_bytes(loaded) == snapshot_bytes(snapshot)
-                engine = MemoryEngine(bundle, snapshot=loaded)
-        continuous.end_session()
-        engine.end_session()
-        validate_snapshot(engine.snapshot)
-        assert snapshot_bytes(engine.snapshot) == snapshot_bytes(continuous.snapshot)
-
-    @settings(max_examples=25, deadline=None)
-    @given(corpus=interleaved_corpora(), limit=st.sampled_from((8, 24, 2048)))
-    def test_the_file_stores_no_id_and_is_rewritten_byte_for_byte(self, corpus, limit):
-        # Every id follows from a position: events over the archives in
-        # order and then the buffer, which holds one turn here.
-        config = EngineConfig(buffer_token_limit=limit)
-        snapshot, _ = replay(corpus, MemoryEngine(mock_bundle(config), config), "semantic")
-        snapshot = append_event(snapshot, Utterance("s9", "ana", "one buffered line"))
-        with tempfile.TemporaryDirectory() as directory:
-            first, again = (os.path.join(directory, n) for n in ("first.json", "again.json"))
-            save(snapshot, first)
-            loaded = load(first)
-            save(loaded, again)
-            with open(first, "rb") as handle:
-                written = handle.read()
-            with open(again, "rb") as handle:
-                rewritten = handle.read()
-        assert _all_keys(json.loads(written)) & {"id", "source_archive_id"} == set()
-        assert snapshot_hash(loaded) == snapshot_hash(snapshot)
-        assert rewritten == written
-
-
-@pytest.fixture(scope="module")
-def saved_fixture_documents(tmp_path_factory, golden_corpus, scaling_corpus):
-    """The saved golden and scaling documents, as file bytes."""
-    documents = {}
-    for name, corpus in (("golden", golden_corpus), ("scaling", scaling_corpus)):
-        engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
-        snapshot, _ = replay(corpus, engine, "semantic")
-        path = tmp_path_factory.mktemp("saved") / f"{name}.json"
-        save(snapshot, path)
-        documents[name] = path.read_bytes()
-    return documents
-
-
-# Each mutation edits a saved document in place; ``pick(n)`` chooses an
-# index in ``range(n)`` for every choice it makes.
-
-
-def _reorder(pick, entries):
-    first = pick(len(entries))
-    second = (first + 1 + pick(len(entries) - 1)) % len(entries)
-    entries[first], entries[second] = entries[second], entries[first]
-
-
-def _duplicate(pick, entries):
-    entries.insert(pick(len(entries) + 1), copy.deepcopy(entries[pick(len(entries))]))
-
-
-def _on_records(edit, table):
-    """``edit`` applied to the records of the table named ``table``."""
-
-    def mutate(pick, document):
-        rows = _rows(document[table])
-        edit(pick, rows)
-        _set_rows(document[table], rows)
-
-    return mutate
-
-
-def _on_archives(edit):
-    """``edit`` applied to the list of archives."""
-
-    def mutate(pick, document):
-        archives = _archives(document)
-        edit(pick, archives)
-        _set_archives(document, archives)
-
-    return mutate
-
-
-def _add_key(pick, document):
-    tables = [table for table in _tables(document).values() if _rows(table)]
-    table = tables[pick(len(tables))]
-    values = [None, 0, "x", []]
-    table["extra"] = [values[pick(len(values))]] * len(_rows(table))
-
-
-def _drop_config_key(pick, document):
-    names = sorted(document["config"])
-    del document["config"][names[pick(len(names))]]
-
-
-def _config_float_as_int(pick, document):
-    config = document["config"]
-    names = sorted(k for k, v in config.items() if type(v) is float)
-    name = names[pick(len(names))]
-    config[name] = int(config[name])
-
-
-WRITTEN_FORM_MUTATIONS = {
-    "reorder-themes": _on_records(_reorder, "topic_nodes"),
-    "duplicate-theme": _on_records(_duplicate, "topic_nodes"),
-    "reorder-archives": _on_archives(_reorder),
-    "duplicate-archive": _on_archives(_duplicate),
-    "reorder-edges": _on_records(_reorder, "topic_edges"),
-    "duplicate-edge": _on_records(_duplicate, "topic_edges"),
-    "add-key": _add_key,
-    "drop-config-key": _drop_config_key,
-    "config-float-as-int": _config_float_as_int,
-}
-
-
-class TestWrittenForm:
-    """The loader accepts only the form ``save`` writes, so a loaded
-    snapshot's body hashes to its file's ``content_hash``."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        corpus=st.sampled_from(("golden", "scaling")),
-        mutation=st.sampled_from(sorted(WRITTEN_FORM_MUTATIONS)),
-        data=st.data(),
-    )
-    def test_rehashed_mutant_is_rejected_or_hashes_to_its_record(
-        self, saved_fixture_documents, tmp_path_factory, corpus, mutation, data
-    ):
-        document = json.loads(saved_fixture_documents[corpus])
-        # The golden snapshot has no topic edges.
-        assume("edge" not in mutation or len(document["topic_edges"]["weight"]) >= 2)
-        pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        WRITTEN_FORM_MUTATIONS[mutation](pick, document)
-        path = tmp_path_factory.mktemp("mutant") / "mutant.json"
-        write_rehashed(document, path)
-        try:
-            loaded = load(path)
-        except CorruptionError:
-            return
-        assert body_hash(loaded) == document["content_hash"]
-
-    @pytest.mark.parametrize(
-        "mutation, invariant",
-        [
-            ("duplicate-theme", "archive-count"),
-            ("reorder-edges", "edge-order"),
-            ("duplicate-edge", "edge-order"),
-            ("add-key", "document-schema"),
-            ("drop-config-key", "document-schema"),
-            ("config-float-as-int", "document-schema"),
-        ],
-    )
-    def test_each_mutation_is_named(self, saved_fixture_documents, tmp_path, mutation, invariant):
-        document = json.loads(saved_fixture_documents["scaling"])
-        # The first choice every time: the first two entries, the first
-        # section, entry and value, the first config key of its kind.
-        WRITTEN_FORM_MUTATIONS[mutation](lambda n: 0, document)
-        path = tmp_path / "mutant.json"
-        write_rehashed(document, path)
-        with pytest.raises(CorruptionError) as err:
-            load(path)
-        assert err.value.invariant == invariant
-
-
 class TestMutationFuzz:
     def test_single_byte_mutations_never_escape_typed_errors(self, snapshot, tmp_path):
         path = tmp_path / "memory.json"
@@ -1088,44 +903,6 @@ class TestVectorIndex:
 
     def test_empty_index(self):
         assert vector_topk(VectorIndex.empty(4), np.zeros(4), 5) == []
-
-    def test_incremental_add_equals_rebuild(self):
-        rng = random.Random(13)
-        snapshot = random_snapshot(rng, 30, edge_probability=0.0)
-        graph = snapshot.topic_graph
-        rebuilt = VectorIndex.from_topic_graph(graph, 64)
-        incremental = VectorIndex.empty(64)
-        for tid in graph.nodes:
-            extended = incremental.with_row(tid, graph.nodes[tid].embedding)
-            assert len(incremental.ids) == len(extended.ids) - 1
-            incremental = extended
-        assert incremental.ids == rebuilt.ids
-        assert np.array_equal(incremental.matrix, rebuilt.matrix)
-        query = np.asarray(unit_vector(rng, 64))
-        assert vector_topk(incremental, query, 7) == vector_topk(rebuilt, query, 7)
-
-    def test_index_coherent_after_mutations(self):
-        # grow a graph through real consolidations and compare both paths
-        from graphmem.config import EngineConfig
-        from graphmem.consolidation import consolidate_segment
-        from graphmem.core import Utterance, append_event, new_snapshot
-        from graphmem.providers import mock_bundle
-
-        config = EngineConfig()
-        bundle = mock_bundle(config)
-        snap = new_snapshot(config)
-        incremental = VectorIndex.empty(config.embedding_dim)
-        for i in range(6):
-            snap = append_event(
-                snap, Utterance("s1", "ana", f"theme{i} alpha{i} with theme{i}")
-            )
-            report, snap = consolidate_segment(snap, snap.buffer, bundle)
-            node = snap.topic_graph.nodes[report.new_topic_id]
-            incremental = incremental.with_row(node.id, node.embedding)
-            rebuilt = VectorIndex.from_topic_graph(snap.topic_graph, config.embedding_dim)
-            assert incremental.ids == rebuilt.ids
-            assert incremental.matrix.tobytes() == rebuilt.matrix.tobytes()
-
 
 @st.composite
 def indexed_queries(draw):
@@ -1319,11 +1096,6 @@ class TestCachedBytes:
         assert snapshot_hash(loaded) == snapshot_hash(snapshot)
         assert body_hash(loaded) == body_hash(snapshot) == json.loads(cold)["content_hash"]
 
-    def test_a_hash_keeps_nothing(self, snapshot):
-        snapshot_hash(snapshot)
-        stable_layer_hash(snapshot)
-        assert snapshot.saved_bytes is None
-
     def test_forks_adding_themes_to_one_parent(self, tmp_path):
         # Two forks put a theme on the parent's buffered episode, archived
         # once.  The forks compare equal (0.0 == -0.0) yet are written
@@ -1340,75 +1112,6 @@ class TestCachedBytes:
             save(fork, path)
             assert path.read_bytes() == reference_file(fork)
             files.setdefault(id(fork), path.read_bytes())
-        assert len(set(files.values())) == 3
-
-    def test_replaced_archives_start_cold(self, snapshot, tmp_path):
-        path = tmp_path / "memory.json"
-        save(snapshot, path)
-        warm = path.read_bytes()
-        first, second = list(snapshot.archive)[:2]
-
-        def replaced_nodes(archive_id, **changes):
-            graph = snapshot.archive[archive_id]
-            nodes = tuple(dataclasses.replace(n, **changes) for n in graph.nodes)
-            archive = {**snapshot.archive, archive_id: dataclasses.replace(graph, nodes=nodes)}
-            return dataclasses.replace(snapshot, archive=archive)
-
-        replaced = replaced_nodes(first, session_id="renamed")
-        flagged = replaced_nodes(second, confidence_flag=False)
-        assert replaced.saved_bytes is None and flagged.saved_bytes is None
-        for variant in (replaced, flagged, snapshot, flagged, replaced):
-            save(variant, path)
-            assert path.read_bytes() == reference_file(variant)
-        assert len({replaced.saved_bytes, flagged.saved_bytes, warm}) == 3
-        assert snapshot.saved_bytes == warm
-
-    def test_no_mutation_carries_the_saved_document(self, snapshot, tmp_path, monkeypatch):
-        # Each mutation builds a new snapshot, whose first save encodes
-        # every member once, whatever its parent saved.
-        path = tmp_path / "memory.json"
-        save(snapshot, path)
-        appended = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
-        _, archived = archive_segment(appended, 1, [True])
-        older = min(archived.topic_graph.nodes)
-        new = _theme_over(archived, 0.0)
-        themed = insert_topic_node(archived, new, [TopicEdge(new.id, older, Relation.CAUSAL, 0.9)])
-        calls = _count_member_writes(monkeypatch)
-        for child in (appended, archived, themed):
-            assert child.saved_bytes is None
-            if child is archived:
-                # Its new archive waits for its theme, so it has no file.
-                with pytest.raises(StateError, match="13 archives for 12 themes"):
-                    save(child, path)
-                continue
-            calls.clear()
-            save(child, path)
-            assert sorted(calls) == sorted(STORED_MEMBERS)
-            assert path.read_bytes() == reference_file(child)
-
-    def test_forks_linking_new_themes_to_one_older_theme(self, snapshot, tmp_path):
-        # Each fork adds a theme on the parent's buffered episode, archived
-        # once, with an edge to the same older theme; each save writes that
-        # fork's file.
-        parent = append_event(snapshot, Utterance("s9", "ana", "a new episode"))
-        _, archived = archive_segment(parent, 1, [True])
-        older = min(parent.topic_graph.nodes)
-        forks = [
-            insert_topic_node(archived, new, [TopicEdge(new.id, older, relation, weight)])
-            for new, relation, weight in (
-                (_theme_over(archived, 0.0), Relation.SEMANTIC, 0.9),
-                (_theme_over(archived, -0.0), Relation.CAUSAL, 0.8),
-            )
-        ]
-        assert forks[0].topic_graph.edges != forks[1].topic_graph.edges
-        save(parent, tmp_path / "parent.json")
-        files = {}
-        for number, fork in enumerate(forks * 3 + [parent]):
-            path = tmp_path / f"{number}.json"
-            save(fork, path)
-            files.setdefault(id(fork), path.read_bytes())
-            assert path.read_bytes() == files[id(fork)] == reference_file(fork)
-            assert snapshot_hash(load(path)) == snapshot_hash(fork)
         assert len(set(files.values())) == 3
 
     def test_threads_saving_forks_of_one_parent(self, scaling_corpus, tmp_path):

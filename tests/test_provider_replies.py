@@ -22,6 +22,7 @@ from graphmem.providers import (
     MockRelevanceScorer,
     MockSummarizer,
     SummaryResult,
+    distinct_replies,
     mock_bundle,
 )
 from graphmem.store import load, save
@@ -141,6 +142,18 @@ class TextEmbedder:
     def embed(self, text):
         vector = self.vectors.get(text)
         return self.mock.embed(text) if vector is None else np.array(vector)
+
+
+class Raising:
+    """A scorer whose every call, single or batch, raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def score(self, *texts):
+        raise self.error("scorer down")
+
+    score_many = score
 
 
 class FailingRelevanceScorer:
@@ -323,8 +336,73 @@ class TestRelationReplies:
         assert result == ("unrelated", 0.0)
         assert "relation scorer returned invalid" in caplog.text
 
+    def test_a_parse_error_scores_unrelated(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="graphmem.consolidation"):
+            result = score_relation("one", "two", Raising(ProviderParseError))
+        assert result == ("unrelated", 0.0)
+        assert "relation scorer output unusable" in caplog.text
+
+    def test_a_transport_error_propagates(self):
+        # The consolidation skips the candidate instead of scoring it.
+        with pytest.raises(ProviderTransportError):
+            score_relation("one", "two", Raising(ProviderTransportError))
+
     @pytest.mark.parametrize("weight", [1, 0, np.float64(0.5), 0.25])
     def test_real_weight_accepted(self, weight):
         label, scored = score_relation("one", "two", RelationScorer([("semantic", weight)]))
         assert (label, scored) == ("semantic", float(weight))
         assert type(scored) is float
+
+
+class TestDistinctReplies:
+    """What ``distinct_replies`` makes of single and batch replies."""
+
+    TEXTS = ["leash", "compost", "leash", "offer"]
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["score", "score_many"])
+    def test_each_distinct_text_is_asked_once(self, batch):
+        asked = []
+
+        def ask(query, text):
+            asked.append(text)
+            return len(text)
+
+        def ask_many(query, texts):
+            asked.extend(texts)
+            return [len(text) for text in texts]
+
+        replies = distinct_replies(ask, "q", self.TEXTS, ask_many if batch else None)
+        assert asked == ["leash", "compost", "offer"]
+        assert replies == [5, 7, 5, 5]
+
+    def test_a_failed_call_fails_its_text_alone(self):
+        def ask(query, text):
+            if text == "leash":
+                raise ProviderTransportError("scorer down")
+            return 0.5
+
+        replies = distinct_replies(ask, "q", self.TEXTS)
+        assert [isinstance(r, ProviderTransportError) for r in replies] == [
+            True,
+            False,
+            True,
+            False,
+        ]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [(0.5, 0.25, 0.75), [0.5, 0.25], [0.5, 0.25, 0.75, 1.0]],
+        ids=["tuple", "short", "long"],
+    )
+    def test_a_batch_not_a_list_of_one_item_per_text_fails_every_item(self, reply):
+        unasked = Raising(AssertionError).score
+        replies = distinct_replies(unasked, "q", self.TEXTS, lambda query, texts: reply)
+        assert len(replies) == len(self.TEXTS)
+        assert all(type(r) is ProviderParseError for r in replies)
+
+    @pytest.mark.parametrize("error", [ProviderTransportError, ProviderParseError])
+    def test_a_batch_that_raises_fails_every_item(self, error):
+        scorer = Raising(error)
+        replies = distinct_replies(scorer.score, "q", self.TEXTS, scorer.score_many)
+        assert len(replies) == len(self.TEXTS)
+        assert all(type(r) is error for r in replies)

@@ -11,7 +11,9 @@ event's token count from its text.  Two documents are defined here, and
 each stored field of an event, a theme or an edge has one writer, which
 both use.  The stored body, :data:`STORED_MEMBERS`, holds none of those
 copies: six members, each table an object of columns with the field
-writers applied a column at a time, which ``store.save`` encodes.  The
+writers applied a column at a time, which ``store.save`` encodes; a
+column of a few repeated strings is stored as a dictionary of its values
+and one code per entry, and an edge end as its theme's position.  The
 hashed document, :data:`SNAPSHOT_MEMBERS`, which :func:`snapshot_to_dict`
 builds and the hashes encode, has seven: a record per object, with the
 field writers applied a record at a time and the copies added, so a
@@ -331,9 +333,15 @@ def new_snapshot(config: EngineConfig | None = None) -> MemorySnapshot:
 # id allocation
 
 
+#: The one spelling of the ids of each kind (event, theme, archive), as a
+#: ``%`` format: the kind's letter, then the position in ``ID_WIDTH``
+#: zero-padded digits.
+_ID_FORMATS = {prefix: f"{prefix}%0{ID_WIDTH}d" for prefix in "eta"}
+
+
 def position_id(prefix: str, position: int) -> str:
     """The id of the ``position``-th node of its kind, counting from 1."""
-    return f"{prefix}{position:0{ID_WIDTH}d}"
+    return _ID_FORMATS[prefix] % position
 
 
 def position_ids(prefix: str, count: int) -> list[str]:
@@ -341,7 +349,7 @@ def position_ids(prefix: str, count: int) -> list[str]:
     ``ValueError`` when ``count`` is more than ``ID_WIDTH`` digits number."""
     if count >= 10**ID_WIDTH:
         raise ValueError(f"{count} {prefix} ids do not fit in {ID_WIDTH} digits")
-    return list(map(f"{prefix}%0{ID_WIDTH}d".__mod__, range(1, count + 1)))
+    return list(map(_ID_FORMATS[prefix].__mod__, range(1, count + 1)))
 
 
 def _id_after(prefix: str, count: int) -> str:
@@ -600,10 +608,43 @@ def _row(writers: Mapping[str, Callable], record: object) -> dict:
     return {name: write(record) for name, write in writers.items()}
 
 
-def _table(writers: Mapping[str, Callable], records: Collection) -> dict[str, list]:
+def dictionary_column(column: Sequence[str]) -> dict[str, list]:
+    """A string column as the file stores it: ``values``, its distinct
+    strings once each, in the order they first occur, and ``codes``, one
+    per entry, the index of its string in ``values``.  The one encoding of
+    ``column`` that ``store.load`` accepts."""
+    values = list(dict.fromkeys(column))
+    code = dict(zip(values, range(len(values))))
+    return {"codes": list(map(code.__getitem__, column)), "values": values}
+
+
+def _theme_positions(column: Sequence[str]) -> list[int]:
+    """Theme ids as the file stores them: ``t{k}`` as ``k``, each distinct
+    id read once."""
+    position = {theme_id: int(theme_id[1:]) for theme_id in set(column)}
+    return list(map(position.__getitem__, column))
+
+
+#: The string fields whose columns repeat a few values, each stored as
+#: :func:`dictionary_column`.
+DICTIONARY_FIELDS = frozenset({"session_id", "speaker", "relation"})
+
+#: The stored fields the file does not write as the writers' values: the
+#: dictionary columns, and an edge's ends as their themes' positions.
+_STORED_FORMS: dict[str, Callable[[list], object]] = {
+    **dict.fromkeys(DICTIONARY_FIELDS, dictionary_column),
+    "from_id": _theme_positions,
+    "to_id": _theme_positions,
+}
+
+
+def _table(writers: Mapping[str, Callable], records: Collection) -> dict[str, object]:
     """Records as an object of equal-length columns, one per stored field:
-    entry k of each column is record k's field."""
-    return {name: list(map(write, records)) for name, write in writers.items()}
+    entry k of each column is record k's field, in its stored form."""
+    table: dict[str, object] = {name: list(map(write, records)) for name, write in writers.items()}
+    for name in table.keys() & _STORED_FORMS.keys():
+        table[name] = _STORED_FORMS[name](table[name])
+    return table
 
 
 def _stored_archives(snapshot: MemorySnapshot) -> dict:
@@ -617,7 +658,9 @@ def _stored_archives(snapshot: MemorySnapshot) -> dict:
 #: an object of equal-length columns; none writes a field the loader
 #: derives, ids included: the k-th theme is ``t{k}``, the k-th archive
 #: ``a{k}``, holding the next ``lengths[k-1]`` archived events, and events
-#: count over the archives, then the buffer.
+#: count over the archives, then the buffer.  Session ids, speakers and
+#: relations are dictionary columns, and an edge names each end by its
+#: theme's position.
 STORED_MEMBERS: dict[str, Callable[[MemorySnapshot], object]] = {
     "topic_nodes": lambda s: _table(_TOPIC_WRITERS, s.topic_graph.nodes.values()),
     "topic_edges": lambda s: _table(_EDGE_WRITERS, s.topic_graph.edge_list()),

@@ -1,17 +1,20 @@
 """Snapshot persistence and the exact-scan vector index.
 
-Files are single JSON documents in format 4.0: the stored body, whose six
+Files are single JSON documents in format 5.0: the stored body, whose six
 members ``graphmem.core`` defines and encodes (``STORED_MEMBERS``), plus a
 ``format_version`` and a ``content_hash`` header over the body, so equal
 snapshots produce byte-equal files and any corruption is named on load.
 Each table (themes, edges, the archived events, the buffered events) is
 an object of equal-length columns, one per stored field, so a field's
 name is written once per table, not once per record; the archives are
-one event table and the list of their ``lengths``.  The body stores each
-fact once; what follows from it (every id, which is a position, graph
-ids, event edges, ``cross_index``, token counts, each theme's ``raw`` and
-each edge's ``directed``) is derived on load, not read.  A 1.x, 2.x or 3.x
-file is refused as ``format-version-known``.  ``content_hash`` checks the
+one event table and the list of their ``lengths``.  Session ids,
+speakers and relations are dictionary columns, each distinct string once
+per table and one code per entry, and an edge names its ends by their
+themes' positions.  The body stores each fact once; what follows from it
+(every id, which is a position, graph ids, event edges, ``cross_index``,
+token counts, each theme's ``raw`` and each edge's ``directed``) is
+derived on load, not read.  A 1.x to 4.x file is refused as
+``format-version-known``.  ``content_hash`` checks the
 file's integrity; a snapshot's identity is ``core.snapshot_hash``, over
 the hashed document with the derived copies, which no file format
 changes.  ``save`` encodes the body once, inserts the header where its
@@ -24,9 +27,10 @@ snapshot, so saving a loaded snapshot rewrites its file byte for byte,
 and returns a snapshot that keeps no file until its first save.
 It works a field at a time: each table's columns are read as they are
 parsed (:func:`_columns` checks their names, lengths and JSON types, one
-pass per column), nodes and edges are built from those columns and the
-derived ids, and :func:`validate_snapshot` checks each invariant over a
-whole column.  The theme norms come from the topic graph's vector index,
+pass per column, and decodes each dictionary column, refusing any but
+the one ``save`` writes), nodes and edges are built from those columns
+and the derived ids, and :func:`validate_snapshot` checks each invariant
+over a whole column.  The theme norms come from the topic graph's vector index,
 which the loaded graph keeps.
 The vector index is exact: one matrix product shortlists the rows that
 could reach the top k, and only those are re-scored with the per-row dot
@@ -49,12 +53,13 @@ import threading
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import attrgetter, eq, ge, gt, lt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import EngineConfig, estimate_tokens
 from .core import (
+    DICTIONARY_FIELDS,
     EVENT_FIELD_TYPES,
     STORED_MEMBERS,
     EventGraph,
@@ -72,7 +77,7 @@ from .core import (
 )
 from .errors import CorruptionError, ProviderParseError, StateError
 
-FORMAT_VERSION = "4.0"
+FORMAT_VERSION = "5.0"
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +345,17 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
     if type(archives) is not dict or archives.keys() != {"lengths", "events"}:
         raise CorruptionError("document-schema", "archives not an object of lengths and events")
     # The lengths as a table of one column, so they are checked as one.
-    lengths = _columns({"lengths": archives["lengths"]}, _LENGTH_TYPES, "a")["lengths"]
-    archived = _columns(archives["events"], EVENT_FIELD_TYPES, "e")
+    lengths = _columns({"lengths": archives["lengths"]}, _LENGTH_TYPES, "archives", "a")["lengths"]
+    # One str per distinct session id and speaker in this load, rather than
+    # one per table.
+    strings: dict = {}
+    archived = _columns(archives["events"], EVENT_FIELD_TYPES, "archives.events", "e", strings)
     count = len(archived["text"])
-    buffered = _columns(body["active_buffer"], EVENT_FIELD_TYPES, "e", count)
-    themes = _columns(body["topic_nodes"], _TOPIC_TYPES, "t")
-    links = _columns(body["topic_edges"], _EDGE_TYPES, None)
+    buffered = _columns(
+        body["active_buffer"], EVENT_FIELD_TYPES, "active_buffer", "e", strings, count
+    )
+    themes = _columns(body["topic_nodes"], _TOPIC_TYPES, "topic_nodes", "t")
+    links = _columns(body["topic_edges"], _EDGE_TYPES, "topic_edges", None)
     # Each id is a position: events count over the archives, then the buffer.
     events = {name: archived[name] + buffered[name] for name in EVENT_FIELD_TYPES}
     try:
@@ -380,18 +390,24 @@ def _reconstruct(document: dict, raw: bytes) -> MemorySnapshot:
     if not _all_finite([links["weight"], *themes["embedding"]]):
         raise CorruptionError("document-schema", "a number that is not finite")
 
-    labels, froms, tos = links["relation"], links["from_id"], links["to_id"]
+    labels = links["relation"]
     relations = list(map(_RELATIONS.get, labels))
     if None in relations:
         raise CorruptionError("document-schema", f"relation {labels[relations.index(None)]!r}")
+    # Each end is a theme's position, t{k} stored as k.
+    theme_at = dict(zip(range(1, len(theme_ids) + 1), theme_ids))
+    try:
+        froms, tos = (list(map(theme_at.__getitem__, links[end])) for end in ("from_id", "to_id"))
+    except KeyError:
+        ends = zip(links["from_id"], links["to_id"])
+        at = next(i for i, pair in enumerate(ends) if not theme_at.keys() >= set(pair))
+        raise CorruptionError("topic-edge-endpoints", _edge_name(links, at)) from None
     keys = list(map(edge_key, froms, tos))
     edges = dict(zip(keys, from_columns(TopicEdge, (froms, tos, relations, links["weight"]))))
 
-    # One str per distinct session id, speaker and timestamp in this load,
-    # rather than one per node.
-    share = {}.setdefault
-    for name in ("session_id", "speaker", "timestamp"):
-        events[name] = list(map(share, events[name], events[name]))
+    # One str per distinct timestamp in this load, rather than one per node.
+    share = strings.setdefault
+    events["timestamp"] = list(map(share, events["timestamp"], events["timestamp"]))
     # Not stored: the count append_event gave each turn.
     events["token_count"] = list(map(estimate_tokens, events["text"]))
     nodes = tuple(from_columns(EventNode, [events[f.name] for f in fields(EventNode)]))
@@ -458,9 +474,10 @@ def _check_written_form(body: dict, keys: list, snapshot: MemorySnapshot) -> Non
 
 
 #: The exact JSON types each stored theme and edge field may have (event
-#: nodes: :data:`EVENT_FIELD_TYPES`).  Nothing is coerced and a bool is not
-#: an int, so a file loads only with values the engine could have written;
-#: any other value would fail later, in a query or an append.
+#: nodes: :data:`EVENT_FIELD_TYPES`); an edge's ends are its themes'
+#: positions.  Nothing is coerced and a bool is not an int, so a file loads
+#: only with values the engine could have written; any other value would
+#: fail later, in a query or an append.
 _TOPIC_TYPES = {
     "summary": (str,),
     "keywords": (list,),
@@ -468,8 +485,8 @@ _TOPIC_TYPES = {
     "created_at": (int,),
 }
 _EDGE_TYPES = {
-    "from_id": (str,),
-    "to_id": (str,),
+    "from_id": (int,),
+    "to_id": (int,),
     "relation": (str,),
     "weight": (float,),
 }
@@ -479,36 +496,111 @@ _LENGTH_TYPES = {"lengths": (int,)}
 _RELATIONS = {relation.value: relation for relation in Relation}
 
 
+def _edge_name(links: dict[str, list], at: int) -> str:
+    """Edge ``at`` of the stored edge table, named by its ends: the theme
+    ids their positions give them, or a stored value that is not a
+    position as it is."""
+    ends = (links["from_id"][at], links["to_id"][at])
+    return "-".join(position_id("t", end) if type(end) is int else repr(end) for end in ends)
+
+
 def _columns(
-    table: object, types: dict[str, tuple[type, ...]], prefix: str | None, before: int = 0
+    table: object,
+    types: dict[str, tuple[type, ...]],
+    member: str,
+    prefix: str | None,
+    strings: dict | None = None,
+    before: int = 0,
 ) -> dict[str, list]:
-    """The columns of a stored table, one per key of ``types``, in its order.
+    """The columns of the stored table ``member``, one per key of ``types``,
+    in its order, each as the list of its entries' values.
 
     The table must be an object whose keys are exactly those of ``types``,
-    each a list, all of one length (else ``document-schema``).  A value
-    whose type ``types`` does not allow is ``field-type``, naming the field
-    and the first such entry: by the id its position gives it, with
-    ``prefix``, counting on from ``before`` entries of its kind, or else
-    (an edge) by its ends.
+    each a list, or for a field of :data:`DICTIONARY_FIELDS` an object of
+    exactly two lists, ``codes`` and ``values``, all of one length (counting
+    a dictionary's codes), else ``document-schema``.  Then each field in
+    turn: a value whose type ``types`` does not allow is ``field-type``,
+    naming the field and the first such entry: by the id its position
+    gives it, with ``prefix``, counting on from ``before`` entries of its
+    kind, or else (an edge) by its ends.  A dictionary column is checked
+    by :func:`_dictionary_values` and decoded, its values shared through
+    ``strings`` when given.
     """
     if type(table) is not dict or table.keys() != types.keys():
         raise CorruptionError("document-schema", f"a table not of the columns {sorted(types)}")
     columns = {name: table[name] for name in types}
+    dictionaries = {}
+    for name in filter(DICTIONARY_FIELDS.__contains__, types):
+        stored = columns[name]
+        if (
+            type(stored) is not dict
+            or stored.keys() != {"codes", "values"}
+            or {type(stored["codes"]), type(stored["values"])} != {list}
+        ):
+            raise CorruptionError("document-schema", f"{member}.{name} not codes and values")
+        dictionaries[name] = stored["values"]
+        columns[name] = stored["codes"]
     if not set(map(type, columns.values())) <= {list}:
         raise CorruptionError("document-schema", f"a column of {sorted(types)} not a list")
     if len(set(map(len, columns.values()))) > 1:
         raise CorruptionError("document-schema", f"columns of {sorted(types)} of unequal length")
+
+    def entry(at: int) -> str:
+        if prefix:
+            return position_id(prefix, before + at + 1)
+        return _edge_name(columns, at)
+
     for name, allowed in types.items():
+        if name in dictionaries:
+            values = _dictionary_values(columns[name], dictionaries[name], entry, member, name)
+            if strings is not None:
+                values = list(map(strings.setdefault, values, values))
+            columns[name] = list(map(values.__getitem__, columns[name]))
+            continue
         column = columns[name]
         # One pass per field in C; only a failure looks for its entry.
         if not set(map(type, column)) <= set(allowed):
             at = next(i for i, value in enumerate(column) if type(value) not in allowed)
-            if prefix:
-                where = position_id(prefix, before + at + 1)
-            else:
-                where = f"{columns['from_id'][at]}-{columns['to_id'][at]}"
-            raise CorruptionError("field-type", f"{where} {name}")
+            raise CorruptionError("field-type", f"{entry(at)} {name}")
     return columns
+
+
+def _dictionary_values(
+    codes: list, values: list, entry: Callable[[int], str], member: str, name: str
+) -> list[str]:
+    """The ``values`` of the dictionary column ``name`` of table ``member``,
+    once it is the one :func:`core.dictionary_column` writes.  Refused, in
+    README's order, naming the field and the first entry that breaks it (by
+    ``entry`` of its position): a code not an int (``field-type``), out of
+    range (``dictionary-code``) or new but not the next new one
+    (``dictionary-order``); a value no entry uses (``dictionary-unused``,
+    named by its place), not a string (``field-type``) or written twice
+    (``dictionary-distinct``)."""
+
+    def named(at: int) -> str:
+        return f"{entry(at)} {name}"
+
+    if not set(map(type, codes)) <= {int}:
+        at = next(i for i, code in enumerate(codes) if type(code) is not int)
+        raise CorruptionError("field-type", named(at))
+    # The codes in the order they first occur must be 0, 1, 2, ... up to the
+    # last value, which also puts every code in range.
+    firsts = list(dict.fromkeys(codes))
+    if firsts != list(range(len(values))):
+        if not all(0 <= code < len(values) for code in firsts):
+            at = next(i for i, code in enumerate(codes) if not 0 <= code < len(values))
+            raise CorruptionError("dictionary-code", named(at))
+        if firsts != list(range(len(firsts))):
+            code = next(code for k, code in enumerate(firsts) if code != k)
+            raise CorruptionError("dictionary-order", named(codes.index(code)))
+        raise CorruptionError("dictionary-unused", f"{member}.{name}.values[{len(firsts)}]")
+    if not set(map(type, values)) <= {str}:
+        code = next(k for k, value in enumerate(values) if type(value) is not str)
+        raise CorruptionError("field-type", named(codes.index(code)))
+    if len(set(values)) < len(values):
+        code = next(k for k, value in enumerate(values) if value in values[:k])
+        raise CorruptionError("dictionary-distinct", named(codes.index(code)))
+    return values
 
 
 def validate_snapshot(snapshot: MemorySnapshot) -> None:

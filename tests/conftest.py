@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from graphmem.config import EngineConfig
 from graphmem.core import (
+    DICTIONARY_FIELDS,
     STORED_MEMBERS,
     EventGraph,
     EventNode,
@@ -18,6 +19,7 @@ from graphmem.core import (
     TopicNode,
     Utterance,
     canonical_json,
+    dictionary_column,
     edge_key,
 )
 from graphmem.engine import MemoryEngine
@@ -188,3 +190,23 @@ def write_rehashed(document, path):
     body = {k: document[k] for k in STORED_MEMBERS if k in document}
     document["content_hash"] = hashlib.sha256(as_saved(body)).hexdigest()
     path.write_bytes(as_saved(document))
+
+
+def table_rows(table):
+    """A stored table's records, the k-th a dict of entry k of each column,
+    a dictionary column's entry as its value."""
+    columns = {
+        name: [column["values"][code] for code in column["codes"]]
+        if name in DICTIONARY_FIELDS
+        else column
+        for name, column in table.items()
+    }
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def set_table_rows(table, rows):
+    """Writes ``rows`` back into ``table`` a column at a time, each
+    dictionary column as ``save`` writes it."""
+    for name in table:
+        column = [row[name] for row in rows]
+        table[name] = dictionary_column(column) if name in DICTIONARY_FIELDS else column

@@ -18,7 +18,7 @@ snapshot stores, each record is built by its own constructor, and no
 - a consolidation: :func:`reference_consolidate`, which asks each scorer
   once per position, says when a provider's reply aborts it, and builds
   the committed state with the plain constructors;
-- a file: :func:`reference_file` writes a 4.0 file with plain loops over
+- a file: :func:`reference_file` writes a 5.0 file with plain loops over
   the records, :func:`reference_load` reads one position by position and
   checks it with :func:`reference_validate`; :func:`reference_load_v1`
   reads a 1.0 document, which spells out every derived copy, and checks
@@ -333,22 +333,34 @@ def reference_relation(reply):
 
 
 # ---------------------------------------------------------------------------
-# a 4.0 file, record by record
+# a 5.0 file, record by record
 
 #: The fields of each record, in the order README's "Snapshot file format"
 #: lists them.
 _EVENT_FIELDS = ["session_id", "turn_index", "speaker", "text", "timestamp", "confidence_flag"]
 _TOPIC_FIELDS = ["summary", "keywords", "embedding", "created_at"]
 _EDGE_FIELDS = ["from_id", "to_id", "relation", "weight"]
+#: The dictionary columns: ``{codes, values}``.
+_DICTIONARY_FIELDS = ["session_id", "speaker", "relation"]
 
 
 def _as_table(rows, names):
     """Rows, each a list of values in the order of ``names``, as an object
-    of one column per name."""
+    of one column per name, a dictionary column as ``{codes, values}``:
+    the distinct values in the order they first occur, and per entry the
+    index of its value."""
     table = {name: [] for name in names}
     for row in rows:
         for name, value in zip(names, row):
             table[name].append(value)
+    for name in names:
+        if name in _DICTIONARY_FIELDS:
+            values, codes = [], []
+            for value in table[name]:
+                if value not in values:
+                    values.append(value)
+                codes.append(values.index(value))
+            table[name] = {"codes": codes, "values": values}
     return table
 
 
@@ -363,19 +375,23 @@ def _encoded(document):
 def reference_file(snapshot):
     """The file ``save`` writes for ``snapshot``, from README's "Snapshot
     file format": each table an object of columns, entry k of each column
-    the k-th record's field; themes and archives in id order, edges in pair
-    order, the archived events in one table split by ``lengths``; under a
-    ``content_hash`` of the encoded body."""
+    the k-th record's field, session ids, speakers and relations as
+    dictionaries; themes and archives in id order, edges in pair order,
+    each end as the position of its theme, the archived events in one
+    table split by ``lengths``; under a ``content_hash`` of the encoded
+    body."""
     graph = snapshot.topic_graph
+    theme_ids = sorted(graph.nodes)
     themes = []
-    for topic_id in sorted(graph.nodes):
+    for topic_id in theme_ids:
         node = graph.nodes[topic_id]
         embedding = [float(x) for x in node.embedding]
         themes.append([node.summary, list(node.keywords), embedding, node.created_at])
     edges = []
     for key in sorted(graph.edges):
         edge = graph.edges[key]
-        edges.append([edge.from_id, edge.to_id, edge.relation.value, float(edge.weight)])
+        ends = [theme_ids.index(edge.from_id) + 1, theme_ids.index(edge.to_id) + 1]
+        edges.append([*ends, edge.relation.value, float(edge.weight)])
     lengths, archived = [], []
     for archive_id in sorted(snapshot.archive):
         nodes = snapshot.archive[archive_id].nodes
@@ -389,7 +405,7 @@ def reference_file(snapshot):
         "config": snapshot.config.to_dict(),
         "logical_clock": snapshot.logical_clock,
     }
-    header = {"content_hash": hashlib.sha256(_encoded(body)).hexdigest(), "format_version": "4.0"}
+    header = {"content_hash": hashlib.sha256(_encoded(body)).hexdigest(), "format_version": "5.0"}
     return _encoded({**body, **header})
 
 
@@ -440,10 +456,12 @@ def _reconstruct(document, raw):
     for position, length in enumerate(lengths, 1):
         if type(length) is not int:
             raise CorruptionError("field-type", f"a{position:06d} lengths")
-    archived = _records(archives["events"], EVENT_FIELD_TYPES, "e", 0)
-    buffered = _records(body["active_buffer"], EVENT_FIELD_TYPES, "e", len(archived))
-    themes = _records(body["topic_nodes"], _TOPIC_TYPES, "t", 0)
-    links = _records(body["topic_edges"], _EDGE_TYPES, None, 0)
+    archived = _records(archives["events"], EVENT_FIELD_TYPES, "e", 0, "archives.events")
+    buffered = _records(
+        body["active_buffer"], EVENT_FIELD_TYPES, "e", len(archived), "active_buffer"
+    )
+    themes = _records(body["topic_nodes"], _TOPIC_TYPES, "t", 0, "topic_nodes")
+    links = _records(body["topic_edges"], _EDGE_TYPES, None, 0, "topic_edges")
     for prefix, records in (("e", archived + buffered), ("t", themes), ("a", lengths)):
         if len(records) >= 10**6:
             raise CorruptionError("id-width", f"{len(records)} {prefix} ids")
@@ -469,13 +487,20 @@ def _reconstruct(document, raw):
             created_at=record["created_at"],
         )
 
-    edges = {}
     for record in links:
         if not math.isfinite(record["weight"]):
             raise CorruptionError("document-schema", "edge weight")
+        if record["relation"] not in [relation.value for relation in Relation]:
+            raise CorruptionError("document-schema", "edge relation")
+    # An end is a theme's position: k names t{k}.
+    edges = {}
+    for record in links:
+        ends = (record["from_id"], record["to_id"])
+        if not all(1 <= end <= len(themes) for end in ends):
+            raise CorruptionError("topic-edge-endpoints", _edge_name(record))
         edge = TopicEdge(
-            from_id=record["from_id"],
-            to_id=record["to_id"],
+            from_id=f"t{record['from_id']:06d}",
+            to_id=f"t{record['to_id']:06d}",
             relation=Relation(record["relation"]),
             weight=record["weight"],
         )
@@ -535,43 +560,92 @@ _TOPIC_TYPES = {
     "created_at": (int,),
 }
 _EDGE_TYPES = {
-    "from_id": (str,),
-    "to_id": (str,),
+    "from_id": (int,),
+    "to_id": (int,),
     "relation": (str,),
     "weight": (float,),
 }
 
 
-def _records(table, types, prefix, before):
-    """The records of a table, the k-th holding entry k of each column.
+def _edge_name(record):
+    """An edge named by its ends: ``t{k}`` for a position k, else the value."""
+    ends = (record["from_id"], record["to_id"])
+    return "-".join(f"t{end:06d}" if type(end) is int else repr(end) for end in ends)
+
+
+def _records(table, types, prefix, before, member):
+    """The records of the table ``member``, the k-th holding entry k of
+    each column, a dictionary column's entry as its value.
 
     The table must be an object of exactly the columns of ``types``, each
-    a list, all of one length; then each field's type is checked over every
-    record, and a failure names the record by the id its position gives it
-    (``prefix``, counting on from ``before`` records) or, for an edge, its
-    ends."""
+    a list or, for a dictionary column, an object of two lists, ``codes``
+    and ``values``, all of one length; then each field is checked over
+    every record (a dictionary column by :func:`_decode`), and a failure
+    names the record by the id its position gives it (``prefix``, counting
+    on from ``before`` records) or, for an edge, its ends."""
     if type(table) is not dict or sorted(table) != sorted(types):
         raise CorruptionError("document-schema", f"columns {sorted(types)}")
+    columns = {}
     for name in types:
-        if type(table[name]) is not list:
+        column = table[name]
+        if name in _DICTIONARY_FIELDS:
+            if type(column) is not dict or sorted(column) != ["codes", "values"]:
+                raise CorruptionError("document-schema", f"column {name}")
+            if type(column["codes"]) is not list or type(column["values"]) is not list:
+                raise CorruptionError("document-schema", f"column {name}")
+            column = column["codes"]
+        elif type(column) is not list:
             raise CorruptionError("document-schema", f"column {name}")
-    count = len(table[next(iter(types))])
+        columns[name] = column
+    count = len(columns[next(iter(types))])
     for name in types:
-        if len(table[name]) != count:
+        if len(columns[name]) != count:
             raise CorruptionError("document-schema", f"column {name} of unequal length")
     records = []
     for position in range(count):
-        records.append({name: table[name][position] for name in types})
+        records.append({name: columns[name][position] for name in types})
+
+    def named(position, record):
+        return f"{prefix}{before + position:06d}" if prefix else _edge_name(record)
+
     for name, allowed in types.items():
-        for position, record in enumerate(records, before + 1):
+        if name in _DICTIONARY_FIELDS:
+            _decode(records, name, table[name]["values"], f"{member}.{name}", named)
+            continue
+        for position, record in enumerate(records, 1):
             if type(record[name]) not in allowed:
-                where = (
-                    f"{prefix}{position:06d}"
-                    if prefix
-                    else f"{record['from_id']}-{record['to_id']}"
-                )
-                raise CorruptionError("field-type", f"{where} {name}")
+                raise CorruptionError("field-type", f"{named(position, record)} {name}")
     return records
+
+
+def _decode(records, name, values, where, named):
+    """Puts each record's value in place of its code in the dictionary
+    column ``name``, checking, in README's order, that the codes are ints
+    in range, that the values are the column's distinct strings in the
+    order they first occur, and every one used."""
+    for position, record in enumerate(records, 1):
+        if type(record[name]) is not int:
+            raise CorruptionError("field-type", f"{named(position, record)} {name}")
+    for position, record in enumerate(records, 1):
+        if not 0 <= record[name] < len(values):
+            raise CorruptionError("dictionary-code", f"{named(position, record)} {name}")
+    used = 0
+    for position, record in enumerate(records, 1):
+        if record[name] == used:
+            used += 1
+        elif record[name] > used:
+            raise CorruptionError("dictionary-order", f"{named(position, record)} {name}")
+    if used < len(values):
+        raise CorruptionError("dictionary-unused", f"{where}.values[{used}]")
+    for position, record in enumerate(records, 1):
+        if type(values[record[name]]) is not str:
+            raise CorruptionError("field-type", f"{named(position, record)} {name}")
+    codes = {}
+    for position, record in enumerate(records, 1):
+        if codes.setdefault(values[record[name]], record[name]) != record[name]:
+            raise CorruptionError("dictionary-distinct", f"{named(position, record)} {name}")
+    for record in records:
+        record[name] = values[record[name]]
 
 
 def reference_validate(snapshot):

@@ -1,10 +1,10 @@
 """Whole-document mutations, checked against the reference loaders.
 
-``reference.reference_load`` reads a format 4.0 file a record at a time,
+``reference.reference_load`` reads a format 5.0 file a record at a time,
 walking each table's columns position by position; it is the oracle of
 the column passes of ``graphmem.store``.  ``reference.reference_load_v1``
 reads the 1.0 document, which spells out every derived copy, record by
-record and checks each copy; it is the oracle for what a 4.0 file leaves
+record and checks each copy; it is the oracle for what a 5.0 file leaves
 out.
 
 Every mutant edits one place in a saved document (a type swap, a deleted
@@ -43,7 +43,14 @@ from graphmem.harness import replay
 from graphmem.providers import mock_bundle
 from graphmem.store import FORMAT_VERSION, load, save
 
-from conftest import as_saved, body_hash, random_snapshot, write_rehashed
+from conftest import (
+    as_saved,
+    body_hash,
+    random_snapshot,
+    set_table_rows,
+    table_rows,
+    write_rehashed,
+)
 from reference import reference_load, reference_load_v1
 from test_acceptance import STRATEGY_MATRIX
 
@@ -210,8 +217,8 @@ def _first_record_twice(table):
     """The edit that writes the first record of ``table`` twice."""
 
     def edit(document):
-        for column in document[table].values():
-            column.insert(0, column[0])
+        rows = table_rows(document[table])
+        set_table_rows(document[table], rows[:1] + rows)
 
     return edit
 
@@ -220,8 +227,8 @@ def _first_two_records_swapped(table):
     """The edit that swaps the first two records of ``table``."""
 
     def edit(document):
-        for column in document[table].values():
-            column[0], column[1] = column[1], column[0]
+        rows = table_rows(document[table])
+        set_table_rows(document[table], [rows[1], rows[0], *rows[2:]])
 
     return edit
 
@@ -229,16 +236,17 @@ def _first_two_records_swapped(table):
 def _first_two_archives_swapped(document):
     archives = document["archives"]
     first, second = archives["lengths"][:2]
-    for column in archives["events"].values():
-        column[: first + second] = column[first : first + second] + column[:first]
+    rows = table_rows(archives["events"])
+    rows[: first + second] = rows[first : first + second] + rows[:first]
+    set_table_rows(archives["events"], rows)
     archives["lengths"][:2] = [second, first]
 
 
 def _first_archive_twice(document):
     archives = document["archives"]
     first = archives["lengths"][0]
-    for column in archives["events"].values():
-        column[:0] = column[:first]
+    rows = table_rows(archives["events"])
+    set_table_rows(archives["events"], rows[:first] + rows)
     archives["lengths"].insert(0, first)
 
 
@@ -307,6 +315,103 @@ def test_a_malformed_file_is_refused_alike(saved_documents, tmp_path, case):
     assert outcome(reference_load, path) == outcome(load, path) == invariant
 
 
+def _relation_values_swapped(document):
+    # The same relations, under a dictionary whose first two values are
+    # swapped, so the first entry's code is 1.
+    relation = document["topic_edges"]["relation"]
+    relation["values"][:2] = relation["values"][1::-1]
+    relation["codes"] = [{0: 1, 1: 0}.get(code, code) for code in relation["codes"]]
+
+
+_ARCHIVED = ("archives", "events")
+
+#: Edits of the synthetic file's dictionary columns and edge ends that each
+#: loader must refuse, with the invariant and the entry each must name: an
+#: event by its id, an edge by the ids of its ends (stored as 1 and 3), and
+#: an unused value by its place, as no entry uses it.  The synthetic file
+#: holds 21 archived events, under speakers ana and riley and sessions s1
+#: to s7, then two buffered ones by ana in s99.
+REFUSED = {
+    "code-negative": (
+        _set(*_ARCHIVED, "speaker", "codes", 4, -1),
+        "dictionary-code",
+        "e000005 speaker",
+    ),
+    "code-past-values": (
+        _set(*_ARCHIVED, "session_id", "codes", 3, 7),
+        "dictionary-code",
+        "e000004 session_id",
+    ),
+    "relation-code-past-values": (
+        _set("topic_edges", "relation", "codes", 0, 5),
+        "dictionary-code",
+        "t000001-t000003 relation",
+    ),
+    "code-true": (
+        _set("active_buffer", "speaker", "codes", 1, True),
+        "field-type",
+        "e000023 speaker",
+    ),
+    "code-false": (
+        _set("active_buffer", "session_id", "codes", 0, False),
+        "field-type",
+        "e000022 session_id",
+    ),
+    "value-twice": (
+        _set(*_ARCHIVED, "speaker", "values", 1, "ana"),
+        "dictionary-distinct",
+        "e000002 speaker",
+    ),
+    "value-unused": (
+        lambda d: d["archives"]["events"]["speaker"]["values"].append("sam"),
+        "dictionary-unused",
+        "archives.events.speaker.values[2]",
+    ),
+    "values-out-of-order": (
+        _relation_values_swapped,
+        "dictionary-order",
+        "t000001-t000003 relation",
+    ),
+    "edge-end-0": (
+        _set("topic_edges", "from_id", 0, 0),
+        "topic-edge-endpoints",
+        "t000000-t000003",
+    ),
+    "edge-end-past-the-themes": (
+        _set("topic_edges", "to_id", 0, 8),
+        "topic-edge-endpoints",
+        "t000001-t000008",
+    ),
+    "edge-end-true": (
+        _set("topic_edges", "from_id", 0, True),
+        "field-type",
+        "True-t000003 from_id",
+    ),
+}
+
+
+def refusal(loader, path):
+    try:
+        loader(path)
+    except CorruptionError as err:
+        return err.invariant, str(err)
+    return None
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_dictionary_or_edge_end_save_never_writes_is_refused_alike(
+    saved_documents, tmp_path, case
+):
+    edit, invariant, named = REFUSED[case]
+    document = json.loads(saved_documents["synthetic"])
+    edit(document)
+    path = tmp_path / "memory.json"
+    write_rehashed(document, path)
+    expected = refusal(reference_load, path)
+    assert refusal(load, path) == expected
+    assert expected[0] == invariant and expected[1].endswith(named)
+
+
 @pytest.mark.parametrize(
     "edit", [_first_two_records_swapped("topic_nodes"), _first_two_archives_swapped]
 )
@@ -325,7 +430,7 @@ def test_reordered_records_load_alike_and_hash_to_the_file(saved_documents, tmp_
 @pytest.mark.filterwarnings("ignore:beta_:UserWarning")
 @pytest.mark.parametrize("strategy", STRATEGY_MATRIX)
 @pytest.mark.parametrize("corpus", ["golden", "scaling"])
-def test_the_1_0_document_and_the_4_0_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
+def test_the_1_0_document_and_the_saved_file_hold_one_snapshot(corpus, strategy, tmp_path, request):
     engine = MemoryEngine(mock_bundle(EngineConfig()), EngineConfig())
     snapshot, _ = replay(request.getfixturevalue(f"{corpus}_corpus"), engine, strategy)
     path, again = tmp_path / "memory.json", tmp_path / "again.json"

@@ -317,15 +317,18 @@ def next_turn(turns: list[tuple], session: str) -> int:
 
 def check_file(snapshot: MemorySnapshot, path: str) -> None:
     """Save ``snapshot``: the file it keeps is the one the reference writer
-    writes, and the engine's loader and the reference loader both read it
-    back as ``snapshot``, so no carried value is saved or compared.  It is
-    hashed first, so a hash that kept anything would show in the file."""
+    writes, the engine's loader and the reference loader both read it back
+    as ``snapshot``, so no carried value is saved or compared, and a save
+    of the loaded copy writes the file again byte for byte.  It is hashed
+    first, so a hash that kept anything would show in the file."""
     digest = snapshot_hash(snapshot)
     save(snapshot, path)
     assert snapshot.saved_bytes == reference_file(snapshot)
     loaded = load(path)
     assert loaded == reference_load(path) == snapshot
     assert snapshot_hash(loaded) == digest
+    save(loaded, path)
+    assert loaded.saved_bytes == snapshot.saved_bytes
 
 
 def shown(ranking) -> list[tuple]:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import random
 import sys
 import tempfile
@@ -10,12 +11,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmem import core
 from graphmem.config import EngineConfig
 from graphmem.core import (
+    DICTIONARY_FIELDS,
     EventGraph,
     EventNode,
     STORED_MEMBERS,
@@ -29,6 +31,7 @@ from graphmem.core import (
     archive_segment,
     canonical_json,
     insert_topic_node,
+    new_snapshot,
     next_topic_id,
     snapshot_hash,
     snapshot_to_dict,
@@ -53,7 +56,9 @@ from conftest import (
     body_hash,
     interleaved_corpora,
     random_snapshot,
+    set_table_rows,
     stored_body,
+    table_rows,
     unit_vector,
     write_rehashed,
 )
@@ -298,7 +303,7 @@ class TestValidation:
 
     def test_unknown_major_version_rejected(self, snapshot, tmp_path):
         document, path = self._document(snapshot, tmp_path)
-        document["format_version"] = "5.0"
+        document["format_version"] = "6.0"
         path.write_bytes(as_saved(document))
         with pytest.raises(CorruptionError, match="format-version"):
             load(path)
@@ -399,20 +404,9 @@ def _tables(document):
     }
 
 
-def _rows(table):
-    """A table's records, the k-th a dict of entry k of each column."""
-    return [dict(zip(table, values)) for values in zip(*table.values())]
-
-
-def _set_rows(table, rows):
-    """Writes ``rows`` back into ``table``, a column at a time."""
-    for name, column in table.items():
-        column[:] = [row[name] for row in rows]
-
-
 def _archives(document):
     """Each archive's event records, in order."""
-    rows, archives = _rows(document["archives"]["events"]), []
+    rows, archives = table_rows(document["archives"]["events"]), []
     for length in document["archives"]["lengths"]:
         archives.append(rows[:length])
         rows = rows[length:]
@@ -421,7 +415,7 @@ def _archives(document):
 
 def _set_archives(document, archives):
     document["archives"]["lengths"] = [len(rows) for rows in archives]
-    _set_rows(document["archives"]["events"], [row for rows in archives for row in rows])
+    set_table_rows(document["archives"]["events"], [row for rows in archives for row in rows])
 
 
 @pytest.mark.parametrize(
@@ -450,14 +444,19 @@ def test_field_of_the_wrong_type_is_rejected(buffered_snapshot, tmp_path, table,
     document = saved_document(buffered_snapshot, path)
     edges = document["topic_edges"]
     # The first record of each table, named by the id its position gives it
-    # (an edge, by its ends).
+    # (an edge, by the ids of its ends).
     named = {
         "archived": "e000001",
         "buffered": "e000037",
         "theme": "t000001",
-        "edge": f"{edges['from_id'][0]}-{edges['to_id'][0]}",
+        "edge": f"t{edges['from_id'][0]:06d}-t{edges['to_id'][0]:06d}",
     }[table]
-    _tables(document)[table][field][0] = value
+    column = _tables(document)[table][field]
+    if field in DICTIONARY_FIELDS:
+        # The value of the first entry, which is the first to use it.
+        column["values"][column["codes"][0]] = value
+    else:
+        column[0] = value
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
@@ -504,11 +503,64 @@ def test_a_stored_id_is_refused(buffered_snapshot, tmp_path, where, key):
     path = tmp_path / "memory.json"
     document = saved_document(buffered_snapshot, path)
     table = _tables(document)[where]
-    table[key] = ["e000001" if where != "theme" else "t000001"] * len(_rows(table))
+    table[key] = ["e000001" if where != "theme" else "t000001"] * len(table_rows(table))
     write_rehashed(document, path)
     with pytest.raises(CorruptionError) as err:
         load(path)
     assert err.value.invariant == "document-schema"
+
+
+#: The loader's refusals of a dictionary that is not the one save writes.
+_DICTIONARY_REFUSALS = {"dictionary-order", "dictionary-unused", "dictionary-distinct"}
+
+
+@st.composite
+def speaker_columns(draw):
+    """A buffer's speakers, from few or many distinct strings, non-ASCII
+    included, and another encoding of them: the distinct speakers in any
+    order, perhaps with values no entry needs, one repeating a speaker,
+    and per entry any index holding its speaker."""
+    pool = draw(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True))
+    speakers = draw(st.lists(st.sampled_from(pool), max_size=10))
+    distinct = list(dict.fromkeys(speakers))
+    extras = draw(st.lists(st.sampled_from(pool) | st.text(max_size=2), max_size=2))
+    values = draw(st.permutations(distinct + extras))
+    codes = [
+        draw(st.sampled_from([k for k, value in enumerate(values) if value == speaker]))
+        for speaker in speakers
+    ]
+    return speakers, {"codes": codes, "values": values}
+
+
+class TestDictionaryColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=speaker_columns())
+    @example(columns=([], {"codes": [], "values": []}))
+    @example(columns=(["ana"], {"codes": [0], "values": ["ana"]}))
+    @example(columns=(["ana"] * 3, {"codes": [0, 0, 0], "values": ["ana"]}))
+    @example(columns=(["ana", "riley", "jo"], {"codes": [0, 1, 2], "values": ["ana", "riley", "jo"]}))
+    @example(columns=(["ána", "🌱", "ána"], {"codes": [1, 0, 1], "values": ["🌱", "ána"]}))
+    def test_the_written_column_is_the_one_encoding_a_load_accepts(self, columns):
+        speakers, other = columns
+        snapshot = new_snapshot()
+        for number, speaker in enumerate(speakers):
+            snapshot = append_event(snapshot, Utterance("s1", speaker, f"line {number}"))
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "memory.json"
+            save(snapshot, path)
+            document = json.loads(path.read_bytes())
+            written = document["active_buffer"]["speaker"]
+            assert [written["values"][code] for code in written["codes"]] == speakers
+            assert [node.speaker for node in load(path).buffer] == speakers
+            document["active_buffer"]["speaker"] = other
+            write_rehashed(document, path)
+            try:
+                loaded = load(path)
+            except CorruptionError as err:
+                assert other != written and err.invariant in _DICTIONARY_REFUSALS
+            else:
+                assert other == written
+                assert [node.speaker for node in loaded.buffer] == speakers
 
 
 class TestNonFinite:
@@ -733,13 +785,14 @@ class TestIdWidth:
     def test_nine_events_fit_in_one_digit_and_ten_do_not(
         self, tmp_path, monkeypatch, buffered, accepted
     ):
-        # No edges: an edge names its themes by id, which the file stores.
-        snapshot = random_snapshot(random.Random(3), 3, edge_probability=0.0)
+        # Edges store their ends as positions, so they load under one digit too.
+        snapshot = random_snapshot(random.Random(3), 3, edge_probability=1.0)
         for turn in range(buffered):
             snapshot = append_event(snapshot, Utterance("s9", "ana", f"buffered turn {turn}"))
         path = tmp_path / "memory.json"
         save(snapshot, path)
         monkeypatch.setattr(core, "ID_WIDTH", 1)
+        monkeypatch.setattr(core, "_ID_FORMATS", {prefix: f"{prefix}%01d" for prefix in "eta"})
         if not accepted:
             with pytest.raises(CorruptionError) as err:
                 load(path)
@@ -749,6 +802,7 @@ class TestIdWidth:
         loaded = load(path)
         assert [n.id for n in stored_nodes(loaded)] == [f"e{i}" for i in range(1, 10)]
         assert list(loaded.topic_graph.nodes) == ["t1", "t2", "t3"]
+        assert list(loaded.topic_graph.edges) == [("t1", "t2"), ("t1", "t3"), ("t2", "t3")]
         assert list(loaded.archive) == ["a1", "a2", "a3"]
 
 
